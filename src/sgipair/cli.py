@@ -8,9 +8,11 @@ oracle comparison suites, with a nonzero exit code on any failure).
 
 Grids and trajectories are comma-separated with '#'-prefixed metadata and
 17-significant-digit floats, so identical invocations produce byte-identical
-files; reports are flat key-value text.  All computation is deterministic
-(there is no random number generator anywhere), so ``--seedless`` is
-accepted as a no-op for interface compatibility.
+files; reports are flat key-value text.  A sweep evaluates the closed forms
+once on whole grid columns, through the same functions as the single-point
+reports, so ``--workers`` is accepted as a no-op.  All computation is
+deterministic (there is no random number generator anywhere), so
+``--seedless`` is accepted as a no-op for interface compatibility.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -150,101 +151,50 @@ class SweepSpec:
     tau_selector: str = "final"
     negativity_selector: str = "witness"
 
-    def grid(self) -> list[dict[str, float]]:
-        """Row-major list of parameter dictionaries over the axes."""
-        points: list[dict[str, float]] = []
-        values = [axis.values() for axis in self.axes]
-        index = np.zeros(len(self.axes), dtype=int)
 
-        def recurse(depth: int, current: dict[str, float]) -> None:
-            if depth == len(self.axes):
-                points.append(dict(current))
-                return
-            for v in values[depth]:
-                current[self.axes[depth].name] = float(v)
-                recurse(depth + 1, current)
+def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
+    """Evaluate a sweep grid as whole columns; rows are row-major over the axes.
 
-        recurse(0, dict(self.fixed))
-        return points
-
-
-def _sweep_point(task: tuple[dict[str, float], bool, str]) -> list[float]:
-    """Evaluate one grid point; module-level so process pools can pickle it."""
-    values, constraint_force, tau_selector = task
-    g = values["g"]
-    f_q = design.required_force(g) if constraint_force else values.get("f_q", 0.0)
+    Every parameter column is validated before any closed form runs, so an
+    out-of-domain axis fails with one error naming its first bad value.
+    """
+    columns = dict(spec.fixed)
+    mesh = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
+    for axis, values in zip(spec.axes, mesh):
+        columns[axis.name] = values.ravel()
+    g = columns["g"]
+    f_q = design.required_force(g) if spec.constraint_force else columns.get("f_q", 0.0)
     params = UnitlessParams(
         f_q=f_q,
         g=g,
-        s=values.get("s", 1.0),
-        n_p=values.get("n_p", 0.0),
-        gamma_x=values.get("gamma_x", 0.0),
-        gamma_z=values.get("gamma_z", 0.0),
+        s=columns.get("s", 1.0),
+        n_p=columns.get("n_p", 0.0),
+        gamma_x=columns.get("gamma_x", 0.0),
+        gamma_z=columns.get("gamma_z", 0.0),
     )
-    return _sweep_row(params, tau_selector)
-
-
-def _sweep_row(params: UnitlessParams, tau_selector: str) -> list[float]:
-    """One emitted row: parameters, phase, contrasts, all three negativities."""
-    tau = _resolve_tau(tau_selector, params.g)
+    tau = _resolve_tau(spec.tau_selector, g)
     rho, contrasts, phase = dynamics.open_qrdm(params, tau)
     result = entanglement.evaluate_negativity(rho, phase, contrasts)
-    return [
-        params.f_q,
-        params.g,
-        params.s,
-        params.n_p,
-        params.gamma_x,
-        params.gamma_z,
-        tau,
-        phase,
-        contrasts.c_s_np_1,
-        contrasts.c_s_np_2,
-        contrasts.c_gamma_1,
-        contrasts.c_gamma_2,
-        contrasts.c_z,
-        result.exact,
-        result.closed_form,
-        result.witness_trace,
-    ]
-
-
-_SWEEP_HEADER = [
-    "f_q",
-    "g",
-    "s",
-    "n_p",
-    "gamma_x",
-    "gamma_z",
-    "tau",
-    "phi",
-    "c_s_np_1",
-    "c_s_np_2",
-    "c_gamma_1",
-    "c_gamma_2",
-    "c_z",
-    "neg_exact",
-    "neg_closed",
-    "neg_witness",
-    "negativity",
-]
-
-_SELECTOR_COLUMN = {"exact": 13, "closed": 14, "witness": 15}
-
-
-def run_sweep(spec: SweepSpec, workers: int = 1) -> tuple[list[str], list[list[float]]]:
-    """Evaluate a sweep grid, deterministically ordered regardless of workers."""
-    tasks = [
-        (point, spec.constraint_force, spec.tau_selector) for point in spec.grid()
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks, chunksize=16))
-    else:
-        rows = [_sweep_point(task) for task in tasks]
-    selected = _SELECTOR_COLUMN[spec.negativity_selector]
-    full_rows = [row + [row[selected]] for row in rows]
-    return list(_SWEEP_HEADER), full_rows
+    table = {
+        "f_q": params.f_q,
+        "g": params.g,
+        "s": params.s,
+        "n_p": params.n_p,
+        "gamma_x": params.gamma_x,
+        "gamma_z": params.gamma_z,
+        "tau": tau,
+        "phi": phase,
+        "c_s_np_1": contrasts.c_s_np_1,
+        "c_s_np_2": contrasts.c_s_np_2,
+        "c_gamma_1": contrasts.c_gamma_1,
+        "c_gamma_2": contrasts.c_gamma_2,
+        "c_z": contrasts.c_z,
+        "neg_exact": result.exact,
+        "neg_closed": result.closed_form,
+        "neg_witness": result.witness_trace,
+    }
+    table["negativity"] = table[f"neg_{spec.negativity_selector}"]
+    return list(table), np.column_stack(np.broadcast_arrays(*table.values()))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -270,7 +220,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tau_selector=args.tau,
         negativity_selector=args.negativity,
     )
-    header, rows = run_sweep(spec, workers=args.workers)
+    header, rows = run_sweep(spec)
     metadata = {
         "generator": f"sgipair {__version__}",
         "command": "sweep",
@@ -586,7 +536,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default="witness",
         help="which negativity a single 'negativity' column/verdict uses",
     )
-    common.add_argument("--workers", type=int, default=1, help="parallel grid workers")
+    common.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility; a sweep is evaluated as whole arrays",
+    )
     common.add_argument(
         "--seedless",
         action="store_true",

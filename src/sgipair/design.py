@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .potentials import G_NEWTON, HBAR, NVParams, nv_map
+import numpy as np
+
+from .potentials import G_NEWTON, HBAR, NVParams, _require, nv_map
 
 __all__ = [
     "DEFAULT_TARGET_PHASE",
@@ -53,9 +55,8 @@ class DetectionConstraint:
 
     @property
     def required_force(self) -> float:
-        if self.g <= 0.0:
-            raise ValueError(f"coupling g={self.g} must be > 0")
-        return math.sqrt(self.target_phase / (6.0 * math.pi * self.g))
+        _require("coupling g", self.g, self.g > 0.0, "must be > 0")
+        return np.sqrt(self.target_phase / (6.0 * math.pi * self.g))
 
     @property
     def leading_phase(self) -> float:
@@ -63,8 +64,11 @@ class DetectionConstraint:
         return 6.0 * math.pi * self.g * self.required_force**2
 
 
-def required_force(g: float, target_phase: float = DEFAULT_TARGET_PHASE) -> float:
-    """Force 1/sqrt(120 g) (for the default pi/20 target) sensing entanglement at g."""
+def required_force(g, target_phase: float = DEFAULT_TARGET_PHASE):
+    """Force 1/sqrt(120 g) (for the default pi/20 target) sensing entanglement at g.
+
+    Elementwise over an array of g.
+    """
     return DetectionConstraint(target_phase=target_phase, g=g).required_force
 
 
@@ -303,5 +307,8 @@ def nv_operating_point(
             chi_m=nv.chi_m,
         )
     )
-    assert abs(check_omega - omega) < 1e-9 * omega
+    if not abs(check_omega - omega) < 1e-9 * omega:
+        raise RuntimeError(
+            f"gradient map gives omega={check_omega}, the constraint needs omega={omega}"
+        )
     return NVOperatingPoint(dB=gradient, omega=omega, F_q=f_q, omega_d=omega_d)

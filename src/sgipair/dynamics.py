@@ -30,7 +30,7 @@ from .phase_space import (
     sgi_hamiltonian_matrix,
     symplectic_form,
 )
-from .potentials import UnitlessParams
+from .potentials import UnitlessParams, _require
 
 __all__ = [
     "BranchLabel",
@@ -118,6 +118,7 @@ class ContrastSet:
     c1/c2 are the unitary recombination-mismatch terms (antisymmetric and
     symmetric mode); c_s_np_1/c_s_np_2 their squeezed-thermal versions;
     c_gamma_1/c_gamma_2 the diffusion terms; c_z the qubit dephasing term.
+    Each exponent is a scalar or a grid column.
     """
 
     c1: float = 0.0
@@ -131,8 +132,7 @@ class ContrastSet:
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            if value < -1e-12:
-                raise ValueError(f"contrast {name}={value} must be >= 0")
+            _require(f"contrast {name}", value, value >= -1e-12, "must be >= 0")
 
     @property
     def single_flip_total(self) -> float:
@@ -182,14 +182,21 @@ class GaussianCatState:
 # --------------------------------------------------------------------------
 
 
-def entangling_phase(f_q: float, g: float, tau: float) -> float:
+# The closed forms below broadcast over grid columns.  Powers use np.square and
+# np.power, not **: on a numpy scalar ** calls the C library pow, which can
+# differ in the last bit from the array ufunc, and one point must match its row.
+
+
+def entangling_phase(f_q, g, tau):
     """Qubit-qubit phase f_q^2 (sin tau + 2 g tau/w^2 - sin(w tau)/w^3), w = omega_g.
 
     Depends only on (f_q, g, tau); in particular it is independent of the
     mass, the initial squeezing/temperature, and the diffusion rate.
     """
     w = mode_frequency(g)
-    return f_q**2 * (np.sin(tau) + 2.0 * g * tau / w**2 - np.sin(w * tau) / w**3)
+    return np.square(f_q) * (
+        np.sin(tau) + 2.0 * g * tau / np.square(w) - np.sin(w * tau) / np.power(w, 3)
+    )
 
 
 def contrast_c1(f_q: float, g: float, tau: float) -> float:
@@ -222,42 +229,43 @@ def residual_separation(f_q: float, g: float) -> float:
     return 4.0 * f_q * np.sin(np.pi / mode_frequency(g)) ** 2
 
 
-def _open_contrasts(params: UnitlessParams, tau: float) -> ContrastSet:
+def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
     """Closed-form contrast components for squeezed-thermal diffusive dynamics."""
     f_q, g, s = params.f_q, params.g, params.s
     w = mode_frequency(g)
     occ = 1.0 + 2.0 * params.n_p
+    f_sq = np.square(f_q)
     c_s_1 = (
         occ
-        * (f_q**2 / (4.0 * w**4 * s))
+        * (f_sq / (4.0 * np.power(w, 4) * s))
         * (
-            (1.0 - s**2 * w**2) * np.cos(2.0 * tau * w)
-            + s**2 * w**2
+            (1.0 - np.square(s) * np.square(w)) * np.cos(2.0 * tau * w)
+            + np.square(s) * np.square(w)
             - 4.0 * np.cos(tau * w)
             + 3.0
         )
     )
     c_s_2 = (
         occ
-        * f_q**2
-        * np.sin(tau / 2.0) ** 2
+        * f_sq
+        * np.square(np.sin(tau / 2.0))
         * ((s - 1.0 / s) * np.cos(tau) + s + 1.0 / s)
     )
     c_g_1 = (
         params.gamma_x
-        * (f_q**2 / (8.0 * w**5))
+        * (f_sq / (8.0 * np.power(w, 5)))
         * (6.0 * tau * w - 8.0 * np.sin(tau * w) + np.sin(2.0 * tau * w))
     )
     c_g_2 = (
         params.gamma_x
-        * (f_q**2 / 4.0)
+        * (f_sq / 4.0)
         * (3.0 * tau + np.sin(tau) * (np.cos(tau) - 4.0))
     )
     return ContrastSet(
-        c_s_np_1=max(c_s_1, 0.0),
-        c_s_np_2=max(c_s_2, 0.0),
-        c_gamma_1=max(c_g_1, 0.0),
-        c_gamma_2=max(c_g_2, 0.0),
+        c_s_np_1=np.maximum(c_s_1, 0.0),
+        c_s_np_2=np.maximum(c_s_2, 0.0),
+        c_gamma_1=np.maximum(c_g_1, 0.0),
+        c_gamma_2=np.maximum(c_g_2, 0.0),
         c_z=params.gamma_z * tau,
     )
 
@@ -390,24 +398,19 @@ def branch_pair_phase_contrast(
 # QRDM assembly
 # --------------------------------------------------------------------------
 
+# Entry (row, col) of the QRDM as an index into (1, upper, lower, both_sym, both_anti).
+_QRDM_LAYOUT = np.array([[0, 1, 1, 3], [2, 0, 4, 2], [2, 4, 0, 2], [3, 1, 1, 0]])
 
-def _qrdm_from_components(phase: float, contrasts: ContrastSet) -> np.ndarray:
-    """4x4 QRDM for initial |+>|+> qubits from a phase and contrast exponents."""
+
+def _qrdm_from_components(phase, contrasts: ContrastSet) -> np.ndarray:
+    """QRDMs, shape (..., 4, 4), for initial |+>|+> qubits from phases and contrasts."""
     single = np.exp(-contrasts.single_flip_total)
     both_sym = np.exp(-contrasts.symmetric_flip_total)
     both_anti = np.exp(-contrasts.antisymmetric_flip_total)
     lower = single * np.exp(1j * phase)
     upper = single * np.exp(-1j * phase)
-    rho = np.array(
-        [
-            [1.0, upper, upper, both_sym],
-            [lower, 1.0, both_anti, lower],
-            [lower, both_anti, 1.0, lower],
-            [both_sym, upper, upper, 1.0],
-        ],
-        dtype=complex,
-    )
-    return rho / 4.0
+    entries = np.broadcast_arrays(1.0 + 0j, upper, lower, both_sym, both_anti)
+    return np.stack(entries, axis=-1)[..., _QRDM_LAYOUT] / 4.0
 
 
 def unitary_qrdm(
@@ -431,7 +434,8 @@ def open_qrdm(
 
     The entangling phase is the unitary one; only the contrast exponents
     pick up the initial-state and noise dependence.  At zero noise and unit
-    squeezing this reduces entrywise to the unitary QRDM.
+    squeezing this reduces entrywise to the unitary QRDM.  Parameters and tau
+    may be grid columns, giving QRDMs of shape (..., 4, 4).
     """
     phase = entangling_phase(params.f_q, params.g, tau)
     contrasts = _open_contrasts(params, tau)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ContrastSet
+from .potentials import _require
 
 __all__ = [
     "PAULI",
@@ -82,56 +83,59 @@ class NegativityResult:
 
 def _validate_qrdm(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"QRDM must be 4x4, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > 1e-10:
         raise ValueError("QRDM must be Hermitian")
     return rho
 
 
 def partial_transpose(rho: np.ndarray, qubit: int = 2) -> np.ndarray:
-    """Transpose one qubit's indices of a two-qubit density matrix."""
+    """Transpose one qubit's indices of two-qubit density matrices, shape (..., 4, 4)."""
     if qubit not in (1, 2):
         raise ValueError("qubit must be 1 or 2")
-    blocks = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    rho = np.asarray(rho, dtype=complex)
+    # Axes (..., row q1, row q2, col q1, col q2): swap one qubit's row and col.
+    blocks = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
     if qubit == 2:
-        blocks = blocks.transpose(0, 3, 2, 1)
+        blocks = np.swapaxes(blocks, -3, -1)
     else:
-        blocks = blocks.transpose(2, 1, 0, 3)
-    return blocks.reshape(4, 4)
+        blocks = np.swapaxes(blocks, -4, -2)
+    return blocks.reshape(rho.shape)
 
 
 def negativity_exact(rho: np.ndarray) -> float:
     """PPT negativity max(0, -2 lambda_min) of the partially transposed QRDM."""
     lam = _ppt_lambda_min(rho)
-    return max(0.0, -2.0 * lam)
+    return np.maximum(0.0, -2.0 * lam)
 
 
 def _ppt_lambda_min(rho: np.ndarray) -> float:
     rho = _validate_qrdm(rho)
-    return float(np.linalg.eigvalsh(partial_transpose(rho))[0])
+    return np.linalg.eigvalsh(partial_transpose(rho)).min(axis=-1)
 
 
-def negativity_closed_form(phi: float, contrast: float) -> float:
+def negativity_closed_form(phi, contrast):
     """Analytical negative PT eigenvalue magnitude of the ideal QRDM.
 
     (exp(-C)/2) [sqrt(sin^2 phi + f^2) - f] with f = exp(-C) sinh(2C)/2;
     reduces to |sin phi|/2 at zero contrast and to 0 at zero phase.  Equals
     -lambda_min of the partial transpose, i.e. negativity_exact / 2 on this
-    matrix family.
+    matrix family.  Elementwise over arrays of phi and contrast.
     """
-    if contrast < 0.0:
-        raise ValueError(f"contrast={contrast} must be >= 0")
-    sin_sq = np.sin(phi) ** 2
-    if sin_sq == 0.0:
-        return 0.0
-    if contrast > 50.0:
-        # f ~ exp(C)/4 dominates; the exact value is sin^2(phi) exp(-2C) up
-        # to a relative error exp(-4C), and the direct form would overflow.
-        return float(sin_sq * np.exp(-2.0 * contrast))
-    f = 0.5 * np.exp(-contrast) * np.sinh(2.0 * contrast)
-    # sqrt(s^2 + f^2) - f rewritten without cancellation at large f
-    return float(0.5 * np.exp(-contrast) * sin_sq / (np.sqrt(sin_sq + f**2) + f))
+    _require("contrast", contrast, contrast >= 0.0, "must be >= 0")
+    sin_sq = np.square(np.sin(phi))
+    # Above C = 50, f ~ exp(C)/4 dominates; the exact value is
+    # sin^2(phi) exp(-2C) up to a relative error exp(-4C), and the direct
+    # form would overflow, so it is evaluated at min(C, 50) and discarded.
+    direct_c = np.minimum(contrast, 50.0)
+    f = 0.5 * np.exp(-direct_c) * np.sinh(2.0 * direct_c)
+    # sqrt(s^2 + f^2) - f rewritten without cancellation at large f; the
+    # 0/0 at sin phi = C = 0 is replaced by 0 below.
+    with np.errstate(invalid="ignore"):
+        direct = 0.5 * np.exp(-direct_c) * sin_sq / (np.sqrt(sin_sq + np.square(f)) + f)
+    value = np.where(contrast > 50.0, sin_sq * np.exp(-2.0 * contrast), direct)
+    return np.where(sin_sq == 0.0, 0.0, value)[()]
 
 
 def pauli_decompose(matrix: np.ndarray, tol: float = 1e-14) -> tuple[tuple[float, str], ...]:
@@ -156,6 +160,13 @@ def pauli_compose(terms: tuple[tuple[float, str], ...]) -> np.ndarray:
     return out
 
 
+_PAULI_WITNESS_TERMS = ((0.5, "XX"), (0.5, "YZ"), (0.5, "ZY"), (-0.5, "II"))
+_PAULI_WITNESS = WitnessOperator(
+    matrix=pauli_compose(_PAULI_WITNESS_TERMS), pauli_terms=_PAULI_WITNESS_TERMS
+)
+_PAULI_WITNESS.matrix.flags.writeable = False
+
+
 def witness_operator(w: float | None = None) -> WitnessOperator:
     """Entanglement witness, in either of the two published normalizations.
 
@@ -168,10 +179,10 @@ def witness_operator(w: float | None = None) -> WitnessOperator:
     With ``w`` omitted, returns the half-normalized Pauli form
     (XX + YZ + ZY - II)/2, which is exactly twice the w = 1 matrix and whose
     trace against the ideal QRDM is exp(-C) sin(phi) - (1 - exp(-4C))/4.
+    This one is a shared constant with a read-only matrix.
     """
     if w is None:
-        terms = ((0.5, "XX"), (0.5, "YZ"), (0.5, "ZY"), (-0.5, "II"))
-        return WitnessOperator(matrix=pauli_compose(terms), pauli_terms=terms)
+        return _PAULI_WITNESS
     if w <= 0.0:
         raise ValueError(f"witness parameter w={w} must be > 0")
     matrix = (
@@ -214,18 +225,22 @@ def witness_negativity(phi: float, contrasts: ContrastSet | float) -> float:
 
 
 def witness_trace(rho: np.ndarray, witness: WitnessOperator) -> float:
-    """Real part of Tr[W rho]; the imaginary residue must be negligible."""
+    """Real part of Tr[W rho], elementwise over rho of shape (..., 4, 4).
+
+    The imaginary residue must be negligible.
+    """
     rho = _validate_qrdm(rho)
-    value = complex(np.trace(witness.matrix @ rho))
-    if abs(value.imag) > 1e-12:
-        raise ValueError(f"witness trace has imaginary residue {value.imag:.3e}")
-    return float(value.real)
+    value = np.trace(witness.matrix @ rho, axis1=-2, axis2=-1)
+    residue = np.max(np.abs(value.imag))
+    if residue > 1e-12:
+        raise ValueError(f"witness trace has imaginary residue {residue:.3e}")
+    return value.real
 
 
 def evaluate_negativity(
-    rho: np.ndarray, phi: float, contrasts: ContrastSet | float
+    rho: np.ndarray, phi, contrasts: ContrastSet | float
 ) -> NegativityResult:
-    """All three negativity estimates for one QRDM.
+    """All three negativity estimates for one QRDM, or for a stack of shape (..., 4, 4).
 
     The closed form uses the single-flip contrast exponent, which is exact
     for the ideal closure-time QRDM and an approximation whenever the
@@ -234,10 +249,10 @@ def evaluate_negativity(
     if isinstance(contrasts, ContrastSet):
         contrast = contrasts.single_flip_total
     else:
-        contrast = float(contrasts)
+        contrast = np.asarray(contrasts, dtype=float)[()]
     lam = _ppt_lambda_min(rho)
     return NegativityResult(
-        exact=max(0.0, -2.0 * lam),
+        exact=np.maximum(0.0, -2.0 * lam),
         closed_form=negativity_closed_form(phi, contrast),
         witness_trace=witness_trace(rho, witness_operator()),
         phase=phi,

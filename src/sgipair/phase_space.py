@@ -15,6 +15,8 @@ import numpy as np
 from scipy.integrate import quad_vec
 from scipy.linalg import expm
 
+from .potentials import _require
+
 __all__ = [
     "DriftSpec",
     "symplectic_form",
@@ -78,21 +80,23 @@ def sgi_drift_spec(f_q: float) -> DriftSpec:
     )
 
 
-def _check_coupling(g: float) -> None:
-    if not 0.0 <= g < 0.5:
-        raise ValueError(
-            f"coupling g={g} outside [0, 1/2); the trap is unstable at g >= 1/2"
-        )
+def _check_coupling(g) -> None:
+    _require(
+        "coupling g",
+        g,
+        (0.0 <= g) & (g < 0.5),
+        "outside [0, 1/2); the trap is unstable at g >= 1/2",
+    )
 
 
-def mode_frequency(g: float) -> float:
-    """Antisymmetric-mode frequency sqrt(1 - 2g)."""
+def mode_frequency(g):
+    """Antisymmetric-mode frequency sqrt(1 - 2g), elementwise over an array of g."""
     _check_coupling(g)
-    return float(np.sqrt(1.0 - 2.0 * g))
+    return np.sqrt(1.0 - 2.0 * g)
 
 
-def final_time(g: float) -> float:
-    """Interferometer closure time 2*pi / sqrt(1 - 2g)."""
+def final_time(g):
+    """Interferometer closure time 2*pi / sqrt(1 - 2g), elementwise over an array of g."""
     return 2.0 * np.pi / mode_frequency(g)
 
 
@@ -134,9 +138,8 @@ def propagator(g: float, tau: float) -> np.ndarray:
     symmetric mode and a rotation at frequency omega_g in the antisymmetric
     mode, mapped back to the (x1,p1,x2,p2) ordering.
     """
-    _check_coupling(g)
-    s_plus = _mode_propagator(1.0, tau)
     s_minus = _mode_propagator(mode_frequency(g), tau)
+    s_plus = _mode_propagator(1.0, tau)
     half_sum = 0.5 * (s_plus + s_minus)
     half_diff = 0.5 * (s_plus - s_minus)
     return np.block([[half_sum, half_diff], [half_diff, half_sum]])

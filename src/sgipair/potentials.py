@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "G_NEWTON",
     "HBAR",
@@ -46,6 +48,16 @@ EPSILON_0 = 8.8541878128e-12  # F / m
 MU_0 = 1.25663706212e-6     # N / A^2
 K_BOLTZMANN = 1.380649e-23  # J / K
 MU_BOHR = 9.2740100783e-24  # J / T
+
+
+def _require(name: str, value, ok, requirement: str) -> None:
+    """Raise one ValueError naming the first element of ``value`` where ``ok`` fails.
+
+    ``value`` is a scalar or a grid column and ``ok`` its elementwise domain test.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise ValueError(f"{name}={np.asarray(value)[~ok][0]} {requirement}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +140,7 @@ class UnitlessParams:
 
     Rates are in units of the trap frequency; s and n_p describe the initial
     squeezed thermal state with covariance (1+2n_p)*diag(s, 1/s) per mode.
+    Each field is a scalar or a grid column (arrays that broadcast together).
     """
 
     f_q: float
@@ -138,16 +151,14 @@ class UnitlessParams:
     gamma_z: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.f_q < 0.0:
-            raise ValueError(f"f_q={self.f_q} must be >= 0")
-        if self.g < 0.0:
-            raise ValueError(f"g={self.g} must be >= 0")
-        if not 0.0 < self.s <= 1.0:
-            raise ValueError(f"squeezing s={self.s} must lie in (0, 1]")
-        if self.n_p < 0.0:
-            raise ValueError(f"n_p={self.n_p} must be >= 0")
-        if self.gamma_x < 0.0 or self.gamma_z < 0.0:
-            raise ValueError("noise rates must be >= 0")
+        _require("f_q", self.f_q, self.f_q >= 0.0, "must be >= 0")
+        _require("g", self.g, self.g >= 0.0, "must be >= 0")
+        _require(
+            "squeezing s", self.s, (0.0 < self.s) & (self.s <= 1.0), "must lie in (0, 1]"
+        )
+        _require("n_p", self.n_p, self.n_p >= 0.0, "must be >= 0")
+        _require("gamma_x", self.gamma_x, self.gamma_x >= 0.0, "must be >= 0")
+        _require("gamma_z", self.gamma_z, self.gamma_z >= 0.0, "must be >= 0")
 
     @property
     def stable(self) -> bool:

@@ -7,11 +7,11 @@ reference QRDMs are assembled directly from a phase and contrast exponents.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
-from sgipair.dynamics import ContrastSet, _qrdm_from_components
 from sgipair.potentials import HBAR, PotentialSpec
 
 
@@ -66,8 +66,25 @@ def central_difference_coefficients(
 
 
 def ideal_qrdm(phi: float, contrast: float) -> np.ndarray:
-    """Closure-time QRDM with single-flip exponent C, (00|11) entry 4C."""
-    return _qrdm_from_components(phi, ContrastSet(c2=contrast))
+    """Closure-time QRDM with single-flip exponent C, (00|11) entry 4C.
+
+    Single-flip entries are exp(-C -/+ i phi), the (00|11) entry exp(-4C)
+    and the (01|10) entry 1, all over 4.
+    """
+    upper = cmath.exp(-contrast - 1j * phi)
+    lower = cmath.exp(-contrast + 1j * phi)
+    both = math.exp(-4.0 * contrast)
+    return (
+        np.array(
+            [
+                [1.0, upper, upper, both],
+                [lower, 1.0, 1.0, lower],
+                [lower, 1.0, 1.0, lower],
+                [both, upper, upper, 1.0],
+            ]
+        )
+        / 4.0
+    )
 
 
 def reference_covariance(g: float, tau: float) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sgipair import cli, dynamics, entanglement
+from sgipair import cli, design, dynamics, entanglement
 from sgipair.phase_space import final_time
 from sgipair.potentials import UnitlessParams
 
@@ -45,29 +45,59 @@ def read_csv(path):
 
 class TestSweep:
     def test_single_point_matches_direct_evaluation(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        assert run(
+        """Every grid row equals the one-point open_qrdm + evaluate_negativity result."""
+        grids = [
+            ["--axis", "g:0.1:0.2:2", "--fq", "1.0"],
             [
-                "sweep",
-                "--axis",
-                "g:0.1:0.2:2",
-                "--fq",
-                "1.0",
-                "--out",
-                str(out),
-            ]
-        ) == 0
-        _, header, rows = read_csv(out)
-        row = dict(zip(header, rows[0]))
-        params = UnitlessParams(f_q=1.0, g=0.1)
-        tau = final_time(0.1)
-        rho, contrasts, phase = dynamics.open_qrdm(params, tau)
-        result = entanglement.evaluate_negativity(rho, phase, contrasts)
-        assert row["phi"] == phase
-        assert row["neg_exact"] == result.exact
-        assert row["neg_closed"] == result.closed_form
-        assert row["neg_witness"] == result.witness_trace
-        assert row["negativity"] == result.witness_trace  # default selector
+                "--axis", "s:0.05:1:3:log",
+                "--axis", "n_p:0:4:2",
+                "--axis", "gamma_x:0:0.03:3",
+                "--g", "0.2", "--fq", "1.3", "--gamma-z", "0.002",
+            ],
+            [
+                "--axis", "g:1e-3:0.45:4:log",
+                "--axis", "s:0.1:1:2",
+                "--constraint-force", "--np", "2", "--gamma-x", "0.01", "--gamma-z", "0.001",
+            ],
+        ]
+        for index, grid in enumerate(grids):
+            out = tmp_path / f"grid{index}.csv"
+            assert run(["sweep", *grid, "--out", str(out)]) == 0
+            _, header, rows = read_csv(out)
+            for values in rows:
+                row = dict(zip(header, values))
+                g = row["g"]
+                f_q = design.required_force(g) if "--constraint-force" in grid else row["f_q"]
+                params = UnitlessParams(
+                    f_q=f_q,
+                    g=g,
+                    s=row["s"],
+                    n_p=row["n_p"],
+                    gamma_x=row["gamma_x"],
+                    gamma_z=row["gamma_z"],
+                )
+                tau = final_time(g)
+                rho, contrasts, phase = dynamics.open_qrdm(params, tau)
+                result = entanglement.evaluate_negativity(rho, phase, contrasts)
+                assert values == [
+                    f_q,
+                    g,
+                    params.s,
+                    params.n_p,
+                    params.gamma_x,
+                    params.gamma_z,
+                    tau,
+                    phase,
+                    contrasts.c_s_np_1,
+                    contrasts.c_s_np_2,
+                    contrasts.c_gamma_1,
+                    contrasts.c_gamma_2,
+                    contrasts.c_z,
+                    result.exact,
+                    result.closed_form,
+                    result.witness_trace,
+                    result.witness_trace,  # default selector
+                ]
 
     def test_constraint_force_reproduces_ideal_negativity(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -152,6 +182,26 @@ class TestSweep:
     def test_bad_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown parameter"):
             run(["sweep", "--axis", "mass:1:2:3"])
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--axis", "g:0.1:0.6:6", "--fq", "1"], r"^coupling g=0\.5 outside \[0, 1/2\)"),
+            (["--axis", "g:0:0.2:3", "--constraint-force"], r"^coupling g=0\.0 must be > 0"),
+            (["--axis", "s:0.5:2:3"], r"^squeezing s=1\.25 must lie in \(0, 1\]"),
+        ],
+    )
+    def test_out_of_domain_column_fails_before_evaluation(
+        self, tmp_path, monkeypatch, args, message
+    ):
+        def never(*_):
+            raise AssertionError("a closed form ran on an out-of-domain grid")
+
+        monkeypatch.setattr(dynamics, "open_qrdm", never)
+        out = tmp_path / "grid.csv"
+        with pytest.raises(ValueError, match=message):
+            run(["sweep", *args, "--out", str(out)])
+        assert not out.exists()
 
 
 class TestTrajectories:

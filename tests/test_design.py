@@ -204,3 +204,14 @@ class TestNVOperatingPoint:
         nv = NVParams(dB=1.0)
         products = {design.nv_operating_point(nv, d).omega_d for d in (10e-6, 30e-6, 90e-6)}
         assert len({round(p, 18) for p in products}) == 1
+
+    def test_inconsistent_gradient_map_raises(self, monkeypatch):
+        real_map = design.nv_map
+
+        def skewed(nv):
+            omega, force = real_map(nv)
+            return 1.01 * omega, force
+
+        monkeypatch.setattr(design, "nv_map", skewed)
+        with pytest.raises(RuntimeError, match=r"omega=.*omega="):
+            design.nv_operating_point(NVParams(dB=1.0), d=30e-6)
