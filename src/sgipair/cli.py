@@ -200,7 +200,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     axes = tuple(SweepAxis.parse(text) for text in args.axis)
     if not axes:
-        raise SystemExit("sweep requires at least one --axis")
+        raise ValueError("sweep requires at least one --axis")
     fixed = {
         "f_q": args.fq,
         "g": args.g,
@@ -617,7 +617,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    """Run one subcommand; out-of-domain input exits with status 2 and one error line."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     handlers = {
         "sweep": _cmd_sweep,
         "trajectories": _cmd_trajectories,
@@ -627,7 +629,10 @@ def main(argv: list[str] | None = None) -> int:
         "bounds": _cmd_bounds,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

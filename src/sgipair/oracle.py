@@ -4,10 +4,15 @@ Two oracles, neither of which shares code with the closed forms they check:
 
 * a fixed-step 4th-order integrator for the first- and second-moment
   equations of motion (valid for any Gaussian initial state and diffusion
-  matrix), and
-* truncated-Fock-space propagation of the full two-qubit x two-mode system,
-  evolving each qubit-sector block of the density operator under the
-  branch Hamiltonians and the position-dephasing dissipator.
+  matrix).  The equations are linear and autonomous, dy/dtau = A y + b,
+  so each classical RK4 step is applied as its exact one-step map
+  y -> y + (M y + q), built once per step size from A and b; and
+* truncated-Fock-space propagation of the full two-qubit x two-mode system.
+  Noise-free branches are propagated exactly as kets.  Under position
+  diffusion the ten independent qubit-sector blocks of the density
+  operator are stacked in one array and advanced by RK4 under one
+  generator, whose every term is a batched matrix product over a single
+  mode axis of all blocks at once.
 
 The Fock oracle adopts the rate normalization of the closed forms: the
 position dissipator acts at gamma_x/4 per mode and the qubit dephasing at
@@ -32,7 +37,7 @@ from .phase_space import (
     sgi_hamiltonian_matrix,
     symplectic_form,
 )
-from .potentials import UnitlessParams
+from .potentials import UnitlessParams, _require
 
 __all__ = [
     "OracleError",
@@ -110,49 +115,58 @@ class MomentTrajectories:
     step: float
 
 
-def _rk4_step(deriv, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = deriv(y)
-    k2 = deriv(y + 0.5 * dt * k1)
-    k3 = deriv(y + 0.5 * dt * k2)
-    k4 = deriv(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _moment_generator(problem: MomentOdeProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix A and vector b of the linear moment equations dy/dtau = A y + b.
+
+    State layout: row-major sigma (16) followed by the four diagonal branch
+    means (4 each), in ``_DIAGONAL_PAIRS`` order.  With F = Omega H,
+    d sigma/dtau = F sigma + sigma F^T + D and dr_jm/dtau = F r_jm + Omega d_jm.
+    """
+    drift_matrix = _OMEGA @ problem.h_matrix
+    eye = np.eye(4)
+    a = np.zeros((32, 32))
+    a[:16, :16] = np.kron(drift_matrix, eye) + np.kron(eye, drift_matrix)
+    a[16:, 16:] = np.kron(eye, drift_matrix)
+    b = np.concatenate(
+        [problem.d_matrix.ravel()]
+        + [_OMEGA @ problem.drifts.branch_drift(j, m) for j, m in _DIAGONAL_PAIRS]
+    )
+    return a, b
+
+
+def _rk4_step_map(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(M, q) such that one classical RK4 step of size h on y' = A y + b is y + (M y + q).
+
+    On a linear autonomous system the four RK4 stages collapse into
+    P = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) applied to A y + b.
+    """
+    ha = h * a
+    eye = np.eye(len(a))
+    poly = h * (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
+    return poly @ a, poly @ b
 
 
 def _integrate_once(problem: MomentOdeProblem, dt: float) -> MomentTrajectories:
-    drift_matrix = _OMEGA @ problem.h_matrix
-    d_matrix = problem.d_matrix
-
-    # State layout: flattened sigma (16) followed by four branch means (4 each).
-    def deriv(y: np.ndarray) -> np.ndarray:
-        sigma = y[:16].reshape(4, 4)
-        out = np.empty_like(y)
-        out[:16] = (drift_matrix @ sigma + sigma @ drift_matrix.T + d_matrix).ravel()
-        for idx, (j, m) in enumerate(_DIAGONAL_PAIRS):
-            r = y[16 + 4 * idx : 20 + 4 * idx]
-            out[16 + 4 * idx : 20 + 4 * idx] = drift_matrix @ r + _OMEGA @ (
-                problem.drifts.branch_drift(j, m)
-            )
-        return out
-
+    a, b = _moment_generator(problem)
     y = np.concatenate([problem.sigma0.ravel()] + [problem.r0] * 4)
     grid = problem.tau_grid
-    sigmas = np.empty((len(grid), 4, 4))
-    means = {pair: np.empty((len(grid), 4)) for pair in _DIAGONAL_PAIRS}
-
-    def record(slot: int, state: np.ndarray) -> None:
-        sigmas[slot] = state[:16].reshape(4, 4)
-        for idx, pair in enumerate(_DIAGONAL_PAIRS):
-            means[pair][slot] = state[16 + 4 * idx : 20 + 4 * idx]
-
-    record(0, y)
+    states = np.empty((len(grid), 32))
+    states[0] = y
     for slot in range(1, len(grid)):
         span = grid[slot] - grid[slot - 1]
         n_steps = max(1, int(np.ceil(span / dt)))
-        h = span / n_steps
+        m, q = _rk4_step_map(a, b, span / n_steps)
         for _ in range(n_steps):
-            y = _rk4_step(deriv, y, h)
-        record(slot, y)
-    return MomentTrajectories(tau_grid=grid, sigma=sigmas, branch_means=means, step=dt)
+            # The increment form keeps roundoff at the size of the step's change,
+            # which the halving gate on O(1e3) squeezed-thermal sigmas relies on.
+            y = y + (m @ y + q)
+        states[slot] = y
+    means = {
+        pair: states[:, 16 + 4 * idx : 20 + 4 * idx] for idx, pair in enumerate(_DIAGONAL_PAIRS)
+    }
+    return MomentTrajectories(
+        tau_grid=grid, sigma=states[:, :16].reshape(-1, 4, 4), branch_means=means, step=dt
+    )
 
 
 def integrate_moments(
@@ -164,10 +178,15 @@ def integrate_moments(
 ) -> MomentTrajectories:
     """Fixed-step RK4 trajectories of sigma and the four diagonal means.
 
-    When ``check`` is set the step is refined until halving it changes no
+    The moment equations are linear and autonomous, so each RK4 step is
+    applied as its exact one-step map, built once per step size.  When
+    ``check`` is set the step is refined until halving it changes no
     sampled value by more than ``convergence_tol``; failure to converge
     within ``max_refinements`` halvings raises OracleError.
     """
+    _require("dt", dt, np.isfinite(dt) and dt > 0.0, "must be finite and > 0")
+    if check:
+        _require("max_refinements", max_refinements, max_refinements >= 1, "must be >= 1")
     coarse = _integrate_once(problem, dt)
     if not check:
         return coarse
@@ -221,6 +240,13 @@ class FockProblem:
         grid = np.asarray(self.tau_grid, dtype=float)
         if grid.ndim != 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("tau_grid must be ascending and start at 0")
+        _require("dt", self.dt, np.isfinite(self.dt) and self.dt > 0.0, "must be finite and > 0")
+        _require(
+            "leakage_tol",
+            self.leakage_tol,
+            np.isfinite(self.leakage_tol) and self.leakage_tol > 0.0,
+            "must be finite and > 0",
+        )
 
 
 @dataclass(frozen=True)
@@ -234,6 +260,8 @@ class FockResult:
     leakage: float
     trace_error: float
     n_max: int
+    hermiticity_drift: float  # max |rho - rho^dagger| of a diagonal block before
+    # its per-slot symmetrization; 0 on the exact pure path
 
     def phase(self, slot: int = -1) -> float:
         """Entangling phase -arg of the (00|01) QRDM entry at a grid slot."""
@@ -244,25 +272,10 @@ def _ladder(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max)), k=1)
 
 
-def _mode_operators(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Two-mode position and momentum operators x1, p1, x2, p2."""
+def _quadratures(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated single-mode position (real) and momentum (imaginary) matrices."""
     a = _ladder(n_max)
-    x = (a + a.T) / np.sqrt(2.0)
-    p = 1j * (a.T - a) / np.sqrt(2.0)
-    eye = np.eye(n_max)
-    x1 = np.kron(x, eye)
-    x2 = np.kron(eye, x)
-    p1 = np.kron(p, eye)
-    p2 = np.kron(eye, p)
-    return x1, p1, x2, p2
-
-
-def _quadratic_hamiltonian(g: float, n_max: int) -> np.ndarray:
-    x1, p1, x2, p2 = _mode_operators(n_max)
-    h = 0.5 * (
-        p1 @ p1 + p2 @ p2 + (1.0 - g) * (x1 @ x1 + x2 @ x2)
-    ) + g * (x1 @ x2)
-    return h.real
+    return (a + a.T) / np.sqrt(2.0), 1j * (a.T - a) / np.sqrt(2.0)
 
 
 def _single_mode_initial(s: float, n_p: float, n_max: int) -> np.ndarray:
@@ -292,173 +305,6 @@ def _plus_plus_qrdm() -> np.ndarray:
     return np.full((4, 4), 0.25, dtype=complex)
 
 
-def fock_propagate(problem: FockProblem) -> FockResult:
-    """Propagate the truncated system and trace out the modes.
-
-    Noise-free problems (and problems with only qubit dephasing, which acts
-    as an exact scalar decay on each qubit sector) are propagated exactly by
-    eigendecomposition of the four branch Hamiltonians.  Position diffusion
-    switches to fixed-step 4th-order integration of the qubit-sector blocks
-    of the density operator.
-    """
-    params = problem.params
-    n_max = problem.n_max
-    grid = np.asarray(problem.tau_grid, dtype=float)
-    qubit_rho0 = _plus_plus_qrdm() if problem.qubit_rho0 is None else problem.qubit_rho0
-    quadratures = _mode_operators(n_max)
-    labels = [BranchLabel.from_bits(r, c) for r in range(4) for c in range(4)]
-    pure_cv = params.gamma_x == 0.0 and params.s == 1.0 and params.n_p == 0.0
-
-    if pure_cv:
-        blocks = _propagate_pure(problem, quadratures, grid, qubit_rho0, n_max)
-    else:
-        blocks = _propagate_blocks(problem, grid, qubit_rho0, n_max)
-
-    return _extract_observables(problem, blocks, quadratures, labels, grid)
-
-
-def _propagate_pure(problem, quadratures, grid, qubit_rho0, n_max):
-    """Exact branch kets |psi_jm(tau)>, combined into blocks analytically."""
-    params = problem.params
-    x1, _, x2, _ = quadratures
-    h2 = _quadratic_hamiltonian(params.g, n_max)
-    vac = np.zeros(n_max * n_max, dtype=complex)
-    vac[0] = 1.0
-    eig = {}
-    for j, m in _DIAGONAL_PAIRS:
-        h = h2 + params.f_q * (j * x1 + m * x2).real
-        energies, vectors = np.linalg.eigh(h)
-        eig[(j, m)] = (energies, vectors, vectors.conj().T @ vac)
-    kets = {}
-    for pair, (energies, vectors, amplitudes) in eig.items():
-        phases = np.exp(-1j * np.outer(grid, energies))
-        kets[pair] = (phases * amplitudes) @ vectors.T  # (T, dim)
-
-    gamma_qubit = params.gamma_z / 4.0
-    blocks = {}
-    for row in range(4):
-        for col in range(4):
-            label = BranchLabel.from_bits(row, col)
-            weight = qubit_rho0[row, col]
-            decay = np.exp(
-                -gamma_qubit
-                * ((label.j - label.k) ** 2 + (label.m - label.n) ** 2)
-                * grid
-            )
-            blocks[label] = (
-                weight,
-                decay,
-                kets[(label.j, label.m)],
-                kets[(label.k, label.n)],
-            )
-    return ("pure", blocks)
-
-
-class _ModeLocalAction:
-    """Apply single-mode operators to a two-mode block without kron products.
-
-    Blocks are (n^2, n^2) matrices with row index n1*n + n2.  Left and right
-    multiplication by (op x I) or (I x op) contract a single tensor axis,
-    costing O(n^5) instead of the O(n^6) of dense two-mode products.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.dim = n * n
-
-    def left(self, op: np.ndarray, block: np.ndarray, mode: int) -> np.ndarray:
-        n, dim = self.n, self.dim
-        view = block.reshape(n, n, dim)
-        if mode == 1:
-            out = np.tensordot(op, view, axes=(1, 0))
-        else:
-            out = np.tensordot(op, view, axes=(1, 1)).transpose(1, 0, 2)
-        return out.reshape(dim, dim)
-
-    def right(self, op: np.ndarray, block: np.ndarray, mode: int) -> np.ndarray:
-        n, dim = self.n, self.dim
-        view = block.reshape(dim, n, n)
-        if mode == 1:
-            out = np.tensordot(view, op, axes=(1, 0)).transpose(0, 2, 1)
-        else:
-            out = np.tensordot(view, op, axes=(2, 0))
-        return out.reshape(dim, dim)
-
-
-def _propagate_blocks(problem, grid, qubit_rho0, n_max):
-    """RK4 on the ten independent qubit-sector blocks of the density operator."""
-    params = problem.params
-    gamma_x = params.gamma_x / 4.0
-    gamma_qubit = params.gamma_z / 4.0
-
-    act = _ModeLocalAction(n_max)
-    a = _ladder(n_max)
-    x = (a + a.T) / np.sqrt(2.0)
-    p = 1j * (a.T - a) / np.sqrt(2.0)
-    h_mode = (0.5 * (p @ p + (1.0 - params.g) * (x @ x))).real
-    x_sq = x @ x
-    # Per-eigenvalue single-mode Hamiltonians h + e * f_q * x, e in {+1, -1}.
-    h_branch = {e: h_mode + e * params.f_q * x for e in (+1, -1)}
-
-    def hamiltonian_action(block, j, m, side):
-        apply_ = act.left if side == "ket" else act.right
-        out = apply_(h_branch[j], block, 1) + apply_(h_branch[m], block, 2)
-        out += params.g * apply_(x, apply_(x, block, 1), 2)
-        return out
-
-    rho_cv = _single_mode_initial(params.s, params.n_p, n_max)
-    rho_cv = np.kron(rho_cv, rho_cv)
-
-    needed = [
-        BranchLabel.from_bits(row, col) for row in range(4) for col in range(row, 4)
-    ]
-
-    stored: dict[BranchLabel, np.ndarray] = {}
-    for label in needed:
-        scalar = gamma_qubit * ((label.j - label.k) ** 2 + (label.m - label.n) ** 2)
-        row, col = _bits_of(label)
-        weight = qubit_rho0[row, col]
-        rho = weight * rho_cv.copy()
-
-        def deriv(block: np.ndarray) -> np.ndarray:
-            out = -1j * (
-                hamiltonian_action(block, label.j, label.m, "ket")
-                - hamiltonian_action(block, label.k, label.n, "bra")
-            )
-            if gamma_x:
-                for mode in (1, 2):
-                    out -= gamma_x * (
-                        act.left(x_sq, block, mode)
-                        + act.right(x_sq, block, mode)
-                        - 2.0 * act.left(x, act.right(x, block, mode), mode)
-                    )
-            if scalar:
-                out -= scalar * block
-            return out
-
-        samples = np.empty((len(grid),) + rho.shape, dtype=complex)
-        samples[0] = rho
-        for slot in range(1, len(grid)):
-            span = grid[slot] - grid[slot - 1]
-            n_steps = max(1, int(np.ceil(span / problem.dt)))
-            h_step = span / n_steps
-            for _ in range(n_steps):
-                rho = _rk4_step(deriv, rho, h_step)
-            if label.is_diagonal:
-                drift = float(np.max(np.abs(rho - rho.conj().T)))
-                if drift > 1e-9:
-                    logger.warning(
-                        "hermiticity drift %.2e in diagonal block %s at tau=%.3f",
-                        drift,
-                        (label.j, label.m),
-                        grid[slot],
-                    )
-                rho = 0.5 * (rho + rho.conj().T)
-            samples[slot] = rho
-        stored[label] = samples
-    return ("blocks", stored)
-
-
 def _bits_of(label: BranchLabel) -> tuple[int, int]:
     to_bit = {+1: 0, -1: 1}
     row = 2 * to_bit[label.j] + to_bit[label.m]
@@ -466,89 +312,248 @@ def _bits_of(label: BranchLabel) -> tuple[int, int]:
     return row, col
 
 
-def _extract_observables(problem, blocks, quadratures, labels, grid):
-    kind, data = blocks
-    n_max = problem.n_max
+def _edge_mask(n_max: int) -> np.ndarray:
+    """(n1, n2) occupations in the top two Fock levels of either mode."""
+    top = np.arange(n_max) >= n_max - 2
+    return top[:, None] | top[None, :]
+
+
+def fock_propagate(problem: FockProblem) -> FockResult:
+    """Propagate the truncated system and trace out the modes.
+
+    Noise-free problems (and problems with only qubit dephasing, which acts
+    as an exact scalar decay on each qubit sector) are propagated exactly by
+    eigendecomposition of the four branch Hamiltonians; observables come
+    from the branch kets with x and p applied to one mode axis at a time.
+    Position diffusion switches to fixed-step 4th-order integration of the
+    ten independent qubit-sector blocks of the density operator, stacked in
+    one complex array (block, n1, n2, n1', n2').  Every generator term acts
+    on one mode axis of all blocks at once as a batched matrix product, with
+    the factor -i, the diffusion and the qubit dephasing folded into the
+    per-block operators; on this linear generator a classical RK4 step is
+    the Horner form y + hL(y + h/2 L(y + h/3 L(y + h/4 L y))).
+    """
+    grid = np.asarray(problem.tau_grid, dtype=float)
+    qubit_rho0 = _plus_plus_qrdm() if problem.qubit_rho0 is None else problem.qubit_rho0
+    params = problem.params
+    if params.gamma_x == 0.0 and params.s == 1.0 and params.n_p == 0.0:
+        result = _propagate_pure(problem, grid, qubit_rho0)
+    else:
+        result = _propagate_blocks(problem, grid, qubit_rho0)
+    if result.leakage > problem.leakage_tol:
+        raise OracleError(
+            f"Fock truncation leakage {result.leakage:.3e} exceeds {problem.leakage_tol:.1e}; "
+            f"increase n_max > {problem.n_max}"
+        )
+    return result
+
+
+def _propagate_pure(problem, grid, qubit_rho0):
+    """Exact branch kets |psi_jm(tau)>, combined into QRDM and moments analytically.
+
+    Kets are kept as (T, n1, n2) arrays, so x and p act on one mode axis;
+    every symmetrized second moment is 2 Re<q_a psi|q_b psi>.
+    """
+    params = problem.params
+    n = problem.n_max
+    x, p = _quadratures(n)
+    eye = np.eye(n)
+    x_sq = x @ x
+    p_sq = (p @ p).real
+    h2 = 0.5 * (
+        np.kron(p_sq, eye) + np.kron(eye, p_sq)
+        + (1.0 - params.g) * (np.kron(x_sq, eye) + np.kron(eye, x_sq))
+    ) + params.g * np.kron(x, x)
+    x1, x2 = np.kron(x, eye), np.kron(eye, x)
+
+    kets, applied = {}, {}
+    for j, m in _DIAGONAL_PAIRS:
+        energies, vectors = np.linalg.eigh(h2 + params.f_q * (j * x1 + m * x2))
+        phases = np.exp(-1j * np.outer(grid, energies))
+        ket = ((phases * vectors[0].conj()) @ vectors.T).reshape(len(grid), n, n)
+        kets[(j, m)] = ket
+        # (T, 4, n1, n2): x1, p1, x2, p2 applied to the ket
+        applied[(j, m)] = np.stack([x @ ket, p @ ket, ket @ x.T, ket @ p.T], axis=1)
+
+    n_times = len(grid)
+    gamma_qubit = params.gamma_z / 4.0
+    qrdm = np.zeros((n_times, 4, 4), dtype=complex)
+    first_moments = {}
+    branch_cov = {}
+    total_trace = np.zeros(n_times)
+    leakage = 0.0
+    edge = _edge_mask(n)
+    for row in range(4):
+        for col in range(4):
+            label = BranchLabel.from_bits(row, col)
+            ket, bra = kets[(label.j, label.m)], kets[(label.k, label.n)]
+            weight = qubit_rho0[row, col] * np.exp(
+                -gamma_qubit * ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) * grid
+            )
+            inner = np.einsum("tab,tab->t", bra.conj(), ket)
+            overlap = weight * inner
+            qrdm[:, row, col] = overlap
+            numerators = np.einsum("tab,tqab->tq", bra.conj(), applied[(label.j, label.m)])
+            live = np.abs(overlap) > 1e-300
+            moments = np.zeros((n_times, 4), dtype=complex)
+            moments[live] = numerators[live] / inner[live, None]
+            first_moments[label] = moments
+            if label.is_diagonal:
+                norm = inner.real
+                total_trace += weight.real * norm
+                leakage = max(leakage, float(np.max(np.sum(np.abs(ket[:, edge]) ** 2, axis=1))))
+                q_ket = applied[(label.j, label.m)]
+                gram = np.einsum("taxy,tbxy->tab", q_ket.conj(), q_ket).real
+                mean = moments.real
+                branch_cov[(label.j, label.m)] = 2.0 * (
+                    gram / norm[:, None, None] - mean[:, :, None] * mean[:, None, :]
+                )
+    return FockResult(
+        tau_grid=grid,
+        qrdm=qrdm,
+        first_moments=first_moments,
+        branch_covariance=branch_cov,
+        leakage=leakage,
+        trace_error=float(np.max(np.abs(total_trace - 1.0))),
+        n_max=n,
+        hermiticity_drift=0.0,
+    )
+
+
+def _propagate_blocks(problem, grid, qubit_rho0):
+    """Horner-form RK4 on the ten stacked qubit-sector blocks of the density operator.
+
+    The stored blocks are the labels of the upper QRDM triangle; the lower
+    ones are their conjugate transposes.  The state is one complex array
+    (block, n1, n2, n1', n2'): axes 1-2 are the ket modes, axes 3-4 the bra
+    modes, and every single-mode operator here is real symmetric, so a
+    right product on a bra axis is the same matrix product as a left one.
+    One stage writes y + c L(z) into the next stage buffer; the buffer also
+    stacks x2 z and z x1 behind z along the first ket axis, so that the
+    ket-1 Hamiltonian, the x1 x2 coupling, the mode-1 sandwich x1 z x1 and
+    the scalar dephasing are one product over that axis.
+    """
+    params = problem.params
+    n = problem.n_max
+    x, p = _quadratures(n)
+    gamma_x = params.gamma_x / 4.0
+    gamma_qubit = params.gamma_z / 4.0
+    x_sq = x @ x
+    h_mode = (0.5 * (p @ p + (1.0 - params.g) * x_sq)).real
+
+    labels = [BranchLabel.from_bits(row, col) for row in range(4) for col in range(row, 4)]
+    n_blocks = len(labels)
+    diagonal = [index for index, label in enumerate(labels) if label.is_diagonal]
+    # -i h_e - gamma_x x^2 on a ket axis and +i h_e - gamma_x x^2 on a bra axis
+    ket = {e: -1j * (h_mode + e * params.f_q * x) - gamma_x * x_sq for e in (+1, -1)}
+    bra = {e: 1j * (h_mode + e * params.f_q * x) - gamma_x * x_sq for e in (+1, -1)}
+    ket_1 = np.empty((n_blocks, n, 3 * n), dtype=complex)
+    for index, label in enumerate(labels):
+        scalar = gamma_qubit * ((label.j - label.k) ** 2 + (label.m - label.n) ** 2)
+        ket_1[index, :, :n] = ket[label.j] - scalar * np.eye(n)
+    ket_1[:, :, n : 2 * n] = -1j * params.g * x
+    ket_1[:, :, 2 * n :] = 2.0 * gamma_x * x
+    ket_2 = np.stack([ket[label.m] for label in labels])[:, None]
+    bra_1 = np.stack([bra[label.k] for label in labels])[:, None, None]
+    bra_2 = np.stack([bra[label.n] for label in labels])
+    coupling_bra = 1j * params.g * x
+    sandwich_2 = (2.0 * gamma_x * x).astype(complex)
+
+    def operators(c):
+        return (c * ket_1, c * ket_2, c * bra_1, c * bra_2, c * coupling_bra, c * sandwich_2)
+
+    rho_cv = _single_mode_initial(params.s, params.n_p, n)
+    rho_cv = np.kron(rho_cv, rho_cv).reshape(n, n, n, n)
+    shape = (n_blocks, n, n, n, n)
+    y = np.empty(shape, dtype=complex)
+    for index, label in enumerate(labels):
+        y[index] = qubit_rho0[_bits_of(label)] * rho_cv
+    stages = [np.zeros((n_blocks, 3 * n, n, n, n), dtype=complex) for _ in range(2)]
+    term = np.empty(shape, dtype=complex)
+
+    def by_axis2(a):
+        return a.reshape(n_blocks, n, n, -1)
+
+    def by_rows(a):
+        return a.reshape(n_blocks, n**3, n)
+
+    def stage(src, dst, ops):
+        """dst[:, :n] = y + c L(src[:, :n]), with the step fraction c folded into ``ops``."""
+        k1, k2, b1, b2, coupling, sandwich = ops
+        z, x2z, zx1 = src[:, :n], src[:, n : 2 * n], src[:, 2 * n :]
+        # x is real, so these two run as real products on float views
+        np.matmul(x, by_axis2(z.view(float)), out=by_axis2(x2z.view(float)))
+        np.matmul(x, z.view(float), out=zx1.view(float))
+        out = dst[:, :n]
+        np.matmul(k1, src.reshape(n_blocks, 3 * n, n**3), out=out.reshape(n_blocks, n, n**3))
+        np.matmul(k2, by_axis2(z), out=by_axis2(term))
+        out += term
+        np.matmul(b1, z, out=term)
+        out += term
+        np.matmul(by_rows(z), b2, out=by_rows(term))
+        out += term
+        np.matmul(by_rows(zx1), coupling, out=by_rows(term))
+        out += term
+        np.matmul(by_rows(x2z), sandwich, out=by_rows(term))
+        out += term
+        out += y
+
     n_times = len(grid)
     qrdm = np.zeros((n_times, 4, 4), dtype=complex)
-    first_moments = {label: np.zeros((n_times, 4), dtype=complex) for label in labels}
-    branch_cov = {
-        pair: np.zeros((n_times, 4, 4)) for pair in _DIAGONAL_PAIRS
+    first_moments = {
+        BranchLabel.from_bits(row, col): np.zeros((n_times, 4), dtype=complex)
+        for row in range(4)
+        for col in range(4)
     }
-    sym_products = {
-        (a, b): quadratures[a] @ quadratures[b] + quadratures[b] @ quadratures[a]
-        for a in range(4)
-        for b in range(a, 4)
-    }
+    branch_cov = {pair: np.zeros((n_times, 4, 4)) for pair in _DIAGONAL_PAIRS}
+    edge = _edge_mask(n)
+    leakage = trace_error = drift = 0.0
 
-    # Population of the top two Fock levels of either mode.
-    edge = np.zeros(n_max * n_max, dtype=bool)
-    idx = np.arange(n_max * n_max)
-    edge |= (idx // n_max) >= n_max - 2
-    edge |= (idx % n_max) >= n_max - 2
-
-    leakage = 0.0
-    trace_error = 0.0
-
-    for t in range(n_times):
-        total_trace = 0.0
-        for label in labels:
+    def record(slot):
+        nonlocal leakage, trace_error
+        traces, moments, second, populations = _block_observables(y, diagonal, x, p)
+        for index, label in enumerate(labels):
             row, col = _bits_of(label)
-            if kind == "pure":
-                weight, decay, kets_ket, kets_bra = data[label]
-                bra = kets_bra[t]
-                ket = kets_ket[t]
-                overlap = weight * decay[t] * np.vdot(bra, ket)
-                qrdm[t, row, col] = overlap
-                if abs(overlap) > 1e-300:
-                    moments = [
-                        np.vdot(bra, q @ ket) * weight * decay[t] / overlap
-                        for q in quadratures
-                    ]
-                    first_moments[label][t] = moments
-                if label.is_diagonal:
-                    pair = (label.j, label.m)
-                    norm = float(np.vdot(ket, ket).real)
-                    total_trace += float((weight * decay[t]).real) * norm
-                    leakage = max(leakage, float(np.sum(np.abs(ket[edge]) ** 2)))
-                    mean = np.array([np.vdot(ket, q @ ket).real / norm for q in quadratures])
-                    for (a, b), sym in sym_products.items():
-                        corr = np.vdot(ket, sym @ ket).real / norm
-                        value = corr - 2.0 * mean[a] * mean[b]
-                        branch_cov[pair][t, a, b] = value
-                        branch_cov[pair][t, b, a] = value
-            else:
-                block = data.get(label)
-                conjugate = False
-                if block is None:
-                    block = data[label.swapped]
-                    conjugate = True
-                rho = block[t].conj().T if conjugate else block[t]
-                overlap = np.trace(rho)
-                qrdm[t, row, col] = overlap
-                if abs(overlap) > 1e-300:
-                    first_moments[label][t] = [
-                        np.sum(q.T * rho) / overlap for q in quadratures
-                    ]
-                if label.is_diagonal:
-                    pair = (label.j, label.m)
-                    norm = overlap.real
-                    total_trace += norm
-                    leakage = max(leakage, float(np.sum(np.diagonal(rho).real[edge])) / norm)
-                    mean = first_moments[label][t].real
-                    for (a, b), sym in sym_products.items():
-                        # Tr[S rho] without forming the product matrix
-                        corr = float(np.sum(sym.T * rho).real) / norm
-                        value = corr - 2.0 * mean[a] * mean[b]
-                        branch_cov[pair][t, a, b] = value
-                        branch_cov[pair][t, b, a] = value
+            overlap = traces[index]
+            qrdm[slot, row, col] = overlap
+            if row != col:
+                qrdm[slot, col, row] = np.conj(overlap)
+            if abs(overlap) > 1e-300:
+                first_moments[label][slot] = moments[index] / overlap
+                if row != col:
+                    first_moments[label.swapped][slot] = np.conj(moments[index] / overlap)
+        total_trace = 0.0
+        for index in diagonal:
+            label = labels[index]
+            norm = traces[index].real
+            total_trace += norm
+            leakage = max(leakage, float(np.sum(populations[index][edge])) / norm)
+            mean = first_moments[label][slot].real
+            branch_cov[(label.j, label.m)][slot] = (
+                second[index] / norm - 2.0 * mean[:, None] * mean[None, :]
+            )
         trace_error = max(trace_error, abs(total_trace - 1.0))
 
-    if leakage > problem.leakage_tol:
-        raise OracleError(
-            f"Fock truncation leakage {leakage:.3e} exceeds {problem.leakage_tol:.1e}; "
-            f"increase n_max > {n_max}"
-        )
+    record(0)
+    current = stages[0][:, :n]
+    current[...] = y
+    for slot in range(1, n_times):
+        span = grid[slot] - grid[slot - 1]
+        n_steps = max(1, int(np.ceil(span / problem.dt)))
+        h = span / n_steps
+        stage_ops = [operators(c) for c in (h / 4.0, h / 3.0, h / 2.0, h)]
+        for _ in range(n_steps):
+            for index, ops in enumerate(stage_ops):
+                stage(stages[index % 2], stages[(index + 1) % 2], ops)
+            y[...] = current
+        for index in diagonal:
+            adjoint = y[index].conj().transpose(2, 3, 0, 1)
+            drift = max(drift, float(np.max(np.abs(y[index] - adjoint))))
+            y[index] = 0.5 * (y[index] + adjoint)
+        current[...] = y
+        record(slot)
+    if drift > 1e-9:
+        logger.warning("hermiticity drift %.2e in the diagonal Fock blocks", drift)
     return FockResult(
         tau_grid=grid,
         qrdm=qrdm,
@@ -556,8 +561,34 @@ def _extract_observables(problem, blocks, quadratures, labels, grid):
         branch_covariance=branch_cov,
         leakage=leakage,
         trace_error=trace_error,
-        n_max=n_max,
+        n_max=n,
+        hermiticity_drift=drift,
     )
+
+
+def _block_observables(rho, diagonal, x, p):
+    """Traces, Tr[q rho] and, for diagonal blocks, Tr[{q_a, q_b} rho] of stacked blocks.
+
+    ``rho`` is (block, n1, n2, n1', n2'); quadratures are ordered x1, p1, x2, p2.
+    """
+    quads = (x, p)
+    traces = np.einsum("iabab->i", rho)
+    reduced = (np.einsum("iabcb->iac", rho), np.einsum("iabad->ibd", rho))
+    moments = np.stack(
+        [np.einsum("ca,iac->i", quads[q % 2], reduced[q // 2]) for q in range(4)], axis=1
+    )
+    second = np.zeros((len(rho), 4, 4))
+    for i in diagonal:
+        for a in range(4):
+            for b in range(a, 4):
+                qa, qb = quads[a % 2], quads[b % 2]
+                if a // 2 == b // 2:
+                    value = np.einsum("ca,ac->", qa @ qb + qb @ qa, reduced[a // 2][i])
+                else:
+                    value = 2.0 * np.einsum("ca,db,abcd->", qa, qb, rho[i], optimize=True)
+                second[i, a, b] = second[i, b, a] = value.real
+    populations = np.einsum("iabab->iab", rho).real
+    return traces, moments, second, populations
 
 
 # --------------------------------------------------------------------------
@@ -809,7 +840,10 @@ def verify_fock(g_shift: float = 0.0, n_max: int = 30) -> ComparisonReport:
         "adopted throughout"
     )
     report.notes["fock-diagnostics"] = (
-        f"n_max={n_max}, leakage={result.leakage:.2e}, "
-        f"trace_error={result.trace_error:.2e}"
+        f"pure: n_max={n_max}, leakage={result.leakage:.2e}, "
+        f"trace_error={result.trace_error:.2e}; "
+        f"diffusive: n_max={noisy_result.n_max}, leakage={noisy_result.leakage:.2e}, "
+        f"trace_error={noisy_result.trace_error:.2e}, "
+        f"hermiticity_drift={noisy_result.hermiticity_drift:.2e}"
     )
     return report

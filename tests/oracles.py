@@ -3,6 +3,9 @@
 These deliberately avoid the closed forms they are used to check: Taylor
 coefficients come from numerical differentiation of the exact potential, and
 reference QRDMs are assembled directly from a phase and contrast exponents.
+The reference kernels at the end redo the two ``sgipair.oracle`` integrators
+the direct way (stage-wise RK4, one block at a time, dense operators) to
+check its step map, stacked generator and mode-local observables.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 
 import numpy as np
 
+from sgipair.phase_space import symplectic_form
 from sgipair.potentials import HBAR, PotentialSpec
 
 
@@ -157,3 +161,155 @@ def squeezed_covariance_display(g: float, s: float) -> np.ndarray:
             [xp, pp_cross, xp, pp],
         ]
     )
+
+
+def reference_moment_states(problem, dt: float) -> np.ndarray:
+    """Stage-wise RK4 of the moment equations, one derivative call per stage.
+
+    Returns (T, 32) states: row-major sigma followed by the (+,+), (+,-),
+    (-,+), (-,-) branch means.  Reference for the step-map integrator.
+    """
+    omega = symplectic_form()
+    drift_matrix = omega @ problem.h_matrix
+    pairs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+    def deriv(y):
+        sigma = y[:16].reshape(4, 4)
+        out = np.empty_like(y)
+        out[:16] = (drift_matrix @ sigma + sigma @ drift_matrix.T + problem.d_matrix).ravel()
+        for idx, (j, m) in enumerate(pairs):
+            r = y[16 + 4 * idx : 20 + 4 * idx]
+            out[16 + 4 * idx : 20 + 4 * idx] = drift_matrix @ r + omega @ (
+                problem.drifts.branch_drift(j, m)
+            )
+        return out
+
+    y0 = np.concatenate([problem.sigma0.ravel()] + [problem.r0] * 4)
+    return _rk4_samples(deriv, y0, problem.tau_grid, dt)
+
+
+def _rk4_samples(deriv, y, grid, dt, after_slot=lambda y: y):
+    samples = [y]
+    for start, stop in zip(grid[:-1], grid[1:]):
+        n_steps = max(1, math.ceil((stop - start) / dt))
+        h = (stop - start) / n_steps
+        for _ in range(n_steps):
+            k1 = deriv(y)
+            k2 = deriv(y + 0.5 * h * k1)
+            k3 = deriv(y + 0.5 * h * k2)
+            k4 = deriv(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = after_slot(y)
+        samples.append(y)
+    return np.array(samples)
+
+
+def reference_fock_observables(problem):
+    """QRDM, first moments and branch covariances from dense two-mode operators.
+
+    Noise-free problems use the exact branch kets; otherwise each of the ten
+    upper-triangle qubit-sector blocks is integrated on its own by
+    stage-wise RK4, with single-mode operators applied by ``tensordot``.
+    Observables are traces against dense ``np.kron`` operators.  Reference
+    for the mode-local, stacked kernels of ``sgipair.oracle``.
+    """
+    from sgipair.dynamics import BranchLabel
+    from sgipair.oracle import _single_mode_initial
+
+    params, n = problem.params, problem.n_max
+    dim = n * n
+    grid = np.asarray(problem.tau_grid, dtype=float)
+    rho0 = problem.qubit_rho0
+    if rho0 is None:
+        rho0 = np.full((4, 4), 0.25, dtype=complex)
+    a = np.diag(np.sqrt(np.arange(1, n)), k=1)
+    x = (a + a.T) / np.sqrt(2.0)
+    p = 1j * (a.T - a) / np.sqrt(2.0)
+    eye = np.eye(n)
+    quads = [np.kron(x, eye), np.kron(p, eye), np.kron(eye, x), np.kron(eye, p)]
+    labels = [BranchLabel.from_bits(r, c) for r in range(4) for c in range(4)]
+    gamma_x, gamma_q = params.gamma_x / 4.0, params.gamma_z / 4.0
+
+    def bits(label):
+        return 2 * (label.j < 0) + (label.m < 0), 2 * (label.k < 0) + (label.n < 0)
+
+    def scalar(label):
+        return gamma_q * ((label.j - label.k) ** 2 + (label.m - label.n) ** 2)
+
+    blocks = {}  # label -> (T, dim, dim) density-operator block
+    if params.gamma_x == 0.0 and params.s == 1.0 and params.n_p == 0.0:
+        x1, p1, x2, p2 = quads
+        h2 = (0.5 * (p1 @ p1 + p2 @ p2 + (1.0 - params.g) * (x1 @ x1 + x2 @ x2))
+              + params.g * (x1 @ x2)).real
+        kets = {}
+        for j in (1, -1):
+            for m in (1, -1):
+                energies, vectors = np.linalg.eigh(h2 + params.f_q * (j * x1 + m * x2).real)
+                phases = np.exp(-1j * np.outer(grid, energies))
+                kets[(j, m)] = (phases * vectors[0].conj()) @ vectors.T
+        for label in labels:
+            ket, bra = kets[(label.j, label.m)], kets[(label.k, label.n)]
+            weight = rho0[bits(label)] * np.exp(-scalar(label) * grid)
+            blocks[label] = weight[:, None, None] * np.einsum("ta,tb->tab", ket, bra.conj())
+    else:
+        h_mode = (0.5 * (p @ p + (1.0 - params.g) * (x @ x))).real
+        h_branch = {e: h_mode + e * params.f_q * x for e in (1, -1)}
+
+        def left(op, block, mode):
+            view = block.reshape(n, n, dim)
+            if mode == 1:
+                return np.tensordot(op, view, axes=(1, 0)).reshape(dim, dim)
+            return np.tensordot(op, view, axes=(1, 1)).transpose(1, 0, 2).reshape(dim, dim)
+
+        def right(op, block, mode):
+            view = block.reshape(dim, n, n)
+            if mode == 1:
+                return np.tensordot(view, op, axes=(1, 0)).transpose(0, 2, 1).reshape(dim, dim)
+            return np.tensordot(view, op, axes=(2, 0)).reshape(dim, dim)
+
+        def hamiltonian(block, j, m, apply_):
+            out = apply_(h_branch[j], block, 1) + apply_(h_branch[m], block, 2)
+            return out + params.g * apply_(x, apply_(x, block, 1), 2)
+
+        rho_cv = _single_mode_initial(params.s, params.n_p, n)
+        rho_cv = np.kron(rho_cv, rho_cv)
+        for label in labels:
+            if bits(label)[0] > bits(label)[1]:
+                continue
+
+            def deriv(block, label=label):
+                out = -1j * (hamiltonian(block, label.j, label.m, left)
+                             - hamiltonian(block, label.k, label.n, right))
+                for mode in (1, 2):
+                    out -= gamma_x * (left(x @ x, block, mode) + right(x @ x, block, mode)
+                                      - 2.0 * left(x, right(x, block, mode), mode))
+                return out - scalar(label) * block
+
+            def symmetrize(rho, diagonal=label.is_diagonal):
+                return 0.5 * (rho + rho.conj().T) if diagonal else rho
+
+            samples = _rk4_samples(deriv, rho0[bits(label)] * rho_cv, grid, problem.dt, symmetrize)
+            blocks[label] = samples
+            blocks[label.swapped] = samples.conj().transpose(0, 2, 1)
+
+    qrdm = np.zeros((len(grid), 4, 4), dtype=complex)
+    first, cov = {}, {}
+    for label in labels:
+        rho = blocks[label]
+        overlap = np.trace(rho, axis1=1, axis2=2)
+        qrdm[:, bits(label)[0], bits(label)[1]] = overlap
+        first[label] = np.stack(
+            [np.einsum("ba,tab->t", q, rho) for q in quads], axis=1
+        ) / overlap[:, None]
+        if label.is_diagonal:
+            mean = first[label].real
+            second = np.array(
+                [
+                    [np.einsum("ba,tab->t", qa @ qb + qb @ qa, rho).real for qb in quads]
+                    for qa in quads
+                ]
+            ).transpose(2, 0, 1)
+            cov[(label.j, label.m)] = (
+                second / overlap.real[:, None, None] - 2.0 * mean[:, :, None] * mean[:, None, :]
+            )
+    return qrdm, first, cov

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -28,6 +29,15 @@ def phys_config(tmp_path):
 
 def run(args):
     return cli.main(args)
+
+
+def error_line(capsys):
+    """The message of the single 'sgipair: error: ...' line a failed run printed."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sgipair: error: "), lines
+    return lines[0].removeprefix("sgipair: error: ")
 
 
 def read_csv(path):
@@ -175,13 +185,17 @@ class TestSweep:
         assert all(row[header.index("s")] == 1.0 for row in rows)
         assert all(row[header.index("n_p")] == 0.0 for row in rows)
 
-    def test_requires_axis(self):
-        with pytest.raises(SystemExit):
+    def test_requires_axis(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             run(["sweep"])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == "sweep requires at least one --axis"
 
-    def test_bad_axis_rejected(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
+    def test_bad_axis_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             run(["sweep", "--axis", "mass:1:2:3"])
+        assert exit_info.value.code == 2
+        assert "unknown parameter" in error_line(capsys)
 
     @pytest.mark.parametrize(
         "args, message",
@@ -192,15 +206,17 @@ class TestSweep:
         ],
     )
     def test_out_of_domain_column_fails_before_evaluation(
-        self, tmp_path, monkeypatch, args, message
+        self, tmp_path, monkeypatch, capsys, args, message
     ):
         def never(*_):
             raise AssertionError("a closed form ran on an out-of-domain grid")
 
         monkeypatch.setattr(dynamics, "open_qrdm", never)
         out = tmp_path / "grid.csv"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(SystemExit) as exit_info:
             run(["sweep", *args, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert re.match(message, error_line(capsys))
         assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import reference_covariance
+from oracles import reference_covariance, reference_fock_observables, reference_moment_states
 from sgipair import dynamics as dyn
 from sgipair import oracle as orc
 from sgipair.phase_space import final_time, propagator
@@ -10,6 +10,23 @@ from sgipair.potentials import UnitlessParams
 
 def sgi_problem(params, tau_grid, sigma0=None):
     return orc.MomentOdeProblem.for_sgi(params, np.asarray(tau_grid), sigma0)
+
+
+SQUEEZED_THERMAL = UnitlessParams(f_q=0.8, g=0.1, s=1e-2, n_p=5.0)
+
+
+def relative_deviation(value, reference):
+    """Largest deviation relative to the reference's largest magnitude."""
+    return float(np.max(np.abs(value - reference)) / np.max(np.abs(reference)))
+
+
+def assert_fock_matches_reference(result, problem, tol=1e-13):
+    qrdm, first, cov = reference_fock_observables(problem)
+    assert relative_deviation(result.qrdm, qrdm) <= tol
+    for label, series in first.items():
+        assert relative_deviation(result.first_moments[label], series) <= tol, label
+    for pair, series in cov.items():
+        assert relative_deviation(result.branch_covariance[pair], series) <= tol, pair
 
 
 class TestMomentIntegration:
@@ -55,6 +72,36 @@ class TestMomentIntegration:
             orc.integrate_moments(
                 sgi_problem(params, grid), dt=1.0, convergence_tol=1e-16, max_refinements=1
             )
+
+    def test_step_map_matches_stagewise_rk4(self):
+        grid = np.linspace(0.0, final_time(SQUEEZED_THERMAL.g), 3)
+        problem = sgi_problem(SQUEEZED_THERMAL, grid)
+        result = orc.integrate_moments(problem, dt=2e-3, check=False)
+        states = np.concatenate(
+            [result.sigma.reshape(-1, 16)]
+            + [result.branch_means[pair] for pair in ((1, 1), (1, -1), (-1, 1), (-1, -1))],
+            axis=1,
+        )
+        reference = reference_moment_states(problem, 2e-3)
+        assert relative_deviation(states[:, :16], reference[:, :16]) <= 1e-13
+        assert relative_deviation(states[:, 16:], reference[:, 16:]) <= 1e-13
+
+    def test_squeezed_thermal_ladder_ends_at_quarter_millistep(self):
+        # The verify-suite case; a step map applied as y = P y + Q instead of
+        # y + (M y + q) loses enough roundoff on sigma ~ 1e3 to need a fourth halving.
+        grid = np.linspace(0.0, final_time(SQUEEZED_THERMAL.g), 9)
+        assert orc.integrate_moments(sgi_problem(SQUEEZED_THERMAL, grid)).step == 2.5e-4
+
+    @pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_bad_step(self, dt):
+        problem = sgi_problem(UnitlessParams(f_q=1.0, g=0.1), [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"^dt=\S+ must be finite and > 0"):
+            orc.integrate_moments(problem, dt=dt)
+
+    def test_checked_run_needs_a_refinement(self):
+        problem = sgi_problem(UnitlessParams(f_q=1.0, g=0.1), [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"^max_refinements=0 must be >= 1"):
+            orc.integrate_moments(problem, max_refinements=0)
 
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError, match="tau_grid"):
@@ -135,6 +182,28 @@ class TestFockPure:
         for qrdm in result.qrdm:
             assert np.linalg.eigvalsh(qrdm)[0] > -1e-8
 
+    def test_mode_local_observables_match_dense_operators(self):
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.03)
+        problem = orc.FockProblem(params=params, tau_grid=np.array([0.0, 1.0, 2.5]), n_max=10)
+        result = orc.fock_propagate(problem)
+        assert result.hermiticity_drift == 0.0
+        assert_fock_matches_reference(result, problem)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dt", 0.0),
+            ("dt", -1e-2),
+            ("dt", float("nan")),
+            ("leakage_tol", 0.0),
+            ("leakage_tol", -1.0),
+        ],
+    )
+    def test_problem_rejects_bad_step_and_tolerance(self, field, value):
+        params = UnitlessParams(f_q=0.2, g=0.05)
+        with pytest.raises(ValueError, match=rf"^{field}=\S+ must be finite and > 0"):
+            orc.FockProblem(params=params, tau_grid=np.array([0.0, 1.0]), **{field: value})
+
     def test_leakage_guard_trips(self):
         params = UnitlessParams(f_q=2.0, g=0.05)
         grid = np.array([0.0, 2.0])
@@ -154,6 +223,30 @@ class TestFockOpen:
         for slot, tau in enumerate(grid):
             closed, _, _ = dyn.open_qrdm(params, tau)
             assert np.max(np.abs(closed - result.qrdm[slot])) < 1e-3
+
+    def test_stacked_blocks_match_per_block_reference(self):
+        # Kernel equivalence only: n_max=8 truncates this squeezed thermal
+        # state coarsely, so the leakage bound is not the subject here.
+        params = UnitlessParams(f_q=0.2, g=0.05, s=0.8, n_p=0.05, gamma_x=0.02, gamma_z=0.03)
+        qubit_rho0 = np.array(
+            [
+                [0.4, 0.1 + 0.05j, 0.05, 0.02j],
+                [0.1 - 0.05j, 0.3, 0.04, 0.03],
+                [0.05, 0.04, 0.2, 0.01 - 0.02j],
+                [-0.02j, 0.03, 0.01 + 0.02j, 0.1],
+            ]
+        )
+        problem = orc.FockProblem(
+            params=params,
+            tau_grid=np.array([0.0, 0.1, 0.25]),
+            n_max=8,
+            qubit_rho0=qubit_rho0,
+            dt=2e-2,
+            leakage_tol=1e-1,
+        )
+        result = orc.fock_propagate(problem)
+        assert result.hermiticity_drift < 1e-12
+        assert_fock_matches_reference(result, problem)
 
     def test_dephasing_decay_matches_adopted_convention(self):
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.05)
