@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, design, dynamics, entanglement, oracle
-from .phase_space import final_time
+from .phase_space import _check_tau, final_time
 from .potentials import (
     UnitlessParams,
     expand_potential,
@@ -94,7 +94,9 @@ def _resolve_tau(selector: str, g: float) -> float:
         return final_time(g)
     if selector == "2pi":
         return 2.0 * math.pi
-    return float(selector)
+    tau = float(selector)
+    _check_tau(tau)
+    return tau
 
 
 # --------------------------------------------------------------------------

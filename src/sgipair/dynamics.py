@@ -14,13 +14,15 @@ positions, which fixes the sign convention of the drift vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .phase_space import (
+    _check_tau,
+    _gauss_legendre,
     final_time,
     lyapunov_integral,
     mode_frequency,
@@ -137,15 +139,7 @@ class ContrastSet:
     @property
     def single_flip_total(self) -> float:
         """Exponent of the QRDM entries where exactly one qubit flips."""
-        return (
-            self.c1
-            + self.c2
-            + self.c_s_np_1
-            + self.c_s_np_2
-            + self.c_gamma_1
-            + self.c_gamma_2
-            + self.c_z
-        )
+        return sum(getattr(self, name) for name in self.__dataclass_fields__)
 
     @property
     def symmetric_flip_total(self) -> float:
@@ -229,6 +223,20 @@ def residual_separation(f_q: float, g: float) -> float:
     return 4.0 * f_q * np.sin(np.pi / mode_frequency(g)) ** 2
 
 
+# Coefficients of F(x)/x^5 in powers of x^2, (-1)^k (2^(2k+1) - 8)/(2k+1)! for k = 13 down to 2;
+# for x <= 1 the first omitted term is below 1e-21 of F.
+_DIFFUSION_SERIES = [
+    (-1) ** k * (2 ** (2 * k + 1) - 8) / math.factorial(2 * k + 1) for k in range(13, 1, -1)
+]
+
+
+def _diffusion_shape(x):
+    """F(x) = 6x - 8 sin x + sin 2x >= 0 (F' = 4 (1 - cos x)^2), by its series where it cancels."""
+    x_sq = np.square(x)
+    series = np.polyval(_DIFFUSION_SERIES, x_sq) * np.square(x_sq) * x
+    return np.where(x <= 1.0, series, 6.0 * x - 8.0 * np.sin(x) + np.sin(2.0 * x))[()]
+
+
 def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
     """Closed-form contrast components for squeezed-thermal diffusive dynamics."""
     f_q, g, s = params.f_q, params.g, params.s
@@ -251,21 +259,11 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
         * np.square(np.sin(tau / 2.0))
         * ((s - 1.0 / s) * np.cos(tau) + s + 1.0 / s)
     )
-    c_g_1 = (
-        params.gamma_x
-        * (f_sq / (8.0 * np.power(w, 5)))
-        * (6.0 * tau * w - 8.0 * np.sin(tau * w) + np.sin(2.0 * tau * w))
-    )
-    c_g_2 = (
-        params.gamma_x
-        * (f_sq / 4.0)
-        * (3.0 * tau + np.sin(tau) * (np.cos(tau) - 4.0))
-    )
     return ContrastSet(
         c_s_np_1=np.maximum(c_s_1, 0.0),
         c_s_np_2=np.maximum(c_s_2, 0.0),
-        c_gamma_1=np.maximum(c_g_1, 0.0),
-        c_gamma_2=np.maximum(c_g_2, 0.0),
+        c_gamma_1=params.gamma_x * (f_sq / (8.0 * np.power(w, 5))) * _diffusion_shape(tau * w),
+        c_gamma_2=params.gamma_x * (f_sq / 8.0) * _diffusion_shape(tau),
         c_z=params.gamma_z * tau,
     )
 
@@ -275,10 +273,13 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
 # --------------------------------------------------------------------------
 
 
-def _displaced_equilibrium(j: int, m: int, f_q: float, g: float) -> np.ndarray:
-    """H^-1 (j r_q1 + m r_q2 + r_f) for the (j, m) branch."""
-    drift = sgi_drift_spec(f_q).branch_drift(j, m)
-    return np.linalg.solve(sgi_hamiltonian_matrix(g), drift)
+def _shifts(f_q: float, g: float, s: np.ndarray) -> dict:
+    """(j, m): displaced equilibrium r = H^-1 (j r_q1 + m r_q2 + r_f) and its shift (S - I) r."""
+    out = {}
+    for j, m in product((+1, -1), repeat=2):
+        r = np.linalg.solve(sgi_hamiltonian_matrix(g), sgi_drift_spec(f_q).branch_drift(j, m))
+        out[j, m] = r, (s - _EYE4) @ r
+    return out
 
 
 def branch_trajectories(
@@ -291,107 +292,105 @@ def branch_trajectories(
     evolve at frequency 1 and the opposite-bit branches at omega_g, so only
     the latter recombine exactly at tau = 2 pi/omega_g.
     """
-    s_minus_one = propagator(g, tau) - _EYE4
     out: dict[BranchLabel, BranchMoments] = {}
-    for j, m in product((+1, -1), repeat=2):
+    for (j, m), (_, vector) in _shifts(f_q, g, propagator(g, tau)).items():
         label = BranchLabel(j=j, k=j, m=m, n=m)
-        vector = s_minus_one @ _displaced_equilibrium(j, m, f_q, g)
         out[label] = BranchMoments(label=label, vector=vector)
     return out
 
 
-def general_first_moments(
-    label: BranchLabel,
-    params: UnitlessParams,
-    tau: float,
-    d_matrix: np.ndarray | None = None,
-) -> BranchMoments:
+@dataclass(frozen=True)
+class _BranchPairKernel:
+    """Label-independent part of the branch moments, phases and contrasts at one (params, tau).
+
+    Labels differ only in the displaced equilibria r of their ket and bra
+    sides, and the diffusion memory terms are linear (moments) or bilinear
+    (contrast) in delta = r_ket - r_bra.  So, with K(u) = S(u) D S(u)^T and
+    S = S(tau), two integrals serve all 16 labels:
+    m1 = int_0^tau K(u) Omega (S(u) - S) du and
+    m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du.
+    """
+
+    params: UnitlessParams
+    tau: float
+    sigma: np.ndarray
+    shifts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]  # (j, m): r, (S - I) r
+    m1: np.ndarray
+    m2: np.ndarray
+
+    def moments(self, label: BranchLabel) -> BranchMoments:
+        r_ket, delta_ket = self.shifts[label.j, label.m]
+        r_bra, delta_bra = self.shifts[label.k, label.n]
+        vector = 0.5 * (delta_ket + delta_bra) + 0j
+        if label.is_diagonal:
+            return BranchMoments(label=label, vector=vector.real + 0j)
+        vector += 0.5j * self.sigma @ _OMEGA @ (delta_ket - delta_bra)
+        vector += 0.5j * self.m1 @ (r_ket - r_bra)
+        return BranchMoments(label=label, vector=vector)
+
+    def phase_contrast(self, label: BranchLabel) -> tuple[float, float]:
+        r_ket, delta_ket = self.shifts[label.j, label.m]
+        r_bra, delta_bra = self.shifts[label.k, label.n]
+        delta_eq = r_ket - r_bra
+        mismatch = delta_ket - delta_bra
+        phase = float(
+            delta_eq @ _OMEGA @ (0.5 * (delta_ket + delta_bra))
+            + 0.5 * self.tau * delta_eq @ sgi_hamiltonian_matrix(self.params.g) @ (r_ket + r_bra)
+        )
+        contrast = float(0.25 * mismatch @ _OMEGA.T @ self.sigma @ _OMEGA @ mismatch)
+        # Independent qubit dephasing: (j-k)^2 + (m-n)^2 in units of gamma_z/4.
+        dephasing = ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) / 4.0
+        contrast += self.params.gamma_z * self.tau * dephasing
+        contrast += 0.25 * float(delta_eq @ self.m2 @ delta_eq)
+        return phase, contrast
+
+
+def _branch_pair_kernel(
+    params: UnitlessParams, tau: float, sigma0: np.ndarray | None = None
+) -> _BranchPairKernel:
+    """Kernel evolved from sigma0, by default the squeezed thermal covariance of params."""
+    _check_tau(tau)
+    g = params.g
+    if sigma0 is None:
+        sigma0 = squeezed_thermal_covariance(params.s, params.n_p)
+    d_matrix = sgi_diffusion_matrix(params.gamma_x)
+    s = propagator(g, tau)
+
+    def integrand(s_u: np.ndarray) -> np.ndarray:
+        k_omega = s_u @ d_matrix @ s_u.swapaxes(-1, -2) @ _OMEGA
+        past = s_u - s
+        m2 = past.swapaxes(-1, -2) @ _OMEGA.T @ k_omega @ (s_u + s - 2.0 * _EYE4)
+        return np.stack([k_omega @ past, m2], axis=1)
+
+    sigma = s @ sigma0 @ s.T + lyapunov_integral(g, tau, d_matrix)
+    shifts = _shifts(params.f_q, g, s)
+    return _BranchPairKernel(params, tau, sigma, shifts, *_gauss_legendre(g, tau, integrand))
+
+
+def general_first_moments(label: BranchLabel, params: UnitlessParams, tau: float) -> BranchMoments:
     """First-moment vector of an arbitrary density-matrix branch.
 
     Diagonal branches are real and unaffected by momentum diffusion; the
     off-diagonal branches carry imaginary parts set by the evolved covariance
-    and, under diffusion, by an additional memory integral over the
-    propagated noise kernel.
+    and, under diffusion, by a memory integral over the propagated noise
+    kernel, evaluated by the fixed Gauss-Legendre rule of ceil(2 tau) + 16 nodes.
     """
-    f_q, g = params.f_q, params.g
-    if d_matrix is None:
-        d_matrix = sgi_diffusion_matrix(params.gamma_x)
-    s = propagator(g, tau)
-    r_ket = _displaced_equilibrium(label.j, label.m, f_q, g)
-    r_bra = _displaced_equilibrium(label.k, label.n, f_q, g)
-    delta_ket = (s - _EYE4) @ r_ket
-    delta_bra = (s - _EYE4) @ r_bra
-    vector = 0.5 * (delta_ket + delta_bra) + 0j
-    if label.is_diagonal:
-        return BranchMoments(label=label, vector=vector.real + 0j)
-
-    sigma0 = squeezed_thermal_covariance(params.s, params.n_p)
-    sigma = s @ sigma0 @ s.T + lyapunov_integral(g, tau, d_matrix)
-    mismatch = delta_ket - delta_bra
-    vector += 0.5j * sigma @ _OMEGA @ mismatch
-
-    if d_matrix.any() and tau > 0.0:
-        delta_eq = r_ket - r_bra
-
-        def integrand(t: float) -> np.ndarray:
-            s_u = propagator(g, tau - t)
-            kernel = s_u @ d_matrix @ s_u.T
-            return kernel @ _OMEGA @ ((s_u - s) @ delta_eq)
-
-        memory, _ = quad_vec(integrand, 0.0, tau, epsrel=1e-11, epsabs=1e-14)
-        vector += 0.5j * memory
-    return BranchMoments(label=label, vector=vector)
+    return _branch_pair_kernel(params, tau).moments(label)
 
 
 def branch_pair_phase_contrast(
-    label: BranchLabel,
-    params: UnitlessParams,
-    tau: float,
-    d_matrix: np.ndarray | None = None,
+    label: BranchLabel, params: UnitlessParams, tau: float
 ) -> tuple[float, float]:
     """Phase and decay exponent of one QRDM entry from the moment machinery.
 
     Evaluates the general branch-pair formulas (quadratic form of the evolved
-    covariance plus, under diffusion, a noise-kernel memory integral) rather
-    than the precomputed closed forms; the two routes agree and the closed
-    forms are the fast path.  Dephasing adds gamma_z * tau per flipped qubit,
+    covariance plus, under diffusion, a noise-kernel memory integral by the
+    fixed Gauss-Legendre rule of ceil(2 tau) + 16 nodes) rather than the
+    precomputed closed forms; the two routes agree and the closed forms are
+    the fast path.  Dephasing adds gamma_z * tau per flipped qubit,
     independently for each qubit.
     """
-    f_q, g = params.f_q, params.g
-    if d_matrix is None:
-        d_matrix = sgi_diffusion_matrix(params.gamma_x)
-    s = propagator(g, tau)
-    r_ket = _displaced_equilibrium(label.j, label.m, f_q, g)
-    r_bra = _displaced_equilibrium(label.k, label.n, f_q, g)
-    delta_ket = (s - _EYE4) @ r_ket
-    delta_bra = (s - _EYE4) @ r_bra
-    delta_eq = r_ket - r_bra
-    mismatch = delta_ket - delta_bra
-
-    phase = float(
-        delta_eq @ _OMEGA @ (0.5 * (delta_ket + delta_bra))
-        + 0.5 * tau * delta_eq @ sgi_hamiltonian_matrix(g) @ (r_ket + r_bra)
-    )
-
-    sigma0 = squeezed_thermal_covariance(params.s, params.n_p)
-    sigma = s @ sigma0 @ s.T + lyapunov_integral(g, tau, d_matrix)
-    contrast = float(0.25 * mismatch @ _OMEGA.T @ sigma @ _OMEGA @ mismatch)
-    # Independent qubit dephasing: (j-k)^2 + (m-n)^2 in units of gamma_z/4.
-    dephasing = ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) / 4.0
-    contrast += params.gamma_z * tau * dephasing
-
-    if d_matrix.any() and tau > 0.0 and delta_eq.any():
-
-        def integrand(t: float) -> np.ndarray:
-            s_u = propagator(g, tau - t)
-            kernel = s_u @ d_matrix @ s_u.T
-            past = (s_u - s) @ delta_eq
-            sym = (s_u + s - 2.0 * _EYE4) @ delta_eq
-            return np.array([past @ _OMEGA.T @ kernel @ _OMEGA @ sym])
-
-        memory, _ = quad_vec(integrand, 0.0, tau, epsrel=1e-11, epsabs=1e-14)
-        contrast += 0.25 * float(memory[0])
-    return phase, contrast
+    return _branch_pair_kernel(params, tau).phase_contrast(label)
 
 
 # --------------------------------------------------------------------------
@@ -437,6 +436,7 @@ def open_qrdm(
     squeezing this reduces entrywise to the unitary QRDM.  Parameters and tau
     may be grid columns, giving QRDMs of shape (..., 4, 4).
     """
+    _check_tau(tau)
     phase = entangling_phase(params.f_q, params.g, tau)
     contrasts = _open_contrasts(params, tau)
     return _qrdm_from_components(phase, contrasts), contrasts, phase
@@ -485,17 +485,12 @@ def evolve_cat_state(
         raise ValueError("evolution starts from the tau = 0 reference state")
     if any(moments.vector.any() for moments in initial.branches.values()):
         raise ValueError("initial branch moments must be centred at the origin")
-    d_matrix = sgi_diffusion_matrix(params.gamma_x)
-    s = propagator(params.g, tau)
-    sigma = s @ initial.sigma @ s.T + lyapunov_integral(params.g, tau, d_matrix)
-    branches = {
-        label: general_first_moments(label, params, tau, d_matrix)
-        for label in _all_labels()
-    }
+    kernel = _branch_pair_kernel(params, tau, initial.sigma)
+    branches = {label: kernel.moments(label) for label in _all_labels()}
     qrdm, contrasts, phase = open_qrdm(params, tau)
     return GaussianCatState(
         tau=tau,
-        sigma=0.5 * (sigma + sigma.T),
+        sigma=0.5 * (kernel.sigma + kernel.sigma.T),
         branches=branches,
         qrdm=qrdm,
         contrasts=contrasts,

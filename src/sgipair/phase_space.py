@@ -9,11 +9,11 @@ the symmetric combination (frequency 1) and the antisymmetric combination
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.linalg import expm
 
 from .potentials import _require
 
@@ -37,17 +37,6 @@ _OMEGA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _OMEGA = np.block(
     [[_OMEGA1, np.zeros((2, 2))], [np.zeros((2, 2)), _OMEGA1]]
 )
-
-# Orthogonal (and symplectic) map from (x1,p1,x2,p2) to normal-mode
-# quadratures (x+, p+, x-, p-), with x± = (x1 ± x2)/sqrt(2).
-_TO_MODES = np.array(
-    [
-        [1.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 1.0],
-        [1.0, 0.0, -1.0, 0.0],
-        [0.0, 1.0, 0.0, -1.0],
-    ]
-) / np.sqrt(2.0)
 
 
 def symplectic_form() -> np.ndarray:
@@ -89,6 +78,10 @@ def _check_coupling(g) -> None:
     )
 
 
+def _check_tau(tau) -> None:
+    _require("tau", tau, np.isfinite(tau) & (tau >= 0.0), "must be finite and >= 0")
+
+
 def mode_frequency(g):
     """Antisymmetric-mode frequency sqrt(1 - 2g), elementwise over an array of g."""
     _check_coupling(g)
@@ -120,33 +113,35 @@ def sgi_diffusion_matrix(gamma_x: float) -> np.ndarray:
     closed-form diffusive covariance used by the open-dynamics contrast
     formulas (position dephasing at rate gamma_x/4 per mode).
     """
-    if gamma_x < 0.0:
-        raise ValueError(f"diffusion rate gamma_x={gamma_x} must be >= 0")
+    _require("diffusion rate gamma_x", gamma_x, gamma_x >= 0.0, "must be >= 0")
     return gamma_x * np.diag([0.0, 1.0, 0.0, 1.0])
 
 
-def _mode_propagator(w: float, tau: float) -> np.ndarray:
-    """Propagator of a single mode with (p^2 + w^2 x^2)/2: exp(tau*Omega1*H)."""
-    c, s = np.cos(w * tau), np.sin(w * tau)
-    return np.array([[c, s / w], [-w * s, c]])
+def _from_modes(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """(x1,p1,x2,p2) matrices, (..., 4, 4), from symmetric- and antisymmetric-mode 2x2 blocks."""
+    half_sum, half_diff = 0.5 * (plus + minus), 0.5 * (plus - minus)
+    top = np.concatenate([half_sum, half_diff], axis=-1)
+    return np.concatenate([top, np.concatenate([half_diff, half_sum], axis=-1)], axis=-2)
 
 
-def propagator(g: float, tau: float) -> np.ndarray:
-    """Closed-form symplectic propagator S_g(tau) = exp(tau * Omega * H).
+def propagator(g: float, tau) -> np.ndarray:
+    """Closed-form symplectic propagator S_g(tau) = exp(tau * Omega * H), shape (..., 4, 4).
 
     Built from the two normal modes: a rotation at frequency 1 in the
     symmetric mode and a rotation at frequency omega_g in the antisymmetric
-    mode, mapped back to the (x1,p1,x2,p2) ordering.
+    mode, mapped back to the (x1,p1,x2,p2) ordering.  Broadcasts over tau.
     """
-    s_minus = _mode_propagator(mode_frequency(g), tau)
-    s_plus = _mode_propagator(1.0, tau)
-    half_sum = 0.5 * (s_plus + s_minus)
-    half_diff = 0.5 * (s_plus - s_minus)
-    return np.block([[half_sum, half_diff], [half_diff, half_sum]])
+    w = np.array([1.0, mode_frequency(g)])
+    wt = w * np.asarray(tau, dtype=float)[..., None]
+    c, s = np.cos(wt), np.sin(wt)
+    modes = np.stack([c, s / w, -w * s, c], axis=-1).reshape(*c.shape, 2, 2)
+    return _from_modes(modes[..., 0, :, :], modes[..., 1, :, :])
 
 
 def propagator_expm(g: float, tau: float) -> np.ndarray:
     """Generic propagator via the scaling-and-squaring matrix exponential."""
+    from scipy.linalg import expm
+
     return expm(tau * _OMEGA @ sgi_hamiltonian_matrix(g))
 
 
@@ -171,44 +166,53 @@ def _is_sgi_diffusion(d_matrix: np.ndarray) -> bool:
     return diag[0] == 0.0 and diag[2] == 0.0 and diag[1] == diag[3]
 
 
-def _mode_lyapunov(w: float, rate: float, tau: float) -> np.ndarray:
-    """Closed form of int_0^tau S_w(t) diag(0, rate) S_w(t)^T dt."""
+def _mode_lyapunov(w: np.ndarray, rate: float, tau: float) -> np.ndarray:
+    """Closed form of int_0^tau S_w(t) diag(0, rate) S_w(t)^T dt, one 2x2 block per w."""
     c2 = np.sin(2.0 * w * tau) / (4.0 * w)
     xx = (tau / 2.0 - c2) / w**2
     xp = np.sin(w * tau) ** 2 / (2.0 * w**2)
     pp = tau / 2.0 + c2
-    return rate * np.array([[xx, xp], [xp, pp]])
+    return rate * np.stack([xx, xp, xp, pp], axis=-1).reshape(*xx.shape, 2, 2)
 
 
-def lyapunov_integral(
-    g: float, tau: float, d_matrix: np.ndarray, rtol: float = 1e-11
-) -> np.ndarray:
+# Longest interval one Gauss-Legendre rule covers; bounds the nodes (and memory) per batch.
+_MAX_PANEL = 256.0
+# n-point Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+_legendre_rule = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
+def _gauss_legendre(g: float, tau: float, integrand) -> np.ndarray:
+    """int_0^tau integrand(S_g(u)) du; ``integrand`` maps propagators (n, 4, 4) to (n, ...).
+
+    Each integrand is a product of at most four propagators, a trigonometric polynomial of
+    frequency <= 4, so ceil(2 tau) + 16 Gauss-Legendre nodes are converged to rounding.
+    Intervals longer than ``_MAX_PANEL`` are split into equal panels with that rule each.
+    """
+    panels = max(1, math.ceil(tau / _MAX_PANEL))
+    length = tau / panels
+    nodes, weights = _legendre_rule(math.ceil(2.0 * length) + 16)
+    return 0.5 * length * sum(
+        np.tensordot(weights, integrand(propagator(g, length * (k + 0.5 * (nodes + 1.0)))), 1)
+        for k in range(panels)
+    )
+
+
+def lyapunov_integral(g: float, tau: float, d_matrix: np.ndarray) -> np.ndarray:
     """Accumulated diffusion int_0^tau S(tau-t) D S(tau-t)^T dt.
 
     Momentum diffusion equal on both modes is evaluated in closed form via
-    the normal modes; any other positive-semidefinite D falls back to
-    adaptive Gauss-Kronrod quadrature with relative tolerance ``rtol``.
+    the normal modes; any other positive-semidefinite D by the fixed
+    Gauss-Legendre rule of ceil(2 tau) + 16 nodes over batched propagators.
     """
     _check_coupling(g)
-    if tau < 0.0:
-        raise ValueError(f"tau={tau} must be >= 0")
+    _check_tau(tau)
     d_matrix = np.asarray(d_matrix, dtype=float)
     if tau == 0.0 or not d_matrix.any():
         return np.zeros((4, 4))
     if _is_sgi_diffusion(d_matrix):
-        rate = float(d_matrix[1, 1])
-        block_plus = _mode_lyapunov(1.0, rate, tau)
-        block_minus = _mode_lyapunov(mode_frequency(g), rate, tau)
-        half_sum = 0.5 * (block_plus + block_minus)
-        half_diff = 0.5 * (block_plus - block_minus)
-        return np.block([[half_sum, half_diff], [half_diff, half_sum]])
-
-    def integrand(t: float) -> np.ndarray:
-        s = propagator(g, tau - t)
-        return s @ d_matrix @ s.T
-
-    result, _ = quad_vec(integrand, 0.0, tau, epsrel=rtol, epsabs=1e-14)
-    return result
+        w = np.array([1.0, mode_frequency(g)])
+        return _from_modes(*_mode_lyapunov(w, float(d_matrix[1, 1]), tau))
+    return _gauss_legendre(g, tau, lambda s_u: s_u @ d_matrix @ s_u.swapaxes(-1, -2))
 
 
 def evolve_covariance(

@@ -5,7 +5,9 @@ coefficients come from numerical differentiation of the exact potential, and
 reference QRDMs are assembled directly from a phase and contrast exponents.
 The reference kernels at the end redo the two ``sgipair.oracle`` integrators
 the direct way (stage-wise RK4, one block at a time, dense operators) to
-check its step map, stacked generator and mode-local observables.
+check its step map, stacked generator and mode-local observables, and
+evaluate the propagator integrals of ``phase_space``/``dynamics`` by
+adaptive quadrature to check their fixed Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from sgipair.phase_space import symplectic_form
+from sgipair.phase_space import propagator, symplectic_form
 from sgipair.potentials import HBAR, PotentialSpec
 
 
@@ -313,3 +315,39 @@ def reference_fock_observables(problem):
                 second / overlap.real[:, None, None] - 2.0 * mean[:, :, None] * mean[:, None, :]
             )
     return qrdm, first, cov
+
+
+def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -> dict:
+    """The three propagator integrals by adaptive Gauss-Kronrod (``quad_vec``).
+
+    With K(u) = S(u) D S(u)^T and S = S(tau), returns
+    "lyapunov" = int_0^tau K(u) du,
+    "m1" = int_0^tau K(u) Omega (S(u) - S) du and
+    "m2" = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du,
+    each at relative tolerance 1e-11 and absolute tolerance 1e-14, one
+    propagator per sample.  Reference for ``phase_space._gauss_legendre``.
+    """
+    from scipy.integrate import quad_vec
+
+    omega = symplectic_form()
+    s = propagator(g, tau)
+
+    def kernel(u: float) -> tuple[np.ndarray, np.ndarray]:
+        s_u = propagator(g, u)
+        return s_u, s_u @ d_matrix @ s_u.T
+
+    def lyapunov(u: float) -> np.ndarray:
+        return kernel(u)[1]
+
+    def m1(u: float) -> np.ndarray:
+        s_u, k_u = kernel(u)
+        return k_u @ omega @ (s_u - s)
+
+    def m2(u: float) -> np.ndarray:
+        s_u, k_u = kernel(u)
+        return (s_u - s).T @ omega.T @ k_u @ omega @ (s_u + s - 2.0 * np.eye(4))
+
+    return {
+        name: quad_vec(integrand, 0.0, tau, epsrel=1e-11, epsabs=1e-14)[0]
+        for name, integrand in (("lyapunov", lyapunov), ("m1", m1), ("m2", m2))
+    }

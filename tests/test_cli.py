@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,8 @@ class TestSweep:
             (["--axis", "g:0.1:0.6:6", "--fq", "1"], r"^coupling g=0\.5 outside \[0, 1/2\)"),
             (["--axis", "g:0:0.2:3", "--constraint-force"], r"^coupling g=0\.0 must be > 0"),
             (["--axis", "s:0.5:2:3"], r"^squeezing s=1\.25 must lie in \(0, 1\]"),
+            (["--axis", "g:0.1:0.2:3", "--tau", "-3"], r"^tau=-3\.0 must be finite and >= 0$"),
+            (["--axis", "g:0.1:0.2:3", "--tau", "nan"], r"^tau=nan must be finite and >= 0$"),
         ],
     )
     def test_out_of_domain_column_fails_before_evaluation(
@@ -277,6 +283,29 @@ class TestPointReports:
         run(["qrdm", "--config", phys_config, "--tau", "2pi"])
         text = capsys.readouterr().out
         assert "verdict" in text
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["qrdm", "--tau", "-3"], r"^tau=-3\.0 must be finite and >= 0$"),
+            (["qrdm", "--tau", "nan"], r"^tau=nan must be finite and >= 0$"),
+            (["negativity", "--tau", "inf"], r"^tau=inf must be finite and >= 0$"),
+            (["trajectories", "--tau-max", "-3"], r"^tau=-3\.0 must be finite and >= 0$"),
+            (["trajectories", "--tau-max", "nan"], r"^tau=nan must be finite and >= 0$"),
+        ],
+    )
+    def test_bad_tau_fails_before_evaluation(self, tmp_path, monkeypatch, capsys, args, message):
+        def never(*_):
+            raise AssertionError("a closed form ran at an out-of-domain tau")
+
+        monkeypatch.setattr(dynamics, "open_qrdm", never)
+        monkeypatch.setattr(dynamics, "branch_trajectories", never)
+        out = tmp_path / "point.out"
+        with pytest.raises(SystemExit) as exit_info:
+            run([*args, "--fq", "1", "--g", "0.1", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert re.match(message, error_line(capsys))
+        assert not out.exists()
 
 
 class TestExpand:
@@ -374,3 +403,20 @@ class TestFormatting:
     def test_seedless_flag_accepted(self, tmp_path):
         out = tmp_path / "grid.csv"
         assert run(["sweep", "--axis", "g:0.1:0.2:2", "--fq", "1", "--seedless", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("module", ["sgipair.cli", "sgipair.dynamics"])
+def test_import_loads_no_scipy(module):
+    # scipy is needed only for expm in the propagator reference and the Fock
+    # squeezer; importing it costs most of the CLI start-up time.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

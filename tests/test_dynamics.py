@@ -1,10 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import squeezed_covariance_display
+from oracles import reference_propagator_integrals, squeezed_covariance_display
 from sgipair import dynamics as dyn
+from sgipair import phase_space as ps
 from sgipair.phase_space import (
     final_time,
     lyapunov_integral,
@@ -115,6 +117,62 @@ class TestGeneralFirstMoments:
         forward = dyn.general_first_moments(label, params, 2.0).vector
         backward = dyn.general_first_moments(label.swapped, params, 2.0).vector
         assert np.allclose(forward, backward.conj(), atol=1e-13)
+
+
+def _relative(actual, expected):
+    return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
+
+
+class TestBranchPairKernel:
+    """The fixed Gauss-Legendre rule behind the memory integrals and generic-D diffusion."""
+
+    @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
+    def test_matches_adaptive_reference(self, g):
+        params = UnitlessParams(f_q=1.0, g=g, s=0.3, n_p=1.0, gamma_x=0.05)
+        generic = np.diag([0.01, 0.05, 0.02, 0.03])
+        generic[0, 1] = generic[1, 0] = 0.004
+        for tau in (0.1, 2.0, final_time(g), 17.0, 300.0):
+            kernel = dyn._branch_pair_kernel(params, tau)
+            reference = reference_propagator_integrals(g, tau, sgi_diffusion_matrix(0.05))
+            assert _relative(kernel.m1, reference["m1"]) <= 1e-12
+            assert _relative(kernel.m2, reference["m2"]) <= 1e-12
+            lyapunov = reference_propagator_integrals(g, tau, generic)["lyapunov"]
+            assert _relative(lyapunov_integral(g, tau, generic), lyapunov) <= 1e-12
+
+    @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
+    def test_doubling_the_nodes_is_converged(self, g, monkeypatch):
+        params = UnitlessParams(f_q=1.0, g=g, s=0.3, n_p=1.0, gamma_x=0.05)
+        taus = (1e-3, 0.1, 2.0, final_time(g), 300.0)
+        rule = [dyn._branch_pair_kernel(params, tau) for tau in taus]
+        single_rule = ps._legendre_rule
+        monkeypatch.setattr(ps, "_legendre_rule", lambda n: single_rule(2 * n))
+        for tau, kernel in zip(taus, rule):
+            doubled = dyn._branch_pair_kernel(params, tau)
+            assert _relative(kernel.m1, doubled.m1) <= 1e-13
+            assert _relative(kernel.m2, doubled.m2) <= 1e-13
+
+    def test_one_kernel_serves_every_label(self):
+        params = UnitlessParams(f_q=0.7, g=0.13, s=0.4, n_p=0.5, gamma_x=0.03, gamma_z=0.02)
+        state = dyn.evolve_cat_state(dyn.initial_cat_state(params), params, 3.1)
+        for label in ALL_LABELS:
+            assert np.array_equal(
+                state.branches[label].vector,
+                dyn.general_first_moments(label, params, 3.1).vector,
+            )
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_tau(self, tau):
+        params = UnitlessParams(f_q=0.5, g=0.1, gamma_x=0.01)
+        label = dyn.BranchLabel.from_bits(0, 3)
+        message = r"^tau=.* must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            dyn.branch_pair_phase_contrast(label, params, tau)
+        with pytest.raises(ValueError, match=message):
+            dyn.general_first_moments(label, params, tau)
+        with pytest.raises(ValueError, match=message):
+            dyn.evolve_cat_state(dyn.initial_cat_state(params), params, tau)
+        with pytest.raises(ValueError, match=message):
+            dyn.open_qrdm(params, tau)
 
 
 class TestUnitaryQrdm:
@@ -251,6 +309,27 @@ class TestOpenQrdm:
                     assert rho[row, col] == pytest.approx(
                         0.25 * np.exp(-contrast + 1j * phase), abs=1e-11
                     )
+
+    def test_diffusion_contrasts_match_high_precision(self):
+        # c_gamma_2 = gamma f^2 F(tau)/8 and c_gamma_1 = gamma f^2 F(tau w)/(8 w^5),
+        # F(x) = 6x - 8 sin x + sin 2x, at 50 digits; the direct form cancels
+        # to nothing at tau = 1e-4.
+        def shape(x):
+            return 6 * x - 8 * mpmath.sin(x) + mpmath.sin(2 * x)
+
+        f_q, gamma_x = 0.7, 0.03
+        with mpmath.workdps(50):
+            scale = mpmath.mpf(gamma_x) * mpmath.mpf(f_q) ** 2 / 8
+            for g in (0.0, 1e-3, 0.1, 0.3, 0.45, 0.4999):
+                params = UnitlessParams(f_q=f_q, g=g, gamma_x=gamma_x)
+                w = mpmath.sqrt(1 - 2 * mpmath.mpf(g))
+                for tau in np.geomspace(1e-6, 4.0 * np.pi, 31):
+                    _, contrasts, _ = dyn.open_qrdm(params, tau)
+                    tau = mpmath.mpf(float(tau))
+                    expected_1 = scale * shape(tau * w) / w**5
+                    expected_2 = scale * shape(tau)
+                    assert abs(contrasts.c_gamma_1 / expected_1 - 1) <= 1e-12
+                    assert abs(contrasts.c_gamma_2 / expected_2 - 1) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(

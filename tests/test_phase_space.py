@@ -63,6 +63,14 @@ class TestPropagator:
             s = ps.propagator(g, tau)
             assert np.max(np.abs(s.T @ OMEGA @ s - OMEGA)) < 1e-12
 
+    @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
+    def test_batch_equals_scalar_calls(self, g):
+        taus = np.linspace(0.0, 30.0, 37).reshape(37, 1)
+        batch = ps.propagator(g, taus)
+        assert batch.shape == (37, 1, 4, 4)
+        for tau, s in zip(taus[:, 0], batch[:, 0]):
+            assert np.array_equal(s, ps.propagator(g, tau))
+
     @settings(max_examples=60, deadline=None)
     @given(
         g=st.floats(0.0, 0.49),
@@ -143,6 +151,21 @@ class TestLyapunovIntegral:
         generic[0, 0] = 1e-12  # break the fast-path pattern, not the value
         quadrature = ps.lyapunov_integral(g, tau, generic)
         assert np.max(np.abs(closed - quadrature)) < 1e-9
+
+    @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_tau(self, tau):
+        with pytest.raises(ValueError, match=r"^tau=.* must be finite and >= 0"):
+            ps.lyapunov_integral(0.1, tau, ps.sgi_diffusion_matrix(0.05))
+
+    def test_long_interval_splits_into_panels(self):
+        # 1000 > _MAX_PANEL: four panels of 250; same integral as the closed form.
+        g, tau = 0.2, 1000.0
+        d_matrix = ps.sgi_diffusion_matrix(0.05)
+        generic = d_matrix + 0.0
+        generic[0, 0] = 1e-300  # break the fast-path pattern, not the value
+        closed = ps.lyapunov_integral(g, tau, d_matrix)
+        quadrature = ps.lyapunov_integral(g, tau, generic)
+        assert np.max(np.abs(closed - quadrature)) < 1e-12 * np.max(np.abs(closed))
 
     def test_scaling_in_rate(self):
         one = ps.lyapunov_integral(0.2, 1.7, ps.sgi_diffusion_matrix(1.0))
