@@ -10,9 +10,12 @@ Two oracles, neither of which shares code with the closed forms they check:
 * truncated-Fock-space propagation of the full two-qubit x two-mode system.
   Noise-free branches are propagated exactly as kets.  Under position
   diffusion the ten independent qubit-sector blocks of the density
-  operator are stacked in one array and advanced by RK4 under one
-  generator, whose every term is a batched matrix product over a single
-  mode axis of all blocks at once.
+  operator are stacked in one array and advanced by RK4 in the eigenbasis
+  of the truncated position matrix x (the discrete-variable representation
+  of Light, Hamilton and Lill, J. Chem. Phys. 82, 1400 (1985)).  There x is
+  diagonal, so the potentials, the x1 x2 coupling, the position diffusion
+  and the qubit dephasing are one elementwise factor, and only the kinetic
+  energy p^2/2 acts as a matrix, one real matrix product per mode axis.
 
 The Fock oracle adopts the rate normalization of the closed forms: the
 position dissipator acts at gamma_x/4 per mode and the qubit dephasing at
@@ -62,6 +65,14 @@ class OracleError(RuntimeError):
     """Oracle self-diagnostics failed; results must not be trusted."""
 
 
+def _check_tau_grid(tau_grid) -> None:
+    """One ValueError unless the grid is finite, ascending and starts at 0."""
+    grid = np.asarray(tau_grid, dtype=float)
+    _require("tau_grid", grid, np.isfinite(grid), "must be finite")
+    if grid.ndim != 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("tau_grid must be ascending and start at 0")
+
+
 # --------------------------------------------------------------------------
 # Moment-equation integrator
 # --------------------------------------------------------------------------
@@ -79,9 +90,7 @@ class MomentOdeProblem:
     tau_grid: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.tau_grid, dtype=float)
-        if grid.ndim != 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("tau_grid must be ascending and start at 0")
+        _check_tau_grid(self.tau_grid)
 
     @classmethod
     def for_sgi(
@@ -235,11 +244,10 @@ class FockProblem:
     leakage_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        _require("n_max", self.n_max, isinstance(self.n_max, (int, np.integer)), "must be an int")
         if self.n_max < 8:
             raise ValueError(f"n_max={self.n_max} too small; need >= 8")
-        grid = np.asarray(self.tau_grid, dtype=float)
-        if grid.ndim != 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("tau_grid must be ascending and start at 0")
+        _check_tau_grid(self.tau_grid)
         _require("dt", self.dt, np.isfinite(self.dt) and self.dt > 0.0, "must be finite and > 0")
         _require(
             "leakage_tol",
@@ -247,6 +255,15 @@ class FockProblem:
             np.isfinite(self.leakage_tol) and self.leakage_tol > 0.0,
             "must be finite and > 0",
         )
+        if self.qubit_rho0 is not None:
+            rho = np.asarray(self.qubit_rho0)
+            shape = "x".join(map(str, rho.shape))
+            _require("qubit_rho0.shape", shape, rho.shape == (4, 4), "must be 4x4")
+            _require("qubit_rho0", rho, np.isfinite(rho), "must be finite")
+            error = float(np.max(np.abs(rho - rho.conj().T)))
+            _require("qubit_rho0.hermiticity_error", error, error <= 1e-12, "must be <= 1e-12")
+            trace = float(np.trace(rho).real)
+            _require("qubit_rho0.trace", trace, abs(trace - 1.0) <= 1e-12, "must be 1 to 1e-12")
 
 
 @dataclass(frozen=True)
@@ -260,8 +277,8 @@ class FockResult:
     leakage: float
     trace_error: float
     n_max: int
-    hermiticity_drift: float  # max |rho - rho^dagger| of a diagonal block before
-    # its per-slot symmetrization; 0 on the exact pure path
+    hermiticity_drift: float  # max |rho - rho^dagger| of a diagonal block, in the
+    # eigenbasis of x, before its per-slot symmetrization; 0 on the exact pure path
 
     def phase(self, slot: int = -1) -> float:
         """Entangling phase -arg of the (00|01) QRDM entry at a grid slot."""
@@ -327,11 +344,15 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     from the branch kets with x and p applied to one mode axis at a time.
     Position diffusion switches to fixed-step 4th-order integration of the
     ten independent qubit-sector blocks of the density operator, stacked in
-    one complex array (block, n1, n2, n1', n2').  Every generator term acts
-    on one mode axis of all blocks at once as a batched matrix product, with
-    the factor -i, the diffusion and the qubit dephasing folded into the
-    per-block operators; on this linear generator a classical RK4 step is
-    the Horner form y + hL(y + h/2 L(y + h/3 L(y + h/4 L y))).
+    one complex array (block, n1, n2, n1', n2') and held in the eigenbasis
+    of the truncated x.  There the generator is L(rho) = -i[K(rho) + P rho]:
+    K applies the kinetic matrix T = p^2/2 to the two ket axes minus the two
+    bra axes, and P is one elementwise factor holding the potentials, the
+    coupling, the diffusion and the dephasing.  On this linear generator a
+    classical RK4 step is the Horner form
+    y + hL(y + h/2 L(y + h/3 L(y + h/4 L y))), which a change of basis
+    leaves unchanged up to rounding.  The blocks return to the Fock basis
+    at every grid slot for the observables and the leakage check.
     """
     grid = np.asarray(problem.tau_grid, dtype=float)
     qubit_rho0 = _plus_plus_qrdm() if problem.qubit_rho0 is None else problem.qubit_rho0
@@ -340,7 +361,7 @@ def fock_propagate(problem: FockProblem) -> FockResult:
         result = _propagate_pure(problem, grid, qubit_rho0)
     else:
         result = _propagate_blocks(problem, grid, qubit_rho0)
-    if result.leakage > problem.leakage_tol:
+    if not result.leakage <= problem.leakage_tol:  # a NaN leakage fails too
         raise OracleError(
             f"Fock truncation leakage {result.leakage:.3e} exceeds {problem.leakage_tol:.1e}; "
             f"increase n_max > {problem.n_max}"
@@ -421,82 +442,49 @@ def _propagate_pure(problem, grid, qubit_rho0):
 
 
 def _propagate_blocks(problem, grid, qubit_rho0):
-    """Horner-form RK4 on the ten stacked qubit-sector blocks of the density operator.
+    """Horner-form RK4 on the ten stacked qubit-sector blocks, in the eigenbasis of x.
 
     The stored blocks are the labels of the upper QRDM triangle; the lower
     ones are their conjugate transposes.  The state is one complex array
-    (block, n1, n2, n1', n2'): axes 1-2 are the ket modes, axes 3-4 the bra
-    modes, and every single-mode operator here is real symmetric, so a
-    right product on a bra axis is the same matrix product as a left one.
-    One stage writes y + c L(z) into the next stage buffer; the buffer also
-    stacks x2 z and z x1 behind z along the first ket axis, so that the
-    ket-1 Hamiltonian, the x1 x2 coupling, the mode-1 sandwich x1 z x1 and
-    the scalar dephasing are one product over that axis.
+    (block, a, b, c, d): a, b are the ket modes and c, d the bra modes, each
+    indexed by the eigenvalues xi of the truncated x = u diag(xi) u^T.  The
+    kinetic matrix T = u^T (p^2/2) u is real symmetric, so on a bra axis the
+    right product is the same matrix product as a left one.  Block
+    (j, m | k, n) evolves under L(rho) = -i[K(rho) + P rho] with
+    K = T_a + T_b - T_c - T_d and the elementwise factor
+    P = U_jm(xi_a, xi_b) - U_kn(xi_c, xi_d)
+        - i/4 [gamma_x ((xi_a - xi_c)^2 + (xi_b - xi_d)^2) + gamma_z ((j-k)^2 + (m-n)^2)],
+    with the branch potential U_jm(x1, x2) = (1-g)(x1^2 + x2^2)/2 + g x1 x2
+    + f_q (j x1 + m x2).  A stage of step fraction c scales its input by -ic
+    once; then K is four real matrix products and P one elementwise product.
+    The blocks are independent, so each is advanced on its own, which keeps
+    the working set in cache.
     """
-    params = problem.params
-    n = problem.n_max
+    params, n = problem.params, problem.n_max
     x, p = _quadratures(n)
-    gamma_x = params.gamma_x / 4.0
-    gamma_qubit = params.gamma_z / 4.0
-    x_sq = x @ x
-    h_mode = (0.5 * (p @ p + (1.0 - params.g) * x_sq)).real
+    xi, u = np.linalg.eigh(x)
+    kinetic = u.T @ (0.5 * (p @ p).real) @ u
+    kinetic = _per_axis(0.5 * (kinetic + kinetic.T))
+    to_fock = _per_axis(u)
 
     labels = [BranchLabel.from_bits(row, col) for row in range(4) for col in range(row, 4)]
-    n_blocks = len(labels)
     diagonal = [index for index, label in enumerate(labels) if label.is_diagonal]
-    # -i h_e - gamma_x x^2 on a ket axis and +i h_e - gamma_x x^2 on a bra axis
-    ket = {e: -1j * (h_mode + e * params.f_q * x) - gamma_x * x_sq for e in (+1, -1)}
-    bra = {e: 1j * (h_mode + e * params.f_q * x) - gamma_x * x_sq for e in (+1, -1)}
-    ket_1 = np.empty((n_blocks, n, 3 * n), dtype=complex)
-    for index, label in enumerate(labels):
-        scalar = gamma_qubit * ((label.j - label.k) ** 2 + (label.m - label.n) ** 2)
-        ket_1[index, :, :n] = ket[label.j] - scalar * np.eye(n)
-    ket_1[:, :, n : 2 * n] = -1j * params.g * x
-    ket_1[:, :, 2 * n :] = 2.0 * gamma_x * x
-    ket_2 = np.stack([ket[label.m] for label in labels])[:, None]
-    bra_1 = np.stack([bra[label.k] for label in labels])[:, None, None]
-    bra_2 = np.stack([bra[label.n] for label in labels])
-    coupling_bra = 1j * params.g * x
-    sandwich_2 = (2.0 * gamma_x * x).astype(complex)
+    x_a, x_b, x_c, x_d = (xi.reshape((-1,) + (1,) * trailing) for trailing in (3, 2, 1, 0))
 
-    def operators(c):
-        return (c * ket_1, c * ket_2, c * bra_1, c * bra_2, c * coupling_bra, c * sandwich_2)
+    def potential(e1, e2, x1, x2):
+        return (
+            0.5 * (1.0 - params.g) * (x1**2 + x2**2) + params.g * x1 * x2
+            + params.f_q * (e1 * x1 + e2 * x2)
+        )
 
-    rho_cv = _single_mode_initial(params.s, params.n_p, n)
-    rho_cv = np.kron(rho_cv, rho_cv).reshape(n, n, n, n)
-    shape = (n_blocks, n, n, n, n)
-    y = np.empty(shape, dtype=complex)
-    for index, label in enumerate(labels):
-        y[index] = qubit_rho0[_bits_of(label)] * rho_cv
-    stages = [np.zeros((n_blocks, 3 * n, n, n, n), dtype=complex) for _ in range(2)]
-    term = np.empty(shape, dtype=complex)
-
-    def by_axis2(a):
-        return a.reshape(n_blocks, n, n, -1)
-
-    def by_rows(a):
-        return a.reshape(n_blocks, n**3, n)
-
-    def stage(src, dst, ops):
-        """dst[:, :n] = y + c L(src[:, :n]), with the step fraction c folded into ``ops``."""
-        k1, k2, b1, b2, coupling, sandwich = ops
-        z, x2z, zx1 = src[:, :n], src[:, n : 2 * n], src[:, 2 * n :]
-        # x is real, so these two run as real products on float views
-        np.matmul(x, by_axis2(z.view(float)), out=by_axis2(x2z.view(float)))
-        np.matmul(x, z.view(float), out=zx1.view(float))
-        out = dst[:, :n]
-        np.matmul(k1, src.reshape(n_blocks, 3 * n, n**3), out=out.reshape(n_blocks, n, n**3))
-        np.matmul(k2, by_axis2(z), out=by_axis2(term))
-        out += term
-        np.matmul(b1, z, out=term)
-        out += term
-        np.matmul(by_rows(z), b2, out=by_rows(term))
-        out += term
-        np.matmul(by_rows(zx1), coupling, out=by_rows(term))
-        out += term
-        np.matmul(by_rows(x2z), sandwich, out=by_rows(term))
-        out += term
-        out += y
+    diffusion = params.gamma_x * ((x_a - x_c) ** 2 + (x_b - x_d) ** 2)
+    factors = []
+    for label in labels:
+        flips = (label.j - label.k) ** 2 + (label.m - label.n) ** 2
+        factors.append(
+            potential(label.j, label.m, x_a, x_b) - potential(label.k, label.n, x_c, x_d)
+            - 0.25j * (diffusion + params.gamma_z * flips)
+        )
 
     n_times = len(grid)
     qrdm = np.zeros((n_times, 4, 4), dtype=complex)
@@ -509,9 +497,14 @@ def _propagate_blocks(problem, grid, qubit_rho0):
     edge = _edge_mask(n)
     leakage = trace_error = drift = 0.0
 
-    def record(slot):
+    def record(slot, rho):
         nonlocal leakage, trace_error
-        traces, moments, second, populations = _block_observables(y, diagonal, x, p)
+        if not np.isfinite(rho).all():
+            raise OracleError(
+                f"Fock RK4 diverged: the state at tau={grid[slot]} is not finite; "
+                f"decrease dt={problem.dt}"
+            )
+        traces, moments, second, populations = _block_observables(rho, diagonal, x, p)
         for index, label in enumerate(labels):
             row, col = _bits_of(label)
             overlap = traces[index]
@@ -527,6 +520,8 @@ def _propagate_blocks(problem, grid, qubit_rho0):
             label = labels[index]
             norm = traces[index].real
             total_trace += norm
+            if norm <= 1e-300:  # an unpopulated branch has no conditional state
+                continue
             leakage = max(leakage, float(np.sum(populations[index][edge])) / norm)
             mean = first_moments[label][slot].real
             branch_cov[(label.j, label.m)][slot] = (
@@ -534,24 +529,50 @@ def _propagate_blocks(problem, grid, qubit_rho0):
             )
         trace_error = max(trace_error, abs(total_trace - 1.0))
 
-    record(0)
-    current = stages[0][:, :n]
-    current[...] = y
+    rho_cv = _single_mode_initial(params.s, params.n_p, n)
+    weights = np.array([qubit_rho0[_bits_of(label)] for label in labels], dtype=complex)
+
+    def product_state(single):
+        return weights[:, None, None, None, None] * np.kron(single, single).reshape(n, n, n, n)
+
+    record(0, product_state(rho_cv))
+    y = product_state(u.T @ rho_cv @ u)
+    fock = np.empty_like(y)
+    work = [np.empty((n, n, n, n), dtype=complex) for _ in range(4)]
+
+    def advance(block, factor, scales, n_steps):
+        state, z, out, term = work
+        state[...] = block
+        for _ in range(n_steps):
+            stage = state
+            for scale in scales:
+                np.multiply(stage, scale, out=z)
+                # out = y + K(z) + P z, the next stage, for z = -ic (previous stage)
+                _on_axis(kinetic, 0, z, out)
+                out += _on_axis(kinetic, 1, z, term)
+                out -= _on_axis(kinetic, 2, z, term)
+                out -= _on_axis(kinetic, 3, z, term)
+                out += np.multiply(factor, z, out=term)
+                out += state
+                stage = out
+            state, out = out, state
+        block[...] = state
+
     for slot in range(1, n_times):
         span = grid[slot] - grid[slot - 1]
         n_steps = max(1, int(np.ceil(span / problem.dt)))
         h = span / n_steps
-        stage_ops = [operators(c) for c in (h / 4.0, h / 3.0, h / 2.0, h)]
-        for _ in range(n_steps):
-            for index, ops in enumerate(stage_ops):
-                stage(stages[index % 2], stages[(index + 1) % 2], ops)
-            y[...] = current
-        for index in diagonal:
-            adjoint = y[index].conj().transpose(2, 3, 0, 1)
-            drift = max(drift, float(np.max(np.abs(y[index] - adjoint))))
-            y[index] = 0.5 * (y[index] + adjoint)
-        current[...] = y
-        record(slot)
+        scales = [-1j * c for c in (h / 4.0, h / 3.0, h / 2.0, h)]
+        for index, block in enumerate(y):
+            advance(block, factors[index], scales, n_steps)
+            if index in diagonal:
+                adjoint = block.conj().transpose(2, 3, 0, 1)
+                drift = max(drift, float(np.max(np.abs(block - adjoint))))
+                block[...] = 0.5 * (block + adjoint)
+            a, b = work[:2]
+            for axis, src, dst in ((0, block, a), (1, a, b), (2, b, a), (3, a, fock[index])):
+                _on_axis(to_fock, axis, src, dst)
+        record(slot, fock)
     if drift > 1e-9:
         logger.warning("hermiticity drift %.2e in the diagonal Fock blocks", drift)
     return FockResult(
@@ -564,6 +585,28 @@ def _propagate_blocks(problem, grid, qubit_rho0):
         n_max=n,
         hermiticity_drift=drift,
     )
+
+
+def _per_axis(matrix):
+    """The factors of ``_on_axis`` for ``matrix``: itself, and kron(matrix^T, I2) on the last."""
+    return matrix, matrix, matrix, np.kron(matrix.T, np.eye(2))
+
+
+def _on_axis(factors, axis, src, dst):
+    """dst = matrix applied to mode axis ``axis`` (0-3, the last four) of src, one real product.
+
+    The product runs on the float views of the C-contiguous complex arrays, which
+    reshape without a copy; on the last axis that view interleaves re and im, so
+    there it is a right product with kron(matrix^T, I2).
+    """
+    n = src.shape[-1]
+    src, dst = src.view(float), dst.view(float)
+    if axis == 3:
+        np.matmul(src.reshape(-1, 2 * n), factors[3], out=dst.reshape(-1, 2 * n))
+    else:
+        rows = (-1, n, 2 * n ** (3 - axis))
+        np.matmul(factors[axis], src.reshape(rows), out=dst.reshape(rows))
+    return dst.view(complex)
 
 
 def _block_observables(rho, diagonal, x, p):

@@ -166,12 +166,27 @@ def _is_sgi_diffusion(d_matrix: np.ndarray) -> bool:
     return diag[0] == 0.0 and diag[2] == 0.0 and diag[1] == diag[3]
 
 
+# Taylor coefficients of 2x - sin 2x = sum_{k>=1} (-1)^(k+1) (2x)^(2k+1)/(2k+1)!, highest first.
+_POSITION_SERIES = [
+    (-1) ** (k + 1) * 2 ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(12, 0, -1)
+]
+
+
+def _position_shape(x: np.ndarray) -> np.ndarray:
+    """2x - sin 2x >= 0, by its series where it cancels (x <= 1), which is only summed there."""
+    out = 2.0 * x - np.sin(2.0 * x)
+    small = x <= 1.0
+    if small.any():
+        x_sq = np.square(x[small])
+        out[small] = np.polyval(_POSITION_SERIES, x_sq) * x_sq * x[small]
+    return out
+
+
 def _mode_lyapunov(w: np.ndarray, rate: float, tau: float) -> np.ndarray:
     """Closed form of int_0^tau S_w(t) diag(0, rate) S_w(t)^T dt, one 2x2 block per w."""
-    c2 = np.sin(2.0 * w * tau) / (4.0 * w)
-    xx = (tau / 2.0 - c2) / w**2
+    xx = _position_shape(w * tau) / (4.0 * w**3)
     xp = np.sin(w * tau) ** 2 / (2.0 * w**2)
-    pp = tau / 2.0 + c2
+    pp = tau / 2.0 + np.sin(2.0 * w * tau) / (4.0 * w)
     return rate * np.stack([xx, xp, xp, pp], axis=-1).reshape(*xx.shape, 2, 2)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,8 @@ class TestMomentIntegration:
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ValueError, match="tau_grid"):
             sgi_problem(UnitlessParams(f_q=1.0, g=0.1), [1.0, 2.0])
+        with pytest.raises(ValueError, match="^tau_grid=nan must be finite"):
+            sgi_problem(UnitlessParams(f_q=1.0, g=0.1), [0.0, np.nan])
 
 
 class TestFockPure:
@@ -197,12 +201,28 @@ class TestFockPure:
             ("dt", float("nan")),
             ("leakage_tol", 0.0),
             ("leakage_tol", -1.0),
+            ("n_max", 12.0),
+            ("tau_grid", [0.0, np.nan]),
+            ("tau_grid", [0.0, 1.0, np.inf]),
+            ("qubit_rho0.shape", np.eye(3) / 3.0),
+            ("qubit_rho0", np.where(np.eye(4) > 0, 0.25, np.nan)),
+            ("qubit_rho0.hermiticity_error", np.eye(4) / 4.0 + np.eye(4, k=1) / 10.0),
+            ("qubit_rho0.trace", np.eye(4) / 2.0),
         ],
     )
     def test_problem_rejects_bad_step_and_tolerance(self, field, value):
+        requirement = {
+            "n_max": "must be an int",
+            "tau_grid": "must be finite",
+            "qubit_rho0.shape": "must be 4x4",
+            "qubit_rho0": "must be finite",
+            "qubit_rho0.hermiticity_error": "must be <= 1e-12",
+            "qubit_rho0.trace": "must be 1 to 1e-12",
+        }.get(field, "must be finite and > 0")
         params = UnitlessParams(f_q=0.2, g=0.05)
-        with pytest.raises(ValueError, match=rf"^{field}=\S+ must be finite and > 0"):
-            orc.FockProblem(params=params, tau_grid=np.array([0.0, 1.0]), **{field: value})
+        fields = {"tau_grid": np.array([0.0, 1.0]), field.split(".")[0]: value}
+        with pytest.raises(ValueError, match=rf"^{re.escape(field)}=\S+ {re.escape(requirement)}$"):
+            orc.FockProblem(params=params, **fields)
 
     def test_leakage_guard_trips(self):
         params = UnitlessParams(f_q=2.0, g=0.05)
@@ -225,8 +245,9 @@ class TestFockOpen:
             assert np.max(np.abs(closed - result.qrdm[slot])) < 1e-3
 
     def test_stacked_blocks_match_per_block_reference(self):
-        # Kernel equivalence only: n_max=8 truncates this squeezed thermal
-        # state coarsely, so the leakage bound is not the subject here.
+        # Kernel equivalence only: n_max=8 and 9 truncate this squeezed thermal
+        # state coarsely, so the leakage bound is not the subject here.  The odd
+        # cutoff gives x a zero eigenvalue; its grid has unequal spans.
         params = UnitlessParams(f_q=0.2, g=0.05, s=0.8, n_p=0.05, gamma_x=0.02, gamma_z=0.03)
         qubit_rho0 = np.array(
             [
@@ -236,17 +257,39 @@ class TestFockOpen:
                 [-0.02j, 0.03, 0.01 + 0.02j, 0.1],
             ]
         )
+        for n_max, grid in ((8, [0.0, 0.1, 0.25]), (9, [0.0, 0.05, 0.2, 0.27])):
+            problem = orc.FockProblem(
+                params=params,
+                tau_grid=np.array(grid),
+                n_max=n_max,
+                qubit_rho0=qubit_rho0,
+                dt=2e-2,
+                leakage_tol=1e-1,
+            )
+            result = orc.fock_propagate(problem)
+            assert result.hermiticity_drift < 1e-12
+            assert_fock_matches_reference(result, problem)
+
+    def test_unpopulated_branches_stay_finite(self):
+        # Only |00> is populated: the other diagonal blocks have zero trace, so they
+        # have no conditional moments and must not enter the leakage as 0/0.
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
         problem = orc.FockProblem(
-            params=params,
-            tau_grid=np.array([0.0, 0.1, 0.25]),
-            n_max=8,
-            qubit_rho0=qubit_rho0,
-            dt=2e-2,
-            leakage_tol=1e-1,
+            params=params, tau_grid=[0.0, 0.5], n_max=8, qubit_rho0=np.diag([1.0, 0, 0, 0])
         )
         result = orc.fock_propagate(problem)
-        assert result.hermiticity_drift < 1e-12
-        assert_fock_matches_reference(result, problem)
+        assert np.isfinite(result.leakage) and result.leakage > 0.0
+        assert all(np.isfinite(cov).all() for cov in result.branch_covariance.values())
+        assert not result.branch_covariance[(-1, -1)].any()
+        assert abs(result.qrdm[-1, 0, 0] - 1.0) < 1e-12
+
+    def test_diverged_run_raises(self):
+        # dt = 2 is far outside the RK4 stability region of this generator.
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
+        problem = orc.FockProblem(params=params, tau_grid=[0.0, 200.0], n_max=8, dt=2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(orc.OracleError, match=r"tau=200\.0 is not finite"):
+                orc.fock_propagate(problem)
 
     def test_dephasing_decay_matches_adopted_convention(self):
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.05)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,36 @@ class TestLyapunovIntegral:
         closed = ps.lyapunov_integral(g, tau, d_matrix)
         quadrature = ps.lyapunov_integral(g, tau, generic)
         assert np.max(np.abs(closed - quadrature)) < 1e-12 * np.max(np.abs(closed))
+
+    @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
+    def test_matches_high_precision_at_small_tau(self, g):
+        # Each normal mode w contributes xx = (2x - sin 2x)/(4 w^3), xp = sin^2 x/(2 w^2) and
+        # pp = tau/2 + sin 2x/(4 w), x = w tau; the modes combine as half sum and half
+        # difference.  Entries are compared on the scale sqrt(L_ii L_jj).
+        d_matrix = ps.sgi_diffusion_matrix(1.0)
+        with mpmath.workdps(50):
+            for tau in np.geomspace(1e-8, 4.0 * np.pi, 31):
+                modes = []
+                for w in (mpmath.mpf(1), mpmath.sqrt(1 - 2 * mpmath.mpf(g))):
+                    x = w * mpmath.mpf(float(tau))
+                    xp = mpmath.sin(x) ** 2 / (2 * w**2)
+                    modes.append(
+                        [
+                            [(2 * x - mpmath.sin(2 * x)) / (4 * w**3), xp],
+                            [xp, x / (2 * w) + mpmath.sin(2 * x) / (4 * w)],
+                        ]
+                    )
+                plus, minus = modes
+                expected = np.empty((4, 4))
+                for i in range(2):
+                    for j in range(2):
+                        half_sum = float((plus[i][j] + minus[i][j]) / 2)
+                        half_diff = float((plus[i][j] - minus[i][j]) / 2)
+                        expected[i, j] = expected[i + 2, j + 2] = half_sum
+                        expected[i, j + 2] = expected[i + 2, j] = half_diff
+                scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+                value = ps.lyapunov_integral(g, tau, d_matrix)
+                assert np.max(np.abs(value - expected) / scale) <= 1e-12, tau
 
     def test_scaling_in_rate(self):
         one = ps.lyapunov_integral(0.2, 1.7, ps.sgi_diffusion_matrix(1.0))
