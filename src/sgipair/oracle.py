@@ -10,12 +10,15 @@ Two oracles, neither of which shares code with the closed forms they check:
 * truncated-Fock-space propagation of the full two-qubit x two-mode system.
   Noise-free branches are propagated exactly as kets.  Under position
   diffusion the ten independent qubit-sector blocks of the density
-  operator are stacked in one array and advanced by RK4 in the eigenbasis
-  of the truncated position matrix x (the discrete-variable representation
-  of Light, Hamilton and Lill, J. Chem. Phys. 82, 1400 (1985)).  There x is
-  diagonal, so the potentials, the x1 x2 coupling, the position diffusion
-  and the qubit dephasing are one elementwise factor, and only the kinetic
-  energy p^2/2 acts as a matrix, one real matrix product per mode axis.
+  operator are advanced by RK4 in the eigenbasis of the truncated position
+  matrix x (the discrete-variable representation of Light, Hamilton and
+  Lill, J. Chem. Phys. 82, 1400 (1985)).  There x is diagonal, so the
+  potentials, the x1 x2 coupling, the position diffusion and the qubit
+  dephasing are one elementwise factor, and only the kinetic energy p^2/2
+  acts as a matrix, one real matrix product per mode axis.  The blocks run
+  concurrently on one thread per available CPU, up to ten; each block's
+  arithmetic is the same on any number of threads, so the results do not
+  depend on it.
 
 The Fock oracle adopts the rate normalization of the closed forms: the
 position dissipator acts at gamma_x/4 per mode and the qubit dephasing at
@@ -26,7 +29,11 @@ deviations into a machine-readable report.
 
 from __future__ import annotations
 
+import contextvars
 import logging
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -307,13 +314,13 @@ def _single_mode_initial(s: float, n_p: float, n_max: int) -> np.ndarray:
         weights /= weights.sum()  # renormalize the truncated tail
     rho = np.diag(weights).astype(complex)
     if s != 1.0:
-        # squeeze x-variance by s: S = exp(r (a^2 - a^dag^2)/2), r = -ln(s)/2
-        from scipy.linalg import expm
-
+        # squeeze x-variance by s: S = exp(r (a^2 - a^dag^2)/2), r = -ln(s)/2, which is
+        # exp(-iH) for the Hermitian H = i r (a^2 - a^dag^2)/2; S is real (orthogonal)
         a = _ladder(n_max)
         r = -0.5 * np.log(s)
-        squeezer = expm(0.5 * r * (a @ a - a.T @ a.T))
-        rho = squeezer @ rho @ squeezer.conj().T
+        energies, vectors = np.linalg.eigh(0.5j * r * (a @ a - a.T @ a.T))
+        squeezer = ((vectors * np.exp(-1j * energies)) @ vectors.conj().T).real
+        rho = squeezer @ rho @ squeezer.T
         rho /= np.trace(rho).real
     return rho
 
@@ -343,9 +350,11 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     eigendecomposition of the four branch Hamiltonians; observables come
     from the branch kets with x and p applied to one mode axis at a time.
     Position diffusion switches to fixed-step 4th-order integration of the
-    ten independent qubit-sector blocks of the density operator, stacked in
-    one complex array (block, n1, n2, n1', n2') and held in the eigenbasis
-    of the truncated x.  There the generator is L(rho) = -i[K(rho) + P rho]:
+    ten independent qubit-sector blocks of the density operator, held in one
+    complex array (block, n1, n2, n1', n2') in the eigenbasis of the
+    truncated x and advanced on one thread per available CPU, up to ten; the
+    results are bit-identical for any thread count.  There the generator is
+    L(rho) = -i[K(rho) + P rho]:
     K applies the kinetic matrix T = p^2/2 to the two ket axes minus the two
     bra axes, and P is one elementwise factor holding the potentials, the
     coupling, the diffusion and the dephasing.  On this linear generator a
@@ -442,7 +451,7 @@ def _propagate_pure(problem, grid, qubit_rho0):
 
 
 def _propagate_blocks(problem, grid, qubit_rho0):
-    """Horner-form RK4 on the ten stacked qubit-sector blocks, in the eigenbasis of x.
+    """Horner-form RK4 on the ten qubit-sector blocks, in the eigenbasis of x, concurrently.
 
     The stored blocks are the labels of the upper QRDM triangle; the lower
     ones are their conjugate transposes.  The state is one complex array
@@ -458,7 +467,13 @@ def _propagate_blocks(problem, grid, qubit_rho0):
     + f_q (j x1 + m x2).  A stage of step fraction c scales its input by -ic
     once; then K is four real matrix products and P one elementwise product.
     The blocks are independent, so each is advanced on its own, which keeps
-    the working set in cache.
+    the working set in cache, and the ten of a slot run as tasks on
+    min(available CPUs, 10) threads (numpy releases the interpreter lock in
+    these products).  A task advances its block with its worker's own four
+    work buffers, symmetrizes it if diagonal, writes its Fock-basis copy and
+    returns its hermiticity drift; it does the arithmetic of a serial loop,
+    so the results are bit-identical for any thread count.  The main thread
+    reads every task's result and records the slot.
     """
     params, n = problem.params, problem.n_max
     x, p = _quadratures(n)
@@ -538,10 +553,14 @@ def _propagate_blocks(problem, grid, qubit_rho0):
     record(0, product_state(rho_cv))
     y = product_state(u.T @ rho_cv @ u)
     fock = np.empty_like(y)
-    work = [np.empty((n, n, n, n), dtype=complex) for _ in range(4)]
+    owned = threading.local()  # each worker's four work buffers
 
-    def advance(block, factor, scales, n_steps):
-        state, z, out, term = work
+    def advance(index, scales, n_steps):
+        """Block ``index`` through one slot; returns its hermiticity drift (0 off-diagonal)."""
+        if not hasattr(owned, "work"):
+            owned.work = [np.empty_like(y[index]) for _ in range(4)]
+        block, factor = y[index], factors[index]
+        state, z, out, term = owned.work
         state[...] = block
         for _ in range(n_steps):
             stage = state
@@ -557,22 +576,32 @@ def _propagate_blocks(problem, grid, qubit_rho0):
                 stage = out
             state, out = out, state
         block[...] = state
+        block_drift = 0.0
+        if index in diagonal:
+            adjoint = block.conj().transpose(2, 3, 0, 1)
+            block_drift = float(np.max(np.abs(block - adjoint)))
+            block[...] = 0.5 * (block + adjoint)
+        a, b = owned.work[:2]
+        for axis, src, dst in ((0, block, a), (1, a, b), (2, b, a), (3, a, fock[index])):
+            _on_axis(to_fock, axis, src, dst)
+        return block_drift
 
-    for slot in range(1, n_times):
-        span = grid[slot] - grid[slot - 1]
-        n_steps = max(1, int(np.ceil(span / problem.dt)))
-        h = span / n_steps
-        scales = [-1j * c for c in (h / 4.0, h / 3.0, h / 2.0, h)]
-        for index, block in enumerate(y):
-            advance(block, factors[index], scales, n_steps)
-            if index in diagonal:
-                adjoint = block.conj().transpose(2, 3, 0, 1)
-                drift = max(drift, float(np.max(np.abs(block - adjoint))))
-                block[...] = 0.5 * (block + adjoint)
-            a, b = work[:2]
-            for axis, src, dst in ((0, block, a), (1, a, b), (2, b, a), (3, a, fock[index])):
-                _on_axis(to_fock, axis, src, dst)
-        record(slot, fock)
+    # the CPUs this process may run on; platforms without affinity report them all
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(cpus or 1, len(labels))
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        for slot in range(1, n_times):
+            span = grid[slot] - grid[slot - 1]
+            n_steps = max(1, int(np.ceil(span / problem.dt)))
+            h = span / n_steps
+            scales = [-1j * c for c in (h / 4.0, h / 3.0, h / 2.0, h)]
+            # each task runs in a copy of this context, so numpy's error state holds there
+            futures = [
+                pool.submit(contextvars.copy_context().run, advance, index, scales, n_steps)
+                for index in range(len(labels))
+            ]
+            drift = max([drift] + [future.result() for future in futures])
+            record(slot, fock)
     if drift > 1e-9:
         logger.warning("hermiticity drift %.2e in the diagonal Fock blocks", drift)
     return FockResult(

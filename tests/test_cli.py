@@ -407,8 +407,8 @@ class TestFormatting:
 
 @pytest.mark.parametrize("module", ["sgipair.cli", "sgipair.dynamics"])
 def test_import_loads_no_scipy(module):
-    # scipy is needed only for expm in the propagator reference and the Fock
-    # squeezer; importing it costs most of the CLI start-up time.
+    # scipy is needed only for expm in the propagator reference
+    # (`propagator_expm`); importing it costs most of the CLI start-up time.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

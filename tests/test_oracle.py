@@ -1,4 +1,10 @@
+import os
 import re
+import subprocess
+import sys
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +26,49 @@ SQUEEZED_THERMAL = UnitlessParams(f_q=0.8, g=0.1, s=1e-2, n_p=5.0)
 def relative_deviation(value, reference):
     """Largest deviation relative to the reference's largest magnitude."""
     return float(np.max(np.abs(value - reference)) / np.max(np.abs(reference)))
+
+
+def stacked_block_problems():
+    """Two coarse squeezed thermal problems with a non-uniform qubit state.
+
+    Kernel equivalence only: n_max=8 and 9 truncate this state coarsely, so the
+    leakage bound is not the subject.  The odd cutoff gives x a zero
+    eigenvalue; its grid has unequal spans.
+    """
+    params = UnitlessParams(f_q=0.2, g=0.05, s=0.8, n_p=0.05, gamma_x=0.02, gamma_z=0.03)
+    qubit_rho0 = np.array(
+        [
+            [0.4, 0.1 + 0.05j, 0.05, 0.02j],
+            [0.1 - 0.05j, 0.3, 0.04, 0.03],
+            [0.05, 0.04, 0.2, 0.01 - 0.02j],
+            [-0.02j, 0.03, 0.01 + 0.02j, 0.1],
+        ]
+    )
+    return [
+        orc.FockProblem(
+            params=params,
+            tau_grid=np.array(grid),
+            n_max=n_max,
+            qubit_rho0=qubit_rho0,
+            dt=2e-2,
+            leakage_tol=1e-1,
+        )
+        for n_max, grid in ((8, [0.0, 0.1, 0.25]), (9, [0.0, 0.05, 0.2, 0.27]))
+    ]
+
+
+def propagate_within(problem, seconds):
+    """fock_propagate on a daemon thread; a deadlocked pool fails the test instead of hanging it."""
+    done = Future()
+
+    def target():
+        try:
+            done.set_result(orc.fock_propagate(problem))
+        except Exception as error:
+            done.set_exception(error)
+
+    threading.Thread(target=target, daemon=True).start()
+    return done.result(timeout=seconds)
 
 
 def assert_fock_matches_reference(result, problem, tol=1e-13):
@@ -245,30 +294,78 @@ class TestFockOpen:
             assert np.max(np.abs(closed - result.qrdm[slot])) < 1e-3
 
     def test_stacked_blocks_match_per_block_reference(self):
-        # Kernel equivalence only: n_max=8 and 9 truncate this squeezed thermal
-        # state coarsely, so the leakage bound is not the subject here.  The odd
-        # cutoff gives x a zero eigenvalue; its grid has unequal spans.
-        params = UnitlessParams(f_q=0.2, g=0.05, s=0.8, n_p=0.05, gamma_x=0.02, gamma_z=0.03)
-        qubit_rho0 = np.array(
-            [
-                [0.4, 0.1 + 0.05j, 0.05, 0.02j],
-                [0.1 - 0.05j, 0.3, 0.04, 0.03],
-                [0.05, 0.04, 0.2, 0.01 - 0.02j],
-                [-0.02j, 0.03, 0.01 + 0.02j, 0.1],
-            ]
-        )
-        for n_max, grid in ((8, [0.0, 0.1, 0.25]), (9, [0.0, 0.05, 0.2, 0.27])):
-            problem = orc.FockProblem(
-                params=params,
-                tau_grid=np.array(grid),
-                n_max=n_max,
-                qubit_rho0=qubit_rho0,
-                dt=2e-2,
-                leakage_tol=1e-1,
-            )
+        for problem in stacked_block_problems():
             result = orc.fock_propagate(problem)
             assert result.hermiticity_drift < 1e-12
             assert_fock_matches_reference(result, problem)
+
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # One worker, then 16 CPUs capped at one worker per block: more threads
+        # than cores, switching as often as the interpreter allows.
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(orc, "ThreadPoolExecutor", RecordingPool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for problem in stacked_block_problems():
+                results = []
+                for cpus in (1, 16):
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+                    results.append(propagate_within(problem, seconds=120.0))
+                serial, pooled = results
+                assert np.array_equal(serial.qrdm, pooled.qrdm)
+                for label, series in serial.first_moments.items():
+                    assert np.array_equal(series, pooled.first_moments[label]), label
+                for pair, series in serial.branch_covariance.items():
+                    assert np.array_equal(series, pooled.branch_covariance[pair]), pair
+                assert serial.leakage == pooled.leakage
+                assert serial.trace_error == pooled.trace_error
+                assert serial.hermiticity_drift == pooled.hermiticity_drift
+        finally:
+            sys.setswitchinterval(interval)
+        assert sizes == [1, 10, 1, 10]
+
+    @pytest.mark.parametrize("n_max", [8, 12, 30])
+    @pytest.mark.parametrize("s", [0.8, 1e-2])
+    def test_squeezer_matches_expm(self, n_max, s):
+        from scipy.linalg import expm
+
+        a = np.diag(np.sqrt(np.arange(1, n_max)), k=1)
+        squeezer = expm(-0.25 * np.log(s) * (a @ a - a.T @ a.T))
+        for n_p in (0.0, 0.5):
+            expected = squeezer @ orc._single_mode_initial(1.0, n_p, n_max) @ squeezer.T
+            expected /= np.trace(expected).real
+            assert np.max(np.abs(orc._single_mode_initial(s, n_p, n_max) - expected)) <= 1e-12
+
+    def test_squeezed_run_needs_no_scipy(self):
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from sgipair import oracle\n"
+            "from sgipair.potentials import UnitlessParams\n"
+            "params = UnitlessParams(f_q=0.2, g=0.05, s=0.8, gamma_x=0.02)\n"
+            "problem = oracle.FockProblem(\n"
+            "    params=params, tau_grid=[0.0, 0.1], n_max=8, dt=2e-2, leakage_tol=1e-1\n"
+            ")\n"
+            "print(oracle.fock_propagate(problem).trace_error < 1e-8)\n"
+        )
+        src = str(Path(orc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "True"
 
     def test_unpopulated_branches_stay_finite(self):
         # Only |00> is populated: the other diagonal blocks have zero trace, so they
