@@ -245,13 +245,14 @@ def _cmd_trajectories(args: argparse.Namespace) -> int:
     tau_max = _resolve_tau(args.tau_max, args.g)
     taus = np.linspace(0.0, tau_max, args.steps)
     header = ["tau", "q1_bit", "q2_bit", "x1", "p1", "x2", "p2"]
-    rows = []
     to_bit = {+1: 0, -1: 1}
-    for tau in taus:
-        moments = dynamics.branch_trajectories(args.fq, args.g, float(tau))
-        for label in sorted(moments, key=lambda l: (to_bit[l.j], to_bit[l.m])):
-            vec = moments[label].vector.real
-            rows.append([tau, to_bit[label.j], to_bit[label.m], *vec])
+    moments = dynamics.branch_trajectories(args.fq, args.g, taus)
+    labels = sorted(moments, key=lambda l: (to_bit[l.j], to_bit[l.m]))
+    rows = [
+        [tau, to_bit[label.j], to_bit[label.m], *moments[label].vector.real[slot]]
+        for slot, tau in enumerate(taus)
+        for label in labels
+    ]
     metadata = {
         "generator": f"sgipair {__version__}",
         "command": "trajectories",
@@ -530,15 +531,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument(
-        "--tau", default="final", help="time: 'final' (2pi/omega_g), '2pi', or a value"
-    )
-    common.add_argument(
-        "--negativity",
-        choices=("exact", "closed", "witness"),
-        default="witness",
-        help="which negativity a single 'negativity' column/verdict uses",
-    )
-    common.add_argument(
         "--workers",
         type=int,
         default=1,
@@ -550,9 +542,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility; all computation is deterministic",
     )
 
+    # only the commands that evaluate the QRDM at one time read these
+    selectors = argparse.ArgumentParser(add_help=False)
+    selectors.add_argument(
+        "--tau", default="final", help="time: 'final' (2pi/omega_g), '2pi', or a value"
+    )
+    selectors.add_argument(
+        "--negativity",
+        choices=("exact", "closed", "witness"),
+        default="witness",
+        help="which negativity a single 'negativity' column/verdict uses",
+    )
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", parents=[common], help="parameter-grid data file")
+    sweep = sub.add_parser("sweep", parents=[common, selectors], help="parameter-grid data file")
     sweep.add_argument(
         "--axis",
         action="append",
@@ -584,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("qrdm", "QRDM, phase, contrasts, and negativities at one point"),
         ("negativity", "alias of qrdm"),
     ):
-        point = sub.add_parser(name, parents=[common], help=help_text)
+        point = sub.add_parser(name, parents=[common, selectors], help=help_text)
         point.add_argument("--config", default=None, help="physical config file")
         _add_unitless_options(point)
 

@@ -110,7 +110,7 @@ class BranchMoments:
 
     @property
     def positions(self) -> np.ndarray:
-        return self.vector[[0, 2]]
+        return self.vector[..., [0, 2]]
 
 
 @dataclass(frozen=True)
@@ -282,15 +282,14 @@ def _shifts(f_q: float, g: float, s: np.ndarray) -> dict:
     return out
 
 
-def branch_trajectories(
-    f_q: float, g: float, tau: float
-) -> dict[BranchLabel, BranchMoments]:
+def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMoments]:
     """First moments of the four diagonal branches (the interferometric paths).
 
     The branch with both qubits in bit 0 follows
     f_q (cos tau - 1, -sin tau, cos tau - 1, -sin tau); the equal-bit branches
     evolve at frequency 1 and the opposite-bit branches at omega_g, so only
-    the latter recombine exactly at tau = 2 pi/omega_g.
+    the latter recombine exactly at tau = 2 pi/omega_g.  A grid of tau gives
+    vectors of shape (..., 4).
     """
     out: dict[BranchLabel, BranchMoments] = {}
     for (j, m), (_, vector) in _shifts(f_q, g, propagator(g, tau)).items():

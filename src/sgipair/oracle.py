@@ -18,7 +18,10 @@ Two oracles, neither of which shares code with the closed forms they check:
   acts as a matrix, one real matrix product per mode axis.  The blocks run
   concurrently on one thread per available CPU, up to ten; each block's
   arithmetic is the same on any number of threads, so the results do not
-  depend on it.
+  depend on it.  Both paths hand the same per-block observables to one
+  builder of the QRDM, conditional moments and truncation diagnostics; a
+  qubit branch with zero population gets zero moments and covariance and
+  does not enter the leakage.
 
 The Fock oracle adopts the rate normalization of the closed forms: the
 position dissipator acts at gamma_x/4 per mode and the qubit dephasing at
@@ -336,6 +339,11 @@ def _bits_of(label: BranchLabel) -> tuple[int, int]:
     return row, col
 
 
+# The ten independent qubit-sector blocks: QRDM entries (row, col) with row <= col.
+_BLOCKS = tuple(BranchLabel.from_bits(row, col) for row in range(4) for col in range(row, 4))
+_DIAGONAL_BLOCKS = tuple(index for index, label in enumerate(_BLOCKS) if label.is_diagonal)
+
+
 def _edge_mask(n_max: int) -> np.ndarray:
     """(n1, n2) occupations in the top two Fock levels of either mode."""
     top = np.arange(n_max) >= n_max - 2
@@ -345,12 +353,18 @@ def _edge_mask(n_max: int) -> np.ndarray:
 def fock_propagate(problem: FockProblem) -> FockResult:
     """Propagate the truncated system and trace out the modes.
 
+    Both paths hand the same per-slot observables of the ten upper-triangle
+    qubit-sector blocks to one builder, ``_fock_result``, which alone forms
+    the QRDM, conditional moments, covariances, leakage and trace error.  A
+    diagonal branch with zero population keeps zero moments and covariance
+    and does not enter the leakage.
+
     Noise-free problems (and problems with only qubit dephasing, which acts
     as an exact scalar decay on each qubit sector) are propagated exactly by
-    eigendecomposition of the four branch Hamiltonians; observables come
-    from the branch kets with x and p applied to one mode axis at a time.
-    Position diffusion switches to fixed-step 4th-order integration of the
-    ten independent qubit-sector blocks of the density operator, held in one
+    eigendecomposition of the four branch Hamiltonians; the observables of a
+    block come from its two branch kets with x and p applied to one mode axis
+    at a time.  Position diffusion switches to fixed-step 4th-order
+    integration of the ten blocks of the density operator, held in one
     complex array (block, n1, n2, n1', n2') in the eigenbasis of the
     truncated x and advanced on one thread per available CPU, up to ten; the
     results are bit-identical for any thread count.  There the generator is
@@ -361,15 +375,18 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     classical RK4 step is the Horner form
     y + hL(y + h/2 L(y + h/3 L(y + h/4 L y))), which a change of basis
     leaves unchanged up to rounding.  The blocks return to the Fock basis
-    at every grid slot for the observables and the leakage check.
+    at every grid slot for the observables.
     """
     grid = np.asarray(problem.tau_grid, dtype=float)
     qubit_rho0 = _plus_plus_qrdm() if problem.qubit_rho0 is None else problem.qubit_rho0
     params = problem.params
     if params.gamma_x == 0.0 and params.s == 1.0 and params.n_p == 0.0:
-        result = _propagate_pure(problem, grid, qubit_rho0)
+        observables, drift = _propagate_pure(problem, grid, qubit_rho0), 0.0
     else:
-        result = _propagate_blocks(problem, grid, qubit_rho0)
+        observables, drift = _propagate_blocks(problem, grid, qubit_rho0)
+    if drift > 1e-9:
+        logger.warning("hermiticity drift %.2e in the diagonal Fock blocks", drift)
+    result = _fock_result(grid, problem.n_max, *observables, drift)
     if not result.leakage <= problem.leakage_tol:  # a NaN leakage fails too
         raise OracleError(
             f"Fock truncation leakage {result.leakage:.3e} exceeds {problem.leakage_tol:.1e}; "
@@ -378,11 +395,64 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     return result
 
 
-def _propagate_pure(problem, grid, qubit_rho0):
-    """Exact branch kets |psi_jm(tau)>, combined into QRDM and moments analytically.
+def _fock_result(grid, n_max, traces, moments, second, edge, drift) -> FockResult:
+    """The one assembly of a FockResult, from the block observables of either path.
 
-    Kets are kept as (T, n1, n2) arrays, so x and p act on one mode axis;
-    every symmetrized second moment is 2 Re<q_a psi|q_b psi>.
+    Per grid slot and block of ``_BLOCKS``: the trace (T, 10), Tr[q rho] for
+    q = x1, p1, x2, p2 (T, 10, 4), Tr[{q_a, q_b} rho] (T, 10, 4, 4) and the
+    population of the top two Fock levels (T, 10); the last two are read for
+    the diagonal blocks only.  The lower QRDM triangle and its first moments
+    are the conjugates of the upper ones.  An unpopulated diagonal branch
+    keeps zero moments and covariance and stays out of the leakage.
+    """
+    n_times = len(grid)
+    qrdm = np.zeros((n_times, 4, 4), dtype=complex)
+    first_moments, branch_cov, leakages = {}, {}, []
+    total_trace = np.zeros(n_times)
+    for index, label in enumerate(_BLOCKS):
+        row, col = _bits_of(label)
+        overlap = traces[:, index]
+        live = np.abs(overlap) > 1e-300
+        mean = np.zeros((n_times, 4), dtype=complex)
+        mean[live] = moments[live, index] / overlap[live, None]
+        qrdm[:, row, col] = overlap
+        first_moments[label] = mean
+        if row != col:
+            qrdm[:, col, row] = overlap.conj()
+            first_moments[label.swapped] = mean.conj()
+            continue
+        norm = overlap.real
+        total_trace += norm
+        populated = norm > 1e-300  # an unpopulated branch has no conditional state
+        real = mean.real[populated]
+        cov = np.zeros((n_times, 4, 4))
+        cov[populated] = (
+            second[populated, index] / norm[populated, None, None]
+            - 2.0 * real[:, :, None] * real[:, None, :]
+        )
+        branch_cov[(label.j, label.m)] = cov
+        leakage = np.zeros(n_times)
+        leakage[populated] = edge[populated, index] / norm[populated]
+        leakages.append(leakage)
+    return FockResult(
+        tau_grid=grid,
+        qrdm=qrdm,
+        first_moments=first_moments,
+        branch_covariance=branch_cov,
+        leakage=float(np.max(leakages)),
+        trace_error=float(np.max(np.abs(total_trace - 1.0))),
+        n_max=n_max,
+        hermiticity_drift=drift,
+    )
+
+
+def _propagate_pure(problem, grid, qubit_rho0):
+    """Block observables from the exact branch kets |psi_jm(tau)>.
+
+    Kets are kept as (T, n1, n2) arrays, so x and p act on one mode axis.
+    Block (j, m | k, n) of weight w is w |psi_jm><psi_kn|: its trace is
+    w <psi_kn|psi_jm>, its Tr[q rho] is w <psi_kn|q psi_jm>, and on a diagonal
+    block Tr[{q_a, q_b} rho] = 2 w Re<q_a psi|q_b psi>.
     """
     params = problem.params
     n = problem.n_max
@@ -405,62 +475,38 @@ def _propagate_pure(problem, grid, qubit_rho0):
         # (T, 4, n1, n2): x1, p1, x2, p2 applied to the ket
         applied[(j, m)] = np.stack([x @ ket, p @ ket, ket @ x.T, ket @ p.T], axis=1)
 
-    n_times = len(grid)
+    n_times, n_blocks = len(grid), len(_BLOCKS)
+    traces = np.zeros((n_times, n_blocks), dtype=complex)
+    moments = np.zeros((n_times, n_blocks, 4), dtype=complex)
+    second = np.zeros((n_times, n_blocks, 4, 4))
+    edge = np.zeros((n_times, n_blocks))
+    mask = _edge_mask(n)
     gamma_qubit = params.gamma_z / 4.0
-    qrdm = np.zeros((n_times, 4, 4), dtype=complex)
-    first_moments = {}
-    branch_cov = {}
-    total_trace = np.zeros(n_times)
-    leakage = 0.0
-    edge = _edge_mask(n)
-    for row in range(4):
-        for col in range(4):
-            label = BranchLabel.from_bits(row, col)
-            ket, bra = kets[(label.j, label.m)], kets[(label.k, label.n)]
-            weight = qubit_rho0[row, col] * np.exp(
-                -gamma_qubit * ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) * grid
-            )
-            inner = np.einsum("tab,tab->t", bra.conj(), ket)
-            overlap = weight * inner
-            qrdm[:, row, col] = overlap
-            numerators = np.einsum("tab,tqab->tq", bra.conj(), applied[(label.j, label.m)])
-            live = np.abs(overlap) > 1e-300
-            moments = np.zeros((n_times, 4), dtype=complex)
-            moments[live] = numerators[live] / inner[live, None]
-            first_moments[label] = moments
-            if label.is_diagonal:
-                norm = inner.real
-                total_trace += weight.real * norm
-                leakage = max(leakage, float(np.max(np.sum(np.abs(ket[:, edge]) ** 2, axis=1))))
-                q_ket = applied[(label.j, label.m)]
-                gram = np.einsum("taxy,tbxy->tab", q_ket.conj(), q_ket).real
-                mean = moments.real
-                branch_cov[(label.j, label.m)] = 2.0 * (
-                    gram / norm[:, None, None] - mean[:, :, None] * mean[:, None, :]
-                )
-    return FockResult(
-        tau_grid=grid,
-        qrdm=qrdm,
-        first_moments=first_moments,
-        branch_covariance=branch_cov,
-        leakage=leakage,
-        trace_error=float(np.max(np.abs(total_trace - 1.0))),
-        n_max=n,
-        hermiticity_drift=0.0,
-    )
+    for index, label in enumerate(_BLOCKS):
+        ket, bra = kets[(label.j, label.m)], kets[(label.k, label.n)]
+        weight = qubit_rho0[_bits_of(label)] * np.exp(
+            -gamma_qubit * ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) * grid
+        )
+        q_ket = applied[(label.j, label.m)]
+        traces[:, index] = weight * np.einsum("tab,tab->t", bra.conj(), ket)
+        moments[:, index] = weight[:, None] * np.einsum("tab,tqab->tq", bra.conj(), q_ket)
+        if label.is_diagonal:
+            gram = np.einsum("taxy,tbxy->tab", q_ket.conj(), q_ket).real
+            second[:, index] = 2.0 * weight.real[:, None, None] * gram
+            edge[:, index] = weight.real * np.sum(np.abs(ket[:, mask]) ** 2, axis=1)
+    return traces, moments, second, edge
 
 
 def _propagate_blocks(problem, grid, qubit_rho0):
-    """Horner-form RK4 on the ten qubit-sector blocks, in the eigenbasis of x, concurrently.
+    """Block observables and hermiticity drift from Horner-form RK4 in the eigenbasis of x.
 
-    The stored blocks are the labels of the upper QRDM triangle; the lower
-    ones are their conjugate transposes.  The state is one complex array
-    (block, a, b, c, d): a, b are the ket modes and c, d the bra modes, each
-    indexed by the eigenvalues xi of the truncated x = u diag(xi) u^T.  The
-    kinetic matrix T = u^T (p^2/2) u is real symmetric, so on a bra axis the
-    right product is the same matrix product as a left one.  Block
-    (j, m | k, n) evolves under L(rho) = -i[K(rho) + P rho] with
-    K = T_a + T_b - T_c - T_d and the elementwise factor
+    The state is one complex array (block, a, b, c, d) of the ``_BLOCKS``:
+    a, b are the ket modes and c, d the bra modes, each indexed by the
+    eigenvalues xi of the truncated x = u diag(xi) u^T.  The kinetic matrix
+    T = u^T (p^2/2) u is real symmetric, so on a bra axis the right product
+    is the same matrix product as a left one.  Block (j, m | k, n) evolves
+    under L(rho) = -i[K(rho) + P rho] with K = T_a + T_b - T_c - T_d and the
+    elementwise factor
     P = U_jm(xi_a, xi_b) - U_kn(xi_c, xi_d)
         - i/4 [gamma_x ((xi_a - xi_c)^2 + (xi_b - xi_d)^2) + gamma_z ((j-k)^2 + (m-n)^2)],
     with the branch potential U_jm(x1, x2) = (1-g)(x1^2 + x2^2)/2 + g x1 x2
@@ -473,7 +519,8 @@ def _propagate_blocks(problem, grid, qubit_rho0):
     work buffers, symmetrizes it if diagonal, writes its Fock-basis copy and
     returns its hermiticity drift; it does the arithmetic of a serial loop,
     so the results are bit-identical for any thread count.  The main thread
-    reads every task's result and records the slot.
+    reads every task's result, checks that the slot's state is finite and
+    takes its observables.
     """
     params, n = problem.params, problem.n_max
     x, p = _quadratures(n)
@@ -481,9 +528,6 @@ def _propagate_blocks(problem, grid, qubit_rho0):
     kinetic = u.T @ (0.5 * (p @ p).real) @ u
     kinetic = _per_axis(0.5 * (kinetic + kinetic.T))
     to_fock = _per_axis(u)
-
-    labels = [BranchLabel.from_bits(row, col) for row in range(4) for col in range(row, 4)]
-    diagonal = [index for index, label in enumerate(labels) if label.is_diagonal]
     x_a, x_b, x_c, x_d = (xi.reshape((-1,) + (1,) * trailing) for trailing in (3, 2, 1, 0))
 
     def potential(e1, e2, x1, x2):
@@ -494,58 +538,26 @@ def _propagate_blocks(problem, grid, qubit_rho0):
 
     diffusion = params.gamma_x * ((x_a - x_c) ** 2 + (x_b - x_d) ** 2)
     factors = []
-    for label in labels:
+    for label in _BLOCKS:
         flips = (label.j - label.k) ** 2 + (label.m - label.n) ** 2
         factors.append(
             potential(label.j, label.m, x_a, x_b) - potential(label.k, label.n, x_c, x_d)
             - 0.25j * (diffusion + params.gamma_z * flips)
         )
 
-    n_times = len(grid)
-    qrdm = np.zeros((n_times, 4, 4), dtype=complex)
-    first_moments = {
-        BranchLabel.from_bits(row, col): np.zeros((n_times, 4), dtype=complex)
-        for row in range(4)
-        for col in range(4)
-    }
-    branch_cov = {pair: np.zeros((n_times, 4, 4)) for pair in _DIAGONAL_PAIRS}
-    edge = _edge_mask(n)
-    leakage = trace_error = drift = 0.0
+    mask = _edge_mask(n)
+    observables = []
 
     def record(slot, rho):
-        nonlocal leakage, trace_error
         if not np.isfinite(rho).all():
             raise OracleError(
                 f"Fock RK4 diverged: the state at tau={grid[slot]} is not finite; "
                 f"decrease dt={problem.dt}"
             )
-        traces, moments, second, populations = _block_observables(rho, diagonal, x, p)
-        for index, label in enumerate(labels):
-            row, col = _bits_of(label)
-            overlap = traces[index]
-            qrdm[slot, row, col] = overlap
-            if row != col:
-                qrdm[slot, col, row] = np.conj(overlap)
-            if abs(overlap) > 1e-300:
-                first_moments[label][slot] = moments[index] / overlap
-                if row != col:
-                    first_moments[label.swapped][slot] = np.conj(moments[index] / overlap)
-        total_trace = 0.0
-        for index in diagonal:
-            label = labels[index]
-            norm = traces[index].real
-            total_trace += norm
-            if norm <= 1e-300:  # an unpopulated branch has no conditional state
-                continue
-            leakage = max(leakage, float(np.sum(populations[index][edge])) / norm)
-            mean = first_moments[label][slot].real
-            branch_cov[(label.j, label.m)][slot] = (
-                second[index] / norm - 2.0 * mean[:, None] * mean[None, :]
-            )
-        trace_error = max(trace_error, abs(total_trace - 1.0))
+        observables.append(_block_observables(rho, x, p, mask))
 
     rho_cv = _single_mode_initial(params.s, params.n_p, n)
-    weights = np.array([qubit_rho0[_bits_of(label)] for label in labels], dtype=complex)
+    weights = np.array([qubit_rho0[_bits_of(label)] for label in _BLOCKS], dtype=complex)
 
     def product_state(single):
         return weights[:, None, None, None, None] * np.kron(single, single).reshape(n, n, n, n)
@@ -554,6 +566,7 @@ def _propagate_blocks(problem, grid, qubit_rho0):
     y = product_state(u.T @ rho_cv @ u)
     fock = np.empty_like(y)
     owned = threading.local()  # each worker's four work buffers
+    drift = 0.0
 
     def advance(index, scales, n_steps):
         """Block ``index`` through one slot; returns its hermiticity drift (0 off-diagonal)."""
@@ -577,7 +590,7 @@ def _propagate_blocks(problem, grid, qubit_rho0):
             state, out = out, state
         block[...] = state
         block_drift = 0.0
-        if index in diagonal:
+        if index in _DIAGONAL_BLOCKS:
             adjoint = block.conj().transpose(2, 3, 0, 1)
             block_drift = float(np.max(np.abs(block - adjoint)))
             block[...] = 0.5 * (block + adjoint)
@@ -588,9 +601,9 @@ def _propagate_blocks(problem, grid, qubit_rho0):
 
     # the CPUs this process may run on; platforms without affinity report them all
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_workers = min(cpus or 1, len(labels))
+    n_workers = min(cpus or 1, len(_BLOCKS))
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        for slot in range(1, n_times):
+        for slot in range(1, len(grid)):
             span = grid[slot] - grid[slot - 1]
             n_steps = max(1, int(np.ceil(span / problem.dt)))
             h = span / n_steps
@@ -598,22 +611,11 @@ def _propagate_blocks(problem, grid, qubit_rho0):
             # each task runs in a copy of this context, so numpy's error state holds there
             futures = [
                 pool.submit(contextvars.copy_context().run, advance, index, scales, n_steps)
-                for index in range(len(labels))
+                for index in range(len(_BLOCKS))
             ]
             drift = max([drift] + [future.result() for future in futures])
             record(slot, fock)
-    if drift > 1e-9:
-        logger.warning("hermiticity drift %.2e in the diagonal Fock blocks", drift)
-    return FockResult(
-        tau_grid=grid,
-        qrdm=qrdm,
-        first_moments=first_moments,
-        branch_covariance=branch_cov,
-        leakage=leakage,
-        trace_error=trace_error,
-        n_max=n,
-        hermiticity_drift=drift,
-    )
+    return [np.array(column) for column in zip(*observables)], drift
 
 
 def _per_axis(matrix):
@@ -638,10 +640,11 @@ def _on_axis(factors, axis, src, dst):
     return dst.view(complex)
 
 
-def _block_observables(rho, diagonal, x, p):
-    """Traces, Tr[q rho] and, for diagonal blocks, Tr[{q_a, q_b} rho] of stacked blocks.
+def _block_observables(rho, x, p, mask):
+    """Observables of the stacked blocks ``rho`` (block, n1, n2, n1', n2') for ``_fock_result``.
 
-    ``rho`` is (block, n1, n2, n1', n2'); quadratures are ordered x1, p1, x2, p2.
+    Traces, Tr[q rho] and, for the diagonal blocks, Tr[{q_a, q_b} rho] and the
+    population of the occupations in ``mask``; quadratures are ordered x1, p1, x2, p2.
     """
     quads = (x, p)
     traces = np.einsum("iabab->i", rho)
@@ -650,7 +653,7 @@ def _block_observables(rho, diagonal, x, p):
         [np.einsum("ca,iac->i", quads[q % 2], reduced[q // 2]) for q in range(4)], axis=1
     )
     second = np.zeros((len(rho), 4, 4))
-    for i in diagonal:
+    for i in _DIAGONAL_BLOCKS:
         for a in range(4):
             for b in range(a, 4):
                 qa, qb = quads[a % 2], quads[b % 2]
@@ -659,7 +662,7 @@ def _block_observables(rho, diagonal, x, p):
                 else:
                     value = 2.0 * np.einsum("ca,db,abcd->", qa, qb, rho[i], optimize=True)
                 second[i, a, b] = second[i, b, a] = value.real
-    populations = np.einsum("iabab->iab", rho).real
+    populations = np.einsum("iabab->iab", rho).real[:, mask].sum(axis=1)
     return traces, moments, second, populations
 
 
@@ -785,21 +788,15 @@ def _closed_form_trajectories(
     ``g_shift`` perturbs the closed-form coupling only, serving as the
     negative control: any nonzero shift must make the suite fail.
     """
-    from .dynamics import branch_trajectories
+    from .dynamics import branch_trajectories, squeezed_thermal_covariance
     from .phase_space import evolve_covariance
 
     g = params.g + g_shift
     d_matrix = sgi_diffusion_matrix(params.gamma_x)
-    sigma0 = (1.0 + 2.0 * params.n_p) * np.diag(
-        [params.s, 1.0 / params.s, params.s, 1.0 / params.s]
-    )
-    sigmas = np.empty((len(tau_grid), 4, 4))
-    means = {pair: np.empty((len(tau_grid), 4)) for pair in _DIAGONAL_PAIRS}
-    for t, tau in enumerate(tau_grid):
-        sigmas[t] = evolve_covariance(sigma0, g, tau, d_matrix)
-        moments = branch_trajectories(params.f_q, g, tau)
-        for label, bm in moments.items():
-            means[(label.j, label.m)][t] = bm.vector.real
+    sigma0 = squeezed_thermal_covariance(params.s, params.n_p)
+    sigmas = np.array([evolve_covariance(sigma0, g, tau, d_matrix) for tau in tau_grid])
+    moments = branch_trajectories(params.f_q, g, tau_grid)
+    means = {(label.j, label.m): bm.vector.real for label, bm in moments.items()}
     return sigmas, means
 
 
@@ -860,7 +857,7 @@ def verify_fock(g_shift: float = 0.0, n_max: int = 30) -> ComparisonReport:
     tau_grid = np.linspace(0.0, tau_f, 13)
     result = fock_propagate(FockProblem(params=params, tau_grid=tau_grid, n_max=n_max))
 
-    closed_qrdm = np.array([unitary_qrdm(params.f_q, g, tau)[0] for tau in tau_grid])
+    closed_qrdm = unitary_qrdm(params.f_q, g, tau_grid)[0]
     report.add("arbitration/qrdm", closed_qrdm, result.qrdm, tau_grid, 1e-3)
     report.add(
         "arbitration/phase(tau_f)",
@@ -874,7 +871,7 @@ def verify_fock(g_shift: float = 0.0, n_max: int = 30) -> ComparisonReport:
     # the candidates are C_g (adopted) versus 2*C_g (the sign-flipped
     # intermediate-time display evaluated at closure).
     c2_fock = -np.log(np.abs(4.0 * result.qrdm[1:, 0, 3])) / 4.0
-    c2_adopted = np.array([contrast_c2(params.f_q, g, tau) for tau in tau_grid[1:]])
+    c2_adopted = contrast_c2(params.f_q, g, tau_grid[1:])
     report.add("arbitration/c2-adopted", c2_adopted, c2_fock, tau_grid[1:], 1e-3)
     c_g = final_contrast(params.f_q, params.g)
     ratio = float(c2_fock[-1] / c_g)
@@ -883,7 +880,7 @@ def verify_fock(g_shift: float = 0.0, n_max: int = 30) -> ComparisonReport:
         "not 2*C_g; adopted intermediate form 2 f_q^2 sin^2(tau/2) confirmed"
     )
     c1_fock = -np.log(np.abs(4.0 * result.qrdm[1:, 1, 2])) / 4.0
-    c1_closed = np.array([contrast_c1(params.f_q, g, tau) for tau in tau_grid[1:]])
+    c1_closed = contrast_c1(params.f_q, g, tau_grid[1:])
     report.add("arbitration/c1", c1_closed, c1_fock, tau_grid[1:], 1e-3)
     report.notes["contrast-signs"] = (
         "oracle off-diagonal magnitudes decay (exponents nonnegative): "
@@ -895,14 +892,7 @@ def verify_fock(g_shift: float = 0.0, n_max: int = 30) -> ComparisonReport:
     noisy_result = fock_propagate(
         FockProblem(params=noisy, tau_grid=noisy_grid, n_max=12, dt=2e-2)
     )
-    noisy_closed = np.array(
-        [
-            open_qrdm(
-                UnitlessParams(f_q=0.2, g=g, gamma_x=0.02), tau
-            )[0]
-            for tau in noisy_grid
-        ]
-    )
+    noisy_closed = open_qrdm(UnitlessParams(f_q=0.2, g=g, gamma_x=0.02), noisy_grid)[0]
     report.add("diffusive/qrdm", noisy_closed, noisy_result.qrdm, noisy_grid, 1e-3)
     report.notes["dephasing-normalization"] = (
         "single-flip dephasing exponent is Gamma_z*tau as published; the "

@@ -26,7 +26,6 @@ __all__ = [
     "sgi_diffusion_matrix",
     "sgi_drift_spec",
     "propagator",
-    "propagator_expm",
     "evolve_covariance",
     "lyapunov_integral",
     "heisenberg_ok",
@@ -136,13 +135,6 @@ def propagator(g: float, tau) -> np.ndarray:
     c, s = np.cos(wt), np.sin(wt)
     modes = np.stack([c, s / w, -w * s, c], axis=-1).reshape(*c.shape, 2, 2)
     return _from_modes(modes[..., 0, :, :], modes[..., 1, :, :])
-
-
-def propagator_expm(g: float, tau: float) -> np.ndarray:
-    """Generic propagator via the scaling-and-squaring matrix exponential."""
-    from scipy.linalg import expm
-
-    return expm(tau * _OMEGA @ sgi_hamiltonian_matrix(g))
 
 
 def heisenberg_ok(sigma: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:

@@ -1,8 +1,9 @@
 """Shared independent oracles used by the test suite.
 
 These deliberately avoid the closed forms they are used to check: Taylor
-coefficients come from numerical differentiation of the exact potential, and
-reference QRDMs are assembled directly from a phase and contrast exponents.
+coefficients come from numerical differentiation of the exact potential, the
+propagator from scipy's matrix exponential, and reference QRDMs are assembled
+directly from a phase and contrast exponents.
 The reference kernels at the end redo the two ``sgipair.oracle`` integrators
 the direct way (stage-wise RK4, one block at a time, dense operators) to
 check its step map, stacked generator and mode-local observables, and
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from sgipair.phase_space import propagator, symplectic_form
+from sgipair.phase_space import propagator, sgi_hamiltonian_matrix, symplectic_form
 from sgipair.potentials import HBAR, PotentialSpec
 
 
@@ -91,6 +92,16 @@ def ideal_qrdm(phi: float, contrast: float) -> np.ndarray:
         )
         / 4.0
     )
+
+
+def propagator_expm(g: float, tau: float) -> np.ndarray:
+    """Generic propagator exp(tau Omega H) by scipy's scaling-and-squaring matrix exponential.
+
+    Reference for the closed-form ``phase_space.propagator``.
+    """
+    from scipy.linalg import expm
+
+    return expm(tau * symplectic_form() @ sgi_hamiltonian_matrix(g))
 
 
 def reference_covariance(g: float, tau: float) -> np.ndarray:

@@ -405,10 +405,31 @@ class TestFormatting:
         assert run(["sweep", "--axis", "g:0.1:0.2:2", "--fq", "1", "--seedless", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["trajectories", "--fq", "1", "--g", "0.1"],
+        ["expand", "--config", "{config}"],
+        ["bounds", "--config", "{config}"],
+        ["verify"],
+    ],
+)
+def test_time_and_negativity_selectors_only_where_read(phys_config, capsys, args):
+    # --tau and --negativity pick the point a sweep or qrdm report evaluates;
+    # elsewhere they would be silently ignored, so the parser rejects them.
+    # (In trajectories argparse reads --tau as the prefix of --tau-max.)
+    args = [arg.format(config=phys_config) for arg in args]
+    with pytest.raises(SystemExit) as exit_info:
+        run([*args, "--tau", "3", "--negativity", "exact"])
+    assert exit_info.value.code == 2
+    error = capsys.readouterr().err
+    assert "unrecognized arguments:" in error and "--negativity exact" in error
+
+
 @pytest.mark.parametrize("module", ["sgipair.cli", "sgipair.dynamics"])
 def test_import_loads_no_scipy(module):
-    # scipy is needed only for expm in the propagator reference
-    # (`propagator_expm`); importing it costs most of the CLI start-up time.
+    # The library needs no scipy; only the test suite's references in
+    # `tests/oracles.py` use it.  Importing it would cost most of the CLI start-up time.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

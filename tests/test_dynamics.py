@@ -60,6 +60,18 @@ class TestBranchTrajectories:
                 moments[branch(1, -1)].vector, opposite_bits, atol=1e-14
             )
 
+    def test_grid_equals_scalar_calls(self):
+        # the trajectories command and the verify suite evaluate whole tau grids
+        cases = ((1.0, 0.1, final_time(0.1)), (2.0, 1e-6, 40.0), (0.3, 0.4, 2.0 * np.pi))
+        for f_q, g, tau_max in cases:
+            grid = np.linspace(0.0, tau_max, 401)
+            moments = dyn.branch_trajectories(f_q, g, grid)
+            points = [dyn.branch_trajectories(f_q, g, float(tau)) for tau in grid]
+            for label, series in moments.items():
+                assert np.array_equal(series.vector, [point[label].vector for point in points])
+                positions = [point[label].positions for point in points]
+                assert np.array_equal(series.positions, positions)
+
     def test_branch_antisymmetry_exact(self):
         moments = dyn.branch_trajectories(0.8, 0.23, 3.1)
         assert np.array_equal(

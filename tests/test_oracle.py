@@ -369,16 +369,18 @@ class TestFockOpen:
 
     def test_unpopulated_branches_stay_finite(self):
         # Only |00> is populated: the other diagonal blocks have zero trace, so they
-        # have no conditional moments and must not enter the leakage as 0/0.
-        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
-        problem = orc.FockProblem(
-            params=params, tau_grid=[0.0, 0.5], n_max=8, qubit_rho0=np.diag([1.0, 0, 0, 0])
-        )
-        result = orc.fock_propagate(problem)
-        assert np.isfinite(result.leakage) and result.leakage > 0.0
-        assert all(np.isfinite(cov).all() for cov in result.branch_covariance.values())
-        assert not result.branch_covariance[(-1, -1)].any()
-        assert abs(result.qrdm[-1, 0, 0] - 1.0) < 1e-12
+        # have no conditional moments and must not enter the leakage as 0/0.  The
+        # noise-free run takes the exact path, which must follow the same convention.
+        for gamma_x in (0.02, 0.0):
+            params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=gamma_x)
+            problem = orc.FockProblem(
+                params=params, tau_grid=[0.0, 0.5], n_max=8, qubit_rho0=np.diag([1.0, 0, 0, 0])
+            )
+            result = orc.fock_propagate(problem)
+            assert np.isfinite(result.leakage) and result.leakage > 0.0, gamma_x
+            assert all(np.isfinite(cov).all() for cov in result.branch_covariance.values())
+            assert not result.branch_covariance[(-1, -1)].any(), gamma_x
+            assert abs(result.qrdm[-1, 0, 0] - 1.0) < 1e-12, gamma_x
 
     def test_diverged_run_raises(self):
         # dt = 2 is far outside the RK4 stability region of this generator.
