@@ -526,6 +526,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sgipair",
         description="Closed-form dynamics and entanglement of two coupled SGIs",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"sgipair {__version__}")
     common = argparse.ArgumentParser(add_help=False)
@@ -556,7 +557,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", parents=[common, selectors], help="parameter-grid data file")
+    sweep = sub.add_parser(
+        "sweep",
+        parents=[common, selectors],
+        help="parameter-grid data file",
+        allow_abbrev=False,
+    )
     sweep.add_argument(
         "--axis",
         action="append",
@@ -577,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_unitless_options(sweep)
 
     traj = sub.add_parser(
-        "trajectories", parents=[common], help="four interferometric paths"
+        "trajectories", parents=[common], help="four interferometric paths", allow_abbrev=False
     )
     traj.add_argument("--fq", type=float, required=True)
     traj.add_argument("--g", type=float, required=True)
@@ -588,12 +594,14 @@ def _build_parser() -> argparse.ArgumentParser:
         ("qrdm", "QRDM, phase, contrasts, and negativities at one point"),
         ("negativity", "alias of qrdm"),
     ):
-        point = sub.add_parser(name, parents=[common, selectors], help=help_text)
+        point = sub.add_parser(
+            name, parents=[common, selectors], help=help_text, allow_abbrev=False
+        )
         point.add_argument("--config", default=None, help="physical config file")
         _add_unitless_options(point)
 
     expand = sub.add_parser(
-        "expand", parents=[common], help="potential expansion coefficients"
+        "expand", parents=[common], help="potential expansion coefficients", allow_abbrev=False
     )
     expand.add_argument("--config", required=True, help="physical config file")
     expand.add_argument(
@@ -604,12 +612,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     bounds = sub.add_parser(
-        "bounds", parents=[common], help="coupling and mass windows"
+        "bounds", parents=[common], help="coupling and mass windows", allow_abbrev=False
     )
     bounds.add_argument("--config", required=True, help="physical config file")
 
     verify = sub.add_parser(
-        "verify", parents=[common], help="oracle comparison suites"
+        "verify", parents=[common], help="oracle comparison suites", allow_abbrev=False
     )
     verify.add_argument("--level", choices=("fast", "full"), default="fast")
     verify.add_argument("--json-out", default=None, help="machine-readable summary path")

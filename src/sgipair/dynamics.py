@@ -15,7 +15,8 @@ positions, which fixes the sign convention of the drift vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -197,8 +198,8 @@ def contrast_c1(f_q: float, g: float, tau: float) -> float:
     """Antisymmetric-mode recombination mismatch, vanishing at tau = 2 pi/omega_g."""
     w = mode_frequency(g)
     return (
-        (2.0 * f_q**2 / w**4)
-        * np.sin(tau * w / 2.0) ** 2
+        (2.0 * np.square(f_q) / np.power(w, 4))
+        * np.square(np.sin(tau * w / 2.0))
         * (1.0 - g * (1.0 + np.cos(tau * w)))
     )
 
@@ -210,17 +211,17 @@ def contrast_c2(f_q: float, g: float, tau: float) -> float:
     the closure time, which is the final-time contrast of the ideal QRDM.
     """
     mode_frequency(g)  # validate the coupling range
-    return 2.0 * f_q**2 * np.sin(tau / 2.0) ** 2
+    return 2.0 * np.square(f_q) * np.square(np.sin(tau / 2.0))
 
 
 def final_contrast(f_q: float, g: float) -> float:
     """Ideal closure-time contrast 2 f_q^2 sin^2(pi/omega_g)."""
-    return 2.0 * f_q**2 * np.sin(np.pi / mode_frequency(g)) ** 2
+    return 2.0 * np.square(f_q) * np.square(np.sin(np.pi / mode_frequency(g)))
 
 
 def residual_separation(f_q: float, g: float) -> float:
     """Position gap 4 f_q sin^2(pi/omega_g) between the 00 and 11 branches at closure."""
-    return 4.0 * f_q * np.sin(np.pi / mode_frequency(g)) ** 2
+    return 4.0 * f_q * np.square(np.sin(np.pi / mode_frequency(g)))
 
 
 # Coefficients of F(x)/x^5 in powers of x^2, (-1)^k (2^(2k+1) - 8)/(2k+1)! for k = 13 down to 2;
@@ -273,11 +274,12 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
 # --------------------------------------------------------------------------
 
 
-def _shifts(f_q: float, g: float, s: np.ndarray) -> dict:
+def _shifts(h_matrix: np.ndarray, f_q: float, s: np.ndarray) -> dict:
     """(j, m): displaced equilibrium r = H^-1 (j r_q1 + m r_q2 + r_f) and its shift (S - I) r."""
+    drift = sgi_drift_spec(f_q)
     out = {}
     for j, m in product((+1, -1), repeat=2):
-        r = np.linalg.solve(sgi_hamiltonian_matrix(g), sgi_drift_spec(f_q).branch_drift(j, m))
+        r = np.linalg.solve(h_matrix, drift.branch_drift(j, m))
         out[j, m] = r, (s - _EYE4) @ r
     return out
 
@@ -292,7 +294,7 @@ def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMo
     vectors of shape (..., 4).
     """
     out: dict[BranchLabel, BranchMoments] = {}
-    for (j, m), (_, vector) in _shifts(f_q, g, propagator(g, tau)).items():
+    for (j, m), (_, vector) in _shifts(sgi_hamiltonian_matrix(g), f_q, propagator(g, tau)).items():
         label = BranchLabel(j=j, k=j, m=m, n=m)
         out[label] = BranchMoments(label=label, vector=vector)
     return out
@@ -308,14 +310,27 @@ class _BranchPairKernel:
     S = S(tau), two integrals serve all 16 labels:
     m1 = int_0^tau K(u) Omega (S(u) - S) du and
     m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du.
+
+    Only sigma = S sigma0 S^T + L depends on the initial covariance sigma0, the
+    squeezed thermal one of params unless ``from_initial`` swaps it.  One kernel
+    per scalar (params, tau), with read-only arrays, is kept by ``_shared_kernel``
+    for the last few points and shared by ``evolve_cat_state``,
+    ``general_first_moments`` and ``branch_pair_phase_contrast``.
     """
 
     params: UnitlessParams
     tau: float
+    s_tau: np.ndarray  # S = S(tau)
+    lyapunov: np.ndarray  # L = int_0^tau S(u) D S(u)^T du
+    h_matrix: np.ndarray  # H
     sigma: np.ndarray
     shifts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]  # (j, m): r, (S - I) r
     m1: np.ndarray
     m2: np.ndarray
+
+    def from_initial(self, sigma0: np.ndarray) -> "_BranchPairKernel":
+        """The same kernel evolved from the initial covariance sigma0."""
+        return replace(self, sigma=self.s_tau @ sigma0 @ self.s_tau.T + self.lyapunov)
 
     def moments(self, label: BranchLabel) -> BranchMoments:
         r_ket, delta_ket = self.shifts[label.j, label.m]
@@ -334,7 +349,7 @@ class _BranchPairKernel:
         mismatch = delta_ket - delta_bra
         phase = float(
             delta_eq @ _OMEGA @ (0.5 * (delta_ket + delta_bra))
-            + 0.5 * self.tau * delta_eq @ sgi_hamiltonian_matrix(self.params.g) @ (r_ket + r_bra)
+            + 0.5 * self.tau * delta_eq @ self.h_matrix @ (r_ket + r_bra)
         )
         contrast = float(0.25 * mismatch @ _OMEGA.T @ self.sigma @ _OMEGA @ mismatch)
         # Independent qubit dephasing: (j-k)^2 + (m-n)^2 in units of gamma_z/4.
@@ -344,14 +359,11 @@ class _BranchPairKernel:
         return phase, contrast
 
 
-def _branch_pair_kernel(
-    params: UnitlessParams, tau: float, sigma0: np.ndarray | None = None
-) -> _BranchPairKernel:
-    """Kernel evolved from sigma0, by default the squeezed thermal covariance of params."""
+def _branch_pair_kernel(params: UnitlessParams, tau: float) -> _BranchPairKernel:
+    """Kernel evolved from the squeezed thermal covariance of params; its arrays are read-only."""
     _check_tau(tau)
     g = params.g
-    if sigma0 is None:
-        sigma0 = squeezed_thermal_covariance(params.s, params.n_p)
+    h_matrix = sgi_hamiltonian_matrix(g)
     d_matrix = sgi_diffusion_matrix(params.gamma_x)
     s = propagator(g, tau)
 
@@ -361,9 +373,36 @@ def _branch_pair_kernel(
         m2 = past.swapaxes(-1, -2) @ _OMEGA.T @ k_omega @ (s_u + s - 2.0 * _EYE4)
         return np.stack([k_omega @ past, m2], axis=1)
 
-    sigma = s @ sigma0 @ s.T + lyapunov_integral(g, tau, d_matrix)
-    shifts = _shifts(params.f_q, g, s)
-    return _BranchPairKernel(params, tau, sigma, shifts, *_gauss_legendre(g, tau, integrand))
+    lyapunov = lyapunov_integral(g, tau, d_matrix)
+    sigma = s @ squeezed_thermal_covariance(params.s, params.n_p) @ s.T + lyapunov
+    shifts = _shifts(h_matrix, params.f_q, s)
+    m1, m2 = _gauss_legendre(g, tau, integrand)
+    for array in (s, lyapunov, h_matrix, sigma, m1, m2, *(v for r in shifts.values() for v in r)):
+        array.flags.writeable = False
+    return _BranchPairKernel(params, tau, s, lyapunov, h_matrix, sigma, shifts, m1, m2)
+
+
+_PARAM_NAMES = tuple(f.name for f in fields(UnitlessParams))
+
+
+@lru_cache(maxsize=8)
+def _shared_kernel(point: tuple[float, ...], tau: float) -> _BranchPairKernel:
+    """Kernel of the scalar UnitlessParams fields ``point`` at tau, kept for the last 8 points."""
+    return _branch_pair_kernel(UnitlessParams(*point), tau)
+
+
+def _scalar(name: str, value) -> float:
+    if not isinstance(value, float) and np.ndim(value) != 0:
+        raise ValueError(f"{name}={value} must be a scalar; the branch-pair kernel takes one point")
+    return float(value)
+
+
+def _kernel(params: UnitlessParams, tau: float) -> _BranchPairKernel:
+    """Shared kernel of one point; grid inputs and a bad tau raise before the cache lookup."""
+    point = tuple(_scalar(name, getattr(params, name)) for name in _PARAM_NAMES)
+    tau = _scalar("tau", tau)
+    _check_tau(tau)
+    return _shared_kernel(point, tau)
 
 
 def general_first_moments(label: BranchLabel, params: UnitlessParams, tau: float) -> BranchMoments:
@@ -373,8 +412,10 @@ def general_first_moments(label: BranchLabel, params: UnitlessParams, tau: float
     off-diagonal branches carry imaginary parts set by the evolved covariance
     and, under diffusion, by a memory integral over the propagated noise
     kernel, evaluated by the fixed Gauss-Legendre rule of ceil(2 tau) + 16 nodes.
+    Params and tau must be scalars; the label-independent kernel is built once
+    per point and shared with the other labels and the other cat-state calls.
     """
-    return _branch_pair_kernel(params, tau).moments(label)
+    return _kernel(params, tau).moments(label)
 
 
 def branch_pair_phase_contrast(
@@ -387,9 +428,11 @@ def branch_pair_phase_contrast(
     fixed Gauss-Legendre rule of ceil(2 tau) + 16 nodes) rather than the
     precomputed closed forms; the two routes agree and the closed forms are
     the fast path.  Dephasing adds gamma_z * tau per flipped qubit,
-    independently for each qubit.
+    independently for each qubit.  Params and tau must be scalars; the
+    label-independent kernel is built once per point and shared with the
+    other labels and the other cat-state calls.
     """
-    return _branch_pair_kernel(params, tau).phase_contrast(label)
+    return _kernel(params, tau).phase_contrast(label)
 
 
 # --------------------------------------------------------------------------
@@ -478,13 +521,16 @@ def evolve_cat_state(
     The covariance splits as (1+2 n_p) * (propagated squeezed vacuum) plus
     gamma_x times the accumulated diffusion; branch moments and the QRDM come
     from the corresponding closed forms.  Only evolution of the centred
-    initial state produced by ``initial_cat_state`` is supported.
+    initial state produced by ``initial_cat_state`` is supported.  Params and
+    tau must be scalars; the branch-pair kernel of the point is shared with
+    ``general_first_moments`` and ``branch_pair_phase_contrast``, and only its
+    covariance is re-evolved from ``initial.sigma``.
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")
     if any(moments.vector.any() for moments in initial.branches.values()):
         raise ValueError("initial branch moments must be centred at the origin")
-    kernel = _branch_pair_kernel(params, tau, initial.sigma)
+    kernel = _kernel(params, tau).from_initial(initial.sigma)
     branches = {label: kernel.moments(label) for label in _all_labels()}
     qrdm, contrasts, phase = open_qrdm(params, tau)
     return GaussianCatState(

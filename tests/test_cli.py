@@ -405,25 +405,30 @@ class TestFormatting:
         assert run(["sweep", "--axis", "g:0.1:0.2:2", "--fq", "1", "--seedless", "--out", str(out)]) == 0
 
 
+_SELECTORS = ["--tau", "3", "--negativity", "exact"]
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        ["trajectories", "--fq", "1", "--g", "0.1"],
-        ["expand", "--config", "{config}"],
-        ["bounds", "--config", "{config}"],
-        ["verify"],
+        ["trajectories", "--fq", "1", "--g", "0.1", *_SELECTORS],
+        ["expand", "--config", "{config}", *_SELECTORS],
+        ["bounds", "--config", "{config}", *_SELECTORS],
+        ["verify", *_SELECTORS],
+        # no option is matched by its prefix, so --tau is not read as --tau-max
+        ["trajectories", "--fq", "1", "--g", "0.1", "--tau", "3"],
     ],
 )
 def test_time_and_negativity_selectors_only_where_read(phys_config, capsys, args):
     # --tau and --negativity pick the point a sweep or qrdm report evaluates;
     # elsewhere they would be silently ignored, so the parser rejects them.
-    # (In trajectories argparse reads --tau as the prefix of --tau-max.)
     args = [arg.format(config=phys_config) for arg in args]
     with pytest.raises(SystemExit) as exit_info:
-        run([*args, "--tau", "3", "--negativity", "exact"])
+        run(args)
     assert exit_info.value.code == 2
-    error = capsys.readouterr().err
-    assert "unrecognized arguments:" in error and "--negativity exact" in error
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    selectors = " ".join(args[args.index("--tau") :])
+    assert errors == [f"sgipair: error: unrecognized arguments: {selectors}"]
 
 
 @pytest.mark.parametrize("module", ["sgipair.cli", "sgipair.dynamics"])

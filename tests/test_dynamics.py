@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -16,6 +19,20 @@ from sgipair.phase_space import (
 from sgipair.potentials import UnitlessParams
 
 ALL_LABELS = [dyn.BranchLabel.from_bits(r, c) for r in range(4) for c in range(4)]
+# A diffusive, dephased, squeezed thermal point: every term of the branch-pair kernel is nonzero.
+CAT_PARAMS = UnitlessParams(f_q=0.7, g=0.13, s=0.4, n_p=0.5, gamma_x=0.03, gamma_z=0.02)
+# The three cat-state entry points, each as a function of (params, tau).
+CAT_ENTRY_POINTS = {
+    "branch_pair_phase_contrast": lambda params, tau: dyn.branch_pair_phase_contrast(
+        ALL_LABELS[3], params, tau
+    ),
+    "general_first_moments": lambda params, tau: dyn.general_first_moments(
+        ALL_LABELS[3], params, tau
+    ),
+    "evolve_cat_state": lambda params, tau: dyn.evolve_cat_state(
+        dyn.initial_cat_state(CAT_PARAMS), params, tau
+    ),
+}
 
 
 def branch(j, m):
@@ -164,13 +181,108 @@ class TestBranchPairKernel:
             assert _relative(kernel.m2, doubled.m2) <= 1e-13
 
     def test_one_kernel_serves_every_label(self):
-        params = UnitlessParams(f_q=0.7, g=0.13, s=0.4, n_p=0.5, gamma_x=0.03, gamma_z=0.02)
+        params = CAT_PARAMS
         state = dyn.evolve_cat_state(dyn.initial_cat_state(params), params, 3.1)
         for label in ALL_LABELS:
             assert np.array_equal(
                 state.branches[label].vector,
                 dyn.general_first_moments(label, params, 3.1).vector,
             )
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        """Empty the kernel cache and record the tau of every kernel built from now on."""
+        builds = []
+        build = dyn._branch_pair_kernel
+
+        def counting(params, tau):
+            builds.append(tau)
+            return build(params, tau)
+
+        dyn._shared_kernel.cache_clear()
+        monkeypatch.setattr(dyn, "_branch_pair_kernel", counting)
+        return builds
+
+    def test_one_build_per_point(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        dyn.evolve_cat_state(dyn.initial_cat_state(CAT_PARAMS), CAT_PARAMS, 3.1)
+        for label in ALL_LABELS:
+            dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1)
+        for label in ALL_LABELS:
+            dyn.general_first_moments(label, CAT_PARAMS, 3.1)
+        assert builds == [3.1]
+        dyn.branch_pair_phase_contrast(ALL_LABELS[1], CAT_PARAMS, 1.7)
+        assert builds == [3.1, 1.7]
+
+    def test_numpy_scalars_share_the_python_float_entry(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        dyn.branch_pair_phase_contrast(ALL_LABELS[1], CAT_PARAMS, 3.1)
+        numpy_params = UnitlessParams(
+            **{name: np.float64(getattr(CAT_PARAMS, name)) for name in dyn._PARAM_NAMES}
+        )
+        for params, tau in [
+            (CAT_PARAMS, np.float64(3.1)),
+            (CAT_PARAMS, np.array(3.1)),
+            (numpy_params, 3.1),
+        ]:
+            for entry in CAT_ENTRY_POINTS.values():
+                entry(params, tau)
+        assert builds == [3.1]
+
+    def test_shared_kernel_matches_a_fresh_build(self):
+        fresh = dyn._branch_pair_kernel(CAT_PARAMS, 3.1)
+        for _ in range(2):  # the first pass may build the shared kernel, the second reads it
+            for label in ALL_LABELS:
+                assert dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) == (
+                    fresh.phase_contrast(label)
+                )
+                assert np.array_equal(
+                    dyn.general_first_moments(label, CAT_PARAMS, 3.1).vector,
+                    fresh.moments(label).vector,
+                )
+
+    def test_initial_covariance_does_not_leak(self):
+        params, tau = CAT_PARAMS, 3.1
+        sigma0 = dyn.squeezed_thermal_covariance(0.9, 2.0)
+        dyn._shared_kernel.cache_clear()
+        initial = replace(dyn.initial_cat_state(params), sigma=sigma0)
+        state = dyn.evolve_cat_state(initial, params, tau)
+        s = propagator(params.g, tau)
+        sigma = s @ sigma0 @ s.T + lyapunov_integral(
+            params.g, tau, sgi_diffusion_matrix(params.gamma_x)
+        )
+        assert np.array_equal(state.sigma, 0.5 * (sigma + sigma.T))
+        fresh = dyn._branch_pair_kernel(params, tau)
+        for label in ALL_LABELS:
+            assert dyn.branch_pair_phase_contrast(label, params, tau) == fresh.phase_contrast(label)
+
+    def test_shared_arrays_are_read_only(self):
+        kernel = dyn._kernel(CAT_PARAMS, 3.1)
+        shifts = [array for pair in kernel.shifts.values() for array in pair]
+        arrays = [kernel.s_tau, kernel.lyapunov, kernel.h_matrix, kernel.sigma, kernel.m1, kernel.m2]
+        for array in arrays + shifts:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] += 1.0
+
+    @pytest.mark.parametrize("entry", sorted(CAT_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("g", np.array([0.1, 0.2]), id="g"),
+            pytest.param("gamma_x", np.array([0.0, 0.01]), id="gamma_x"),
+            pytest.param("tau", np.array([1.0, 2.0]), id="tau"),
+        ],
+    )
+    def test_grid_input_fails_before_any_work(self, monkeypatch, entry, field, value):
+        def no_build(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(dyn, "_branch_pair_kernel", no_build)
+        tau = value if field == "tau" else 3.1
+        params = CAT_PARAMS if field == "tau" else replace(CAT_PARAMS, **{field: value})
+        message = rf"^{field}={re.escape(str(value))} must be a scalar"
+        with pytest.raises(ValueError, match=message):
+            CAT_ENTRY_POINTS[entry](params, tau)
 
     @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
     def test_rejects_bad_tau(self, tau):
@@ -223,6 +335,23 @@ class TestUnitaryQrdm:
         assert rho[1, 3] == pytest.approx(np.conj(single), abs=1e-15)
         assert rho[0, 3] == pytest.approx(0.25 * np.exp(-4.0 * contrasts.c2), abs=1e-15)
         assert rho[1, 2] == pytest.approx(0.25 * np.exp(-4.0 * contrasts.c1), abs=1e-15)
+
+    def test_grid_equals_per_point_calls(self):
+        taus = np.linspace(0.0, 40.0, 1000)
+        rho, contrasts, phase = dyn.unitary_qrdm(1.0, 0.1, taus)
+        for k, tau in enumerate(taus):
+            rho_k, contrasts_k, phase_k = dyn.unitary_qrdm(1.0, 0.1, tau)
+            assert np.array_equal(rho_k, rho[k])
+            assert (contrasts_k.c1, contrasts_k.c2, phase_k) == (
+                contrasts.c1[k],
+                contrasts.c2[k],
+                phase[k],
+            )
+        gs = np.linspace(0.0, 0.49, 500)
+        for name in ("final_contrast", "residual_separation"):
+            closed_form = getattr(dyn, name)
+            grid = closed_form(1.3, gs)
+            assert np.array_equal([closed_form(1.3, g) for g in gs], grid)
 
     def test_positive_semidefinite(self):
         for tau in np.linspace(0.0, 8.0, 9):
