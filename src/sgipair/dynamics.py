@@ -102,6 +102,10 @@ class BranchLabel:
         return BranchLabel(j=self.k, k=self.j, m=self.n, n=self.m)
 
 
+# The 16 labels in row-major QRDM order, built once.
+_ALL_LABELS = tuple(BranchLabel.from_bits(row, col) for row in range(4) for col in range(4))
+
+
 @dataclass(frozen=True)
 class BranchMoments:
     """First-moment vector (x1, p1, x2, p2) of one branch; complex off the diagonal."""
@@ -274,11 +278,15 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
 # --------------------------------------------------------------------------
 
 
+# Qubit eigenvalues (j, m) of the ket (or bra) side of QRDM row (or column) 0..3.
+_ROW_EIGENVALUES = tuple(product((+1, -1), repeat=2))
+
+
 def _shifts(h_matrix: np.ndarray, f_q: float, s: np.ndarray) -> dict:
     """(j, m): displaced equilibrium r = H^-1 (j r_q1 + m r_q2 + r_f) and its shift (S - I) r."""
     drift = sgi_drift_spec(f_q)
     out = {}
-    for j, m in product((+1, -1), repeat=2):
+    for j, m in _ROW_EIGENVALUES:
         r = np.linalg.solve(h_matrix, drift.branch_drift(j, m))
         out[j, m] = r, (s - _EYE4) @ r
     return out
@@ -300,9 +308,51 @@ def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMo
     return out
 
 
+# Qubits flipped between ket and bra of QRDM entry (row, col): the dephasing weight.
+_FLIPS = np.array([[bin(row ^ col).count("1") for col in range(4)] for row in range(4)], float)
+_DIAGONAL = np.diag_indices(4)
+
+
+def _row_col(label: BranchLabel) -> tuple[int, int]:
+    """QRDM entry (row, col) of a label, the inverse of ``BranchLabel.from_bits``."""
+    return (1 - label.j) + (1 - label.m) // 2, (1 - label.k) + (1 - label.n) // 2
+
+
+def _branch_pair_tables(
+    sigma: np.ndarray,
+    shifts: np.ndarray,
+    m1: np.ndarray,
+    m2: np.ndarray,
+    h_matrix: np.ndarray,
+    tau: float,
+    gamma_z: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moments (4, 4, 4) and (phase, contrast) (4, 4, 2) of all 16 branch pairs, read-only.
+
+    ``shifts`` stacks the (r, (S - I) r) pairs of the four QRDM rows, shape
+    (4, 2, 4); entry [row, col] of either table belongs to
+    ``BranchLabel.from_bits(row, col)``, whose ket side is row and bra side col.
+    """
+    r, delta = shifts[:, 0], shifts[:, 1]
+    delta_eq = r[:, None] - r[None, :]  # r_ket - r_bra
+    mismatch = delta[:, None] - delta[None, :]
+    mean = 0.5 * (delta[:, None] + delta[None, :])
+    moments = mean + 0.5j * (mismatch @ (sigma @ _OMEGA).T + delta_eq @ m1.T)
+    moments.imag[_DIAGONAL] = 0.0  # a diagonal branch is real
+    phase = np.sum(delta_eq @ _OMEGA * mean, axis=-1) + 0.5 * tau * np.sum(
+        delta_eq @ h_matrix * (r[:, None] + r[None, :]), axis=-1
+    )
+    contrast = 0.25 * np.sum(mismatch @ (_OMEGA.T @ sigma @ _OMEGA) * mismatch, axis=-1)
+    contrast += gamma_z * tau * _FLIPS  # independent qubit dephasing
+    contrast += 0.25 * np.sum(delta_eq @ m2 * delta_eq, axis=-1)
+    phase_contrast = np.stack([phase, contrast], axis=-1)
+    moments.flags.writeable = phase_contrast.flags.writeable = False
+    return moments, phase_contrast
+
+
 @dataclass(frozen=True)
 class _BranchPairKernel:
-    """Label-independent part of the branch moments, phases and contrasts at one (params, tau).
+    """Branch moments, phases and contrasts of all 16 labels at one (params, tau).
 
     Labels differ only in the displaced equilibria r of their ket and bra
     sides, and the diffusion memory terms are linear (moments) or bilinear
@@ -310,12 +360,18 @@ class _BranchPairKernel:
     S = S(tau), two integrals serve all 16 labels:
     m1 = int_0^tau K(u) Omega (S(u) - S) du and
     m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du.
+    ``moment_table`` (4, 4, 4) and ``phase_contrast_table`` (4, 4, 2) hold
+    every label's result once, at index [row, col] of its QRDM entry
+    (``BranchLabel.from_bits(row, col)``); ``moments`` and ``phase_contrast``
+    look a label up there.
 
     Only sigma = S sigma0 S^T + L depends on the initial covariance sigma0, the
-    squeezed thermal one of params unless ``from_initial`` swaps it.  One kernel
-    per scalar (params, tau), with read-only arrays, is kept by ``_shared_kernel``
-    for the last few points and shared by ``evolve_cat_state``,
-    ``general_first_moments`` and ``branch_pair_phase_contrast``.
+    squeezed thermal one of params unless ``from_initial`` swaps it; every
+    construction, ``from_initial`` included, evaluates the tables from its own
+    sigma.  One kernel per scalar (params, tau), with read-only arrays, is kept
+    by ``_shared_kernel`` for the last few points and shared by
+    ``evolve_cat_state``, ``general_first_moments`` and
+    ``branch_pair_phase_contrast``.
     """
 
     params: UnitlessParams
@@ -327,35 +383,26 @@ class _BranchPairKernel:
     shifts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]  # (j, m): r, (S - I) r
     m1: np.ndarray
     m2: np.ndarray
+    moment_table: np.ndarray = field(init=False)  # [row, col]: first-moment vector
+    phase_contrast_table: np.ndarray = field(init=False)  # [row, col]: (phase, contrast)
+
+    def __post_init__(self) -> None:
+        stacked = np.array([self.shifts[key] for key in _ROW_EIGENVALUES])
+        tables = _branch_pair_tables(
+            self.sigma, stacked, self.m1, self.m2, self.h_matrix, self.tau, self.params.gamma_z
+        )
+        object.__setattr__(self, "moment_table", tables[0])
+        object.__setattr__(self, "phase_contrast_table", tables[1])
 
     def from_initial(self, sigma0: np.ndarray) -> "_BranchPairKernel":
-        """The same kernel evolved from the initial covariance sigma0."""
+        """The same kernel evolved from the initial covariance sigma0, tables rebuilt."""
         return replace(self, sigma=self.s_tau @ sigma0 @ self.s_tau.T + self.lyapunov)
 
     def moments(self, label: BranchLabel) -> BranchMoments:
-        r_ket, delta_ket = self.shifts[label.j, label.m]
-        r_bra, delta_bra = self.shifts[label.k, label.n]
-        vector = 0.5 * (delta_ket + delta_bra) + 0j
-        if label.is_diagonal:
-            return BranchMoments(label=label, vector=vector.real + 0j)
-        vector += 0.5j * self.sigma @ _OMEGA @ (delta_ket - delta_bra)
-        vector += 0.5j * self.m1 @ (r_ket - r_bra)
-        return BranchMoments(label=label, vector=vector)
+        return BranchMoments(label=label, vector=self.moment_table[_row_col(label)].copy())
 
     def phase_contrast(self, label: BranchLabel) -> tuple[float, float]:
-        r_ket, delta_ket = self.shifts[label.j, label.m]
-        r_bra, delta_bra = self.shifts[label.k, label.n]
-        delta_eq = r_ket - r_bra
-        mismatch = delta_ket - delta_bra
-        phase = float(
-            delta_eq @ _OMEGA @ (0.5 * (delta_ket + delta_bra))
-            + 0.5 * self.tau * delta_eq @ self.h_matrix @ (r_ket + r_bra)
-        )
-        contrast = float(0.25 * mismatch @ _OMEGA.T @ self.sigma @ _OMEGA @ mismatch)
-        # Independent qubit dephasing: (j-k)^2 + (m-n)^2 in units of gamma_z/4.
-        dephasing = ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) / 4.0
-        contrast += self.params.gamma_z * self.tau * dephasing
-        contrast += 0.25 * float(delta_eq @ self.m2 @ delta_eq)
+        phase, contrast = self.phase_contrast_table[_row_col(label)].tolist()
         return phase, contrast
 
 
@@ -393,7 +440,7 @@ def _shared_kernel(point: tuple[float, ...], tau: float) -> _BranchPairKernel:
 
 def _scalar(name: str, value) -> float:
     if not isinstance(value, float) and np.ndim(value) != 0:
-        raise ValueError(f"{name}={value} must be a scalar; the branch-pair kernel takes one point")
+        raise ValueError(f"{name}={value} must be a scalar; cat states take one point at a time")
     return float(value)
 
 
@@ -412,8 +459,9 @@ def general_first_moments(label: BranchLabel, params: UnitlessParams, tau: float
     off-diagonal branches carry imaginary parts set by the evolved covariance
     and, under diffusion, by a memory integral over the propagated noise
     kernel, evaluated by the fixed Gauss-Legendre rule of ceil(2 tau) + 16 nodes.
-    Params and tau must be scalars; the label-independent kernel is built once
-    per point and shared with the other labels and the other cat-state calls.
+    Params and tau must be scalars.  The kernel of the point evaluates all 16
+    labels at once, is built once per point and is shared with the other
+    cat-state calls; this returns a copy of the label's entry.
     """
     return _kernel(params, tau).moments(label)
 
@@ -423,14 +471,15 @@ def branch_pair_phase_contrast(
 ) -> tuple[float, float]:
     """Phase and decay exponent of one QRDM entry from the moment machinery.
 
-    Evaluates the general branch-pair formulas (quadratic form of the evolved
-    covariance plus, under diffusion, a noise-kernel memory integral by the
-    fixed Gauss-Legendre rule of ceil(2 tau) + 16 nodes) rather than the
-    precomputed closed forms; the two routes agree and the closed forms are
-    the fast path.  Dephasing adds gamma_z * tau per flipped qubit,
-    independently for each qubit.  Params and tau must be scalars; the
-    label-independent kernel is built once per point and shared with the
-    other labels and the other cat-state calls.
+    Reads the label's entry of the kernel's phase-contrast table, where the
+    general branch-pair formulas (quadratic form of the evolved covariance
+    plus, under diffusion, a noise-kernel memory integral by the fixed
+    Gauss-Legendre rule of ceil(2 tau) + 16 nodes) are evaluated for all 16
+    labels at once, rather than the precomputed closed forms; the two routes
+    agree and the closed forms are the fast path.  Dephasing adds
+    gamma_z * tau per flipped qubit, independently for each qubit.  Params
+    and tau must be scalars; the kernel is built once per point and shared
+    with the other cat-state calls.
     """
     return _kernel(params, tau).phase_contrast(label)
 
@@ -490,7 +539,9 @@ def open_qrdm(
 
 
 def squeezed_thermal_covariance(s: float, n_p: float) -> np.ndarray:
-    """Initial covariance (1+2 n_p) diag(s, 1/s, s, 1/s)."""
+    """Initial covariance (1+2 n_p) diag(s, 1/s, s, 1/s) of scalar s and n_p."""
+    _scalar("s", s)
+    _scalar("n_p", n_p)
     if not 0.0 < s <= 1.0:
         raise ValueError(f"squeezing s={s} must lie in (0, 1]")
     if n_p < 0.0:
@@ -498,16 +549,12 @@ def squeezed_thermal_covariance(s: float, n_p: float) -> np.ndarray:
     return (1.0 + 2.0 * n_p) * np.diag([s, 1.0 / s, s, 1.0 / s])
 
 
-def _all_labels() -> list[BranchLabel]:
-    return [BranchLabel.from_bits(row, col) for row in range(4) for col in range(4)]
-
-
 def initial_cat_state(params: UnitlessParams) -> GaussianCatState:
     """State at tau = 0: squeezed thermal covariance, centred branches, |+>|+> QRDM."""
     sigma = squeezed_thermal_covariance(params.s, params.n_p)
     branches = {
         label: BranchMoments(label=label, vector=np.zeros(4, dtype=complex))
-        for label in _all_labels()
+        for label in _ALL_LABELS
     }
     qrdm = np.full((4, 4), 0.25, dtype=complex)
     return GaussianCatState(tau=0.0, sigma=sigma, branches=branches, qrdm=qrdm)
@@ -524,14 +571,15 @@ def evolve_cat_state(
     initial state produced by ``initial_cat_state`` is supported.  Params and
     tau must be scalars; the branch-pair kernel of the point is shared with
     ``general_first_moments`` and ``branch_pair_phase_contrast``, and only its
-    covariance is re-evolved from ``initial.sigma``.
+    covariance, and with it its moment table, is re-evolved from
+    ``initial.sigma``.  The 16 branches are copies of that table's entries.
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")
     if any(moments.vector.any() for moments in initial.branches.values()):
         raise ValueError("initial branch moments must be centred at the origin")
     kernel = _kernel(params, tau).from_initial(initial.sigma)
-    branches = {label: kernel.moments(label) for label in _all_labels()}
+    branches = {label: kernel.moments(label) for label in _ALL_LABELS}
     qrdm, contrasts, phase = open_qrdm(params, tau)
     return GaussianCatState(
         tau=tau,

@@ -78,6 +78,8 @@ def _check_coupling(g) -> None:
 
 
 def _check_tau(tau) -> None:
+    if type(tau) is float and math.isfinite(tau) and tau >= 0.0:
+        return  # the common scalar call skips the array test
     _require("tau", tau, np.isfinite(tau) & (tau >= 0.0), "must be finite and >= 0")
 
 

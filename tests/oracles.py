@@ -8,7 +8,9 @@ The reference kernels at the end redo the two ``sgipair.oracle`` integrators
 the direct way (stage-wise RK4, one block at a time, dense operators) to
 check its step map, stacked generator and mode-local observables, and
 evaluate the propagator integrals of ``phase_space``/``dynamics`` by
-adaptive quadrature to check their fixed Gauss-Legendre rule.
+adaptive quadrature to check their fixed Gauss-Legendre rule.  The
+branch-pair reference evaluates one label at a time from the kernel's parts
+to check its array tables.
 """
 
 from __future__ import annotations
@@ -362,3 +364,32 @@ def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -
         name: quad_vec(integrand, 0.0, tau, epsrel=1e-11, epsabs=1e-14)[0]
         for name, integrand in (("lyapunov", lyapunov), ("m1", m1), ("m2", m2))
     }
+
+
+def reference_branch_pair(kernel, label) -> tuple[np.ndarray, tuple[float, float]]:
+    """First-moment vector and (phase, contrast) of one label, one product at a time.
+
+    Reads only the label-independent parts of a ``dynamics._BranchPairKernel``
+    (sigma, the shifts, m1, m2, H, tau and gamma_z), never its tables.
+    """
+    omega = symplectic_form()
+    r_ket, delta_ket = kernel.shifts[label.j, label.m]
+    r_bra, delta_bra = kernel.shifts[label.k, label.n]
+    vector = 0.5 * (delta_ket + delta_bra) + 0j
+    if label.is_diagonal:
+        vector = vector.real + 0j
+    else:
+        vector += 0.5j * kernel.sigma @ omega @ (delta_ket - delta_bra)
+        vector += 0.5j * kernel.m1 @ (r_ket - r_bra)
+    delta_eq = r_ket - r_bra
+    mismatch = delta_ket - delta_bra
+    phase = float(
+        delta_eq @ omega @ (0.5 * (delta_ket + delta_bra))
+        + 0.5 * kernel.tau * delta_eq @ kernel.h_matrix @ (r_ket + r_bra)
+    )
+    contrast = float(0.25 * mismatch @ omega.T @ kernel.sigma @ omega @ mismatch)
+    # Independent qubit dephasing: (j-k)^2 + (m-n)^2 in units of gamma_z/4.
+    dephasing = ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) / 4.0
+    contrast += kernel.params.gamma_z * kernel.tau * dephasing
+    contrast += 0.25 * float(delta_eq @ kernel.m2 @ delta_eq)
+    return vector, (phase, contrast)

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_propagator_integrals, squeezed_covariance_display
+from oracles import (
+    reference_branch_pair,
+    reference_propagator_integrals,
+    squeezed_covariance_display,
+)
 from sgipair import dynamics as dyn
 from sgipair import phase_space as ps
 from sgipair.phase_space import (
@@ -30,9 +34,24 @@ CAT_ENTRY_POINTS = {
         ALL_LABELS[3], params, tau
     ),
     "evolve_cat_state": lambda params, tau: dyn.evolve_cat_state(
-        dyn.initial_cat_state(CAT_PARAMS), params, tau
+        dyn.initial_cat_state(params), params, tau
     ),
 }
+# Each cat-state entry point with a grid g, gamma_x or tau, and initial_cat_state with a grid s,
+# as (entry, field, grid value); ids read "field-entry".
+GRID_ENTRY_POINTS = {
+    **CAT_ENTRY_POINTS,
+    "initial_cat_state": lambda params, tau: dyn.initial_cat_state(params),
+}
+GRID_CASES = [
+    pytest.param(entry, field, value, id=f"{field}-{entry}")
+    for field, value in [
+        ("g", np.array([0.1, 0.2])),
+        ("gamma_x", np.array([0.0, 0.01])),
+        ("tau", np.array([1.0, 2.0])),
+    ]
+    for entry in sorted(CAT_ENTRY_POINTS)
+] + [pytest.param("initial_cat_state", "s", np.array([0.3, 0.5]), id="s-initial_cat_state")]
 
 
 def branch(j, m):
@@ -256,23 +275,54 @@ class TestBranchPairKernel:
         for label in ALL_LABELS:
             assert dyn.branch_pair_phase_contrast(label, params, tau) == fresh.phase_contrast(label)
 
+    @pytest.mark.parametrize(
+        "params, tau, sigma0",
+        [
+            pytest.param(CAT_PARAMS, 3.1, None, id="cat"),
+            pytest.param(CAT_PARAMS, 0.0, None, id="tau-0"),
+            pytest.param(replace(CAT_PARAMS, gamma_x=0.0), 3.1, None, id="gamma_x-0"),
+            pytest.param(replace(CAT_PARAMS, g=0.0), 3.1, None, id="g-0"),
+            pytest.param(
+                UnitlessParams(f_q=1.3, g=0.31, s=0.05, n_p=3.0, gamma_z=0.4),
+                final_time(0.31),
+                None,
+                id="squeezed-thermal-dephased",
+            ),
+            pytest.param(CAT_PARAMS, 300.0, None, id="tau-300"),
+            pytest.param(
+                CAT_PARAMS, 3.1, dyn.squeezed_thermal_covariance(0.9, 2.0), id="from_initial"
+            ),
+        ],
+    )
+    def test_tables_match_the_per_label_reference(self, params, tau, sigma0):
+        kernel = dyn._branch_pair_kernel(params, tau)
+        if sigma0 is not None:
+            kernel = kernel.from_initial(sigma0)
+        references = [reference_branch_pair(kernel, label) for label in ALL_LABELS]
+        moments = np.array([vector for vector, _ in references]).reshape(4, 4, 4)
+        phase_contrast = np.array([pair for _, pair in references]).reshape(4, 4, 2)
+        for actual, expected in [
+            (kernel.moment_table, moments),
+            (kernel.phase_contrast_table[..., 0], phase_contrast[..., 0]),
+            (kernel.phase_contrast_table[..., 1], phase_contrast[..., 1]),
+        ]:
+            assert np.max(np.abs(actual - expected)) <= 1e-14 * np.max(np.abs(expected))
+        for label in ALL_LABELS:
+            if label.is_diagonal:
+                assert not kernel.moments(label).vector.imag.any()
+            phase, contrast = kernel.phase_contrast(label)
+            assert type(phase) is float and type(contrast) is float
+
     def test_shared_arrays_are_read_only(self):
         kernel = dyn._kernel(CAT_PARAMS, 3.1)
         shifts = [array for pair in kernel.shifts.values() for array in pair]
         arrays = [kernel.s_tau, kernel.lyapunov, kernel.h_matrix, kernel.sigma, kernel.m1, kernel.m2]
+        arrays += [kernel.moment_table, kernel.phase_contrast_table]
         for array in arrays + shifts:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
 
-    @pytest.mark.parametrize("entry", sorted(CAT_ENTRY_POINTS))
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            pytest.param("g", np.array([0.1, 0.2]), id="g"),
-            pytest.param("gamma_x", np.array([0.0, 0.01]), id="gamma_x"),
-            pytest.param("tau", np.array([1.0, 2.0]), id="tau"),
-        ],
-    )
+    @pytest.mark.parametrize("entry, field, value", GRID_CASES)
     def test_grid_input_fails_before_any_work(self, monkeypatch, entry, field, value):
         def no_build(*args):
             raise AssertionError("a kernel was built")
@@ -282,7 +332,7 @@ class TestBranchPairKernel:
         params = CAT_PARAMS if field == "tau" else replace(CAT_PARAMS, **{field: value})
         message = rf"^{field}={re.escape(str(value))} must be a scalar"
         with pytest.raises(ValueError, match=message):
-            CAT_ENTRY_POINTS[entry](params, tau)
+            GRID_ENTRY_POINTS[entry](params, tau)
 
     @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
     def test_rejects_bad_tau(self, tau):
@@ -506,6 +556,19 @@ class TestCatState:
         )
         assert len(state.branches) == 16
         assert np.allclose(state.qrdm, np.full((4, 4), 0.25), atol=0.0)
+
+    @pytest.mark.parametrize(
+        "s, n_p, message",
+        [
+            (0, 0.0, r"squeezing s=0 must lie in \(0, 1\]"),
+            (1.5, 0.0, r"squeezing s=1\.5 must lie in \(0, 1\]"),
+            (0.5, -1, r"n_p=-1 must be >= 0"),
+            (0.5, np.array([0.0, 1.0]), r"n_p=\[0\. 1\.\] must be a scalar"),
+        ],
+    )
+    def test_initial_covariance_rejects_bad_input(self, s, n_p, message):
+        with pytest.raises(ValueError, match=rf"^{message}"):
+            dyn.squeezed_thermal_covariance(s, n_p)
 
     def test_zero_time_evolution_is_identity(self):
         params = UnitlessParams(f_q=0.5, g=0.08, s=0.1, n_p=2.0, gamma_x=0.02)

@@ -158,6 +158,18 @@ class TestLyapunovIntegral:
         with pytest.raises(ValueError, match=r"^tau=.* must be finite and >= 0"):
             ps.lyapunov_integral(0.1, tau, ps.sgi_diffusion_matrix(0.05))
 
+    @pytest.mark.parametrize(
+        "wrap",
+        [float, np.float64, np.array, lambda tau: np.array([0.5, tau])],
+        ids=["float", "float64", "0-d", "grid"],
+    )
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
+    def test_tau_check_messages_for_every_input_kind(self, wrap, bad):
+        with pytest.raises(ValueError, match=rf"^tau={bad} must be finite and >= 0$"):
+            ps._check_tau(wrap(float(bad)))
+        ps._check_tau(0.0)
+        ps._check_tau(-0.0)
+
     def test_long_interval_splits_into_panels(self):
         # 1000 > _MAX_PANEL: four panels of 250; same integral as the closed form.
         g, tau = 0.2, 1000.0
