@@ -13,6 +13,14 @@ once on whole grid columns, through the same functions as the single-point
 reports, so ``--workers`` is accepted as a no-op.  All computation is
 deterministic (there is no random number generator anywhere), so
 ``--seedless`` is accepted as a no-op for interface compatibility.
+
+Bad input exits with status 2 and one ``sgipair: error:`` line before any
+work and before any output file is opened: out-of-domain parameters, a
+negative or non-finite time, ``trajectories --steps`` below 1, sweep axes
+that conflict (one name given twice, ``f_q`` with ``--constraint-force``,
+``s``/``n_p`` pinned by ``--state``) or do not parse, and an ``--out`` or
+``--json-out`` path that cannot be written.  CSVs are streamed in blocks of
+rows, each distinct value of a column formatted once per block.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,12 +72,53 @@ def _write_text(out: str | None, text: str) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _csv_document(metadata: dict[str, str], header: list[str], rows) -> str:
-    lines = [f"# {key} = {value}" for key, value in metadata.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _check_out_path(option: str, path: str | None) -> None:
+    """Fail with one line, before any work, if ``path`` cannot be written."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"{option} {path}: is a directory")
+    if not target.parent.is_dir():
+        raise ValueError(f"{option} {path}: directory {target.parent} does not exist")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise ValueError(f"{option} {path}: permission denied")
+
+
+# Rows formatted per block: each block's text is built and written before the next.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _format_column(column: np.ndarray) -> list[str]:
+    """The '.17g' text of every entry, formatting each distinct bit pattern once.
+
+    Bit patterns, not values, are deduplicated: -0.0 == 0.0 but prints "-0".
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64).tolist()
+    texts = np.array([format(value, ".17g") for value in values], dtype=object)
+    return texts[inverse].tolist()
+
+
+def _write_csv(out: str | None, metadata: dict[str, str], header: list[str], rows) -> None:
+    """Stream a '#'-metadata CSV of a 2-D table to ``out`` (None or '-': stdout).
+
+    Every cell reads ``format(float(cell), ".17g")``; the rows are formatted
+    and written ``_CSV_BLOCK_ROWS`` at a time, so the text of the whole
+    table is never held in memory.
+    """
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    stream = sys.stdout if out is None or out == "-" else open(out, "w")
+    try:
+        stream.writelines(f"# {key} = {value}\n" for key, value in metadata.items())
+        stream.write(",".join(header) + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            columns = [_format_column(column) for column in block.T]
+            stream.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    finally:
+        if stream is not sys.stdout:
+            stream.close()
 
 
 def _report_document(title: str, tree: dict) -> str:
@@ -134,13 +184,15 @@ class SweepAxis:
         log = len(parts) == 5 and parts[4] == "log"
         if len(parts) == 5 and parts[4] not in ("log", "linear"):
             raise ValueError(f"axis {text!r}: scale must be 'log' or 'linear'")
-        return cls(
-            name=name,
-            start=float(parts[1]),
-            stop=float(parts[2]),
-            points=int(parts[3]),
-            log=log,
-        )
+        try:
+            start, stop = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValueError(f"axis {text!r}: min and max must be numbers") from None
+        try:
+            points = int(parts[3])
+        except ValueError:
+            raise ValueError(f"axis {text!r}: points must be an integer") from None
+        return cls(name=name, start=start, stop=stop, points=points, log=log)
 
 
 @dataclass(frozen=True)
@@ -152,6 +204,14 @@ class SweepSpec:
     constraint_force: bool = False     # overrides f_q with 1/sqrt(120 g)
     tau_selector: str = "final"
     negativity_selector: str = "witness"
+
+    def __post_init__(self) -> None:
+        names = [axis.name for axis in self.axes]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"axis {name} is given more than once")
+        if self.constraint_force and "f_q" in names:
+            raise ValueError("axis f_q conflicts with --constraint-force, which sets f_q")
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
@@ -203,6 +263,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     axes = tuple(SweepAxis.parse(text) for text in args.axis)
     if not axes:
         raise ValueError("sweep requires at least one --axis")
+    pinned = {"ground": ("s", "n_p"), "thermal": ("s",)}.get(args.state, ())
+    for axis in axes:
+        if axis.name in pinned:
+            raise ValueError(
+                f"axis {axis.name} conflicts with --state {args.state}, which pins {axis.name}"
+            )
     fixed = {
         "f_q": args.fq,
         "g": args.g,
@@ -232,7 +298,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "tau": spec.tau_selector,
         "negativity": spec.negativity_selector,
     }
-    _write_text(args.out, _csv_document(metadata, header, rows))
+    _write_csv(args.out, metadata, header, rows)
     return 0
 
 
@@ -242,6 +308,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trajectories(args: argparse.Namespace) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps={args.steps} must be >= 1")
     tau_max = _resolve_tau(args.tau_max, args.g)
     taus = np.linspace(0.0, tau_max, args.steps)
     header = ["tau", "q1_bit", "q2_bit", "x1", "p1", "x2", "p2"]
@@ -262,7 +330,7 @@ def _cmd_trajectories(args: argparse.Namespace) -> int:
         "closure_time": _fmt(final_time(args.g)),
         "residual_separation": _fmt(dynamics.residual_separation(args.fq, args.g)),
     }
-    _write_text(args.out, _csv_document(metadata, header, rows))
+    _write_csv(args.out, metadata, header, rows)
     return 0
 
 
@@ -644,6 +712,8 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        _check_out_path("--out", None if args.out == "-" else args.out)
+        _check_out_path("--json-out", getattr(args, "json_out", None))
         return handlers[args.command](args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

@@ -106,12 +106,12 @@ def partial_transpose(rho: np.ndarray, qubit: int = 2) -> np.ndarray:
 
 def negativity_exact(rho: np.ndarray) -> float:
     """PPT negativity max(0, -2 lambda_min) of the partially transposed QRDM."""
-    lam = _ppt_lambda_min(rho)
+    lam = _ppt_lambda_min(_validate_qrdm(rho))
     return np.maximum(0.0, -2.0 * lam)
 
 
 def _ppt_lambda_min(rho: np.ndarray) -> float:
-    rho = _validate_qrdm(rho)
+    """Smallest partial-transpose eigenvalue of an already validated QRDM stack."""
     return np.linalg.eigvalsh(partial_transpose(rho)).min(axis=-1)
 
 
@@ -229,7 +229,11 @@ def witness_trace(rho: np.ndarray, witness: WitnessOperator) -> float:
 
     The imaginary residue must be negligible.
     """
-    rho = _validate_qrdm(rho)
+    return _real_trace(_validate_qrdm(rho), witness)
+
+
+def _real_trace(rho: np.ndarray, witness: WitnessOperator) -> float:
+    """``witness_trace`` of an already validated QRDM stack."""
     value = np.trace(witness.matrix @ rho, axis1=-2, axis2=-1)
     residue = np.max(np.abs(value.imag))
     if residue > 1e-12:
@@ -250,11 +254,12 @@ def evaluate_negativity(
         contrast = contrasts.single_flip_total
     else:
         contrast = np.asarray(contrasts, dtype=float)[()]
+    rho = _validate_qrdm(rho)
     lam = _ppt_lambda_min(rho)
     return NegativityResult(
         exact=np.maximum(0.0, -2.0 * lam),
         closed_form=negativity_closed_form(phi, contrast),
-        witness_trace=witness_trace(rho, witness_operator()),
+        witness_trace=_real_trace(rho, witness_operator()),
         phase=phi,
         contrast=contrast,
         lambda_min=lam,

@@ -10,7 +10,8 @@ check its step map, stacked generator and mode-local observables, and
 evaluate the propagator integrals of ``phase_space``/``dynamics`` by
 adaptive quadrature to check their fixed Gauss-Legendre rule.  The
 branch-pair reference evaluates one label at a time from the kernel's parts
-to check its array tables.
+to check its array tables.  The CSV reference formats every cell on its own,
+row by row, to check the CLI's block writer.
 """
 
 from __future__ import annotations
@@ -393,3 +394,12 @@ def reference_branch_pair(kernel, label) -> tuple[np.ndarray, tuple[float, float
     contrast += kernel.params.gamma_z * kernel.tau * dephasing
     contrast += 0.25 * float(delta_eq @ kernel.m2 @ delta_eq)
     return vector, (phase, contrast)
+
+
+def csv_document(metadata: dict[str, str], header: list[str], rows) -> str:
+    """A '#'-metadata CSV with every cell formatted on its own, row by row."""
+    lines = [f"# {key} = {value}" for key, value in metadata.items()]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from sgipair import cli, design, dynamics, entanglement
+from oracles import csv_document
+from sgipair import cli, design, dynamics, entanglement, oracle
 from sgipair.phase_space import final_time
 from sgipair.potentials import UnitlessParams
 
@@ -209,6 +210,29 @@ class TestSweep:
             (["--axis", "s:0.5:2:3"], r"^squeezing s=1\.25 must lie in \(0, 1\]"),
             (["--axis", "g:0.1:0.2:3", "--tau", "-3"], r"^tau=-3\.0 must be finite and >= 0$"),
             (["--axis", "g:0.1:0.2:3", "--tau", "nan"], r"^tau=nan must be finite and >= 0$"),
+            # axes that conflict with each other or with a pinning option
+            (
+                ["--axis", "g:0.1:0.2:2", "--axis", "g:0.3:0.4:2", "--fq", "1"],
+                r"^axis g is given more than once$",
+            ),
+            (
+                ["--axis", "g:0.1:0.2:2", "--axis", "f_q:1:2:2", "--constraint-force"],
+                r"^axis f_q conflicts with --constraint-force, which sets f_q$",
+            ),
+            (
+                ["--axis", "g:0.1:0.2:2", "--axis", "s:0.5:1:2", "--state", "ground"],
+                r"^axis s conflicts with --state ground, which pins s$",
+            ),
+            (
+                ["--axis", "g:0.1:0.2:2", "--axis", "n_p:0:3:2", "--state", "ground"],
+                r"^axis n_p conflicts with --state ground, which pins n_p$",
+            ),
+            (
+                ["--axis", "s:0.5:1:2", "--g", "0.1", "--state", "thermal"],
+                r"^axis s conflicts with --state thermal, which pins s$",
+            ),
+            (["--axis", "g:0.1:0.2:abc"], r"^axis 'g:0\.1:0\.2:abc': points must be an integer$"),
+            (["--axis", "g:0.1:high:3"], r"^axis 'g:0\.1:high:3': min and max must be numbers$"),
         ],
     )
     def test_out_of_domain_column_fails_before_evaluation(
@@ -224,6 +248,14 @@ class TestSweep:
         assert exit_info.value.code == 2
         assert re.match(message, error_line(capsys))
         assert not out.exists()
+
+    def test_thermal_state_keeps_a_phonon_axis(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        args = ["--axis", "n_p:0:3:2", "--g", "0.1", "--fq", "1", "--state", "thermal"]
+        assert run(["sweep", *args, "--s", "0.5", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert [row[header.index("n_p")] for row in rows] == [0.0, 3.0]
+        assert all(row[header.index("s")] == 1.0 for row in rows)
 
 
 class TestTrajectories:
@@ -292,6 +324,8 @@ class TestPointReports:
             (["negativity", "--tau", "inf"], r"^tau=inf must be finite and >= 0$"),
             (["trajectories", "--tau-max", "-3"], r"^tau=-3\.0 must be finite and >= 0$"),
             (["trajectories", "--tau-max", "nan"], r"^tau=nan must be finite and >= 0$"),
+            (["trajectories", "--steps", "0"], r"^--steps=0 must be >= 1$"),
+            (["trajectories", "--steps", "-3"], r"^--steps=-3 must be >= 1$"),
         ],
     )
     def test_bad_tau_fails_before_evaluation(self, tmp_path, monkeypatch, capsys, args, message):
@@ -382,6 +416,86 @@ class TestVerify:
         assert payload["passed"] is False
         assert payload["failures"]
         assert all("/" in name for name in payload["failures"])
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--axis", "g:0.1:0.2:2", "--fq", "1", "--out", "{missing}/grid.csv"],
+            ["trajectories", "--fq", "1", "--g", "0.1", "--out", "{missing}/traj.csv"],
+            ["qrdm", "--fq", "1", "--g", "0.1", "--out", "{missing}/point.txt"],
+            ["verify", "--out", "{missing}/verify.txt"],
+            ["verify", "--json-out", "{missing}/verify.json"],
+        ],
+    )
+    def test_missing_directory_fails_before_any_work(self, tmp_path, monkeypatch, capsys, args):
+        def never(*_, **__):
+            raise AssertionError("work ran before the output path was checked")
+
+        for module, name in [
+            (dynamics, "open_qrdm"),
+            (dynamics, "branch_trajectories"),
+            (oracle, "verify_moments"),
+        ]:
+            monkeypatch.setattr(module, name, never)
+        missing = tmp_path / "missing"
+        args = [arg.format(missing=missing) for arg in args]
+        with pytest.raises(SystemExit) as exit_info:
+            run(args)
+        assert exit_info.value.code == 2
+        option, path = args[-2:]
+        assert error_line(capsys) == f"{option} {path}: directory {missing} does not exist"
+        assert not missing.exists()
+
+    def test_directory_as_output_fails(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["trajectories", "--fq", "1", "--g", "0.1", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == f"--out {tmp_path}: is a directory"
+
+
+def _awkward_rows(count):
+    # signed zeros in one column, infinities and NaN, Python ints, repeats
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0 / 3.0, 5e-324, -1e300, 0.1]
+    return [
+        [values[k % 9], -0.0 if k % 3 else 0.0, k % 2, k, values[(5 * k) % 9] * k, 0.1 * k]
+        for k in range(count)
+    ]
+
+
+class TestCsvWriter:
+    METADATA = {"generator": "test", "command": "rows"}
+    HEADER = ["a", "b", "bit", "index", "scaled", "tenth"]
+
+    @pytest.mark.parametrize(
+        "count",
+        [0, 1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS + 7, 2 * cli._CSV_BLOCK_ROWS + 3],
+    )
+    def test_matches_cell_by_cell_formatter(self, tmp_path, capsys, count):
+        rows = _awkward_rows(count)
+        expected = csv_document(self.METADATA, self.HEADER, rows)
+        out = tmp_path / "rows.csv"
+        cli._write_csv(str(out), self.METADATA, self.HEADER, rows)
+        assert out.read_bytes() == expected.encode()
+        for target in (None, "-"):
+            cli._write_csv(target, self.METADATA, self.HEADER, rows)
+            assert capsys.readouterr().out == expected
+
+    def test_sweep_stdout_matches_out_file(self, tmp_path, capsys):
+        args = ["sweep", "--axis", "g:0.05:0.3:3", "--axis", "f_q:0:1:2", "--gamma-x", "0.01"]
+        out = tmp_path / "grid.csv"
+        run([*args, "--out", str(out)])
+        capsys.readouterr()
+        run(args)
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        header, rows = cli.run_sweep(
+            cli.SweepSpec(
+                axes=(cli.SweepAxis.parse("g:0.05:0.3:3"), cli.SweepAxis.parse("f_q:0:1:2")),
+                fixed={"gamma_x": 0.01},
+            )
+        )
+        assert out.read_text().endswith(csv_document({}, header, rows))
 
 
 class TestFormatting:

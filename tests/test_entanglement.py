@@ -208,3 +208,22 @@ class TestEvaluateNegativity:
         )
         assert result.lambda_min == pytest.approx(-result.closed_form, rel=1e-10)
         assert 0.0 <= result.exact <= 1.0
+
+    def test_validates_the_stack_once(self, monkeypatch):
+        params = UnitlessParams(f_q=1.0, g=np.array([0.05, 0.2, 0.4]), s=0.3, gamma_x=0.01)
+        rho, contrasts, phase = open_qrdm(params, final_time(params.g))
+        calls = []
+
+        def counted(stack):
+            calls.append(stack.shape)
+            return validate(stack)
+
+        validate = ent._validate_qrdm
+        monkeypatch.setattr(ent, "_validate_qrdm", counted)
+        result = ent.evaluate_negativity(rho, phase, contrasts)
+        assert calls == [(3, 4, 4)]
+        # the same bits as the two public routes, which validate on their own
+        assert np.array_equal(result.exact, ent.negativity_exact(rho))
+        assert np.array_equal(
+            result.witness_trace, ent.witness_trace(rho, ent.witness_operator())
+        )
