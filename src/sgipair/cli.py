@@ -18,9 +18,11 @@ Bad input exits with status 2 and one ``sgipair: error:`` line before any
 work and before any output file is opened: out-of-domain parameters, a
 negative or non-finite time, ``trajectories --steps`` below 1, sweep axes
 that conflict (one name given twice, ``f_q`` with ``--constraint-force``,
-``s``/``n_p`` pinned by ``--state``) or do not parse, and an ``--out`` or
-``--json-out`` path that cannot be written.  CSVs are streamed in blocks of
-rows, each distinct value of a column formatted once per block.
+``s``/``n_p`` pinned by ``--state``) or do not parse, an ``--out`` or
+``--json-out`` path that cannot be written, and a ``--config`` file that
+cannot be read.  A sweep grid too large for memory exits the same way, with
+one line naming its row count.  CSVs are streamed in blocks of rows, each
+distinct value of a column formatted once per block.
 """
 
 from __future__ import annotations
@@ -30,12 +32,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, design, dynamics, entanglement, oracle
+from .dynamics import _PARAM_NAMES
 from .phase_space import _check_tau, final_time
 from .potentials import (
     UnitlessParams,
@@ -50,9 +53,6 @@ from .potentials import (
 )
 
 __all__ = ["main", "SweepSpec", "run_sweep"]
-
-_AXIS_PARAMS = ("f_q", "g", "s", "n_p", "gamma_x", "gamma_z")
-
 
 # --------------------------------------------------------------------------
 # Output helpers
@@ -83,6 +83,16 @@ def _check_out_path(option: str, path: str | None) -> None:
         raise ValueError(f"{option} {path}: directory {target.parent} does not exist")
     if not os.access(target if target.exists() else target.parent, os.W_OK):
         raise ValueError(f"{option} {path}: permission denied")
+
+
+def _check_config_path(path: str | None) -> None:
+    """Fail with one line, before any work, if the ``--config`` file cannot be read."""
+    if path is None:
+        return
+    try:
+        Path(path).open().close()
+    except OSError as exc:
+        raise ValueError(f"--config {path}: {exc.strerror}") from None
 
 
 # Rows formatted per block: each block's text is built and written before the next.
@@ -139,6 +149,16 @@ def _report_document(title: str, tree: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _param_values(source) -> dict:
+    """The six model parameters of ``source`` by name, in ``UnitlessParams`` field order.
+
+    ``source`` is a ``UnitlessParams`` or the parsed arguments: the names in
+    ``_PARAM_NAMES`` are also the destinations of the parameter options, the
+    sweep axis names and the first sweep columns.
+    """
+    return {name: getattr(source, name) for name in _PARAM_NAMES}
+
+
 def _resolve_tau(selector: str, g: float) -> float:
     if selector == "final":
         return final_time(g)
@@ -179,8 +199,8 @@ class SweepAxis:
                 f"axis {text!r}: expected name:min:max:points[:log|:linear]"
             )
         name = parts[0]
-        if name not in _AXIS_PARAMS:
-            raise ValueError(f"axis {text!r}: unknown parameter (use {_AXIS_PARAMS})")
+        if name not in _PARAM_NAMES:
+            raise ValueError(f"axis {text!r}: unknown parameter (use {_PARAM_NAMES})")
         log = len(parts) == 5 and parts[4] == "log"
         if len(parts) == 5 and parts[4] not in ("log", "linear"):
             raise ValueError(f"axis {text!r}: scale must be 'log' or 'linear'")
@@ -220,30 +240,18 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
     Every parameter column is validated before any closed form runs, so an
     out-of-domain axis fails with one error naming its first bad value.
     """
-    columns = dict(spec.fixed)
+    columns = {"f_q": 0.0, **spec.fixed}
     mesh = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
     for axis, values in zip(spec.axes, mesh):
         columns[axis.name] = values.ravel()
-    g = columns["g"]
-    f_q = design.required_force(g) if spec.constraint_force else columns.get("f_q", 0.0)
-    params = UnitlessParams(
-        f_q=f_q,
-        g=g,
-        s=columns.get("s", 1.0),
-        n_p=columns.get("n_p", 0.0),
-        gamma_x=columns.get("gamma_x", 0.0),
-        gamma_z=columns.get("gamma_z", 0.0),
-    )
-    tau = _resolve_tau(spec.tau_selector, g)
+    if spec.constraint_force:
+        columns["f_q"] = design.required_force(columns["g"])
+    params = UnitlessParams(**columns)
+    tau = _resolve_tau(spec.tau_selector, params.g)
     rho, contrasts, phase = dynamics.open_qrdm(params, tau)
     result = entanglement.evaluate_negativity(rho, phase, contrasts)
     table = {
-        "f_q": params.f_q,
-        "g": params.g,
-        "s": params.s,
-        "n_p": params.n_p,
-        "gamma_x": params.gamma_x,
-        "gamma_z": params.gamma_z,
+        **_param_values(params),
         "tau": tau,
         "phi": phase,
         "c_s_np_1": contrasts.c_s_np_1,
@@ -269,14 +277,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"axis {axis.name} conflicts with --state {args.state}, which pins {axis.name}"
             )
-    fixed = {
-        "f_q": args.fq,
-        "g": args.g,
-        "s": args.s,
-        "n_p": args.np_phonons,
-        "gamma_x": args.gamma_x,
-        "gamma_z": args.gamma_z,
-    }
+    fixed = _param_values(args)
     if args.state == "ground":
         fixed["s"], fixed["n_p"] = 1.0, 0.0
     elif args.state == "thermal":
@@ -288,7 +289,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tau_selector=args.tau,
         negativity_selector=args.negativity,
     )
-    header, rows = run_sweep(spec)
+    try:
+        header, rows = run_sweep(spec)
+    except MemoryError:
+        n_rows = math.prod(axis.points for axis in axes)
+        raise ValueError(f"sweep grid of {n_rows} rows does not fit in memory") from None
     metadata = {
         "generator": f"sgipair {__version__}",
         "command": "sweep",
@@ -313,22 +318,21 @@ def _cmd_trajectories(args: argparse.Namespace) -> int:
     tau_max = _resolve_tau(args.tau_max, args.g)
     taus = np.linspace(0.0, tau_max, args.steps)
     header = ["tau", "q1_bit", "q2_bit", "x1", "p1", "x2", "p2"]
-    to_bit = {+1: 0, -1: 1}
-    moments = dynamics.branch_trajectories(args.fq, args.g, taus)
-    labels = sorted(moments, key=lambda l: (to_bit[l.j], to_bit[l.m]))
+    moments = dynamics.branch_trajectories(args.f_q, args.g, taus)
+    labels = sorted(moments, key=lambda label: label.qrdm_index)
     rows = [
-        [tau, to_bit[label.j], to_bit[label.m], *moments[label].vector.real[slot]]
+        [tau, *divmod(label.qrdm_index[0], 2), *moments[label].vector.real[slot]]
         for slot, tau in enumerate(taus)
         for label in labels
     ]
     metadata = {
         "generator": f"sgipair {__version__}",
         "command": "trajectories",
-        "f_q": _fmt(args.fq),
+        "f_q": _fmt(args.f_q),
         "g": _fmt(args.g),
         "tau_max": _fmt(tau_max),
         "closure_time": _fmt(final_time(args.g)),
-        "residual_separation": _fmt(dynamics.residual_separation(args.fq, args.g)),
+        "residual_separation": _fmt(dynamics.residual_separation(args.f_q, args.g)),
     }
     _write_csv(args.out, metadata, header, rows)
     return 0
@@ -353,14 +357,7 @@ _CONTRAST_FIELDS = (
 def _unitless_from_args(args: argparse.Namespace) -> UnitlessParams:
     if args.config is not None:
         return to_unitless(load_physical_config(args.config))
-    return UnitlessParams(
-        f_q=args.fq,
-        g=args.g,
-        s=args.s,
-        n_p=args.np_phonons,
-        gamma_x=args.gamma_x,
-        gamma_z=args.gamma_z,
-    )
+    return UnitlessParams(**_param_values(args))
 
 
 def _cmd_qrdm(args: argparse.Namespace) -> int:
@@ -374,15 +371,7 @@ def _cmd_qrdm(args: argparse.Namespace) -> int:
         "witness": result.witness_trace,
     }[args.negativity]
     tree = {
-        "parameters": {
-            "f_q": params.f_q,
-            "g": params.g,
-            "s": params.s,
-            "n_p": params.n_p,
-            "gamma_x": params.gamma_x,
-            "gamma_z": params.gamma_z,
-            "tau": tau,
-        },
+        "parameters": {**_param_values(params), "tau": tau},
         "phase": phase,
         "contrasts": {
             name: getattr(contrasts, name)
@@ -449,14 +438,7 @@ def _constrained_negativity(g: float, unitless: UnitlessParams) -> dict:
     clipped into the stable open interval before evaluating.
     """
     g_eval = min(max(g, 1e-9), 0.49)
-    params = UnitlessParams(
-        f_q=design.required_force(g_eval),
-        g=g_eval,
-        s=unitless.s,
-        n_p=unitless.n_p,
-        gamma_x=unitless.gamma_x,
-        gamma_z=unitless.gamma_z,
-    )
+    params = replace(unitless, f_q=design.required_force(g_eval), g=g_eval)
     rho, contrasts, phase = dynamics.open_qrdm(params, final_time(g_eval))
     result = entanglement.evaluate_negativity(rho, phase, contrasts)
     return {
@@ -482,15 +464,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     )
     tree = {
         "note": "bound formulas are leading order (order-of-magnitude)",
-        "unitless": {
-            "f_q": unitless.f_q,
-            "g": unitless.g,
-            "s": unitless.s,
-            "n_p": unitless.n_p,
-            "gamma_x": unitless.gamma_x,
-            "gamma_z": unitless.gamma_z,
-            "stable": str(unitless.stable).lower(),
-        },
+        "unitless": {**_param_values(unitless), "stable": str(unitless.stable).lower()},
         "coupling_window": {
             "g_min": g_report.g_min,
             "g_min_mechanism": g_report.min_mechanism,
@@ -580,12 +554,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_unitless_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--fq", type=float, default=0.0, help="qubit force f_q")
+    sub.add_argument("--fq", dest="f_q", type=float, default=0.0, help="qubit force f_q")
     sub.add_argument("--g", type=float, default=0.0, help="entangling coupling g")
     sub.add_argument("--s", type=float, default=1.0, help="squeezing parameter")
-    sub.add_argument(
-        "--np", dest="np_phonons", type=float, default=0.0, help="initial phonon number"
-    )
+    sub.add_argument("--np", dest="n_p", type=float, default=0.0, help="initial phonon number")
     sub.add_argument("--gamma-x", type=float, default=0.0, help="diffusion rate")
     sub.add_argument("--gamma-z", type=float, default=0.0, help="dephasing rate")
 
@@ -653,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
     traj = sub.add_parser(
         "trajectories", parents=[common], help="four interferometric paths", allow_abbrev=False
     )
-    traj.add_argument("--fq", type=float, required=True)
+    traj.add_argument("--fq", dest="f_q", type=float, required=True)
     traj.add_argument("--g", type=float, required=True)
     traj.add_argument("--tau-max", default="final")
     traj.add_argument("--steps", type=int, default=201)
@@ -714,6 +686,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_out_path("--out", None if args.out == "-" else args.out)
         _check_out_path("--json-out", getattr(args, "json_out", None))
+        _check_config_path(getattr(args, "config", None))
         return handlers[args.command](args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")

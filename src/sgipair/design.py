@@ -1,13 +1,15 @@
 """Experiment-design algebra: detection constraint, coupling and mass windows.
 
-Fixing the leading-order entangling phase to pi/20 removes one parameter
-from the design space: the required force is f_q = 1/sqrt(120 g).  The
-remaining coupling window is bounded below by the validity of the quadratic
-interaction treatment (and, with noise, by diffusion) and above by trap
-stability, thermal occupation, and squeezing-amplified deflection.  All
-bound formulas here are leading order; reports label them as
-order-of-magnitude statements and the numeric negativity at the bound points
-is the sharper check.
+The detection target is fixed: the leading-order entangling phase
+6 pi g f_q^2 is pi/20 (``DEFAULT_TARGET_PHASE``), and its zero-contrast
+witness negativity sin(pi/20) enters the diffusion and deflection bounds and
+the noise budget.  Fixing the phase removes one parameter from the design
+space: the required force is f_q = 1/sqrt(120 g).  The remaining coupling
+window is bounded below by the validity of the quadratic interaction
+treatment (and, with noise, by diffusion) and above by trap stability,
+thermal occupation, and squeezing-amplified deflection.  All bound formulas
+here are leading order; reports label them as order-of-magnitude statements
+and the numeric negativity at the bound points is the sharper check.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .potentials import G_NEWTON, HBAR, NVParams, _require, nv_map
 __all__ = [
     "DEFAULT_TARGET_PHASE",
     "ideal_negativity",
-    "DetectionConstraint",
     "required_force",
     "GBound",
     "GBoundsReport",
@@ -41,35 +42,18 @@ __all__ = [
 DEFAULT_TARGET_PHASE = math.pi / 20.0
 
 
-def ideal_negativity(target_phase: float = DEFAULT_TARGET_PHASE) -> float:
-    """Witness negativity sin(phi) of the zero-contrast state at the target phase."""
-    return math.sin(target_phase)
+def ideal_negativity() -> float:
+    """Witness negativity sin(pi/20) of the zero-contrast state at the target phase."""
+    return math.sin(DEFAULT_TARGET_PHASE)
 
 
-@dataclass(frozen=True)
-class DetectionConstraint:
-    """Leading-order phase target and the force that reaches it at coupling g."""
-
-    target_phase: float = DEFAULT_TARGET_PHASE
-    g: float = 0.0
-
-    @property
-    def required_force(self) -> float:
-        _require("coupling g", self.g, self.g > 0.0, "must be > 0")
-        return np.sqrt(self.target_phase / (6.0 * math.pi * self.g))
-
-    @property
-    def leading_phase(self) -> float:
-        """6 pi g f_q^2 at the required force; equals target_phase by construction."""
-        return 6.0 * math.pi * self.g * self.required_force**2
-
-
-def required_force(g, target_phase: float = DEFAULT_TARGET_PHASE):
-    """Force 1/sqrt(120 g) (for the default pi/20 target) sensing entanglement at g.
+def required_force(g):
+    """Force 1/sqrt(120 g) that brings 6 pi g f_q^2 to the pi/20 target at coupling g.
 
     Elementwise over an array of g.
     """
-    return DetectionConstraint(target_phase=target_phase, g=g).required_force
+    _require("coupling g", g, g > 0.0, "must be > 0")
+    return np.sqrt(DEFAULT_TARGET_PHASE / (6.0 * math.pi * g))
 
 
 @dataclass(frozen=True)
@@ -102,7 +86,6 @@ def g_bounds(
     gamma_x: float = 0.0,
     s: float = 1.0,
     n_p: float = 0.0,
-    n_ideal: float | None = None,
 ) -> GBoundsReport:
     """Coupling window from quartic validity, diffusion, stability, and state prep.
 
@@ -116,7 +99,7 @@ def g_bounds(
     """
     if x0_over_d <= 0.0:
         raise ValueError("x0_over_d must be > 0")
-    n_i = ideal_negativity() if n_ideal is None else n_ideal
+    n_i = ideal_negativity()
     occupation = 1.0 + 2.0 * n_p
 
     lower = [GBound(2.0 * x0_over_d**2, "quartic validity")]
@@ -244,16 +227,15 @@ def dephasing_budget(
     gamma_x: float,
     f_q: float,
     c_s_np: float = 0.0,
-    n_ideal: float | None = None,
 ) -> BudgetVerdict:
     """Check C_s_np + C_x + C_z < N/(1+N) with the leading-order noise contrasts.
 
-    C_x = 3 pi Gamma_x f_q^2 and C_z = 2 pi Gamma_z; N defaults to the ideal
+    C_x = 3 pi Gamma_x f_q^2 and C_z = 2 pi Gamma_z; N is the ideal
     negativity sin(pi/20), giving a budget of about 0.135.
     """
     if gamma_z < 0.0 or gamma_x < 0.0 or c_s_np < 0.0:
         raise ValueError("rates and contrasts must be >= 0")
-    n_i = ideal_negativity() if n_ideal is None else n_ideal
+    n_i = ideal_negativity()
     budget = n_i / (1.0 + n_i)
     total = c_s_np + 3.0 * math.pi * gamma_x * f_q**2 + 2.0 * math.pi * gamma_z
     slack = budget - total
@@ -276,20 +258,18 @@ class NVOperatingPoint:
     omega_d: float   # the gradient-independent product omega * d, m/s
 
 
-def nv_operating_point(
-    nv: NVParams, d: float, target_phase: float = DEFAULT_TARGET_PHASE
-) -> NVOperatingPoint:
+def nv_operating_point(nv: NVParams, d: float) -> NVOperatingPoint:
     """Solve the detection constraint for the magnetic gradient at separation d.
 
     Since omega and F_q are both linear in the gradient, the constraint
-    F_q = sqrt(hbar d^3 omega^5 target/(6 pi G))... fixes the product
+    F_q = sqrt(hbar d^3 omega^5 (pi/20)/(6 pi G)) fixes the product
     omega*d independently of the gradient: (omega d)^3 =
-    (6 pi/target) G (g_factor mu_B)^2 mu_0 / (hbar |chi_m|).
+    (6 pi/(pi/20)) G (g_factor mu_B)^2 mu_0 / (hbar |chi_m|).
     """
     if d <= 0.0:
         raise ValueError("d must be > 0")
     omega_d = (
-        (6.0 * math.pi / target_phase)
+        (6.0 * math.pi / DEFAULT_TARGET_PHASE)
         * G_NEWTON
         * (nv.g_factor * nv.mu_B) ** 2
         * nv.mu_0

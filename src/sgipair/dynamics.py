@@ -15,7 +15,7 @@ positions, which fixes the sign convention of the drift vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product
 
@@ -86,6 +86,11 @@ class BranchLabel:
         return cls(
             j=to_eig[row >> 1], k=to_eig[col >> 1], m=to_eig[row & 1], n=to_eig[col & 1]
         )
+
+    @property
+    def qrdm_index(self) -> tuple[int, int]:
+        """QRDM entry (row, col) of the label, the inverse of ``from_bits``."""
+        return (1 - self.j) + (1 - self.m) // 2, (1 - self.k) + (1 - self.n) // 2
 
     @property
     def is_diagonal(self) -> bool:
@@ -283,7 +288,7 @@ _ROW_EIGENVALUES = tuple(product((+1, -1), repeat=2))
 
 
 def _shifts(h_matrix: np.ndarray, f_q: float, s: np.ndarray) -> dict:
-    """(j, m): displaced equilibrium r = H^-1 (j r_q1 + m r_q2 + r_f) and its shift (S - I) r."""
+    """(j, m): displaced equilibrium r = H^-1 (j r_q1 + m r_q2) and its shift (S - I) r."""
     drift = sgi_drift_spec(f_q)
     out = {}
     for j, m in _ROW_EIGENVALUES:
@@ -313,41 +318,43 @@ _FLIPS = np.array([[bin(row ^ col).count("1") for col in range(4)] for row in ra
 _DIAGONAL = np.diag_indices(4)
 
 
-def _row_col(label: BranchLabel) -> tuple[int, int]:
-    """QRDM entry (row, col) of a label, the inverse of ``BranchLabel.from_bits``."""
-    return (1 - label.j) + (1 - label.m) // 2, (1 - label.k) + (1 - label.n) // 2
+def _pair_terms(shifts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """r of each row, and r_ket - r_bra, delta_ket - delta_bra and their mean per (row, col).
+
+    ``shifts`` stacks the (r, delta = (S - I) r) pairs of the four QRDM rows,
+    shape (4, 2, 4); entry [row, col] of each pair array belongs to
+    ``BranchLabel.from_bits(row, col)``, whose ket side is row and bra side col.
+    """
+    r, delta = shifts[:, 0], shifts[:, 1]
+    mean = 0.5 * (delta[:, None] + delta[None, :])
+    return r, r[:, None] - r[None, :], delta[:, None] - delta[None, :], mean
 
 
-def _branch_pair_tables(
+def _moment_table(sigma: np.ndarray, shifts: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """First moments (4, 4, 4) of all 16 branch pairs evolved to the covariance sigma."""
+    _, delta_eq, mismatch, mean = _pair_terms(shifts)
+    moments = mean + 0.5j * (mismatch @ (sigma @ _OMEGA).T + delta_eq @ m1.T)
+    moments.imag[_DIAGONAL] = 0.0  # a diagonal branch is real
+    return moments
+
+
+def _phase_contrast_table(
     sigma: np.ndarray,
     shifts: np.ndarray,
-    m1: np.ndarray,
     m2: np.ndarray,
     h_matrix: np.ndarray,
     tau: float,
     gamma_z: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moments (4, 4, 4) and (phase, contrast) (4, 4, 2) of all 16 branch pairs, read-only.
-
-    ``shifts`` stacks the (r, (S - I) r) pairs of the four QRDM rows, shape
-    (4, 2, 4); entry [row, col] of either table belongs to
-    ``BranchLabel.from_bits(row, col)``, whose ket side is row and bra side col.
-    """
-    r, delta = shifts[:, 0], shifts[:, 1]
-    delta_eq = r[:, None] - r[None, :]  # r_ket - r_bra
-    mismatch = delta[:, None] - delta[None, :]
-    mean = 0.5 * (delta[:, None] + delta[None, :])
-    moments = mean + 0.5j * (mismatch @ (sigma @ _OMEGA).T + delta_eq @ m1.T)
-    moments.imag[_DIAGONAL] = 0.0  # a diagonal branch is real
+) -> np.ndarray:
+    """(phase, contrast) (4, 4, 2) of all 16 branch pairs evolved to the covariance sigma."""
+    r, delta_eq, mismatch, mean = _pair_terms(shifts)
     phase = np.sum(delta_eq @ _OMEGA * mean, axis=-1) + 0.5 * tau * np.sum(
         delta_eq @ h_matrix * (r[:, None] + r[None, :]), axis=-1
     )
     contrast = 0.25 * np.sum(mismatch @ (_OMEGA.T @ sigma @ _OMEGA) * mismatch, axis=-1)
     contrast += gamma_z * tau * _FLIPS  # independent qubit dephasing
     contrast += 0.25 * np.sum(delta_eq @ m2 * delta_eq, axis=-1)
-    phase_contrast = np.stack([phase, contrast], axis=-1)
-    moments.flags.writeable = phase_contrast.flags.writeable = False
-    return moments, phase_contrast
+    return np.stack([phase, contrast], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -361,15 +368,15 @@ class _BranchPairKernel:
     m1 = int_0^tau K(u) Omega (S(u) - S) du and
     m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du.
     ``moment_table`` (4, 4, 4) and ``phase_contrast_table`` (4, 4, 2) hold
-    every label's result once, at index [row, col] of its QRDM entry
-    (``BranchLabel.from_bits(row, col)``); ``moments`` and ``phase_contrast``
-    look a label up there.
+    every label's result once, at index ``label.qrdm_index`` of its QRDM
+    entry; ``moments`` and ``phase_contrast`` look a label up there.
 
-    Only sigma = S sigma0 S^T + L depends on the initial covariance sigma0, the
-    squeezed thermal one of params unless ``from_initial`` swaps it; every
-    construction, ``from_initial`` included, evaluates the tables from its own
-    sigma.  One kernel per scalar (params, tau), with read-only arrays, is kept
-    by ``_shared_kernel`` for the last few points and shared by
+    Only sigma = S sigma0 S^T + L depends on the initial covariance sigma0,
+    here the squeezed thermal one of params; the tables are evaluated from
+    the kernel's own sigma.  ``evolve_cat_state`` re-evaluates just the
+    moment half, ``_moment_table``, for the sigma evolved from its initial
+    state.  One kernel per scalar (params, tau), with read-only arrays, is
+    kept by ``_shared_kernel`` for the last few points and shared by
     ``evolve_cat_state``, ``general_first_moments`` and
     ``branch_pair_phase_contrast``.
     """
@@ -380,29 +387,26 @@ class _BranchPairKernel:
     lyapunov: np.ndarray  # L = int_0^tau S(u) D S(u)^T du
     h_matrix: np.ndarray  # H
     sigma: np.ndarray
-    shifts: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]  # (j, m): r, (S - I) r
+    shifts: np.ndarray  # (4, 2, 4): [row] = r, (S - I) r of the ket (j, m) of QRDM row
     m1: np.ndarray
     m2: np.ndarray
     moment_table: np.ndarray = field(init=False)  # [row, col]: first-moment vector
     phase_contrast_table: np.ndarray = field(init=False)  # [row, col]: (phase, contrast)
 
     def __post_init__(self) -> None:
-        stacked = np.array([self.shifts[key] for key in _ROW_EIGENVALUES])
-        tables = _branch_pair_tables(
-            self.sigma, stacked, self.m1, self.m2, self.h_matrix, self.tau, self.params.gamma_z
+        moments = _moment_table(self.sigma, self.shifts, self.m1)
+        phase_contrast = _phase_contrast_table(
+            self.sigma, self.shifts, self.m2, self.h_matrix, self.tau, self.params.gamma_z
         )
-        object.__setattr__(self, "moment_table", tables[0])
-        object.__setattr__(self, "phase_contrast_table", tables[1])
-
-    def from_initial(self, sigma0: np.ndarray) -> "_BranchPairKernel":
-        """The same kernel evolved from the initial covariance sigma0, tables rebuilt."""
-        return replace(self, sigma=self.s_tau @ sigma0 @ self.s_tau.T + self.lyapunov)
+        moments.flags.writeable = phase_contrast.flags.writeable = False
+        object.__setattr__(self, "moment_table", moments)
+        object.__setattr__(self, "phase_contrast_table", phase_contrast)
 
     def moments(self, label: BranchLabel) -> BranchMoments:
-        return BranchMoments(label=label, vector=self.moment_table[_row_col(label)].copy())
+        return BranchMoments(label=label, vector=self.moment_table[label.qrdm_index].copy())
 
     def phase_contrast(self, label: BranchLabel) -> tuple[float, float]:
-        phase, contrast = self.phase_contrast_table[_row_col(label)].tolist()
+        phase, contrast = self.phase_contrast_table[label.qrdm_index].tolist()
         return phase, contrast
 
 
@@ -420,11 +424,12 @@ def _branch_pair_kernel(params: UnitlessParams, tau: float) -> _BranchPairKernel
         m2 = past.swapaxes(-1, -2) @ _OMEGA.T @ k_omega @ (s_u + s - 2.0 * _EYE4)
         return np.stack([k_omega @ past, m2], axis=1)
 
-    lyapunov = lyapunov_integral(g, tau, d_matrix)
+    lyapunov = lyapunov_integral(g, tau, params.gamma_x)
     sigma = s @ squeezed_thermal_covariance(params.s, params.n_p) @ s.T + lyapunov
-    shifts = _shifts(h_matrix, params.f_q, s)
+    by_eigenvalues = _shifts(h_matrix, params.f_q, s)
+    shifts = np.array([by_eigenvalues[key] for key in _ROW_EIGENVALUES])
     m1, m2 = _gauss_legendre(g, tau, integrand)
-    for array in (s, lyapunov, h_matrix, sigma, m1, m2, *(v for r in shifts.values() for v in r)):
+    for array in (s, lyapunov, h_matrix, sigma, shifts, m1, m2):
         array.flags.writeable = False
     return _BranchPairKernel(params, tau, s, lyapunov, h_matrix, sigma, shifts, m1, m2)
 
@@ -571,19 +576,23 @@ def evolve_cat_state(
     initial state produced by ``initial_cat_state`` is supported.  Params and
     tau must be scalars; the branch-pair kernel of the point is shared with
     ``general_first_moments`` and ``branch_pair_phase_contrast``, and only its
-    covariance, and with it its moment table, is re-evolved from
-    ``initial.sigma``.  The 16 branches are copies of that table's entries.
+    moment table is re-evaluated, for the covariance evolved from
+    ``initial.sigma``.  The 16 branches are that table's entries.
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")
     if any(moments.vector.any() for moments in initial.branches.values()):
         raise ValueError("initial branch moments must be centred at the origin")
-    kernel = _kernel(params, tau).from_initial(initial.sigma)
-    branches = {label: kernel.moments(label) for label in _ALL_LABELS}
+    kernel = _kernel(params, tau)
+    sigma = kernel.s_tau @ initial.sigma @ kernel.s_tau.T + kernel.lyapunov
+    table = _moment_table(sigma, kernel.shifts, kernel.m1)
+    branches = {
+        label: BranchMoments(label=label, vector=table[label.qrdm_index]) for label in _ALL_LABELS
+    }
     qrdm, contrasts, phase = open_qrdm(params, tau)
     return GaussianCatState(
         tau=tau,
-        sigma=0.5 * (kernel.sigma + kernel.sigma.T),
+        sigma=0.5 * (sigma + sigma.T),
         branches=branches,
         qrdm=qrdm,
         contrasts=contrasts,

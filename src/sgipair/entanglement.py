@@ -138,8 +138,11 @@ def negativity_closed_form(phi, contrast):
     return np.where(sin_sq == 0.0, 0.0, value)[()]
 
 
-def pauli_decompose(matrix: np.ndarray, tol: float = 1e-14) -> tuple[tuple[float, str], ...]:
-    """Real coefficients of a Hermitian two-qubit operator in the Pauli basis."""
+def pauli_decompose(matrix: np.ndarray) -> tuple[tuple[float, str], ...]:
+    """Real coefficients of a Hermitian two-qubit operator in the Pauli basis.
+
+    Coefficients of magnitude up to 1e-14 are rounding and are dropped.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     terms = []
     for name_a, op_a in PAULI.items():
@@ -147,7 +150,7 @@ def pauli_decompose(matrix: np.ndarray, tol: float = 1e-14) -> tuple[tuple[float
             coeff = np.trace(np.kron(op_a, op_b).conj().T @ matrix) / 4.0
             if abs(coeff.imag) > 1e-12:
                 raise ValueError("operator is not Hermitian")
-            if abs(coeff.real) > tol:
+            if abs(coeff.real) > 1e-14:
                 terms.append((float(coeff.real), name_a + name_b))
     return tuple(terms)
 

@@ -3,10 +3,11 @@
 Two oracles, neither of which shares code with the closed forms they check:
 
 * a fixed-step 4th-order integrator for the first- and second-moment
-  equations of motion (valid for any Gaussian initial state and diffusion
-  matrix).  The equations are linear and autonomous, dy/dtau = A y + b,
-  so each classical RK4 step is applied as its exact one-step map
-  y -> y + (M y + q), built once per step size from A and b; and
+  equations of motion (valid for any initial covariance and diffusion
+  matrix, with the branch means starting at the origin).  The equations are
+  linear and autonomous, dy/dtau = A y + b, so each classical RK4 step is
+  applied as its exact one-step map y -> y + (M y + q), built once per step
+  size from A and b; and
 * truncated-Fock-space propagation of the full two-qubit x two-mode system.
   Noise-free branches are propagated exactly as kets.  Under position
   diffusion the ten independent qubit-sector blocks of the density
@@ -90,13 +91,15 @@ def _check_tau_grid(tau_grid) -> None:
 
 @dataclass(frozen=True)
 class MomentOdeProblem:
-    """Gaussian moment equations: quadratic form, drifts, diffusion, state."""
+    """Gaussian moment equations: quadratic form, drifts, diffusion, initial covariance.
+
+    Every branch mean starts at the origin.
+    """
 
     h_matrix: np.ndarray
     drifts: DriftSpec
     d_matrix: np.ndarray
     sigma0: np.ndarray
-    r0: np.ndarray
     tau_grid: np.ndarray
 
     def __post_init__(self) -> None:
@@ -119,7 +122,6 @@ class MomentOdeProblem:
             drifts=sgi_drift_spec(params.f_q),
             d_matrix=sgi_diffusion_matrix(params.gamma_x),
             sigma0=np.asarray(sigma0, dtype=float),
-            r0=np.zeros(4),
             tau_grid=np.asarray(tau_grid, dtype=float),
         )
 
@@ -167,7 +169,7 @@ def _rk4_step_map(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, n
 
 def _integrate_once(problem: MomentOdeProblem, dt: float) -> MomentTrajectories:
     a, b = _moment_generator(problem)
-    y = np.concatenate([problem.sigma0.ravel()] + [problem.r0] * 4)
+    y = np.concatenate([problem.sigma0.ravel(), np.zeros(16)])
     grid = problem.tau_grid
     states = np.empty((len(grid), 32))
     states[0] = y
@@ -332,13 +334,6 @@ def _plus_plus_qrdm() -> np.ndarray:
     return np.full((4, 4), 0.25, dtype=complex)
 
 
-def _bits_of(label: BranchLabel) -> tuple[int, int]:
-    to_bit = {+1: 0, -1: 1}
-    row = 2 * to_bit[label.j] + to_bit[label.m]
-    col = 2 * to_bit[label.k] + to_bit[label.n]
-    return row, col
-
-
 # The ten independent qubit-sector blocks: QRDM entries (row, col) with row <= col.
 _BLOCKS = tuple(BranchLabel.from_bits(row, col) for row in range(4) for col in range(row, 4))
 _DIAGONAL_BLOCKS = tuple(index for index, label in enumerate(_BLOCKS) if label.is_diagonal)
@@ -410,7 +405,7 @@ def _fock_result(grid, n_max, traces, moments, second, edge, drift) -> FockResul
     first_moments, branch_cov, leakages = {}, {}, []
     total_trace = np.zeros(n_times)
     for index, label in enumerate(_BLOCKS):
-        row, col = _bits_of(label)
+        row, col = label.qrdm_index
         overlap = traces[:, index]
         live = np.abs(overlap) > 1e-300
         mean = np.zeros((n_times, 4), dtype=complex)
@@ -484,7 +479,7 @@ def _propagate_pure(problem, grid, qubit_rho0):
     gamma_qubit = params.gamma_z / 4.0
     for index, label in enumerate(_BLOCKS):
         ket, bra = kets[(label.j, label.m)], kets[(label.k, label.n)]
-        weight = qubit_rho0[_bits_of(label)] * np.exp(
+        weight = qubit_rho0[label.qrdm_index] * np.exp(
             -gamma_qubit * ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) * grid
         )
         q_ket = applied[(label.j, label.m)]
@@ -557,7 +552,7 @@ def _propagate_blocks(problem, grid, qubit_rho0):
         observables.append(_block_observables(rho, x, p, mask))
 
     rho_cv = _single_mode_initial(params.s, params.n_p, n)
-    weights = np.array([qubit_rho0[_bits_of(label)] for label in _BLOCKS], dtype=complex)
+    weights = np.array([qubit_rho0[label.qrdm_index] for label in _BLOCKS], dtype=complex)
 
     def product_state(single):
         return weights[:, None, None, None, None] * np.kron(single, single).reshape(n, n, n, n)
@@ -792,9 +787,8 @@ def _closed_form_trajectories(
     from .phase_space import evolve_covariance
 
     g = params.g + g_shift
-    d_matrix = sgi_diffusion_matrix(params.gamma_x)
     sigma0 = squeezed_thermal_covariance(params.s, params.n_p)
-    sigmas = np.array([evolve_covariance(sigma0, g, tau, d_matrix) for tau in tau_grid])
+    sigmas = np.array([evolve_covariance(sigma0, g, tau, params.gamma_x) for tau in tau_grid])
     moments = branch_trajectories(params.f_q, g, tau_grid)
     means = {(label.j, label.m): bm.vector.real for label, bm in moments.items()}
     return sigmas, means
@@ -833,12 +827,12 @@ def verify_moments(g_shift: float = 0.0) -> ComparisonReport:
     return report
 
 
-def verify_fock(g_shift: float = 0.0, n_max: int = 30) -> ComparisonReport:
+def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
     """Full suite: truncated-Fock propagation versus the closed-form QRDM.
 
     Runs the arbitration point (f_q = 0.2, g = 0.05) without noise at the
-    requested cutoff, then a diffusive run at a reduced cutoff, and records
-    the constant/sign arbitration outcomes in the report notes.
+    cutoff n_max = 30, then a diffusive run at n_max = 12, and records the
+    constant/sign arbitration outcomes in the report notes.
     """
     from .dynamics import (
         contrast_c1,
@@ -855,7 +849,7 @@ def verify_fock(g_shift: float = 0.0, n_max: int = 30) -> ComparisonReport:
     g = params.g + g_shift
     tau_f = final_time(params.g)
     tau_grid = np.linspace(0.0, tau_f, 13)
-    result = fock_propagate(FockProblem(params=params, tau_grid=tau_grid, n_max=n_max))
+    result = fock_propagate(FockProblem(params=params, tau_grid=tau_grid, n_max=30))
 
     closed_qrdm = unitary_qrdm(params.f_q, g, tau_grid)[0]
     report.add("arbitration/qrdm", closed_qrdm, result.qrdm, tau_grid, 1e-3)
@@ -902,7 +896,7 @@ def verify_fock(g_shift: float = 0.0, n_max: int = 30) -> ComparisonReport:
         "adopted throughout"
     )
     report.notes["fock-diagnostics"] = (
-        f"pure: n_max={n_max}, leakage={result.leakage:.2e}, "
+        f"pure: n_max={result.n_max}, leakage={result.leakage:.2e}, "
         f"trace_error={result.trace_error:.2e}; "
         f"diffusive: n_max={noisy_result.n_max}, leakage={noisy_result.leakage:.2e}, "
         f"trace_error={noisy_result.trace_error:.2e}, "

@@ -5,12 +5,15 @@ units where the vacuum covariance matrix is the identity.  The two trapped
 modes are coupled by a bilinear term of strength ``g``; the normal modes are
 the symmetric combination (frequency 1) and the antisymmetric combination
 (frequency ``omega_g = sqrt(1 - 2g)``), which is real only for g < 1/2.
+The one noise channel is momentum diffusion at rate gamma_x, equal on both
+modes, D = gamma_x diag(0, 1, 0, 1); its accumulated covariance has a
+closed form in the normal modes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -45,23 +48,22 @@ def symplectic_form() -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Linear drift vectors: one per qubit plus a qubit-independent term.
+    """Linear drift vectors, one per qubit.
 
     The branch with qubit eigenvalues (j, m) feels the combined drift
-    j*r_q1 + m*r_q2 + r_f, entering the mean-motion equation as
+    j*r_q1 + m*r_q2, entering the mean-motion equation as
     dr/dtau = Omega H r + Omega r_branch.
     """
 
     r_q1: np.ndarray
     r_q2: np.ndarray
-    r_f: np.ndarray = field(default_factory=lambda: np.zeros(4))
 
     def branch_drift(self, j: int, m: int) -> np.ndarray:
-        return j * self.r_q1 + m * self.r_q2 + self.r_f
+        return j * self.r_q1 + m * self.r_q2
 
 
 def sgi_drift_spec(f_q: float) -> DriftSpec:
-    """Qubit-controlled force f_q on each mode's position, no common drift."""
+    """Qubit-controlled force f_q on each mode's position."""
     return DriftSpec(
         r_q1=np.array([f_q, 0.0, 0.0, 0.0]),
         r_q2=np.array([0.0, 0.0, f_q, 0.0]),
@@ -107,14 +109,18 @@ def sgi_hamiltonian_matrix(g: float) -> np.ndarray:
     return h
 
 
+def _check_diffusion_rate(gamma_x) -> None:
+    _require("diffusion rate gamma_x", gamma_x, gamma_x >= 0.0, "must be >= 0")
+
+
 def sgi_diffusion_matrix(gamma_x: float) -> np.ndarray:
     """Momentum-diffusion matrix gamma_x * diag(0, 1, 0, 1).
 
-    Normalized so that the Lyapunov integral of this matrix reproduces the
-    closed-form diffusive covariance used by the open-dynamics contrast
+    Normalized so that its Lyapunov integral, ``lyapunov_integral`` at rate
+    gamma_x, is the diffusive covariance used by the open-dynamics contrast
     formulas (position dephasing at rate gamma_x/4 per mode).
     """
-    _require("diffusion rate gamma_x", gamma_x, gamma_x >= 0.0, "must be >= 0")
+    _check_diffusion_rate(gamma_x)
     return gamma_x * np.diag([0.0, 1.0, 0.0, 1.0])
 
 
@@ -139,25 +145,18 @@ def propagator(g: float, tau) -> np.ndarray:
     return _from_modes(modes[..., 0, :, :], modes[..., 1, :, :])
 
 
-def heisenberg_ok(sigma: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
+def heisenberg_ok(sigma: np.ndarray) -> tuple[bool, float]:
     """Check sigma + i*Omega >= 0 and return (verdict, margin).
 
     The margin is the smallest eigenvalue of the Hermitian matrix
-    sigma + i*Omega; vacuum saturates the bound with margin 0.
+    sigma + i*Omega; vacuum saturates the bound with margin 0, and a margin
+    down to -1e-10 passes as rounding.
     """
     sigma = np.asarray(sigma, dtype=float)
     if not np.allclose(sigma, sigma.T, atol=1e-12):
         raise ValueError("covariance matrix must be symmetric")
     margin = float(np.linalg.eigvalsh(sigma + 1j * _OMEGA)[0])
-    return margin >= -tol, margin
-
-
-def _is_sgi_diffusion(d_matrix: np.ndarray) -> bool:
-    """True when D is diagonal momentum diffusion, equal on both modes."""
-    if not np.allclose(d_matrix, np.diag(np.diagonal(d_matrix)), atol=0.0):
-        return False
-    diag = np.diagonal(d_matrix)
-    return diag[0] == 0.0 and diag[2] == 0.0 and diag[1] == diag[3]
+    return margin >= -1e-10, margin
 
 
 # Taylor coefficients of 2x - sin 2x = sum_{k>=1} (-1)^(k+1) (2x)^(2k+1)/(2k+1)!, highest first.
@@ -206,31 +205,24 @@ def _gauss_legendre(g: float, tau: float, integrand) -> np.ndarray:
     )
 
 
-def lyapunov_integral(g: float, tau: float, d_matrix: np.ndarray) -> np.ndarray:
-    """Accumulated diffusion int_0^tau S(tau-t) D S(tau-t)^T dt.
+def lyapunov_integral(g: float, tau: float, gamma_x: float) -> np.ndarray:
+    """Accumulated diffusion int_0^tau S(tau-t) D S(tau-t)^T dt, D = gamma_x diag(0, 1, 0, 1).
 
-    Momentum diffusion equal on both modes is evaluated in closed form via
-    the normal modes; any other positive-semidefinite D by the fixed
-    Gauss-Legendre rule of ceil(2 tau) + 16 nodes over batched propagators.
+    Evaluated in closed form, one 2x2 block per normal mode.
     """
     _check_coupling(g)
     _check_tau(tau)
-    d_matrix = np.asarray(d_matrix, dtype=float)
-    if tau == 0.0 or not d_matrix.any():
+    _check_diffusion_rate(gamma_x)
+    if tau == 0.0 or gamma_x == 0.0:
         return np.zeros((4, 4))
-    if _is_sgi_diffusion(d_matrix):
-        w = np.array([1.0, mode_frequency(g)])
-        return _from_modes(*_mode_lyapunov(w, float(d_matrix[1, 1]), tau))
-    return _gauss_legendre(g, tau, lambda s_u: s_u @ d_matrix @ s_u.swapaxes(-1, -2))
+    w = np.array([1.0, mode_frequency(g)])
+    return _from_modes(*_mode_lyapunov(w, gamma_x, tau))
 
 
 def evolve_covariance(
-    sigma0: np.ndarray,
-    g: float,
-    tau: float,
-    d_matrix: np.ndarray | None = None,
+    sigma0: np.ndarray, g: float, tau: float, gamma_x: float = 0.0
 ) -> np.ndarray:
-    """Covariance at time tau: S sigma0 S^T plus the diffusion integral."""
+    """Covariance at time tau: S sigma0 S^T plus the diffusion integral at rate gamma_x."""
     sigma0 = np.asarray(sigma0, dtype=float)
     ok, margin = heisenberg_ok(sigma0)
     if not ok:
@@ -238,7 +230,5 @@ def evolve_covariance(
             f"initial covariance violates the uncertainty bound (margin {margin:.3e})"
         )
     s = propagator(g, tau)
-    sigma = s @ sigma0 @ s.T
-    if d_matrix is not None:
-        sigma = sigma + lyapunov_integral(g, tau, d_matrix)
+    sigma = s @ sigma0 @ s.T + lyapunov_integral(g, tau, gamma_x)
     return 0.5 * (sigma + sigma.T)

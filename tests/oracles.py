@@ -200,7 +200,7 @@ def reference_moment_states(problem, dt: float) -> np.ndarray:
             )
         return out
 
-    y0 = np.concatenate([problem.sigma0.ravel()] + [problem.r0] * 4)
+    y0 = np.concatenate([problem.sigma0.ravel(), np.zeros(16)])
     return _rk4_samples(deriv, y0, problem.tau_grid, dt)
 
 
@@ -374,8 +374,10 @@ def reference_branch_pair(kernel, label) -> tuple[np.ndarray, tuple[float, float
     (sigma, the shifts, m1, m2, H, tau and gamma_z), never its tables.
     """
     omega = symplectic_form()
-    r_ket, delta_ket = kernel.shifts[label.j, label.m]
-    r_bra, delta_bra = kernel.shifts[label.k, label.n]
+    # QRDM row of the qubit eigenvalues (j, m), computational bit 0 being +1
+    row = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
+    r_ket, delta_ket = kernel.shifts[row[label.j, label.m]]
+    r_bra, delta_bra = kernel.shifts[row[label.k, label.n]]
     vector = 0.5 * (delta_ket + delta_bra) + 0j
     if label.is_diagonal:
         vector = vector.real + 0j

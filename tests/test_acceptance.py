@@ -342,10 +342,9 @@ def test_criterion_11_physicality_suite():
         UnitlessParams(f_q=1.5, g=0.05, s=1e-2, n_p=20.0, gamma_x=0.05, gamma_z=0.05),
         UnitlessParams(f_q=0.3, g=0.45, gamma_x=0.2),
     ):
-        d_matrix = ps.sgi_diffusion_matrix(params.gamma_x)
         sigma0 = dynamics.squeezed_thermal_covariance(params.s, params.n_p)
         for tau in np.linspace(0.0, 2.0 * dynamics.final_time(params.g), 12):
-            sigma = ps.evolve_covariance(sigma0, params.g, float(tau), d_matrix)
+            sigma = ps.evolve_covariance(sigma0, params.g, float(tau), params.gamma_x)
             ok, margin = ps.heisenberg_ok(sigma)
             assert ok
             worst_margin = min(worst_margin, margin)

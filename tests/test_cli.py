@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -249,6 +250,21 @@ class TestSweep:
         assert re.match(message, error_line(capsys))
         assert not out.exists()
 
+    @pytest.mark.parametrize("target", ["numpy.meshgrid", "sgipair.dynamics.open_qrdm"])
+    def test_grid_too_large_for_memory_fails_with_one_line(
+        self, tmp_path, monkeypatch, capsys, target
+    ):
+        def no_memory(*_, **__):
+            raise MemoryError
+
+        monkeypatch.setattr(target, no_memory)
+        out = tmp_path / "grid.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            run(["sweep", "--axis", "g:0.1:0.2:3", "--axis", "f_q:1:2:4", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == "sweep grid of 12 rows does not fit in memory"
+        assert not out.exists()
+
     def test_thermal_state_keeps_a_phonon_axis(self, tmp_path):
         out = tmp_path / "grid.csv"
         args = ["--axis", "n_p:0:3:2", "--g", "0.1", "--fq", "1", "--state", "thermal"]
@@ -453,6 +469,23 @@ class TestOutputPaths:
             run(["trajectories", "--fq", "1", "--g", "0.1", "--out", str(tmp_path)])
         assert exit_info.value.code == 2
         assert error_line(capsys) == f"--out {tmp_path}: is a directory"
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command", ["qrdm", "negativity", "expand", "bounds"])
+    @pytest.mark.parametrize(
+        "kind, code", [("missing", errno.ENOENT), ("directory", errno.EISDIR)]
+    )
+    def test_unreadable_config_fails_with_one_line(self, tmp_path, capsys, command, kind, code):
+        config = tmp_path / "nope.cfg"
+        if kind == "directory":
+            config.mkdir()
+        out = tmp_path / "report.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--config", str(config), "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == f"--config {config}: {os.strerror(code)}"
+        assert not out.exists()
 
 
 def _awkward_rows(count):

@@ -65,6 +65,11 @@ class TestBranchLabel:
         assert label.n_differing == 2
         assert not label.is_diagonal
 
+    def test_qrdm_index_inverts_from_bits(self):
+        for row in range(4):
+            for col in range(4):
+                assert dyn.BranchLabel.from_bits(row, col).qrdm_index == (row, col)
+
     def test_rejects_bad_eigenvalues(self):
         with pytest.raises(ValueError):
             dyn.BranchLabel(j=0, k=1, m=1, n=1)
@@ -172,7 +177,7 @@ def _relative(actual, expected):
 
 
 class TestBranchPairKernel:
-    """The fixed Gauss-Legendre rule behind the memory integrals and generic-D diffusion."""
+    """The fixed Gauss-Legendre rule behind the memory integrals."""
 
     @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
     def test_matches_adaptive_reference(self, g):
@@ -184,8 +189,13 @@ class TestBranchPairKernel:
             reference = reference_propagator_integrals(g, tau, sgi_diffusion_matrix(0.05))
             assert _relative(kernel.m1, reference["m1"]) <= 1e-12
             assert _relative(kernel.m2, reference["m2"]) <= 1e-12
+            assert _relative(kernel.lyapunov, reference["lyapunov"]) <= 1e-12
+            # the same rule on a generic, non-diagonal diffusion matrix
+            quadrature = ps._gauss_legendre(
+                g, tau, lambda s_u: s_u @ generic @ s_u.swapaxes(-1, -2)
+            )
             lyapunov = reference_propagator_integrals(g, tau, generic)["lyapunov"]
-            assert _relative(lyapunov_integral(g, tau, generic), lyapunov) <= 1e-12
+            assert _relative(quadrature, lyapunov) <= 1e-12
 
     @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
     def test_doubling_the_nodes_is_converged(self, g, monkeypatch):
@@ -267,11 +277,12 @@ class TestBranchPairKernel:
         initial = replace(dyn.initial_cat_state(params), sigma=sigma0)
         state = dyn.evolve_cat_state(initial, params, tau)
         s = propagator(params.g, tau)
-        sigma = s @ sigma0 @ s.T + lyapunov_integral(
-            params.g, tau, sgi_diffusion_matrix(params.gamma_x)
-        )
+        sigma = s @ sigma0 @ s.T + lyapunov_integral(params.g, tau, params.gamma_x)
         assert np.array_equal(state.sigma, 0.5 * (sigma + sigma.T))
         fresh = dyn._branch_pair_kernel(params, tau)
+        evolved = replace(fresh, sigma=sigma)  # the tables evaluated from this sigma
+        for label in ALL_LABELS:
+            assert np.array_equal(state.branches[label].vector, evolved.moments(label).vector)
         for label in ALL_LABELS:
             assert dyn.branch_pair_phase_contrast(label, params, tau) == fresh.phase_contrast(label)
 
@@ -297,7 +308,7 @@ class TestBranchPairKernel:
     def test_tables_match_the_per_label_reference(self, params, tau, sigma0):
         kernel = dyn._branch_pair_kernel(params, tau)
         if sigma0 is not None:
-            kernel = kernel.from_initial(sigma0)
+            kernel = replace(kernel, sigma=kernel.s_tau @ sigma0 @ kernel.s_tau.T + kernel.lyapunov)
         references = [reference_branch_pair(kernel, label) for label in ALL_LABELS]
         moments = np.array([vector for vector, _ in references]).reshape(4, 4, 4)
         phase_contrast = np.array([pair for _, pair in references]).reshape(4, 4, 2)
@@ -313,12 +324,25 @@ class TestBranchPairKernel:
             phase, contrast = kernel.phase_contrast(label)
             assert type(phase) is float and type(contrast) is float
 
+    def test_evolving_a_state_evaluates_no_phase_contrast_table(self, monkeypatch):
+        dyn._kernel(CAT_PARAMS, 3.1)  # build and keep the point's kernel
+
+        def never(*_):
+            raise AssertionError("a phase-contrast table was evaluated")
+
+        monkeypatch.setattr(dyn, "_phase_contrast_table", never)
+        sigma0 = dyn.squeezed_thermal_covariance(0.9, 2.0)
+        for initial in (
+            dyn.initial_cat_state(CAT_PARAMS),
+            replace(dyn.initial_cat_state(CAT_PARAMS), sigma=sigma0),
+        ):
+            dyn.evolve_cat_state(initial, CAT_PARAMS, 3.1)
+
     def test_shared_arrays_are_read_only(self):
         kernel = dyn._kernel(CAT_PARAMS, 3.1)
-        shifts = [array for pair in kernel.shifts.values() for array in pair]
-        arrays = [kernel.s_tau, kernel.lyapunov, kernel.h_matrix, kernel.sigma, kernel.m1, kernel.m2]
-        arrays += [kernel.moment_table, kernel.phase_contrast_table]
-        for array in arrays + shifts:
+        arrays = [kernel.s_tau, kernel.lyapunov, kernel.h_matrix, kernel.sigma, kernel.shifts]
+        arrays += [kernel.m1, kernel.m2, kernel.moment_table, kernel.phase_contrast_table]
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
 
@@ -609,9 +633,7 @@ class TestCatState:
         state = dyn.evolve_cat_state(dyn.initial_cat_state(params), params, tau_f)
         s_matrix = propagator(params.g, tau_f)
         squeezed = s_matrix @ np.diag([params.s, 1 / params.s] * 2) @ s_matrix.T
-        diffusive = lyapunov_integral(
-            params.g, tau_f, sgi_diffusion_matrix(1.0)
-        )
+        diffusive = lyapunov_integral(params.g, tau_f, 1.0)
         expected = (1.0 + 2.0 * params.n_p) * squeezed + params.gamma_x * diffusive
         assert np.max(np.abs(state.sigma - expected)) < 1e-12
 

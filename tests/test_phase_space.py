@@ -12,6 +12,11 @@ from sgipair.potentials import UnitlessParams
 OMEGA = ps.symplectic_form()
 
 
+def generic_lyapunov(g, tau, d_matrix):
+    """int_0^tau S(u) D S(u)^T du of any D by the fixed Gauss-Legendre rule."""
+    return ps._gauss_legendre(g, tau, lambda s_u: s_u @ d_matrix @ s_u.swapaxes(-1, -2))
+
+
 class TestSymplecticForm:
     def test_blocks(self):
         assert OMEGA[0, 1] == 1.0 and OMEGA[1, 0] == -1.0
@@ -96,7 +101,7 @@ class TestCovarianceEvolution:
 
     def test_diffusive_case_matches_moment_integration(self):
         gamma_x = 0.01
-        d_matrix = 2.0 * gamma_x * np.diag([0.0, 1.0, 0.0, 1.0])
+        rate = 2.0 * gamma_x
         tau = 2.0 * np.pi
         grid = np.array([0.0, tau])
         problem = MomentOdeProblem.for_sgi(
@@ -105,13 +110,12 @@ class TestCovarianceEvolution:
         problem = MomentOdeProblem(
             h_matrix=problem.h_matrix,
             drifts=problem.drifts,
-            d_matrix=d_matrix,
+            d_matrix=rate * np.diag([0.0, 1.0, 0.0, 1.0]),
             sigma0=np.eye(4),
-            r0=np.zeros(4),
             tau_grid=grid,
         )
         reference = integrate_moments(problem).sigma[-1]
-        sigma = ps.evolve_covariance(np.eye(4), 0.1, tau, d_matrix)
+        sigma = ps.evolve_covariance(np.eye(4), 0.1, tau, rate)
         assert np.max(np.abs(sigma - reference)) < 1e-8
 
     def test_purity_preserved_without_diffusion(self):
@@ -129,7 +133,7 @@ class TestCovarianceEvolution:
 class TestLyapunovIntegral:
     def test_zero_diffusion(self):
         assert np.array_equal(
-            ps.lyapunov_integral(0.1, 3.0, np.zeros((4, 4))), np.zeros((4, 4))
+            ps.lyapunov_integral(0.1, 3.0, 0.0), np.zeros((4, 4))
         )
 
     def test_published_matrix_at_closure_time(self):
@@ -137,26 +141,32 @@ class TestLyapunovIntegral:
         # closure time 2*pi/omega_g; both candidates are evaluated here and
         # the resolution is pinned.
         g = 0.1
-        d_matrix = ps.sgi_diffusion_matrix(1.0)
         published = reference_diffusion_covariance(g)
-        at_closure = ps.lyapunov_integral(g, ps.final_time(g), d_matrix)
-        at_two_pi = ps.lyapunov_integral(g, 2.0 * np.pi, d_matrix)
+        at_closure = ps.lyapunov_integral(g, ps.final_time(g), 1.0)
+        at_two_pi = ps.lyapunov_integral(g, 2.0 * np.pi, 1.0)
         assert np.max(np.abs(at_closure - published)) < 1e-12
         assert np.max(np.abs(at_two_pi - published)) > 1e-2
 
     def test_quadrature_matches_closed_form(self):
         g, tau = 0.1, 3.0
-        d_matrix = ps.sgi_diffusion_matrix(0.05)
-        closed = ps.lyapunov_integral(g, tau, d_matrix)
-        generic = d_matrix + 0.0
-        generic[0, 0] = 1e-12  # break the fast-path pattern, not the value
-        quadrature = ps.lyapunov_integral(g, tau, generic)
+        closed = ps.lyapunov_integral(g, tau, 0.05)
+        quadrature = generic_lyapunov(g, tau, ps.sgi_diffusion_matrix(0.05))
         assert np.max(np.abs(closed - quadrature)) < 1e-9
+
+    @pytest.mark.parametrize("gamma_x", [-1e-3, np.nan])
+    def test_rejects_bad_rate_like_the_diffusion_matrix(self, gamma_x):
+        message = r"^diffusion rate gamma_x=\S+ must be >= 0$"
+        with pytest.raises(ValueError, match=message):
+            ps.sgi_diffusion_matrix(gamma_x)
+        with pytest.raises(ValueError, match=message):
+            ps.lyapunov_integral(0.1, 1.0, gamma_x)
+        with pytest.raises(ValueError, match=message):
+            ps.evolve_covariance(np.eye(4), 0.1, 0.0, gamma_x)
 
     @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
     def test_rejects_bad_tau(self, tau):
         with pytest.raises(ValueError, match=r"^tau=.* must be finite and >= 0"):
-            ps.lyapunov_integral(0.1, tau, ps.sgi_diffusion_matrix(0.05))
+            ps.lyapunov_integral(0.1, tau, 0.05)
 
     @pytest.mark.parametrize(
         "wrap",
@@ -173,11 +183,8 @@ class TestLyapunovIntegral:
     def test_long_interval_splits_into_panels(self):
         # 1000 > _MAX_PANEL: four panels of 250; same integral as the closed form.
         g, tau = 0.2, 1000.0
-        d_matrix = ps.sgi_diffusion_matrix(0.05)
-        generic = d_matrix + 0.0
-        generic[0, 0] = 1e-300  # break the fast-path pattern, not the value
-        closed = ps.lyapunov_integral(g, tau, d_matrix)
-        quadrature = ps.lyapunov_integral(g, tau, generic)
+        closed = ps.lyapunov_integral(g, tau, 0.05)
+        quadrature = generic_lyapunov(g, tau, ps.sgi_diffusion_matrix(0.05))
         assert np.max(np.abs(closed - quadrature)) < 1e-12 * np.max(np.abs(closed))
 
     @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
@@ -185,7 +192,6 @@ class TestLyapunovIntegral:
         # Each normal mode w contributes xx = (2x - sin 2x)/(4 w^3), xp = sin^2 x/(2 w^2) and
         # pp = tau/2 + sin 2x/(4 w), x = w tau; the modes combine as half sum and half
         # difference.  Entries are compared on the scale sqrt(L_ii L_jj).
-        d_matrix = ps.sgi_diffusion_matrix(1.0)
         with mpmath.workdps(50):
             for tau in np.geomspace(1e-8, 4.0 * np.pi, 31):
                 modes = []
@@ -207,12 +213,12 @@ class TestLyapunovIntegral:
                         expected[i, j] = expected[i + 2, j + 2] = half_sum
                         expected[i, j + 2] = expected[i + 2, j] = half_diff
                 scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
-                value = ps.lyapunov_integral(g, tau, d_matrix)
+                value = ps.lyapunov_integral(g, tau, 1.0)
                 assert np.max(np.abs(value - expected) / scale) <= 1e-12, tau
 
     def test_scaling_in_rate(self):
-        one = ps.lyapunov_integral(0.2, 1.7, ps.sgi_diffusion_matrix(1.0))
-        scaled = ps.lyapunov_integral(0.2, 1.7, ps.sgi_diffusion_matrix(0.3))
+        one = ps.lyapunov_integral(0.2, 1.7, 1.0)
+        scaled = ps.lyapunov_integral(0.2, 1.7, 0.3)
         assert np.allclose(0.3 * one, scaled, atol=1e-14)
 
 
@@ -226,9 +232,8 @@ class TestHeisenberg:
         assert not ok and margin < -0.4
 
     def test_preserved_along_noisy_trajectory(self):
-        d_matrix = ps.sgi_diffusion_matrix(0.1)
         for tau in np.linspace(0.0, 12.0, 25):
-            sigma = ps.evolve_covariance(np.eye(4), 0.3, tau, d_matrix)
+            sigma = ps.evolve_covariance(np.eye(4), 0.3, tau, 0.1)
             ok, _ = ps.heisenberg_ok(sigma)
             assert ok
 
