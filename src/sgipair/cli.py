@@ -15,14 +15,18 @@ deterministic (there is no random number generator anywhere), so
 ``--seedless`` is accepted as a no-op for interface compatibility.
 
 Bad input exits with status 2 and one ``sgipair: error:`` line before any
-work and before any output file is opened: out-of-domain parameters, a
-negative or non-finite time, ``trajectories --steps`` below 1, sweep axes
-that conflict (one name given twice, ``f_q`` with ``--constraint-force``,
+work and before any output file is opened: out-of-domain parameters (a
+non-finite one reads ``f_q=inf must be finite and >= 0``), a negative or
+non-finite time, ``trajectories --steps`` below 1, an ``expand --theta``
+that is not ``parallel``, ``linear`` or a finite angle, sweep axes that
+conflict (one name given twice, ``f_q`` with ``--constraint-force``,
 ``s``/``n_p`` pinned by ``--state``) or do not parse, an ``--out`` or
 ``--json-out`` path that cannot be written, and a ``--config`` file that
-cannot be read.  A sweep grid too large for memory exits the same way, with
-one line naming its row count.  CSVs are streamed in blocks of rows, each
-distinct value of a column formatted once per block.
+cannot be read or holds an unknown key, a repeated key or a non-finite
+value (``phys.cfg:10: M is already given on line 2``).  A sweep grid too
+large for memory exits the same way, with one line naming its row count.
+CSVs are streamed in blocks of rows, each distinct value of a column
+formatted once per block.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +47,9 @@ from .phase_space import _check_tau, final_time
 from .potentials import (
     UnitlessParams,
     expand_potential,
-    load_physical_config,
+    load_config,
     nv_map,
-    nv_params_from_config,
     potential_spec,
-    read_key_values,
     table_coupling,
     to_unitless,
 )
@@ -159,6 +161,11 @@ def _param_values(source) -> dict:
     return {name: getattr(source, name) for name in _PARAM_NAMES}
 
 
+def _contrast_values(contrasts: dynamics.ContrastSet) -> dict:
+    """The contrast exponents of ``contrasts`` by name, in ``ContrastSet`` field order."""
+    return {item.name: getattr(contrasts, item.name) for item in fields(contrasts)}
+
+
 def _resolve_tau(selector: str, g: float) -> float:
     if selector == "final":
         return final_time(g)
@@ -254,11 +261,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
         **_param_values(params),
         "tau": tau,
         "phi": phase,
-        "c_s_np_1": contrasts.c_s_np_1,
-        "c_s_np_2": contrasts.c_s_np_2,
-        "c_gamma_1": contrasts.c_gamma_1,
-        "c_gamma_2": contrasts.c_gamma_2,
-        "c_z": contrasts.c_z,
+        **_contrast_values(contrasts),
         "neg_exact": result.exact,
         "neg_closed": result.closed_form,
         "neg_witness": result.witness_trace,
@@ -343,20 +346,9 @@ def _cmd_trajectories(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-_CONTRAST_FIELDS = (
-    "c1",
-    "c2",
-    "c_s_np_1",
-    "c_s_np_2",
-    "c_gamma_1",
-    "c_gamma_2",
-    "c_z",
-)
-
-
 def _unitless_from_args(args: argparse.Namespace) -> UnitlessParams:
     if args.config is not None:
-        return to_unitless(load_physical_config(args.config))
+        return to_unitless(load_config(args.config)[0])
     return UnitlessParams(**_param_values(args))
 
 
@@ -373,10 +365,7 @@ def _cmd_qrdm(args: argparse.Namespace) -> int:
     tree = {
         "parameters": {**_param_values(params), "tau": tau},
         "phase": phase,
-        "contrasts": {
-            name: getattr(contrasts, name)
-            for name in _CONTRAST_FIELDS
-        },
+        "contrasts": _contrast_values(contrasts),
         "qrdm": {
             f"({r},{c})": f"{rho[r, c].real:+.17g}{rho[r, c].imag:+.17g}j"
             for r in range(4)
@@ -401,10 +390,17 @@ def _cmd_qrdm(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    physical = load_physical_config(args.config)
     theta = {"linear": 0.0, "parallel": math.pi / 2.0}.get(args.theta)
     if theta is None:
-        theta = float(args.theta)
+        try:
+            theta = float(args.theta)
+        except ValueError:
+            theta = math.nan
+        if not math.isfinite(theta):
+            raise ValueError(
+                f"--theta={args.theta} must be 'parallel', 'linear' or a finite angle in rad"
+            )
+    physical, _ = load_config(args.config)
     spec = potential_spec(args.kind, physical, theta)
     coeffs = expand_potential(spec, physical.M, physical.omega)
     tree = {
@@ -449,7 +445,7 @@ def _constrained_negativity(g: float, unitless: UnitlessParams) -> dict:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    physical = load_physical_config(args.config)
+    physical, nv = load_config(args.config)
     unitless = to_unitless(physical)
     g_report = design.g_bounds(
         x0_over_d=physical.x0 / physical.d,
@@ -509,7 +505,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "M_max": nm_max,
             "M_max_mechanism": "squeezed deflection",
         }
-    nv = nv_params_from_config(read_key_values(args.config))
     if nv is not None:
         omega_nv, force_nv = nv_map(nv)
         point = design.nv_operating_point(nv, physical.d)

@@ -5,7 +5,9 @@ sixteen branch first-moment vectors labeled by qubit eigenvalues, and a 4x4
 qubit reduced density matrix (QRDM).  Unitary and diffusive-dephasing
 dynamics both close over this family; this module provides the branch
 trajectories, the QRDM phases and contrasts, and the assembled state, each
-as an explicit function of the dimensionless parameters.
+as an explicit function of the dimensionless parameters.  One set of
+contrast closed forms serves both: the unitary QRDM is the open QRDM at
+s = 1, n_p = 0 and zero rates.
 
 Branch labels are sigma_z eigenvalues, with computational bit 0 mapped to
 +1.  The branch with both qubits in bit 0 is deflected toward negative
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -33,7 +35,7 @@ from .phase_space import (
     sgi_hamiltonian_matrix,
     symplectic_form,
 )
-from .potentials import UnitlessParams, _require
+from .potentials import UnitlessParams, _require, _require_nonnegative
 
 __all__ = [
     "BranchLabel",
@@ -42,8 +44,6 @@ __all__ = [
     "GaussianCatState",
     "final_time",
     "entangling_phase",
-    "contrast_c1",
-    "contrast_c2",
     "final_contrast",
     "residual_separation",
     "branch_trajectories",
@@ -127,14 +127,12 @@ class BranchMoments:
 class ContrastSet:
     """Nonnegative decay exponents suppressing QRDM off-diagonal entries.
 
-    c1/c2 are the unitary recombination-mismatch terms (antisymmetric and
-    symmetric mode); c_s_np_1/c_s_np_2 their squeezed-thermal versions;
-    c_gamma_1/c_gamma_2 the diffusion terms; c_z the qubit dephasing term.
-    Each exponent is a scalar or a grid column.
+    c_s_np_1/c_s_np_2 are the recombination-mismatch terms of the
+    antisymmetric and symmetric mode from a squeezed thermal state (at s = 1,
+    n_p = 0 the unitary ones); c_gamma_1/c_gamma_2 the diffusion terms; c_z
+    the qubit dephasing term.  Each exponent is a scalar or a grid column.
     """
 
-    c1: float = 0.0
-    c2: float = 0.0
     c_s_np_1: float = 0.0
     c_s_np_2: float = 0.0
     c_gamma_1: float = 0.0
@@ -161,12 +159,12 @@ class ContrastSet:
         the matrix non-positive, so the doubled coefficient is used even
         where published displays quadruple it.
         """
-        return 4.0 * (self.c2 + self.c_s_np_2 + self.c_gamma_2) + 2.0 * self.c_z
+        return 4.0 * (self.c_s_np_2 + self.c_gamma_2) + 2.0 * self.c_z
 
     @property
     def antisymmetric_flip_total(self) -> float:
         """Exponent of the both-flip, opposite-sign entry (01|10)."""
-        return 4.0 * (self.c1 + self.c_s_np_1 + self.c_gamma_1) + 2.0 * self.c_z
+        return 4.0 * (self.c_s_np_1 + self.c_gamma_1) + 2.0 * self.c_z
 
 
 @dataclass(frozen=True)
@@ -203,26 +201,6 @@ def entangling_phase(f_q, g, tau):
     )
 
 
-def contrast_c1(f_q: float, g: float, tau: float) -> float:
-    """Antisymmetric-mode recombination mismatch, vanishing at tau = 2 pi/omega_g."""
-    w = mode_frequency(g)
-    return (
-        (2.0 * np.square(f_q) / np.power(w, 4))
-        * np.square(np.sin(tau * w / 2.0))
-        * (1.0 - g * (1.0 + np.cos(tau * w)))
-    )
-
-
-def contrast_c2(f_q: float, g: float, tau: float) -> float:
-    """Symmetric-mode recombination mismatch 2 f_q^2 sin^2(tau/2).
-
-    Normalized to be nonnegative and to reach 2 f_q^2 sin^2(pi/omega_g) at
-    the closure time, which is the final-time contrast of the ideal QRDM.
-    """
-    mode_frequency(g)  # validate the coupling range
-    return 2.0 * np.square(f_q) * np.square(np.sin(tau / 2.0))
-
-
 def final_contrast(f_q: float, g: float) -> float:
     """Ideal closure-time contrast 2 f_q^2 sin^2(pi/omega_g)."""
     return 2.0 * np.square(f_q) * np.square(np.sin(np.pi / mode_frequency(g)))
@@ -248,19 +226,27 @@ def _diffusion_shape(x):
 
 
 def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
-    """Closed-form contrast components for squeezed-thermal diffusive dynamics."""
+    """Closed-form contrast components for squeezed-thermal diffusive dynamics.
+
+    The antisymmetric-mode exponent is
+    (1+2n_p) f_q^2/(2 w^4 s) [4 sin^4(x/2) + s^2 w^2 sin^2 x] with x = tau w,
+    a sum of nonnegative terms.  x/2 is taken as pi d, where d is r = tau/tau_f
+    less its nearest integer and tau_f = 2 pi/w as ``final_time`` computes it,
+    so whole periods drop out exactly and the exponent is exactly 0 wherever
+    r is an integer, as at tau = final_time(g) and at twice that.
+    """
     f_q, g, s = params.f_q, params.g, params.s
     w = mode_frequency(g)
     occ = 1.0 + 2.0 * params.n_p
     f_sq = np.square(f_q)
+    periods = tau / (2.0 * np.pi / w)
+    half_x = np.pi * (periods - np.rint(periods))
     c_s_1 = (
         occ
-        * (f_sq / (4.0 * np.power(w, 4) * s))
+        * (f_sq / (2.0 * np.power(w, 4) * s))
         * (
-            (1.0 - np.square(s) * np.square(w)) * np.cos(2.0 * tau * w)
-            + np.square(s) * np.square(w)
-            - 4.0 * np.cos(tau * w)
-            + 3.0
+            4.0 * np.square(np.square(np.sin(half_x)))
+            + np.square(s) * np.square(w) * np.square(np.sin(2.0 * half_x))
         )
     )
     c_s_2 = (
@@ -270,7 +256,7 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
         * ((s - 1.0 / s) * np.cos(tau) + s + 1.0 / s)
     )
     return ContrastSet(
-        c_s_np_1=np.maximum(c_s_1, 0.0),
+        c_s_np_1=c_s_1,
         c_s_np_2=np.maximum(c_s_2, 0.0),
         c_gamma_1=params.gamma_x * (f_sq / (8.0 * np.power(w, 5))) * _diffusion_shape(tau * w),
         c_gamma_2=params.gamma_x * (f_sq / 8.0) * _diffusion_shape(tau),
@@ -303,9 +289,11 @@ def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMo
     The branch with both qubits in bit 0 follows
     f_q (cos tau - 1, -sin tau, cos tau - 1, -sin tau); the equal-bit branches
     evolve at frequency 1 and the opposite-bit branches at omega_g, so only
-    the latter recombine exactly at tau = 2 pi/omega_g.  A grid of tau gives
-    vectors of shape (..., 4).
+    the latter recombine exactly at tau = 2 pi/omega_g.  f_q must be finite
+    and >= 0, as in ``UnitlessParams``.  A grid of tau gives vectors of
+    shape (..., 4).
     """
+    _require_nonnegative("f_q", f_q)
     out: dict[BranchLabel, BranchMoments] = {}
     for (j, m), (_, vector) in _shifts(sgi_hamiltonian_matrix(g), f_q, propagator(g, tau)).items():
         label = BranchLabel(j=j, k=j, m=m, n=m)
@@ -369,7 +357,9 @@ class _BranchPairKernel:
     m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du.
     ``moment_table`` (4, 4, 4) and ``phase_contrast_table`` (4, 4, 2) hold
     every label's result once, at index ``label.qrdm_index`` of its QRDM
-    entry; ``moments`` and ``phase_contrast`` look a label up there.
+    entry; ``moments`` and ``phase_contrast`` look a label up there.  Only
+    ``general_first_moments`` reads ``moment_table``, so it is evaluated on
+    first use.
 
     Only sigma = S sigma0 S^T + L depends on the initial covariance sigma0,
     here the squeezed thermal one of params; the tables are evaluated from
@@ -390,17 +380,21 @@ class _BranchPairKernel:
     shifts: np.ndarray  # (4, 2, 4): [row] = r, (S - I) r of the ket (j, m) of QRDM row
     m1: np.ndarray
     m2: np.ndarray
-    moment_table: np.ndarray = field(init=False)  # [row, col]: first-moment vector
     phase_contrast_table: np.ndarray = field(init=False)  # [row, col]: (phase, contrast)
 
     def __post_init__(self) -> None:
-        moments = _moment_table(self.sigma, self.shifts, self.m1)
         phase_contrast = _phase_contrast_table(
             self.sigma, self.shifts, self.m2, self.h_matrix, self.tau, self.params.gamma_z
         )
-        moments.flags.writeable = phase_contrast.flags.writeable = False
-        object.__setattr__(self, "moment_table", moments)
+        phase_contrast.flags.writeable = False
         object.__setattr__(self, "phase_contrast_table", phase_contrast)
+
+    @cached_property
+    def moment_table(self) -> np.ndarray:
+        """[row, col]: first-moment vector, evaluated once on first use."""
+        moments = _moment_table(self.sigma, self.shifts, self.m1)
+        moments.flags.writeable = False
+        return moments
 
     def moments(self, label: BranchLabel) -> BranchMoments:
         return BranchMoments(label=label, vector=self.moment_table[label.qrdm_index].copy())
@@ -513,13 +507,12 @@ def unitary_qrdm(
 ) -> tuple[np.ndarray, ContrastSet, float]:
     """QRDM of the ideal dynamics from ground states and |+>|+> qubits.
 
-    Returns the 4x4 matrix, the contrast exponents, and the entangling
-    phase.  At the closure time the single-flip entries reduce to
-    exp(-C_g -/+ i phi_g) with C_g the final contrast.
+    The open QRDM at s = 1, n_p = 0 and zero rates: returns the 4x4 matrix,
+    the contrast exponents, and the entangling phase.  At the closure time
+    the single-flip entries reduce to exp(-C_g -/+ i phi_g) with C_g the
+    final contrast.
     """
-    phase = entangling_phase(f_q, g, tau)
-    contrasts = ContrastSet(c1=contrast_c1(f_q, g, tau), c2=contrast_c2(f_q, g, tau))
-    return _qrdm_from_components(phase, contrasts), contrasts, phase
+    return open_qrdm(UnitlessParams(f_q=f_q, g=g), tau)
 
 
 def open_qrdm(
@@ -528,9 +521,8 @@ def open_qrdm(
     """QRDM under diffusion and dephasing from a squeezed thermal state.
 
     The entangling phase is the unitary one; only the contrast exponents
-    pick up the initial-state and noise dependence.  At zero noise and unit
-    squeezing this reduces entrywise to the unitary QRDM.  Parameters and tau
-    may be grid columns, giving QRDMs of shape (..., 4, 4).
+    pick up the initial-state and noise dependence.  Parameters and tau may
+    be grid columns, giving QRDMs of shape (..., 4, 4).
     """
     _check_tau(tau)
     phase = entangling_phase(params.f_q, params.g, tau)

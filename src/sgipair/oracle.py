@@ -834,14 +834,7 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
     cutoff n_max = 30, then a diffusive run at n_max = 12, and records the
     constant/sign arbitration outcomes in the report notes.
     """
-    from .dynamics import (
-        contrast_c1,
-        contrast_c2,
-        entangling_phase,
-        final_contrast,
-        open_qrdm,
-        unitary_qrdm,
-    )
+    from .dynamics import entangling_phase, final_contrast, open_qrdm, unitary_qrdm
     from .phase_space import final_time
 
     report = ComparisonReport()
@@ -851,7 +844,7 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
     tau_grid = np.linspace(0.0, tau_f, 13)
     result = fock_propagate(FockProblem(params=params, tau_grid=tau_grid, n_max=30))
 
-    closed_qrdm = unitary_qrdm(params.f_q, g, tau_grid)[0]
+    closed_qrdm, closed_contrasts, _ = unitary_qrdm(params.f_q, g, tau_grid)
     report.add("arbitration/qrdm", closed_qrdm, result.qrdm, tau_grid, 1e-3)
     report.add(
         "arbitration/phase(tau_f)",
@@ -865,7 +858,7 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
     # the candidates are C_g (adopted) versus 2*C_g (the sign-flipped
     # intermediate-time display evaluated at closure).
     c2_fock = -np.log(np.abs(4.0 * result.qrdm[1:, 0, 3])) / 4.0
-    c2_adopted = contrast_c2(params.f_q, g, tau_grid[1:])
+    c2_adopted = closed_contrasts.c_s_np_2[1:]
     report.add("arbitration/c2-adopted", c2_adopted, c2_fock, tau_grid[1:], 1e-3)
     c_g = final_contrast(params.f_q, params.g)
     ratio = float(c2_fock[-1] / c_g)
@@ -874,7 +867,7 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
         "not 2*C_g; adopted intermediate form 2 f_q^2 sin^2(tau/2) confirmed"
     )
     c1_fock = -np.log(np.abs(4.0 * result.qrdm[1:, 1, 2])) / 4.0
-    c1_closed = contrast_c1(params.f_q, g, tau_grid[1:])
+    c1_closed = closed_contrasts.c_s_np_1[1:]
     report.add("arbitration/c1", c1_closed, c1_fock, tau_grid[1:], 1e-3)
     report.notes["contrast-signs"] = (
         "oracle off-diagonal magnitudes decay (exponents nonnegative): "

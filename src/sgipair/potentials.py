@@ -36,8 +36,7 @@ __all__ = [
     "physical_from_unitless",
     "nv_map",
     "read_key_values",
-    "load_physical_config",
-    "nv_params_from_config",
+    "load_config",
 ]
 
 # CODATA-2018 values, SI units.
@@ -58,6 +57,11 @@ def _require(name: str, value, ok, requirement: str) -> None:
     ok = np.asarray(ok)
     if not ok.all():
         raise ValueError(f"{name}={np.asarray(value)[~ok][0]} {requirement}")
+
+
+def _require_nonnegative(name: str, value) -> None:
+    """Raise one ValueError naming the first element of ``value`` that is not finite and >= 0."""
+    _require(name, value, np.isfinite(value) & (value >= 0.0), "must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,10 @@ class ExpansionCoefficients:
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """SI-unit experimental parameters of the two-trap qubit-mass system."""
+    """SI-unit experimental parameters of the two-trap qubit-mass system.
+
+    Every field that is given must be finite.
+    """
 
     M: float                    # mass, kg
     omega: float                # trap angular frequency, rad/s
@@ -119,6 +126,9 @@ class PhysicalParams:
     rho_m: float | None = None  # mass density, kg/m^3 (Casimir coupling)
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name}={value} must be finite")
         for name in ("M", "omega", "d"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name}={getattr(self, name)} must be > 0")
@@ -151,14 +161,13 @@ class UnitlessParams:
     gamma_z: float = 0.0
 
     def __post_init__(self) -> None:
-        _require("f_q", self.f_q, self.f_q >= 0.0, "must be >= 0")
-        _require("g", self.g, self.g >= 0.0, "must be >= 0")
+        _require_nonnegative("f_q", self.f_q)
+        _require_nonnegative("g", self.g)
         _require(
             "squeezing s", self.s, (0.0 < self.s) & (self.s <= 1.0), "must lie in (0, 1]"
         )
-        _require("n_p", self.n_p, self.n_p >= 0.0, "must be >= 0")
-        _require("gamma_x", self.gamma_x, self.gamma_x >= 0.0, "must be >= 0")
-        _require("gamma_z", self.gamma_z, self.gamma_z >= 0.0, "must be >= 0")
+        for name in ("n_p", "gamma_x", "gamma_z"):
+            _require_nonnegative(name, getattr(self, name))
 
     @property
     def stable(self) -> bool:
@@ -348,47 +357,49 @@ def nv_map(nv: NVParams) -> tuple[float, float]:
     return omega, f_q_newton
 
 
-_CONFIG_FIELDS = {f for f in PhysicalParams.__dataclass_fields__}
+# Config keys: the PhysicalParams fields, and the NVParams fields prefixed ``nv_``.
+_CONFIG_KEYS = {*PhysicalParams.__dataclass_fields__} | {
+    f"nv_{name}" for name in NVParams.__dataclass_fields__
+}
 
 
 def read_key_values(path: str | Path) -> dict[str, float]:
-    """Parse a flat ``name = value`` file; '#' comments and blank lines ignored."""
+    """Parse a flat ``name = value`` config file; '#' comments and blank lines ignored.
+
+    Each key is a ``PhysicalParams`` field or an ``nv_``-prefixed ``NVParams``
+    field, given once, with a finite number.  Anything else fails as one
+    ValueError ``path:line: ...`` naming the key.
+    """
     values: dict[str, float] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+        key, _, text = (part.strip() for part in line.partition("="))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown parameter {key!r}")
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: {key} is already given on line {lines[key]}")
         try:
-            values[key.strip()] = float(value.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric value {value.strip()!r}") from exc
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} has non-numeric value {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: {key}={text} must be finite")
+        values[key], lines[key] = value, lineno
     return values
 
 
-def load_physical_config(path: str | Path) -> PhysicalParams:
-    """Read SI-unit physical parameters from a flat key-value config file.
+def load_config(path: str | Path) -> tuple[PhysicalParams, NVParams | None]:
+    """Read a config file once: its SI-unit physical parameters and magnetic-trap parameters.
 
-    Keys must match PhysicalParams field names; keys prefixed ``nv_`` are
-    reserved for magnetic-trap parameters and ignored here.
+    The ``nv_``-prefixed keys give the ``NVParams``; there are none (None)
+    without a gradient ``nv_dB``.
     """
     values = read_key_values(path)
-    plain = {k: v for k, v in values.items() if not k.startswith("nv_")}
-    unknown = sorted(set(plain) - _CONFIG_FIELDS)
-    if unknown:
-        raise ValueError(f"{path}: unknown parameters {unknown}")
-    return PhysicalParams(**plain)
-
-
-def nv_params_from_config(values: dict[str, float]) -> NVParams | None:
-    """Build NVParams from ``nv_``-prefixed config keys, if a gradient is given."""
-    if "nv_dB" not in values:
-        return None
-    kwargs = {"dB": values["nv_dB"]}
-    for name in ("g_factor", "mu_B", "mu_0", "chi_m"):
-        key = f"nv_{name}"
-        if key in values:
-            kwargs[name] = values[key]
-    return NVParams(**kwargs)
+    physical = PhysicalParams(**{k: v for k, v in values.items() if not k.startswith("nv_")})
+    nv = {k.removeprefix("nv_"): v for k, v in values.items() if k.startswith("nv_")}
+    return physical, (NVParams(**nv) if "dB" in nv else None)

@@ -256,10 +256,9 @@ def test_criterion_09_fock_arbitration():
     for slot, tau in enumerate(grid[1:], start=1):
         c2_fock = -math.log(abs(4.0 * result.qrdm[slot, 0, 3])) / 4.0
         c1_fock = -math.log(abs(4.0 * result.qrdm[slot, 1, 2])) / 4.0
+        _, closed, _ = dynamics.unitary_qrdm(params.f_q, params.g, float(tau))
         worst_c = max(
-            worst_c,
-            abs(c2_fock - dynamics.contrast_c2(params.f_q, params.g, float(tau))),
-            abs(c1_fock - dynamics.contrast_c1(params.f_q, params.g, float(tau))),
+            worst_c, abs(c2_fock - closed.c_s_np_2), abs(c1_fock - closed.c_s_np_1)
         )
         assert c1_fock > -1e-12 and c2_fock > -1e-12  # sign normalization
     assert worst_c < 1e-3

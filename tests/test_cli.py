@@ -327,6 +327,13 @@ class TestPointReports:
         assert f"phase: {format(phase, '.17g')}" in text
         assert "entangled" in text
 
+    def test_report_lists_each_contrast_field_once(self, capsys):
+        run(["qrdm", "--fq", "1", "--g", "0.1"])
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("  contrasts:") + 1
+        names = [line.split(":")[0].strip() for line in lines[start : lines.index("  qrdm:")]]
+        assert names == ["c_s_np_1", "c_s_np_2", "c_gamma_1", "c_gamma_2", "c_z"]
+
     def test_physical_config_input(self, phys_config, capsys):
         run(["qrdm", "--config", phys_config, "--tau", "2pi"])
         text = capsys.readouterr().out
@@ -358,6 +365,31 @@ class TestPointReports:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "args, value",
+        [
+            (["qrdm", "--fq", "inf"], "f_q=inf"),
+            (["qrdm", "--gamma-x", "inf"], "gamma_x=inf"),
+            (["negativity", "--gamma-z", "inf"], "gamma_z=inf"),
+            (["qrdm", "--np", "nan"], "n_p=nan"),
+            (["sweep", "--axis", "g:0.1:0.2:3", "--gamma-x", "inf"], "gamma_x=inf"),
+            (["trajectories", "--fq", "nan"], "f_q=nan"),
+            (["trajectories", "--fq", "inf"], "f_q=inf"),
+            (["trajectories", "--fq", "-1"], "f_q=-1.0"),
+        ],
+    )
+    def test_non_finite_or_negative_parameter_fails_with_one_line(
+        self, tmp_path, capsys, args, value
+    ):
+        # the last --fq given wins, so the defaults come first
+        out = tmp_path / "point.out"
+        with pytest.raises(SystemExit) as exit_info:
+            run([args[0], "--fq", "1", "--g", "0.1", *args[1:], "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == f"{value} must be finite and >= 0"
+        assert not out.exists()
+
+
 class TestExpand:
     def test_report_matches_catalogue(self, phys_config, capsys):
         run(["expand", "--config", phys_config, "--kind", "newton", "--theta", "parallel"])
@@ -365,6 +397,15 @@ class TestExpand:
         assert "coefficients" in text and "catalogue" in text
         run(["expand", "--config", phys_config, "--kind", "newton", "--theta", "0.3"])
         assert "catalogue" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "east"])
+    def test_bad_theta_fails_with_one_line(self, phys_config, capsys, theta):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["expand", "--config", phys_config, "--theta", theta])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == (
+            f"--theta={theta} must be 'parallel', 'linear' or a finite angle in rad"
+        )
 
 
 class TestBounds:
@@ -486,6 +527,39 @@ class TestConfigFile:
         assert exit_info.value.code == 2
         assert error_line(capsys) == f"--config {config}: {os.strerror(code)}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["qrdm", "expand", "bounds"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("M = 2e-9\n", "{path}:10: M is already given on line 2"),
+            ("nv_chim = -6e-9\n", "{path}:10: unknown parameter 'nv_chim'"),
+            ("T_m = nan\n", "{path}:10: T_m=nan must be finite"),
+            ("Q = -inf\n", "{path}:10: Q=-inf must be finite"),
+        ],
+    )
+    def test_silent_config_input_fails_with_one_line(
+        self, tmp_path, capsys, command, extra, message
+    ):
+        config = tmp_path / "phys.cfg"
+        config.write_text(PHYS_CFG + extra)
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--config", str(config)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == message.format(path=config)
+
+    def test_bounds_reads_the_config_once(self, phys_config, monkeypatch, capsys):
+        reads = []
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            reads.append(str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        run(["bounds", "--config", phys_config])
+        assert reads == [phys_config]
+        assert "nv:" in capsys.readouterr().out
 
 
 def _awkward_rows(count):

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -21,6 +22,20 @@ from sgipair.phase_space import (
     sgi_diffusion_matrix,
 )
 from sgipair.potentials import UnitlessParams
+
+
+def _antisymmetric_contrast_reference(params: UnitlessParams, tau: float):
+    """(1+2n_p) f^2/(2 w^4 s) (4 sin^4(x/2) + s^2 w^2 sin^2 x), x = tau w, at 60 digits.
+
+    The bracket is half of (1-s^2w^2) cos 2x + s^2w^2 - 4 cos x + 3, without its cancellation.
+    """
+    with mpmath.workdps(60):
+        f_q, g, s, n_p, tau = map(mpmath.mpf, (params.f_q, params.g, params.s, params.n_p, tau))
+        w = mpmath.sqrt(1 - 2 * g)
+        x = tau * w
+        bracket = 4 * mpmath.sin(x / 2) ** 4 + s**2 * w**2 * mpmath.sin(x) ** 2
+        return (1 + 2 * n_p) * f_q**2 / (2 * w**4 * s) * bracket
+
 
 ALL_LABELS = [dyn.BranchLabel.from_bits(r, c) for r in range(4) for c in range(4)]
 # A diffusive, dephased, squeezed thermal point: every term of the branch-pair kernel is nonzero.
@@ -338,6 +353,25 @@ class TestBranchPairKernel:
         ):
             dyn.evolve_cat_state(initial, CAT_PARAMS, 3.1)
 
+    def test_moment_table_is_evaluated_on_first_use(self, monkeypatch):
+        calls = []
+        evaluate = dyn._moment_table
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(dyn, "_moment_table", counting)
+        dyn._shared_kernel.cache_clear()
+        for label in ALL_LABELS:
+            dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1)
+        assert calls == []
+        dyn.evolve_cat_state(dyn.initial_cat_state(CAT_PARAMS), CAT_PARAMS, 3.1)
+        assert len(calls) == 1  # the state's own table, for its evolved covariance
+        for label in ALL_LABELS:
+            dyn.general_first_moments(label, CAT_PARAMS, 3.1)
+        assert len(calls) == 2
+
     def test_shared_arrays_are_read_only(self):
         kernel = dyn._kernel(CAT_PARAMS, 3.1)
         arrays = [kernel.s_tau, kernel.lyapunov, kernel.h_matrix, kernel.sigma, kernel.shifts]
@@ -388,8 +422,8 @@ class TestUnitaryQrdm:
         )
         assert phase == pytest.approx(2.4316939770217063, abs=1e-12)
         _, contrasts, _ = dyn.unitary_qrdm(f_q, g, tau_f)
-        assert contrasts.c1 == pytest.approx(0.0, abs=1e-14)
-        assert contrasts.c2 == pytest.approx(dyn.final_contrast(f_q, g), abs=1e-14)
+        assert contrasts.c_s_np_1 == pytest.approx(0.0, abs=1e-14)
+        assert contrasts.c_s_np_2 == pytest.approx(dyn.final_contrast(f_q, g), abs=1e-14)
         assert dyn.final_contrast(f_q, g) == pytest.approx(0.2626311219216804, abs=1e-12)
 
     @pytest.mark.parametrize("g", [1e-4, 1e-3])
@@ -403,12 +437,12 @@ class TestUnitaryQrdm:
         assert np.allclose(rho, rho.conj().T, atol=1e-15)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
         assert np.diagonal(rho).real == pytest.approx([0.25] * 4)
-        single = 0.25 * np.exp(-contrasts.c1 - contrasts.c2 - 1j * phase)
+        single = 0.25 * np.exp(-contrasts.c_s_np_1 - contrasts.c_s_np_2 - 1j * phase)
         assert rho[0, 1] == pytest.approx(single, abs=1e-15)
         assert rho[0, 2] == pytest.approx(single, abs=1e-15)
         assert rho[1, 3] == pytest.approx(np.conj(single), abs=1e-15)
-        assert rho[0, 3] == pytest.approx(0.25 * np.exp(-4.0 * contrasts.c2), abs=1e-15)
-        assert rho[1, 2] == pytest.approx(0.25 * np.exp(-4.0 * contrasts.c1), abs=1e-15)
+        assert rho[0, 3] == pytest.approx(0.25 * np.exp(-4.0 * contrasts.c_s_np_2), abs=1e-15)
+        assert rho[1, 2] == pytest.approx(0.25 * np.exp(-4.0 * contrasts.c_s_np_1), abs=1e-15)
 
     def test_grid_equals_per_point_calls(self):
         taus = np.linspace(0.0, 40.0, 1000)
@@ -416,9 +450,9 @@ class TestUnitaryQrdm:
         for k, tau in enumerate(taus):
             rho_k, contrasts_k, phase_k = dyn.unitary_qrdm(1.0, 0.1, tau)
             assert np.array_equal(rho_k, rho[k])
-            assert (contrasts_k.c1, contrasts_k.c2, phase_k) == (
-                contrasts.c1[k],
-                contrasts.c2[k],
+            assert (contrasts_k.c_s_np_1, contrasts_k.c_s_np_2, phase_k) == (
+                contrasts.c_s_np_1[k],
+                contrasts.c_s_np_2[k],
                 phase[k],
             )
         gs = np.linspace(0.0, 0.49, 500)
@@ -447,16 +481,74 @@ class TestUnitaryQrdm:
 
 class TestOpenQrdm:
     def test_noiseless_limit_is_unitary(self):
+        # At s = 1, n_p = 0 and zero rates the mode contrasts are the unitary
+        # recombination mismatches 2 f^2/w^4 sin^2(x/2) (1 - g (1 + cos x)),
+        # x = tau w, and 2 f^2 sin^2(tau/2).
         params = UnitlessParams(f_q=0.5, g=0.08)
+        w = np.sqrt(1.0 - 2.0 * params.g)
         for tau in (0.9, final_time(params.g)):
             rho_open, contrasts, phase = dyn.open_qrdm(params, tau)
-            rho_unitary, unitary_contrasts, unitary_phase = dyn.unitary_qrdm(
-                params.f_q, params.g, tau
-            )
-            assert np.max(np.abs(rho_open - rho_unitary)) < 1e-15
+            rho_unitary, _, unitary_phase = dyn.unitary_qrdm(params.f_q, params.g, tau)
+            assert np.array_equal(rho_open, rho_unitary)
             assert phase == unitary_phase
-            assert contrasts.c_s_np_1 == pytest.approx(unitary_contrasts.c1, abs=1e-15)
-            assert contrasts.c_s_np_2 == pytest.approx(unitary_contrasts.c2, abs=1e-15)
+            x = tau * w
+            display_1 = (
+                2.0 * params.f_q**2 / w**4 * np.sin(x / 2.0) ** 2
+                * (1.0 - params.g * (1.0 + np.cos(x)))
+            )
+            display_2 = 2.0 * params.f_q**2 * np.sin(tau / 2.0) ** 2
+            assert contrasts.c_s_np_1 == pytest.approx(display_1, abs=1e-15)
+            assert contrasts.c_s_np_2 == pytest.approx(display_2, abs=1e-15)
+            assert contrasts.c_gamma_1 == contrasts.c_gamma_2 == contrasts.c_z == 0.0
+
+    @pytest.mark.parametrize(
+        "s, g, tau", [(1e-4, 0.1, 1e-4), (1.0, 0.1, 1e-4), (1.0, 0.4999, 0.01)]
+    )
+    def test_antisymmetric_contrast_at_small_tau(self, s, g, tau):
+        # The expanded cos form cancelled here: 100%, 1.4e-8 and 4.7e-5 relative error.
+        params = UnitlessParams(f_q=1.0, g=g, s=s)
+        contrast = dyn.open_qrdm(params, tau)[1].c_s_np_1
+        assert abs(contrast / _antisymmetric_contrast_reference(params, tau) - 1) <= 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        f_q=st.floats(1e-3, 3.0),
+        log_g=st.floats(math.log(1e-12), math.log(0.5 - 1e-8)),
+        s=st.floats(1e-4, 1.0),
+        n_p=st.floats(0.0, 100.0),
+        periods=st.one_of(
+            st.floats(1e-6, 2.0),
+            st.builds(
+                lambda k, sign, log_offset: k + sign * math.exp(log_offset),
+                st.sampled_from((1, 2)),
+                st.sampled_from((-1, 1)),
+                st.floats(math.log(1e-14), math.log(1e-1)),
+            ),
+        ),
+    )
+    def test_antisymmetric_contrast_matches_high_precision(self, f_q, log_g, s, n_p, periods):
+        # tau = periods * tau_f; near a whole number of periods the exponent
+        # inherits the rounding of r = tau/tau_f, a few eps/|d| relative, with
+        # d the distance of r from that whole number.
+        g = math.exp(log_g)
+        tau_f = final_time(g)
+        tau = periods * tau_f
+        params = UnitlessParams(f_q=f_q, g=g, s=s, n_p=n_p)
+        contrast = float(dyn.open_qrdm(params, tau)[1].c_s_np_1)
+        ratio = tau / tau_f
+        whole = round(ratio)
+        offset = abs(ratio - whole)
+        if whole == 0:
+            bound = 1e-13
+        elif offset == 0.0:
+            bound = math.inf
+        else:
+            bound = max(1e-13, 8.0 * 2.0**-52 / offset)
+        assert abs(contrast / _antisymmetric_contrast_reference(params, tau) - 1) <= bound
+        for k in (1, 2):
+            assert dyn.open_qrdm(params, k * tau_f)[1].c_s_np_1 == 0.0
+        unitary = dyn.unitary_qrdm(f_q, g, tau)[1]
+        assert unitary.c_s_np_2 == 2.0 * np.square(f_q) * np.square(np.sin(tau / 2.0))
 
     def test_phase_unchanged_by_noise_and_state_preparation(self):
         f_q, g = 0.5, 0.08

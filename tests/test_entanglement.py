@@ -157,13 +157,13 @@ class TestWitnessNegativity:
         # With every exponent diverging (noise on all entry families) the
         # trace floors at -1/2; the ideal structure, whose (01|10) entry
         # never decays, floors at -1/4.
-        everything = ContrastSet(c1=1e6, c2=1e6, c_z=1e6)
+        everything = ContrastSet(c_s_np_1=1e6, c_s_np_2=1e6, c_z=1e6)
         assert ent.witness_negativity(1.0, everything) == pytest.approx(-0.5, abs=1e-12)
         assert ent.witness_negativity(1.0, 1e6) == pytest.approx(-0.25, abs=1e-12)
 
     def test_open_formula_reduces_to_unitary(self):
         contrast = 0.31
-        via_set = ent.witness_negativity(1.2, ContrastSet(c2=contrast))
+        via_set = ent.witness_negativity(1.2, ContrastSet(c_s_np_2=contrast))
         via_scalar = ent.witness_negativity(1.2, contrast)
         assert via_set == pytest.approx(via_scalar, abs=1e-15)
 

@@ -164,6 +164,22 @@ class TestUnitConversion:
         assert u.gamma_z == pytest.approx(0.02, rel=1e-12)
 
 
+class TestFiniteParameters:
+    @pytest.mark.parametrize("name", ["f_q", "g", "n_p", "gamma_x", "gamma_z"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_unitless_field_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name}={value} must be finite and >= 0$"):
+            pot.UnitlessParams(**{"f_q": 1.0, "g": 0.1, name: value})
+
+    @pytest.mark.parametrize(
+        "name", ["M", "omega", "d", "F_q", "S_FF", "Gamma_z_phys", "omega_t", "n_p", "T_m", "Q"]
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_physical_field_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name}={value} must be finite$"):
+            pot.PhysicalParams(**{"M": 1e-14, "omega": 1.0, "d": 1e-4, name: value})
+
+
 class TestNV:
     def test_linear_in_gradient(self):
         base = pot.NVParams(dB=1e4)
@@ -188,14 +204,15 @@ class TestConfig:
             "d = 3e-5\n"
             "F_q = 1e-19  # inline comment\n"
         )
-        p = pot.load_physical_config(path)
+        p, nv = pot.load_config(path)
+        assert nv is None
         assert p.M == 1e-12 and p.omega == 0.5 and p.F_q == 1e-19
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "phys.cfg"
         path.write_text("M = 1e-12\nomega = 1.0\nd = 1e-4\nbogus = 3\n")
         with pytest.raises(ValueError, match="bogus"):
-            pot.load_physical_config(path)
+            pot.load_config(path)
 
     def test_nv_keys_split_out(self, tmp_path):
         path = tmp_path / "phys.cfg"
@@ -204,7 +221,6 @@ class TestConfig:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            physical = pot.load_physical_config(path)
-        nv = pot.nv_params_from_config(pot.read_key_values(path))
+            physical, nv = pot.load_config(path)
         assert physical.M == 1e-12
         assert nv is not None and nv.dB == 1e5 and nv.chi_m == -6e-9
