@@ -166,12 +166,16 @@ def _contrast_values(contrasts: dynamics.ContrastSet) -> dict:
     return {item.name: getattr(contrasts, item.name) for item in fields(contrasts)}
 
 
-def _resolve_tau(selector: str, g: float) -> float:
+def _resolve_tau(option: str, selector: str, g: float) -> float:
+    """The time ``selector`` of ``option`` names: 'final' (2pi/omega_g), '2pi' or a number."""
     if selector == "final":
         return final_time(g)
     if selector == "2pi":
         return 2.0 * math.pi
-    tau = float(selector)
+    try:
+        tau = float(selector)
+    except ValueError:
+        raise ValueError(f"{option}={selector!r} must be 'final', '2pi' or a number") from None
     _check_tau(tau)
     return tau
 
@@ -254,7 +258,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
     if spec.constraint_force:
         columns["f_q"] = design.required_force(columns["g"])
     params = UnitlessParams(**columns)
-    tau = _resolve_tau(spec.tau_selector, params.g)
+    tau = _resolve_tau("--tau", spec.tau_selector, params.g)
     rho, contrasts, phase = dynamics.open_qrdm(params, tau)
     result = entanglement.evaluate_negativity(rho, phase, contrasts)
     table = {
@@ -318,7 +322,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_trajectories(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps={args.steps} must be >= 1")
-    tau_max = _resolve_tau(args.tau_max, args.g)
+    tau_max = _resolve_tau("--tau-max", args.tau_max, args.g)
     taus = np.linspace(0.0, tau_max, args.steps)
     header = ["tau", "q1_bit", "q2_bit", "x1", "p1", "x2", "p2"]
     moments = dynamics.branch_trajectories(args.f_q, args.g, taus)
@@ -354,7 +358,7 @@ def _unitless_from_args(args: argparse.Namespace) -> UnitlessParams:
 
 def _cmd_qrdm(args: argparse.Namespace) -> int:
     params = _unitless_from_args(args)
-    tau = _resolve_tau(args.tau, params.g)
+    tau = _resolve_tau("--tau", args.tau, params.g)
     rho, contrasts, phase = dynamics.open_qrdm(params, tau)
     result = entanglement.evaluate_negativity(rho, phase, contrasts)
     selected = {

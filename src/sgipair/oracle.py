@@ -10,19 +10,19 @@ Two oracles, neither of which shares code with the closed forms they check:
   size from A and b; and
 * truncated-Fock-space propagation of the full two-qubit x two-mode system.
   Noise-free branches are propagated exactly as kets.  Under position
-  diffusion the ten independent qubit-sector blocks of the density
-  operator are advanced by RK4 in the eigenbasis of the truncated position
-  matrix x (the discrete-variable representation of Light, Hamilton and
-  Lill, J. Chem. Phys. 82, 1400 (1985)).  There x is diagonal, so the
-  potentials, the x1 x2 coupling, the position diffusion and the qubit
-  dephasing are one elementwise factor, and only the kinetic energy p^2/2
-  acts as a matrix, one real matrix product per mode axis.  The blocks run
-  concurrently on one thread per available CPU, up to ten; each block's
-  arithmetic is the same on any number of threads, so the results do not
-  depend on it.  Both paths hand the same per-block observables to one
-  builder of the QRDM, conditional moments and truncation diagnostics; a
-  qubit branch with zero population gets zero moments and covariance and
-  does not enter the leakage.
+  diffusion the ten independent qubit-sector blocks of the density operator
+  are advanced by Chebyshev series (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
+  3967 (1984)) in the eigenbasis of the truncated position matrix x (the
+  discrete-variable representation of Light, Hamilton and Lill, J. Chem.
+  Phys. 82, 1400 (1985)).  There x is diagonal, so the potentials, the x1 x2
+  coupling, the position diffusion and the qubit dephasing are one
+  elementwise factor, and only the kinetic energy p^2/2 acts as a matrix, one
+  real matrix product per mode axis.  The blocks run concurrently on one
+  thread per available CPU, up to ten, with results independent of that
+  number.  Both paths hand the same per-block observables to one builder of
+  the QRDM, conditional moments and truncation diagnostics; a qubit branch
+  with zero population gets zero moments and covariance and does not enter
+  the leakage.
 
 The Fock oracle adopts the rate normalization of the closed forms: the
 position dissipator acts at gamma_x/4 per mode and the qubit dephasing at
@@ -252,7 +252,7 @@ class FockProblem:
     tau_grid: np.ndarray
     n_max: int = 30
     qubit_rho0: np.ndarray | None = None
-    dt: float = 1e-2           # RK4 step for the dissipative path
+    dt: float = 1.0            # largest step of one Chebyshev series on the block path
     leakage_tol: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -358,19 +358,17 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     as an exact scalar decay on each qubit sector) are propagated exactly by
     eigendecomposition of the four branch Hamiltonians; the observables of a
     block come from its two branch kets with x and p applied to one mode axis
-    at a time.  Position diffusion switches to fixed-step 4th-order
-    integration of the ten blocks of the density operator, held in one
-    complex array (block, n1, n2, n1', n2') in the eigenbasis of the
-    truncated x and advanced on one thread per available CPU, up to ten; the
-    results are bit-identical for any thread count.  There the generator is
-    L(rho) = -i[K(rho) + P rho]:
+    at a time.  Position diffusion or a mixed initial state switches to the
+    ten blocks of the density operator, held in one complex array
+    (block, n1, n2, n1', n2') in the eigenbasis of the truncated x and
+    advanced on one thread per available CPU, up to ten; the results are
+    bit-identical for any thread count.  There a block evolves as
+    d rho/dtau = -iH rho with H = K + P:
     K applies the kinetic matrix T = p^2/2 to the two ket axes minus the two
     bra axes, and P is one elementwise factor holding the potentials, the
-    coupling, the diffusion and the dephasing.  On this linear generator a
-    classical RK4 step is the Horner form
-    y + hL(y + h/2 L(y + h/3 L(y + h/4 L y))), which a change of basis
-    leaves unchanged up to rounding.  The blocks return to the Fock basis
-    at every grid slot for the observables.
+    coupling, the diffusion and the dephasing.  H is constant, so a step of
+    h <= ``problem.dt`` applies exp(-ihH) as one Chebyshev series, exact to
+    rounding.  The blocks return to the Fock basis at every grid slot.
     """
     grid = np.asarray(problem.tau_grid, dtype=float)
     qubit_rho0 = _plus_plus_qrdm() if problem.qubit_rho0 is None else problem.qubit_rho0
@@ -493,35 +491,37 @@ def _propagate_pure(problem, grid, qubit_rho0):
 
 
 def _propagate_blocks(problem, grid, qubit_rho0):
-    """Block observables and hermiticity drift from Horner-form RK4 in the eigenbasis of x.
+    """Block observables and hermiticity drift from Chebyshev series in the eigenbasis of x.
 
     The state is one complex array (block, a, b, c, d) of the ``_BLOCKS``:
     a, b are the ket modes and c, d the bra modes, each indexed by the
     eigenvalues xi of the truncated x = u diag(xi) u^T.  The kinetic matrix
     T = u^T (p^2/2) u is real symmetric, so on a bra axis the right product
-    is the same matrix product as a left one.  Block (j, m | k, n) evolves
-    under L(rho) = -i[K(rho) + P rho] with K = T_a + T_b - T_c - T_d and the
-    elementwise factor
+    is the same matrix product as a left one.  Block (j, m | k, n) evolves as
+    d rho/dtau = -iH rho, H = K + P, K = T_a + T_b - T_c - T_d, P elementwise:
     P = U_jm(xi_a, xi_b) - U_kn(xi_c, xi_d)
         - i/4 [gamma_x ((xi_a - xi_c)^2 + (xi_b - xi_d)^2) + gamma_z ((j-k)^2 + (m-n)^2)],
     with the branch potential U_jm(x1, x2) = (1-g)(x1^2 + x2^2)/2 + g x1 x2
-    + f_q (j x1 + m x2).  A stage of step fraction c scales its input by -ic
-    once; then K is four real matrix products and P one elementwise product.
-    The blocks are independent, so each is advanced on its own, which keeps
-    the working set in cache, and the ten of a slot run as tasks on
-    min(available CPUs, 10) threads (numpy releases the interpreter lock in
-    these products).  A task advances its block with its worker's own four
-    work buffers, symmetrizes it if diagonal, writes its Fock-basis copy and
-    returns its hermiticity drift; it does the arithmetic of a serial loop,
-    so the results are bit-identical for any thread count.  The main thread
-    reads every task's result, checks that the slot's state is finite and
-    takes its observables.
+    + f_q (j x1 + m x2).  H has its spectrum in the rectangle
+    [min Re P - s, max Re P + s] x i[min Im P, max Im P], s = 2(t_max - t_min)
+    for the eigenvalues t of T.  With its centre c and half-width a, a step h
+    is exp(-ihH) = sum_k c_k T_k(X), X = (H - c)/a (``_chebyshev_coefficients``),
+    and 2/a is folded into T and P - c: one 2X in phi_{k+1} = 2X phi_k - phi_{k-1}
+    is four real matrix products and one elementwise product.  A step whose
+    result is not finite or below 1e-2 of its largest term (cancellation)
+    raises OracleError.  Each block advances on its own, which keeps the
+    working set in cache, as one of ten tasks per slot on min(available CPUs,
+    10) threads (numpy releases the interpreter lock in these products), with
+    its worker's own five work buffers; it is symmetrized if diagonal, copied
+    to the Fock basis and returns its hermiticity drift.  A task does the
+    arithmetic of a serial loop, so results are bit-identical for any thread count.
     """
     params, n = problem.params, problem.n_max
     x, p = _quadratures(n)
     xi, u = np.linalg.eigh(x)
     kinetic = u.T @ (0.5 * (p @ p).real) @ u
-    kinetic = _per_axis(0.5 * (kinetic + kinetic.T))
+    kinetic = 0.5 * (kinetic + kinetic.T)
+    spread = 2.0 * np.ptp(np.linalg.eigvalsh(kinetic))
     to_fock = _per_axis(u)
     x_a, x_b, x_c, x_d = (xi.reshape((-1,) + (1,) * trailing) for trailing in (3, 2, 1, 0))
 
@@ -532,64 +532,75 @@ def _propagate_blocks(problem, grid, qubit_rho0):
         )
 
     diffusion = params.gamma_x * ((x_a - x_c) ** 2 + (x_b - x_d) ** 2)
-    factors = []
+    series = []  # per block: (2/a) T per axis, (2/a)(P - c), a, c and the Bernstein rho
     for label in _BLOCKS:
         flips = (label.j - label.k) ** 2 + (label.m - label.n) ** 2
-        factors.append(
+        factor = (
             potential(label.j, label.m, x_a, x_b) - potential(label.k, label.n, x_c, x_d)
             - 0.25j * (diffusion + params.gamma_z * flips)
         )
+        half = 0.5 * np.ptp(factor.real) + spread
+        centre = 0.5 * (factor.real.max() + factor.real.min() + 1j * factor.imag.max())
+        centre += 0.5j * factor.imag.min()
+        corner = 1.0 + 0.5j * np.ptp(factor.imag) / half  # of the rectangle, scaled
+        rho = abs(corner + np.sqrt(corner**2 - 1.0))  # its Bernstein ellipse
+        scale = 2.0 / half
+        series.append((_per_axis(scale * kinetic), scale * (factor - centre), half, centre, rho))
 
     mask = _edge_mask(n)
-    observables = []
-
-    def record(slot, rho):
-        if not np.isfinite(rho).all():
-            raise OracleError(
-                f"Fock RK4 diverged: the state at tau={grid[slot]} is not finite; "
-                f"decrease dt={problem.dt}"
-            )
-        observables.append(_block_observables(rho, x, p, mask))
-
     rho_cv = _single_mode_initial(params.s, params.n_p, n)
     weights = np.array([qubit_rho0[label.qrdm_index] for label in _BLOCKS], dtype=complex)
 
     def product_state(single):
         return weights[:, None, None, None, None] * np.kron(single, single).reshape(n, n, n, n)
 
-    record(0, product_state(rho_cv))
+    observables = [_block_observables(product_state(rho_cv), x, p, mask)]
     y = product_state(u.T @ rho_cv @ u)
     fock = np.empty_like(y)
-    owned = threading.local()  # each worker's four work buffers
+    owned = threading.local()  # each worker's five work buffers
     drift = 0.0
 
-    def advance(index, scales, n_steps):
+    def advance(index, h, n_steps, tau):
         """Block ``index`` through one slot; returns its hermiticity drift (0 off-diagonal)."""
         if not hasattr(owned, "work"):
-            owned.work = [np.empty_like(y[index]) for _ in range(4)]
-        block, factor = y[index], factors[index]
-        state, z, out, term = owned.work
+            owned.work = [np.empty_like(y[index]) for _ in range(5)]
+        *buffers, term = owned.work
+        block, (kinetic_axes, factor, half, centre, rho) = y[index], series[index]
+        coefficients = _chebyshev_coefficients(h * half, rho) * np.exp(-1j * h * centre)
+
+        def step(phi):  # sum_k c_k T_k(X) phi in a free buffer, and its largest term
+            total, prev, nxt = (buffer for buffer in buffers if buffer is not phi)
+            np.multiply(phi, coefficients[0], out=total)
+            largest = abs(coefficients[0]) * _peak(phi)
+            for k, coefficient in enumerate(coefficients[1:], start=1):
+                _on_axis(kinetic_axes, 0, phi, nxt)  # nxt = 2X phi
+                nxt += _on_axis(kinetic_axes, 1, phi, term)
+                nxt -= _on_axis(kinetic_axes, 2, phi, term)
+                nxt -= _on_axis(kinetic_axes, 3, phi, term)
+                nxt += np.multiply(factor, phi, out=term)
+                nxt -= prev if k > 1 else 0.5 * nxt  # phi_1 = X phi_0
+                prev, phi, nxt = phi, nxt, prev
+                total += np.multiply(phi, coefficient, out=term)
+                largest = max(largest, abs(coefficient) * _peak(phi))
+            return total, largest
+
+        state = buffers[0]
         state[...] = block
         for _ in range(n_steps):
-            stage = state
-            for scale in scales:
-                np.multiply(stage, scale, out=z)
-                # out = y + K(z) + P z, the next stage, for z = -ic (previous stage)
-                _on_axis(kinetic, 0, z, out)
-                out += _on_axis(kinetic, 1, z, term)
-                out -= _on_axis(kinetic, 2, z, term)
-                out -= _on_axis(kinetic, 3, z, term)
-                out += np.multiply(factor, z, out=term)
-                out += state
-                stage = out
-            state, out = out, state
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends non-finite
+                state, largest = step(state)
+            if not largest <= 1e2 * (size := _peak(state)) < np.inf:  # a NaN fails too
+                raise OracleError(
+                    f"Fock series step to tau={tau} is not finite or lost to cancellation: terms "
+                    f"up to {largest:.1e} sum to {size:.1e}; decrease dt={problem.dt}"
+                )
         block[...] = state
         block_drift = 0.0
         if index in _DIAGONAL_BLOCKS:
             adjoint = block.conj().transpose(2, 3, 0, 1)
             block_drift = float(np.max(np.abs(block - adjoint)))
             block[...] = 0.5 * (block + adjoint)
-        a, b = owned.work[:2]
+        a, b = buffers[:2]
         for axis, src, dst in ((0, block, a), (1, a, b), (2, b, a), (3, a, fock[index])):
             _on_axis(to_fock, axis, src, dst)
         return block_drift
@@ -602,15 +613,46 @@ def _propagate_blocks(problem, grid, qubit_rho0):
             span = grid[slot] - grid[slot - 1]
             n_steps = max(1, int(np.ceil(span / problem.dt)))
             h = span / n_steps
-            scales = [-1j * c for c in (h / 4.0, h / 3.0, h / 2.0, h)]
             # each task runs in a copy of this context, so numpy's error state holds there
             futures = [
-                pool.submit(contextvars.copy_context().run, advance, index, scales, n_steps)
+                pool.submit(contextvars.copy_context().run, advance, index, h, n_steps, grid[slot])
                 for index in range(len(_BLOCKS))
             ]
             drift = max([drift] + [future.result() for future in futures])
-            record(slot, fock)
+            observables.append(_block_observables(fock, x, p, mask))
     return [np.array(column) for column in zip(*observables)], drift
+
+
+def _peak(array):
+    """Largest |real| or |imaginary| part of a complex array; NaN if any entry is NaN."""
+    return max(array.view(float).max(), -array.view(float).min())
+
+
+def _chebyshev_coefficients(theta, rho):
+    """(2 - delta_k0) (-i)^k J_k(theta) of exp(-i theta x) = sum_k c_k T_k(x), theta > 0.
+
+    They end before the first k > theta with |c_k| rho^k < 1e-16 (|T_k| grows as
+    rho^k on the Bernstein ellipse rho), below e theta rho + 55 as |J_k| <= (theta/2)^k/k!.
+    J_k comes from Miller's backward recurrence, normalized by J_0 + 2 sum J_2k = 1.
+    """
+    theta = max(theta, 1e-30)  # below, J_0 rounds to 1 and the series is that one term
+    count = int(np.e * theta * rho) + 55
+    top = count + int(np.sqrt(160.0 * count)) + 16  # the start's error dies out by count
+    bessel, above, current = np.zeros(top + 1), 0.0, 1e-300
+    for order in range(top, -1, -1):  # the last pass makes an unused J_-1
+        bessel[order] = current
+        above, current = current, (2.0 * order / theta) * current - above
+        if abs(current) > 1e250:
+            bessel[order:] *= 1e-250
+            above, current = above * 1e-250, current * 1e-250
+    bessel /= bessel[0] + 2.0 * bessel[2::2].sum()
+    orders = np.arange(count)
+    with np.errstate(divide="ignore"):  # an underflowed J_k weighs nothing: log 0 = -inf
+        small = np.log(2.0 * np.abs(bessel[:count])) + orders * np.log(rho) < np.log(1e-16)
+    stop = int(np.argmax(small & (orders > theta)))
+    coefficients = np.array([2.0, -2j, -2.0, 2j])[orders[:stop] % 4] * bessel[:stop]
+    coefficients[0] /= 2.0
+    return coefficients
 
 
 def _per_axis(matrix):
@@ -876,9 +918,7 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
 
     noisy = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
     noisy_grid = np.linspace(0.0, tau_f, 5)
-    noisy_result = fock_propagate(
-        FockProblem(params=noisy, tau_grid=noisy_grid, n_max=12, dt=2e-2)
-    )
+    noisy_result = fock_propagate(FockProblem(params=noisy, tau_grid=noisy_grid, n_max=12))
     noisy_closed = open_qrdm(UnitlessParams(f_q=0.2, g=g, gamma_x=0.02), noisy_grid)[0]
     report.add("diffusive/qrdm", noisy_closed, noisy_result.qrdm, noisy_grid, 1e-3)
     report.notes["dephasing-normalization"] = (

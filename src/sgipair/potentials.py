@@ -397,9 +397,11 @@ def load_config(path: str | Path) -> tuple[PhysicalParams, NVParams | None]:
     """Read a config file once: its SI-unit physical parameters and magnetic-trap parameters.
 
     The ``nv_``-prefixed keys give the ``NVParams``; there are none (None)
-    without a gradient ``nv_dB``.
+    without a gradient ``nv_dB``, and then any other ``nv_`` key is an error.
     """
     values = read_key_values(path)
     physical = PhysicalParams(**{k: v for k, v in values.items() if not k.startswith("nv_")})
     nv = {k.removeprefix("nv_"): v for k, v in values.items() if k.startswith("nv_")}
-    return physical, (NVParams(**nv) if "dB" in nv else None)
+    if nv and "dB" not in nv:
+        raise ValueError(f"{path}: nv_{next(iter(nv))} is given without nv_dB")
+    return physical, (NVParams(**nv) if nv else None)

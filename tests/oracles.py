@@ -5,8 +5,9 @@ coefficients come from numerical differentiation of the exact potential, the
 propagator from scipy's matrix exponential, and reference QRDMs are assembled
 directly from a phase and contrast exponents.
 The reference kernels at the end redo the two ``sgipair.oracle`` integrators
-the direct way (stage-wise RK4, one block at a time, dense operators) to
-check its step map, stacked generator and mode-local observables, and
+the direct way (stage-wise RK4 for the moments; for the Fock blocks a Taylor
+series, one block at a time, and dense operators) to check its step map,
+stacked generator and mode-local observables, and
 evaluate the propagator integrals of ``phase_space``/``dynamics`` by
 adaptive quadrature to check their fixed Gauss-Legendre rule.  The
 branch-pair reference evaluates one label at a time from the kernel's parts
@@ -204,7 +205,7 @@ def reference_moment_states(problem, dt: float) -> np.ndarray:
     return _rk4_samples(deriv, y0, problem.tau_grid, dt)
 
 
-def _rk4_samples(deriv, y, grid, dt, after_slot=lambda y: y):
+def _rk4_samples(deriv, y, grid, dt):
     samples = [y]
     for start, stop in zip(grid[:-1], grid[1:]):
         n_steps = max(1, math.ceil((stop - start) / dt))
@@ -215,6 +216,31 @@ def _rk4_samples(deriv, y, grid, dt, after_slot=lambda y: y):
             k3 = deriv(y + 0.5 * h * k2)
             k4 = deriv(y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        samples.append(y)
+    return np.array(samples)
+
+
+def _taylor_samples(deriv, norm_bound, y, grid, after_slot):
+    """exp(tau L) y on the grid, for a linear L with ||L|| <= ``norm_bound``.
+
+    Each slot is split into substeps with h ||L|| <= 1, so the terms
+    (hL)^k y / k! of the Taylor series of exp(hL) y shrink from the first
+    on; a substep sums them until one is below 1e-17 of the sum.
+    ``after_slot`` is applied to the state at every grid time.
+    """
+    samples = [y]
+    for start, stop in zip(grid[:-1], grid[1:]):
+        n_steps = max(1, math.ceil((stop - start) * norm_bound))
+        h = (stop - start) / n_steps
+        for _ in range(n_steps):
+            term, total, order = y, y, 0
+            while True:
+                order += 1
+                term = (h / order) * deriv(term)
+                total = total + term
+                if np.max(np.abs(term)) <= 1e-17 * np.max(np.abs(total)):
+                    break
+            y = total
         y = after_slot(y)
         samples.append(y)
     return np.array(samples)
@@ -224,8 +250,9 @@ def reference_fock_observables(problem):
     """QRDM, first moments and branch covariances from dense two-mode operators.
 
     Noise-free problems use the exact branch kets; otherwise each of the ten
-    upper-triangle qubit-sector blocks is integrated on its own by
-    stage-wise RK4, with single-mode operators applied by ``tensordot``.
+    upper-triangle qubit-sector blocks is propagated on its own by the
+    Taylor series of its generator, exact to rounding, with single-mode
+    operators applied by ``tensordot``.
     Observables are traces against dense ``np.kron`` operators.  Reference
     for the mode-local, stacked kernels of ``sgipair.oracle``.
     """
@@ -269,7 +296,15 @@ def reference_fock_observables(problem):
             blocks[label] = weight[:, None, None] * np.einsum("ta,tb->tab", ket, bra.conj())
     else:
         h_mode = (0.5 * (p @ p + (1.0 - params.g) * (x @ x))).real
+        # Parity maps x to -x, so both branch spectra are the same; shifting h_mode
+        # by their midpoint moves ket and bra alike and leaves the generator unchanged.
+        levels = np.linalg.eigvalsh(h_mode + params.f_q * x)
+        h_mode -= 0.5 * (levels[0] + levels[-1]) * eye
         h_branch = {e: h_mode + e * params.f_q * x for e in (1, -1)}
+        x_norm = np.linalg.norm(x, 2)
+        # ||L|| <= ||H_ket|| + ||H_bra|| + diffusion + dephasing
+        branch_norm = levels[-1] - levels[0] + params.g * x_norm**2
+        norm_bound = 2.0 * branch_norm + 8.0 * (gamma_x * x_norm**2 + gamma_q)
 
         def left(op, block, mode):
             view = block.reshape(n, n, dim)
@@ -304,7 +339,9 @@ def reference_fock_observables(problem):
             def symmetrize(rho, diagonal=label.is_diagonal):
                 return 0.5 * (rho + rho.conj().T) if diagonal else rho
 
-            samples = _rk4_samples(deriv, rho0[bits(label)] * rho_cv, grid, problem.dt, symmetrize)
+            samples = _taylor_samples(
+                deriv, norm_bound, rho0[bits(label)] * rho_cv, grid, symmetrize
+            )
             blocks[label] = samples
             blocks[label.swapped] = samples.conj().transpose(0, 2, 1)
 

@@ -211,6 +211,10 @@ class TestSweep:
             (["--axis", "s:0.5:2:3"], r"^squeezing s=1\.25 must lie in \(0, 1\]"),
             (["--axis", "g:0.1:0.2:3", "--tau", "-3"], r"^tau=-3\.0 must be finite and >= 0$"),
             (["--axis", "g:0.1:0.2:3", "--tau", "nan"], r"^tau=nan must be finite and >= 0$"),
+            (
+                ["--axis", "g:0.1:0.2:3", "--tau", "abc"],
+                r"^--tau='abc' must be 'final', '2pi' or a number$",
+            ),
             # axes that conflict with each other or with a pinning option
             (
                 ["--axis", "g:0.1:0.2:2", "--axis", "g:0.3:0.4:2", "--fq", "1"],
@@ -347,6 +351,12 @@ class TestPointReports:
             (["negativity", "--tau", "inf"], r"^tau=inf must be finite and >= 0$"),
             (["trajectories", "--tau-max", "-3"], r"^tau=-3\.0 must be finite and >= 0$"),
             (["trajectories", "--tau-max", "nan"], r"^tau=nan must be finite and >= 0$"),
+            (["qrdm", "--tau", "abc"], r"^--tau='abc' must be 'final', '2pi' or a number$"),
+            (["negativity", "--tau", "abc"], r"^--tau='abc' must be 'final', '2pi' or a number$"),
+            (
+                ["trajectories", "--tau-max", "xyz"],
+                r"^--tau-max='xyz' must be 'final', '2pi' or a number$",
+            ),
             (["trajectories", "--steps", "0"], r"^--steps=0 must be >= 1$"),
             (["trajectories", "--steps", "-3"], r"^--steps=-3 must be >= 1$"),
         ],
@@ -547,6 +557,17 @@ class TestConfigFile:
             run([command, "--config", str(config)])
         assert exit_info.value.code == 2
         assert error_line(capsys) == message.format(path=config)
+
+    @pytest.mark.parametrize("command", ["qrdm", "expand", "bounds"])
+    def test_nv_key_without_gradient_fails_with_one_line(self, tmp_path, capsys, command):
+        config = tmp_path / "phys.cfg"
+        config.write_text(PHYS_CFG.replace("nv_dB = 1.0", "nv_chi_m = -1e-9"))
+        out = tmp_path / "report.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--config", str(config), "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == f"{config}: nv_chi_m is given without nv_dB"
+        assert not out.exists()
 
     def test_bounds_reads_the_config_once(self, phys_config, monkeypatch, capsys):
         reads = []

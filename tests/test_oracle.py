@@ -6,6 +6,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -50,7 +51,6 @@ def stacked_block_problems():
             tau_grid=np.array(grid),
             n_max=n_max,
             qubit_rho0=qubit_rho0,
-            dt=2e-2,
             leakage_tol=1e-1,
         )
         for n_max, grid in ((8, [0.0, 0.1, 0.25]), (9, [0.0, 0.05, 0.2, 0.27]))
@@ -286,7 +286,7 @@ class TestFockOpen:
         tau_f = final_time(params.g)
         grid = np.array([0.0, 0.5 * tau_f, tau_f])
         result = orc.fock_propagate(
-            orc.FockProblem(params=params, tau_grid=grid, n_max=10, dt=2e-2)
+            orc.FockProblem(params=params, tau_grid=grid, n_max=10)
         )
         assert result.trace_error < 1e-8
         for slot, tau in enumerate(grid):
@@ -351,7 +351,7 @@ class TestFockOpen:
             "from sgipair.potentials import UnitlessParams\n"
             "params = UnitlessParams(f_q=0.2, g=0.05, s=0.8, gamma_x=0.02)\n"
             "problem = oracle.FockProblem(\n"
-            "    params=params, tau_grid=[0.0, 0.1], n_max=8, dt=2e-2, leakage_tol=1e-1\n"
+            "    params=params, tau_grid=[0.0, 0.1], n_max=8, leakage_tol=1e-1\n"
             ")\n"
             "print(oracle.fock_propagate(problem).trace_error < 1e-8)\n"
         )
@@ -382,13 +382,56 @@ class TestFockOpen:
             assert not result.branch_covariance[(-1, -1)].any(), gamma_x
             assert abs(result.qrdm[-1, 0, 0] - 1.0) < 1e-12, gamma_x
 
-    def test_diverged_run_raises(self):
-        # dt = 2 is far outside the RK4 stability region of this generator.
+    def test_diverged_run_raises(self, monkeypatch):
+        # A NaN coefficient from the second slot on stands in for a step that overflowed.
+        coefficients, calls = orc._chebyshev_coefficients, []
+
+        def poisoned(theta, rho):
+            calls.append(theta)
+            return coefficients(theta, rho) * (np.nan if len(calls) > len(orc._BLOCKS) else 1.0)
+
+        monkeypatch.setattr(orc, "_chebyshev_coefficients", poisoned)
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
-        problem = orc.FockProblem(params=params, tau_grid=[0.0, 200.0], n_max=8, dt=2.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(orc.OracleError, match=r"tau=200\.0 is not finite"):
-                orc.fock_propagate(problem)
+        problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5, 1.0], n_max=8)
+        with pytest.raises(orc.OracleError, match=r"tau=1\.0 is not finite .*; decrease dt=1\.0$"):
+            orc.fock_propagate(problem)
+
+    def test_series_guard_names_the_grid_time(self):
+        # Strong diffusion in one step over the whole slot: the Chebyshev terms
+        # outgrow the floating-point range; half the step keeps them in range.
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=5.0)
+        fields = dict(params=params, tau_grid=[0.0, 2.0], n_max=12, leakage_tol=1.0)
+        with pytest.raises(orc.OracleError, match=r"tau=2\.0 is not finite .*; decrease dt=2\.0$"):
+            orc.fock_propagate(orc.FockProblem(dt=2.0, **fields))
+        assert orc.fock_propagate(orc.FockProblem(**fields)).trace_error < 1e-12
+
+    def test_cancelling_series_raises(self, monkeypatch):
+        # The vacuum of the uncoupled, undriven trap is stationary up to the tiny
+        # diffusion, so X phi_0 is nearly 0 and T_0 + T_2 = 2 X^2 sums to almost nothing.
+        two_x_squared = np.array([1.0, 0.0, 1.0])
+        monkeypatch.setattr(orc, "_chebyshev_coefficients", lambda theta, rho: two_x_squared)
+        params = UnitlessParams(f_q=0.0, g=0.0, gamma_x=1e-12)
+        problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5], n_max=8)
+        message = r"tau=0\.5 is not finite or lost to cancellation: terms up to \S+ sum to \S+; "
+        with pytest.raises(orc.OracleError, match=message + r"decrease dt=1\.0$"):
+            orc.fock_propagate(problem)
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.5, 2.0, 53.0, 400.0])
+    def test_series_coefficients_match_mpmath_bessel(self, theta):
+        # c_k = (2 - delta_k0) (-i)^k J_k(theta), so i^k c_k is real
+        coefficients = orc._chebyshev_coefficients(theta, 1.1)
+        orders = np.arange(len(coefficients))
+        scaled = coefficients * np.array([1.0, 1j, -1.0, -1j])[orders % 4]
+        assert not scaled.imag.any()
+        bessel = scaled.real / np.where(orders > 0, 2.0, 1.0)
+        with mpmath.workdps(40):
+            reference = np.array([float(mpmath.besselj(k, theta)) for k in orders])
+        error = np.abs(bessel - reference)
+        # oscillating orders to an absolute 1e-15; the decaying tail, which sets
+        # where the series stops, to a relative 1e-14
+        assert np.all(error[orders <= theta] <= 1e-15)
+        assert np.all(error[orders > theta] <= 1e-14 * np.abs(reference[orders > theta]))
+        assert 2.0 * abs(reference[-1]) * 1.1 ** orders[-1] >= 1e-16  # the last term counts
 
     def test_dephasing_decay_matches_adopted_convention(self):
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.05)

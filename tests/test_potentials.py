@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -212,6 +213,13 @@ class TestConfig:
         path = tmp_path / "phys.cfg"
         path.write_text("M = 1e-12\nomega = 1.0\nd = 1e-4\nbogus = 3\n")
         with pytest.raises(ValueError, match="bogus"):
+            pot.load_config(path)
+
+    def test_nv_key_without_gradient_rejected(self, tmp_path):
+        path = tmp_path / "phys.cfg"
+        path.write_text("M = 1e-12\nomega = 1.0\nd = 1e-4\nnv_chi_m = -6e-9\nnv_g_factor = 2\n")
+        message = rf"^{re.escape(str(path))}: nv_chi_m is given without nv_dB$"
+        with pytest.raises(ValueError, match=message):
             pot.load_config(path)
 
     def test_nv_keys_split_out(self, tmp_path):
