@@ -10,9 +10,8 @@ Grids and trajectories are comma-separated with '#'-prefixed metadata and
 17-significant-digit floats, so identical invocations produce byte-identical
 files; reports are flat key-value text.  A sweep evaluates the closed forms
 once on whole grid columns, through the same functions as the single-point
-reports, so ``--workers`` is accepted as a no-op.  All computation is
-deterministic (there is no random number generator anywhere), so
-``--seedless`` is accepted as a no-op for interface compatibility.
+reports.  All computation is deterministic: there is no random number
+generator anywhere.
 
 Bad input exits with status 2 and one ``sgipair: error:`` line before any
 work and before any output file is opened: out-of-domain parameters (a
@@ -570,17 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sgipair {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility; a sweep is evaluated as whole arrays",
-    )
-    common.add_argument(
-        "--seedless",
-        action="store_true",
-        help="accepted for compatibility; all computation is deterministic",
-    )
 
     # only the commands that evaluate the QRDM at one time read these
     selectors = argparse.ArgumentParser(add_help=False)

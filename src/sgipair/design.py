@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import G_NEWTON, HBAR, NVParams, _require, nv_map
+from .potentials import G_NEWTON, HBAR, NVParams, _require, _require_nonnegative, nv_map
 
 __all__ = [
     "DEFAULT_TARGET_PHASE",
@@ -45,6 +45,11 @@ DEFAULT_TARGET_PHASE = math.pi / 20.0
 def ideal_negativity() -> float:
     """Witness negativity sin(pi/20) of the zero-contrast state at the target phase."""
     return math.sin(DEFAULT_TARGET_PHASE)
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise one ValueError naming ``value`` unless it is finite and > 0."""
+    _require(name, value, np.isfinite(value) & (value > 0.0), "must be finite and > 0")
 
 
 def required_force(g):
@@ -97,8 +102,10 @@ def g_bounds(
     amplification is active (s < 1 and s above the cube of the squeezed
     candidate itself).
     """
-    if x0_over_d <= 0.0:
-        raise ValueError("x0_over_d must be > 0")
+    _require_positive("x0_over_d", x0_over_d)
+    _require_nonnegative("gamma_x", gamma_x)
+    _require("squeezing s", s, (0.0 < s) & (s <= 1.0), "must lie in (0, 1]")
+    _require_nonnegative("n_p", n_p)
     n_i = ideal_negativity()
     occupation = 1.0 + 2.0 * n_p
 
@@ -137,8 +144,8 @@ def mass_bounds(d: float, omega: float) -> tuple[float, float]:
     The lower end keeps the quartic interaction term an order of magnitude
     below the quadratic one; the upper end is trap stability g < 1/2.
     """
-    if d <= 0.0 or omega <= 0.0:
-        raise ValueError("d and omega must be > 0")
+    _require_positive("d", d)
+    _require_positive("omega", omega)
     m_min = math.sqrt(HBAR * d * omega / G_NEWTON)
     m_max = d**3 * omega**2 / (2.0 * G_NEWTON)
     return m_min, m_max
@@ -155,10 +162,11 @@ def mass_bounds_noisy(
     stability bound (up to the 0.45-versus-1/2 prefactor of the two
     leading-order analyses).
     """
-    if d <= 0.0 or omega <= 0.0:
-        raise ValueError("d and omega must be > 0")
-    if s_ff < 0.0 or n_p < 0.0 or not 0.0 < s <= 1.0:
-        raise ValueError("require S_FF >= 0, n_p >= 0, 0 < s <= 1")
+    _require_positive("d", d)
+    _require_positive("omega", omega)
+    _require_nonnegative("S_FF", s_ff)
+    _require("squeezing s", s, (0.0 < s) & (s <= 1.0), "must lie in (0, 1]")
+    _require_nonnegative("n_p", n_p)
     m_min = math.sqrt(math.pi * d**3 * s_ff / (2.0 * G_NEWTON * HBAR))
     m_max = (s / (1.0 + 2.0 * n_p)) ** (1.0 / 3.0) * d**3 * omega**2 / (2.0 * G_NEWTON)
     return m_min, m_max
@@ -170,9 +178,10 @@ def quartic_ratio(g: float, x0: float, d: float) -> tuple[float, bool]:
     The Gaussian treatment is declared valid when the ratio is below 0.1
     (one order of magnitude); g -> 0 diverges and is flagged invalid.
     """
-    if x0 <= 0.0 or d <= 0.0:
-        raise ValueError("x0 and d must be > 0")
-    if g <= 0.0:
+    _require_nonnegative("g", g)
+    _require_positive("x0", x0)
+    _require_positive("d", d)
+    if g == 0.0:
         return math.inf, False
     ratio = x0**2 / (5.0 * d**2 * g)
     return ratio, ratio < 0.1
@@ -199,8 +208,11 @@ def semiclassical_phase(
     mass-independence statement.  The rate over one trap period carries the
     same parameter exponents as the exact closure-time phase.
     """
-    if min(M, omega, d) <= 0.0:
-        raise ValueError("M, omega, d must be > 0")
+    _require_positive("M", M)
+    _require_positive("omega", omega)
+    _require_positive("d", d)
+    _require_nonnegative("F_q", F_q)
+    _require_nonnegative("tau_phys", tau_phys)
     delta_x = 2.0 * math.sqrt(2.0) * F_q / (M * omega**2)
     rate_per_second = 16.0 * G_NEWTON * F_q**2 / (HBAR * d**3 * omega**4)
     return SemiclassicalResult(
@@ -233,8 +245,10 @@ def dephasing_budget(
     C_x = 3 pi Gamma_x f_q^2 and C_z = 2 pi Gamma_z; N is the ideal
     negativity sin(pi/20), giving a budget of about 0.135.
     """
-    if gamma_z < 0.0 or gamma_x < 0.0 or c_s_np < 0.0:
-        raise ValueError("rates and contrasts must be >= 0")
+    _require_nonnegative("gamma_z", gamma_z)
+    _require_nonnegative("gamma_x", gamma_x)
+    _require_nonnegative("f_q", f_q)
+    _require_nonnegative("c_s_np", c_s_np)
     n_i = ideal_negativity()
     budget = n_i / (1.0 + n_i)
     total = c_s_np + 3.0 * math.pi * gamma_x * f_q**2 + 2.0 * math.pi * gamma_z
@@ -266,8 +280,7 @@ def nv_operating_point(nv: NVParams, d: float) -> NVOperatingPoint:
     omega*d independently of the gradient: (omega d)^3 =
     (6 pi/(pi/20)) G (g_factor mu_B)^2 mu_0 / (hbar |chi_m|).
     """
-    if d <= 0.0:
-        raise ValueError("d must be > 0")
+    _require_positive("d", d)
     omega_d = (
         (6.0 * math.pi / DEFAULT_TARGET_PHASE)
         * G_NEWTON

@@ -132,7 +132,7 @@ class TestSweep:
             row = dict(zip(header, row_values))
             assert row["neg_witness"] == pytest.approx(math.sin(math.pi / 20.0), abs=1e-4)
 
-    def test_byte_identical_reruns_and_worker_independence(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path):
         args = [
             "sweep",
             "--axis",
@@ -145,7 +145,7 @@ class TestSweep:
         paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
         run(args + ["--out", str(paths[0])])
         run(args + ["--out", str(paths[1])])
-        run(args + ["--out", str(paths[2]), "--workers", "2"])
+        run(args + ["--out", str(paths[2])])
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
@@ -484,6 +484,15 @@ class TestVerify:
         assert payload["failures"]
         assert all("/" in name for name in payload["failures"])
 
+    def test_full_negative_control_fails_on_the_fock_entries(self, tmp_path):
+        json_out = tmp_path / "verify.json"
+        args = ["verify", "--level", "full", "--negative-control", "--out", str(tmp_path / "v.txt")]
+        assert run(args + ["--json-out", str(json_out)]) == 1
+        failures = json.loads(json_out.read_text())["failures"]
+        g_sensitive = ["arbitration/qrdm", "arbitration/phase(tau_f)", "arbitration/c1"]
+        assert set(g_sensitive + ["diffusive/qrdm"]) <= set(failures)
+        assert "arbitration/c2-adopted" not in failures  # the closure contrast has no g in it
+
 
 class TestOutputPaths:
     @pytest.mark.parametrize(
@@ -642,9 +651,14 @@ class TestFormatting:
         ]
         assert rows == second
 
-    def test_seedless_flag_accepted(self, tmp_path):
+    @pytest.mark.parametrize("flag", [["--seedless"], ["--workers", "2"]])
+    def test_removed_flags_are_unrecognized(self, tmp_path, capsys, flag):
         out = tmp_path / "grid.csv"
-        assert run(["sweep", "--axis", "g:0.1:0.2:2", "--fq", "1", "--seedless", "--out", str(out)]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            run(["sweep", "--axis", "g:0.1:0.2:2", "--fq", "1", *flag, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 _SELECTORS = ["--tau", "3", "--negativity", "exact"]

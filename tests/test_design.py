@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -215,3 +216,39 @@ class TestNVOperatingPoint:
         monkeypatch.setattr(design, "nv_map", skewed)
         with pytest.raises(RuntimeError, match=r"omega=.*omega="):
             design.nv_operating_point(NVParams(dB=1.0), d=30e-6)
+
+
+_POSITIVE, _NONNEGATIVE = "must be finite and > 0", "must be finite and >= 0"
+
+
+@pytest.mark.parametrize(
+    "function, kwargs, message",
+    [
+        ("g_bounds", {"x0_over_d": math.nan}, f"x0_over_d=nan {_POSITIVE}"),
+        ("g_bounds", {"x0_over_d": 0.1, "n_p": -1.0}, f"n_p=-1.0 {_NONNEGATIVE}"),
+        ("g_bounds", {"x0_over_d": 0.1, "s": 2.0}, "squeezing s=2.0 must lie in (0, 1]"),
+        ("g_bounds", {"x0_over_d": 0.1, "gamma_x": math.inf}, f"gamma_x=inf {_NONNEGATIVE}"),
+        ("mass_bounds", {"d": math.nan, "omega": 1.0}, f"d=nan {_POSITIVE}"),
+        ("mass_bounds", {"d": 30e-6, "omega": 0.0}, f"omega=0.0 {_POSITIVE}"),
+        ("mass_bounds_noisy", {"s_ff": -1e-64}, f"S_FF=-1e-64 {_NONNEGATIVE}"),
+        ("mass_bounds_noisy", {"s": 0.0}, "squeezing s=0.0 must lie in (0, 1]"),
+        ("mass_bounds_noisy", {"n_p": math.nan}, f"n_p=nan {_NONNEGATIVE}"),
+        ("quartic_ratio", {"g": -0.1, "x0": 1e-9, "d": 30e-6}, f"g=-0.1 {_NONNEGATIVE}"),
+        ("quartic_ratio", {"g": 0.1, "x0": 1e-9, "d": math.nan}, f"d=nan {_POSITIVE}"),
+        ("semiclassical_phase", {"F_q": math.nan}, f"F_q=nan {_NONNEGATIVE}"),
+        ("semiclassical_phase", {"M": 0.0}, f"M=0.0 {_POSITIVE}"),
+        ("semiclassical_phase", {"tau_phys": -1.0}, f"tau_phys=-1.0 {_NONNEGATIVE}"),
+        ("dephasing_budget", {"gamma_z": math.nan}, f"gamma_z=nan {_NONNEGATIVE}"),
+        ("dephasing_budget", {"c_s_np": -0.1}, f"c_s_np=-0.1 {_NONNEGATIVE}"),
+    ],
+)
+def test_bad_input_fails_with_one_line_naming_the_value(function, kwargs, message):
+    defaults = {
+        "mass_bounds_noisy": {"d": 30e-6, "omega": 0.1, "s_ff": 1e-64, "s": 1.0, "n_p": 0.0},
+        "semiclassical_phase": {
+            "M": 1e-12, "F_q": 1e-18, "omega": 0.1, "d": 30e-6, "tau_phys": 1.0
+        },
+        "dephasing_budget": {"gamma_z": 0.0, "gamma_x": 0.0, "f_q": 1.0},
+    }.get(function, {})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(design, function)(**{**defaults, **kwargs})

@@ -1,9 +1,11 @@
+import functools
 import os
 import re
 import subprocess
 import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -236,11 +238,15 @@ class TestFockPure:
             assert np.linalg.eigvalsh(qrdm)[0] > -1e-8
 
     def test_mode_local_observables_match_dense_operators(self):
+        # The kets' series against the reference's eigendecomposition, at the
+        # default step and at ten steps per slot over a closure-spanning grid.
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.03)
-        problem = orc.FockProblem(params=params, tau_grid=np.array([0.0, 1.0, 2.5]), n_max=10)
-        result = orc.fock_propagate(problem)
-        assert result.hermiticity_drift == 0.0
-        assert_fock_matches_reference(result, problem)
+        closure = np.linspace(0.0, final_time(params.g), 5)
+        for grid, n_max, dt in (([0.0, 1.0, 2.5], 10, 1.0), (closure, 16, 1.0), (closure, 16, 0.1)):
+            problem = orc.FockProblem(params=params, tau_grid=np.array(grid), n_max=n_max, dt=dt)
+            result = orc.fock_propagate(problem)
+            assert result.hermiticity_drift == 0.0
+            assert_fock_matches_reference(result, problem)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -300,8 +306,8 @@ class TestFockOpen:
             assert_fock_matches_reference(result, problem)
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
-        # One worker, then 16 CPUs capped at one worker per block: more threads
-        # than cores, switching as often as the interpreter allows.
+        # One worker, then 16 CPUs capped at one worker per block or ket: more
+        # threads than cores, switching as often as the interpreter allows.
         sizes = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -313,7 +319,13 @@ class TestFockOpen:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for problem in stacked_block_problems():
+            # the last problem is noise-free, so its four branch kets are the tasks
+            noise_free = replace(
+                stacked_block_problems()[0],
+                params=UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.03),
+                tau_grid=np.array([0.0, 0.4, 1.3]),
+            )
+            for problem in stacked_block_problems() + [noise_free]:
                 results = []
                 for cpus in (1, 16):
                     monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
@@ -329,7 +341,7 @@ class TestFockOpen:
                 assert serial.hermiticity_drift == pooled.hermiticity_drift
         finally:
             sys.setswitchinterval(interval)
-        assert sizes == [1, 10, 1, 10]
+        assert sizes == [1, 10, 1, 10, 1, 4]
 
     @pytest.mark.parametrize("n_max", [8, 12, 30])
     @pytest.mark.parametrize("s", [0.8, 1e-2])
@@ -383,18 +395,23 @@ class TestFockOpen:
             assert abs(result.qrdm[-1, 0, 0] - 1.0) < 1e-12, gamma_x
 
     def test_diverged_run_raises(self, monkeypatch):
-        # A NaN coefficient from the second slot on stands in for a step that overflowed.
-        coefficients, calls = orc._chebyshev_coefficients, []
+        # A NaN coefficient from the second slot on stands in for a step that
+        # overflowed, on the ten diffusive blocks and on the four noise-free kets.
+        coefficients = orc._chebyshev_coefficients
+        for gamma_x, tasks in ((0.02, len(orc._BLOCKS)), (0.0, 4)):
+            calls = []
 
-        def poisoned(theta, rho):
-            calls.append(theta)
-            return coefficients(theta, rho) * (np.nan if len(calls) > len(orc._BLOCKS) else 1.0)
+            def poisoned(theta, rho, calls=calls, tasks=tasks):
+                calls.append(theta)
+                return coefficients(theta, rho) * (np.nan if len(calls) > tasks else 1.0)
 
-        monkeypatch.setattr(orc, "_chebyshev_coefficients", poisoned)
-        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
-        problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5, 1.0], n_max=8)
-        with pytest.raises(orc.OracleError, match=r"tau=1\.0 is not finite .*; decrease dt=1\.0$"):
-            orc.fock_propagate(problem)
+            monkeypatch.setattr(orc, "_chebyshev_coefficients", poisoned)
+            params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=gamma_x)
+            problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5, 1.0], n_max=8)
+            message = r"tau=1\.0 is not finite .*; decrease dt=1\.0$"
+            with pytest.raises(orc.OracleError, match=message):
+                orc.fock_propagate(problem)
+            assert len(calls) == 2 * tasks, gamma_x
 
     def test_series_guard_names_the_grid_time(self):
         # Strong diffusion in one step over the whole slot: the Chebyshev terms
@@ -415,6 +432,29 @@ class TestFockOpen:
         message = r"tau=0\.5 is not finite or lost to cancellation: terms up to \S+ sum to \S+; "
         with pytest.raises(orc.OracleError, match=message + r"decrease dt=1\.0$"):
             orc.fock_propagate(problem)
+
+    def test_series_rectangle_holds_the_spectrum(self):
+        # Every eigenvalue of the dense generator H = K + P of a ket (n = 8) and of
+        # a diffusive block (n = 5) lies in the rectangle of its series.
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.3)
+        for n, ndim in ((8, 2), (5, 4)):
+            _, _, xi, _, kinetic, levels = orc._dvr(n)
+            axes = [xi.reshape((-1,) + (1,) * trailing) for trailing in range(ndim)[::-1]]
+            factor = orc._potential(params, 1, -1, *axes[:2])
+            if ndim == 4:
+                diffusion = (axes[0] - axes[2]) ** 2 + (axes[1] - axes[3]) ** 2
+                factor = factor - orc._potential(params, -1, -1, *axes[2:])
+                factor = factor - 0.25j * params.gamma_x * diffusion
+            *_, half, centre, _ = orc._series(kinetic, levels, factor)
+            dense = np.diag(factor.ravel())
+            for axis in range(ndim):
+                operands = [np.eye(n)] * ndim
+                operands[axis] = kinetic if axis < 2 else -kinetic
+                dense += functools.reduce(np.kron, operands)
+            spectrum = np.linalg.eigvals(dense)
+            assert np.all(np.abs(spectrum.real - centre.real) <= half * (1.0 + 1e-12)), ndim
+            assert np.all(spectrum.imag >= factor.imag.min() - 1e-12), ndim
+            assert np.all(spectrum.imag <= factor.imag.max() + 1e-12), ndim
 
     @pytest.mark.parametrize("theta", [1e-3, 0.5, 2.0, 53.0, 400.0])
     def test_series_coefficients_match_mpmath_bessel(self, theta):
