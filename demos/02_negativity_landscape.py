@@ -18,17 +18,16 @@ from sgipair.potentials import UnitlessParams
 print("witness negativity over a log-log (g, f_q) grid at closure time")
 g_axis = np.geomspace(1e-4, 0.4, 7)
 fq_axis = np.geomspace(0.3, 30.0, 7)
-header = "g\\f_q " + "".join(f"{f:9.3g}" for f in fq_axis)
-print(header)
-for g in g_axis:
-    row = [f"{g:6.1e}"]
-    for f_q in fq_axis:
-        rho, contrasts, phase = dynamics.open_qrdm(
-            UnitlessParams(f_q=float(f_q), g=float(g)), final_time(float(g))
-        )
-        value = entanglement.witness_trace(rho, entanglement.witness_operator())
-        row.append(f"{value:+9.3f}")
-    print("".join(row))
+g_grid, fq_grid = np.meshgrid(g_axis, fq_axis, indexing="ij")
+# The negativities need only the phase and the contrast exponents, so the
+# whole grid is one call and no 4x4 matrix is formed.
+_, contrasts, phase = dynamics.open_qrdm(
+    UnitlessParams(f_q=fq_grid, g=g_grid), final_time(g_grid)
+)
+witness = entanglement.evaluate_negativity(phase, contrasts).witness_trace
+print("g\\f_q " + "".join(f"{f:9.3g}" for f in fq_axis))
+for g, row in zip(g_axis, witness):
+    print(f"{g:6.1e}" + "".join(f"{value:+9.3f}" for value in row))
 
 print()
 print("along the detection constraint f_q = 1/sqrt(120 g):")
@@ -36,10 +35,8 @@ print("g        f_q       phi       C_g       exact     closed    witness")
 for g in np.geomspace(1e-4, 0.3, 8):
     f_q = design.required_force(float(g))
     tau_f = final_time(float(g))
-    rho, contrasts, phase = dynamics.open_qrdm(
-        UnitlessParams(f_q=f_q, g=float(g)), tau_f
-    )
-    result = entanglement.evaluate_negativity(rho, phase, contrasts)
+    _, contrasts, phase = dynamics.open_qrdm(UnitlessParams(f_q=f_q, g=float(g)), tau_f)
+    result = entanglement.evaluate_negativity(phase, contrasts)
     print(
         f"{g:8.1e} {f_q:9.4f} {phase:9.5f} {contrasts.c_s_np_2:9.5f} "
         f"{result.exact:9.5f} {result.closed_form:9.5f} {result.witness_trace:9.5f}"

@@ -258,8 +258,8 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
         columns["f_q"] = design.required_force(columns["g"])
     params = UnitlessParams(**columns)
     tau = _resolve_tau("--tau", spec.tau_selector, params.g)
-    rho, contrasts, phase = dynamics.open_qrdm(params, tau)
-    result = entanglement.evaluate_negativity(rho, phase, contrasts)
+    _, contrasts, phase = dynamics.open_qrdm(params, tau)
+    result = entanglement.evaluate_negativity(phase, contrasts)
     table = {
         **_param_values(params),
         "tau": tau,
@@ -359,7 +359,7 @@ def _cmd_qrdm(args: argparse.Namespace) -> int:
     params = _unitless_from_args(args)
     tau = _resolve_tau("--tau", args.tau, params.g)
     rho, contrasts, phase = dynamics.open_qrdm(params, tau)
-    result = entanglement.evaluate_negativity(rho, phase, contrasts)
+    result = entanglement.evaluate_negativity(phase, contrasts)
     selected = {
         "exact": result.exact,
         "closed": result.closed_form,
@@ -438,8 +438,8 @@ def _constrained_negativity(g: float, unitless: UnitlessParams) -> dict:
     """
     g_eval = min(max(g, 1e-9), 0.49)
     params = replace(unitless, f_q=design.required_force(g_eval), g=g_eval)
-    rho, contrasts, phase = dynamics.open_qrdm(params, final_time(g_eval))
-    result = entanglement.evaluate_negativity(rho, phase, contrasts)
+    _, contrasts, phase = dynamics.open_qrdm(params, final_time(g_eval))
+    result = entanglement.evaluate_negativity(phase, contrasts)
     return {
         "g_evaluated": g_eval,
         "exact": result.exact,

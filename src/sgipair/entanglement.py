@@ -14,7 +14,9 @@ reconciled, because they carry two different published normalizations:
   zero contrast coincides with the -2 lambda_min convention.
 
 Callers choose a normalization explicitly; ``evaluate_negativity`` reports
-all three.
+all three from the phase and contrast exponents alone, by one 2x2-block
+formula (``_lambda_min``) and the trace formula of ``witness_negativity``.
+The eigensolver and the matrix trace remain for arbitrary matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ContrastSet
-from .potentials import _require
+from .potentials import _require, _require_nonnegative
 
 __all__ = [
     "PAULI",
@@ -76,8 +78,6 @@ class NegativityResult:
     exact: float
     closed_form: float
     witness_trace: float
-    phase: float
-    contrast: float
     lambda_min: float
 
 
@@ -106,36 +106,58 @@ def partial_transpose(rho: np.ndarray, qubit: int = 2) -> np.ndarray:
 
 def negativity_exact(rho: np.ndarray) -> float:
     """PPT negativity max(0, -2 lambda_min) of the partially transposed QRDM."""
-    lam = _ppt_lambda_min(_validate_qrdm(rho))
+    lam = np.linalg.eigvalsh(partial_transpose(_validate_qrdm(rho))).min(axis=-1)
     return np.maximum(0.0, -2.0 * lam)
 
 
-def _ppt_lambda_min(rho: np.ndarray) -> float:
-    """Smallest partial-transpose eigenvalue of an already validated QRDM stack."""
-    return np.linalg.eigvalsh(partial_transpose(rho)).min(axis=-1)
+def _exponents(phi, contrasts: ContrastSet | float):
+    """Validated (single, sym, anti) flip exponents; a bare C is ContrastSet(c_s_np_2=C)."""
+    _require("phi", phi, np.isfinite(phi), "must be finite")
+    if not isinstance(contrasts, ContrastSet):
+        _require_nonnegative("contrast", contrasts)
+        contrasts = ContrastSet(c_s_np_2=contrasts)
+    for name, value in vars(contrasts).items():
+        _require(f"contrast {name}", value, np.isfinite(value), "must be finite")
+    c = contrasts
+    return c.single_flip_total, c.symmetric_flip_total, c.antisymmetric_flip_total
+
+
+def _lambda_min(phi, single, sym, anti):
+    """Smallest partial-transpose eigenvalue of the QRDM with these phases and exponents.
+
+    The partial transpose commutes with X (x) X (the X-state structure).  With
+    e = exp(-single), a = exp(-anti) and b = exp(-sym) it splits into blocks
+    [[(1+a)/4, e cos(phi)/2], [., (1+b)/4]] and [[(1-a)/4, i e sin(phi)/2],
+    [., (1-b)/4]], whose smaller eigenvalues det/(t/2 + sqrt(((a-b)/8)^2 +
+    |off|^2)) are free of cancellation.  Elementwise over arrays.
+    """
+    e = np.exp(-single)
+    # |a - b|/8 without cancellation or the overflow of expm1(anti - sym)
+    gap = np.exp(-np.minimum(anti, sym)) * -np.expm1(-np.abs(anti - sym)) / 8.0
+    blocks = (
+        (1.0 + np.exp(-anti), 1.0 + np.exp(-sym), 0.5 * e * np.cos(phi)),
+        (-np.expm1(-anti), -np.expm1(-sym), 0.5 * e * np.sin(phi)),
+    )
+    lam = []
+    for four_p, four_q, off in blocks:
+        denominator = (four_p + four_q) / 8.0 + np.hypot(gap, off)
+        # A zero block (zero phase and exponents) is 0/0 with eigenvalue 0.
+        denominator = np.where(denominator > 0.0, denominator, 1.0)
+        # det/denominator with each product taken after the division, so that
+        # tiny entries do not underflow in p q or |off|^2.
+        lam.append(four_p / 4.0 * (four_q / 4.0 / denominator) - off * (off / denominator))
+    return np.minimum(*lam)[()]
 
 
 def negativity_closed_form(phi, contrast):
     """Analytical negative PT eigenvalue magnitude of the ideal QRDM.
 
-    (exp(-C)/2) [sqrt(sin^2 phi + f^2) - f] with f = exp(-C) sinh(2C)/2;
-    reduces to |sin phi|/2 at zero contrast and to 0 at zero phase.  Equals
-    -lambda_min of the partial transpose, i.e. negativity_exact / 2 on this
-    matrix family.  Elementwise over arrays of phi and contrast.
+    -lambda_min of the QRDM with exponents (C, 4C, 0), i.e. negativity_exact / 2
+    on this matrix family: |sin phi|/2 at zero contrast, 0 at zero phase and
+    sin^2(phi) exp(-2C) to relative order exp(-4C) at large C.  Elementwise
+    over arrays of phi and contrast.
     """
-    _require("contrast", contrast, contrast >= 0.0, "must be >= 0")
-    sin_sq = np.square(np.sin(phi))
-    # Above C = 50, f ~ exp(C)/4 dominates; the exact value is
-    # sin^2(phi) exp(-2C) up to a relative error exp(-4C), and the direct
-    # form would overflow, so it is evaluated at min(C, 50) and discarded.
-    direct_c = np.minimum(contrast, 50.0)
-    f = 0.5 * np.exp(-direct_c) * np.sinh(2.0 * direct_c)
-    # sqrt(s^2 + f^2) - f rewritten without cancellation at large f; the
-    # 0/0 at sin phi = C = 0 is replaced by 0 below.
-    with np.errstate(invalid="ignore"):
-        direct = 0.5 * np.exp(-direct_c) * sin_sq / (np.sqrt(sin_sq + np.square(f)) + f)
-    value = np.where(contrast > 50.0, sin_sq * np.exp(-2.0 * contrast), direct)
-    return np.where(sin_sq == 0.0, 0.0, value)[()]
+    return np.maximum(-_lambda_min(phi, *_exponents(phi, contrast)), 0.0)
 
 
 def pauli_decompose(matrix: np.ndarray) -> tuple[tuple[float, str], ...]:
@@ -203,28 +225,18 @@ def witness_operator(w: float | None = None) -> WitnessOperator:
     return WitnessOperator(matrix=matrix, pauli_terms=pauli_decompose(matrix))
 
 
-def witness_negativity(phi: float, contrasts: ContrastSet | float) -> float:
+def witness_negativity(phi, contrasts: ContrastSet | float):
     """Witness-trace negativity from the phase and contrast exponents.
 
     For a bare contrast value C this is the ideal closure-time expression
     exp(-C) sin(phi) - (1 - exp(-4C))/4.  For a full ContrastSet it is the
     trace of the Pauli witness against the open-dynamics QRDM,
     exp(-a) sin(phi) - (2 - exp(-b_anti) - exp(-b_sym))/4, with a the
-    single-flip exponent and b_anti/b_sym the two both-flip exponents.
+    single-flip exponent and b_anti/b_sym the two both-flip exponents,
+    elementwise over arrays.
     """
-    if isinstance(contrasts, ContrastSet):
-        single = contrasts.single_flip_total
-        sym = contrasts.symmetric_flip_total
-        anti = contrasts.antisymmetric_flip_total
-    else:
-        if contrasts < 0.0:
-            raise ValueError(f"contrast={contrasts} must be >= 0")
-        single = float(contrasts)
-        sym = 4.0 * float(contrasts)
-        anti = 0.0
-    return float(
-        np.exp(-single) * np.sin(phi) - 0.25 * (2.0 - np.exp(-anti) - np.exp(-sym))
-    )
+    single, sym, anti = _exponents(phi, contrasts)
+    return np.exp(-single) * np.sin(phi) - 0.25 * (2.0 - np.exp(-anti) - np.exp(-sym))
 
 
 def witness_trace(rho: np.ndarray, witness: WitnessOperator) -> float:
@@ -232,38 +244,25 @@ def witness_trace(rho: np.ndarray, witness: WitnessOperator) -> float:
 
     The imaginary residue must be negligible.
     """
-    return _real_trace(_validate_qrdm(rho), witness)
-
-
-def _real_trace(rho: np.ndarray, witness: WitnessOperator) -> float:
-    """``witness_trace`` of an already validated QRDM stack."""
-    value = np.trace(witness.matrix @ rho, axis1=-2, axis2=-1)
+    value = np.trace(witness.matrix @ _validate_qrdm(rho), axis1=-2, axis2=-1)
     residue = np.max(np.abs(value.imag))
     if residue > 1e-12:
         raise ValueError(f"witness trace has imaginary residue {residue:.3e}")
     return value.real
 
 
-def evaluate_negativity(
-    rho: np.ndarray, phi, contrasts: ContrastSet | float
-) -> NegativityResult:
-    """All three negativity estimates for one QRDM, or for a stack of shape (..., 4, 4).
+def evaluate_negativity(phi, contrasts: ContrastSet | float) -> NegativityResult:
+    """All three negativity estimates of the QRDM ``dynamics`` builds from phi and contrasts.
 
-    The closed form uses the single-flip contrast exponent, which is exact
-    for the ideal closure-time QRDM and an approximation whenever the
-    both-flip exponents deviate from (0, 4C).
+    Elementwise over arrays.  The closed form uses the single-flip contrast
+    exponent, which is exact for the ideal closure-time QRDM and an
+    approximation whenever the both-flip exponents deviate from (0, 4C).
     """
-    if isinstance(contrasts, ContrastSet):
-        contrast = contrasts.single_flip_total
-    else:
-        contrast = np.asarray(contrasts, dtype=float)[()]
-    rho = _validate_qrdm(rho)
-    lam = _ppt_lambda_min(rho)
+    single, sym, anti = _exponents(phi, contrasts)
+    lam = _lambda_min(phi, single, sym, anti)
     return NegativityResult(
-        exact=np.maximum(0.0, -2.0 * lam),
-        closed_form=negativity_closed_form(phi, contrast),
-        witness_trace=_real_trace(rho, witness_operator()),
-        phase=phi,
-        contrast=contrast,
+        exact=np.maximum(-2.0 * lam, 0.0),
+        closed_form=negativity_closed_form(phi, single),
+        witness_trace=witness_negativity(phi, contrasts),
         lambda_min=lam,
     )

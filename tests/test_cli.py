@@ -93,8 +93,8 @@ class TestSweep:
                     gamma_z=row["gamma_z"],
                 )
                 tau = final_time(g)
-                rho, contrasts, phase = dynamics.open_qrdm(params, tau)
-                result = entanglement.evaluate_negativity(rho, phase, contrasts)
+                _, contrasts, phase = dynamics.open_qrdm(params, tau)
+                result = entanglement.evaluate_negativity(phase, contrasts)
                 assert values == [
                     f_q,
                     g,

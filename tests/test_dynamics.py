@@ -14,6 +14,7 @@ from oracles import (
     squeezed_covariance_display,
 )
 from sgipair import dynamics as dyn
+from sgipair import entanglement as ent
 from sgipair import phase_space as ps
 from sgipair.phase_space import (
     final_time,
@@ -447,6 +448,9 @@ class TestUnitaryQrdm:
     def test_grid_equals_per_point_calls(self):
         taus = np.linspace(0.0, 40.0, 1000)
         rho, contrasts, phase = dyn.unitary_qrdm(1.0, 0.1, taus)
+        negativity = ent.evaluate_negativity(phase, contrasts)
+        closed = ent.negativity_closed_form(phase, contrasts.c_s_np_2)
+        witness = ent.witness_negativity(phase, contrasts.c_s_np_2)
         for k, tau in enumerate(taus):
             rho_k, contrasts_k, phase_k = dyn.unitary_qrdm(1.0, 0.1, tau)
             assert np.array_equal(rho_k, rho[k])
@@ -454,6 +458,22 @@ class TestUnitaryQrdm:
                 contrasts.c_s_np_1[k],
                 contrasts.c_s_np_2[k],
                 phase[k],
+            )
+            negativity_k = ent.evaluate_negativity(phase_k, contrasts_k)
+            assert (
+                negativity_k.exact,
+                negativity_k.closed_form,
+                negativity_k.witness_trace,
+                negativity_k.lambda_min,
+                ent.negativity_closed_form(phase_k, contrasts_k.c_s_np_2),
+                ent.witness_negativity(phase_k, contrasts_k.c_s_np_2),
+            ) == (
+                negativity.exact[k],
+                negativity.closed_form[k],
+                negativity.witness_trace[k],
+                negativity.lambda_min[k],
+                closed[k],
+                witness[k],
             )
         gs = np.linspace(0.0, 0.49, 500)
         for name in ("final_contrast", "residual_separation"):

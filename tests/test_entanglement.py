@@ -1,3 +1,7 @@
+import math
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,9 +108,11 @@ class TestClosedFormNegativity:
         lam = float(np.linalg.eigvalsh(ent.partial_transpose(rho))[0])
         assert abs(ent.negativity_closed_form(phi, contrast) - max(0.0, -lam)) < 1e-10
 
-    def test_rejects_negative_contrast(self):
-        with pytest.raises(ValueError):
-            ent.negativity_closed_form(0.3, -0.1)
+    @pytest.mark.parametrize("contrast", [50.0, 60.0, 200.0])
+    def test_large_contrast_limit(self, contrast):
+        phi = 1.1
+        expected = np.sin(phi) ** 2 * np.exp(-2.0 * contrast)
+        assert abs(ent.negativity_closed_form(phi, contrast) / expected - 1.0) <= 1e-15
 
 
 class TestWitnessOperator:
@@ -196,12 +202,59 @@ class TestWitnessTrace:
         )
 
 
+def _lambda_min_reference(phi, single, sym, anti):
+    """Smallest partial-transpose eigenvalue of the X-state QRDM and its error scale, at 50 digits.
+
+    Each 2x2 block's smaller eigenvalue is its determinant over its larger
+    eigenvalue; a zero block has eigenvalue 0.  The scale is
+    (p q + |off|^2)/larger of the block that holds lambda_min: rounding the
+    entries p, q and off moves the determinant by about eps (p q + |off|^2),
+    so no float evaluation can promise better than eps * scale.  The scale
+    is |lambda_min| itself unless the determinant cancels, which happens only
+    near the separable boundary.
+    """
+    with mpmath.workdps(50):
+        phi, single, sym, anti = (mpmath.mpf(float(v)) for v in (phi, single, sym, anti))
+        e = mpmath.exp(-single)
+        blocks = []
+        for p, q, off in (
+            (2 + mpmath.expm1(-anti), 2 + mpmath.expm1(-sym), e * mpmath.cos(phi) / 2),
+            (-mpmath.expm1(-anti), -mpmath.expm1(-sym), e * mpmath.sin(phi) / 2),
+        ):
+            p, q = p / 4, q / 4
+            larger = (p + q) / 2 + mpmath.sqrt(((p - q) / 2) ** 2 + off**2)
+            if larger == 0:
+                blocks.append((mpmath.mpf(0), mpmath.mpf(0)))
+            else:
+                blocks.append(((p * q - off**2) / larger, (p * q + off**2) / larger))
+        return min(blocks)
+
+
+def _assert_matches_reference(phase, contrasts):
+    """lambda_min within 4.4e-16 absolute, and within 1e-14 of the error scale where negative."""
+    lam = ent.evaluate_negativity(phase, contrasts).lambda_min
+    reference, scale = _lambda_min_reference(
+        phase,
+        contrasts.single_flip_total,
+        contrasts.symmetric_flip_total,
+        contrasts.antisymmetric_flip_total,
+    )
+    assert abs(lam - reference) <= 4.4e-16
+    # Below the smallest normal float, values carry fewer than 53 bits.
+    if reference < -np.finfo(float).tiny:
+        assert abs(lam - reference) <= 1e-14 * scale
+    return lam, reference
+
+
+RATES = st.one_of(st.just(0.0), st.floats(1e-6, 0.1))
+
+
 class TestEvaluateNegativity:
     def test_reports_all_three_routes(self):
         f_q, g = 1.0, 0.1
         tau_f = final_time(g)
-        rho, contrasts, phase = unitary_qrdm(f_q, g, tau_f)
-        result = ent.evaluate_negativity(rho, phase, contrasts)
+        _, contrasts, phase = unitary_qrdm(f_q, g, tau_f)
+        result = ent.evaluate_negativity(phase, contrasts)
         assert result.exact == pytest.approx(2.0 * result.closed_form, rel=1e-10)
         assert result.witness_trace == pytest.approx(
             ent.witness_negativity(phase, contrasts.single_flip_total), abs=1e-12
@@ -209,21 +262,100 @@ class TestEvaluateNegativity:
         assert result.lambda_min == pytest.approx(-result.closed_form, rel=1e-10)
         assert 0.0 <= result.exact <= 1.0
 
-    def test_validates_the_stack_once(self, monkeypatch):
-        params = UnitlessParams(f_q=1.0, g=np.array([0.05, 0.2, 0.4]), s=0.3, gamma_x=0.01)
-        rho, contrasts, phase = open_qrdm(params, final_time(params.g))
-        calls = []
-
-        def counted(stack):
-            calls.append(stack.shape)
-            return validate(stack)
-
-        validate = ent._validate_qrdm
-        monkeypatch.setattr(ent, "_validate_qrdm", counted)
-        result = ent.evaluate_negativity(rho, phase, contrasts)
-        assert calls == [(3, 4, 4)]
-        # the same bits as the two public routes, which validate on their own
-        assert np.array_equal(result.exact, ent.negativity_exact(rho))
-        assert np.array_equal(
-            result.witness_trace, ent.witness_trace(rho, ent.witness_operator())
+    def test_matches_eigensolver_on_open_grid(self):
+        rng = np.random.default_rng(16)
+        n = 2000
+        g = np.exp(rng.uniform(math.log(1e-6), math.log(0.49), n))
+        params = UnitlessParams(
+            f_q=rng.uniform(0.05, 3.0, n),
+            g=g,
+            s=rng.uniform(1e-3, 1.0, n),
+            n_p=rng.uniform(0.0, 5.0, n),
+            gamma_x=rng.uniform(0.0, 0.05, n),
+            gamma_z=rng.uniform(0.0, 0.05, n),
         )
+        rho, contrasts, phase = open_qrdm(params, rng.uniform(0.0, 2.0, n) * final_time(g))
+        result = ent.evaluate_negativity(phase, contrasts)
+        assert np.any(result.exact > 0.0) and np.any(result.exact == 0.0)
+        assert np.max(np.abs(result.exact - ent.negativity_exact(rho))) <= 1e-15
+        assert np.max(
+            np.abs(result.witness_trace - ent.witness_trace(rho, ent.witness_operator()))
+        ) <= 1e-15
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        f_q=st.floats(1e-3, 3.0),
+        log_g=st.floats(math.log(1e-12), math.log(0.5 - 1e-8)),
+        periods=st.one_of(
+            st.floats(0.0, 2.0),
+            # near closure, where the contrasts dip and weak couplings entangle
+            st.builds(
+                lambda k, log_offset: k - math.exp(log_offset),
+                st.sampled_from((1, 2)),
+                st.floats(math.log(1e-14), math.log(1e-1)),
+            ),
+        ),
+        # The ground state (s = 1, n_p = 0) is drawn often: most of the rest is separable.
+        s=st.one_of(st.just(1.0), st.floats(1e-4, 1.0)),
+        n_p=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        gamma_x=RATES,
+        gamma_z=RATES,
+    )
+    def test_lambda_min_matches_high_precision(self, f_q, log_g, periods, s, n_p, gamma_x, gamma_z):
+        # tau = periods * 2 pi/w covers [0, 4 pi/w].
+        g = math.exp(log_g)
+        params = UnitlessParams(f_q=f_q, g=g, s=s, n_p=n_p, gamma_x=gamma_x, gamma_z=gamma_z)
+        _, contrasts, phase = open_qrdm(params, periods * final_time(g))
+        _assert_matches_reference(phase, contrasts)
+
+    @pytest.mark.parametrize("f_q", [1e-2, 1e-4, 1e-6])
+    def test_weak_entanglement_keeps_relative_accuracy(self, f_q):
+        # eigvalsh of the partial transpose is about 1e-13, 2e-9 and 5e-6 wrong relative here.
+        _, contrasts, phase = unitary_qrdm(f_q, 0.1, final_time(0.1))
+        lam, reference = _assert_matches_reference(phase, contrasts)
+        assert reference < 0.0
+        assert abs(lam / reference - 1) <= 1e-14
+
+    def test_zero_phase_and_exponents(self):
+        _, at_tau_zero, phase = unitary_qrdm(0.7, 0.2, 0.0)
+        for phase, contrasts in ((phase, at_tau_zero), (0.0, ContrastSet()), (0.0, 0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = ent.evaluate_negativity(phase, contrasts)
+            assert result.lambda_min == 0.0
+            assert (result.exact, result.closed_form, result.witness_trace) == (0.0, 0.0, 0.0)
+
+    def test_tiny_block_entries_do_not_underflow(self):
+        # The - block's entries are about 1e-176 and 1e-320 here: p q and |off|^2 underflow.
+        _, contrasts, phase = unitary_qrdm(1.0, 0.3, 1e-160)
+        lam, reference = _assert_matches_reference(phase, contrasts)
+        assert reference < 0.0
+        assert abs(lam / reference - 1) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "contrasts", [ContrastSet(c_s_np_1=200.0), ContrastSet(c_s_np_2=200.0)], ids=["anti", "sym"]
+    )
+    def test_one_huge_both_flip_exponent(self, contrasts):
+        result = ent.evaluate_negativity(0.7, contrasts)
+        values = [result.exact, result.closed_form, result.witness_trace, result.lambda_min]
+        assert np.isfinite(values).all()
+        _assert_matches_reference(0.7, contrasts)
+
+
+@pytest.mark.parametrize(
+    "function", [ent.evaluate_negativity, ent.negativity_closed_form, ent.witness_negativity]
+)
+@pytest.mark.parametrize(
+    "phi, contrasts, message",
+    [
+        (math.nan, 0.1, "phi=nan must be finite"),
+        (np.array([0.1, math.inf]), 0.1, "phi=inf must be finite"),
+        (0.3, math.nan, "contrast=nan must be finite and >= 0"),
+        (0.3, math.inf, "contrast=inf must be finite and >= 0"),
+        (0.3, -0.1, "contrast=-0.1 must be finite and >= 0"),
+        (0.3, ContrastSet(c_gamma_1=math.inf), "contrast c_gamma_1=inf must be finite"),
+    ],
+)
+def test_rejects_bad_input(function, phi, contrasts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(phi, contrasts)
