@@ -258,7 +258,7 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
         columns["f_q"] = design.required_force(columns["g"])
     params = UnitlessParams(**columns)
     tau = _resolve_tau("--tau", spec.tau_selector, params.g)
-    _, contrasts, phase = dynamics.open_qrdm(params, tau)
+    phase, contrasts = dynamics.open_phase_contrasts(params, tau)
     result = entanglement.evaluate_negativity(phase, contrasts)
     table = {
         **_param_values(params),
@@ -438,7 +438,7 @@ def _constrained_negativity(g: float, unitless: UnitlessParams) -> dict:
     """
     g_eval = min(max(g, 1e-9), 0.49)
     params = replace(unitless, f_q=design.required_force(g_eval), g=g_eval)
-    _, contrasts, phase = dynamics.open_qrdm(params, final_time(g_eval))
+    phase, contrasts = dynamics.open_phase_contrasts(params, final_time(g_eval))
     result = entanglement.evaluate_negativity(phase, contrasts)
     return {
         "g_evaluated": g_eval,

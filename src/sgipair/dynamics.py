@@ -25,17 +25,18 @@ import numpy as np
 
 from .phase_space import (
     _check_tau,
-    _gauss_legendre,
+    _from_modes,
+    _mode_memory,
+    _odd_series,
     final_time,
     lyapunov_integral,
     mode_frequency,
     propagator,
-    sgi_diffusion_matrix,
     sgi_drift_spec,
     sgi_hamiltonian_matrix,
     symplectic_form,
 )
-from .potentials import UnitlessParams, _require, _require_nonnegative
+from .potentials import UnitlessParams, _check_squeezing, _require, _require_nonnegative
 
 __all__ = [
     "BranchLabel",
@@ -49,6 +50,7 @@ __all__ = [
     "branch_trajectories",
     "general_first_moments",
     "unitary_qrdm",
+    "open_phase_contrasts",
     "open_qrdm",
     "squeezed_thermal_covariance",
     "initial_cat_state",
@@ -211,18 +213,10 @@ def residual_separation(f_q: float, g: float) -> float:
     return 4.0 * f_q * np.square(np.sin(np.pi / mode_frequency(g)))
 
 
-# Coefficients of F(x)/x^5 in powers of x^2, (-1)^k (2^(2k+1) - 8)/(2k+1)! for k = 13 down to 2;
-# for x <= 1 the first omitted term is below 1e-21 of F.
-_DIFFUSION_SERIES = [
-    (-1) ** k * (2 ** (2 * k + 1) - 8) / math.factorial(2 * k + 1) for k in range(13, 1, -1)
-]
-
-
-def _diffusion_shape(x):
-    """F(x) = 6x - 8 sin x + sin 2x >= 0 (F' = 4 (1 - cos x)^2), by its series where it cancels."""
-    x_sq = np.square(x)
-    series = np.polyval(_DIFFUSION_SERIES, x_sq) * np.square(x_sq) * x
-    return np.where(x <= 1.0, series, 6.0 * x - 8.0 * np.sin(x) + np.sin(2.0 * x))[()]
+# F(x) = 6x - 8 sin x + sin 2x >= 0 (F' = 4 (1 - cos x)^2), by its series where it cancels.
+_diffusion_shape = _odd_series(
+    lambda x: 6.0 * x - 8.0 * np.sin(x) + np.sin(2.0 * x), lambda k: 2 ** (2 * k + 1) - 8, 2
+)
 
 
 def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
@@ -352,7 +346,7 @@ class _BranchPairKernel:
     Labels differ only in the displaced equilibria r of their ket and bra
     sides, and the diffusion memory terms are linear (moments) or bilinear
     (contrast) in delta = r_ket - r_bra.  So, with K(u) = S(u) D S(u)^T and
-    S = S(tau), two integrals serve all 16 labels:
+    S = S(tau), two closed-form integrals (``_mode_memory``) serve all 16 labels:
     m1 = int_0^tau K(u) Omega (S(u) - S) du and
     m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du.
     ``moment_table`` (4, 4, 4) and ``phase_contrast_table`` (4, 4, 2) hold
@@ -406,23 +400,15 @@ class _BranchPairKernel:
 
 def _branch_pair_kernel(params: UnitlessParams, tau: float) -> _BranchPairKernel:
     """Kernel evolved from the squeezed thermal covariance of params; its arrays are read-only."""
-    _check_tau(tau)
     g = params.g
+    lyapunov = lyapunov_integral(g, tau, params.gamma_x)  # checks g, tau and the rate first
     h_matrix = sgi_hamiltonian_matrix(g)
-    d_matrix = sgi_diffusion_matrix(params.gamma_x)
     s = propagator(g, tau)
-
-    def integrand(s_u: np.ndarray) -> np.ndarray:
-        k_omega = s_u @ d_matrix @ s_u.swapaxes(-1, -2) @ _OMEGA
-        past = s_u - s
-        m2 = past.swapaxes(-1, -2) @ _OMEGA.T @ k_omega @ (s_u + s - 2.0 * _EYE4)
-        return np.stack([k_omega @ past, m2], axis=1)
-
-    lyapunov = lyapunov_integral(g, tau, params.gamma_x)
     sigma = s @ squeezed_thermal_covariance(params.s, params.n_p) @ s.T + lyapunov
     by_eigenvalues = _shifts(h_matrix, params.f_q, s)
     shifts = np.array([by_eigenvalues[key] for key in _ROW_EIGENVALUES])
-    m1, m2 = _gauss_legendre(g, tau, integrand)
+    w = np.array([1.0, mode_frequency(g)])
+    m1, m2 = (_from_modes(*modes) for modes in _mode_memory(w, params.gamma_x, tau))
     for array in (s, lyapunov, h_matrix, sigma, shifts, m1, m2):
         array.flags.writeable = False
     return _BranchPairKernel(params, tau, s, lyapunov, h_matrix, sigma, shifts, m1, m2)
@@ -456,8 +442,7 @@ def general_first_moments(label: BranchLabel, params: UnitlessParams, tau: float
 
     Diagonal branches are real and unaffected by momentum diffusion; the
     off-diagonal branches carry imaginary parts set by the evolved covariance
-    and, under diffusion, by a memory integral over the propagated noise
-    kernel, evaluated by the fixed Gauss-Legendre rule of ceil(2 tau) + 16 nodes.
+    and, under diffusion, by a closed-form memory integral of the propagated noise kernel.
     Params and tau must be scalars.  The kernel of the point evaluates all 16
     labels at once, is built once per point and is shared with the other
     cat-state calls; this returns a copy of the label's entry.
@@ -472,13 +457,12 @@ def branch_pair_phase_contrast(
 
     Reads the label's entry of the kernel's phase-contrast table, where the
     general branch-pair formulas (quadratic form of the evolved covariance
-    plus, under diffusion, a noise-kernel memory integral by the fixed
-    Gauss-Legendre rule of ceil(2 tau) + 16 nodes) are evaluated for all 16
-    labels at once, rather than the precomputed closed forms; the two routes
-    agree and the closed forms are the fast path.  Dephasing adds
-    gamma_z * tau per flipped qubit, independently for each qubit.  Params
-    and tau must be scalars; the kernel is built once per point and shared
-    with the other cat-state calls.
+    plus, under diffusion, a noise-kernel memory integral in closed form per
+    normal mode) are evaluated for all 16 labels at once, rather than the
+    precomputed contrast closed forms; the two routes agree and the contrast
+    closed forms are the fast path.  Dephasing adds gamma_z * tau per flipped
+    qubit, independently for each qubit.  Params and tau must be scalars; the
+    kernel is built once per point and shared with the other cat-state calls.
     """
     return _kernel(params, tau).phase_contrast(label)
 
@@ -515,18 +499,20 @@ def unitary_qrdm(
     return open_qrdm(UnitlessParams(f_q=f_q, g=g), tau)
 
 
-def open_qrdm(
-    params: UnitlessParams, tau: float
-) -> tuple[np.ndarray, ContrastSet, float]:
+def open_phase_contrasts(params: UnitlessParams, tau: float) -> tuple[float, ContrastSet]:
+    """The entangling phase and contrast exponents of ``open_qrdm``, without its QRDM."""
+    _check_tau(tau)
+    return entangling_phase(params.f_q, params.g, tau), _open_contrasts(params, tau)
+
+
+def open_qrdm(params: UnitlessParams, tau: float) -> tuple[np.ndarray, ContrastSet, float]:
     """QRDM under diffusion and dephasing from a squeezed thermal state.
 
     The entangling phase is the unitary one; only the contrast exponents
     pick up the initial-state and noise dependence.  Parameters and tau may
     be grid columns, giving QRDMs of shape (..., 4, 4).
     """
-    _check_tau(tau)
-    phase = entangling_phase(params.f_q, params.g, tau)
-    contrasts = _open_contrasts(params, tau)
+    phase, contrasts = open_phase_contrasts(params, tau)
     return _qrdm_from_components(phase, contrasts), contrasts, phase
 
 
@@ -539,8 +525,7 @@ def squeezed_thermal_covariance(s: float, n_p: float) -> np.ndarray:
     """Initial covariance (1+2 n_p) diag(s, 1/s, s, 1/s) of scalar s and n_p."""
     _scalar("s", s)
     _scalar("n_p", n_p)
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"squeezing s={s} must lie in (0, 1]")
+    _check_squeezing(s)
     if n_p < 0.0:
         raise ValueError(f"n_p={n_p} must be >= 0")
     return (1.0 + 2.0 * n_p) * np.diag([s, 1.0 / s, s, 1.0 / s])

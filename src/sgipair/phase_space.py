@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -159,20 +158,33 @@ def heisenberg_ok(sigma: np.ndarray) -> tuple[bool, float]:
     return margin >= -1e-10, margin
 
 
-# Taylor coefficients of 2x - sin 2x = sum_{k>=1} (-1)^(k+1) (2x)^(2k+1)/(2k+1)!, highest first.
-_POSITION_SERIES = [
-    (-1) ** (k + 1) * 2 ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(12, 0, -1)
-]
+def _odd_series(exact, numerator, first: int):
+    """Shape exact(x) of x >= 0, summed as its odd Taylor series where it cancels (x <= 1).
+
+    The series is sum_k (-1)^k numerator(k) x^(2k+1)/(2k+1)! over the twelve k from
+    ``first``; for x <= 1 its first omitted term is below 1e-19 of the shape.
+    """
+    powers = range(first + 11, first - 1, -1)  # highest first, for np.polyval
+    series = np.array([(-1) ** k * numerator(k) / math.factorial(2 * k + 1) for k in powers])
+
+    def shape(x):
+        small = x <= 1.0
+        if not np.any(small):
+            return exact(x)
+        y = np.square(x)  # y^first by math.prod: ** would call pow on a numpy scalar
+        return np.where(small, np.polyval(series, y) * math.prod([y] * first) * x, exact(x))[()]
+
+    return shape
 
 
-def _position_shape(x: np.ndarray) -> np.ndarray:
-    """2x - sin 2x >= 0, by its series where it cancels (x <= 1), which is only summed there."""
-    out = 2.0 * x - np.sin(2.0 * x)
-    small = x <= 1.0
-    if small.any():
-        x_sq = np.square(x[small])
-        out[small] = np.polyval(_POSITION_SERIES, x_sq) * x_sq * x[small]
-    return out
+# Shapes of the normal-mode integrals below, with x = w tau.
+_position_shape = _odd_series(lambda x: 2.0 * x - np.sin(2.0 * x), lambda k: -(2 ** (2 * k + 1)), 1)
+_shape_a = _odd_series(lambda x: np.sin(x) - x * np.cos(x), lambda k: -2 * k, 1)
+_shape_c = _odd_series(
+    lambda x: 0.5 * x - 0.25 * np.sin(2.0 * x) - np.sin(x) + x * np.cos(x),
+    lambda k: 2 * k - 2 ** (2 * k - 1),
+    2,
+)
 
 
 def _mode_lyapunov(w: np.ndarray, rate: float, tau: float) -> np.ndarray:
@@ -183,26 +195,26 @@ def _mode_lyapunov(w: np.ndarray, rate: float, tau: float) -> np.ndarray:
     return rate * np.stack([xx, xp, xp, pp], axis=-1).reshape(*xx.shape, 2, 2)
 
 
-# Longest interval one Gauss-Legendre rule covers; bounds the nodes (and memory) per batch.
-_MAX_PANEL = 256.0
-# n-point Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
-_legendre_rule = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+def _mode_memory(w: np.ndarray, rate: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed forms of the two branch-pair memory integrals (m1, m2), one 2x2 block per w.
 
-
-def _gauss_legendre(g: float, tau: float, integrand) -> np.ndarray:
-    """int_0^tau integrand(S_g(u)) du; ``integrand`` maps propagators (n, 4, 4) to (n, ...).
-
-    Each integrand is a product of at most four propagators, a trigonometric polynomial of
-    frequency <= 4, so ceil(2 tau) + 16 Gauss-Legendre nodes are converged to rounding.
-    Intervals longer than ``_MAX_PANEL`` are split into equal panels with that rule each.
+    With S(u) = S_w(u), S = S(tau), D = diag(0, rate) and K(u) = S(u) D S(u)^T,
+    m1 = int_0^tau K(u) Omega (S(u) - S) du and
+    m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du.
+    S(u) is symplectic, so K(u) Omega S(u) = S(u) D Omega and both integrands are
+    trigonometric polynomials of degree <= 2 in w u.  With x = w tau, A = sin x - x cos x,
+    B = 1 - cos x - (x/2) sin x = 2 sin(x/2) A(x/2), C = x/2 - sin(2x)/4 - sin x + x cos x,
+    Q = 2 sin^4(x/2) and P = 2x - sin 2x:
+    m1 = rate [[-B/w^2, A/(2 w^3)], [-A/(2 w), tau sin x/(2 w)]] and
+    m2 = rate [[C/w, (Q + 2B)/w^2], [(Q - 2B)/w^2, -(2A + P/2)/(2 w^3)]].
     """
-    panels = max(1, math.ceil(tau / _MAX_PANEL))
-    length = tau / panels
-    nodes, weights = _legendre_rule(math.ceil(2.0 * length) + 16)
-    return 0.5 * length * sum(
-        np.tensordot(weights, integrand(propagator(g, length * (k + 0.5 * (nodes + 1.0)))), 1)
-        for k in range(panels)
-    )
+    x = w * tau
+    (a, a_half), c, p = _shape_a(np.stack([x, 0.5 * x])), _shape_c(x), _position_shape(x)
+    b = 2.0 * np.sin(0.5 * x) * a_half
+    q = 2.0 * np.square(np.square(np.sin(0.5 * x)))
+    m1 = [-b / w**2, a / (2.0 * w**3), -a / (2.0 * w), tau * np.sin(x) / (2.0 * w)]
+    m2 = [c / w, (q + 2.0 * b) / w**2, (q - 2.0 * b) / w**2, -(2.0 * a + 0.5 * p) / (2.0 * w**3)]
+    return tuple(rate * np.stack(m, axis=-1).reshape(*x.shape, 2, 2) for m in (m1, m2))
 
 
 def lyapunov_integral(g: float, tau: float, gamma_x: float) -> np.ndarray:
@@ -213,8 +225,6 @@ def lyapunov_integral(g: float, tau: float, gamma_x: float) -> np.ndarray:
     _check_coupling(g)
     _check_tau(tau)
     _check_diffusion_rate(gamma_x)
-    if tau == 0.0 or gamma_x == 0.0:
-        return np.zeros((4, 4))
     w = np.array([1.0, mode_frequency(g)])
     return _from_modes(*_mode_lyapunov(w, gamma_x, tau))
 

@@ -64,6 +64,13 @@ def _require_nonnegative(name: str, value) -> None:
     _require(name, value, np.isfinite(value) & (value >= 0.0), "must be finite and >= 0")
 
 
+def _check_squeezing(s) -> None:
+    """Squeezing in (0, 1], and normal, so that the anti-squeezed 1/s is finite."""
+    _require("squeezing s", s, (0.0 < s) & (s <= 1.0), "must lie in (0, 1]")
+    tiny = np.finfo(float).tiny
+    _require("squeezing s", s, s >= tiny, f"must be >= {tiny} (the smallest normal float)")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Power-law two-body potential -A/|d|^n at orientation theta.
@@ -163,9 +170,7 @@ class UnitlessParams:
     def __post_init__(self) -> None:
         _require_nonnegative("f_q", self.f_q)
         _require_nonnegative("g", self.g)
-        _require(
-            "squeezing s", self.s, (0.0 < self.s) & (self.s <= 1.0), "must lie in (0, 1]"
-        )
+        _check_squeezing(self.s)
         for name in ("n_p", "gamma_x", "gamma_z"):
             _require_nonnegative(name, getattr(self, name))
 

@@ -9,7 +9,7 @@ the direct way (stage-wise RK4 for the moments; for the Fock blocks a Taylor
 series, one block at a time, and dense operators) to check its step map,
 stacked generator and mode-local observables, and
 evaluate the propagator integrals of ``phase_space``/``dynamics`` by
-adaptive quadrature to check their fixed Gauss-Legendre rule.  The
+adaptive quadrature to check their per-mode closed forms.  The
 branch-pair reference evaluates one label at a time from the kernel's parts
 to check its array tables.  The CSV reference formats every cell on its own,
 row by row, to check the CLI's block writer.
@@ -376,7 +376,8 @@ def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -
     "m1" = int_0^tau K(u) Omega (S(u) - S) du and
     "m2" = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du,
     each at relative tolerance 1e-11 and absolute tolerance 1e-14, one
-    propagator per sample.  Reference for ``phase_space._gauss_legendre``.
+    propagator per sample.  Reference for ``lyapunov_integral`` and the
+    closed-form memory integrals of ``phase_space._mode_memory``.
     """
     from scipy.integrate import quad_vec
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -246,7 +247,7 @@ class TestSweep:
         def never(*_):
             raise AssertionError("a closed form ran on an out-of-domain grid")
 
-        monkeypatch.setattr(dynamics, "open_qrdm", never)
+        monkeypatch.setattr(dynamics, "open_phase_contrasts", never)
         out = tmp_path / "grid.csv"
         with pytest.raises(SystemExit) as exit_info:
             run(["sweep", *args, "--out", str(out)])
@@ -254,7 +255,9 @@ class TestSweep:
         assert re.match(message, error_line(capsys))
         assert not out.exists()
 
-    @pytest.mark.parametrize("target", ["numpy.meshgrid", "sgipair.dynamics.open_qrdm"])
+    @pytest.mark.parametrize(
+        "target", ["numpy.meshgrid", "sgipair.dynamics.open_phase_contrasts"]
+    )
     def test_grid_too_large_for_memory_fails_with_one_line(
         self, tmp_path, monkeypatch, capsys, target
     ):
@@ -268,6 +271,19 @@ class TestSweep:
         assert exit_info.value.code == 2
         assert error_line(capsys) == "sweep grid of 12 rows does not fit in memory"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "bounds"])
+    def test_no_qrdm_is_assembled(self, tmp_path, monkeypatch, phys_config, command):
+        # both commands report phases, contrasts and negativities only
+        def never(*_):
+            raise AssertionError("a QRDM was assembled and thrown away")
+
+        monkeypatch.setattr(dynamics, "_qrdm_from_components", never)
+        args = {
+            "sweep": ["sweep", "--axis", "g:0.1:0.2:3", "--fq", "1"],
+            "bounds": ["bounds", "--config", phys_config],
+        }[command]
+        assert run([*args, "--out", str(tmp_path / "result.out")]) == 0
 
     def test_thermal_state_keeps_a_phonon_axis(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -366,6 +382,7 @@ class TestPointReports:
             raise AssertionError("a closed form ran at an out-of-domain tau")
 
         monkeypatch.setattr(dynamics, "open_qrdm", never)
+        monkeypatch.setattr(dynamics, "open_phase_contrasts", never)
         monkeypatch.setattr(dynamics, "branch_trajectories", never)
         out = tmp_path / "point.out"
         with pytest.raises(SystemExit) as exit_info:
@@ -397,6 +414,20 @@ class TestPointReports:
             run([args[0], "--fq", "1", "--g", "0.1", *args[1:], "--out", str(out)])
         assert exit_info.value.code == 2
         assert error_line(capsys) == f"{value} must be finite and >= 0"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["qrdm", "sweep"])
+    def test_subnormal_squeezing_fails_with_one_line(self, tmp_path, capsys, command):
+        # 1/s overflows at s = 1e-310; the run must stop on s, before any warning
+        out = tmp_path / "point.out"
+        axis = ["--axis", "g:0.1:0.2:3"] if command == "sweep" else ["--g", "0.1"]
+        argv = [command, "--fq", "1", *axis, "--s", "1e-310", "--tau", "1", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exit_info:
+                run(argv)
+        assert exit_info.value.code == 2
+        assert error_line(capsys).startswith("squeezing s=1e-310 ")
         assert not out.exists()
 
 
@@ -511,6 +542,7 @@ class TestOutputPaths:
 
         for module, name in [
             (dynamics, "open_qrdm"),
+            (dynamics, "open_phase_contrasts"),
             (dynamics, "branch_trajectories"),
             (oracle, "verify_moments"),
         ]:

@@ -12,11 +12,6 @@ from sgipair.potentials import UnitlessParams
 OMEGA = ps.symplectic_form()
 
 
-def generic_lyapunov(g, tau, d_matrix):
-    """int_0^tau S(u) D S(u)^T du of any D by the fixed Gauss-Legendre rule."""
-    return ps._gauss_legendre(g, tau, lambda s_u: s_u @ d_matrix @ s_u.swapaxes(-1, -2))
-
-
 class TestSymplecticForm:
     def test_blocks(self):
         assert OMEGA[0, 1] == 1.0 and OMEGA[1, 0] == -1.0
@@ -147,12 +142,6 @@ class TestLyapunovIntegral:
         assert np.max(np.abs(at_closure - published)) < 1e-12
         assert np.max(np.abs(at_two_pi - published)) > 1e-2
 
-    def test_quadrature_matches_closed_form(self):
-        g, tau = 0.1, 3.0
-        closed = ps.lyapunov_integral(g, tau, 0.05)
-        quadrature = generic_lyapunov(g, tau, ps.sgi_diffusion_matrix(0.05))
-        assert np.max(np.abs(closed - quadrature)) < 1e-9
-
     @pytest.mark.parametrize("gamma_x", [-1e-3, np.nan])
     def test_rejects_bad_rate_like_the_diffusion_matrix(self, gamma_x):
         message = r"^diffusion rate gamma_x=\S+ must be >= 0$"
@@ -179,13 +168,6 @@ class TestLyapunovIntegral:
             ps._check_tau(wrap(float(bad)))
         ps._check_tau(0.0)
         ps._check_tau(-0.0)
-
-    def test_long_interval_splits_into_panels(self):
-        # 1000 > _MAX_PANEL: four panels of 250; same integral as the closed form.
-        g, tau = 0.2, 1000.0
-        closed = ps.lyapunov_integral(g, tau, 0.05)
-        quadrature = generic_lyapunov(g, tau, ps.sgi_diffusion_matrix(0.05))
-        assert np.max(np.abs(closed - quadrature)) < 1e-12 * np.max(np.abs(closed))
 
     @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
     def test_matches_high_precision_at_small_tau(self, g):
@@ -220,6 +202,55 @@ class TestLyapunovIntegral:
         one = ps.lyapunov_integral(0.2, 1.7, 1.0)
         scaled = ps.lyapunov_integral(0.2, 1.7, 0.3)
         assert np.allclose(0.3 * one, scaled, atol=1e-14)
+
+
+def _mode_blocks_reference(w: float, tau: float) -> list[np.ndarray]:
+    """One mode's L, m1 and m2 blocks at rate 1 from the direct, cancelling formulas.
+
+    Evaluated at 60 digits from the same float w and tau: at x = w tau = 1e-10 the shape
+    B = 1 - cos x - (x/2) sin x is 1e-41, which 40 digits cannot resolve.
+    """
+    with mpmath.workdps(60):
+        w, tau = mpmath.mpf(w), mpmath.mpf(tau)
+        x = w * tau
+        sin, cos = mpmath.sin, mpmath.cos
+        a = sin(x) - x * cos(x)
+        b = 1 - cos(x) - x / 2 * sin(x)
+        c = x / 2 - sin(2 * x) / 4 - sin(x) + x * cos(x)
+        q = 2 * sin(x / 2) ** 4
+        p = 2 * x - sin(2 * x)
+        xp = sin(x) ** 2 / (2 * w**2)
+        blocks = (
+            [[p / (4 * w**3), xp], [xp, tau / 2 + sin(2 * x) / (4 * w)]],
+            [[-b / w**2, a / (2 * w**3)], [-a / (2 * w), tau * sin(x) / (2 * w)]],
+            [[c / w, (q + 2 * b) / w**2], [(q - 2 * b) / w**2, -(2 * a + p / 2) / (2 * w**3)]],
+        )
+        return [np.array(block, dtype=float) for block in blocks]
+
+
+class TestModeIntegrals:
+    """Per-mode closed forms of the Lyapunov integral L and the memory integrals m1, m2."""
+
+    @pytest.mark.parametrize("g", [0.0, 1e-8, 0.2, 0.4999])
+    def test_match_high_precision(self, g):
+        for w in (1.0, float(ps.mode_frequency(g))):
+            long_taus = (17.0, 300.0, 1000.0)
+            for tau in (*np.geomspace(1e-8, 4.0 * np.pi / w, 41), *long_taus):
+                modes = np.array([w])
+                values = [ps._mode_lyapunov(modes, 1.0, tau), *ps._mode_memory(modes, 1.0, tau)]
+                # past x = 4 pi the rounding of the argument w tau dominates
+                bound = 1e-13 if tau in long_taus else 1e-14
+                for name, value, expected in zip(
+                    ("L", "m1", "m2"), values, _mode_blocks_reference(w, tau)
+                ):
+                    error = np.max(np.abs(value[0] - expected))
+                    assert error <= bound * np.max(np.abs(expected)), (name, w, tau)
+
+    def test_zero_interval_and_rate(self):
+        modes = np.array([1.0, 0.5])
+        for rate, tau in ((1.0, 0.0), (0.0, 3.0)):
+            for block in (ps._mode_lyapunov(modes, rate, tau), *ps._mode_memory(modes, rate, tau)):
+                assert block.shape == (2, 2, 2) and not block.any()
 
 
 class TestHeisenberg:

@@ -172,6 +172,15 @@ class TestFiniteParameters:
         with pytest.raises(ValueError, match=rf"^{name}={value} must be finite and >= 0$"):
             pot.UnitlessParams(**{"f_q": 1.0, "g": 0.1, name: value})
 
+    @pytest.mark.parametrize("s", [1e-310, 5e-324, np.array([0.5, 1e-320])])
+    def test_subnormal_squeezing_rejected(self, s):
+        # 1/s overflows below about 5.6e-309; every subnormal s is refused
+        bad = np.min(s)
+        message = rf"^squeezing s={bad} must be >= 2\.2250738585072014e-308 \(the smallest normal"
+        with pytest.raises(ValueError, match=message):
+            pot.UnitlessParams(f_q=1.0, g=0.1, s=s)
+        assert pot.UnitlessParams(f_q=1.0, g=0.1, s=np.finfo(float).tiny).s > 0.0
+
     @pytest.mark.parametrize(
         "name", ["M", "omega", "d", "F_q", "S_FF", "Gamma_z_phys", "omega_t", "n_p", "T_m", "Q"]
     )
