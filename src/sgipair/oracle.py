@@ -6,8 +6,9 @@ Two oracles, neither of which shares code with the closed forms they check:
   equations of motion (valid for any initial covariance and diffusion
   matrix, with the branch means starting at the origin).  The equations are
   linear and autonomous, dy/dtau = A y + b, so each classical RK4 step is
-  applied as its exact one-step map y -> y + (M y + q), built once per step
-  size from A and b; and
+  the exact one-step map y -> y + (M y + q), built once per step size from A
+  and b, and the n steps of a grid slot are applied by binary powers of
+  that map; and
 * truncated-Fock-space propagation of the full two-qubit x two-mode system.
   Noise-free problems evolve the four branch kets; position diffusion or a
   mixed initial state, the ten independent qubit-sector blocks of the
@@ -18,8 +19,10 @@ Two oracles, neither of which shares code with the closed forms they check:
   diagonal, so the potentials, the x1 x2 coupling, the position diffusion
   and the qubit dephasing are one elementwise factor, and only the kinetic
   energy p^2/2 acts as a matrix, one real matrix product per mode axis.  The
-  kets or blocks run concurrently on one thread per available CPU, with
-  results independent of that number.  Both paths hand the same per-block
+  series' spectral rectangle takes its real extent from Weyl bounds on each
+  branch Hamiltonian.  The blocks run concurrently on one thread per
+  available CPU and the kets in the calling thread, with results
+  independent of the number of CPUs.  Both paths hand the same per-block
   observables to one builder of the QRDM, conditional moments and truncation
   diagnostics; a qubit branch with zero population gets zero moments and
   covariance and does not enter the leakage.
@@ -80,7 +83,7 @@ def _check_tau_grid(tau_grid) -> None:
     """One ValueError unless the grid is finite, ascending and starts at 0."""
     grid = np.asarray(tau_grid, dtype=float)
     _require("tau_grid", grid, np.isfinite(grid), "must be finite")
-    if grid.ndim != 1 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
+    if grid.ndim != 1 or grid.size == 0 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("tau_grid must be ascending and start at 0")
 
 
@@ -167,6 +170,23 @@ def _rk4_step_map(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, n
     return poly @ a, poly @ b
 
 
+def _apply_steps(y: np.ndarray, m: np.ndarray, q: np.ndarray, n_steps: int) -> np.ndarray:
+    """y after ``n_steps`` increments y -> y + (M y + q), by binary powers of that map.
+
+    Two increments compose to one with M2 = 2M + M M and q2 = 2q + M q, so each
+    set bit k of ``n_steps`` applies the map's power 2^k: O(log n) products of M
+    in place of n.  The increment form keeps roundoff at the size of the change,
+    which the halving gate on O(1e3) squeezed-thermal sigmas relies on.
+    """
+    while True:
+        if n_steps & 1:
+            y = y + (m @ y + q)
+        n_steps >>= 1
+        if not n_steps:
+            return y
+        m, q = 2.0 * m + m @ m, 2.0 * q + m @ q
+
+
 def _integrate_once(problem: MomentOdeProblem, dt: float) -> MomentTrajectories:
     a, b = _moment_generator(problem)
     y = np.concatenate([problem.sigma0.ravel(), np.zeros(16)])
@@ -176,11 +196,7 @@ def _integrate_once(problem: MomentOdeProblem, dt: float) -> MomentTrajectories:
     for slot in range(1, len(grid)):
         span = grid[slot] - grid[slot - 1]
         n_steps = max(1, int(np.ceil(span / dt)))
-        m, q = _rk4_step_map(a, b, span / n_steps)
-        for _ in range(n_steps):
-            # The increment form keeps roundoff at the size of the step's change,
-            # which the halving gate on O(1e3) squeezed-thermal sigmas relies on.
-            y = y + (m @ y + q)
+        y = _apply_steps(y, *_rk4_step_map(a, b, span / n_steps), n_steps)
         states[slot] = y
     means = {
         pair: states[:, 16 + 4 * idx : 20 + 4 * idx] for idx, pair in enumerate(_DIAGONAL_PAIRS)
@@ -200,7 +216,9 @@ def integrate_moments(
     """Fixed-step RK4 trajectories of sigma and the four diagonal means.
 
     The moment equations are linear and autonomous, so each RK4 step is
-    applied as its exact one-step map, built once per step size.  When
+    its exact one-step map, built once per step size, and the steps of a
+    grid slot are composed by binary powers of that map (``_apply_steps``):
+    O(log n) matrix products in place of n.  When
     ``check`` is set the step is refined until halving it changes no
     sampled value by more than ``convergence_tol``; failure to converge
     within ``max_refinements`` halvings raises OracleError.
@@ -365,8 +383,9 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     P is one elementwise factor holding the potentials, the coupling, the
     diffusion and the dephasing.  H is constant, so a step of
     h <= ``problem.dt`` applies exp(-ihH) as one Chebyshev series, exact to
-    rounding.  Each ket or block is one task per grid slot on one thread per
-    available CPU; the results are bit-identical for any thread count.
+    rounding.  Each block is one task per grid slot on one thread per
+    available CPU, and the kets run in the calling thread; the results are
+    bit-identical for any thread count.
     """
     grid = np.asarray(problem.tau_grid, dtype=float)
     qubit_rho0 = _plus_plus_qrdm() if problem.qubit_rho0 is None else problem.qubit_rho0
@@ -438,37 +457,65 @@ def _fock_result(grid, n_max, traces, moments, second, edge, drift) -> FockResul
 
 
 def _dvr(n):
-    """x and p, and in the eigenbasis of the truncated x = u diag(xi) u^T: xi, u, T, t.
+    """x and p, and in the eigenbasis of the truncated x = u diag(xi) u^T: xi, u, T.
 
     The kinetic matrix T = u^T (p^2/2) u is real symmetric, so on a bra axis
-    the right product is the same matrix product as a left one; t are its eigenvalues.
+    the right product is the same matrix product as a left one.
     """
     x, p = _quadratures(n)
     xi, u = np.linalg.eigh(x)
     kinetic = u.T @ (0.5 * (p @ p).real) @ u
-    kinetic = 0.5 * (kinetic + kinetic.T)
-    return x, p, xi, u, kinetic, np.linalg.eigvalsh(kinetic)
+    return x, p, xi, u, 0.5 * (kinetic + kinetic.T)
+
+
+def _mode_potential(params, j, x):
+    """Single-mode part V_j(x) = (1-g) x^2/2 + f_q j x of the branch potential."""
+    return 0.5 * (1.0 - params.g) * x**2 + params.f_q * j * x
 
 
 def _potential(params, j, m, x1, x2):
-    """Branch potential U_jm(x1, x2) = (1-g)(x1^2 + x2^2)/2 + g x1 x2 + f_q (j x1 + m x2)."""
-    return (
-        0.5 * (1.0 - params.g) * (x1**2 + x2**2) + params.g * x1 * x2
-        + params.f_q * (j * x1 + m * x2)
-    )
+    """Branch potential U_jm(x1, x2) = V_j(x1) + V_m(x2) + g x1 x2."""
+    return _mode_potential(params, j, x1) + _mode_potential(params, m, x2) + params.g * x1 * x2
 
 
-def _series(kinetic, levels, factor):
+def _branch_bounds(params, xi, kinetic):
+    """(low, high) per diagonal pair (j, m): bounds on the spectrum of H_jm = K + U_jm(xi_a, xi_b).
+
+    Weyl's inequalities on H_jm = h_j (x) I + I (x) h_m + g x1 x2, with the
+    single-mode h_j = T + V_j(xi), bound it by the sums of the extreme
+    eigenvalues of h_j, h_m and g xi_a xi_b.  Those of K plus the range of
+    U_jm bound it too, and can be tighter at strong coupling and drive, so
+    each end takes the tighter of the two.
+    """
+
+    def extremes(matrix):
+        energies = np.linalg.eigvalsh(matrix)
+        return np.array([energies[0], energies[-1]])
+
+    kinetic_range = 2.0 * extremes(kinetic)
+    coupling = params.g * np.outer(xi, xi)
+    modes = {j: extremes(kinetic + np.diag(_mode_potential(params, j, xi))) for j in (+1, -1)}
+    bounds = {}
+    for j, m in _DIAGONAL_PAIRS:
+        potential = _potential(params, j, m, xi[:, None], xi)
+        weyl = modes[j] + modes[m] + [coupling.min(), coupling.max()]
+        separate = kinetic_range + [potential.min(), potential.max()]
+        bounds[(j, m)] = max(weyl[0], separate[0]), min(weyl[1], separate[1])
+    return bounds
+
+
+def _series(kinetic, factor, low, high):
     """(2/a) T per axis, (2/a)(P - c), a, c and the Bernstein rho of H = K + P.
 
     P is elementwise on the axes of ``factor``: two ket axes and, on a block,
-    two bra axes.  K, T on each ket axis minus T on each bra axis, has its
-    spectrum in (4 - ndim)(t_max + t_min)/2 +- ndim (t_max - t_min)/2, so that
-    of H lies in a rectangle of centre c and half-width a.
+    two bra axes.  K applies T on each ket axis and -T on each bra axis.  The
+    Hermitian part K + Re P has its spectrum in [``low``, ``high``]
+    (``_branch_bounds``) and the anti-Hermitian part is i Im P, so the
+    numerical range of H, which holds its spectrum, lies in a rectangle of
+    centre c and half-width a.
     """
-    half = 0.5 * np.ptp(factor.real) + 0.5 * factor.ndim * np.ptp(levels)
-    centre = 0.5 * (factor.real.max() + factor.real.min() + 1j * factor.imag.max())
-    centre += 0.5j * factor.imag.min() + 0.5 * (4 - factor.ndim) * (levels[0] + levels[-1])
+    half = 0.5 * (high - low)
+    centre = 0.5 * (high + low) + 0.5j * (factor.imag.max() + factor.imag.min())
     corner = 1.0 + 0.5j * np.ptp(factor.imag) / half  # of the rectangle, scaled
     rho = abs(corner + np.sqrt(corner**2 - 1.0))  # its Bernstein ellipse
     scale = 2.0 / half
@@ -486,13 +533,16 @@ def _propagate_pure(problem, grid, qubit_rho0):
     block Tr[{q_a, q_b} rho] = 2 w Re<q_a psi|q_b psi>.
     """
     params, n = problem.params, problem.n_max
-    dvr = _dvr(n)
-    x, p, xi, u, _, _ = dvr
-    factors = [_potential(params, j, m, xi[:, None], xi) for j, m in _DIAGONAL_PAIRS]
-    y = np.array([np.outer(u[0], u[0])] * len(factors), dtype=complex)
+    x, p, xi, u, kinetic = _dvr(n)
+    bounds = _branch_bounds(params, xi, kinetic)
+    series = [
+        _series(kinetic, _potential(params, j, m, xi[:, None], xi), *bounds[(j, m)])
+        for j, m in _DIAGONAL_PAIRS
+    ]
+    y = np.array([np.outer(u[0], u[0])] * len(series), dtype=complex)
     vacuum = np.zeros_like(y)
     vacuum[:, 0, 0] = 1.0
-    later, _ = _evolve(problem, grid, dvr, y, factors, np.copy)
+    later, _ = _evolve(problem, grid, u, y, series, np.copy)
     kets = dict(zip(_DIAGONAL_PAIRS, np.stack([vacuum] + later, axis=1)))
     # (T, 4, n1, n2): x1, p1, x2, p2 applied to each ket
     applied = {pair: np.stack([x @ k, p @ k, k @ x.T, k @ p.T], axis=1) for pair, k in kets.items()}
@@ -530,16 +580,20 @@ def _propagate_blocks(problem, grid, qubit_rho0):
         - i/4 [gamma_x ((xi_a - xi_c)^2 + (xi_b - xi_d)^2) + gamma_z ((j-k)^2 + (m-n)^2)].
     """
     params, n = problem.params, problem.n_max
-    dvr = _dvr(n)
-    x, p, xi, u, _, _ = dvr
+    x, p, xi, u, kinetic = _dvr(n)
+    bounds = _branch_bounds(params, xi, kinetic)
     x_a, x_b, x_c, x_d = (xi.reshape((-1,) + (1,) * trailing) for trailing in (3, 2, 1, 0))
     diffusion = params.gamma_x * ((x_a - x_c) ** 2 + (x_b - x_d) ** 2)
-    factors = [
-        _potential(params, label.j, label.m, x_a, x_b)
-        - _potential(params, label.k, label.n, x_c, x_d)
-        - 0.25j * (diffusion + params.gamma_z * 4 * label.n_differing)
-        for label in _BLOCKS
-    ]
+    series = []
+    for label in _BLOCKS:
+        ket_low, ket_high = bounds[(label.j, label.m)]
+        bra_low, bra_high = bounds[(label.k, label.n)]
+        factor = (
+            _potential(params, label.j, label.m, x_a, x_b)
+            - _potential(params, label.k, label.n, x_c, x_d)
+            - 0.25j * (diffusion + params.gamma_z * 4 * label.n_differing)
+        )
+        series.append(_series(kinetic, factor, ket_low - bra_high, ket_high - bra_low))
     mask = _edge_mask(n)
     rho_cv = _single_mode_initial(params.s, params.n_p, n)
     weights = np.array([qubit_rho0[label.qrdm_index] for label in _BLOCKS], dtype=complex)
@@ -550,32 +604,30 @@ def _propagate_blocks(problem, grid, qubit_rho0):
     def observe(fock):
         return _block_observables(fock, x, p, mask)
 
-    later, drift = _evolve(problem, grid, dvr, product_state(u.T @ rho_cv @ u), factors, observe)
+    later, drift = _evolve(problem, grid, u, product_state(u.T @ rho_cv @ u), series, observe)
     return [np.array(column) for column in zip(observe(product_state(rho_cv)), *later)], drift
 
 
-def _evolve(problem, grid, dvr, y, factors, observe):
+def _evolve(problem, grid, u, y, series, observe):
     """``observe`` of the Fock-basis states after each grid slot, and the hermiticity drift.
 
     ``y`` stacks kets (n1, n2) or blocks (n1, n2, n1', n2') in the eigenbasis
-    of x of ``dvr``, each under its own P of ``factors`` (``_series``).  A step
+    x = u diag(xi) u^T, each with its own ``_series`` of H = K + P.  A step
     h <= ``problem.dt`` applies exp(-ihH) = sum_k c_k T_k(X), X = (H - c)/a
     (``_chebyshev_coefficients``); with 2/a folded into T and P - c, one 2X in
     phi_{k+1} = 2X phi_k - phi_{k-1} is one real matrix product per axis and
     one elementwise product.  A step whose result is not finite or below 1e-2
     of its largest term (cancellation) raises OracleError.  Each state is one
-    task per slot on min(available CPUs, states) threads (numpy releases the
-    interpreter lock in these products), which keeps its working set in cache,
-    with its worker's own five work buffers; a diagonal block is symmetrized.
-    A task does the arithmetic of a serial loop, so results are bit-identical
-    for any thread count.
+    task per slot, which keeps its working set in cache, with its worker's own
+    five work buffers; a diagonal block is symmetrized.  Blocks run on
+    min(available CPUs, blocks) threads (numpy releases the interpreter lock
+    in their products); kets, whose products are too small for that to pay,
+    run in the calling thread.  A task does the arithmetic of a serial loop,
+    so results are bit-identical for any thread count.
     """
-    *_, u, kinetic, levels = dvr
-    series = [_series(kinetic, levels, factor) for factor in factors]
     to_fock = _per_axis(u)
     fock = np.empty_like(y)
     owned = threading.local()  # each worker's five work buffers
-    drift, observed = 0.0, []
 
     def advance(index, h, n_steps, tau):
         """State ``index`` through one slot; returns its drift, 0 unless a diagonal block."""
@@ -622,21 +674,33 @@ def _evolve(problem, grid, dvr, y, factors, observe):
             state = _on_axis(to_fock, axis, state, fock[index] if last else buffers[axis % 2])
         return state_drift
 
-    # the CPUs this process may run on; platforms without affinity report them all
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=min(cpus or 1, len(y))) as pool:
+    def slots(advance_all):
+        """Every state through each slot by ``advance_all``: the observations and the drift."""
+        drift, observed = 0.0, []
         for slot in range(1, len(grid)):
             span = grid[slot] - grid[slot - 1]
             n_steps = max(1, int(np.ceil(span / problem.dt)))
-            h = span / n_steps
+            drift = max([drift] + advance_all(span / n_steps, n_steps, grid[slot]))
+            observed.append(observe(fock))
+        return observed, drift
+
+    # kets run in this thread: their small products hold the interpreter lock,
+    # so worker threads would only add switching
+    if y.ndim == 3:
+        return slots(lambda *slot: [advance(index, *slot) for index in range(len(y))])
+    # the CPUs this process may run on; platforms without affinity report them all
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=min(cpus or 1, len(y))) as pool:
+
+        def advance_all(*slot):
             # each task runs in a copy of this context, so numpy's error state holds there
             futures = [
-                pool.submit(contextvars.copy_context().run, advance, index, h, n_steps, grid[slot])
+                pool.submit(contextvars.copy_context().run, advance, index, *slot)
                 for index in range(len(y))
             ]
-            drift = max([drift] + [future.result() for future in futures])
-            observed.append(observe(fock))
-    return observed, drift
+            return [future.result() for future in futures]
+
+        return slots(advance_all)
 
 
 def _peak(array):
@@ -924,7 +988,9 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
 
     noisy = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
     noisy_grid = np.linspace(0.0, tau_f, 5)
-    noisy_result = fock_propagate(FockProblem(params=noisy, tau_grid=noisy_grid, n_max=12))
+    span = float(np.diff(noisy_grid).max())  # a step of dt = span makes each slot one series
+    noisy_problem = FockProblem(params=noisy, tau_grid=noisy_grid, n_max=12, dt=span)
+    noisy_result = fock_propagate(noisy_problem)
     noisy_closed = open_qrdm(UnitlessParams(f_q=0.2, g=g, gamma_x=0.02), noisy_grid)[0]
     report.add("diffusive/qrdm", noisy_closed, noisy_result.qrdm, noisy_grid, 1e-9)
     report.notes["dephasing-normalization"] = (

@@ -6,6 +6,7 @@ import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import mpmath
@@ -21,6 +22,10 @@ from sgipair.potentials import UnitlessParams
 
 def sgi_problem(params, tau_grid, sigma0=None):
     return orc.MomentOdeProblem.for_sgi(params, np.asarray(tau_grid), sigma0)
+
+
+def fock_problem(params, tau_grid):
+    return orc.FockProblem(params=params, tau_grid=np.asarray(tau_grid))
 
 
 SQUEEZED_THERMAL = UnitlessParams(f_q=0.8, g=0.1, s=1e-2, n_p=5.0)
@@ -139,6 +144,19 @@ class TestMomentIntegration:
         assert relative_deviation(states[:, :16], reference[:, :16]) <= 1e-13
         assert relative_deviation(states[:, 16:], reference[:, 16:]) <= 1e-13
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 1000])
+    def test_composed_steps_match_explicit_increments(self, n_steps):
+        grid = np.linspace(0.0, final_time(SQUEEZED_THERMAL.g), 9)
+        problem = sgi_problem(SQUEEZED_THERMAL, grid)
+        m, q = orc._rk4_step_map(*orc._moment_generator(problem), 1e-3)
+        y0 = np.concatenate([problem.sigma0.ravel(), np.zeros(16)])
+        explicit = y0
+        for _ in range(n_steps):
+            explicit = explicit + (m @ explicit + q)
+        composed = orc._apply_steps(y0, m, q, n_steps)
+        assert relative_deviation(composed[:16], explicit[:16]) <= 1e-13
+        assert relative_deviation(composed[16:], explicit[16:]) <= 1e-13
+
     def test_squeezed_thermal_ladder_ends_at_quarter_millistep(self):
         # The verify-suite case; a step map applied as y = P y + Q instead of
         # y + (M y + q) loses enough roundoff on sigma ~ 1e3 to need a fourth halving.
@@ -157,10 +175,13 @@ class TestMomentIntegration:
             orc.integrate_moments(problem, max_refinements=0)
 
     def test_grid_must_start_at_zero(self):
-        with pytest.raises(ValueError, match="tau_grid"):
-            sgi_problem(UnitlessParams(f_q=1.0, g=0.1), [1.0, 2.0])
-        with pytest.raises(ValueError, match="^tau_grid=nan must be finite"):
-            sgi_problem(UnitlessParams(f_q=1.0, g=0.1), [0.0, np.nan])
+        params = UnitlessParams(f_q=1.0, g=0.1)
+        for make in (sgi_problem, fock_problem):
+            for grid in ([1.0, 2.0], [], [0.0, 1.0, 1.0]):
+                with pytest.raises(ValueError, match="^tau_grid must be ascending and start at 0$"):
+                    make(params, grid)
+            with pytest.raises(ValueError, match="^tau_grid=nan must be finite"):
+                make(params, [0.0, np.nan])
 
 
 class TestFockPure:
@@ -305,9 +326,21 @@ class TestFockOpen:
             assert result.hermiticity_drift < 1e-12
             assert_fock_matches_reference(result, problem)
 
+    def test_one_series_per_slot_matches_four(self):
+        # The diffusive problem of the full verify suite, whose steps span whole slots.
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
+        grid = np.linspace(0.0, final_time(params.g), 5)
+        span = float(np.diff(grid).max())
+        whole, quarters = (
+            orc.fock_propagate(orc.FockProblem(params=params, tau_grid=grid, n_max=12, dt=dt))
+            for dt in (span, span / 4.0)
+        )
+        assert np.max(np.abs(whole.qrdm - quarters.qrdm)) <= 1e-12
+
     def test_worker_count_does_not_change_results(self, monkeypatch):
-        # One worker, then 16 CPUs capped at one worker per block or ket: more
-        # threads than cores, switching as often as the interpreter allows.
+        # One worker, then 16 CPUs capped at one worker per block: more threads
+        # than cores, switching as often as the interpreter allows.  The kets
+        # run in the calling thread either way.
         sizes = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -341,7 +374,7 @@ class TestFockOpen:
                 assert serial.hermiticity_drift == pooled.hermiticity_drift
         finally:
             sys.setswitchinterval(interval)
-        assert sizes == [1, 10, 1, 10, 1, 4]
+        assert sizes == [1, 10, 1, 10]
 
     @pytest.mark.parametrize("n_max", [8, 12, 30])
     @pytest.mark.parametrize("s", [0.8, 1e-2])
@@ -397,8 +430,10 @@ class TestFockOpen:
     def test_diverged_run_raises(self, monkeypatch):
         # A NaN coefficient from the second slot on stands in for a step that
         # overflowed, on the ten diffusive blocks and on the four noise-free kets.
+        # Every pooled block of that slot runs; the kets, in the calling thread,
+        # stop at the first.
         coefficients = orc._chebyshev_coefficients
-        for gamma_x, tasks in ((0.02, len(orc._BLOCKS)), (0.0, 4)):
+        for gamma_x, tasks, expected in ((0.02, len(orc._BLOCKS), 20), (0.0, 4, 5)):
             calls = []
 
             def poisoned(theta, rho, calls=calls, tasks=tasks):
@@ -411,7 +446,7 @@ class TestFockOpen:
             message = r"tau=1\.0 is not finite .*; decrease dt=1\.0$"
             with pytest.raises(orc.OracleError, match=message):
                 orc.fock_propagate(problem)
-            assert len(calls) == 2 * tasks, gamma_x
+            assert len(calls) == expected, gamma_x
 
     def test_series_guard_names_the_grid_time(self):
         # Strong diffusion in one step over the whole slot: the Chebyshev terms
@@ -434,18 +469,33 @@ class TestFockOpen:
             orc.fock_propagate(problem)
 
     def test_series_rectangle_holds_the_spectrum(self):
-        # Every eigenvalue of the dense generator H = K + P of a ket (n = 8) and of
-        # a diffusive block (n = 5) lies in the rectangle of its series.
-        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.3)
-        for n, ndim in ((8, 2), (5, 4)):
-            _, _, xi, _, kinetic, levels = orc._dvr(n)
+        # The dense generator H = K + P of a ket (n = 8) and of a diffusive,
+        # dephasing block (n = 5): its spectrum, and the spectrum of its Hermitian
+        # part (the real extent of its numerical range), lie in the series'
+        # rectangle, which is no wider than the one of the kinetic levels plus
+        # the range of P.  Strong drive and coupling is where Weyl's bound alone
+        # would be the wider.
+        cases = product(
+            (
+                UnitlessParams(f_q=0.2, g=0.05, s=0.5, n_p=0.3, gamma_x=0.3, gamma_z=0.1),
+                UnitlessParams(f_q=2.0, g=0.45, s=0.5, gamma_x=0.3, gamma_z=0.1),
+            ),
+            ((8, 2), (5, 4)),
+        )
+        for params, (n, ndim) in cases:
+            _, _, xi, _, kinetic = orc._dvr(n)
+            bounds = orc._branch_bounds(params, xi, kinetic)
             axes = [xi.reshape((-1,) + (1,) * trailing) for trailing in range(ndim)[::-1]]
             factor = orc._potential(params, 1, -1, *axes[:2])
+            low, high = bounds[(1, -1)]
             if ndim == 4:
                 diffusion = (axes[0] - axes[2]) ** 2 + (axes[1] - axes[3]) ** 2
                 factor = factor - orc._potential(params, -1, -1, *axes[2:])
-                factor = factor - 0.25j * params.gamma_x * diffusion
-            *_, half, centre, _ = orc._series(kinetic, levels, factor)
+                factor = factor - 0.25j * (params.gamma_x * diffusion + params.gamma_z * 4)
+                low, high = low - bounds[(-1, -1)][1], high - bounds[(-1, -1)][0]
+            *_, half, centre, _ = orc._series(kinetic, factor, low, high)
+            levels = np.linalg.eigvalsh(kinetic)
+            assert half <= 0.5 * np.ptp(factor.real) + 0.5 * ndim * np.ptp(levels), ndim
             dense = np.diag(factor.ravel())
             for axis in range(ndim):
                 operands = [np.eye(n)] * ndim
@@ -455,6 +505,8 @@ class TestFockOpen:
             assert np.all(np.abs(spectrum.real - centre.real) <= half * (1.0 + 1e-12)), ndim
             assert np.all(spectrum.imag >= factor.imag.min() - 1e-12), ndim
             assert np.all(spectrum.imag <= factor.imag.max() + 1e-12), ndim
+            hermitian = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
+            assert np.all(np.abs(hermitian - centre.real) <= half * (1.0 + 1e-12)), ndim
 
     @pytest.mark.parametrize("theta", [1e-3, 0.5, 2.0, 53.0, 400.0])
     def test_series_coefficients_match_mpmath_bessel(self, theta):
