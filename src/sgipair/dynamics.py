@@ -7,7 +7,11 @@ dynamics both close over this family; this module provides the branch
 trajectories, the QRDM phases and contrasts, and the assembled state, each
 as an explicit function of the dimensionless parameters.  One set of
 contrast closed forms serves both: the unitary QRDM is the open QRDM at
-s = 1, n_p = 0 and zero rates.
+s = 1, n_p = 0 and zero rates.  The cat-state calls take one scalar point
+at a time and share its branch-pair kernel (``_shared_kernel``): arrays
+built once per point from the closed-form propagator integrals of
+``phase_space``, from which the moments, phases and contrasts of all 16
+branch pairs follow.
 
 Branch labels are sigma_z eigenvalues, with computational bit 0 mapped to
 +1.  The branch with both qubits in bit 0 is deflected toward negative
@@ -16,20 +20,18 @@ positions, which fixes the sign convention of the drift vectors.
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .phase_space import (
     _check_tau,
-    _from_modes,
-    _mode_memory,
     _odd_series,
+    _propagator_integrals,
     final_time,
-    lyapunov_integral,
     mode_frequency,
     propagator,
     sgi_drift_spec,
@@ -144,7 +146,7 @@ class ContrastSet:
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            _require(f"contrast {name}", value, value >= -1e-12, "must be >= 0")
+            _require(f"contrast {name}", value, value >= 0.0, "must be >= 0")
 
     @property
     def single_flip_total(self) -> float:
@@ -227,7 +229,11 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
     a sum of nonnegative terms.  x/2 is taken as pi d, where d is r = tau/tau_f
     less its nearest integer and tau_f = 2 pi/w as ``final_time`` computes it,
     so whole periods drop out exactly and the exponent is exactly 0 wherever
-    r is an integer, as at tau = final_time(g) and at twice that.
+    r is an integer, as at tau = final_time(g) and at twice that.  The
+    symmetric-mode bracket (s - 1/s) cos tau + s + 1/s cancels as s -> 0; it
+    is taken as 2s cos^2(tau/2) + (2/s) sin^2(tau/2) = 2s + 2(1/s - s)
+    sin^2(tau/2), two nonnegative terms for s <= 1 and exactly 2 at s = 1.
+    Every exponent is a sum of nonnegative terms, so none is clamped.
     """
     f_q, g, s = params.f_q, params.g, params.s
     w = mode_frequency(g)
@@ -243,15 +249,11 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
             + np.square(s) * np.square(w) * np.square(np.sin(2.0 * half_x))
         )
     )
-    c_s_2 = (
-        occ
-        * f_sq
-        * np.square(np.sin(tau / 2.0))
-        * ((s - 1.0 / s) * np.cos(tau) + s + 1.0 / s)
-    )
+    sin_sq = np.square(np.sin(tau / 2.0))
+    c_s_2 = occ * f_sq * sin_sq * (2.0 * s + 2.0 * (1.0 / s - s) * sin_sq)
     return ContrastSet(
         c_s_np_1=c_s_1,
-        c_s_np_2=np.maximum(c_s_2, 0.0),
+        c_s_np_2=c_s_2,
         c_gamma_1=params.gamma_x * (f_sq / (8.0 * np.power(w, 5))) * _diffusion_shape(tau * w),
         c_gamma_2=params.gamma_x * (f_sq / 8.0) * _diffusion_shape(tau),
         c_z=params.gamma_z * tau,
@@ -339,88 +341,45 @@ def _phase_contrast_table(
     return np.stack([phase, contrast], axis=-1)
 
 
-@dataclass(frozen=True)
-class _BranchPairKernel:
-    """Branch moments, phases and contrasts of all 16 labels at one (params, tau).
+_PARAM_NAMES = tuple(f.name for f in fields(UnitlessParams))
+
+# Branch-pair kernel of one point: S = S(tau), L = int_0^tau S(u) D S(u)^T du, H, sigma,
+# shifts (4, 2, 4) with [row] = r, (S - I) r of the ket (j, m) of QRDM row, m1, m2 and
+# phase_contrast_table (4, 4, 2) with [row, col] = (phase, contrast).
+_Kernel = namedtuple(
+    "_Kernel", "params tau s_tau lyapunov h_matrix sigma shifts m1 m2 phase_contrast_table"
+)
+
+
+@lru_cache(maxsize=8)
+def _shared_kernel(point: tuple[float, ...], tau: float) -> _Kernel:
+    """Branch-pair kernel of the scalar UnitlessParams fields ``point`` at tau, kept for 8 points.
 
     Labels differ only in the displaced equilibria r of their ket and bra
     sides, and the diffusion memory terms are linear (moments) or bilinear
-    (contrast) in delta = r_ket - r_bra.  So, with K(u) = S(u) D S(u)^T and
-    S = S(tau), two closed-form integrals (``_mode_memory``) serve all 16 labels:
-    m1 = int_0^tau K(u) Omega (S(u) - S) du and
-    m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du.
-    ``moment_table`` (4, 4, 4) and ``phase_contrast_table`` (4, 4, 2) hold
-    every label's result once, at index ``label.qrdm_index`` of its QRDM
-    entry; ``moments`` and ``phase_contrast`` look a label up there.  Only
-    ``general_first_moments`` reads ``moment_table``, so it is evaluated on
-    first use.
-
-    Only sigma = S sigma0 S^T + L depends on the initial covariance sigma0,
-    here the squeezed thermal one of params; the tables are evaluated from
-    the kernel's own sigma.  ``evolve_cat_state`` re-evaluates just the
-    moment half, ``_moment_table``, for the sigma evolved from its initial
-    state.  One kernel per scalar (params, tau), with read-only arrays, is
-    kept by ``_shared_kernel`` for the last few points and shared by
+    (contrast) in delta = r_ket - r_bra.  So the three closed-form propagator
+    integrals L, m1 and m2 (``phase_space._mode_integrals``) serve all 16
+    labels.  ``phase_contrast_table`` holds every label's (phase, contrast)
+    at index ``label.qrdm_index`` of its QRDM entry, evaluated from the
+    kernel's sigma = S sigma0 S^T + L, sigma0 being the squeezed thermal
+    covariance of the point; ``_moment_table`` gives the moments from any
+    sigma.  Every array is read-only, since the kernel is shared by
     ``evolve_cat_state``, ``general_first_moments`` and
     ``branch_pair_phase_contrast``.
     """
-
-    params: UnitlessParams
-    tau: float
-    s_tau: np.ndarray  # S = S(tau)
-    lyapunov: np.ndarray  # L = int_0^tau S(u) D S(u)^T du
-    h_matrix: np.ndarray  # H
-    sigma: np.ndarray
-    shifts: np.ndarray  # (4, 2, 4): [row] = r, (S - I) r of the ket (j, m) of QRDM row
-    m1: np.ndarray
-    m2: np.ndarray
-    phase_contrast_table: np.ndarray = field(init=False)  # [row, col]: (phase, contrast)
-
-    def __post_init__(self) -> None:
-        phase_contrast = _phase_contrast_table(
-            self.sigma, self.shifts, self.m2, self.h_matrix, self.tau, self.params.gamma_z
-        )
-        phase_contrast.flags.writeable = False
-        object.__setattr__(self, "phase_contrast_table", phase_contrast)
-
-    @cached_property
-    def moment_table(self) -> np.ndarray:
-        """[row, col]: first-moment vector, evaluated once on first use."""
-        moments = _moment_table(self.sigma, self.shifts, self.m1)
-        moments.flags.writeable = False
-        return moments
-
-    def moments(self, label: BranchLabel) -> BranchMoments:
-        return BranchMoments(label=label, vector=self.moment_table[label.qrdm_index].copy())
-
-    def phase_contrast(self, label: BranchLabel) -> tuple[float, float]:
-        phase, contrast = self.phase_contrast_table[label.qrdm_index].tolist()
-        return phase, contrast
-
-
-def _branch_pair_kernel(params: UnitlessParams, tau: float) -> _BranchPairKernel:
-    """Kernel evolved from the squeezed thermal covariance of params; its arrays are read-only."""
+    params = UnitlessParams(*point)
     g = params.g
-    lyapunov = lyapunov_integral(g, tau, params.gamma_x)  # checks g, tau and the rate first
+    lyapunov, m1, m2 = _propagator_integrals(g, params.gamma_x, tau)
     h_matrix = sgi_hamiltonian_matrix(g)
     s = propagator(g, tau)
     sigma = s @ squeezed_thermal_covariance(params.s, params.n_p) @ s.T + lyapunov
     by_eigenvalues = _shifts(h_matrix, params.f_q, s)
     shifts = np.array([by_eigenvalues[key] for key in _ROW_EIGENVALUES])
-    w = np.array([1.0, mode_frequency(g)])
-    m1, m2 = (_from_modes(*modes) for modes in _mode_memory(w, params.gamma_x, tau))
-    for array in (s, lyapunov, h_matrix, sigma, shifts, m1, m2):
+    table = _phase_contrast_table(sigma, shifts, m2, h_matrix, tau, params.gamma_z)
+    kernel = _Kernel(params, tau, s, lyapunov, h_matrix, sigma, shifts, m1, m2, table)
+    for array in kernel[2:]:
         array.flags.writeable = False
-    return _BranchPairKernel(params, tau, s, lyapunov, h_matrix, sigma, shifts, m1, m2)
-
-
-_PARAM_NAMES = tuple(f.name for f in fields(UnitlessParams))
-
-
-@lru_cache(maxsize=8)
-def _shared_kernel(point: tuple[float, ...], tau: float) -> _BranchPairKernel:
-    """Kernel of the scalar UnitlessParams fields ``point`` at tau, kept for the last 8 points."""
-    return _branch_pair_kernel(UnitlessParams(*point), tau)
+    return kernel
 
 
 def _scalar(name: str, value) -> float:
@@ -429,7 +388,7 @@ def _scalar(name: str, value) -> float:
     return float(value)
 
 
-def _kernel(params: UnitlessParams, tau: float) -> _BranchPairKernel:
+def _kernel(params: UnitlessParams, tau: float) -> _Kernel:
     """Shared kernel of one point; grid inputs and a bad tau raise before the cache lookup."""
     point = tuple(_scalar(name, getattr(params, name)) for name in _PARAM_NAMES)
     tau = _scalar("tau", tau)
@@ -443,11 +402,13 @@ def general_first_moments(label: BranchLabel, params: UnitlessParams, tau: float
     Diagonal branches are real and unaffected by momentum diffusion; the
     off-diagonal branches carry imaginary parts set by the evolved covariance
     and, under diffusion, by a closed-form memory integral of the propagated noise kernel.
-    Params and tau must be scalars.  The kernel of the point evaluates all 16
-    labels at once, is built once per point and is shared with the other
-    cat-state calls; this returns a copy of the label's entry.
+    Params and tau must be scalars.  The moments of all 16 labels are
+    evaluated at once from the point's shared kernel; this returns the
+    label's entry.
     """
-    return _kernel(params, tau).moments(label)
+    kernel = _kernel(params, tau)
+    table = _moment_table(kernel.sigma, kernel.shifts, kernel.m1)
+    return BranchMoments(label=label, vector=table[label.qrdm_index])
 
 
 def branch_pair_phase_contrast(
@@ -464,7 +425,8 @@ def branch_pair_phase_contrast(
     qubit, independently for each qubit.  Params and tau must be scalars; the
     kernel is built once per point and shared with the other cat-state calls.
     """
-    return _kernel(params, tau).phase_contrast(label)
+    phase, contrast = _kernel(params, tau).phase_contrast_table[label.qrdm_index].tolist()
+    return phase, contrast
 
 
 # --------------------------------------------------------------------------
@@ -552,9 +514,9 @@ def evolve_cat_state(
     from the corresponding closed forms.  Only evolution of the centred
     initial state produced by ``initial_cat_state`` is supported.  Params and
     tau must be scalars; the branch-pair kernel of the point is shared with
-    ``general_first_moments`` and ``branch_pair_phase_contrast``, and only its
-    moment table is re-evaluated, for the covariance evolved from
-    ``initial.sigma``.  The 16 branches are that table's entries.
+    ``general_first_moments`` and ``branch_pair_phase_contrast``.  The 16
+    branches are the entries of ``_moment_table`` for the covariance evolved
+    from ``initial.sigma``.
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")

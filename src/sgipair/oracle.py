@@ -187,7 +187,8 @@ def _apply_steps(y: np.ndarray, m: np.ndarray, q: np.ndarray, n_steps: int) -> n
         m, q = 2.0 * m + m @ m, 2.0 * q + m @ q
 
 
-def _integrate_once(problem: MomentOdeProblem, dt: float) -> MomentTrajectories:
+def _integrate_once(problem: MomentOdeProblem, dt: float) -> np.ndarray:
+    """(T, 32) states on the grid at nominal step dt, in ``_moment_generator``'s layout."""
     a, b = _moment_generator(problem)
     y = np.concatenate([problem.sigma0.ravel(), np.zeros(16)])
     grid = problem.tau_grid
@@ -198,12 +199,7 @@ def _integrate_once(problem: MomentOdeProblem, dt: float) -> MomentTrajectories:
         n_steps = max(1, int(np.ceil(span / dt)))
         y = _apply_steps(y, *_rk4_step_map(a, b, span / n_steps), n_steps)
         states[slot] = y
-    means = {
-        pair: states[:, 16 + 4 * idx : 20 + 4 * idx] for idx, pair in enumerate(_DIAGONAL_PAIRS)
-    }
-    return MomentTrajectories(
-        tau_grid=grid, sigma=states[:, :16].reshape(-1, 4, 4), branch_means=means, step=dt
-    )
+    return states
 
 
 def integrate_moments(
@@ -226,26 +222,27 @@ def integrate_moments(
     _require("dt", dt, np.isfinite(dt) and dt > 0.0, "must be finite and > 0")
     if check:
         _require("max_refinements", max_refinements, max_refinements >= 1, "must be >= 1")
-    coarse = _integrate_once(problem, dt)
-    if not check:
-        return coarse
-    for _ in range(max_refinements):
-        fine = _integrate_once(problem, dt / 2.0)
-        dev = float(np.max(np.abs(coarse.sigma - fine.sigma)))
-        for pair in _DIAGONAL_PAIRS:
-            dev = max(
-                dev,
-                float(
-                    np.max(np.abs(coarse.branch_means[pair] - fine.branch_means[pair]))
-                ),
+    states = _integrate_once(problem, dt)
+    if check:
+        for _ in range(max_refinements):
+            dt /= 2.0
+            coarse, states = states, _integrate_once(problem, dt)
+            dev = float(np.max(np.abs(coarse - states)))
+            if dev <= convergence_tol:
+                break
+        else:
+            raise OracleError(
+                f"moment integration not converged: halving dt={dt} still moves "
+                f"results by {dev:.3e} > {convergence_tol:.1e}"
             )
-        if dev <= convergence_tol:
-            return fine
-        dt /= 2.0
-        coarse = fine
-    raise OracleError(
-        f"moment integration not converged: halving dt={dt} still moves "
-        f"results by {dev:.3e} > {convergence_tol:.1e}"
+    means = {
+        pair: states[:, 16 + 4 * idx : 20 + 4 * idx] for idx, pair in enumerate(_DIAGONAL_PAIRS)
+    }
+    return MomentTrajectories(
+        tau_grid=problem.tau_grid,
+        sigma=states[:, :16].reshape(-1, 4, 4),
+        branch_means=means,
+        step=dt,
     )
 
 
@@ -900,7 +897,7 @@ def _closed_form_trajectories(
 
     g = params.g + g_shift
     sigma0 = squeezed_thermal_covariance(params.s, params.n_p)
-    sigmas = np.array([evolve_covariance(sigma0, g, tau, params.gamma_x) for tau in tau_grid])
+    sigmas = evolve_covariance(sigma0, g, tau_grid, params.gamma_x)
     moments = branch_trajectories(params.f_q, g, tau_grid)
     means = {(label.j, label.m): bm.vector.real for label, bm in moments.items()}
     return sigmas, means

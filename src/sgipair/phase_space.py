@@ -6,8 +6,9 @@ modes are coupled by a bilinear term of strength ``g``; the normal modes are
 the symmetric combination (frequency 1) and the antisymmetric combination
 (frequency ``omega_g = sqrt(1 - 2g)``), which is real only for g < 1/2.
 The one noise channel is momentum diffusion at rate gamma_x, equal on both
-modes, D = gamma_x diag(0, 1, 0, 1); its accumulated covariance has a
-closed form in the normal modes.
+modes, D = gamma_x diag(0, 1, 0, 1).  Its accumulated covariance and the two
+branch-pair memory integrals have closed forms, one 2x2 block per normal mode
+(``_mode_integrals``); only this module knows the normal-mode layout.
 """
 
 from __future__ import annotations
@@ -187,52 +188,55 @@ _shape_c = _odd_series(
 )
 
 
-def _mode_lyapunov(w: np.ndarray, rate: float, tau: float) -> np.ndarray:
-    """Closed form of int_0^tau S_w(t) diag(0, rate) S_w(t)^T dt, one 2x2 block per w."""
-    xx = _position_shape(w * tau) / (4.0 * w**3)
-    xp = np.sin(w * tau) ** 2 / (2.0 * w**2)
-    pp = tau / 2.0 + np.sin(2.0 * w * tau) / (4.0 * w)
-    return rate * np.stack([xx, xp, xp, pp], axis=-1).reshape(*xx.shape, 2, 2)
-
-
-def _mode_memory(w: np.ndarray, rate: float, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed forms of the two branch-pair memory integrals (m1, m2), one 2x2 block per w.
+def _mode_integrals(w: np.ndarray, rate: float, tau) -> tuple[np.ndarray, ...]:
+    """Closed forms of the propagator integrals (L, m1, m2), one 2x2 block per w.
 
     With S(u) = S_w(u), S = S(tau), D = diag(0, rate) and K(u) = S(u) D S(u)^T,
-    m1 = int_0^tau K(u) Omega (S(u) - S) du and
+    L = int_0^tau K(u) du, m1 = int_0^tau K(u) Omega (S(u) - S) du and
     m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du.
-    S(u) is symplectic, so K(u) Omega S(u) = S(u) D Omega and both integrands are
-    trigonometric polynomials of degree <= 2 in w u.  With x = w tau, A = sin x - x cos x,
+    S(u) is symplectic, so K(u) Omega S(u) = S(u) D Omega and every integrand is a
+    trigonometric polynomial of degree <= 2 in w u.  With x = w tau, A = sin x - x cos x,
     B = 1 - cos x - (x/2) sin x = 2 sin(x/2) A(x/2), C = x/2 - sin(2x)/4 - sin x + x cos x,
     Q = 2 sin^4(x/2) and P = 2x - sin 2x:
+    L = rate [[P/(4 w^3), sin^2 x/(2 w^2)], [sin^2 x/(2 w^2), tau/2 + sin(2x)/(4 w)]],
     m1 = rate [[-B/w^2, A/(2 w^3)], [-A/(2 w), tau sin x/(2 w)]] and
     m2 = rate [[C/w, (Q + 2B)/w^2], [(Q - 2B)/w^2, -(2A + P/2)/(2 w^3)]].
     """
     x = w * tau
+    sin_x, sin_half = np.sin(x), np.sin(0.5 * x)
     (a, a_half), c, p = _shape_a(np.stack([x, 0.5 * x])), _shape_c(x), _position_shape(x)
-    b = 2.0 * np.sin(0.5 * x) * a_half
-    q = 2.0 * np.square(np.square(np.sin(0.5 * x)))
-    m1 = [-b / w**2, a / (2.0 * w**3), -a / (2.0 * w), tau * np.sin(x) / (2.0 * w)]
+    b = 2.0 * sin_half * a_half
+    q = 2.0 * np.square(np.square(sin_half))
+    xp = sin_x**2 / (2.0 * w**2)
+    lyapunov = [p / (4.0 * w**3), xp, xp, tau / 2.0 + np.sin(2.0 * x) / (4.0 * w)]
+    m1 = [-b / w**2, a / (2.0 * w**3), -a / (2.0 * w), tau * sin_x / (2.0 * w)]
     m2 = [c / w, (q + 2.0 * b) / w**2, (q - 2.0 * b) / w**2, -(2.0 * a + 0.5 * p) / (2.0 * w**3)]
-    return tuple(rate * np.stack(m, axis=-1).reshape(*x.shape, 2, 2) for m in (m1, m2))
+    return tuple(rate * np.stack(m, axis=-1).reshape(*x.shape, 2, 2) for m in (lyapunov, m1, m2))
 
 
-def lyapunov_integral(g: float, tau: float, gamma_x: float) -> np.ndarray:
+def _propagator_integrals(g: float, rate: float, tau) -> tuple[np.ndarray, ...]:
+    """(L, m1, m2) at D = rate diag(0, 1, 0, 1) in (x1,p1,x2,p2) form, (..., 4, 4) over tau."""
+    w = np.array([1.0, mode_frequency(g)])
+    blocks = _mode_integrals(w, rate, np.asarray(tau, dtype=float)[..., None])
+    return tuple(_from_modes(block[..., 0, :, :], block[..., 1, :, :]) for block in blocks)
+
+
+def lyapunov_integral(g: float, tau, gamma_x: float) -> np.ndarray:
     """Accumulated diffusion int_0^tau S(tau-t) D S(tau-t)^T dt, D = gamma_x diag(0, 1, 0, 1).
 
-    Evaluated in closed form, one 2x2 block per normal mode.
+    Evaluated in closed form, one 2x2 block per normal mode.  Broadcasts over tau.
     """
     _check_coupling(g)
     _check_tau(tau)
     _check_diffusion_rate(gamma_x)
-    w = np.array([1.0, mode_frequency(g)])
-    return _from_modes(*_mode_lyapunov(w, gamma_x, tau))
+    return _propagator_integrals(g, gamma_x, tau)[0]
 
 
-def evolve_covariance(
-    sigma0: np.ndarray, g: float, tau: float, gamma_x: float = 0.0
-) -> np.ndarray:
-    """Covariance at time tau: S sigma0 S^T plus the diffusion integral at rate gamma_x."""
+def evolve_covariance(sigma0: np.ndarray, g: float, tau, gamma_x: float = 0.0) -> np.ndarray:
+    """Covariance at time tau: S sigma0 S^T plus the diffusion integral at rate gamma_x.
+
+    Broadcasts over tau, shape (..., 4, 4); sigma0 is checked once.
+    """
     sigma0 = np.asarray(sigma0, dtype=float)
     ok, margin = heisenberg_ok(sigma0)
     if not ok:
@@ -240,5 +244,5 @@ def evolve_covariance(
             f"initial covariance violates the uncertainty bound (margin {margin:.3e})"
         )
     s = propagator(g, tau)
-    sigma = s @ sigma0 @ s.T + lyapunov_integral(g, tau, gamma_x)
-    return 0.5 * (sigma + sigma.T)
+    sigma = s @ sigma0 @ np.swapaxes(s, -1, -2) + lyapunov_integral(g, tau, gamma_x)
+    return 0.5 * (sigma + np.swapaxes(sigma, -1, -2))

@@ -377,7 +377,7 @@ def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -
     "m2" = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du,
     each at relative tolerance 1e-11 and absolute tolerance 1e-14, one
     propagator per sample.  Reference for ``lyapunov_integral`` and the
-    closed-form memory integrals of ``phase_space._mode_memory``.
+    closed-form memory integrals of ``phase_space._mode_integrals``.
     """
     from scipy.integrate import quad_vec
 
@@ -408,7 +408,7 @@ def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -
 def reference_branch_pair(kernel, label) -> tuple[np.ndarray, tuple[float, float]]:
     """First-moment vector and (phase, contrast) of one label, one product at a time.
 
-    Reads only the label-independent parts of a ``dynamics._BranchPairKernel``
+    Reads only the label-independent parts of a ``dynamics._shared_kernel`` result
     (sigma, the shifts, m1, m2, H, tau and gamma_z), never its tables.
     """
     omega = symplectic_form()

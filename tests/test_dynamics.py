@@ -191,6 +191,17 @@ def _relative(actual, expected):
     return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
 
 
+def _fresh_kernel(params: UnitlessParams, tau: float):
+    """The point's branch-pair kernel, built outside the cache."""
+    point = tuple(getattr(params, name) for name in dyn._PARAM_NAMES)
+    return dyn._shared_kernel.__wrapped__(point, tau)
+
+
+def _builds() -> int:
+    """Kernels built since the cache was last cleared."""
+    return dyn._shared_kernel.cache_info().misses
+
+
 class TestBranchPairKernel:
     """The closed-form memory integrals and the tables built from them."""
 
@@ -198,7 +209,7 @@ class TestBranchPairKernel:
     def test_matches_adaptive_reference(self, g):
         params = UnitlessParams(f_q=1.0, g=g, s=0.3, n_p=1.0, gamma_x=0.05)
         for tau in (0.1, 2.0, final_time(g), 17.0, 300.0):
-            kernel = dyn._branch_pair_kernel(params, tau)
+            kernel = _fresh_kernel(params, float(tau))
             reference = reference_propagator_integrals(g, tau, sgi_diffusion_matrix(0.05))
             assert _relative(kernel.m1, reference["m1"]) <= 1e-12
             assert _relative(kernel.m2, reference["m2"]) <= 1e-12
@@ -213,33 +224,19 @@ class TestBranchPairKernel:
                 dyn.general_first_moments(label, params, 3.1).vector,
             )
 
-    @staticmethod
-    def _count_builds(monkeypatch) -> list:
-        """Empty the kernel cache and record the tau of every kernel built from now on."""
-        builds = []
-        build = dyn._branch_pair_kernel
-
-        def counting(params, tau):
-            builds.append(tau)
-            return build(params, tau)
-
+    def test_one_build_per_point(self):
         dyn._shared_kernel.cache_clear()
-        monkeypatch.setattr(dyn, "_branch_pair_kernel", counting)
-        return builds
-
-    def test_one_build_per_point(self, monkeypatch):
-        builds = self._count_builds(monkeypatch)
         dyn.evolve_cat_state(dyn.initial_cat_state(CAT_PARAMS), CAT_PARAMS, 3.1)
         for label in ALL_LABELS:
             dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1)
         for label in ALL_LABELS:
             dyn.general_first_moments(label, CAT_PARAMS, 3.1)
-        assert builds == [3.1]
+        assert _builds() == 1
         dyn.branch_pair_phase_contrast(ALL_LABELS[1], CAT_PARAMS, 1.7)
-        assert builds == [3.1, 1.7]
+        assert _builds() == 2
 
-    def test_numpy_scalars_share_the_python_float_entry(self, monkeypatch):
-        builds = self._count_builds(monkeypatch)
+    def test_numpy_scalars_share_the_python_float_entry(self):
+        dyn._shared_kernel.cache_clear()
         dyn.branch_pair_phase_contrast(ALL_LABELS[1], CAT_PARAMS, 3.1)
         numpy_params = UnitlessParams(
             **{name: np.float64(getattr(CAT_PARAMS, name)) for name in dyn._PARAM_NAMES}
@@ -251,18 +248,19 @@ class TestBranchPairKernel:
         ]:
             for entry in CAT_ENTRY_POINTS.values():
                 entry(params, tau)
-        assert builds == [3.1]
+        assert _builds() == 1
 
     def test_shared_kernel_matches_a_fresh_build(self):
-        fresh = dyn._branch_pair_kernel(CAT_PARAMS, 3.1)
+        fresh = _fresh_kernel(CAT_PARAMS, 3.1)
+        moments = dyn._moment_table(fresh.sigma, fresh.shifts, fresh.m1)
         for _ in range(2):  # the first pass may build the shared kernel, the second reads it
             for label in ALL_LABELS:
-                assert dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) == (
-                    fresh.phase_contrast(label)
+                assert dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) == tuple(
+                    fresh.phase_contrast_table[label.qrdm_index].tolist()
                 )
                 assert np.array_equal(
                     dyn.general_first_moments(label, CAT_PARAMS, 3.1).vector,
-                    fresh.moments(label).vector,
+                    moments[label.qrdm_index],
                 )
 
     def test_initial_covariance_does_not_leak(self):
@@ -274,12 +272,14 @@ class TestBranchPairKernel:
         s = propagator(params.g, tau)
         sigma = s @ sigma0 @ s.T + lyapunov_integral(params.g, tau, params.gamma_x)
         assert np.array_equal(state.sigma, 0.5 * (sigma + sigma.T))
-        fresh = dyn._branch_pair_kernel(params, tau)
-        evolved = replace(fresh, sigma=sigma)  # the tables evaluated from this sigma
+        fresh = _fresh_kernel(params, tau)
+        evolved = dyn._moment_table(sigma, fresh.shifts, fresh.m1)  # the moments of this sigma
         for label in ALL_LABELS:
-            assert np.array_equal(state.branches[label].vector, evolved.moments(label).vector)
+            assert np.array_equal(state.branches[label].vector, evolved[label.qrdm_index])
         for label in ALL_LABELS:
-            assert dyn.branch_pair_phase_contrast(label, params, tau) == fresh.phase_contrast(label)
+            assert dyn.branch_pair_phase_contrast(label, params, tau) == tuple(
+                fresh.phase_contrast_table[label.qrdm_index].tolist()
+            )
 
     @pytest.mark.parametrize(
         "params, tau, sigma0",
@@ -301,22 +301,27 @@ class TestBranchPairKernel:
         ],
     )
     def test_tables_match_the_per_label_reference(self, params, tau, sigma0):
-        kernel = dyn._branch_pair_kernel(params, tau)
-        if sigma0 is not None:
-            kernel = replace(kernel, sigma=kernel.s_tau @ sigma0 @ kernel.s_tau.T + kernel.lyapunov)
+        kernel = _fresh_kernel(params, float(tau))
+        if sigma0 is not None:  # both tables evaluated from the covariance evolved from sigma0
+            sigma = kernel.s_tau @ sigma0 @ kernel.s_tau.T + kernel.lyapunov
+            table = dyn._phase_contrast_table(
+                sigma, kernel.shifts, kernel.m2, kernel.h_matrix, kernel.tau, params.gamma_z
+            )
+            kernel = kernel._replace(sigma=sigma, phase_contrast_table=table)
+        moment_table = dyn._moment_table(kernel.sigma, kernel.shifts, kernel.m1)
         references = [reference_branch_pair(kernel, label) for label in ALL_LABELS]
         moments = np.array([vector for vector, _ in references]).reshape(4, 4, 4)
         phase_contrast = np.array([pair for _, pair in references]).reshape(4, 4, 2)
         for actual, expected in [
-            (kernel.moment_table, moments),
+            (moment_table, moments),
             (kernel.phase_contrast_table[..., 0], phase_contrast[..., 0]),
             (kernel.phase_contrast_table[..., 1], phase_contrast[..., 1]),
         ]:
             assert np.max(np.abs(actual - expected)) <= 1e-14 * np.max(np.abs(expected))
         for label in ALL_LABELS:
             if label.is_diagonal:
-                assert not kernel.moments(label).vector.imag.any()
-            phase, contrast = kernel.phase_contrast(label)
+                assert not moment_table[label.qrdm_index].imag.any()
+            phase, contrast = dyn.branch_pair_phase_contrast(label, params, tau)
             assert type(phase) is float and type(contrast) is float
 
     def test_evolving_a_state_evaluates_no_phase_contrast_table(self, monkeypatch):
@@ -333,7 +338,7 @@ class TestBranchPairKernel:
         ):
             dyn.evolve_cat_state(initial, CAT_PARAMS, 3.1)
 
-    def test_moment_table_is_evaluated_on_first_use(self, monkeypatch):
+    def test_phase_contrast_lookups_evaluate_no_moment_table(self, monkeypatch):
         calls = []
         evaluate = dyn._moment_table
 
@@ -348,14 +353,11 @@ class TestBranchPairKernel:
         assert calls == []
         dyn.evolve_cat_state(dyn.initial_cat_state(CAT_PARAMS), CAT_PARAMS, 3.1)
         assert len(calls) == 1  # the state's own table, for its evolved covariance
-        for label in ALL_LABELS:
-            dyn.general_first_moments(label, CAT_PARAMS, 3.1)
-        assert len(calls) == 2
 
     def test_shared_arrays_are_read_only(self):
         kernel = dyn._kernel(CAT_PARAMS, 3.1)
         arrays = [kernel.s_tau, kernel.lyapunov, kernel.h_matrix, kernel.sigma, kernel.shifts]
-        arrays += [kernel.m1, kernel.m2, kernel.moment_table, kernel.phase_contrast_table]
+        arrays += [kernel.m1, kernel.m2, kernel.phase_contrast_table]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
@@ -365,7 +367,7 @@ class TestBranchPairKernel:
         def no_build(*args):
             raise AssertionError("a kernel was built")
 
-        monkeypatch.setattr(dyn, "_branch_pair_kernel", no_build)
+        monkeypatch.setattr(dyn, "_shared_kernel", no_build)
         tau = value if field == "tau" else 3.1
         params = CAT_PARAMS if field == "tau" else replace(CAT_PARAMS, **{field: value})
         message = rf"^{field}={re.escape(str(value))} must be a scalar"
@@ -508,6 +510,20 @@ class TestOpenQrdm:
         params = UnitlessParams(f_q=1.0, g=g, s=s)
         contrast = dyn.open_qrdm(params, tau)[1].c_s_np_1
         assert abs(contrast / _antisymmetric_contrast_reference(params, tau) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("s, tau", [(1e-4, 1e-3), (1e-4, 2.0 * np.pi - 1e-3), (1e-2, 1e-3)])
+    def test_symmetric_contrast_at_small_squeezing(self, s, tau):
+        # (s - 1/s) cos tau + s + 1/s cancelled here: 2.3e-10, 2.3e-10 and 5.2e-13 relative.
+        params = UnitlessParams(f_q=1.0, g=0.1, s=s)
+        contrast = dyn.open_qrdm(params, tau)[1].c_s_np_2
+        with mpmath.workdps(60):
+            s, tau = mpmath.mpf(s), mpmath.mpf(tau)
+            expected = mpmath.sin(tau / 2) ** 2 * ((s - 1 / s) * mpmath.cos(tau) + s + 1 / s)
+        assert abs(contrast / expected - 1) <= 1e-12
+
+    def test_contrast_set_rejects_any_negative_exponent(self):
+        with pytest.raises(ValueError, match=r"^contrast c_s_np_2=-1e-13 must be >= 0$"):
+            dyn.ContrastSet(c_s_np_2=-1e-13)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(

@@ -124,6 +124,21 @@ class TestCovarianceEvolution:
         with pytest.raises(ValueError, match="uncertainty"):
             ps.evolve_covariance(np.diag([0.5, 0.5, 1.0, 1.0]), 0.1, 1.0)
 
+    @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
+    def test_tau_grid_matches_per_point_calls(self, g):
+        # Small taus take the series branch of the shapes, the rest the direct forms.
+        tau_grid = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 7), np.linspace(1.5, 40.0, 9)])
+        sigma0 = np.diag([0.3, 1.0 / 0.3, 0.3, 1.0 / 0.3]) * 3.0
+        lyapunov = ps.lyapunov_integral(g, tau_grid, 0.05)
+        sigma = ps.evolve_covariance(sigma0, g, tau_grid, 0.05)
+        assert lyapunov.shape == sigma.shape == (len(tau_grid), 4, 4)
+        for k, tau in enumerate(tau_grid):
+            for grid, point in (
+                (lyapunov, ps.lyapunov_integral(g, tau, 0.05)),
+                (sigma, ps.evolve_covariance(sigma0, g, tau, 0.05)),
+            ):
+                assert np.max(np.abs(grid[k] - point)) <= 1e-15 * np.max(np.abs(point)), tau
+
 
 class TestLyapunovIntegral:
     def test_zero_diffusion(self):
@@ -237,7 +252,7 @@ class TestModeIntegrals:
             long_taus = (17.0, 300.0, 1000.0)
             for tau in (*np.geomspace(1e-8, 4.0 * np.pi / w, 41), *long_taus):
                 modes = np.array([w])
-                values = [ps._mode_lyapunov(modes, 1.0, tau), *ps._mode_memory(modes, 1.0, tau)]
+                values = ps._mode_integrals(modes, 1.0, tau)
                 # past x = 4 pi the rounding of the argument w tau dominates
                 bound = 1e-13 if tau in long_taus else 1e-14
                 for name, value, expected in zip(
@@ -249,7 +264,9 @@ class TestModeIntegrals:
     def test_zero_interval_and_rate(self):
         modes = np.array([1.0, 0.5])
         for rate, tau in ((1.0, 0.0), (0.0, 3.0)):
-            for block in (ps._mode_lyapunov(modes, rate, tau), *ps._mode_memory(modes, rate, tau)):
+            blocks = ps._mode_integrals(modes, rate, tau)
+            assert len(blocks) == 3
+            for block in blocks:
                 assert block.shape == (2, 2, 2) and not block.any()
 
 
