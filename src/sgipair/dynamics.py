@@ -24,6 +24,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 
 import numpy as np
 
@@ -267,16 +268,20 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
 
 # Qubit eigenvalues (j, m) of the ket (or bra) side of QRDM row (or column) 0..3.
 _ROW_EIGENVALUES = tuple(product((+1, -1), repeat=2))
+_ROW_J, _ROW_M = np.array(_ROW_EIGENVALUES, dtype=float).T[..., None]  # (4, 1) columns
 
 
-def _shifts(h_matrix: np.ndarray, f_q: float, s: np.ndarray) -> dict:
-    """(j, m): displaced equilibrium r = H^-1 (j r_q1 + m r_q2) and its shift (S - I) r."""
-    drift = sgi_drift_spec(f_q)
-    out = {}
-    for j, m in _ROW_EIGENVALUES:
-        r = np.linalg.solve(h_matrix, drift.branch_drift(j, m))
-        out[j, m] = r, (s - _EYE4) @ r
-    return out
+def _shifts(h_matrix: np.ndarray, f_q: float, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Displaced equilibria r = H^-1 (j r_q1 + m r_q2) (4, 4) and shifts (S - I) r (..., 4, 4).
+
+    Row i belongs to the ket (j, m) = ``_ROW_EIGENVALUES[i]``.  The four solves are one
+    batched call over a broadcast H, bit-identical to four single solves; one
+    multi-right-hand-side solve H^-1 [b0 .. b3] takes another LAPACK path and moves r
+    in the last bits.  Each shift is likewise one matrix-vector product per row.
+    """
+    rhs = sgi_drift_spec(f_q).branch_drift(_ROW_J, _ROW_M)
+    r = np.linalg.solve(np.broadcast_to(h_matrix, (4, 4, 4)), rhs[..., None])[..., 0]
+    return r, ((s - _EYE4)[..., None, :, :] @ r[..., None])[..., 0]
 
 
 def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMoments]:
@@ -290,8 +295,9 @@ def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMo
     shape (..., 4).
     """
     _require_nonnegative("f_q", f_q)
+    _, shifts = _shifts(sgi_hamiltonian_matrix(g), f_q, propagator(g, tau))
     out: dict[BranchLabel, BranchMoments] = {}
-    for (j, m), (_, vector) in _shifts(sgi_hamiltonian_matrix(g), f_q, propagator(g, tau)).items():
+    for (j, m), vector in zip(_ROW_EIGENVALUES, np.moveaxis(shifts, -2, 0)):
         label = BranchLabel(j=j, k=j, m=m, n=m)
         out[label] = BranchMoments(label=label, vector=vector)
     return out
@@ -342,6 +348,7 @@ def _phase_contrast_table(
 
 
 _PARAM_NAMES = tuple(f.name for f in fields(UnitlessParams))
+_POINT = attrgetter(*_PARAM_NAMES)
 
 # Branch-pair kernel of one point: S = S(tau), L = int_0^tau S(u) D S(u)^T du, H, sigma,
 # shifts (4, 2, 4) with [row] = r, (S - I) r of the ket (j, m) of QRDM row, m1, m2 and
@@ -373,8 +380,7 @@ def _shared_kernel(point: tuple[float, ...], tau: float) -> _Kernel:
     h_matrix = sgi_hamiltonian_matrix(g)
     s = propagator(g, tau)
     sigma = s @ squeezed_thermal_covariance(params.s, params.n_p) @ s.T + lyapunov
-    by_eigenvalues = _shifts(h_matrix, params.f_q, s)
-    shifts = np.array([by_eigenvalues[key] for key in _ROW_EIGENVALUES])
+    shifts = np.stack(_shifts(h_matrix, params.f_q, s), axis=1)
     table = _phase_contrast_table(sigma, shifts, m2, h_matrix, tau, params.gamma_z)
     kernel = _Kernel(params, tau, s, lyapunov, h_matrix, sigma, shifts, m1, m2, table)
     for array in kernel[2:]:
@@ -389,8 +395,14 @@ def _scalar(name: str, value) -> float:
 
 
 def _kernel(params: UnitlessParams, tau: float) -> _Kernel:
-    """Shared kernel of one point; grid inputs and a bad tau raise before the cache lookup."""
-    point = tuple(_scalar(name, getattr(params, name)) for name in _PARAM_NAMES)
+    """Shared kernel of one point; grid inputs and a bad tau raise before the cache lookup.
+
+    Fields that are all Python floats are the key as they are; anything else
+    goes through ``_scalar``, so a numpy scalar shares its float's cache entry.
+    """
+    point = _POINT(params)
+    if not all(type(value) is float for value in point):
+        point = tuple(map(_scalar, _PARAM_NAMES, point))
     tau = _scalar("tau", tau)
     _check_tau(tau)
     return _shared_kernel(point, tau)
@@ -496,10 +508,8 @@ def squeezed_thermal_covariance(s: float, n_p: float) -> np.ndarray:
 def initial_cat_state(params: UnitlessParams) -> GaussianCatState:
     """State at tau = 0: squeezed thermal covariance, centred branches, |+>|+> QRDM."""
     sigma = squeezed_thermal_covariance(params.s, params.n_p)
-    branches = {
-        label: BranchMoments(label=label, vector=np.zeros(4, dtype=complex))
-        for label in _ALL_LABELS
-    }
+    vectors = np.zeros((16, 4), dtype=complex)
+    branches = {label: BranchMoments(label, vector) for label, vector in zip(_ALL_LABELS, vectors)}
     qrdm = np.full((4, 4), 0.25, dtype=complex)
     return GaussianCatState(tau=0.0, sigma=sigma, branches=branches, qrdm=qrdm)
 
@@ -520,14 +530,12 @@ def evolve_cat_state(
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")
-    if any(moments.vector.any() for moments in initial.branches.values()):
+    if any(np.count_nonzero(moments.vector) for moments in initial.branches.values()):
         raise ValueError("initial branch moments must be centred at the origin")
     kernel = _kernel(params, tau)
     sigma = kernel.s_tau @ initial.sigma @ kernel.s_tau.T + kernel.lyapunov
-    table = _moment_table(sigma, kernel.shifts, kernel.m1)
-    branches = {
-        label: BranchMoments(label=label, vector=table[label.qrdm_index]) for label in _ALL_LABELS
-    }
+    vectors = _moment_table(sigma, kernel.shifts, kernel.m1).reshape(16, 4)
+    branches = {label: BranchMoments(label, vector) for label, vector in zip(_ALL_LABELS, vectors)}
     qrdm, contrasts, phase = open_qrdm(params, tau)
     return GaussianCatState(
         tau=tau,

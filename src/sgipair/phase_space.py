@@ -188,8 +188,8 @@ _shape_c = _odd_series(
 )
 
 
-def _mode_integrals(w: np.ndarray, rate: float, tau) -> tuple[np.ndarray, ...]:
-    """Closed forms of the propagator integrals (L, m1, m2), one 2x2 block per w.
+def _mode_integrals(w: np.ndarray, rate: float, tau) -> np.ndarray:
+    """Closed forms of the propagator integrals (L, m1, m2), shape (..., 3, 2, 2) over w.
 
     With S(u) = S_w(u), S = S(tau), D = diag(0, rate) and K(u) = S(u) D S(u)^T,
     L = int_0^tau K(u) du, m1 = int_0^tau K(u) Omega (S(u) - S) du and
@@ -204,21 +204,21 @@ def _mode_integrals(w: np.ndarray, rate: float, tau) -> tuple[np.ndarray, ...]:
     """
     x = w * tau
     sin_x, sin_half = np.sin(x), np.sin(0.5 * x)
-    (a, a_half), c, p = _shape_a(np.stack([x, 0.5 * x])), _shape_c(x), _position_shape(x)
+    (a, a_half), c, p = _shape_a(np.array([x, 0.5 * x])), _shape_c(x), _position_shape(x)
     b = 2.0 * sin_half * a_half
     q = 2.0 * np.square(np.square(sin_half))
     xp = sin_x**2 / (2.0 * w**2)
     lyapunov = [p / (4.0 * w**3), xp, xp, tau / 2.0 + np.sin(2.0 * x) / (4.0 * w)]
     m1 = [-b / w**2, a / (2.0 * w**3), -a / (2.0 * w), tau * sin_x / (2.0 * w)]
     m2 = [c / w, (q + 2.0 * b) / w**2, (q - 2.0 * b) / w**2, -(2.0 * a + 0.5 * p) / (2.0 * w**3)]
-    return tuple(rate * np.stack(m, axis=-1).reshape(*x.shape, 2, 2) for m in (lyapunov, m1, m2))
+    return rate * np.stack(lyapunov + m1 + m2, axis=-1).reshape(*x.shape, 3, 2, 2)
 
 
-def _propagator_integrals(g: float, rate: float, tau) -> tuple[np.ndarray, ...]:
-    """(L, m1, m2) at D = rate diag(0, 1, 0, 1) in (x1,p1,x2,p2) form, (..., 4, 4) over tau."""
+def _propagator_integrals(g: float, rate: float, tau) -> np.ndarray:
+    """(L, m1, m2) at D = rate diag(0, 1, 0, 1) in (x1,p1,x2,p2) form, (3, ..., 4, 4) over tau."""
     w = np.array([1.0, mode_frequency(g)])
     blocks = _mode_integrals(w, rate, np.asarray(tau, dtype=float)[..., None])
-    return tuple(_from_modes(block[..., 0, :, :], block[..., 1, :, :]) for block in blocks)
+    return np.moveaxis(_from_modes(blocks[..., 0, :, :, :], blocks[..., 1, :, :, :]), -3, 0)
 
 
 def lyapunov_integral(g: float, tau, gamma_x: float) -> np.ndarray:

@@ -53,7 +53,11 @@ def _require(name: str, value, ok, requirement: str) -> None:
     """Raise one ValueError naming the first element of ``value`` where ``ok`` fails.
 
     ``value`` is a scalar or a grid column and ``ok`` its elementwise domain test.
+    A scalar verdict that holds (``True`` or ``np.True_``) returns at once, so a
+    scalar point skips the array test; any other verdict takes it.
     """
+    if ok is True or ok is np.True_:
+        return
     ok = np.asarray(ok)
     if not ok.all():
         raise ValueError(f"{name}={np.asarray(value)[~ok][0]} {requirement}")
@@ -61,14 +65,19 @@ def _require(name: str, value, ok, requirement: str) -> None:
 
 def _require_nonnegative(name: str, value) -> None:
     """Raise one ValueError naming the first element of ``value`` that is not finite and >= 0."""
+    if type(value) is float and math.isfinite(value) and value >= 0.0:
+        return  # the common scalar call skips the array test
     _require(name, value, np.isfinite(value) & (value >= 0.0), "must be finite and >= 0")
+
+
+_TINY = float(np.finfo(float).tiny)
+_TINY_REQUIREMENT = f"must be >= {_TINY} (the smallest normal float)"
 
 
 def _check_squeezing(s) -> None:
     """Squeezing in (0, 1], and normal, so that the anti-squeezed 1/s is finite."""
     _require("squeezing s", s, (0.0 < s) & (s <= 1.0), "must lie in (0, 1]")
-    tiny = np.finfo(float).tiny
-    _require("squeezing s", s, s >= tiny, f"must be >= {tiny} (the smallest normal float)")
+    _require("squeezing s", s, s >= _TINY, _TINY_REQUIREMENT)
 
 
 @dataclass(frozen=True)

@@ -251,22 +251,25 @@ class TestModeIntegrals:
         for w in (1.0, float(ps.mode_frequency(g))):
             long_taus = (17.0, 300.0, 1000.0)
             for tau in (*np.geomspace(1e-8, 4.0 * np.pi / w, 41), *long_taus):
-                modes = np.array([w])
-                values = ps._mode_integrals(modes, 1.0, tau)
+                (mode,) = ps._mode_integrals(np.array([w]), 1.0, tau)  # one w: (3, 2, 2)
+                lyapunov, m1, m2 = mode
                 # past x = 4 pi the rounding of the argument w tau dominates
                 bound = 1e-13 if tau in long_taus else 1e-14
-                for name, value, expected in zip(
-                    ("L", "m1", "m2"), values, _mode_blocks_reference(w, tau)
+                blocks = {"L": lyapunov, "m1": m1, "m2": m2}
+                for (name, value), expected in zip(
+                    blocks.items(), _mode_blocks_reference(w, tau), strict=True
                 ):
-                    error = np.max(np.abs(value[0] - expected))
+                    assert value.shape == (2, 2), name
+                    error = np.max(np.abs(value - expected))
                     assert error <= bound * np.max(np.abs(expected)), (name, w, tau)
 
     def test_zero_interval_and_rate(self):
         modes = np.array([1.0, 0.5])
         for rate, tau in ((1.0, 0.0), (0.0, 3.0)):
             blocks = ps._mode_integrals(modes, rate, tau)
-            assert len(blocks) == 3
-            for block in blocks:
+            assert blocks.shape == (2, 3, 2, 2)
+            lyapunov, m1, m2 = np.moveaxis(blocks, -3, 0)
+            for block in (lyapunov, m1, m2):
                 assert block.shape == (2, 2, 2) and not block.any()
 
 

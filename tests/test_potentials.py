@@ -7,6 +7,7 @@ import pytest
 
 from oracles import central_difference_coefficients, taylor_coefficients
 from sgipair import potentials as pot
+from sgipair.dynamics import ContrastSet
 
 PARAMS = pot.PhysicalParams(
     M=1e-14, omega=1.0, d=1e-4, Q=1e-18, eps_r=5.7, rho_m=3500.0
@@ -188,6 +189,86 @@ class TestFiniteParameters:
     def test_physical_field_must_be_finite(self, name, value):
         with pytest.raises(ValueError, match=rf"^{name}={value} must be finite$"):
             pot.PhysicalParams(**{"M": 1e-14, "omega": 1.0, "d": 1e-4, name: value})
+
+
+# Zeros of both signs, subnormals, the smallest normal float, the edges of (0, 1], a
+# value past 1, a tiny negative, NaN and the infinities.
+EDGE_VALUES = (
+    0.0, -0.0, 5e-324, 1e-310, float(np.finfo(float).tiny), 0.5, 1.0, 1.5, -1e-300,
+    math.nan, math.inf, -math.inf,
+)
+# Scalars can take the early returns of the validation; arrays always take the array test.
+FORMS = {
+    "float": float,
+    "np.float64": np.float64,
+    "0-d array": np.array,
+    "1-element array": lambda value: np.array([value]),
+}
+
+
+def _nonnegative(value: float) -> bool:
+    return math.isfinite(value) and value >= 0.0
+
+
+def _normal_squeezing(value: float) -> bool:
+    return np.finfo(float).tiny <= value <= 1.0
+
+
+def _unitless(name: str):
+    return lambda value: pot.UnitlessParams(**{"f_q": 1.0, "g": 0.1, name: value})
+
+
+def _contrast(name: str):
+    return lambda value: ContrastSet(**{name: value})
+
+
+# (label the message names, check, the values the check admits)
+FAST_PATH_CASES = {
+    "_require_nonnegative": ("x", lambda value: pot._require_nonnegative("x", value), _nonnegative),
+    "_check_squeezing": ("squeezing s", pot._check_squeezing, _normal_squeezing),
+    "UnitlessParams.s": ("squeezing s", _unitless("s"), _normal_squeezing),
+    **{
+        f"UnitlessParams.{name}": (name, _unitless(name), _nonnegative)
+        for name in ("f_q", "g", "n_p", "gamma_x", "gamma_z")
+    },
+    **{
+        f"ContrastSet.{name}": (f"contrast {name}", _contrast(name), lambda value: value >= 0.0)
+        for name in ("c_s_np_1", "c_s_np_2", "c_gamma_1", "c_gamma_2", "c_z")
+    },
+}
+
+
+def _verdict(check, value) -> str | None:
+    """None if ``check(value)`` passes, else the message of its ValueError."""
+    try:
+        check(value)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+class TestScalarFastPaths:
+    """The Python-float early returns accept and reject exactly what the array test does."""
+
+    @pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+    @pytest.mark.parametrize("case", FAST_PATH_CASES)
+    def test_every_form_gets_the_same_verdict(self, case, value):
+        label, check, admits = FAST_PATH_CASES[case]
+        verdicts = {form: _verdict(check, make(value)) for form, make in FORMS.items()}
+        assert len(set(verdicts.values())) == 1, verdicts
+        message = verdicts["float"]
+        assert (message is None) == admits(value), verdicts
+        if message is not None:
+            assert message.startswith(f"{label}={np.float64(value)} must ")
+            assert "\n" not in message
+
+    def test_messages_name_the_requirement(self):
+        assert _verdict(pot._check_squeezing, 1.5) == "squeezing s=1.5 must lie in (0, 1]"
+        assert _verdict(pot._check_squeezing, 5e-324) == (
+            "squeezing s=5e-324 must be >= 2.2250738585072014e-308 (the smallest normal float)"
+        )
+        assert _verdict(_unitless("g"), -1e-300) == "g=-1e-300 must be finite and >= 0"
+        assert _verdict(_contrast("c_z"), math.nan) == "contrast c_z=nan must be >= 0"
 
 
 class TestNV:

@@ -1,6 +1,7 @@
 """Static checks of the package source, with the standard library only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,11 +28,38 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def _foreign_imports(source: str) -> list[str]:
+    """Absolute imports, at any depth, of a package that is neither the stdlib nor numpy."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+    foreign = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        foreign += [f"{m} (line {node.lineno})" for m in modules if m.split(".")[0] not in allowed]
+    return foreign
+
+
 def test_checker_flags_an_unused_import():
     assert _unused_imports("import math\nimport numpy as np\nnp.pi\n") == ["math (line 1)"]
     assert _unused_imports("from .a import b, c\n__all__ = ['b']\nc()\n") == []
 
 
+def test_checker_flags_a_foreign_import():
+    source = "import os, numpy.linalg\nfrom . import dynamics\ndef f():\n    import scipy.linalg\n"
+    assert _foreign_imports(source) == ["scipy.linalg (line 4)"]
+    assert _foreign_imports("from mpmath import mp\nfrom numpy import pi\n") == ["mpmath (line 1)"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_only_the_stdlib_and_numpy(path):
+    # README: the library needs only numpy; scipy, mpmath and hypothesis are test-only
+    assert _foreign_imports(path.read_text()) == []
