@@ -6,9 +6,10 @@ modes are coupled by a bilinear term of strength ``g``; the normal modes are
 the symmetric combination (frequency 1) and the antisymmetric combination
 (frequency ``omega_g = sqrt(1 - 2g)``), which is real only for g < 1/2.
 The one noise channel is momentum diffusion at rate gamma_x, equal on both
-modes, D = gamma_x diag(0, 1, 0, 1).  Its accumulated covariance and the two
-branch-pair memory integrals have closed forms, one 2x2 block per normal mode
-(``_mode_integrals``); only this module knows the normal-mode layout.
+modes, D = gamma_x diag(0, 1, 0, 1).  The propagator, its accumulated covariance
+and the two branch-pair memory integrals have closed forms, one 2x2 block per
+normal mode (``_mode_entries``), which ``_normal_modes`` evaluates in one pass
+over a point or a whole grid; only this module knows the normal-mode layout.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ _OMEGA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _OMEGA = np.block(
     [[_OMEGA1, np.zeros((2, 2))], [np.zeros((2, 2)), _OMEGA1]]
 )
+# H = I + g _COUPLING.
+_IDENTITY, _COUPLING = np.eye(4), np.array([[-1.0, 0, 1, 0], [0] * 4, [1, 0, -1, 0], [0] * 4])
 
 
 def symplectic_form() -> np.ndarray:
@@ -96,17 +99,14 @@ def final_time(g):
     return 2.0 * np.pi / mode_frequency(g)
 
 
-def sgi_hamiltonian_matrix(g: float) -> np.ndarray:
-    """Quadratic-form matrix of the coupled-trap Hamiltonian.
+def sgi_hamiltonian_matrix(g) -> np.ndarray:
+    """Quadratic-form matrix H, (..., 4, 4) over an array of g, of the coupled-trap Hamiltonian.
 
-    Returns the symmetric matrix H such that the quadratic part of the
-    Hamiltonian is r^T H r / 2 (units of hbar*omega), i.e.
-    diag(1-g, 1, 1-g, 1) plus a g coupling between x1 and x2.
+    The quadratic part of the Hamiltonian is r^T H r / 2 (units of hbar*omega), with
+    H = diag(1-g, 1, 1-g, 1) plus a g coupling between x1 and x2.
     """
     _check_coupling(g)
-    h = np.diag([1.0 - g, 1.0, 1.0 - g, 1.0])
-    h[0, 2] = h[2, 0] = g
-    return h
+    return _IDENTITY + np.asarray(g)[..., None, None] * _COUPLING
 
 
 def _check_diffusion_rate(gamma_x) -> None:
@@ -124,25 +124,12 @@ def sgi_diffusion_matrix(gamma_x: float) -> np.ndarray:
     return gamma_x * np.diag([0.0, 1.0, 0.0, 1.0])
 
 
-def _from_modes(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """(x1,p1,x2,p2) matrices, (..., 4, 4), from symmetric- and antisymmetric-mode 2x2 blocks."""
-    half_sum, half_diff = 0.5 * (plus + minus), 0.5 * (plus - minus)
-    top = np.concatenate([half_sum, half_diff], axis=-1)
-    return np.concatenate([top, np.concatenate([half_diff, half_sum], axis=-1)], axis=-2)
-
-
 def propagator(g: float, tau) -> np.ndarray:
     """Closed-form symplectic propagator S_g(tau) = exp(tau * Omega * H), shape (..., 4, 4).
 
-    Built from the two normal modes: a rotation at frequency 1 in the
-    symmetric mode and a rotation at frequency omega_g in the antisymmetric
-    mode, mapped back to the (x1,p1,x2,p2) ordering.  Broadcasts over tau.
+    The S of ``_normal_modes``, a rotation in each normal mode.  Broadcasts over g and tau.
     """
-    w = np.array([1.0, mode_frequency(g)])
-    wt = w * np.asarray(tau, dtype=float)[..., None]
-    c, s = np.cos(wt), np.sin(wt)
-    modes = np.stack([c, s / w, -w * s, c], axis=-1).reshape(*c.shape, 2, 2)
-    return _from_modes(modes[..., 0, :, :], modes[..., 1, :, :])
+    return _normal_modes(g, 0.0, tau)[..., 0, :, :]
 
 
 def heisenberg_ok(sigma: np.ndarray) -> tuple[bool, float]:
@@ -159,66 +146,84 @@ def heisenberg_ok(sigma: np.ndarray) -> tuple[bool, float]:
     return margin >= -1e-10, margin
 
 
-def _odd_series(exact, numerator, first: int):
-    """Shape exact(x) of x >= 0, summed as its odd Taylor series where it cancels (x <= 1).
+def _series(numerator, first: int) -> list[float]:
+    """Coefficients (-1)^k numerator(k)/(2k+1)! of the twelve k from ``first``, highest k first.
 
-    The series is sum_k (-1)^k numerator(k) x^(2k+1)/(2k+1)! over the twelve k from
-    ``first``; for x <= 1 its first omitted term is below 1e-19 of the shape.
+    Times x^(2 first + 1), their polynomial in x^2 is an odd Taylor series, to 1e-19 for x <= 1.
     """
-    powers = range(first + 11, first - 1, -1)  # highest first, for np.polyval
-    series = np.array([(-1) ** k * numerator(k) / math.factorial(2 * k + 1) for k in powers])
-
-    def shape(x):
-        small = x <= 1.0
-        if not np.any(small):
-            return exact(x)
-        y = np.square(x)  # y^first by math.prod: ** would call pow on a numpy scalar
-        return np.where(small, np.polyval(series, y) * math.prod([y] * first) * x, exact(x))[()]
-
-    return shape
+    powers = range(first + 11, first - 1, -1)
+    return [(-1) ** k * numerator(k) / math.factorial(2 * k + 1) for k in powers]
 
 
-# Shapes of the normal-mode integrals below, with x = w tau.
-_position_shape = _odd_series(lambda x: 2.0 * x - np.sin(2.0 * x), lambda k: -(2 ** (2 * k + 1)), 1)
-_shape_a = _odd_series(lambda x: np.sin(x) - x * np.cos(x), lambda k: -2 * k, 1)
-_shape_c = _odd_series(
-    lambda x: 0.5 * x - 0.25 * np.sin(2.0 * x) - np.sin(x) + x * np.cos(x),
-    lambda k: 2 * k - 2 ** (2 * k - 1),
-    2,
-)
+# The series of the shapes A(x), A(x/2), C(x) and P(x) of ``_mode_entries``, one per column,
+# the argument (x or x/2) of each, and the one series (C's) that starts at x^5, not x^3.
+_A, _C = _series(lambda k: -2 * k, 1), _series(lambda k: 2 * k - 2 ** (2 * k - 1), 2)
+_SHAPE_SERIES = np.transpose([_A, _A, _C, _series(lambda k: -(2 ** (2 * k + 1)), 1)])
+_SHAPE_ARGUMENTS, _FROM_X5 = [0, 1, 0, 0], np.array([False, False, True, False])
+_ARGUMENTS = np.array([1.0, 0.5, 2.0])  # x, x/2 and 2x from x
+_MODE_COUPLING, _SUM_DIFFERENCE = np.array([0.0, 2.0]), np.array([[1.0], [-1.0]])  # w^2 = 1 - 2g
+# Of a mode's 16 entries (S, L, m1, m2, each row-major) the last 12 carry the rate.  Entry
+# [k, row, col] of the (x1,p1,x2,p2) matrices is entry 4k + 2 (row % 2) + col % 2 of the half
+# sum (diagonal 2x2 blocks) or half difference (off-diagonal blocks) of the two modes.
+_INTEGRAL_ENTRIES = np.arange(16) >= 4
+_K, _ROW, _COL = np.indices((4, 4, 4))
+_FROM_MODES = 16 * (_ROW // 2 != _COL // 2) + 4 * _K + 2 * (_ROW % 2) + _COL % 2
 
 
-def _mode_integrals(w: np.ndarray, rate: float, tau) -> np.ndarray:
-    """Closed forms of the propagator integrals (L, m1, m2), shape (..., 3, 2, 2) over w.
+def _mode_entries(w, rate, tau) -> np.ndarray:
+    """S = S(tau), L, m1 and m2 of normal modes of frequency w at D = diag(0, rate), (..., 16).
 
-    With S(u) = S_w(u), S = S(tau), D = diag(0, rate) and K(u) = S(u) D S(u)^T,
-    L = int_0^tau K(u) du, m1 = int_0^tau K(u) Omega (S(u) - S) du and
-    m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du.
-    S(u) is symplectic, so K(u) Omega S(u) = S(u) D Omega and every integrand is a
+    S(u) is a mode's propagator, K(u) = S(u) D S(u)^T, L = int_0^tau K(u) du, m1 = int_0^tau
+    K(u) Omega (S(u) - S) du and m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I)
+    du.  S(u) is a rotation and K(u) Omega S(u) = S(u) D Omega, so every integrand is a
     trigonometric polynomial of degree <= 2 in w u.  With x = w tau, A = sin x - x cos x,
     B = 1 - cos x - (x/2) sin x = 2 sin(x/2) A(x/2), C = x/2 - sin(2x)/4 - sin x + x cos x,
     Q = 2 sin^4(x/2) and P = 2x - sin 2x:
+    S = [[cos x, sin x/w], [-w sin x, cos x]],
     L = rate [[P/(4 w^3), sin^2 x/(2 w^2)], [sin^2 x/(2 w^2), tau/2 + sin(2x)/(4 w)]],
     m1 = rate [[-B/w^2, A/(2 w^3)], [-A/(2 w), tau sin x/(2 w)]] and
-    m2 = rate [[C/w, (Q + 2B)/w^2], [(Q - 2B)/w^2, -(2A + P/2)/(2 w^3)]].
+    m2 = rate [[C/w, (Q + 2B)/w^2], [(Q - 2B)/w^2, -(2A + P/2)/(2 w^3)]].  x, x/2 and 2x
+    share one sin and one cos call, and A(x), A(x/2), C and P one np.polyval over their
+    stacked series where x <= 1.  Broadcasts over w, rate and tau (without w's last axis).
     """
+    tau = np.asarray(tau, dtype=float)[..., None]
     x = w * tau
-    sin_x, sin_half = np.sin(x), np.sin(0.5 * x)
-    (a, a_half), c, p = _shape_a(np.array([x, 0.5 * x])), _shape_c(x), _position_shape(x)
-    b = 2.0 * sin_half * a_half
-    q = 2.0 * np.square(np.square(sin_half))
-    xp = sin_x**2 / (2.0 * w**2)
-    lyapunov = [p / (4.0 * w**3), xp, xp, tau / 2.0 + np.sin(2.0 * x) / (4.0 * w)]
-    m1 = [-b / w**2, a / (2.0 * w**3), -a / (2.0 * w), tau * sin_x / (2.0 * w)]
-    m2 = [c / w, (q + 2.0 * b) / w**2, (q - 2.0 * b) / w**2, -(2.0 * a + 0.5 * p) / (2.0 * w**3)]
-    return rate * np.stack(lyapunov + m1 + m2, axis=-1).reshape(*x.shape, 3, 2, 2)
+    arguments = x[..., None] * _ARGUMENTS
+    sines, cosines = np.sin(arguments), np.cos(arguments)
+    sin_x, sin_half, sin_2x, cos_x = sines[..., 0], sines[..., 1], sines[..., 2], cosines[..., 0]
+    a_exact = sines - arguments * cosines  # A of x, x/2 and 2x
+    c_exact = arguments[..., 1] - 0.25 * sin_2x - sin_x + x * cos_x
+    shapes = [a_exact[..., 0], a_exact[..., 1], c_exact, arguments[..., 2] - sin_2x]
+    if (arguments[..., 1] <= 1.0).any():  # some x/2 <= 1: a shape takes its series
+        shape_x = arguments[..., _SHAPE_ARGUMENTS]
+        small = shape_x <= 1.0
+        y = np.where(small, np.square(shape_x), 0.0)  # 0 keeps the unused sums finite
+        series = np.polyval(_SHAPE_SERIES, y) * np.where(_FROM_X5, y * y, y) * shape_x
+        shapes = [np.where(small[..., i], series[..., i], shape) for i, shape in enumerate(shapes)]
+    a, a_half, c, p = shapes
+    w2, w3, w_2 = w**2, w**3, 2.0 * w
+    w3_2, b = 2.0 * w3, 2.0 * sin_half * a_half
+    q, xp = 2.0 * np.square(np.square(sin_half)), sin_x**2 / (2.0 * w2)
+    entries = np.array([
+        *(cos_x, sin_x / w, -w * sin_x, cos_x),
+        *(p / (4.0 * w3), xp, xp, tau / 2.0 + sin_2x / (4.0 * w)),
+        *(-b / w2, a / w3_2, -a / w_2, tau * sin_x / w_2),
+        *(c / w, (q + 2.0 * b) / w2, (q - 2.0 * b) / w2, -(2.0 * a + 0.5 * p) / w3_2),
+    ])
+    entries = entries.transpose(*range(1, entries.ndim), 0)
+    return entries * np.where(_INTEGRAL_ENTRIES, np.asarray(rate)[..., None, None], 1.0)
 
 
-def _propagator_integrals(g: float, rate: float, tau) -> np.ndarray:
-    """(L, m1, m2) at D = rate diag(0, 1, 0, 1) in (x1,p1,x2,p2) form, (3, ..., 4, 4) over tau."""
-    w = np.array([1.0, mode_frequency(g)])
-    blocks = _mode_integrals(w, rate, np.asarray(tau, dtype=float)[..., None])
-    return np.moveaxis(_from_modes(blocks[..., 0, :, :, :], blocks[..., 1, :, :, :]), -3, 0)
+def _normal_modes(g, rate, tau) -> np.ndarray:
+    """S = S(tau), L, m1 and m2 at D = rate diag(0, 1, 0, 1): [..., k, :, :] of (..., 4, 4, 4).
+
+    One pass over both normal modes (frequencies 1 and omega_g) of a point or a grid: their
+    ``_mode_entries``, and one map of their half sums and differences to (x1,p1,x2,p2).
+    """
+    _check_coupling(g)
+    modes = _mode_entries(np.sqrt(1.0 - np.asarray(g)[..., None] * _MODE_COUPLING), rate, tau)
+    halves = 0.5 * (modes[..., :1, :] + _SUM_DIFFERENCE * modes[..., 1:, :])
+    return halves.reshape(halves.shape[:-2] + (32,))[..., _FROM_MODES]
 
 
 def lyapunov_integral(g: float, tau, gamma_x: float) -> np.ndarray:
@@ -229,7 +234,7 @@ def lyapunov_integral(g: float, tau, gamma_x: float) -> np.ndarray:
     _check_coupling(g)
     _check_tau(tau)
     _check_diffusion_rate(gamma_x)
-    return _propagator_integrals(g, gamma_x, tau)[0]
+    return _normal_modes(g, gamma_x, tau)[..., 1, :, :]
 
 
 def evolve_covariance(sigma0: np.ndarray, g: float, tau, gamma_x: float = 0.0) -> np.ndarray:

@@ -409,13 +409,14 @@ def reference_branch_pair(kernel, label) -> tuple[np.ndarray, tuple[float, float
     """First-moment vector and (phase, contrast) of one label, one product at a time.
 
     Reads only the label-independent parts of a ``dynamics._shared_kernel`` result
-    (sigma, the shifts, m1, m2, H, tau and gamma_z), never its tables.
+    (sigma, the shifts r and delta, m1, m2, H, tau and gamma_z), never its tables.
     """
     omega = symplectic_form()
     # QRDM row of the qubit eigenvalues (j, m), computational bit 0 being +1
     row = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
-    r_ket, delta_ket = kernel.shifts[row[label.j, label.m]]
-    r_bra, delta_bra = kernel.shifts[row[label.k, label.n]]
+    ket, bra = row[label.j, label.m], row[label.k, label.n]
+    r_ket, delta_ket = kernel.r[ket], kernel.delta[ket]
+    r_bra, delta_bra = kernel.r[bra], kernel.delta[bra]
     vector = 0.5 * (delta_ket + delta_bra) + 0j
     if label.is_diagonal:
         vector = vector.real + 0j

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -252,7 +253,7 @@ class TestBranchPairKernel:
 
     def test_shared_kernel_matches_a_fresh_build(self):
         fresh = _fresh_kernel(CAT_PARAMS, 3.1)
-        moments = dyn._moment_table(fresh.sigma, fresh.shifts, fresh.m1)
+        moments = dyn._moment_table(fresh.sigma, fresh.pairs, fresh.m1)
         for _ in range(2):  # the first pass may build the shared kernel, the second reads it
             for label in ALL_LABELS:
                 assert dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) == tuple(
@@ -273,7 +274,7 @@ class TestBranchPairKernel:
         sigma = s @ sigma0 @ s.T + lyapunov_integral(params.g, tau, params.gamma_x)
         assert np.array_equal(state.sigma, 0.5 * (sigma + sigma.T))
         fresh = _fresh_kernel(params, tau)
-        evolved = dyn._moment_table(sigma, fresh.shifts, fresh.m1)  # the moments of this sigma
+        evolved = dyn._moment_table(sigma, fresh.pairs, fresh.m1)  # the moments of this sigma
         for label in ALL_LABELS:
             assert np.array_equal(state.branches[label].vector, evolved[label.qrdm_index])
         for label in ALL_LABELS:
@@ -304,11 +305,10 @@ class TestBranchPairKernel:
         kernel = _fresh_kernel(params, float(tau))
         if sigma0 is not None:  # both tables evaluated from the covariance evolved from sigma0
             sigma = kernel.s_tau @ sigma0 @ kernel.s_tau.T + kernel.lyapunov
-            table = dyn._phase_contrast_table(
-                sigma, kernel.shifts, kernel.m2, kernel.h_matrix, kernel.tau, params.gamma_z
-            )
+            parts = (kernel.r, kernel.pairs, kernel.m2, kernel.h_matrix, kernel.tau)
+            table = dyn._phase_contrast_table(sigma, *parts, params.gamma_z)
             kernel = kernel._replace(sigma=sigma, phase_contrast_table=table)
-        moment_table = dyn._moment_table(kernel.sigma, kernel.shifts, kernel.m1)
+        moment_table = dyn._moment_table(kernel.sigma, kernel.pairs, kernel.m1)
         references = [reference_branch_pair(kernel, label) for label in ALL_LABELS]
         moments = np.array([vector for vector, _ in references]).reshape(4, 4, 4)
         phase_contrast = np.array([pair for _, pair in references]).reshape(4, 4, 2)
@@ -356,8 +356,8 @@ class TestBranchPairKernel:
 
     def test_shared_arrays_are_read_only(self):
         kernel = dyn._kernel(CAT_PARAMS, 3.1)
-        arrays = [kernel.s_tau, kernel.lyapunov, kernel.h_matrix, kernel.sigma, kernel.shifts]
-        arrays += [kernel.m1, kernel.m2, kernel.phase_contrast_table]
+        arrays = [kernel.s_tau, kernel.lyapunov, kernel.h_matrix, kernel.sigma, kernel.r]
+        arrays += [kernel.delta, *kernel.pairs, kernel.m1, kernel.m2, kernel.phase_contrast_table]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
@@ -387,6 +387,109 @@ class TestBranchPairKernel:
             dyn.evolve_cat_state(dyn.initial_cat_state(params), params, tau)
         with pytest.raises(ValueError, match=message):
             dyn.open_qrdm(params, tau)
+
+
+_KERNEL_ARRAYS = ("s_tau", "lyapunov", "h_matrix", "sigma", "r", "delta", "m1", "m2")
+
+
+def _kernel_arrays(kernel) -> dict[str, np.ndarray]:
+    arrays = {name: getattr(kernel, name) for name in _KERNEL_ARRAYS}
+    arrays.update({f"pairs[{k}]": term for k, term in enumerate(kernel.pairs)})
+    arrays["phase_contrast_table"] = kernel.phase_contrast_table
+    return arrays
+
+
+def _entangling_phase_reference(f_q: float, g: float, tau: float):
+    """f_q^2 (sin tau + 2 g tau/w^2 - sin(w tau)/w^3) at 60 digits from the float inputs."""
+    with mpmath.workdps(60):
+        f_q, g, tau = map(mpmath.mpf, (f_q, g, tau))
+        w = mpmath.sqrt(1 - 2 * g)
+        return f_q**2 * (mpmath.sin(tau) + 2 * g * tau / w**2 - mpmath.sin(w * tau) / w**3)
+
+
+class TestArrayKernel:
+    """One build of the branch-pair kernel over a grid of points."""
+
+    def test_grid_build_equals_the_per_point_builds(self):
+        # At g = 0, tau = 0.7 runs the series of every shape, 1.5 only that of A(x/2) and
+        # 3.0 none; the rates are 0 and above 0.
+        rng = np.random.default_rng(21)
+        rows = [
+            (rng.uniform(0, 2), g, 10 ** rng.uniform(-3, 0), rng.uniform(0, 5), *rates, tau)
+            for g in (0.0, 1e-10, 0.2, 0.4999)
+            for tau in (0.0, 1e-8, 0.7, 1.5, 3.0, float(final_time(g)), 300.0)
+            for rates in product((0.0, 0.03), (0.0, 0.02))
+            for _ in range(9)
+        ]
+        columns = np.array(rows).T
+        grid = dyn._build_kernel(UnitlessParams(*columns[:6]), columns[6])
+        assert len(rows) >= 1000 and grid.phase_contrast_table.shape == (len(rows), 4, 4, 2)
+        arrays = _kernel_arrays(grid)
+        for i, row in enumerate(rows):
+            point = _kernel_arrays(dyn._shared_kernel.__wrapped__(row[:6], row[6]))
+            for name, array in arrays.items():
+                assert np.array_equal(array[i], point[name]), (name, row)
+
+    def test_grid_axes_broadcast_like_the_fields(self):
+        g, tau = np.array([[0.0], [0.2], [0.4999]]), np.array([0.5, 3.0])
+        params = UnitlessParams(f_q=0.7, g=g, s=0.4, gamma_x=np.array([[[0.0]], [[0.03]]]))
+        grid = _kernel_arrays(dyn._build_kernel(params, tau))
+        assert grid["phase_contrast_table"].shape == (2, 3, 2, 4, 4, 2)
+        for rate, g_row, tau_col in product(range(2), range(3), range(2)):
+            point = replace(params, g=float(g[g_row, 0]), gamma_x=(0.0, 0.03)[rate])
+            one = _kernel_arrays(_fresh_kernel(point, float(tau[tau_col])))
+            for name, array in grid.items():
+                full = np.broadcast_to(array, (2, 3, 2) + one[name].shape)
+                assert np.array_equal(full[rate, g_row, tau_col], one[name]), name
+
+    def test_contrasts_match_the_closed_forms_on_a_grid(self):
+        rng = np.random.default_rng(9)
+        n = 2000
+        g = np.concatenate([[0.0, 0.4999], 10 ** rng.uniform(-3.0, np.log10(0.45), n - 2)])
+        periods = np.concatenate([[1.0, 2.0, 0.0], rng.uniform(0.0, 3.0, n - 3)])
+        tau = periods * final_time(g)
+        params = UnitlessParams(
+            f_q=rng.uniform(0.1, 2.0, n),
+            g=g,
+            s=10 ** rng.uniform(-3.0, 0.0, n),
+            n_p=rng.uniform(0.0, 5.0, n),
+            gamma_x=rng.uniform(0.0, 0.05, n),
+            gamma_z=rng.uniform(0.0, 0.01, n),
+        )
+        contrast = dyn._build_kernel(params, tau).phase_contrast_table[..., 1]
+        _, closed = dyn.open_phase_contrasts(params, tau)
+        totals = np.stack(
+            [
+                np.zeros(n),
+                closed.single_flip_total,
+                closed.single_flip_total,
+                closed.symmetric_flip_total,
+                closed.antisymmetric_flip_total,
+            ],
+            axis=-1,
+        )[:, dyn._QRDM_LAYOUT]  # the exponent of every QRDM entry
+        assert np.array_equal(contrast == 0.0, totals == 0.0)
+        nonzero = totals > 0.0
+        assert np.max(np.abs(contrast - totals)[nonzero] / totals[nonzero]) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        f_q=st.floats(0.1, 3.0),
+        log_g=st.floats(math.log(1e-12), math.log(0.4999)),
+        s=st.floats(1e-3, 1.0),
+        n_p=st.floats(0.0, 10.0),
+        gamma_x=st.floats(0.0, 0.1),
+        gamma_z=st.floats(0.0, 0.1),
+        periods=st.floats(0.5, 3.0),
+    )
+    def test_phase_error_is_about_eps_over_g(self, f_q, log_g, s, n_p, gamma_x, gamma_z, periods):
+        # the bound stated in _phase_contrast_table's docstring
+        g = math.exp(log_g)
+        tau = periods * float(final_time(g))
+        params = UnitlessParams(f_q=f_q, g=g, s=s, n_p=n_p, gamma_x=gamma_x, gamma_z=gamma_z)
+        phase, _ = dyn.branch_pair_phase_contrast(ALL_LABELS[1], params, tau)  # (00|01)
+        reference = -_entangling_phase_reference(f_q, g, tau)
+        assert abs(phase - reference) <= 16 * 2.0**-52 / g * abs(reference)
 
 
 class TestUnitaryQrdm:

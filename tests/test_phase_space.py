@@ -243,34 +243,56 @@ def _mode_blocks_reference(w: float, tau: float) -> list[np.ndarray]:
         return [np.array(block, dtype=float) for block in blocks]
 
 
+def _taus_either_side(w: float, x_switch: float) -> tuple[float, float]:
+    """Adjacent floats tau_lo < tau_hi with w tau_lo <= x_switch < w tau_hi, as rounded."""
+    tau = x_switch / w
+    while w * tau > x_switch:
+        tau = np.nextafter(tau, 0.0)
+    while w * np.nextafter(tau, np.inf) <= x_switch:
+        tau = np.nextafter(tau, np.inf)
+    return float(tau), float(np.nextafter(tau, np.inf))
+
+
 class TestModeIntegrals:
     """Per-mode closed forms of the Lyapunov integral L and the memory integrals m1, m2."""
+
+    @staticmethod
+    def _check(w: float, tau: float, bound: float) -> None:
+        (mode,) = ps._mode_entries(np.array([w]), 1.0, tau)  # one w: S, L, m1, m2
+        blocks = dict(zip(("L", "m1", "m2"), mode.reshape(4, 2, 2)[1:], strict=True))
+        for (name, value), expected in zip(
+            blocks.items(), _mode_blocks_reference(w, tau), strict=True
+        ):
+            assert value.shape == (2, 2), name
+            error = np.max(np.abs(value - expected))
+            assert error <= bound * np.max(np.abs(expected)), (name, w, tau)
 
     @pytest.mark.parametrize("g", [0.0, 1e-8, 0.2, 0.4999])
     def test_match_high_precision(self, g):
         for w in (1.0, float(ps.mode_frequency(g))):
             long_taus = (17.0, 300.0, 1000.0)
             for tau in (*np.geomspace(1e-8, 4.0 * np.pi / w, 41), *long_taus):
-                (mode,) = ps._mode_integrals(np.array([w]), 1.0, tau)  # one w: (3, 2, 2)
-                lyapunov, m1, m2 = mode
                 # past x = 4 pi the rounding of the argument w tau dominates
-                bound = 1e-13 if tau in long_taus else 1e-14
-                blocks = {"L": lyapunov, "m1": m1, "m2": m2}
-                for (name, value), expected in zip(
-                    blocks.items(), _mode_blocks_reference(w, tau), strict=True
-                ):
-                    assert value.shape == (2, 2), name
-                    error = np.max(np.abs(value - expected))
-                    assert error <= bound * np.max(np.abs(expected)), (name, w, tau)
+                self._check(w, float(tau), 1e-13 if tau in long_taus else 1e-14)
+
+    @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
+    def test_match_high_precision_at_the_series_switches(self, g):
+        """Either side of x = 1 (A, C and P switch) and of x/2 = 1 (A(x/2) switches)."""
+        for w in (1.0, float(ps.mode_frequency(g))):
+            for x_switch in (1.0, 2.0):
+                below, above = _taus_either_side(w, x_switch)
+                assert w * below <= x_switch < w * above
+                for tau in (below, above):
+                    self._check(w, tau, 1e-14)
 
     def test_zero_interval_and_rate(self):
         modes = np.array([1.0, 0.5])
         for rate, tau in ((1.0, 0.0), (0.0, 3.0)):
-            blocks = ps._mode_integrals(modes, rate, tau)
-            assert blocks.shape == (2, 3, 2, 2)
-            lyapunov, m1, m2 = np.moveaxis(blocks, -3, 0)
-            for block in (lyapunov, m1, m2):
-                assert block.shape == (2, 2, 2) and not block.any()
+            entries = ps._mode_entries(modes, rate, tau)
+            assert entries.shape == (2, 16)
+            if tau == 0.0:
+                assert np.array_equal(entries[:, :4], [[1.0, 0.0, 0.0, 1.0]] * 2)  # S = I
+            assert not entries[:, 4:].any()  # L, m1 and m2
 
 
 class TestHeisenberg:
