@@ -31,8 +31,6 @@ __all__ = [
     "mass_bounds",
     "mass_bounds_noisy",
     "quartic_ratio",
-    "SemiclassicalResult",
-    "semiclassical_phase",
     "BudgetVerdict",
     "dephasing_budget",
     "NVOperatingPoint",
@@ -185,42 +183,6 @@ def quartic_ratio(g: float, x0: float, d: float) -> tuple[float, bool]:
         return math.inf, False
     ratio = x0**2 / (5.0 * d**2 * g)
     return ratio, ratio < 0.1
-
-
-@dataclass(frozen=True)
-class SemiclassicalResult:
-    """Static-path estimate of the superposition size and entangling phase."""
-
-    delta_x: float        # path separation 2 sqrt(2) F_q/(M omega^2), m
-    phase_rate: float     # accumulated phase per unit dimensionless time
-    phase: float          # phase over the requested physical duration
-    phase_at_2pi: float   # phase over one trap period
-
-
-def semiclassical_phase(
-    M: float, F_q: float, omega: float, d: float, tau_phys: float
-) -> SemiclassicalResult:
-    """Mass-independent phase estimate from superposed static trajectories.
-
-    Two spin-dependent paths separated by delta_x = 2 sqrt(2) F_q/(M omega^2)
-    accumulate relative phase at rate 16 G F_q^2/(hbar d^3 omega^4) per
-    second; M cancels exactly, which is the heuristic content of the
-    mass-independence statement.  The rate over one trap period carries the
-    same parameter exponents as the exact closure-time phase.
-    """
-    _require_positive("M", M)
-    _require_positive("omega", omega)
-    _require_positive("d", d)
-    _require_nonnegative("F_q", F_q)
-    _require_nonnegative("tau_phys", tau_phys)
-    delta_x = 2.0 * math.sqrt(2.0) * F_q / (M * omega**2)
-    rate_per_second = 16.0 * G_NEWTON * F_q**2 / (HBAR * d**3 * omega**4)
-    return SemiclassicalResult(
-        delta_x=delta_x,
-        phase_rate=rate_per_second / omega,
-        phase=rate_per_second * tau_phys,
-        phase_at_2pi=rate_per_second * 2.0 * math.pi / omega,
-    )
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ __all__ = [
     "final_contrast",
     "residual_separation",
     "branch_trajectories",
-    "general_first_moments",
     "unitary_qrdm",
     "open_phase_contrasts",
     "open_qrdm",
@@ -410,21 +409,6 @@ def _kernel(params: UnitlessParams, tau: float) -> _Kernel:
     return _shared_kernel(point, tau)
 
 
-def general_first_moments(label: BranchLabel, params: UnitlessParams, tau: float) -> BranchMoments:
-    """First-moment vector of an arbitrary density-matrix branch.
-
-    Diagonal branches are real and unaffected by momentum diffusion; the
-    off-diagonal branches carry imaginary parts set by the evolved covariance
-    and, under diffusion, by a closed-form memory integral of the propagated noise kernel.
-    Params and tau must be scalars.  The moments of all 16 labels are
-    evaluated at once from the point's shared kernel; this returns the
-    label's entry.
-    """
-    kernel = _kernel(params, tau)
-    table = _moment_table(kernel.sigma, kernel.pairs, kernel.m1)
-    return BranchMoments(label=label, vector=table[label.qrdm_index])
-
-
 def branch_pair_phase_contrast(
     label: BranchLabel, params: UnitlessParams, tau: float
 ) -> tuple[float, float]:
@@ -501,8 +485,7 @@ def squeezed_thermal_covariance(s: float, n_p: float) -> np.ndarray:
     _scalar("s", s)
     _scalar("n_p", n_p)
     _check_squeezing(s)
-    if n_p < 0.0:
-        raise ValueError(f"n_p={n_p} must be >= 0")
+    _require_nonnegative("n_p", n_p)
     return (1.0 + 2.0 * n_p) * np.diag([s, 1.0 / s, s, 1.0 / s])
 
 
@@ -525,9 +508,11 @@ def evolve_cat_state(
     from the corresponding closed forms.  Only evolution of the centred
     initial state produced by ``initial_cat_state`` is supported.  Params and
     tau must be scalars; the branch-pair kernel of the point is shared with
-    ``general_first_moments`` and ``branch_pair_phase_contrast``.  The 16
-    branches are the entries of ``_moment_table`` for the covariance evolved
-    from ``initial.sigma``.
+    ``branch_pair_phase_contrast``.  The 16 branches are the entries of
+    ``_moment_table`` for the covariance evolved from ``initial.sigma``:
+    diagonal branches are real and unaffected by momentum diffusion, and the
+    off-diagonal ones carry imaginary parts set by the evolved covariance
+    and, under diffusion, by the kernel's memory integral m1.
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")

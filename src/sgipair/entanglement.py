@@ -1,22 +1,22 @@
-"""Entanglement quantification on the 4x4 qubit reduced density matrix.
+"""Negativities of the qubit reduced density matrix from its phase and contrast exponents.
 
-Three routes to the same physics are kept side by side and never silently
+Every QRDM the calculator builds is an X state fixed by those, so no 4x4
+matrix is formed.  Three estimates are kept side by side and never silently
 reconciled, because they carry two different published normalizations:
 
-* ``negativity_exact`` returns -2 lambda_min of the partial transpose, the
-  convention under which a Bell state scores 1 (and the zero-contrast ideal
-  QRDM scores |sin phi|).
+* ``exact`` is -2 lambda_min of the partial transpose, the convention under
+  which a Bell state scores 1 (and the zero-contrast ideal QRDM scores
+  |sin phi|).  lambda_min is one 2x2-block formula (``_lambda_min``).
 * ``negativity_closed_form`` is the analytical eigenvalue display for the
   ideal closure-time QRDM; it equals -lambda_min, i.e. exactly half of
-  ``negativity_exact`` on that family (|sin phi|/2 at zero contrast).
-* ``witness_trace`` against the half-normalized Pauli witness reproduces
-  exp(-C) sin(phi) - (1 - exp(-4C))/4, the detectable estimate, which at
-  zero contrast coincides with the -2 lambda_min convention.
+  ``exact`` on that family (|sin phi|/2 at zero contrast).
+* ``witness_negativity`` is the trace of the half-normalized Pauli witness
+  (XX + YZ + ZY - II)/2 against the QRDM, exp(-C) sin(phi) - (1 - exp(-4C))/4
+  for the ideal one: the detectable estimate, which at zero contrast
+  coincides with the -2 lambda_min convention.
 
 Callers choose a normalization explicitly; ``evaluate_negativity`` reports
-all three from the phase and contrast exponents alone, by one 2x2-block
-formula (``_lambda_min``) and the trace formula of ``witness_negativity``.
-The eigensolver and the matrix trace remain for arbitrary matrices.
+all three.
 """
 
 from __future__ import annotations
@@ -29,38 +29,11 @@ from .dynamics import ContrastSet
 from .potentials import _require, _require_nonnegative
 
 __all__ = [
-    "PAULI",
-    "WitnessOperator",
     "NegativityResult",
-    "partial_transpose",
-    "negativity_exact",
     "negativity_closed_form",
-    "pauli_decompose",
-    "pauli_compose",
-    "witness_operator",
     "witness_negativity",
-    "witness_trace",
     "evaluate_negativity",
 ]
-
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-@dataclass(frozen=True)
-class WitnessOperator:
-    """Hermitian two-qubit operator with its local-Pauli decomposition."""
-
-    matrix: np.ndarray
-    pauli_terms: tuple[tuple[float, str], ...]
-
-    def as_pauli_sum(self) -> np.ndarray:
-        """Rebuild the matrix from the stored Pauli terms."""
-        return pauli_compose(self.pauli_terms)
 
 
 @dataclass(frozen=True)
@@ -79,35 +52,6 @@ class NegativityResult:
     closed_form: float
     witness_trace: float
     lambda_min: float
-
-
-def _validate_qrdm(rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError(f"QRDM must be 4x4, got shape {rho.shape}")
-    if np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())) > 1e-10:
-        raise ValueError("QRDM must be Hermitian")
-    return rho
-
-
-def partial_transpose(rho: np.ndarray, qubit: int = 2) -> np.ndarray:
-    """Transpose one qubit's indices of two-qubit density matrices, shape (..., 4, 4)."""
-    if qubit not in (1, 2):
-        raise ValueError("qubit must be 1 or 2")
-    rho = np.asarray(rho, dtype=complex)
-    # Axes (..., row q1, row q2, col q1, col q2): swap one qubit's row and col.
-    blocks = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
-    if qubit == 2:
-        blocks = np.swapaxes(blocks, -3, -1)
-    else:
-        blocks = np.swapaxes(blocks, -4, -2)
-    return blocks.reshape(rho.shape)
-
-
-def negativity_exact(rho: np.ndarray) -> float:
-    """PPT negativity max(0, -2 lambda_min) of the partially transposed QRDM."""
-    lam = np.linalg.eigvalsh(partial_transpose(_validate_qrdm(rho))).min(axis=-1)
-    return np.maximum(0.0, -2.0 * lam)
 
 
 def _exponents(phi, contrasts: ContrastSet | float):
@@ -152,77 +96,12 @@ def _lambda_min(phi, single, sym, anti):
 def negativity_closed_form(phi, contrast):
     """Analytical negative PT eigenvalue magnitude of the ideal QRDM.
 
-    -lambda_min of the QRDM with exponents (C, 4C, 0), i.e. negativity_exact / 2
-    on this matrix family: |sin phi|/2 at zero contrast, 0 at zero phase and
-    sin^2(phi) exp(-2C) to relative order exp(-4C) at large C.  Elementwise
-    over arrays of phi and contrast.
+    -lambda_min of the QRDM with exponents (C, 4C, 0), i.e. half the ``exact``
+    negativity of ``evaluate_negativity`` on this matrix family: |sin phi|/2
+    at zero contrast, 0 at zero phase and sin^2(phi) exp(-2C) to relative
+    order exp(-4C) at large C.  Elementwise over arrays of phi and contrast.
     """
     return np.maximum(-_lambda_min(phi, *_exponents(phi, contrast)), 0.0)
-
-
-def pauli_decompose(matrix: np.ndarray) -> tuple[tuple[float, str], ...]:
-    """Real coefficients of a Hermitian two-qubit operator in the Pauli basis.
-
-    Coefficients of magnitude up to 1e-14 are rounding and are dropped.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    terms = []
-    for name_a, op_a in PAULI.items():
-        for name_b, op_b in PAULI.items():
-            coeff = np.trace(np.kron(op_a, op_b).conj().T @ matrix) / 4.0
-            if abs(coeff.imag) > 1e-12:
-                raise ValueError("operator is not Hermitian")
-            if abs(coeff.real) > 1e-14:
-                terms.append((float(coeff.real), name_a + name_b))
-    return tuple(terms)
-
-
-def pauli_compose(terms: tuple[tuple[float, str], ...]) -> np.ndarray:
-    """Sum of coeff * (sigma_a x sigma_b) over (coeff, 'ab') entries."""
-    out = np.zeros((4, 4), dtype=complex)
-    for coeff, name in terms:
-        out += coeff * np.kron(PAULI[name[0]], PAULI[name[1]])
-    return out
-
-
-_PAULI_WITNESS_TERMS = ((0.5, "XX"), (0.5, "YZ"), (0.5, "ZY"), (-0.5, "II"))
-_PAULI_WITNESS = WitnessOperator(
-    matrix=pauli_compose(_PAULI_WITNESS_TERMS), pauli_terms=_PAULI_WITNESS_TERMS
-)
-_PAULI_WITNESS.matrix.flags.writeable = False
-
-
-def witness_operator(w: float | None = None) -> WitnessOperator:
-    """Entanglement witness, in either of the two published normalizations.
-
-    With ``w`` given, returns the negativity witness built from the partially
-    transposed eigenvector (1, iw, -iw, -1)/sqrt(2+2w^2); at the exact w its
-    trace against the ideal QRDM is the negative PT eigenvalue magnitude
-    (the closed-form normalization), and at w = 1 the matrix is
-    -1/4 [[1, i, i, -1], [-i, 1, -1, -i], [-i, -1, 1, -i], [-1, i, i, 1]].
-
-    With ``w`` omitted, returns the half-normalized Pauli form
-    (XX + YZ + ZY - II)/2, which is exactly twice the w = 1 matrix and whose
-    trace against the ideal QRDM is exp(-C) sin(phi) - (1 - exp(-4C))/4.
-    This one is a shared constant with a read-only matrix.
-    """
-    if w is None:
-        return _PAULI_WITNESS
-    if w <= 0.0:
-        raise ValueError(f"witness parameter w={w} must be > 0")
-    matrix = (
-        -np.array(
-            [
-                [1, 1j * w, 1j * w, -(w**2)],
-                [-1j * w, w**2, -1, -1j * w],
-                [-1j * w, -1, w**2, -1j * w],
-                [-(w**2), 1j * w, 1j * w, 1],
-            ],
-            dtype=complex,
-        )
-        / (2.0 + 2.0 * w**2)
-    )
-    return WitnessOperator(matrix=matrix, pauli_terms=pauli_decompose(matrix))
 
 
 def witness_negativity(phi, contrasts: ContrastSet | float):
@@ -237,18 +116,6 @@ def witness_negativity(phi, contrasts: ContrastSet | float):
     """
     single, sym, anti = _exponents(phi, contrasts)
     return np.exp(-single) * np.sin(phi) - 0.25 * (2.0 - np.exp(-anti) - np.exp(-sym))
-
-
-def witness_trace(rho: np.ndarray, witness: WitnessOperator) -> float:
-    """Real part of Tr[W rho], elementwise over rho of shape (..., 4, 4).
-
-    The imaginary residue must be negligible.
-    """
-    value = np.trace(witness.matrix @ _validate_qrdm(rho), axis1=-2, axis2=-1)
-    residue = np.max(np.abs(value.imag))
-    if residue > 1e-12:
-        raise ValueError(f"witness trace has imaginary residue {residue:.3e}")
-    return value.real
 
 
 def evaluate_negativity(phi, contrasts: ContrastSet | float) -> NegativityResult:

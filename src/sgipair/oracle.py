@@ -30,8 +30,9 @@ Two oracles, neither of which shares code with the closed forms they check:
 The Fock oracle adopts the rate normalization of the closed forms: the
 position dissipator acts at gamma_x/4 per mode and the qubit dephasing at
 gamma_z/4 per qubit, so that the single-flip QRDM exponents decay as
-gamma_x- and gamma_z-linear closed-form contrasts.  ``compare`` packages
-deviations into a machine-readable report.
+gamma_x- and gamma_z-linear closed-form contrasts.  ``ComparisonReport``
+collects the deviations of the verification suites into a machine-readable
+report.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "fock_propagate",
     "QuantityComparison",
     "ComparisonReport",
-    "compare",
 ]
 
 logger = logging.getLogger(__name__)
@@ -860,23 +860,6 @@ class ComparisonReport:
             lines.append(f"note[{key}]: {value}")
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-
-def compare(
-    closed: dict[str, np.ndarray],
-    oracle: dict[str, np.ndarray],
-    tau_grid: np.ndarray,
-    tolerances: dict[str, float],
-) -> ComparisonReport:
-    """Compare named closed-form and oracle trajectories at shared times."""
-    report = ComparisonReport()
-    if set(closed) != set(oracle):
-        raise ValueError(
-            f"quantity sets differ: {sorted(set(closed) ^ set(oracle))}"
-        )
-    for name in sorted(closed):
-        report.add(name, closed[name], oracle[name], tau_grid, tolerances[name])
-    return report
 
 
 # --------------------------------------------------------------------------

@@ -137,9 +137,13 @@ def heisenberg_ok(sigma: np.ndarray) -> tuple[bool, float]:
 
     The margin is the smallest eigenvalue of the Hermitian matrix
     sigma + i*Omega; vacuum saturates the bound with margin 0, and a margin
-    down to -1e-10 passes as rounding.
+    down to -1e-10 passes as rounding.  A matrix that is not 4x4, finite and
+    symmetric raises.
     """
     sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (4, 4):
+        raise ValueError(f"covariance matrix must be 4x4, got shape {sigma.shape}")
+    _require("covariance matrix entry", sigma, np.isfinite(sigma), "must be finite")
     if not np.allclose(sigma, sigma.T, atol=1e-12):
         raise ValueError("covariance matrix must be symmetric")
     margin = float(np.linalg.eigvalsh(sigma + 1j * _OMEGA)[0])

@@ -33,7 +33,6 @@ __all__ = [
     "expand_potential",
     "table_coupling",
     "to_unitless",
-    "physical_from_unitless",
     "nv_map",
     "read_key_values",
     "load_config",
@@ -349,15 +348,6 @@ def to_unitless(p: PhysicalParams) -> UnitlessParams:
             stacklevel=2,
         )
     return UnitlessParams(f_q=f_q, g=g, s=s, n_p=n_p, gamma_x=gamma_x, gamma_z=gamma_z)
-
-
-def physical_from_unitless(
-    f_q: float, g: float, omega: float, d: float, **extra: float
-) -> PhysicalParams:
-    """Invert (f_q, g) to (F_q, M) at fixed trap frequency and separation."""
-    M = g * d**3 * omega**2 / G_NEWTON
-    F_q = f_q * math.sqrt(HBAR * M * omega**3)
-    return PhysicalParams(M=M, omega=omega, d=d, F_q=F_q, **extra)
 
 
 def nv_map(nv: NVParams) -> tuple[float, float]:

@@ -3,7 +3,9 @@
 These deliberately avoid the closed forms they are used to check: Taylor
 coefficients come from numerical differentiation of the exact potential, the
 propagator from scipy's matrix exponential, and reference QRDMs are assembled
-directly from a phase and contrast exponents.
+directly from a phase and contrast exponents.  Their negativities come from
+the eigensolver of the partial transpose and their witness values from
+4x4 witness matrices, never from the package's X-state formulas.
 The reference kernels at the end redo the two ``sgipair.oracle`` integrators
 the direct way (stage-wise RK4 for the moments; for the Fock blocks a Taylor
 series, one block at a time, and dense operators) to check its step map,
@@ -96,6 +98,43 @@ def ideal_qrdm(phi: float, contrast: float) -> np.ndarray:
         )
         / 4.0
     )
+
+
+def partial_transpose(rho: np.ndarray, qubit: int = 2) -> np.ndarray:
+    """Partial transpose of one qubit, sum over k, l of E_kl rho E_kl, E_kl = |k><l| on that qubit.
+
+    Broadcasts over stacks of shape (..., 4, 4).
+    """
+    flips = [np.outer(bra, ket) for bra in np.eye(2) for ket in np.eye(2)]
+    ops = [np.kron(np.eye(2), f) if qubit == 2 else np.kron(f, np.eye(2)) for f in flips]
+    return sum(op @ rho @ op for op in ops)
+
+
+def eigensolver_negativity(rho: np.ndarray) -> np.ndarray:
+    """PPT negativity max(0, -2 lambda_min) of the partial transpose, by ``eigvalsh``."""
+    return np.maximum(0.0, -2.0 * np.linalg.eigvalsh(partial_transpose(rho))[..., 0])
+
+
+def pauli_witness() -> np.ndarray:
+    """Half-normalized Pauli witness (XX + YZ + ZY - II)/2."""
+    i, x = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    y, z = np.array([[0.0, -1j], [1j, 0.0]]), np.diag([1.0, -1.0])
+    return (np.kron(x, x) + np.kron(y, z) + np.kron(z, y) - np.kron(i, i)) / 2.0
+
+
+def witness_matrix(w: float) -> np.ndarray:
+    """Negativity witness -(|v><v|)^T2 of the partially transposed eigenvector v = (1, iw, -iw, -1).
+
+    Normalized by |v|^2 = 2 + 2 w^2; its trace against the ideal QRDM at the
+    exact w is the negative PT eigenvalue magnitude.
+    """
+    v = np.array([1.0, 1j * w, -1j * w, -1.0])
+    return -partial_transpose(np.outer(v, v.conj())) / (2.0 + 2.0 * w**2)
+
+
+def witness_trace(witness: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Real part of Tr[W rho], over stacks of rho of shape (..., 4, 4)."""
+    return np.trace(witness @ rho, axis1=-2, axis2=-1).real
 
 
 def propagator_expm(g: float, tau: float) -> np.ndarray:

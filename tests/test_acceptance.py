@@ -12,10 +12,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    eigensolver_negativity,
+    ideal_qrdm,
+    partial_transpose,
+    pauli_witness,
     propagator_expm,
     reference_covariance,
-    ideal_qrdm,
     taylor_coefficients,
+    witness_matrix,
+    witness_trace,
 )
 from sgipair import design, dynamics, entanglement
 from sgipair import oracle as orc
@@ -294,17 +299,16 @@ def test_criterion_10_entanglement_consistency():
     for phi in np.linspace(-math.pi, math.pi, 25):
         for contrast in (0.0, 0.05, 0.26, 1.0, 2.5):
             rho = ideal_qrdm(float(phi), contrast)
-            lam = float(np.linalg.eigvalsh(entanglement.partial_transpose(rho))[0])
+            lam = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
             closed = entanglement.negativity_closed_form(float(phi), contrast)
+            exact = entanglement.evaluate_negativity(float(phi), contrast).exact
             # The published eigenvalue display equals -lambda_min; the -2 lambda
-            # normalization (negativity_exact) is exactly twice it.
+            # normalization (the exact negativity) is exactly twice it.
             worst_closed = max(worst_closed, abs(max(0.0, -lam) - closed))
-            worst_closed = max(
-                worst_closed, abs(entanglement.negativity_exact(rho) - 2.0 * closed)
-            )
+            worst_closed = max(worst_closed, abs(eigensolver_negativity(rho) - 2.0 * closed))
+            worst_closed = max(worst_closed, abs(eigensolver_negativity(rho) - exact))
     assert worst_closed < 1e-10
 
-    w1 = entanglement.witness_operator(1.0)
     published = -0.25 * np.array(
         [
             [1, 1j, 1j, -1],
@@ -313,15 +317,16 @@ def test_criterion_10_entanglement_consistency():
             [-1, 1j, 1j, 1],
         ]
     )
-    pauli_dev = float(np.max(np.abs(w1.as_pauli_sum() - published)))
+    # The w = 1 witness is the published display, and the Pauli form twice it.
+    pauli_dev = float(np.max(np.abs(witness_matrix(1.0) - published)))
+    pauli_dev = max(pauli_dev, float(np.max(np.abs(pauli_witness() / 2.0 - published))))
     assert pauli_dev < 1e-14
 
     worst_trace = 0.0
-    pauli = entanglement.witness_operator()
     for phi in (0.1, math.pi / 20.0, 2.43):
         for contrast in (0.0, 0.26, 1.2):
             rho = ideal_qrdm(phi, contrast)
-            trace = entanglement.witness_trace(rho, pauli)
+            trace = witness_trace(pauli_witness(), rho)
             formula = entanglement.witness_negativity(phi, contrast)
             worst_trace = max(worst_trace, abs(trace - formula))
     assert worst_trace < 1e-12
@@ -354,8 +359,9 @@ def test_criterion_11_physicality_suite():
             rho, contrasts, phase = dynamics.open_qrdm(params, float(tau))
             worst_trace = max(worst_trace, abs(float(np.trace(rho).real) - 1.0))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(rho)[0]))
-            negativity = entanglement.negativity_exact(rho)
+            negativity = entanglement.evaluate_negativity(phase, contrasts).exact
             assert 0.0 <= negativity <= 1.0
+            assert abs(negativity - eigensolver_negativity(rho)) < 1e-12
     assert worst_eig > -1e-10
     report(
         11,

@@ -143,33 +143,6 @@ class TestQuarticRatio:
         assert math.isinf(ratio) and not valid
 
 
-class TestSemiclassical:
-    def test_mass_independent(self):
-        base = design.semiclassical_phase(1e-12, 1e-18, 0.1, 30e-6, 10.0)
-        heavier = design.semiclassical_phase(17e-12, 1e-18, 0.1, 30e-6, 10.0)
-        assert heavier.phase == base.phase
-        assert heavier.phase_rate == base.phase_rate
-        assert heavier.delta_x == pytest.approx(base.delta_x / 17.0, rel=1e-12)
-
-    def test_constant_ratio_to_exact_leading_order(self):
-        # The static-path estimate over one period exceeds the exact
-        # leading-order phase by the constant factor 16/3 across the
-        # parameter grid; the constant is a heuristic artifact.
-        for f_q_newton in (1e-19, 1e-17):
-            for omega in (0.05, 0.5):
-                for d in (20e-6, 80e-6):
-                    result = design.semiclassical_phase(1e-12, f_q_newton, omega, d, 0.0)
-                    exact_leading = (
-                        6.0 * math.pi * G_NEWTON * f_q_newton**2 / (HBAR * d**3 * omega**5)
-                    )
-                    assert result.phase_at_2pi / exact_leading == pytest.approx(
-                        16.0 / 3.0, rel=1e-12
-                    )
-
-    def test_zero_duration(self):
-        assert design.semiclassical_phase(1e-12, 1e-18, 0.1, 30e-6, 0.0).phase == 0.0
-
-
 class TestDephasingBudget:
     def test_noise_free_slack(self):
         verdict = design.dephasing_budget(0.0, 0.0, 1.0)
@@ -235,9 +208,6 @@ _POSITIVE, _NONNEGATIVE = "must be finite and > 0", "must be finite and >= 0"
         ("mass_bounds_noisy", {"n_p": math.nan}, f"n_p=nan {_NONNEGATIVE}"),
         ("quartic_ratio", {"g": -0.1, "x0": 1e-9, "d": 30e-6}, f"g=-0.1 {_NONNEGATIVE}"),
         ("quartic_ratio", {"g": 0.1, "x0": 1e-9, "d": math.nan}, f"d=nan {_POSITIVE}"),
-        ("semiclassical_phase", {"F_q": math.nan}, f"F_q=nan {_NONNEGATIVE}"),
-        ("semiclassical_phase", {"M": 0.0}, f"M=0.0 {_POSITIVE}"),
-        ("semiclassical_phase", {"tau_phys": -1.0}, f"tau_phys=-1.0 {_NONNEGATIVE}"),
         ("dephasing_budget", {"gamma_z": math.nan}, f"gamma_z=nan {_NONNEGATIVE}"),
         ("dephasing_budget", {"c_s_np": -0.1}, f"c_s_np=-0.1 {_NONNEGATIVE}"),
     ],
@@ -245,9 +215,6 @@ _POSITIVE, _NONNEGATIVE = "must be finite and > 0", "must be finite and >= 0"
 def test_bad_input_fails_with_one_line_naming_the_value(function, kwargs, message):
     defaults = {
         "mass_bounds_noisy": {"d": 30e-6, "omega": 0.1, "s_ff": 1e-64, "s": 1.0, "n_p": 0.0},
-        "semiclassical_phase": {
-            "M": 1e-12, "F_q": 1e-18, "omega": 0.1, "d": 30e-6, "tau_phys": 1.0
-        },
         "dephasing_budget": {"gamma_z": 0.0, "gamma_x": 0.0, "f_q": 1.0},
     }.get(function, {})
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

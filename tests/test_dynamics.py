@@ -41,12 +41,9 @@ def _antisymmetric_contrast_reference(params: UnitlessParams, tau: float):
 ALL_LABELS = [dyn.BranchLabel.from_bits(r, c) for r in range(4) for c in range(4)]
 # A diffusive, dephased, squeezed thermal point: every term of the branch-pair kernel is nonzero.
 CAT_PARAMS = UnitlessParams(f_q=0.7, g=0.13, s=0.4, n_p=0.5, gamma_x=0.03, gamma_z=0.02)
-# The three cat-state entry points, each as a function of (params, tau).
+# The two cat-state entry points, each as a function of (params, tau).
 CAT_ENTRY_POINTS = {
     "branch_pair_phase_contrast": lambda params, tau: dyn.branch_pair_phase_contrast(
-        ALL_LABELS[3], params, tau
-    ),
-    "general_first_moments": lambda params, tau: dyn.general_first_moments(
         ALL_LABELS[3], params, tau
     ),
     "evolve_cat_state": lambda params, tau: dyn.evolve_cat_state(
@@ -166,25 +163,31 @@ class TestResidualSeparation:
         assert dyn.residual_separation(0.0, 0.3) == 0.0
 
 
-class TestGeneralFirstMoments:
+def _branches(params: UnitlessParams, tau: float) -> dict:
+    """First moments of all 16 branches of the cat state evolved to tau."""
+    return dyn.evolve_cat_state(dyn.initial_cat_state(params), params, tau).branches
+
+
+class TestCatStateBranches:
     def test_diagonal_matches_trajectories(self):
         params = UnitlessParams(f_q=0.6, g=0.11)
         moments = dyn.branch_trajectories(params.f_q, params.g, 2.3)
+        branches = _branches(params, 2.3)
         for label, expected in moments.items():
-            general = dyn.general_first_moments(label, params, 2.3)
+            general = branches[label]
             assert np.allclose(general.vector.real, expected.vector, atol=1e-13)
             assert np.max(np.abs(general.vector.imag)) < 1e-12
 
     def test_zero_force_gives_zero_vectors(self):
-        params = UnitlessParams(f_q=0.0, g=0.2)
+        branches = _branches(UnitlessParams(f_q=0.0, g=0.2), 1.7)
         for label in ALL_LABELS:
-            assert np.max(np.abs(dyn.general_first_moments(label, params, 1.7).vector)) == 0.0
+            assert np.max(np.abs(branches[label].vector)) == 0.0
 
     def test_conjugation_under_label_swap(self):
-        params = UnitlessParams(f_q=0.4, g=0.07, s=0.5, n_p=1.0, gamma_x=0.02)
+        branches = _branches(UnitlessParams(f_q=0.4, g=0.07, s=0.5, n_p=1.0, gamma_x=0.02), 2.0)
         label = dyn.BranchLabel(j=1, k=-1, m=-1, n=-1)
-        forward = dyn.general_first_moments(label, params, 2.0).vector
-        backward = dyn.general_first_moments(label.swapped, params, 2.0).vector
+        forward = branches[label].vector
+        backward = branches[label.swapped].vector
         assert np.allclose(forward, backward.conj(), atol=1e-13)
 
 
@@ -216,22 +219,11 @@ class TestBranchPairKernel:
             assert _relative(kernel.m2, reference["m2"]) <= 1e-12
             assert _relative(kernel.lyapunov, reference["lyapunov"]) <= 1e-12
 
-    def test_one_kernel_serves_every_label(self):
-        params = CAT_PARAMS
-        state = dyn.evolve_cat_state(dyn.initial_cat_state(params), params, 3.1)
-        for label in ALL_LABELS:
-            assert np.array_equal(
-                state.branches[label].vector,
-                dyn.general_first_moments(label, params, 3.1).vector,
-            )
-
     def test_one_build_per_point(self):
         dyn._shared_kernel.cache_clear()
         dyn.evolve_cat_state(dyn.initial_cat_state(CAT_PARAMS), CAT_PARAMS, 3.1)
         for label in ALL_LABELS:
             dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1)
-        for label in ALL_LABELS:
-            dyn.general_first_moments(label, CAT_PARAMS, 3.1)
         assert _builds() == 1
         dyn.branch_pair_phase_contrast(ALL_LABELS[1], CAT_PARAMS, 1.7)
         assert _builds() == 2
@@ -255,14 +247,12 @@ class TestBranchPairKernel:
         fresh = _fresh_kernel(CAT_PARAMS, 3.1)
         moments = dyn._moment_table(fresh.sigma, fresh.pairs, fresh.m1)
         for _ in range(2):  # the first pass may build the shared kernel, the second reads it
+            branches = _branches(CAT_PARAMS, 3.1)
             for label in ALL_LABELS:
                 assert dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) == tuple(
                     fresh.phase_contrast_table[label.qrdm_index].tolist()
                 )
-                assert np.array_equal(
-                    dyn.general_first_moments(label, CAT_PARAMS, 3.1).vector,
-                    moments[label.qrdm_index],
-                )
+                assert np.array_equal(branches[label].vector, moments[label.qrdm_index])
 
     def test_initial_covariance_does_not_leak(self):
         params, tau = CAT_PARAMS, 3.1
@@ -381,8 +371,6 @@ class TestBranchPairKernel:
         message = r"^tau=.* must be finite and >= 0"
         with pytest.raises(ValueError, match=message):
             dyn.branch_pair_phase_contrast(label, params, tau)
-        with pytest.raises(ValueError, match=message):
-            dyn.general_first_moments(label, params, tau)
         with pytest.raises(ValueError, match=message):
             dyn.evolve_cat_state(dyn.initial_cat_state(params), params, tau)
         with pytest.raises(ValueError, match=message):
@@ -797,7 +785,9 @@ class TestCatState:
             (0, 0.0, r"squeezing s=0 must lie in \(0, 1\]"),
             (1.5, 0.0, r"squeezing s=1\.5 must lie in \(0, 1\]"),
             (1e-310, 0.0, r"squeezing s=1e-310 must be >= 2\.2250738585072014e-308 "),
-            (0.5, -1, r"n_p=-1 must be >= 0"),
+            (0.5, -1, r"n_p=-1 must be finite and >= 0"),
+            (0.5, math.nan, r"n_p=nan must be finite and >= 0"),
+            (0.5, math.inf, r"n_p=inf must be finite and >= 0"),
             (0.5, np.array([0.0, 1.0]), r"n_p=\[0\. 1\.\] must be a scalar"),
         ],
     )

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ideal_qrdm
+from oracles import (
+    eigensolver_negativity,
+    ideal_qrdm,
+    partial_transpose,
+    pauli_witness,
+    witness_matrix,
+    witness_trace,
+)
 from sgipair import entanglement as ent
 from sgipair.dynamics import ContrastSet, final_time, open_qrdm, unitary_qrdm
 from sgipair.potentials import UnitlessParams
@@ -25,32 +32,23 @@ PRINTED_W1 = -0.25 * np.array(
 )
 
 
-class TestPartialTranspose:
-    def test_involution_exact(self):
+class TestReferences:
+    """The eigensolver negativity and witness matrices the package's closed forms are checked against."""
+
+    def test_partial_transpose_is_an_involution(self):
         rho = ideal_qrdm(1.1, 0.2)
-        assert np.array_equal(ent.partial_transpose(ent.partial_transpose(rho)), rho)
+        assert np.array_equal(partial_transpose(partial_transpose(rho)), rho)
 
     def test_transposing_both_qubits_is_full_transpose(self):
         rho = ideal_qrdm(0.7, 0.1)
-        both = ent.partial_transpose(ent.partial_transpose(rho, qubit=2), qubit=1)
+        both = partial_transpose(partial_transpose(rho, qubit=2), qubit=1)
         assert np.array_equal(both, rho.T)
 
-
-class TestExactNegativity:
     def test_maximally_mixed_is_separable(self):
-        assert ent.negativity_exact(np.eye(4) / 4.0) == 0.0
+        assert eigensolver_negativity(np.eye(4) / 4.0) == 0.0
 
     def test_bell_state_is_maximal(self):
-        assert ent.negativity_exact(BELL) == pytest.approx(1.0, abs=1e-12)
-
-    def test_ideal_qrdm_eigenvalue_conventions(self):
-        # The closed-form display equals the negative PT eigenvalue magnitude
-        # |sin phi|/2 at zero contrast; the -2*lambda convention (under which
-        # Bell scores 1) is exactly twice that.
-        rho = ideal_qrdm(np.pi / 20.0, 0.0)
-        lam = np.linalg.eigvalsh(ent.partial_transpose(rho))[0]
-        assert -lam == pytest.approx(0.07821723252011544, abs=1e-12)
-        assert ent.negativity_exact(rho) == pytest.approx(2.0 * -lam, abs=1e-14)
+        assert eigensolver_negativity(BELL) == pytest.approx(1.0, abs=1e-12)
 
     def test_invariant_under_local_unitaries(self):
         rng = np.random.default_rng(7)
@@ -61,25 +59,51 @@ class TestExactNegativity:
             return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
         rho = ideal_qrdm(1.1, 0.2)
-        reference = ent.negativity_exact(rho)
+        reference = eigensolver_negativity(rho)
         for _ in range(25):
             u = np.kron(haar(rng), haar(rng))
             rotated = u @ rho @ u.conj().T
-            assert ent.negativity_exact(rotated) == pytest.approx(reference, abs=1e-10)
+            assert eigensolver_negativity(rotated) == pytest.approx(reference, abs=1e-10)
+
+    def test_exact_witness_at_unit_parameter(self):
+        assert np.max(np.abs(witness_matrix(1.0) - PRINTED_W1)) == 0.0
+
+    def test_pauli_form_is_twice_unit_parameter_matrix(self):
+        assert np.max(np.abs(pauli_witness() - 2.0 * PRINTED_W1)) == 0.0
+
+    def test_spectra(self):
+        pauli = np.linalg.eigvalsh(pauli_witness())
+        unit = np.linalg.eigvalsh(witness_matrix(1.0))
+        assert np.allclose(pauli, [-1.0, -1.0, -1.0, 1.0], atol=1e-12)
+        assert np.allclose(unit, [-0.5, -0.5, -0.5, 0.5], atol=1e-12)
+
+    def test_hermitian(self):
+        for witness in (pauli_witness(), witness_matrix(0.8)):
+            assert np.max(np.abs(witness - witness.conj().T)) == 0.0
+
+    def test_maximally_mixed_values(self):
+        assert witness_trace(witness_matrix(1.0), np.eye(4) / 4.0) == pytest.approx(
+            -0.25, abs=1e-15
+        )
+        assert witness_trace(pauli_witness(), np.eye(4) / 4.0) == pytest.approx(-0.5, abs=1e-15)
+
+
+class TestExactNegativity:
+    def test_ideal_qrdm_eigenvalue_conventions(self):
+        # The closed-form display equals the negative PT eigenvalue magnitude
+        # |sin phi|/2 at zero contrast; the -2*lambda convention (under which
+        # Bell scores 1) is exactly twice that.
+        rho = ideal_qrdm(np.pi / 20.0, 0.0)
+        lam = np.linalg.eigvalsh(partial_transpose(rho))[0]
+        assert -lam == pytest.approx(0.07821723252011544, abs=1e-12)
+        assert ent.evaluate_negativity(np.pi / 20.0, 0.0).exact == pytest.approx(
+            2.0 * -lam, abs=1e-14
+        )
 
     def test_monotone_decay_in_contrast(self):
         for phi in (0.3, 1.2, 2.4):
-            values = [
-                ent.negativity_exact(ideal_qrdm(phi, c))
-                for c in np.linspace(0.0, 2.5, 60)
-            ]
+            values = ent.evaluate_negativity(phi, np.linspace(0.0, 2.5, 60)).exact
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_rejects_non_hermitian(self):
-        bad = np.eye(4, dtype=complex)
-        bad[0, 1] = 0.5
-        with pytest.raises(ValueError, match="Hermitian"):
-            ent.negativity_exact(bad)
 
 
 class TestClosedFormNegativity:
@@ -96,7 +120,7 @@ class TestClosedFormNegativity:
     def test_matches_eigensolver_at_reference_point(self):
         phi, contrast = 2.4316939770217063, 0.2626311219216804
         rho = ideal_qrdm(phi, contrast)
-        lam = np.linalg.eigvalsh(ent.partial_transpose(rho))[0]
+        lam = np.linalg.eigvalsh(partial_transpose(rho))[0]
         assert ent.negativity_closed_form(phi, contrast) == pytest.approx(
             -lam, abs=1e-12
         )
@@ -105,7 +129,7 @@ class TestClosedFormNegativity:
     @given(phi=st.floats(-np.pi, np.pi), contrast=st.floats(0.0, 5.0))
     def test_matches_eigensolver_everywhere(self, phi, contrast):
         rho = ideal_qrdm(phi, contrast)
-        lam = float(np.linalg.eigvalsh(ent.partial_transpose(rho))[0])
+        lam = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
         assert abs(ent.negativity_closed_form(phi, contrast) - max(0.0, -lam)) < 1e-10
 
     @pytest.mark.parametrize("contrast", [50.0, 60.0, 200.0])
@@ -116,40 +140,12 @@ class TestClosedFormNegativity:
 
 
 class TestWitnessOperator:
-    def test_exact_witness_at_unit_parameter(self):
-        w1 = ent.witness_operator(1.0)
-        assert np.max(np.abs(w1.matrix - PRINTED_W1)) == 0.0
-
-    def test_pauli_terms_rebuild_matrix(self):
-        for witness in (ent.witness_operator(), ent.witness_operator(1.0), ent.witness_operator(0.37)):
-            assert np.max(np.abs(witness.as_pauli_sum() - witness.matrix)) < 1e-14
-
-    def test_pauli_form_is_twice_unit_parameter_matrix(self):
-        pauli = ent.witness_operator()
-        assert np.max(np.abs(pauli.matrix - 2.0 * PRINTED_W1)) == 0.0
-        assert {name: coeff for coeff, name in pauli.pauli_terms} == {
-            "XX": 0.5,
-            "YZ": 0.5,
-            "ZY": 0.5,
-            "II": -0.5,
-        }
-
-    def test_spectra(self):
-        pauli = np.linalg.eigvalsh(ent.witness_operator().matrix)
-        unit = np.linalg.eigvalsh(ent.witness_operator(1.0).matrix)
-        assert np.allclose(pauli, [-1.0, -1.0, -1.0, 1.0], atol=1e-12)
-        assert np.allclose(unit, [-0.5, -0.5, -0.5, 0.5], atol=1e-12)
-
-    def test_hermitian(self):
-        for witness in (ent.witness_operator(), ent.witness_operator(0.8)):
-            assert np.max(np.abs(witness.matrix - witness.matrix.conj().T)) == 0.0
-
     def test_exact_parameter_recovers_exact_negativity(self):
         phi, contrast = 0.9, 0.22
         f = 0.5 * np.exp(-contrast) * np.sinh(2.0 * contrast)
         w = (np.sqrt(np.sin(phi) ** 2 + f**2) - f) / np.sin(phi)
         rho = ideal_qrdm(phi, contrast)
-        trace = ent.witness_trace(rho, ent.witness_operator(w))
+        trace = witness_trace(witness_matrix(w), rho)
         assert trace == pytest.approx(ent.negativity_closed_form(phi, contrast), abs=1e-12)
 
 
@@ -176,11 +172,10 @@ class TestWitnessNegativity:
 
 class TestWitnessTrace:
     def test_matches_formula_on_ideal_qrdm(self):
-        pauli = ent.witness_operator()
         for phi in (0.1, np.pi / 20.0, 2.43):
             for contrast in (0.0, 0.26, 1.5):
                 rho = ideal_qrdm(phi, contrast)
-                assert ent.witness_trace(rho, pauli) == pytest.approx(
+                assert witness_trace(pauli_witness(), rho) == pytest.approx(
                     ent.witness_negativity(phi, contrast), abs=1e-12
                 )
 
@@ -189,16 +184,8 @@ class TestWitnessTrace:
             f_q=0.5, g=0.08, s=0.2, n_p=2.0, gamma_x=0.03, gamma_z=0.01
         )
         rho, contrasts, phase = open_qrdm(params, final_time(params.g))
-        assert ent.witness_trace(rho, ent.witness_operator()) == pytest.approx(
+        assert witness_trace(pauli_witness(), rho) == pytest.approx(
             ent.witness_negativity(phase, contrasts), abs=1e-12
-        )
-
-    def test_maximally_mixed_values(self):
-        assert ent.witness_trace(np.eye(4) / 4.0, ent.witness_operator(1.0)) == pytest.approx(
-            -0.25, abs=1e-15
-        )
-        assert ent.witness_trace(np.eye(4) / 4.0, ent.witness_operator()) == pytest.approx(
-            -0.5, abs=1e-15
         )
 
 
@@ -277,10 +264,8 @@ class TestEvaluateNegativity:
         rho, contrasts, phase = open_qrdm(params, rng.uniform(0.0, 2.0, n) * final_time(g))
         result = ent.evaluate_negativity(phase, contrasts)
         assert np.any(result.exact > 0.0) and np.any(result.exact == 0.0)
-        assert np.max(np.abs(result.exact - ent.negativity_exact(rho))) <= 1e-15
-        assert np.max(
-            np.abs(result.witness_trace - ent.witness_trace(rho, ent.witness_operator()))
-        ) <= 1e-15
+        assert np.max(np.abs(result.exact - eigensolver_negativity(rho))) <= 1e-15
+        assert np.max(np.abs(result.witness_trace - witness_trace(pauli_witness(), rho))) <= 1e-15
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(

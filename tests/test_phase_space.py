@@ -310,8 +310,18 @@ class TestHeisenberg:
             ok, _ = ps.heisenberg_ok(sigma)
             assert ok
 
-    def test_requires_symmetric_input(self):
-        bad = np.eye(4)
-        bad[0, 1] = 0.5
-        with pytest.raises(ValueError, match="symmetric"):
-            ps.heisenberg_ok(bad)
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (np.eye(4) + np.eye(4, k=1) / 2.0, "covariance matrix must be symmetric"),
+            (np.eye(2), r"covariance matrix must be 4x4, got shape \(2, 2\)"),
+            (np.full((4, 4), np.nan), "covariance matrix entry=nan must be finite"),
+            (np.diag([1.0, 1.0, 1.0, np.inf]), "covariance matrix entry=inf must be finite"),
+        ],
+        ids=["asymmetric", "2x2", "all-nan", "inf-entry"],
+    )
+    def test_rejects_malformed_input(self, sigma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ps.heisenberg_ok(sigma)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ps.evolve_covariance(sigma, 0.1, 1.0)

@@ -138,13 +138,6 @@ class TestUnitConversion:
         p = pot.PhysicalParams(M=1e-14, omega=0.1, d=1e-4, omega_t=1e3)
         assert pot.to_unitless(p).s == pytest.approx(1e-4, rel=1e-12)
 
-    def test_round_trip(self):
-        p = pot.PhysicalParams(M=3e-12, omega=0.7, d=5e-5, F_q=2e-19)
-        u = pot.to_unitless(p)
-        back = pot.physical_from_unitless(u.f_q, u.g, p.omega, p.d)
-        assert back.M == pytest.approx(p.M, rel=1e-12)
-        assert back.F_q == pytest.approx(p.F_q, rel=1e-12)
-
     def test_thermal_occupation_follows_bose_statistics(self):
         omega_t, temperature = 1e5, 1e-3
         n_p = pot.thermal_phonons(omega_t, temperature)

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "sgipair").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "sgipair").glob("*.py"))
+# Code outside the package that counts as a reader of its public names.
+READERS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -43,6 +46,53 @@ def _foreign_imports(source: str) -> list[str]:
     return foreign
 
 
+def _reads(tree: ast.AST) -> set[str]:
+    """Names a syntax tree reads: loaded names and attributes, and imported aliases."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.alias):
+            reads.add(node.name)
+    return reads
+
+
+def _defines(statement: ast.stmt) -> set[str]:
+    """Names a top-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = statement.targets if isinstance(statement, ast.Assign) else []
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def _unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each ``__all__`` entry that no other code reads.
+
+    A read counts in another top-level statement of the name's own module
+    (not its definition), in another of ``modules``, or in ``readers``.
+    """
+    bodies = {module: ast.parse(source).body for module, source in modules.items()}
+    statements = {
+        module: [(_defines(statement), _reads(statement)) for statement in body]
+        for module, body in bodies.items()
+    }
+    reads = {module: set().union(*(r for _, r in pairs)) for module, pairs in statements.items()}
+    outside = set().union(*(_reads(ast.parse(source)) for source in readers))
+    unread = []
+    for module, body in bodies.items():
+        elsewhere = outside.union(*(r for other, r in reads.items() if other != module))
+        for statement in body:
+            if "__all__" not in _defines(statement):
+                continue
+            for name in ast.literal_eval(statement.value):
+                own = (r for defined, r in statements[module] if name not in defined)
+                if name not in elsewhere.union(*own):
+                    unread.append(f"{module}.{name}")
+    return unread
+
+
 def test_checker_flags_an_unused_import():
     assert _unused_imports("import math\nimport numpy as np\nnp.pi\n") == ["math (line 1)"]
     assert _unused_imports("from .a import b, c\n__all__ = ['b']\nc()\n") == []
@@ -52,6 +102,23 @@ def test_checker_flags_a_foreign_import():
     source = "import os, numpy.linalg\nfrom . import dynamics\ndef f():\n    import scipy.linalg\n"
     assert _foreign_imports(source) == ["scipy.linalg (line 4)"]
     assert _foreign_imports("from mpmath import mp\nfrom numpy import pi\n") == ["mpmath (line 1)"]
+
+
+def test_checker_flags_a_public_name_nothing_reads():
+    modules = {
+        "a": "__all__ = ['f', 'g', 'h', 'K']\ndef f():\n    return f()\ndef g():\n    pass\n"
+        "h = lambda: g()\nK = 1\n",
+        "b": "from .a import h\nf = 2\n",
+    }
+    # f reads itself and b only stores to a name f; g, h and K have readers
+    assert _unread_public_names(modules, ["import a\na.K\n"]) == ["a.f"]
+    assert _unread_public_names(modules, ["from a import f\n"]) == ["a.K"]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # A public function that only tests call belongs in tests/oracles.py, not in the package.
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    assert _unread_public_names(modules, [path.read_text() for path in READERS]) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
