@@ -50,21 +50,29 @@ CAT_ENTRY_POINTS = {
         dyn.initial_cat_state(params), params, tau
     ),
 }
-# Each cat-state entry point with a grid g, gamma_x or tau, and initial_cat_state with a grid s,
-# as (entry, field, grid value); ids read "field-entry".
+# Each cat-state entry point with each UnitlessParams field or tau as a grid, and
+# initial_cat_state with a grid s or n_p, as (entry, field, grid value); ids read "field-entry".
 GRID_ENTRY_POINTS = {
     **CAT_ENTRY_POINTS,
     "initial_cat_state": lambda params, tau: dyn.initial_cat_state(params),
 }
+GRID_VALUES = {
+    "f_q": np.array([0.5, 0.6]),
+    "g": np.array([0.1, 0.2]),
+    "s": np.array([0.3, 0.5]),
+    "n_p": np.array([0.0, 1.0]),
+    "gamma_x": np.array([0.0, 0.01]),
+    "gamma_z": np.array([0.0, 0.02]),
+    "tau": np.array([1.0, 2.0]),
+}
 GRID_CASES = [
     pytest.param(entry, field, value, id=f"{field}-{entry}")
-    for field, value in [
-        ("g", np.array([0.1, 0.2])),
-        ("gamma_x", np.array([0.0, 0.01])),
-        ("tau", np.array([1.0, 2.0])),
-    ]
+    for field, value in GRID_VALUES.items()
     for entry in sorted(CAT_ENTRY_POINTS)
-] + [pytest.param("initial_cat_state", "s", np.array([0.3, 0.5]), id="s-initial_cat_state")]
+] + [
+    pytest.param("initial_cat_state", field, GRID_VALUES[field], id=f"{field}-initial_cat_state")
+    for field in ("s", "n_p")
+]
 
 
 def branch(j, m):
@@ -218,6 +226,15 @@ class TestBranchPairKernel:
             assert _relative(kernel.m1, reference["m1"]) <= 1e-12
             assert _relative(kernel.m2, reference["m2"]) <= 1e-12
             assert _relative(kernel.lyapunov, reference["lyapunov"]) <= 1e-12
+
+    def test_one_kernel_serves_every_label(self):
+        initial = dyn.initial_cat_state(CAT_PARAMS)
+        state = dyn.evolve_cat_state(initial, CAT_PARAMS, 3.1)
+        kernel = _fresh_kernel(CAT_PARAMS, 3.1)
+        sigma = kernel.s_tau @ initial.sigma @ kernel.s_tau.T + kernel.lyapunov
+        table = dyn._moment_table(sigma, kernel.pairs, kernel.m1)
+        for label in ALL_LABELS:
+            assert np.array_equal(state.branches[label].vector, table[label.qrdm_index])
 
     def test_one_build_per_point(self):
         dyn._shared_kernel.cache_clear()
