@@ -9,11 +9,18 @@ catalogues and unit conversions (``potentials``), design bounds
 module exposes batch commands emitting plot-ready data files.
 """
 
+import gc
+
 from . import design, dynamics, entanglement, oracle, phase_space, potentials
 from .dynamics import BranchLabel, ContrastSet, GaussianCatState
 from .potentials import NVParams, PhysicalParams, UnitlessParams
 
 __version__ = "0.1.0"
+
+# Importing numpy and the package leaves about 4600 objects in the young GC generations;
+# collecting them once here (about 1 ms) keeps that pause out of the first computation of a
+# fresh process, which would otherwise pay it wherever its allocations cross the threshold.
+gc.collect(1)
 
 __all__ = [
     "design",

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .potentials import G_NEWTON, HBAR, NVParams, _require, _require_nonnegative, nv_map
+from .potentials import G_NEWTON, HBAR, NVParams, nv_map
+from .potentials import _check_squeezing, _require_nonnegative, _require_positive
 
 __all__ = [
     "DEFAULT_TARGET_PHASE",
@@ -45,17 +46,12 @@ def ideal_negativity() -> float:
     return math.sin(DEFAULT_TARGET_PHASE)
 
 
-def _require_positive(name: str, value) -> None:
-    """Raise one ValueError naming ``value`` unless it is finite and > 0."""
-    _require(name, value, np.isfinite(value) & (value > 0.0), "must be finite and > 0")
-
-
 def required_force(g):
     """Force 1/sqrt(120 g) that brings 6 pi g f_q^2 to the pi/20 target at coupling g.
 
     Elementwise over an array of g.
     """
-    _require("coupling g", g, g > 0.0, "must be > 0")
+    _require_positive("coupling g", g)
     return np.sqrt(DEFAULT_TARGET_PHASE / (6.0 * math.pi * g))
 
 
@@ -102,7 +98,7 @@ def g_bounds(
     """
     _require_positive("x0_over_d", x0_over_d)
     _require_nonnegative("gamma_x", gamma_x)
-    _require("squeezing s", s, (0.0 < s) & (s <= 1.0), "must lie in (0, 1]")
+    _check_squeezing(s)
     _require_nonnegative("n_p", n_p)
     n_i = ideal_negativity()
     occupation = 1.0 + 2.0 * n_p
@@ -163,7 +159,7 @@ def mass_bounds_noisy(
     _require_positive("d", d)
     _require_positive("omega", omega)
     _require_nonnegative("S_FF", s_ff)
-    _require("squeezing s", s, (0.0 < s) & (s <= 1.0), "must lie in (0, 1]")
+    _check_squeezing(s)
     _require_nonnegative("n_p", n_p)
     m_min = math.sqrt(math.pi * d**3 * s_ff / (2.0 * G_NEWTON * HBAR))
     m_max = (s / (1.0 + 2.0 * n_p)) ** (1.0 / 3.0) * d**3 * omega**2 / (2.0 * G_NEWTON)

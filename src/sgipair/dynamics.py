@@ -36,7 +36,6 @@ from .phase_space import (
     final_time,
     mode_frequency,
     propagator,
-    sgi_drift_spec,
     sgi_hamiltonian_matrix,
     symplectic_form,
 )
@@ -200,6 +199,7 @@ def entangling_phase(f_q, g, tau):
     Depends only on (f_q, g, tau); in particular it is independent of the
     mass, the initial squeezing/temperature, and the diffusion rate.
     """
+    _check_tau(tau)
     w = mode_frequency(g)
     return np.square(f_q) * (
         np.sin(tau) + 2.0 * g * tau / np.square(w) - np.sin(w * tau) / np.power(w, 3)
@@ -208,11 +208,13 @@ def entangling_phase(f_q, g, tau):
 
 def final_contrast(f_q: float, g: float) -> float:
     """Ideal closure-time contrast 2 f_q^2 sin^2(pi/omega_g)."""
+    _require_nonnegative("f_q", f_q)
     return 2.0 * np.square(f_q) * np.square(np.sin(np.pi / mode_frequency(g)))
 
 
 def residual_separation(f_q: float, g: float) -> float:
     """Position gap 4 f_q sin^2(pi/omega_g) between the 00 and 11 branches at closure."""
+    _require_nonnegative("f_q", f_q)
     return 4.0 * f_q * np.square(np.sin(np.pi / mode_frequency(g)))
 
 
@@ -275,11 +277,11 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
 
 # Qubit eigenvalues (j, m) of the ket (or bra) side of QRDM row (or column) 0..3; drifts at f_q = 1.
 _ROW_EIGENVALUES = tuple(product((+1, -1), repeat=2))
-_ROW_DRIFTS = sgi_drift_spec(1.0).branch_drift(*np.array(_ROW_EIGENVALUES, float).T[..., None])
+_ROW_DRIFTS = np.array([[j, 0.0, m, 0.0] for j, m in _ROW_EIGENVALUES])
 
 
 def _shifts(h_matrix: np.ndarray, f_q, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Displaced equilibria r = H^-1 (j r_q1 + m r_q2) (..., 4, 4) and shifts (S - I) r.
+    """Displaced equilibria r = H^-1 f_q (j, 0, m, 0) (..., 4, 4) and shifts (S - I) r.
 
     Row i belongs to the ket (j, m) = ``_ROW_EIGENVALUES[i]``.  One batched solve is
     bit-identical to four single ones; a multi-right-hand-side H^-1 [b0 .. b3] takes another
@@ -460,7 +462,6 @@ def unitary_qrdm(
 
 def open_phase_contrasts(params: UnitlessParams, tau: float) -> tuple[float, ContrastSet]:
     """The entangling phase and contrast exponents of ``open_qrdm``, without its QRDM."""
-    _check_tau(tau)
     return entangling_phase(params.f_q, params.g, tau), _open_contrasts(params, tau)
 
 

@@ -1,14 +1,16 @@
 """Independent brute-force verification of the closed-form dynamics.
 
-Two oracles, neither of which shares code with the closed forms they check:
+Two oracles, neither of which shares code with the closed forms they check;
+each writes out the two-SGI model itself, from ``UnitlessParams`` alone:
 
 * a fixed-step 4th-order integrator for the first- and second-moment
-  equations of motion (valid for any initial covariance and diffusion
-  matrix, with the branch means starting at the origin).  The equations are
-  linear and autonomous, dy/dtau = A y + b, so each classical RK4 step is
-  the exact one-step map y -> y + (M y + q), built once per step size from A
-  and b, and the n steps of a grid slot are applied by binary powers of
-  that map; and
+  equations of motion, from any initial covariance, with the branch means
+  starting at the origin.  ``_moment_generator`` states the quadratic form H,
+  the qubit forces, the diffusion matrix D = gamma_x diag(0, 1, 0, 1) and the
+  symplectic form.  The equations are linear and autonomous,
+  dy/dtau = A y + b, so each classical RK4 step is the exact one-step map
+  y -> y + (M y + q), built once per step size from A and b, and the n
+  steps of a grid slot are applied by binary powers of that map; and
 * truncated-Fock-space propagation of the full two-qubit x two-mode system.
   Noise-free problems evolve the four branch kets; position diffusion or a
   mixed initial state, the ten independent qubit-sector blocks of the
@@ -27,12 +29,14 @@ Two oracles, neither of which shares code with the closed forms they check:
   diagnostics; a qubit branch with zero population gets zero moments and
   covariance and does not enter the leakage.
 
-The Fock oracle adopts the rate normalization of the closed forms: the
-position dissipator acts at gamma_x/4 per mode and the qubit dephasing at
-gamma_z/4 per qubit, so that the single-flip QRDM exponents decay as
-gamma_x- and gamma_z-linear closed-form contrasts.  ``ComparisonReport``
-collects the deviations of the verification suites into a machine-readable
-report.
+Both oracles adopt the rate normalization of the closed forms.  The moment
+oracle's D is normalized so that its accumulated covariance is the diffusive
+covariance of the open-dynamics contrasts (position dephasing at gamma_x/4
+per mode).  In the Fock oracle the position dissipator acts at gamma_x/4 per
+mode and the qubit dephasing at gamma_z/4 per qubit, so that the single-flip
+QRDM exponents decay as gamma_x- and gamma_z-linear closed-form contrasts.
+``ComparisonReport`` collects the deviations of the verification suites into
+a machine-readable report.
 """
 
 from __future__ import annotations
@@ -48,13 +52,6 @@ from itertools import product
 import numpy as np
 
 from .dynamics import BranchLabel
-from .phase_space import (
-    DriftSpec,
-    sgi_diffusion_matrix,
-    sgi_drift_spec,
-    sgi_hamiltonian_matrix,
-    symplectic_form,
-)
 from .potentials import UnitlessParams, _require
 
 __all__ = [
@@ -71,7 +68,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_OMEGA = symplectic_form()
+_OMEGA = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])  # symplectic form of (x1, p1, x2, p2)
 _DIAGONAL_PAIRS = tuple(product((+1, -1), repeat=2))
 
 
@@ -94,39 +91,23 @@ def _check_tau_grid(tau_grid) -> None:
 
 @dataclass(frozen=True)
 class MomentOdeProblem:
-    """Gaussian moment equations: quadratic form, drifts, diffusion, initial covariance.
+    """Moment equations of the two-SGI model at ``params`` on a grid from tau = 0.
 
-    Every branch mean starts at the origin.
+    The initial covariance ``sigma0`` defaults to the squeezed thermal
+    (1 + 2 n_p) diag(s, 1/s, s, 1/s); every branch mean starts at the origin.
     """
 
-    h_matrix: np.ndarray
-    drifts: DriftSpec
-    d_matrix: np.ndarray
-    sigma0: np.ndarray
+    params: UnitlessParams
     tau_grid: np.ndarray
+    sigma0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         _check_tau_grid(self.tau_grid)
-
-    @classmethod
-    def for_sgi(
-        cls,
-        params: UnitlessParams,
-        tau_grid: np.ndarray,
-        sigma0: np.ndarray | None = None,
-    ) -> "MomentOdeProblem":
-        """Problem for the two-SGI model at the given dimensionless parameters."""
+        p, sigma0 = self.params, self.sigma0
         if sigma0 is None:
-            sigma0 = (1.0 + 2.0 * params.n_p) * np.diag(
-                [params.s, 1.0 / params.s, params.s, 1.0 / params.s]
-            )
-        return cls(
-            h_matrix=sgi_hamiltonian_matrix(params.g),
-            drifts=sgi_drift_spec(params.f_q),
-            d_matrix=sgi_diffusion_matrix(params.gamma_x),
-            sigma0=np.asarray(sigma0, dtype=float),
-            tau_grid=np.asarray(tau_grid, dtype=float),
-        )
+            sigma0 = (1.0 + 2.0 * p.n_p) * np.diag([p.s, 1.0 / p.s, p.s, 1.0 / p.s])
+        object.__setattr__(self, "sigma0", np.asarray(sigma0, dtype=float))
+        object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -143,18 +124,22 @@ def _moment_generator(problem: MomentOdeProblem) -> tuple[np.ndarray, np.ndarray
     """Matrix A and vector b of the linear moment equations dy/dtau = A y + b.
 
     State layout: row-major sigma (16) followed by the four diagonal branch
-    means (4 each), in ``_DIAGONAL_PAIRS`` order.  With F = Omega H,
-    d sigma/dtau = F sigma + sigma F^T + D and dr_jm/dtau = F r_jm + Omega d_jm.
+    means (4 each), in ``_DIAGONAL_PAIRS`` order.  The model is written out
+    here: H = [[1-g, 0, g, 0], [0, 1, 0, 0], [g, 0, 1-g, 0], [0, 0, 0, 1]],
+    the force f_q (j, 0, m, 0) on branch (j, m) and D = gamma_x diag(0, 1, 0, 1).
+    With F = Omega H, d sigma/dtau = F sigma + sigma F^T + D and
+    dr_jm/dtau = F r_jm + Omega f_q (j, 0, m, 0).
     """
-    drift_matrix = _OMEGA @ problem.h_matrix
+    p = problem.params
+    h = np.array([[1.0 - p.g, 0, p.g, 0], [0, 1, 0, 0], [p.g, 0, 1.0 - p.g, 0], [0, 0, 0, 1]])
+    drift_matrix = _OMEGA @ h
     eye = np.eye(4)
     a = np.zeros((32, 32))
     a[:16, :16] = np.kron(drift_matrix, eye) + np.kron(eye, drift_matrix)
     a[16:, 16:] = np.kron(eye, drift_matrix)
-    b = np.concatenate(
-        [problem.d_matrix.ravel()]
-        + [_OMEGA @ problem.drifts.branch_drift(j, m) for j, m in _DIAGONAL_PAIRS]
-    )
+    d = p.gamma_x * np.diag([0.0, 1.0, 0.0, 1.0])
+    forces = [p.f_q * np.array([j, 0.0, m, 0.0]) for j, m in _DIAGONAL_PAIRS]
+    b = np.concatenate([d.ravel()] + [_OMEGA @ force for force in forces])
     return a, b
 
 
@@ -187,6 +172,11 @@ def _apply_steps(y: np.ndarray, m: np.ndarray, q: np.ndarray, n_steps: int) -> n
         m, q = 2.0 * m + m @ m, 2.0 * q + m @ q
 
 
+# Halving gate of ``integrate_moments``: the largest change of any sampled value it accepts,
+# and the halvings it tries before giving up.
+_CONVERGENCE_TOL, _MAX_HALVINGS = 1e-10, 6
+
+
 def _integrate_once(problem: MomentOdeProblem, dt: float) -> np.ndarray:
     """(T, 32) states on the grid at nominal step dt, in ``_moment_generator``'s layout."""
     a, b = _moment_generator(problem)
@@ -202,39 +192,29 @@ def _integrate_once(problem: MomentOdeProblem, dt: float) -> np.ndarray:
     return states
 
 
-def integrate_moments(
-    problem: MomentOdeProblem,
-    dt: float = 2e-3,
-    convergence_tol: float = 1e-10,
-    check: bool = True,
-    max_refinements: int = 6,
-) -> MomentTrajectories:
+def integrate_moments(problem: MomentOdeProblem, dt: float = 2e-3) -> MomentTrajectories:
     """Fixed-step RK4 trajectories of sigma and the four diagonal means.
 
     The moment equations are linear and autonomous, so each RK4 step is
     its exact one-step map, built once per step size, and the steps of a
     grid slot are composed by binary powers of that map (``_apply_steps``):
-    O(log n) matrix products in place of n.  When
-    ``check`` is set the step is refined until halving it changes no
-    sampled value by more than ``convergence_tol``; failure to converge
-    within ``max_refinements`` halvings raises OracleError.
+    O(log n) matrix products in place of n.  The step is refined until
+    halving it changes no sampled value by more than ``_CONVERGENCE_TOL``;
+    failure to converge within ``_MAX_HALVINGS`` halvings raises OracleError.
     """
     _require("dt", dt, np.isfinite(dt) and dt > 0.0, "must be finite and > 0")
-    if check:
-        _require("max_refinements", max_refinements, max_refinements >= 1, "must be >= 1")
     states = _integrate_once(problem, dt)
-    if check:
-        for _ in range(max_refinements):
-            dt /= 2.0
-            coarse, states = states, _integrate_once(problem, dt)
-            dev = float(np.max(np.abs(coarse - states)))
-            if dev <= convergence_tol:
-                break
-        else:
-            raise OracleError(
-                f"moment integration not converged: halving dt={dt} still moves "
-                f"results by {dev:.3e} > {convergence_tol:.1e}"
-            )
+    for _ in range(_MAX_HALVINGS):
+        dt /= 2.0
+        coarse, states = states, _integrate_once(problem, dt)
+        dev = float(np.max(np.abs(coarse - states)))
+        if dev <= _CONVERGENCE_TOL:
+            break
+    else:
+        raise OracleError(
+            f"moment integration not converged: halving dt={dt} still moves "
+            f"results by {dev:.3e} > {_CONVERGENCE_TOL:.1e}"
+        )
     means = {
         pair: states[:, 16 + 4 * idx : 20 + 4 * idx] for idx, pair in enumerate(_DIAGONAL_PAIRS)
     }
@@ -903,8 +883,7 @@ def verify_moments(g_shift: float = 0.0) -> ComparisonReport:
     report = ComparisonReport()
     for name, params in cases.items():
         tau_grid = np.linspace(0.0, final_time(params.g), 9)
-        problem = MomentOdeProblem.for_sgi(params, tau_grid)
-        oracle_traj = integrate_moments(problem)
+        oracle_traj = integrate_moments(MomentOdeProblem(params, tau_grid))
         sigmas, means = _closed_form_trajectories(params, tau_grid, g_shift)
         report.add(f"{name}/sigma", sigmas, oracle_traj.sigma, tau_grid, 1e-8)
         for pair in _DIAGONAL_PAIRS:

@@ -15,20 +15,16 @@ over a point or a whole grid; only this module knows the normal-mode layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import _require
+from .potentials import _require, _require_nonnegative
 
 __all__ = [
-    "DriftSpec",
     "symplectic_form",
     "mode_frequency",
     "final_time",
     "sgi_hamiltonian_matrix",
-    "sgi_diffusion_matrix",
-    "sgi_drift_spec",
     "propagator",
     "evolve_covariance",
     "lyapunov_integral",
@@ -49,30 +45,6 @@ def symplectic_form() -> np.ndarray:
     return _OMEGA.copy()
 
 
-@dataclass(frozen=True)
-class DriftSpec:
-    """Linear drift vectors, one per qubit.
-
-    The branch with qubit eigenvalues (j, m) feels the combined drift
-    j*r_q1 + m*r_q2, entering the mean-motion equation as
-    dr/dtau = Omega H r + Omega r_branch.
-    """
-
-    r_q1: np.ndarray
-    r_q2: np.ndarray
-
-    def branch_drift(self, j: int, m: int) -> np.ndarray:
-        return j * self.r_q1 + m * self.r_q2
-
-
-def sgi_drift_spec(f_q: float) -> DriftSpec:
-    """Qubit-controlled force f_q on each mode's position."""
-    return DriftSpec(
-        r_q1=np.array([f_q, 0.0, 0.0, 0.0]),
-        r_q2=np.array([0.0, 0.0, f_q, 0.0]),
-    )
-
-
 def _check_coupling(g) -> None:
     _require(
         "coupling g",
@@ -83,9 +55,7 @@ def _check_coupling(g) -> None:
 
 
 def _check_tau(tau) -> None:
-    if type(tau) is float and math.isfinite(tau) and tau >= 0.0:
-        return  # the common scalar call skips the array test
-    _require("tau", tau, np.isfinite(tau) & (tau >= 0.0), "must be finite and >= 0")
+    _require_nonnegative("tau", tau)
 
 
 def mode_frequency(g):
@@ -109,26 +79,12 @@ def sgi_hamiltonian_matrix(g) -> np.ndarray:
     return _IDENTITY + np.asarray(g)[..., None, None] * _COUPLING
 
 
-def _check_diffusion_rate(gamma_x) -> None:
-    _require("diffusion rate gamma_x", gamma_x, gamma_x >= 0.0, "must be >= 0")
-
-
-def sgi_diffusion_matrix(gamma_x: float) -> np.ndarray:
-    """Momentum-diffusion matrix gamma_x * diag(0, 1, 0, 1).
-
-    Normalized so that its Lyapunov integral, ``lyapunov_integral`` at rate
-    gamma_x, is the diffusive covariance used by the open-dynamics contrast
-    formulas (position dephasing at rate gamma_x/4 per mode).
-    """
-    _check_diffusion_rate(gamma_x)
-    return gamma_x * np.diag([0.0, 1.0, 0.0, 1.0])
-
-
 def propagator(g: float, tau) -> np.ndarray:
     """Closed-form symplectic propagator S_g(tau) = exp(tau * Omega * H), shape (..., 4, 4).
 
     The S of ``_normal_modes``, a rotation in each normal mode.  Broadcasts over g and tau.
     """
+    _check_tau(tau)
     return _normal_modes(g, 0.0, tau)[..., 0, :, :]
 
 
@@ -138,13 +94,13 @@ def heisenberg_ok(sigma: np.ndarray) -> tuple[bool, float]:
     The margin is the smallest eigenvalue of the Hermitian matrix
     sigma + i*Omega; vacuum saturates the bound with margin 0, and a margin
     down to -1e-10 passes as rounding.  A matrix that is not 4x4, finite and
-    symmetric raises.
+    symmetric (|sigma - sigma^T| <= 1e-12 max|sigma|) raises.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (4, 4):
         raise ValueError(f"covariance matrix must be 4x4, got shape {sigma.shape}")
     _require("covariance matrix entry", sigma, np.isfinite(sigma), "must be finite")
-    if not np.allclose(sigma, sigma.T, atol=1e-12):
+    if np.max(np.abs(sigma - sigma.T)) > 1e-12 * np.max(np.abs(sigma)):
         raise ValueError("covariance matrix must be symmetric")
     margin = float(np.linalg.eigvalsh(sigma + 1j * _OMEGA)[0])
     return margin >= -1e-10, margin
@@ -237,7 +193,7 @@ def lyapunov_integral(g: float, tau, gamma_x: float) -> np.ndarray:
     """
     _check_coupling(g)
     _check_tau(tau)
-    _check_diffusion_rate(gamma_x)
+    _require_nonnegative("diffusion rate gamma_x", gamma_x)
     return _normal_modes(g, gamma_x, tau)[..., 1, :, :]
 
 

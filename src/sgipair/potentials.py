@@ -69,6 +69,11 @@ def _require_nonnegative(name: str, value) -> None:
     _require(name, value, np.isfinite(value) & (value >= 0.0), "must be finite and >= 0")
 
 
+def _require_positive(name: str, value) -> None:
+    """Raise one ValueError naming ``value`` unless it is finite and > 0."""
+    _require(name, value, np.isfinite(value) & (value > 0.0), "must be finite and > 0")
+
+
 _TINY = float(np.finfo(float).tiny)
 _TINY_REQUIREMENT = f"must be >= {_TINY} (the smallest normal float)"
 
@@ -93,8 +98,8 @@ class PotentialSpec:
     d: float      # trap separation, m
 
     def __post_init__(self) -> None:
-        if self.d <= 0.0:
-            raise ValueError(f"separation d={self.d} must be > 0")
+        _require_positive("separation d", self.d)
+        _require("theta", self.theta, np.isfinite(self.theta), "must be finite")
         if self.n < 1:
             raise ValueError(f"interaction power n={self.n} must be >= 1")
 
@@ -203,10 +208,9 @@ class NVParams:
     chi_m: float = -6.3e-9      # mass susceptibility of diamond, m^3/kg
 
     def __post_init__(self) -> None:
-        if self.dB <= 0.0:
-            raise ValueError(f"magnetic gradient dB={self.dB} must be > 0")
-        if self.chi_m >= 0.0:
-            raise ValueError("chi_m must be negative (diamagnetic trapping)")
+        _require_positive("magnetic gradient dB", self.dB)
+        ok = np.isfinite(self.chi_m) & (self.chi_m < 0.0)
+        _require("chi_m", self.chi_m, ok, "must be finite and < 0 (diamagnetic trapping)")
 
 
 def expand_potential(spec: PotentialSpec, M: float, omega: float) -> ExpansionCoefficients:
@@ -216,8 +220,8 @@ def expand_potential(spec: PotentialSpec, M: float, omega: float) -> ExpansionCo
     and cubic coefficients carry cos(theta) factors and vanish identically in
     the parallel orientation theta = pi/2.
     """
-    if M <= 0.0 or omega <= 0.0:
-        raise ValueError("M and omega must be > 0")
+    _require_positive("M", M)
+    _require_positive("omega", omega)
     x0 = math.sqrt(HBAR / (2.0 * M * omega))
     if x0 / spec.d >= 0.1:
         warnings.warn(

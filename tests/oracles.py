@@ -24,8 +24,18 @@ import math
 
 import numpy as np
 
-from sgipair.phase_space import propagator, sgi_hamiltonian_matrix, symplectic_form
+from sgipair.phase_space import propagator
 from sgipair.potentials import HBAR, PotentialSpec
+
+# Symplectic form of (x1, p1, x2, p2), and the force directions (j, 0, m, 0) of the branches
+# (j, m) in the order (+,+), (+,-), (-,+), (-,-).
+OMEGA = np.array([[0.0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+BRANCH_FORCES = {(j, m): np.array([j, 0.0, m, 0.0]) for j in (1, -1) for m in (1, -1)}
+
+
+def sgi_hamiltonian(g: float) -> np.ndarray:
+    """Quadratic form H of the coupled traps: diag(1-g, 1, 1-g, 1) plus g between x1 and x2."""
+    return np.array([[1 - g, 0, g, 0], [0, 1, 0, 0], [g, 0, 1 - g, 0], [0, 0, 0, 1]], dtype=float)
 
 
 def taylor_coefficients(
@@ -144,7 +154,7 @@ def propagator_expm(g: float, tau: float) -> np.ndarray:
     """
     from scipy.linalg import expm
 
-    return expm(tau * symplectic_form() @ sgi_hamiltonian_matrix(g))
+    return expm(tau * OMEGA @ sgi_hamiltonian(g))
 
 
 def reference_covariance(g: float, tau: float) -> np.ndarray:
@@ -223,21 +233,21 @@ def reference_moment_states(problem, dt: float) -> np.ndarray:
     """Stage-wise RK4 of the moment equations, one derivative call per stage.
 
     Returns (T, 32) states: row-major sigma followed by the (+,+), (+,-),
-    (-,+), (-,-) branch means.  Reference for the step-map integrator.
+    (-,+), (-,-) branch means.  The model is written out from
+    ``problem.params``: H, the forces f_q (j, 0, m, 0) and the diffusion
+    matrix gamma_x diag(0, 1, 0, 1).  Reference for the step-map integrator.
     """
-    omega = symplectic_form()
-    drift_matrix = omega @ problem.h_matrix
-    pairs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    params = problem.params
+    drift_matrix = OMEGA @ sgi_hamiltonian(params.g)
+    diffusion = params.gamma_x * np.diag([0.0, 1.0, 0.0, 1.0])
 
     def deriv(y):
         sigma = y[:16].reshape(4, 4)
         out = np.empty_like(y)
-        out[:16] = (drift_matrix @ sigma + sigma @ drift_matrix.T + problem.d_matrix).ravel()
-        for idx, (j, m) in enumerate(pairs):
+        out[:16] = (drift_matrix @ sigma + sigma @ drift_matrix.T + diffusion).ravel()
+        for idx, force in enumerate(BRANCH_FORCES.values()):
             r = y[16 + 4 * idx : 20 + 4 * idx]
-            out[16 + 4 * idx : 20 + 4 * idx] = drift_matrix @ r + omega @ (
-                problem.drifts.branch_drift(j, m)
-            )
+            out[16 + 4 * idx : 20 + 4 * idx] = drift_matrix @ r + OMEGA @ (params.f_q * force)
         return out
 
     y0 = np.concatenate([problem.sigma0.ravel(), np.zeros(16)])
@@ -420,7 +430,6 @@ def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -
     """
     from scipy.integrate import quad_vec
 
-    omega = symplectic_form()
     s = propagator(g, tau)
 
     def kernel(u: float) -> tuple[np.ndarray, np.ndarray]:
@@ -432,11 +441,11 @@ def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -
 
     def m1(u: float) -> np.ndarray:
         s_u, k_u = kernel(u)
-        return k_u @ omega @ (s_u - s)
+        return k_u @ OMEGA @ (s_u - s)
 
     def m2(u: float) -> np.ndarray:
         s_u, k_u = kernel(u)
-        return (s_u - s).T @ omega.T @ k_u @ omega @ (s_u + s - 2.0 * np.eye(4))
+        return (s_u - s).T @ OMEGA.T @ k_u @ OMEGA @ (s_u + s - 2.0 * np.eye(4))
 
     return {
         name: quad_vec(integrand, 0.0, tau, epsrel=1e-11, epsabs=1e-14)[0]
@@ -450,7 +459,6 @@ def reference_branch_pair(kernel, label) -> tuple[np.ndarray, tuple[float, float
     Reads only the label-independent parts of a ``dynamics._shared_kernel`` result
     (sigma, the shifts r and delta, m1, m2, H, tau and gamma_z), never its tables.
     """
-    omega = symplectic_form()
     # QRDM row of the qubit eigenvalues (j, m), computational bit 0 being +1
     row = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
     ket, bra = row[label.j, label.m], row[label.k, label.n]
@@ -460,15 +468,15 @@ def reference_branch_pair(kernel, label) -> tuple[np.ndarray, tuple[float, float
     if label.is_diagonal:
         vector = vector.real + 0j
     else:
-        vector += 0.5j * kernel.sigma @ omega @ (delta_ket - delta_bra)
+        vector += 0.5j * kernel.sigma @ OMEGA @ (delta_ket - delta_bra)
         vector += 0.5j * kernel.m1 @ (r_ket - r_bra)
     delta_eq = r_ket - r_bra
     mismatch = delta_ket - delta_bra
     phase = float(
-        delta_eq @ omega @ (0.5 * (delta_ket + delta_bra))
+        delta_eq @ OMEGA @ (0.5 * (delta_ket + delta_bra))
         + 0.5 * kernel.tau * delta_eq @ kernel.h_matrix @ (r_ket + r_bra)
     )
-    contrast = float(0.25 * mismatch @ omega.T @ kernel.sigma @ omega @ mismatch)
+    contrast = float(0.25 * mismatch @ OMEGA.T @ kernel.sigma @ OMEGA @ mismatch)
     # Independent qubit dephasing: (j-k)^2 + (m-n)^2 in units of gamma_z/4.
     dephasing = ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) / 4.0
     contrast += kernel.params.gamma_z * kernel.tau * dephasing

@@ -58,12 +58,8 @@ def test_criterion_02_covariance_closed_form():
     worst_print = 0.0
     worst_oracle = 0.0
     for g in G_VALUES:
-        problem = orc.MomentOdeProblem.for_sgi(
-            UnitlessParams(f_q=0.0, g=g), TAU_GRID, sigma0=np.eye(4)
-        )
-        # dt chosen so the halving check passes at 1e-9 and the integration
-        # error (~3e-11, fourth order) sits far below the 1e-8 criterion.
-        integrated = orc.integrate_moments(problem, dt=8e-3, convergence_tol=1e-9)
+        problem = orc.MomentOdeProblem(UnitlessParams(f_q=0.0, g=g), TAU_GRID, np.eye(4))
+        integrated = orc.integrate_moments(problem)
         for slot, tau in enumerate(TAU_GRID):
             published = reference_covariance(g, tau)
             propagated = ps.evolve_covariance(np.eye(4), g, tau)

@@ -208,7 +208,10 @@ class TestSweep:
         "args, message",
         [
             (["--axis", "g:0.1:0.6:6", "--fq", "1"], r"^coupling g=0\.5 outside \[0, 1/2\)"),
-            (["--axis", "g:0:0.2:3", "--constraint-force"], r"^coupling g=0\.0 must be > 0"),
+            (
+                ["--axis", "g:0:0.2:3", "--constraint-force"],
+                r"^coupling g=0\.0 must be finite and > 0",
+            ),
             (["--axis", "s:0.5:2:3"], r"^squeezing s=1\.25 must lie in \(0, 1\]"),
             (["--axis", "g:0.1:0.2:3", "--tau", "-3"], r"^tau=-3\.0 must be finite and >= 0$"),
             (["--axis", "g:0.1:0.2:3", "--tau", "nan"], r"^tau=nan must be finite and >= 0$"),

@@ -192,6 +192,7 @@ class TestNVOperatingPoint:
 
 
 _POSITIVE, _NONNEGATIVE = "must be finite and > 0", "must be finite and >= 0"
+_SUBNORMAL = "must be >= 2.2250738585072014e-308 (the smallest normal float)"
 
 
 @pytest.mark.parametrize(
@@ -210,6 +211,10 @@ _POSITIVE, _NONNEGATIVE = "must be finite and > 0", "must be finite and >= 0"
         ("quartic_ratio", {"g": 0.1, "x0": 1e-9, "d": math.nan}, f"d=nan {_POSITIVE}"),
         ("dephasing_budget", {"gamma_z": math.nan}, f"gamma_z=nan {_NONNEGATIVE}"),
         ("dephasing_budget", {"c_s_np": -0.1}, f"c_s_np=-0.1 {_NONNEGATIVE}"),
+        ("g_bounds", {"x0_over_d": 0.01, "s": 5e-324}, f"squeezing s=5e-324 {_SUBNORMAL}"),
+        ("mass_bounds_noisy", {"s": 5e-324}, f"squeezing s=5e-324 {_SUBNORMAL}"),
+        ("required_force", {"g": math.inf}, f"coupling g=inf {_POSITIVE}"),
+        ("required_force", {"g": math.nan}, f"coupling g=nan {_POSITIVE}"),
     ],
 )
 def test_bad_input_fails_with_one_line_naming_the_value(function, kwargs, message):

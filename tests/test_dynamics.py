@@ -16,12 +16,7 @@ from oracles import (
 )
 from sgipair import dynamics as dyn
 from sgipair import entanglement as ent
-from sgipair.phase_space import (
-    final_time,
-    lyapunov_integral,
-    propagator,
-    sgi_diffusion_matrix,
-)
+from sgipair.phase_space import final_time, lyapunov_integral, propagator
 from sgipair.potentials import UnitlessParams
 
 
@@ -171,6 +166,22 @@ class TestResidualSeparation:
         assert dyn.residual_separation(0.0, 0.3) == 0.0
 
 
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("branch_trajectories", (1.0, 0.1, -1.0), "tau=-1.0 must be finite and >= 0"),
+        ("branch_trajectories", (1.0, 0.1, math.nan), "tau=nan must be finite and >= 0"),
+        ("entangling_phase", (1.0, 0.1, -1.0), "tau=-1.0 must be finite and >= 0"),
+        ("residual_separation", (-1.0, 0.1), "f_q=-1.0 must be finite and >= 0"),
+        ("final_contrast", (-1.0, 0.1), "f_q=-1.0 must be finite and >= 0"),
+        ("final_contrast", (math.nan, 0.1), "f_q=nan must be finite and >= 0"),
+    ],
+)
+def test_closed_forms_reject_bad_tau_or_force(name, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        getattr(dyn, name)(*args)
+
+
 def _branches(params: UnitlessParams, tau: float) -> dict:
     """First moments of all 16 branches of the cat state evolved to tau."""
     return dyn.evolve_cat_state(dyn.initial_cat_state(params), params, tau).branches
@@ -222,7 +233,7 @@ class TestBranchPairKernel:
         params = UnitlessParams(f_q=1.0, g=g, s=0.3, n_p=1.0, gamma_x=0.05)
         for tau in (0.1, 2.0, final_time(g), 17.0, 300.0):
             kernel = _fresh_kernel(params, float(tau))
-            reference = reference_propagator_integrals(g, tau, sgi_diffusion_matrix(0.05))
+            reference = reference_propagator_integrals(g, tau, np.diag([0.0, 0.05, 0.0, 0.05]))
             assert _relative(kernel.m1, reference["m1"]) <= 1e-12
             assert _relative(kernel.m2, reference["m2"]) <= 1e-12
             assert _relative(kernel.lyapunov, reference["lyapunov"]) <= 1e-12

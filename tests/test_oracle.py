@@ -21,7 +21,7 @@ from sgipair.potentials import UnitlessParams
 
 
 def sgi_problem(params, tau_grid, sigma0=None):
-    return orc.MomentOdeProblem.for_sgi(params, np.asarray(tau_grid), sigma0)
+    return orc.MomentOdeProblem(params, tau_grid, sigma0)
 
 
 def fock_problem(params, tau_grid):
@@ -116,30 +116,25 @@ class TestMomentIntegration:
     def test_fourth_order_convergence(self):
         params = UnitlessParams(f_q=1.0, g=0.2, gamma_x=0.05)
         grid = np.array([0.0, 2.0])
-        reference = orc.integrate_moments(sgi_problem(params, grid), dt=1e-4, check=False)
-        coarse = orc.integrate_moments(sgi_problem(params, grid), dt=4e-2, check=False)
-        fine = orc.integrate_moments(sgi_problem(params, grid), dt=2e-2, check=False)
-        err_coarse = np.max(np.abs(coarse.sigma[-1] - reference.sigma[-1]))
-        err_fine = np.max(np.abs(fine.sigma[-1] - reference.sigma[-1]))
+        problem = sgi_problem(params, grid)
+        reference, coarse, fine = (
+            orc._integrate_once(problem, dt)[-1] for dt in (1e-4, 4e-2, 2e-2)
+        )
+        err_coarse = np.max(np.abs(coarse[:16] - reference[:16]))
+        err_fine = np.max(np.abs(fine[:16] - reference[:16]))
         assert 10.0 < err_coarse / err_fine < 22.0
 
     def test_nonconvergence_raises(self):
+        # Six halvings from dt = 1 end at 1/64, which still moves the results by ~3e-8.
         params = UnitlessParams(f_q=1.0, g=0.2)
-        grid = np.array([0.0, 4.0])
-        with pytest.raises(orc.OracleError, match="not converged"):
-            orc.integrate_moments(
-                sgi_problem(params, grid), dt=1.0, convergence_tol=1e-16, max_refinements=1
-            )
+        message = r"^moment integration not converged: halving dt=0\.015625 still moves results"
+        with pytest.raises(orc.OracleError, match=message):
+            orc.integrate_moments(sgi_problem(params, [0.0, 4.0]), dt=1.0)
 
     def test_step_map_matches_stagewise_rk4(self):
         grid = np.linspace(0.0, final_time(SQUEEZED_THERMAL.g), 3)
         problem = sgi_problem(SQUEEZED_THERMAL, grid)
-        result = orc.integrate_moments(problem, dt=2e-3, check=False)
-        states = np.concatenate(
-            [result.sigma.reshape(-1, 16)]
-            + [result.branch_means[pair] for pair in ((1, 1), (1, -1), (-1, 1), (-1, -1))],
-            axis=1,
-        )
+        states = orc._integrate_once(problem, 2e-3)
         reference = reference_moment_states(problem, 2e-3)
         assert relative_deviation(states[:, :16], reference[:, :16]) <= 1e-13
         assert relative_deviation(states[:, 16:], reference[:, 16:]) <= 1e-13
@@ -168,11 +163,6 @@ class TestMomentIntegration:
         problem = sgi_problem(UnitlessParams(f_q=1.0, g=0.1), [0.0, 1.0])
         with pytest.raises(ValueError, match=r"^dt=\S+ must be finite and > 0"):
             orc.integrate_moments(problem, dt=dt)
-
-    def test_checked_run_needs_a_refinement(self):
-        problem = sgi_problem(UnitlessParams(f_q=1.0, g=0.1), [0.0, 1.0])
-        with pytest.raises(ValueError, match=r"^max_refinements=0 must be >= 1"):
-            orc.integrate_moments(problem, max_refinements=0)
 
     def test_grid_must_start_at_zero(self):
         params = UnitlessParams(f_q=1.0, g=0.1)

@@ -99,16 +99,7 @@ class TestCovarianceEvolution:
         rate = 2.0 * gamma_x
         tau = 2.0 * np.pi
         grid = np.array([0.0, tau])
-        problem = MomentOdeProblem.for_sgi(
-            UnitlessParams(f_q=0.0, g=0.1), grid
-        )
-        problem = MomentOdeProblem(
-            h_matrix=problem.h_matrix,
-            drifts=problem.drifts,
-            d_matrix=rate * np.diag([0.0, 1.0, 0.0, 1.0]),
-            sigma0=np.eye(4),
-            tau_grid=grid,
-        )
+        problem = MomentOdeProblem(UnitlessParams(f_q=0.0, g=0.1, gamma_x=rate), grid, np.eye(4))
         reference = integrate_moments(problem).sigma[-1]
         sigma = ps.evolve_covariance(np.eye(4), 0.1, tau, rate)
         assert np.max(np.abs(sigma - reference)) < 1e-8
@@ -157,11 +148,9 @@ class TestLyapunovIntegral:
         assert np.max(np.abs(at_closure - published)) < 1e-12
         assert np.max(np.abs(at_two_pi - published)) > 1e-2
 
-    @pytest.mark.parametrize("gamma_x", [-1e-3, np.nan])
-    def test_rejects_bad_rate_like_the_diffusion_matrix(self, gamma_x):
-        message = r"^diffusion rate gamma_x=\S+ must be >= 0$"
-        with pytest.raises(ValueError, match=message):
-            ps.sgi_diffusion_matrix(gamma_x)
+    @pytest.mark.parametrize("gamma_x", [-1e-3, np.nan, np.inf])
+    def test_rejects_bad_rate(self, gamma_x):
+        message = r"^diffusion rate gamma_x=\S+ must be finite and >= 0$"
         with pytest.raises(ValueError, match=message):
             ps.lyapunov_integral(0.1, 1.0, gamma_x)
         with pytest.raises(ValueError, match=message):
@@ -171,6 +160,8 @@ class TestLyapunovIntegral:
     def test_rejects_bad_tau(self, tau):
         with pytest.raises(ValueError, match=r"^tau=.* must be finite and >= 0"):
             ps.lyapunov_integral(0.1, tau, 0.05)
+        with pytest.raises(ValueError, match=r"^tau=.* must be finite and >= 0"):
+            ps.propagator(0.1, tau)
 
     @pytest.mark.parametrize(
         "wrap",
@@ -314,11 +305,13 @@ class TestHeisenberg:
         "sigma, message",
         [
             (np.eye(4) + np.eye(4, k=1) / 2.0, "covariance matrix must be symmetric"),
+            (2.0 * np.eye(4) + [[0, 0.5, 0, 0], [0.500004, 0, 0, 0], [0] * 4, [0] * 4],
+             "covariance matrix must be symmetric"),
             (np.eye(2), r"covariance matrix must be 4x4, got shape \(2, 2\)"),
             (np.full((4, 4), np.nan), "covariance matrix entry=nan must be finite"),
             (np.diag([1.0, 1.0, 1.0, np.inf]), "covariance matrix entry=inf must be finite"),
         ],
-        ids=["asymmetric", "2x2", "all-nan", "inf-entry"],
+        ids=["asymmetric", "slightly-asymmetric", "2x2", "all-nan", "inf-entry"],
     )
     def test_rejects_malformed_input(self, sigma, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -73,12 +73,21 @@ class TestExpansion:
         with pytest.warns(UserWarning, match="x0/d"):
             pot.expand_potential(spec, tight.M, tight.omega)
 
-    def test_rejects_nonpositive_geometry(self):
-        with pytest.raises(ValueError):
-            pot.PotentialSpec(A=1.0, n=1, theta=0.0, d=-1.0)
-        spec = pot.potential_spec("newton", PARAMS, 0.0)
-        with pytest.raises(ValueError):
-            pot.expand_potential(spec, -1.0, PARAMS.omega)
+    @pytest.mark.parametrize(
+        "spec, masses, message",
+        [
+            ({"d": -1.0}, {}, "separation d=-1.0 must be finite and > 0"),
+            ({"d": math.nan}, {}, "separation d=nan must be finite and > 0"),
+            ({"theta": math.nan}, {}, "theta=nan must be finite"),
+            ({}, {"M": -1.0}, "M=-1.0 must be finite and > 0"),
+            ({}, {"M": math.nan}, "M=nan must be finite and > 0"),
+            ({}, {"omega": math.inf}, "omega=inf must be finite and > 0"),
+        ],
+    )
+    def test_rejects_bad_geometry(self, spec, masses, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            built = pot.PotentialSpec(**{"A": 1.0, "n": 1, "theta": 0.0, "d": 1e-4, **spec})
+            pot.expand_potential(built, **{"M": PARAMS.M, "omega": PARAMS.omega, **masses})
 
 
 class TestTableCouplings:
@@ -273,9 +282,19 @@ class TestNV:
         assert omega2 == pytest.approx(2.0 * omega1, rel=1e-14)
         assert force2 == pytest.approx(2.0 * force1, rel=1e-14)
 
-    def test_paramagnetic_material_rejected(self):
-        with pytest.raises(ValueError, match="chi_m"):
-            pot.NVParams(dB=1e4, chi_m=1e-9)
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"chi_m": 1e-9}, "chi_m=1e-09 must be finite and < 0 (diamagnetic trapping)"),
+            ({"chi_m": math.nan}, "chi_m=nan must be finite and < 0 (diamagnetic trapping)"),
+            ({"dB": 0.0}, "magnetic gradient dB=0.0 must be finite and > 0"),
+            ({"dB": math.nan}, "magnetic gradient dB=nan must be finite and > 0"),
+            ({"dB": math.inf}, "magnetic gradient dB=inf must be finite and > 0"),
+        ],
+    )
+    def test_bad_material_or_gradient_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pot.NVParams(**{"dB": 1e4, **fields})
 
 
 class TestConfig:

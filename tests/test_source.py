@@ -46,6 +46,16 @@ def _foreign_imports(source: str) -> list[str]:
     return foreign
 
 
+def _package_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of each module-level import from its own package (``from .x import ...``)."""
+    return [
+        (node.module, alias.name)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+
+
 def _reads(tree: ast.AST) -> set[str]:
     """Names a syntax tree reads: loaded names and attributes, and imported aliases."""
     reads = set()
@@ -104,6 +114,12 @@ def test_checker_flags_a_foreign_import():
     assert _foreign_imports("from mpmath import mp\nfrom numpy import pi\n") == ["mpmath (line 1)"]
 
 
+def test_checker_lists_module_level_package_imports():
+    source = "import numpy\n"
+    source += "from .a import b, c as d\nfrom .e import f\ndef g():\n    from .h import i\n"
+    assert _package_imports(source) == [("a", "b"), ("a", "c"), ("e", "f")]
+
+
 def test_checker_flags_a_public_name_nothing_reads():
     modules = {
         "a": "__all__ = ['f', 'g', 'h', 'K']\ndef f():\n    return f()\ndef g():\n    pass\n"
@@ -130,3 +146,12 @@ def test_every_import_is_used(path):
 def test_imports_only_the_stdlib_and_numpy(path):
     # README: the library needs only numpy; scipy, mpmath and hypothesis are test-only
     assert _foreign_imports(path.read_text()) == []
+
+
+def test_oracle_states_its_own_model():
+    # The oracles check the closed forms, so at module level they take from the package only
+    # the branch labels, the parameters and the input check; the closed forms they compare
+    # against are imported inside the verify_* functions.
+    allowed = {"BranchLabel", "UnitlessParams", "_require"}
+    imports = _package_imports((ROOT / "src" / "sgipair" / "oracle.py").read_text())
+    assert [(module, name) for module, name in imports if name not in allowed] == []
