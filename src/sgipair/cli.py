@@ -18,14 +18,13 @@ work and before any output file is opened: out-of-domain parameters (a
 non-finite one reads ``f_q=inf must be finite and >= 0``), a negative or
 non-finite time, ``trajectories --steps`` below 1, an ``expand --theta``
 that is not ``parallel``, ``linear`` or a finite angle, sweep axes that
-conflict (one name given twice, ``f_q`` with ``--constraint-force``,
-``s``/``n_p`` pinned by ``--state``) or do not parse, an ``--out`` or
-``--json-out`` path that cannot be written, and a ``--config`` file that
-cannot be read or holds an unknown key, a repeated key or a non-finite
-value (``phys.cfg:10: M is already given on line 2``).  A sweep grid too
-large for memory exits the same way, with one line naming its row count.
-CSVs are streamed in blocks of rows, each distinct value of a column
-formatted once per block.
+conflict (one name given twice, or ``f_q`` with ``--constraint-force``) or
+do not parse, an ``--out`` or ``--json-out`` path that cannot be written,
+and a ``--config`` file that cannot be read or holds an unknown key, a
+repeated key or a non-finite value (``phys.cfg:10: M is already given on
+line 2``).  A sweep grid too large for memory exits the same way, with one
+line naming its row count.  CSVs are streamed in blocks of rows, each
+distinct value of a column formatted once per block.
 """
 
 from __future__ import annotations
@@ -277,20 +276,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     axes = tuple(SweepAxis.parse(text) for text in args.axis)
     if not axes:
         raise ValueError("sweep requires at least one --axis")
-    pinned = {"ground": ("s", "n_p"), "thermal": ("s",)}.get(args.state, ())
-    for axis in axes:
-        if axis.name in pinned:
-            raise ValueError(
-                f"axis {axis.name} conflicts with --state {args.state}, which pins {axis.name}"
-            )
-    fixed = _param_values(args)
-    if args.state == "ground":
-        fixed["s"], fixed["n_p"] = 1.0, 0.0
-    elif args.state == "thermal":
-        fixed["s"] = 1.0
     spec = SweepSpec(
         axes=axes,
-        fixed=fixed,
+        fixed=_param_values(args),
         constraint_force=args.constraint_force,
         tau_selector=args.tau,
         negativity_selector=args.negativity,
@@ -304,7 +292,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "generator": f"sgipair {__version__}",
         "command": "sweep",
         "axes": ";".join(args.axis),
-        "state": args.state,
         "constraint_force": str(spec.constraint_force).lower(),
         "tau": spec.tau_selector,
         "negativity": spec.negativity_selector,
@@ -600,12 +587,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--constraint-force",
         action="store_true",
         help="set f_q = 1/sqrt(120 g) at every grid point",
-    )
-    sweep.add_argument(
-        "--state",
-        choices=("ground", "thermal", "squeezed_thermal"),
-        default="squeezed_thermal",
-        help="initial-state family; ground/thermal pin s (and n_p) accordingly",
     )
     _add_unitless_options(sweep)
 

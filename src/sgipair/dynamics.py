@@ -199,6 +199,7 @@ def entangling_phase(f_q, g, tau):
     Depends only on (f_q, g, tau); in particular it is independent of the
     mass, the initial squeezing/temperature, and the diffusion rate.
     """
+    _require_nonnegative("f_q", f_q)
     _check_tau(tau)
     w = mode_frequency(g)
     return np.square(f_q) * (

@@ -4,30 +4,33 @@ Two oracles, neither of which shares code with the closed forms they check;
 each writes out the two-SGI model itself, from ``UnitlessParams`` alone:
 
 * a fixed-step 4th-order integrator for the first- and second-moment
-  equations of motion, from any initial covariance, with the branch means
-  starting at the origin.  ``_moment_generator`` states the quadratic form H,
+  equations of motion.  ``_moment_generator`` states the quadratic form H,
   the qubit forces, the diffusion matrix D = gamma_x diag(0, 1, 0, 1) and the
   symplectic form.  The equations are linear and autonomous,
   dy/dtau = A y + b, so each classical RK4 step is the exact one-step map
   y -> y + (M y + q), built once per step size from A and b, and the n
   steps of a grid slot are applied by binary powers of that map; and
 * truncated-Fock-space propagation of the full two-qubit x two-mode system.
-  Noise-free problems evolve the four branch kets; position diffusion or a
-  mixed initial state, the ten independent qubit-sector blocks of the
-  density operator.  Both advance by the same Chebyshev series (Tal-Ezer and
-  Kosloff, J. Chem. Phys. 81, 3967 (1984)) in the eigenbasis of the
-  truncated position matrix x (the discrete-variable representation of
-  Light, Hamilton and Lill, J. Chem. Phys. 82, 1400 (1985)).  There x is
-  diagonal, so the potentials, the x1 x2 coupling, the position diffusion
-  and the qubit dephasing are one elementwise factor, and only the kinetic
-  energy p^2/2 acts as a matrix, one real matrix product per mode axis.  The
-  series' spectral rectangle takes its real extent from Weyl bounds on each
-  branch Hamiltonian.  The blocks run concurrently on one thread per
-  available CPU and the kets in the calling thread, with results
-  independent of the number of CPUs.  Both paths hand the same per-block
-  observables to one builder of the QRDM, conditional moments and truncation
-  diagnostics; a qubit branch with zero population gets zero moments and
-  covariance and does not enter the leakage.
+  Noise-free problems from the ground state evolve the four branch kets;
+  position diffusion or a squeezed or thermal initial state, the ten
+  independent qubit-sector blocks of the density operator.  Both advance by
+  the same Chebyshev series (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
+  (1984)) in the eigenbasis of the truncated position matrix x (the
+  discrete-variable representation of Light, Hamilton and Lill, J. Chem.
+  Phys. 82, 1400 (1985)).  There x is diagonal, so the potentials, the x1 x2
+  coupling, the position diffusion and the qubit dephasing are one
+  elementwise factor, and only the kinetic energy p^2/2 acts as a matrix,
+  one real matrix product per mode axis.  The series' spectral rectangle
+  takes its real extent from Weyl bounds on each branch Hamiltonian.  The
+  blocks run concurrently on one thread per available CPU and the kets in
+  the calling thread, with results independent of the number of CPUs.  Both
+  paths hand the same per-block observables to one builder of the QRDM,
+  conditional moments and truncation diagnostics.
+
+Both oracles run the point the closed forms describe: qubits in |+>|+>, the
+modes in the point's squeezed thermal state (1 + 2 n_p) diag(s, 1/s, s, 1/s),
+and branch means from the origin.  A Fock run is accepted only while the
+population of the top two Fock levels of each mode stays below 1e-6.
 
 Both oracles adopt the rate normalization of the closed forms.  The moment
 oracle's D is normalized so that its accumulated covariance is the diffusive
@@ -93,20 +96,15 @@ def _check_tau_grid(tau_grid) -> None:
 class MomentOdeProblem:
     """Moment equations of the two-SGI model at ``params`` on a grid from tau = 0.
 
-    The initial covariance ``sigma0`` defaults to the squeezed thermal
+    Both modes start in the point's squeezed thermal state, covariance
     (1 + 2 n_p) diag(s, 1/s, s, 1/s); every branch mean starts at the origin.
     """
 
     params: UnitlessParams
     tau_grid: np.ndarray
-    sigma0: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         _check_tau_grid(self.tau_grid)
-        p, sigma0 = self.params, self.sigma0
-        if sigma0 is None:
-            sigma0 = (1.0 + 2.0 * p.n_p) * np.diag([p.s, 1.0 / p.s, p.s, 1.0 / p.s])
-        object.__setattr__(self, "sigma0", np.asarray(sigma0, dtype=float))
         object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
 
 
@@ -175,12 +173,16 @@ def _apply_steps(y: np.ndarray, m: np.ndarray, q: np.ndarray, n_steps: int) -> n
 # Halving gate of ``integrate_moments``: the largest change of any sampled value it accepts,
 # and the halvings it tries before giving up.
 _CONVERGENCE_TOL, _MAX_HALVINGS = 1e-10, 6
+# Largest population of the top two Fock levels of a mode that ``fock_propagate`` accepts.
+_LEAKAGE_TOL = 1e-6
 
 
 def _integrate_once(problem: MomentOdeProblem, dt: float) -> np.ndarray:
     """(T, 32) states on the grid at nominal step dt, in ``_moment_generator``'s layout."""
     a, b = _moment_generator(problem)
-    y = np.concatenate([problem.sigma0.ravel(), np.zeros(16)])
+    p = problem.params
+    sigma0 = (1.0 + 2.0 * p.n_p) * np.diag([p.s, 1.0 / p.s, p.s, 1.0 / p.s])
+    y = np.concatenate([sigma0.ravel(), np.zeros(16)])
     grid = problem.tau_grid
     states = np.empty((len(grid), 32))
     states[0] = y
@@ -235,20 +237,18 @@ def integrate_moments(problem: MomentOdeProblem, dt: float = 2e-3) -> MomentTraj
 class FockProblem:
     """Truncated two-mode, two-qubit propagation setup.
 
-    The qubits start in the 4x4 state ``qubit_rho0`` (default the equal
-    superposition on both), the modes in identical squeezed thermal states
-    per the parameters.  Results are accepted only while the population of
-    the top two Fock levels of each mode stays below ``leakage_tol``; as a
-    guideline, n_max of order 10*(2 f_q)^2 + 10 keeps ground-state runs
-    comfortably inside the cutoff.
+    Both qubits start in |+>, so every entry of the initial QRDM is 1/4, and
+    the modes in identical squeezed thermal states per the parameters.
+    Results are accepted only while the population of the top two Fock
+    levels of each mode stays below ``_LEAKAGE_TOL`` = 1e-6; as a guideline,
+    n_max of order 10*(2 f_q)^2 + 10 keeps ground-state runs comfortably
+    inside the cutoff.
     """
 
     params: UnitlessParams
     tau_grid: np.ndarray
     n_max: int = 30
-    qubit_rho0: np.ndarray | None = None
     dt: float = 1.0            # largest step of one Chebyshev series
-    leakage_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         _require("n_max", self.n_max, isinstance(self.n_max, (int, np.integer)), "must be an int")
@@ -256,21 +256,6 @@ class FockProblem:
             raise ValueError(f"n_max={self.n_max} too small; need >= 8")
         _check_tau_grid(self.tau_grid)
         _require("dt", self.dt, np.isfinite(self.dt) and self.dt > 0.0, "must be finite and > 0")
-        _require(
-            "leakage_tol",
-            self.leakage_tol,
-            np.isfinite(self.leakage_tol) and self.leakage_tol > 0.0,
-            "must be finite and > 0",
-        )
-        if self.qubit_rho0 is not None:
-            rho = np.asarray(self.qubit_rho0)
-            shape = "x".join(map(str, rho.shape))
-            _require("qubit_rho0.shape", shape, rho.shape == (4, 4), "must be 4x4")
-            _require("qubit_rho0", rho, np.isfinite(rho), "must be finite")
-            error = float(np.max(np.abs(rho - rho.conj().T)))
-            _require("qubit_rho0.hermiticity_error", error, error <= 1e-12, "must be <= 1e-12")
-            trace = float(np.trace(rho).real)
-            _require("qubit_rho0.trace", trace, abs(trace - 1.0) <= 1e-12, "must be 1 to 1e-12")
 
 
 @dataclass(frozen=True)
@@ -325,10 +310,6 @@ def _single_mode_initial(s: float, n_p: float, n_max: int) -> np.ndarray:
     return rho
 
 
-def _plus_plus_qrdm() -> np.ndarray:
-    return np.full((4, 4), 0.25, dtype=complex)
-
-
 # The ten independent qubit-sector blocks: QRDM entries (row, col) with row <= col.
 _BLOCKS = tuple(BranchLabel.from_bits(row, col) for row in range(4) for col in range(row, 4))
 _DIAGONAL_BLOCKS = tuple(index for index, label in enumerate(_BLOCKS) if label.is_diagonal)
@@ -345,38 +326,36 @@ def fock_propagate(problem: FockProblem) -> FockResult:
 
     Both paths hand the same per-slot observables of the ten upper-triangle
     qubit-sector blocks to one builder, ``_fock_result``, which alone forms
-    the QRDM, conditional moments, covariances, leakage and trace error.  A
-    diagonal branch with zero population keeps zero moments and covariance
-    and does not enter the leakage.
+    the QRDM, conditional moments, covariances, leakage and trace error.
 
-    Noise-free problems (and problems with only qubit dephasing, which acts
-    as an exact scalar decay on each qubit sector) evolve the four branch
-    kets (n1, n2); the observables of a block come from its two branch kets
-    with x and p applied to one mode axis at a time.  Position diffusion or a
-    mixed initial state switches to the ten blocks (n1, n2, n1', n2') of the
-    density operator.  Either stack is held in the eigenbasis of the
-    truncated x and evolves as d phi/dtau = -iH phi with H = K + P: K applies
-    the kinetic matrix T = p^2/2 to the two ket axes minus any bra axes, and
-    P is one elementwise factor holding the potentials, the coupling, the
-    diffusion and the dephasing.  H is constant, so a step of
-    h <= ``problem.dt`` applies exp(-ihH) as one Chebyshev series, exact to
-    rounding.  Each block is one task per grid slot on one thread per
-    available CPU, and the kets run in the calling thread; the results are
-    bit-identical for any thread count.
+    Noise-free problems from the ground state (and problems with only qubit
+    dephasing, which acts as an exact scalar decay on each qubit sector)
+    evolve the four branch kets (n1, n2); the observables of a block come
+    from its two branch kets with x and p applied to one mode axis at a
+    time.  Position diffusion or a squeezed or thermal initial state
+    switches to the ten blocks (n1, n2, n1', n2') of the density operator.
+    Either stack is held in the eigenbasis of the truncated x and evolves as
+    d phi/dtau = -iH phi with H = K + P: K applies the kinetic matrix
+    T = p^2/2 to the two ket axes minus any bra axes, and P is one
+    elementwise factor holding the potentials, the coupling, the diffusion
+    and the dephasing.  H is constant, so a step of h <= ``problem.dt``
+    applies exp(-ihH) as one Chebyshev series, exact to rounding.  Each
+    block is one task per grid slot on one thread per available CPU, and the
+    kets run in the calling thread; the results are bit-identical for any
+    thread count.
     """
     grid = np.asarray(problem.tau_grid, dtype=float)
-    qubit_rho0 = _plus_plus_qrdm() if problem.qubit_rho0 is None else problem.qubit_rho0
     params = problem.params
     if params.gamma_x == 0.0 and params.s == 1.0 and params.n_p == 0.0:
-        observables, drift = _propagate_pure(problem, grid, qubit_rho0), 0.0
+        observables, drift = _propagate_pure(problem, grid), 0.0
     else:
-        observables, drift = _propagate_blocks(problem, grid, qubit_rho0)
+        observables, drift = _propagate_blocks(problem, grid)
     if drift > 1e-9:
         logger.warning("hermiticity drift %.2e in the diagonal Fock blocks", drift)
     result = _fock_result(grid, problem.n_max, *observables, drift)
-    if not result.leakage <= problem.leakage_tol:  # a NaN leakage fails too
+    if not result.leakage <= _LEAKAGE_TOL:  # a NaN leakage fails too
         raise OracleError(
-            f"Fock truncation leakage {result.leakage:.3e} exceeds {problem.leakage_tol:.1e}; "
+            f"Fock truncation leakage {result.leakage:.3e} exceeds {_LEAKAGE_TOL:.1e}; "
             f"increase n_max > {problem.n_max}"
         )
     return result
@@ -389,8 +368,8 @@ def _fock_result(grid, n_max, traces, moments, second, edge, drift) -> FockResul
     q = x1, p1, x2, p2 (T, 10, 4), Tr[{q_a, q_b} rho] (T, 10, 4, 4) and the
     population of the top two Fock levels (T, 10); the last two are read for
     the diagonal blocks only.  The lower QRDM triangle and its first moments
-    are the conjugates of the upper ones.  An unpopulated diagonal branch
-    keeps zero moments and covariance and stays out of the leakage.
+    are the conjugates of the upper ones.  An overlap that underflows to 0
+    (strong dephasing) keeps zero first moments.
     """
     n_times = len(grid)
     qrdm = np.zeros((n_times, 4, 4), dtype=complex)
@@ -410,17 +389,11 @@ def _fock_result(grid, n_max, traces, moments, second, edge, drift) -> FockResul
             continue
         norm = overlap.real
         total_trace += norm
-        populated = norm > 1e-300  # an unpopulated branch has no conditional state
-        real = mean.real[populated]
-        cov = np.zeros((n_times, 4, 4))
-        cov[populated] = (
-            second[populated, index] / norm[populated, None, None]
-            - 2.0 * real[:, :, None] * real[:, None, :]
+        real = mean.real
+        branch_cov[(label.j, label.m)] = (
+            second[:, index] / norm[:, None, None] - 2.0 * real[:, :, None] * real[:, None, :]
         )
-        branch_cov[(label.j, label.m)] = cov
-        leakage = np.zeros(n_times)
-        leakage[populated] = edge[populated, index] / norm[populated]
-        leakages.append(leakage)
+        leakages.append(edge[:, index] / norm)
     return FockResult(
         tau_grid=grid,
         qrdm=qrdm,
@@ -499,13 +472,14 @@ def _series(kinetic, factor, low, high):
     return _per_axis(scale * kinetic), scale * (factor - centre), half, centre, rho
 
 
-def _propagate_pure(problem, grid, qubit_rho0):
+def _propagate_pure(problem, grid):
     """Block observables from the branch kets |psi_jm(tau)>.
 
     Each ket starts as the Fock vacuum and evolves by ``_evolve`` under
     H = T_a + T_b + U_jm(xi_a, xi_b).  In the Fock basis kets are kept as
     (T, n1, n2) arrays, so x and p act on one mode axis.
-    Block (j, m | k, n) of weight w is w |psi_jm><psi_kn|: its trace is
+    Block (j, m | k, n) of weight w, 1/4 times its qubit dephasing factor,
+    is w |psi_jm><psi_kn|: its trace is
     w <psi_kn|psi_jm>, its Tr[q rho] is w <psi_kn|q psi_jm>, and on a diagonal
     block Tr[{q_a, q_b} rho] = 2 w Re<q_a psi|q_b psi>.
     """
@@ -533,7 +507,7 @@ def _propagate_pure(problem, grid, qubit_rho0):
     gamma_qubit = params.gamma_z / 4.0
     for index, label in enumerate(_BLOCKS):
         ket, bra = kets[(label.j, label.m)], kets[(label.k, label.n)]
-        weight = qubit_rho0[label.qrdm_index] * np.exp(
+        weight = 0.25 * np.exp(
             -gamma_qubit * ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) * grid
         )
         q_ket = applied[(label.j, label.m)]
@@ -546,7 +520,7 @@ def _propagate_pure(problem, grid, qubit_rho0):
     return traces, moments, second, edge
 
 
-def _propagate_blocks(problem, grid, qubit_rho0):
+def _propagate_blocks(problem, grid):
     """Block observables and hermiticity drift of the density operator.
 
     The state is one complex array (block, a, b, c, d) of the ``_BLOCKS``:
@@ -573,10 +547,11 @@ def _propagate_blocks(problem, grid, qubit_rho0):
         series.append(_series(kinetic, factor, ket_low - bra_high, ket_high - bra_low))
     mask = _edge_mask(n)
     rho_cv = _single_mode_initial(params.s, params.n_p, n)
-    weights = np.array([qubit_rho0[label.qrdm_index] for label in _BLOCKS], dtype=complex)
 
-    def product_state(single):
-        return weights[:, None, None, None, None] * np.kron(single, single).reshape(n, n, n, n)
+    def product_state(single):  # every block starts as 1/4 of the two-mode state
+        blocks = np.repeat(np.kron(single, single).reshape(1, n, n, n, n), len(_BLOCKS), axis=0)
+        blocks *= 0.25
+        return blocks
 
     def observe(fock):
         return _block_observables(fock, x, p, mask)

@@ -152,9 +152,9 @@ class PhysicalParams:
         for name in ("M", "omega", "d"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name}={getattr(self, name)} must be > 0")
-        for name in ("S_FF", "Gamma_z_phys"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name}={getattr(self, name)} must be >= 0")
+        for name in ("S_FF", "Gamma_z_phys", "T_m"):  # T_m = 0 is the ground state
+            if (value := getattr(self, name)) is not None and value < 0.0:
+                raise ValueError(f"{name}={value} must be >= 0")
         if self.omega_t is not None and self.omega_t <= 0.0:
             raise ValueError("omega_t must be > 0 when given")
 

@@ -229,13 +229,23 @@ def squeezed_covariance_display(g: float, s: float) -> np.ndarray:
     )
 
 
+def initial_moment_state(params) -> np.ndarray:
+    """Row-major sigma0 of two squeezed thermal modes, then 16 zero branch means.
+
+    Each mode has variances (1 + 2 n_p) s in x and (1 + 2 n_p)/s in p, uncorrelated.
+    """
+    variances = (1.0 + 2.0 * params.n_p) * np.array([params.s, 1.0 / params.s] * 2)
+    return np.concatenate([np.diag(variances).ravel(), np.zeros(16)])
+
+
 def reference_moment_states(problem, dt: float) -> np.ndarray:
     """Stage-wise RK4 of the moment equations, one derivative call per stage.
 
     Returns (T, 32) states: row-major sigma followed by the (+,+), (+,-),
-    (-,+), (-,-) branch means.  The model is written out from
-    ``problem.params``: H, the forces f_q (j, 0, m, 0) and the diffusion
-    matrix gamma_x diag(0, 1, 0, 1).  Reference for the step-map integrator.
+    (-,+), (-,-) branch means, from ``initial_moment_state``.  The model is
+    written out from ``problem.params``: H, the forces f_q (j, 0, m, 0) and
+    the diffusion matrix gamma_x diag(0, 1, 0, 1).  Reference for the
+    step-map integrator.
     """
     params = problem.params
     drift_matrix = OMEGA @ sgi_hamiltonian(params.g)
@@ -250,8 +260,7 @@ def reference_moment_states(problem, dt: float) -> np.ndarray:
             out[16 + 4 * idx : 20 + 4 * idx] = drift_matrix @ r + OMEGA @ (params.f_q * force)
         return out
 
-    y0 = np.concatenate([problem.sigma0.ravel(), np.zeros(16)])
-    return _rk4_samples(deriv, y0, problem.tau_grid, dt)
+    return _rk4_samples(deriv, initial_moment_state(params), problem.tau_grid, dt)
 
 
 def _rk4_samples(deriv, y, grid, dt):
@@ -311,9 +320,8 @@ def reference_fock_observables(problem):
     params, n = problem.params, problem.n_max
     dim = n * n
     grid = np.asarray(problem.tau_grid, dtype=float)
-    rho0 = problem.qubit_rho0
-    if rho0 is None:
-        rho0 = np.full((4, 4), 0.25, dtype=complex)
+    plus_plus = np.full(4, 0.5)  # |+>|+> in the computational basis 00, 01, 10, 11
+    rho0 = np.outer(plus_plus, plus_plus)
     a = np.diag(np.sqrt(np.arange(1, n)), k=1)
     x = (a + a.T) / np.sqrt(2.0)
     p = 1j * (a.T - a) / np.sqrt(2.0)

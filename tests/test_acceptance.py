@@ -58,7 +58,7 @@ def test_criterion_02_covariance_closed_form():
     worst_print = 0.0
     worst_oracle = 0.0
     for g in G_VALUES:
-        problem = orc.MomentOdeProblem(UnitlessParams(f_q=0.0, g=g), TAU_GRID, np.eye(4))
+        problem = orc.MomentOdeProblem(UnitlessParams(f_q=0.0, g=g), TAU_GRID)
         integrated = orc.integrate_moments(problem)
         for slot, tau in enumerate(TAU_GRID):
             published = reference_covariance(g, tau)

@@ -169,29 +169,6 @@ class TestSweep:
         assert gs == [0.1, 0.1, 0.2, 0.2]
         assert fqs == [1.0, 2.0, 1.0, 2.0]
 
-    def test_state_selector_pins_preparation(self, tmp_path):
-        out = tmp_path / "grid.csv"
-        run(
-            [
-                "sweep",
-                "--axis",
-                "g:0.01:0.1:2",
-                "--state",
-                "ground",
-                "--s",
-                "0.5",
-                "--np",
-                "7",
-                "--fq",
-                "1",
-                "--out",
-                str(out),
-            ]
-        )
-        _, header, rows = read_csv(out)
-        assert all(row[header.index("s")] == 1.0 for row in rows)
-        assert all(row[header.index("n_p")] == 0.0 for row in rows)
-
     def test_requires_axis(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             run(["sweep"])
@@ -219,7 +196,7 @@ class TestSweep:
                 ["--axis", "g:0.1:0.2:3", "--tau", "abc"],
                 r"^--tau='abc' must be 'final', '2pi' or a number$",
             ),
-            # axes that conflict with each other or with a pinning option
+            # axes that conflict with each other or with --constraint-force
             (
                 ["--axis", "g:0.1:0.2:2", "--axis", "g:0.3:0.4:2", "--fq", "1"],
                 r"^axis g is given more than once$",
@@ -227,18 +204,6 @@ class TestSweep:
             (
                 ["--axis", "g:0.1:0.2:2", "--axis", "f_q:1:2:2", "--constraint-force"],
                 r"^axis f_q conflicts with --constraint-force, which sets f_q$",
-            ),
-            (
-                ["--axis", "g:0.1:0.2:2", "--axis", "s:0.5:1:2", "--state", "ground"],
-                r"^axis s conflicts with --state ground, which pins s$",
-            ),
-            (
-                ["--axis", "g:0.1:0.2:2", "--axis", "n_p:0:3:2", "--state", "ground"],
-                r"^axis n_p conflicts with --state ground, which pins n_p$",
-            ),
-            (
-                ["--axis", "s:0.5:1:2", "--g", "0.1", "--state", "thermal"],
-                r"^axis s conflicts with --state thermal, which pins s$",
             ),
             (["--axis", "g:0.1:0.2:abc"], r"^axis 'g:0\.1:0\.2:abc': points must be an integer$"),
             (["--axis", "g:0.1:high:3"], r"^axis 'g:0\.1:high:3': min and max must be numbers$"),
@@ -288,13 +253,13 @@ class TestSweep:
         }[command]
         assert run([*args, "--out", str(tmp_path / "result.out")]) == 0
 
-    def test_thermal_state_keeps_a_phonon_axis(self, tmp_path):
+    def test_explicit_squeezing_reaches_every_phonon_row(self, tmp_path):
         out = tmp_path / "grid.csv"
-        args = ["--axis", "n_p:0:3:2", "--g", "0.1", "--fq", "1", "--state", "thermal"]
-        assert run(["sweep", *args, "--s", "0.5", "--out", str(out)]) == 0
+        args = ["--axis", "n_p:0:3:2", "--g", "0.1", "--fq", "1", "--s", "0.5"]
+        assert run(["sweep", *args, "--out", str(out)]) == 0
         _, header, rows = read_csv(out)
         assert [row[header.index("n_p")] for row in rows] == [0.0, 3.0]
-        assert all(row[header.index("s")] == 1.0 for row in rows)
+        assert all(row[header.index("s")] == 0.5 for row in rows)
 
 
 class TestTrajectories:
@@ -602,6 +567,16 @@ class TestConfigFile:
         assert exit_info.value.code == 2
         assert error_line(capsys) == message.format(path=config)
 
+    def test_negative_temperature_fails_with_one_line(self, tmp_path, capsys):
+        config = tmp_path / "phys.cfg"
+        config.write_text(PHYS_CFG.replace("n_p = 10", "T_m = -5"))
+        out = tmp_path / "bounds.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            run(["bounds", "--config", str(config), "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == "T_m=-5.0 must be >= 0"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["qrdm", "expand", "bounds"])
     def test_nv_key_without_gradient_fails_with_one_line(self, tmp_path, capsys, command):
         config = tmp_path / "phys.cfg"
@@ -686,7 +661,9 @@ class TestFormatting:
         ]
         assert rows == second
 
-    @pytest.mark.parametrize("flag", [["--seedless"], ["--workers", "2"]])
+    @pytest.mark.parametrize(
+        "flag", [["--seedless"], ["--workers", "2"], ["--state", "ground"]]
+    )
     def test_removed_flags_are_unrecognized(self, tmp_path, capsys, flag):
         out = tmp_path / "grid.csv"
         with pytest.raises(SystemExit) as exit_info:

@@ -175,6 +175,7 @@ class TestResidualSeparation:
         ("residual_separation", (-1.0, 0.1), "f_q=-1.0 must be finite and >= 0"),
         ("final_contrast", (-1.0, 0.1), "f_q=-1.0 must be finite and >= 0"),
         ("final_contrast", (math.nan, 0.1), "f_q=nan must be finite and >= 0"),
+        ("entangling_phase", (-1.0, 0.1, 1.0), "f_q=-1.0 must be finite and >= 0"),
     ],
 )
 def test_closed_forms_reject_bad_tau_or_force(name, args, message):

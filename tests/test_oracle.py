@@ -13,15 +13,20 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import reference_covariance, reference_fock_observables, reference_moment_states
+from oracles import (
+    initial_moment_state,
+    reference_covariance,
+    reference_fock_observables,
+    reference_moment_states,
+)
 from sgipair import dynamics as dyn
 from sgipair import oracle as orc
 from sgipair.phase_space import final_time, propagator
 from sgipair.potentials import UnitlessParams
 
 
-def sgi_problem(params, tau_grid, sigma0=None):
-    return orc.MomentOdeProblem(params, tau_grid, sigma0)
+def sgi_problem(params, tau_grid):
+    return orc.MomentOdeProblem(params, tau_grid)
 
 
 def fock_problem(params, tau_grid):
@@ -37,29 +42,15 @@ def relative_deviation(value, reference):
 
 
 def stacked_block_problems():
-    """Two coarse squeezed thermal problems with a non-uniform qubit state.
+    """Two coarse squeezed thermal problems at |+>|+>.
 
     Kernel equivalence only: n_max=8 and 9 truncate this state coarsely, so the
-    leakage bound is not the subject.  The odd cutoff gives x a zero
-    eigenvalue; its grid has unequal spans.
+    leakage bound is not the subject (callers raise ``orc._LEAKAGE_TOL`` to
+    1e-1).  The odd cutoff gives x a zero eigenvalue; its grid has unequal spans.
     """
     params = UnitlessParams(f_q=0.2, g=0.05, s=0.8, n_p=0.05, gamma_x=0.02, gamma_z=0.03)
-    qubit_rho0 = np.array(
-        [
-            [0.4, 0.1 + 0.05j, 0.05, 0.02j],
-            [0.1 - 0.05j, 0.3, 0.04, 0.03],
-            [0.05, 0.04, 0.2, 0.01 - 0.02j],
-            [-0.02j, 0.03, 0.01 + 0.02j, 0.1],
-        ]
-    )
     return [
-        orc.FockProblem(
-            params=params,
-            tau_grid=np.array(grid),
-            n_max=n_max,
-            qubit_rho0=qubit_rho0,
-            leakage_tol=1e-1,
-        )
+        orc.FockProblem(params=params, tau_grid=np.array(grid), n_max=n_max)
         for n_max, grid in ((8, [0.0, 0.1, 0.25]), (9, [0.0, 0.05, 0.2, 0.27]))
     ]
 
@@ -91,14 +82,14 @@ class TestMomentIntegration:
     def test_vacuum_fixed_point(self):
         params = UnitlessParams(f_q=0.3, g=0.0)
         grid = np.linspace(0.0, 8.0, 9)
-        trajectories = orc.integrate_moments(sgi_problem(params, grid, np.eye(4)))
+        trajectories = orc.integrate_moments(sgi_problem(params, grid))
         for sigma in trajectories.sigma:
             assert np.max(np.abs(sigma - np.eye(4))) < 1e-10
 
     def test_covariance_matches_published_closed_form(self):
         params = UnitlessParams(f_q=0.0, g=0.1)
         grid = np.linspace(0.0, final_time(0.1), 9)
-        trajectories = orc.integrate_moments(sgi_problem(params, grid, np.eye(4)))
+        trajectories = orc.integrate_moments(sgi_problem(params, grid))
         for slot, tau in enumerate(grid):
             dev = np.max(np.abs(trajectories.sigma[slot] - reference_covariance(0.1, tau)))
             assert dev < 1e-9
@@ -144,7 +135,7 @@ class TestMomentIntegration:
         grid = np.linspace(0.0, final_time(SQUEEZED_THERMAL.g), 9)
         problem = sgi_problem(SQUEEZED_THERMAL, grid)
         m, q = orc._rk4_step_map(*orc._moment_generator(problem), 1e-3)
-        y0 = np.concatenate([problem.sigma0.ravel(), np.zeros(16)])
+        y0 = initial_moment_state(SQUEEZED_THERMAL)
         explicit = y0
         for _ in range(n_steps):
             explicit = explicit + (m @ explicit + q)
@@ -265,28 +256,18 @@ class TestFockPure:
             ("dt", 0.0),
             ("dt", -1e-2),
             ("dt", float("nan")),
-            ("leakage_tol", 0.0),
-            ("leakage_tol", -1.0),
             ("n_max", 12.0),
             ("tau_grid", [0.0, np.nan]),
             ("tau_grid", [0.0, 1.0, np.inf]),
-            ("qubit_rho0.shape", np.eye(3) / 3.0),
-            ("qubit_rho0", np.where(np.eye(4) > 0, 0.25, np.nan)),
-            ("qubit_rho0.hermiticity_error", np.eye(4) / 4.0 + np.eye(4, k=1) / 10.0),
-            ("qubit_rho0.trace", np.eye(4) / 2.0),
         ],
     )
     def test_problem_rejects_bad_step_and_tolerance(self, field, value):
         requirement = {
             "n_max": "must be an int",
             "tau_grid": "must be finite",
-            "qubit_rho0.shape": "must be 4x4",
-            "qubit_rho0": "must be finite",
-            "qubit_rho0.hermiticity_error": "must be <= 1e-12",
-            "qubit_rho0.trace": "must be 1 to 1e-12",
         }.get(field, "must be finite and > 0")
         params = UnitlessParams(f_q=0.2, g=0.05)
-        fields = {"tau_grid": np.array([0.0, 1.0]), field.split(".")[0]: value}
+        fields = {"tau_grid": np.array([0.0, 1.0]), field: value}
         with pytest.raises(ValueError, match=rf"^{re.escape(field)}=\S+ {re.escape(requirement)}$"):
             orc.FockProblem(params=params, **fields)
 
@@ -310,7 +291,8 @@ class TestFockOpen:
             closed, _, _ = dyn.open_qrdm(params, tau)
             assert np.max(np.abs(closed - result.qrdm[slot])) < 1e-3
 
-    def test_stacked_blocks_match_per_block_reference(self):
+    def test_stacked_blocks_match_per_block_reference(self, monkeypatch):
+        monkeypatch.setattr(orc, "_LEAKAGE_TOL", 1e-1)
         for problem in stacked_block_problems():
             result = orc.fock_propagate(problem)
             assert result.hermiticity_drift < 1e-12
@@ -339,6 +321,7 @@ class TestFockOpen:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(orc, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(orc, "_LEAKAGE_TOL", 1e-1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -384,10 +367,9 @@ class TestFockOpen:
             "sys.modules['scipy'] = None\n"
             "from sgipair import oracle\n"
             "from sgipair.potentials import UnitlessParams\n"
+            "oracle._LEAKAGE_TOL = 1e-1\n"
             "params = UnitlessParams(f_q=0.2, g=0.05, s=0.8, gamma_x=0.02)\n"
-            "problem = oracle.FockProblem(\n"
-            "    params=params, tau_grid=[0.0, 0.1], n_max=8, leakage_tol=1e-1\n"
-            ")\n"
+            "problem = oracle.FockProblem(params=params, tau_grid=[0.0, 0.1], n_max=8)\n"
             "print(oracle.fock_propagate(problem).trace_error < 1e-8)\n"
         )
         src = str(Path(orc.__file__).resolve().parents[1])
@@ -401,21 +383,6 @@ class TestFockOpen:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "True"
-
-    def test_unpopulated_branches_stay_finite(self):
-        # Only |00> is populated: the other diagonal blocks have zero trace, so they
-        # have no conditional moments and must not enter the leakage as 0/0.  The
-        # noise-free run takes the exact path, which must follow the same convention.
-        for gamma_x in (0.02, 0.0):
-            params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=gamma_x)
-            problem = orc.FockProblem(
-                params=params, tau_grid=[0.0, 0.5], n_max=8, qubit_rho0=np.diag([1.0, 0, 0, 0])
-            )
-            result = orc.fock_propagate(problem)
-            assert np.isfinite(result.leakage) and result.leakage > 0.0, gamma_x
-            assert all(np.isfinite(cov).all() for cov in result.branch_covariance.values())
-            assert not result.branch_covariance[(-1, -1)].any(), gamma_x
-            assert abs(result.qrdm[-1, 0, 0] - 1.0) < 1e-12, gamma_x
 
     def test_diverged_run_raises(self, monkeypatch):
         # A NaN coefficient from the second slot on stands in for a step that
@@ -438,11 +405,12 @@ class TestFockOpen:
                 orc.fock_propagate(problem)
             assert len(calls) == expected, gamma_x
 
-    def test_series_guard_names_the_grid_time(self):
+    def test_series_guard_names_the_grid_time(self, monkeypatch):
         # Strong diffusion in one step over the whole slot: the Chebyshev terms
         # outgrow the floating-point range; half the step keeps them in range.
+        monkeypatch.setattr(orc, "_LEAKAGE_TOL", 1.0)
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=5.0)
-        fields = dict(params=params, tau_grid=[0.0, 2.0], n_max=12, leakage_tol=1.0)
+        fields = dict(params=params, tau_grid=[0.0, 2.0], n_max=12)
         with pytest.raises(orc.OracleError, match=r"tau=2\.0 is not finite .*; decrease dt=2\.0$"):
             orc.fock_propagate(orc.FockProblem(dt=2.0, **fields))
         assert orc.fock_propagate(orc.FockProblem(**fields)).trace_error < 1e-12

@@ -99,7 +99,7 @@ class TestCovarianceEvolution:
         rate = 2.0 * gamma_x
         tau = 2.0 * np.pi
         grid = np.array([0.0, tau])
-        problem = MomentOdeProblem(UnitlessParams(f_q=0.0, g=0.1, gamma_x=rate), grid, np.eye(4))
+        problem = MomentOdeProblem(UnitlessParams(f_q=0.0, g=0.1, gamma_x=rate), grid)
         reference = integrate_moments(problem).sigma[-1]
         sigma = ps.evolve_covariance(np.eye(4), 0.1, tau, rate)
         assert np.max(np.abs(sigma - reference)) < 1e-8

@@ -192,6 +192,12 @@ class TestFiniteParameters:
         with pytest.raises(ValueError, match=rf"^{name}={value} must be finite$"):
             pot.PhysicalParams(**{"M": 1e-14, "omega": 1.0, "d": 1e-4, name: value})
 
+    def test_negative_temperature_rejected(self):
+        fields = dict(M=1e-14, omega=1.0, d=1e-4, omega_t=10.0)
+        with pytest.raises(ValueError, match=r"^T_m=-5\.0 must be >= 0$"):
+            pot.PhysicalParams(**fields, T_m=-5.0)
+        assert pot.to_unitless(pot.PhysicalParams(**fields, T_m=0.0)).n_p == 0.0  # ground state
+
 
 # Zeros of both signs, subnormals, the smallest normal float, the edges of (0, 1], a
 # value past 1, a tiny negative, NaN and the infinities.

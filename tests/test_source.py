@@ -103,6 +103,39 @@ def _unread_public_names(modules: dict[str, str], readers: list[str]) -> list[st
     return unread
 
 
+def _unset_fields(definitions: str, classes: list[str], callers: list[str]) -> list[str]:
+    """``Class.field`` for each annotated field of ``classes`` that no call in ``callers`` sets.
+
+    The classes and their field order come from the module source ``definitions``; a call
+    ``Class(...)`` or ``module.Class(...)`` sets a field by keyword or by position.
+    """
+    fields = {
+        node.name: [
+            item.target.id
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+        for node in ast.parse(definitions).body
+        if isinstance(node, ast.ClassDef) and node.name in classes
+    }
+    assert sorted(fields) == sorted(classes), "a class is not defined at module level"
+    set_fields = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in fields:
+                set_fields.update((name, field) for field in fields[name][: len(node.args)])
+                set_fields.update((name, keyword.arg) for keyword in node.keywords)
+    return [
+        f"{name}.{field}"
+        for name, names in fields.items()
+        for field in names
+        if (name, field) not in set_fields
+    ]
+
+
 def test_checker_flags_an_unused_import():
     assert _unused_imports("import math\nimport numpy as np\nnp.pi\n") == ["math (line 1)"]
     assert _unused_imports("from .a import b, c\n__all__ = ['b']\nc()\n") == []
@@ -135,6 +168,19 @@ def test_every_public_name_is_read_outside_the_tests():
     # A public function that only tests call belongs in tests/oracles.py, not in the package.
     modules = {path.stem: path.read_text() for path in SOURCES}
     assert _unread_public_names(modules, [path.read_text() for path in READERS]) == []
+
+
+def test_checker_flags_a_field_no_call_sets():
+    definitions = "@dataclass\nclass P:\n    a: int\n    b: int = 0\n    c: int = 1\n    K = 2\n"
+    assert _unset_fields(definitions, ["P"], ["P(1)\n", "m.P(0, c=3)\n"]) == ["P.b"]
+    assert _unset_fields(definitions, ["P"], ["Q(1, b=2, c=3)\nP(a=1)\n"]) == ["P.b", "P.c"]
+
+
+def test_every_oracle_setting_is_set_outside_the_tests():
+    # A problem field that only tests set is a setting with one value in use: a constant.
+    callers = [path.read_text() for path in [*SOURCES, *READERS]]
+    oracle = (ROOT / "src" / "sgipair" / "oracle.py").read_text()
+    assert _unset_fields(oracle, ["FockProblem", "MomentOdeProblem"], callers) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
