@@ -253,6 +253,26 @@ class TestSweep:
         }[command]
         assert run([*args, "--out", str(tmp_path / "result.out")]) == 0
 
+    @pytest.mark.parametrize(
+        "axis, fixed, column, values",
+        [
+            (["--axis", "s:0.5:1:2"], ["--np", "3"], "n_p", [0.5, 1.0]),
+            (["--axis", "n_p:0:3:2"], ["--s", "0.5"], "s", [0.0, 3.0]),
+        ],
+    )
+    def test_preparation_axis_sweeps_beside_a_fixed_value(
+        self, tmp_path, axis, fixed, column, values
+    ):
+        # an s or n_p axis is swept as given, and the other preparation value
+        # stays the one passed on the command line
+        out = tmp_path / "grid.csv"
+        args = [*axis, "--g", "0.1", "--fq", "1", *fixed]
+        assert run(["sweep", *args, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        swept = axis[1].split(":")[0]
+        assert [row[header.index(swept)] for row in rows] == values
+        assert all(row[header.index(column)] == float(fixed[1]) for row in rows)
+
     def test_explicit_squeezing_reaches_every_phonon_row(self, tmp_path):
         out = tmp_path / "grid.csv"
         args = ["--axis", "n_p:0:3:2", "--g", "0.1", "--fq", "1", "--s", "0.5"]

@@ -155,6 +155,28 @@ class TestMomentIntegration:
         with pytest.raises(ValueError, match=r"^dt=\S+ must be finite and > 0"):
             orc.integrate_moments(problem, dt=dt)
 
+    @pytest.mark.parametrize("s, n_p", [(1.0, 0.0), (0.8, 0.05)])
+    def test_start_is_the_points_squeezed_thermal_state(self, s, n_p):
+        params = UnitlessParams(f_q=0.2, g=0.05, s=s, n_p=n_p)
+        trajectories = orc.integrate_moments(sgi_problem(params, [0.0, 0.1]))
+        sigma0 = (1.0 + 2.0 * n_p) * np.diag([s, 1.0 / s, s, 1.0 / s])
+        assert np.array_equal(trajectories.sigma[0], sigma0)
+        for means in trajectories.branch_means.values():
+            assert not means[0].any()
+
+    @pytest.mark.parametrize(
+        "problem, field, value",
+        [
+            (orc.FockProblem, "qubit_rho0", np.eye(4) / 4.0),
+            (orc.FockProblem, "leakage_tol", 1e-6),
+            (orc.MomentOdeProblem, "sigma0", np.eye(4)),
+        ],
+    )
+    def test_removed_settings_are_not_accepted(self, problem, field, value):
+        params = UnitlessParams(f_q=0.2, g=0.05)
+        with pytest.raises(TypeError, match=rf"unexpected keyword argument '{field}'"):
+            problem(params=params, tau_grid=[0.0, 1.0], **{field: value})
+
     def test_grid_must_start_at_zero(self):
         params = UnitlessParams(f_q=1.0, g=0.1)
         for make in (sgi_problem, fock_problem):
@@ -383,6 +405,17 @@ class TestFockOpen:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "True"
+
+    @pytest.mark.parametrize("gamma_x", [0.02, 0.0])
+    def test_every_branch_starts_at_a_quarter(self, gamma_x):
+        # |+>|+> populates all four branches equally on the diffusive path and
+        # on the exact noise-free path alike.
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=gamma_x)
+        problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5], n_max=8)
+        result = orc.fock_propagate(problem)
+        assert np.max(np.abs(result.qrdm[0] - 0.25)) < 1e-12
+        assert np.isfinite(result.leakage) and result.leakage <= orc._LEAKAGE_TOL
+        assert all(np.isfinite(cov).all() for cov in result.branch_covariance.values())
 
     def test_diverged_run_raises(self, monkeypatch):
         # A NaN coefficient from the second slot on stands in for a step that
