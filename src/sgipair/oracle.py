@@ -14,17 +14,20 @@ each writes out the two-SGI model itself, from ``UnitlessParams`` alone:
   Noise-free problems from the ground state evolve the four branch kets;
   position diffusion or a squeezed or thermal initial state, the ten
   independent qubit-sector blocks of the density operator.  Both advance by
-  the same Chebyshev series (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967
-  (1984)) in the eigenbasis of the truncated position matrix x (the
-  discrete-variable representation of Light, Hamilton and Lill, J. Chem.
-  Phys. 82, 1400 (1985)).  There x is diagonal, so the potentials, the x1 x2
-  coupling, the position diffusion and the qubit dephasing are one
-  elementwise factor, and only the kinetic energy p^2/2 acts as a matrix,
-  one real matrix product per mode axis.  The series' spectral rectangle
-  takes its real extent from Weyl bounds on each branch Hamiltonian.  The
-  blocks run concurrently on one thread per available CPU and the kets in
-  the calling thread, with results independent of the number of CPUs.  Both
-  paths hand the same per-block observables to one builder of the QRDM,
+  Chebyshev series (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)) in
+  the eigenbasis of the truncated position matrix x (the discrete-variable
+  representation of Light, Hamilton and Lill, J. Chem. Phys. 82, 1400
+  (1985)).  There x is diagonal, so the potentials, the x1 x2 coupling, the
+  position diffusion and the qubit dephasing are one elementwise factor, and
+  only the kinetic energy p^2/2 acts as a matrix, one real matrix product
+  per mode axis.  The series' spectral rectangles take their real extent
+  from Weyl bounds on each branch Hamiltonian.  The kets' generator is real
+  symmetric and their evolution unitary, so the four kets run one real series
+  in the calling thread, and every grid time reads its state from its terms;
+  the blocks restart a complex series at steps of at most ``FockProblem.dt``,
+  concurrently on one thread per available CPU.  Results are independent of
+  the number of CPUs.
+  Both paths hand the same per-block observables to one builder of the QRDM,
   conditional moments and truncation diagnostics.
 
 Both oracles run the point the closed forms describe: qubits in |+>|+>, the
@@ -248,7 +251,7 @@ class FockProblem:
     params: UnitlessParams
     tau_grid: np.ndarray
     n_max: int = 30
-    dt: float = 1.0            # largest step of one Chebyshev series
+    dt: float = 1.0            # largest step of one block series; the kets run one series
 
     def __post_init__(self) -> None:
         _require("n_max", self.n_max, isinstance(self.n_max, (int, np.integer)), "must be an int")
@@ -338,11 +341,14 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     d phi/dtau = -iH phi with H = K + P: K applies the kinetic matrix
     T = p^2/2 to the two ket axes minus any bra axes, and P is one
     elementwise factor holding the potentials, the coupling, the diffusion
-    and the dephasing.  H is constant, so a step of h <= ``problem.dt``
-    applies exp(-ihH) as one Chebyshev series, exact to rounding.  Each
-    block is one task per grid slot on one thread per available CPU, and the
-    kets run in the calling thread; the results are bit-identical for any
-    thread count.
+    and the dephasing.  H is constant, so exp(-itH) is one Chebyshev series,
+    exact to rounding.  The kets' H is real symmetric (unitary evolution), so
+    its terms stay bounded: the four kets run one real series in the calling
+    thread (``_ket_series``), and every grid time reads its state from it.
+    A block's H is not Hermitian under diffusion or dephasing, and its terms
+    can grow, so each block restarts its series at steps of h <= ``problem.dt``
+    (``_evolve``), one task per grid slot on one thread per available CPU.
+    The results are bit-identical for any thread count.
     """
     grid = np.asarray(problem.tau_grid, dtype=float)
     params = problem.params
@@ -475,9 +481,10 @@ def _series(kinetic, factor, low, high):
 def _propagate_pure(problem, grid):
     """Block observables from the branch kets |psi_jm(tau)>.
 
-    Each ket starts as the Fock vacuum and evolves by ``_evolve`` under
-    H = T_a + T_b + U_jm(xi_a, xi_b).  In the Fock basis kets are kept as
-    (T, n1, n2) arrays, so x and p act on one mode axis.
+    Each ket starts as the Fock vacuum and evolves under
+    H = T_a + T_b + U_jm(xi_a, xi_b), all four in one ``_ket_series`` over the
+    whole grid.  In the Fock basis kets are kept as (T, n1, n2) arrays, so x and
+    p act on one mode axis.
     Block (j, m | k, n) of weight w, 1/4 times its qubit dephasing factor,
     is w |psi_jm><psi_kn|: its trace is
     w <psi_kn|psi_jm>, its Tr[q rho] is w <psi_kn|q psi_jm>, and on a diagonal
@@ -485,19 +492,17 @@ def _propagate_pure(problem, grid):
     """
     params, n = problem.params, problem.n_max
     x, p, xi, u, kinetic = _dvr(n)
-    bounds = _branch_bounds(params, xi, kinetic)
-    series = [
-        _series(kinetic, _potential(params, j, m, xi[:, None], xi), *bounds[(j, m)])
-        for j, m in _DIAGONAL_PAIRS
-    ]
-    y = np.array([np.outer(u[0], u[0])] * len(series), dtype=complex)
-    vacuum = np.zeros_like(y)
-    vacuum[:, 0, 0] = 1.0
-    later, _ = _evolve(problem, grid, u, y, series, np.copy)
-    kets = dict(zip(_DIAGONAL_PAIRS, np.stack([vacuum] + later, axis=1)))
+    lows, highs = zip(*_branch_bounds(params, xi, kinetic).values())
+    potentials = np.array([_potential(params, j, m, xi[:, None], xi) for j, m in _DIAGONAL_PAIRS])
+    start = np.array([np.outer(u[0], u[0])] * len(potentials))
+    later = _ket_series(grid, kinetic, potentials, min(lows), max(highs), start)
+    vacuum = np.zeros((1,) + start.shape, dtype=complex)
+    vacuum[0, :, 0, 0] = 1.0
+    # (4, T, n1, n2) in the Fock basis
+    stacked = np.concatenate([vacuum, u @ later @ u.T]).swapaxes(0, 1)
+    kets = dict(zip(_DIAGONAL_PAIRS, stacked))
     # (T, 4, n1, n2): x1, p1, x2, p2 applied to each ket
     applied = {pair: np.stack([x @ k, p @ k, k @ x.T, k @ p.T], axis=1) for pair, k in kets.items()}
-
     n_times, n_blocks = len(grid), len(_BLOCKS)
     traces = np.zeros((n_times, n_blocks), dtype=complex)
     moments = np.zeros((n_times, n_blocks, 4), dtype=complex)
@@ -518,6 +523,66 @@ def _propagate_pure(problem, grid):
             second[:, index] = 2.0 * weight.real[:, None, None] * gram
             edge[:, index] = weight.real * np.sum(np.abs(ket[:, mask]) ** 2, axis=1)
     return traces, moments, second, edge
+
+
+# Chebyshev terms of ``_ket_series`` held at once; they are summed into every grid time per chunk.
+_KET_CHUNK = 32
+
+
+def _ket_series(grid, kinetic, potentials, low, high, start):
+    """(T - 1, kets, n, n) states exp(-i tau H) ``start`` at each grid time tau > 0.
+
+    The stacked kets evolve in the eigenbasis of x under H = T_a + T_b + P, P the
+    elementwise ``potentials``, each with its spectrum in [``low``, ``high``].
+    H is real symmetric, so with X = (H - c)/a on that interval, of centre c and
+    half-width a, the terms phi_k = T_k(X) phi_0 of one real recurrence
+    phi_{k+1} = 2X phi_k - phi_{k-1} stay bounded by phi_0 (Bernstein rho = 1),
+    and every grid time reads its state from the same terms:
+    exp(-i tau H) phi_0 = e^{-i tau c} sum_k c_k(tau a) phi_k (``_chebyshev_coefficients``),
+    exact to rounding however long tau is.  The terms are made and summed into
+    all grid times ``_KET_CHUNK`` at a time.  A grid time whose state is not
+    finite or below 1e-2 of its largest term (cancellation) raises OracleError.
+    """
+    half, centre = 0.5 * (high - low), 0.5 * (high + low)
+    kinetic, factor = (2.0 / half) * kinetic, (2.0 / half) * (potentials - centre)
+    taus = grid[1:]
+    rows = [_chebyshev_coefficients(tau * half, 1.0) * np.exp(-1j * tau * centre) for tau in taus]
+    table = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
+    for row, coefficients in zip(table, rows):
+        row[: len(coefficients)] = coefficients
+    weights, magnitudes = np.concatenate([table.real, table.imag]), np.abs(table)
+    sums = np.zeros((len(weights), start.size))  # real parts, then imaginary parts
+    largest = np.zeros(len(taus))
+    terms = np.empty((_KET_CHUNK + 2,) + start.shape)  # the two terms before a chunk, then it
+    scratch = np.empty_like(start)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends non-finite
+        for first in range(0, table.shape[1], _KET_CHUNK):
+            count = min(_KET_CHUNK, table.shape[1] - first)
+            for row in range(2, count + 2):
+                k, phi, nxt = first + row - 2, terms[row - 1], terms[row]
+                if k == 0:
+                    nxt[...] = start
+                    continue
+                np.matmul(kinetic, phi, out=nxt)  # nxt = 2X phi
+                nxt += np.matmul(phi, kinetic, out=scratch)
+                nxt += np.multiply(factor, phi, out=scratch)
+                if k == 1:
+                    nxt *= 0.5  # phi_1 = X phi_0
+                else:
+                    nxt -= terms[row - 2]
+            chunk, columns = terms[2 : count + 2].reshape(count, -1), slice(first, first + count)
+            sums += weights[:, columns] @ chunk
+            peaks = np.abs(chunk).max(axis=1)
+            largest = np.maximum(largest, (magnitudes[:, columns] * peaks).max(axis=1))
+            terms[:2] = terms[count : count + 2]
+    states = (sums[: len(taus)] + 1j * sums[len(taus) :]).reshape((len(taus),) + start.shape)
+    for tau, top, state in zip(taus, largest, states):
+        if not top <= 1e2 * (size := _peak(state)) < np.inf:  # a NaN fails too
+            raise OracleError(
+                f"Fock ket series to tau={tau} is not finite or lost to cancellation: "
+                f"terms up to {top:.1e} sum to {size:.1e}"
+            )
+    return states
 
 
 def _propagate_blocks(problem, grid):
@@ -561,98 +626,95 @@ def _propagate_blocks(problem, grid):
 
 
 def _evolve(problem, grid, u, y, series, observe):
-    """``observe`` of the Fock-basis states after each grid slot, and the hermiticity drift.
+    """``observe`` of the Fock-basis blocks after each grid slot, and the hermiticity drift.
 
-    ``y`` stacks kets (n1, n2) or blocks (n1, n2, n1', n2') in the eigenbasis
+    ``y`` stacks the blocks (n1, n2, n1', n2') in the eigenbasis
     x = u diag(xi) u^T, each with its own ``_series`` of H = K + P.  A step
     h <= ``problem.dt`` applies exp(-ihH) = sum_k c_k T_k(X), X = (H - c)/a
     (``_chebyshev_coefficients``); with 2/a folded into T and P - c, one 2X in
     phi_{k+1} = 2X phi_k - phi_{k-1} is one real matrix product per axis and
     one elementwise product.  A step whose result is not finite or below 1e-2
-    of its largest term (cancellation) raises OracleError.  Each state is one
+    of its largest term (cancellation) raises OracleError.  Each block is one
     task per slot, which keeps its working set in cache, with its worker's own
-    five work buffers; a diagonal block is symmetrized.  Blocks run on
-    min(available CPUs, blocks) threads (numpy releases the interpreter lock
-    in their products); kets, whose products are too small for that to pay,
-    run in the calling thread.  A task does the arithmetic of a serial loop,
-    so results are bit-identical for any thread count.
+    five work buffers, whose float views are shaped for the product on each
+    axis once (``_axis_views``); a diagonal block is symmetrized.  Blocks run
+    on min(available CPUs, blocks) threads (numpy releases the interpreter lock
+    in their products).  A task does the arithmetic of a serial loop, so
+    results are bit-identical for any thread count.
     """
     to_fock = _per_axis(u)
     fock = np.empty_like(y)
-    owned = threading.local()  # each worker's five work buffers
+    block_views = [(_axis_views(state), _axis_views(out)) for state, out in zip(y, fock)]
+    owned = threading.local()  # each worker's five work buffers and their views
 
     def advance(index, h, n_steps, tau):
-        """State ``index`` through one slot; returns its drift, 0 unless a diagonal block."""
+        """Block ``index`` through one slot; returns its drift, 0 unless a diagonal block."""
         if not hasattr(owned, "work"):
             owned.work = [np.empty_like(y[index]) for _ in range(5)]
-        *buffers, term = owned.work
+            owned.views = [_axis_views(buffer) for buffer in owned.work]
+        work, views = owned.work, owned.views
+        term, term_views = work[4], views[4]
         state, (kinetic_axes, factor, half, centre, rho) = y[index], series[index]
         coefficients = _chebyshev_coefficients(h * half, rho) * np.exp(-1j * h * centre)
 
-        def step(phi):  # sum_k c_k T_k(X) phi in a free buffer, and its largest term
-            total, prev, nxt = (buffer for buffer in buffers if buffer is not phi)
-            np.multiply(phi, coefficients[0], out=total)
-            largest = abs(coefficients[0]) * _peak(phi)
+        def step(phi):  # sum_k c_k T_k(X) of buffer phi in a free buffer: its index, largest term
+            total, prev, nxt = (buffer for buffer in range(4) if buffer != phi)
+            np.multiply(work[phi], coefficients[0], out=work[total])
+            largest = abs(coefficients[0]) * _peak(work[phi])
             for k, coefficient in enumerate(coefficients[1:], start=1):
-                _on_axis(kinetic_axes, 0, phi, nxt)  # nxt = 2X phi: +T on ket, -T on bra axes
-                nxt += _on_axis(kinetic_axes, 1, phi, term)
-                for axis in range(2, phi.ndim):
-                    nxt -= _on_axis(kinetic_axes, axis, phi, term)
-                nxt += np.multiply(factor, phi, out=term)
-                nxt -= prev if k > 1 else 0.5 * nxt  # phi_1 = X phi_0
+                src, out = views[phi], work[nxt]
+                _on_axis(kinetic_axes, 0, src, views[nxt])  # 2X phi: +T on ket, -T on bra axes
+                _on_axis(kinetic_axes, 1, src, term_views)
+                out += term
+                for axis in (2, 3):
+                    _on_axis(kinetic_axes, axis, src, term_views)
+                    out -= term
+                out += np.multiply(factor, work[phi], out=term)
+                out -= work[prev] if k > 1 else 0.5 * out  # phi_1 = X phi_0
                 prev, phi, nxt = phi, nxt, prev
-                total += np.multiply(phi, coefficient, out=term)
-                largest = max(largest, abs(coefficient) * _peak(phi))
+                work[total] += np.multiply(work[phi], coefficient, out=term)
+                largest = max(largest, abs(coefficient) * _peak(work[phi]))
             return total, largest
 
-        work = buffers[0]
-        work[...] = state
+        current = 0
+        work[current][...] = state
         for _ in range(n_steps):
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends non-finite
-                work, largest = step(work)
-            if not largest <= 1e2 * (size := _peak(work)) < np.inf:  # a NaN fails too
+                current, largest = step(current)
+            if not largest <= 1e2 * (size := _peak(work[current])) < np.inf:  # a NaN fails too
                 raise OracleError(
                     f"Fock series step to tau={tau} is not finite or lost to cancellation: terms "
                     f"up to {largest:.1e} sum to {size:.1e}; decrease dt={problem.dt}"
                 )
-        state[...] = work
+        state[...] = work[current]
         state_drift = 0.0
-        if state.ndim == 4 and index in _DIAGONAL_BLOCKS:
+        if index in _DIAGONAL_BLOCKS:
             adjoint = state.conj().transpose(2, 3, 0, 1)
             state_drift = float(np.max(np.abs(state - adjoint)))
             state[...] = 0.5 * (state + adjoint)
-        for axis in range(state.ndim):  # to the Fock basis through alternating buffers
-            last = axis == state.ndim - 1
-            state = _on_axis(to_fock, axis, state, fock[index] if last else buffers[axis % 2])
+        src, out = block_views[index]
+        for axis in range(4):  # to the Fock basis through alternating buffers
+            dst = out if axis == 3 else views[axis % 2]
+            _on_axis(to_fock, axis, src, dst)
+            src = dst
         return state_drift
 
-    def slots(advance_all):
-        """Every state through each slot by ``advance_all``: the observations and the drift."""
-        drift, observed = 0.0, []
+    # the CPUs this process may run on; platforms without affinity report them all
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    drift, observed = 0.0, []
+    with ThreadPoolExecutor(max_workers=min(cpus or 1, len(y))) as pool:
         for slot in range(1, len(grid)):
             span = grid[slot] - grid[slot - 1]
             n_steps = max(1, int(np.ceil(span / problem.dt)))
-            drift = max([drift] + advance_all(span / n_steps, n_steps, grid[slot]))
-            observed.append(observe(fock))
-        return observed, drift
-
-    # kets run in this thread: their small products hold the interpreter lock,
-    # so worker threads would only add switching
-    if y.ndim == 3:
-        return slots(lambda *slot: [advance(index, *slot) for index in range(len(y))])
-    # the CPUs this process may run on; platforms without affinity report them all
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=min(cpus or 1, len(y))) as pool:
-
-        def advance_all(*slot):
+            h = span / n_steps
             # each task runs in a copy of this context, so numpy's error state holds there
             futures = [
-                pool.submit(contextvars.copy_context().run, advance, index, *slot)
+                pool.submit(contextvars.copy_context().run, advance, index, h, n_steps, grid[slot])
                 for index in range(len(y))
             ]
-            return [future.result() for future in futures]
-
-        return slots(advance_all)
+            drift = max([drift] + [future.result() for future in futures])
+            observed.append(observe(fock))
+    return observed, drift
 
 
 def _peak(array):
@@ -692,21 +754,26 @@ def _per_axis(matrix):
     return matrix, np.kron(matrix.T, np.eye(2))
 
 
-def _on_axis(factors, axis, src, dst):
-    """dst = matrix applied to mode axis ``axis`` of a ket (2 axes) or block (4) src.
+def _axis_views(array):
+    """Float views of the C-contiguous complex block ``array``, one shaped for each mode axis.
 
-    One real product: it runs on the float views of the C-contiguous complex arrays, which
-    reshape without a copy; on the last axis that view interleaves re and im, so
-    there it is a right product with kron(matrix^T, I2).
+    They reshape without a copy.  On the last axis the view interleaves re and im
+    (``_on_axis`` applies kron(matrix^T, I2) from the right); on the others the
+    axis stands between the earlier axes and the later ones with re and im.
     """
-    n, last = src.shape[-1], src.ndim - 1
-    src, dst = src.view(float), dst.view(float)
-    if axis == last:
-        np.matmul(src.reshape(-1, 2 * n), factors[1], out=dst.reshape(-1, 2 * n))
+    n, last = array.shape[-1], array.ndim - 1
+    flat = array.view(float)
+    return [flat.reshape(-1, n, 2 * n ** (last - axis)) for axis in range(last)] + [
+        flat.reshape(-1, 2 * n)
+    ]
+
+
+def _on_axis(factors, axis, src, dst):
+    """dst = matrix applied to mode axis ``axis`` of a block, by one product on ``_axis_views``."""
+    if axis == len(src) - 1:
+        np.matmul(src[axis], factors[1], out=dst[axis])
     else:
-        rows = (-1, n, 2 * n ** (last - axis))
-        np.matmul(factors[0], src.reshape(rows), out=dst.reshape(rows))
-    return dst.view(complex)
+        np.matmul(factors[0], src[axis], out=dst[axis])
 
 
 def _block_observables(rho, x, p, mask):
@@ -728,8 +795,9 @@ def _block_observables(rho, x, p, mask):
                 qa, qb = quads[a % 2], quads[b % 2]
                 if a // 2 == b // 2:
                     value = np.einsum("ca,ac->", qa @ qb + qb @ qa, reduced[a // 2][i])
-                else:
-                    value = 2.0 * np.einsum("ca,db,abcd->", qa, qb, rho[i], optimize=True)
+                else:  # qb on the second mode, then qa on the first
+                    reduced_b = np.tensordot(rho[i], qb.T, axes=([1, 3], [0, 1]))
+                    value = 2.0 * np.einsum("ca,ac->", qa, reduced_b)
                 second[i, a, b] = second[i, b, a] = value.real
     populations = np.einsum("iabab->iab", rho).real[:, mask].sum(axis=1)
     return traces, moments, second, populations

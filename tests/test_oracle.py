@@ -262,15 +262,43 @@ class TestFockPure:
             assert np.linalg.eigvalsh(qrdm)[0] > -1e-8
 
     def test_mode_local_observables_match_dense_operators(self):
-        # The kets' series against the reference's eigendecomposition, at the
-        # default step and at ten steps per slot over a closure-spanning grid.
+        # The kets' one series against the reference's eigendecomposition, over a
+        # closure-spanning grid and over 36 grid times across three closures.
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.03)
         closure = np.linspace(0.0, final_time(params.g), 5)
-        for grid, n_max, dt in (([0.0, 1.0, 2.5], 10, 1.0), (closure, 16, 1.0), (closure, 16, 0.1)):
-            problem = orc.FockProblem(params=params, tau_grid=np.array(grid), n_max=n_max, dt=dt)
+        three_closures = np.linspace(0.0, 3.0 * final_time(params.g), 37)
+        for grid, n_max in (([0.0, 1.0, 2.5], 10), (closure, 16), (three_closures, 16)):
+            problem = orc.FockProblem(params=params, tau_grid=np.array(grid), n_max=n_max)
             result = orc.fock_propagate(problem)
             assert result.hermiticity_drift == 0.0
             assert_fock_matches_reference(result, problem)
+
+    def test_step_does_not_bound_the_ket_series(self):
+        # dt bounds the block series only: the kets read every grid time from one series.
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.03)
+        grid = np.linspace(0.0, final_time(params.g), 5)
+        default, fine = (
+            orc.fock_propagate(orc.FockProblem(params=params, tau_grid=grid, n_max=16, dt=dt))
+            for dt in (1.0, 0.1)
+        )
+        assert np.array_equal(default.qrdm, fine.qrdm)
+        for label, series in default.first_moments.items():
+            assert np.array_equal(series, fine.first_moments[label]), label
+        for pair, series in default.branch_covariance.items():
+            assert np.array_equal(series, fine.branch_covariance[pair]), pair
+
+    def test_ket_chunks_do_not_change_the_sum(self, monkeypatch):
+        # The kets' terms are summed into the grid times a chunk at a time: one
+        # term per chunk and all terms in one chunk agree to rounding.
+        params = UnitlessParams(f_q=0.2, g=0.05)
+        grid = np.linspace(0.0, final_time(params.g), 5)
+        problem = orc.FockProblem(params=params, tau_grid=grid, n_max=16)
+        results = []
+        for chunk in (1, 10_000):
+            monkeypatch.setattr(orc, "_KET_CHUNK", chunk)
+            results.append(orc.fock_propagate(problem))
+        single, whole = results
+        assert relative_deviation(single.qrdm, whole.qrdm) <= 1e-14
 
     @pytest.mark.parametrize(
         "field, value",
@@ -347,7 +375,8 @@ class TestFockOpen:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # the last problem is noise-free, so its four branch kets are the tasks
+            # the last problem is noise-free: its four branch kets run one series
+            # in the calling thread, with no pool
             noise_free = replace(
                 stacked_block_problems()[0],
                 params=UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.03),
@@ -420,10 +449,16 @@ class TestFockOpen:
     def test_diverged_run_raises(self, monkeypatch):
         # A NaN coefficient from the second slot on stands in for a step that
         # overflowed, on the ten diffusive blocks and on the four noise-free kets.
-        # Every pooled block of that slot runs; the kets, in the calling thread,
-        # stop at the first.
+        # Every pooled block of that slot runs; the kets' one series takes one
+        # coefficient call per grid time, and dt does not bound it.
         coefficients = orc._chebyshev_coefficients
-        for gamma_x, tasks, expected in ((0.02, len(orc._BLOCKS), 20), (0.0, 4, 5)):
+        block_message = r"^Fock series step to tau=1\.0 is not finite .*; decrease dt=1\.0$"
+        ket_message = (
+            r"^Fock ket series to tau=1\.0 is not finite or lost to cancellation: "
+            r"terms up to nan sum to nan$"
+        )
+        cases = ((0.02, len(orc._BLOCKS), 20, block_message), (0.0, 1, 2, ket_message))
+        for gamma_x, tasks, expected, message in cases:
             calls = []
 
             def poisoned(theta, rho, calls=calls, tasks=tasks):
@@ -433,7 +468,6 @@ class TestFockOpen:
             monkeypatch.setattr(orc, "_chebyshev_coefficients", poisoned)
             params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=gamma_x)
             problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5, 1.0], n_max=8)
-            message = r"tau=1\.0 is not finite .*; decrease dt=1\.0$"
             with pytest.raises(orc.OracleError, match=message):
                 orc.fock_propagate(problem)
             assert len(calls) == expected, gamma_x
@@ -458,6 +492,26 @@ class TestFockOpen:
         message = r"tau=0\.5 is not finite or lost to cancellation: terms up to \S+ sum to \S+; "
         with pytest.raises(orc.OracleError, match=message + r"decrease dt=1\.0$"):
             orc.fock_propagate(problem)
+
+    def test_cancelling_ket_series_raises(self):
+        # The truncated vacuum of the uncoupled, undriven trap is an eigenvector of
+        # H at energy 1, so X phi_0 = lam phi_0 and lam T_0 - T_1 sums to rounding.
+        params = UnitlessParams(f_q=0.0, g=0.0)
+        _, _, xi, _, kinetic = orc._dvr(8)
+        lows, highs = zip(*orc._branch_bounds(params, xi, kinetic).values())
+        low, high = min(lows), max(highs)
+        lam = (1.0 - 0.5 * (low + high)) / (0.5 * (high - low))
+        cancelling = np.array([lam, -1.0])
+        problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5], n_max=8)
+        message = (
+            r"^Fock ket series to tau=0\.5 is not finite or lost to cancellation: "
+            r"terms up to \S+ sum to \S+$"
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orc, "_chebyshev_coefficients", lambda theta, rho: cancelling)
+            with pytest.raises(orc.OracleError, match=message):
+                orc.fock_propagate(problem)
+        assert orc.fock_propagate(problem).trace_error < 1e-12
 
     def test_series_rectangle_holds_the_spectrum(self):
         # The dense generator H = K + P of a ket (n = 8) and of a diffusive,
@@ -525,6 +579,22 @@ class TestFockOpen:
         )
         closed, _, _ = dyn.open_qrdm(params, tau_f)
         assert np.max(np.abs(closed - result.qrdm[-1])) < 1e-9
+
+
+class TestVerifyFock:
+    def test_arbitration_entries_are_at_rounding(self):
+        # The kets' one series per run leaves the noise-free QRDM, the phase at
+        # closure and both contrast exponents within 1e-14 of the closed forms.
+        entries = {entry.name: entry for entry in orc.verify_fock().entries}
+        arbitration = [name for name in entries if name.startswith("arbitration/")]
+        assert arbitration == [
+            "arbitration/qrdm",
+            "arbitration/phase(tau_f)",
+            "arbitration/c2-adopted",
+            "arbitration/c1",
+        ]
+        for name in arbitration:
+            assert entries[name].max_abs <= 1e-14, name
 
 
 class TestCompare:
