@@ -493,7 +493,7 @@ class TestFockOpen:
         with pytest.raises(orc.OracleError, match=message + r"decrease dt=1\.0$"):
             orc.fock_propagate(problem)
 
-    def test_cancelling_ket_series_raises(self):
+    def test_cancelling_ket_series_raises(self, monkeypatch):
         # The truncated vacuum of the uncoupled, undriven trap is an eigenvector of
         # H at energy 1, so X phi_0 = lam phi_0 and lam T_0 - T_1 sums to rounding.
         params = UnitlessParams(f_q=0.0, g=0.0)
@@ -507,10 +507,10 @@ class TestFockOpen:
             r"^Fock ket series to tau=0\.5 is not finite or lost to cancellation: "
             r"terms up to \S+ sum to \S+$"
         )
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(orc, "_chebyshev_coefficients", lambda theta, rho: cancelling)
-            with pytest.raises(orc.OracleError, match=message):
-                orc.fock_propagate(problem)
+        monkeypatch.setattr(orc, "_chebyshev_coefficients", lambda theta, rho: cancelling)
+        with pytest.raises(orc.OracleError, match=message):
+            orc.fock_propagate(problem)
+        monkeypatch.undo()
         assert orc.fock_propagate(problem).trace_error < 1e-12
 
     def test_series_rectangle_holds_the_spectrum(self):
