@@ -2,9 +2,9 @@
 
 Subcommands: ``sweep`` (parameter grids of phase, contrasts, and all three
 negativities), ``trajectories`` (the four interferometric paths), ``qrdm``
-and ``negativity`` (single-point reports), ``expand`` (potential expansion
-coefficients), ``bounds`` (coupling and mass windows), and ``verify`` (the
-oracle comparison suites, with a nonzero exit code on any failure).
+(single-point report), ``expand`` (potential expansion coefficients),
+``bounds`` (coupling and mass windows), and ``verify`` (the oracle
+comparison suites, with a nonzero exit code on any failure).
 
 Grids and trajectories are comma-separated with '#'-prefixed metadata and
 17-significant-digit floats, so identical invocations produce byte-identical
@@ -332,7 +332,7 @@ def _cmd_trajectories(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
-# qrdm / negativity
+# qrdm
 # --------------------------------------------------------------------------
 
 
@@ -598,15 +598,14 @@ def _build_parser() -> argparse.ArgumentParser:
     traj.add_argument("--tau-max", default="final")
     traj.add_argument("--steps", type=int, default=201)
 
-    for name, help_text in (
-        ("qrdm", "QRDM, phase, contrasts, and negativities at one point"),
-        ("negativity", "alias of qrdm"),
-    ):
-        point = sub.add_parser(
-            name, parents=[common, selectors], help=help_text, allow_abbrev=False
-        )
-        point.add_argument("--config", default=None, help="physical config file")
-        _add_unitless_options(point)
+    point = sub.add_parser(
+        "qrdm",
+        parents=[common, selectors],
+        help="QRDM, phase, contrasts, and negativities at one point",
+        allow_abbrev=False,
+    )
+    point.add_argument("--config", default=None, help="physical config file")
+    _add_unitless_options(point)
 
     expand = sub.add_parser(
         "expand", parents=[common], help="potential expansion coefficients", allow_abbrev=False
@@ -646,7 +645,6 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": _cmd_sweep,
         "trajectories": _cmd_trajectories,
         "qrdm": _cmd_qrdm,
-        "negativity": _cmd_qrdm,
         "expand": _cmd_expand,
         "bounds": _cmd_bounds,
         "verify": _cmd_verify,

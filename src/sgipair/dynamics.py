@@ -8,10 +8,11 @@ trajectories, the QRDM phases and contrasts, and the assembled state, each
 as an explicit function of the dimensionless parameters.  One set of
 contrast closed forms serves both: the unitary QRDM is the open QRDM at
 s = 1, n_p = 0 and zero rates.  The cat-state calls take one scalar point
-at a time and share its branch-pair kernel (``_shared_kernel``), the arrays
-from which the moments, phases and contrasts of all 16 branch pairs follow.
-``_build_kernel`` makes them in one normal-mode pass of ``phase_space``, for
-one point or, broadcast, for a whole grid in one call.
+at a time and share its branch-pair kernel (``_shared_kernel``): the arrays
+from which the moments of all 16 branch pairs follow, made in one
+normal-mode pass of ``phase_space``, and the point's closed-form QRDM with
+its phase and contrast per QRDM entry.  ``_build_kernel`` makes them for one
+point or, broadcast, for a whole grid in one call.
 
 Branch labels are sigma_z eigenvalues, with computational bit 0 mapped to
 +1.  The branch with both qubits in bit 0 is deflected toward negative
@@ -197,7 +198,9 @@ def entangling_phase(f_q, g, tau):
     """Qubit-qubit phase f_q^2 (sin tau + 2 g tau/w^2 - sin(w tau)/w^3), w = omega_g.
 
     Depends only on (f_q, g, tau); in particular it is independent of the
-    mass, the initial squeezing/temperature, and the diffusion rate.
+    mass, the initial squeezing/temperature, and the diffusion rate.  Its terms
+    of size f_q^2 (1 + tau) cancel to O(f_q^2 g tau), so the relative error
+    grows as eps/g: below 16 eps/g for tau from half to three closure times.
     """
     _require_nonnegative("f_q", f_q)
     _check_tau(tau)
@@ -311,8 +314,6 @@ def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMo
     return {label: BranchMoments(label, vector) for label, vector in zip(labels, vectors)}
 
 
-# Qubits flipped between ket and bra of QRDM entry (row, col): the dephasing weight.
-_FLIPS = np.array([[bin(row ^ col).count("1") for col in range(4)] for row in range(4)], float)
 _DIAGONAL = np.diag_indices(4)
 # Row r[..., row, :] of a per-row array as the ket and as the bra side of entry [..., row, col].
 _KET, _BRA = (..., slice(None), None, slice(None)), (..., None, slice(None), slice(None))
@@ -326,34 +327,10 @@ def _moment_table(sigma: np.ndarray, pairs: tuple[np.ndarray, ...], m1: np.ndarr
     return moments
 
 
-def _phase_contrast_table(sigma, r, pairs, m2, h_matrix, tau, gamma_z) -> np.ndarray:
-    """(phase, contrast) (..., 4, 4, 2) of all 16 branch pairs evolved to the covariance sigma.
-
-    Broadcasts over the grid axes of every argument.  The (00|01) phase (-entangling_phase)
-    sums terms of size f_q^2 (1 + tau) that cancel to O(f_q^2 g tau), so its relative
-    error grows as eps/g: for tau from half to three closure times it stays below 16 eps/g
-    against 60-digit arithmetic (at closure 6.3e-14 at g = 1e-4, 3.2e-9 at 1e-8 and 1.1e-4
-    at 1e-12, as for ``entangling_phase``).
-    """
-    delta_eq, mismatch, mean = pairs
-    tau, gamma_z = np.asarray(tau)[..., None, None], np.asarray(gamma_z)[..., None, None]
-    total = np.add.reduce  # np.sum without its wrapper
-    phase = total(delta_eq @ _OMEGA * mean, axis=-1) + 0.5 * tau * total(
-        delta_eq @ h_matrix[..., None, :, :] * (r[_KET] + r[_BRA]), axis=-1
-    )
-    squeezing = (_OMEGA.T @ sigma @ _OMEGA)[..., None, :, :]
-    contrast = 0.25 * total(mismatch @ squeezing * mismatch, axis=-1)
-    contrast = contrast + gamma_z * tau * _FLIPS  # independent qubit dephasing
-    contrast = contrast + 0.25 * total(delta_eq @ m2[..., None, :, :] * delta_eq, axis=-1)
-    table = np.empty(contrast.shape + (2,))  # the contrast has every grid axis of the phase
-    table[..., 0], table[..., 1] = phase, contrast
-    return table
-
-
 _PARAM_NAMES = tuple(f.name for f in fields(UnitlessParams))
 _POINT = attrgetter(*_PARAM_NAMES)
 
-_KERNEL_FIELDS = "params tau s_tau lyapunov h_matrix sigma r delta pairs m1 m2 phase_contrast_table"
+_KERNEL_FIELDS = "params tau s_tau lyapunov sigma r delta pairs m1 open_qrdm phase_contrast_table"
 _Kernel = namedtuple("_Kernel", _KERNEL_FIELDS)
 
 
@@ -361,29 +338,36 @@ def _build_kernel(params: UnitlessParams, tau) -> _Kernel:
     """Branch-pair kernel of ``params`` at tau; a grid of fields or tau puts its axes first.
 
     Labels differ only in the displaced equilibria r of their ket and bra sides, and
-    the diffusion memory terms are linear (moments) or bilinear (contrast) in
-    delta = r_ket - r_bra.  So S(tau) and the integrals L, m1 and m2 of one normal-mode pass
-    (``phase_space._normal_modes``), H, the ``_shifts`` r and delta of the four QRDM rows and
-    the pairs r_ket - r_bra, delta_ket - delta_bra and their mean (entry [row, col] of
-    ``BranchLabel.from_bits(row, col)``) serve all 16 labels.  ``phase_contrast_table`` has
-    (phase, contrast) at each ``label.qrdm_index``, from the kernel's sigma = S sigma0 S^T + L
-    (sigma0 the point's squeezed thermal covariance); ``_moment_table`` gives the moments from
-    any sigma.  A grid build equals its points' builds.  Every array is read-only, as one
-    point's kernel is shared by the cat-state calls.
+    the diffusion memory term of their moments is linear in delta = r_ket - r_bra.  So
+    S(tau) and the integrals L and m1 of one normal-mode pass (``phase_space._normal_modes``),
+    the ``_shifts`` r and delta of the four QRDM rows and the pairs r_ket - r_bra,
+    delta_ket - delta_bra and their mean (entry [row, col] of ``BranchLabel.from_bits(row,
+    col)``) serve all 16 labels; ``_moment_table`` gives their moments from any sigma, and
+    sigma is the point's squeezed thermal covariance evolved to tau, S sigma0 S^T + L.
+    ``open_qrdm`` is that function's (QRDM, contrasts, phase), and ``phase_contrast_table``
+    the same phase and contrasts as (phase, contrast) at each ``label.qrdm_index``, so that
+    exp(-contrast + i phase)/4 is the QRDM entry.  A grid build equals its points' builds.
+    Every array is read-only, as one point's kernel is shared by the cat-state calls.
     """
     g, occupation, s = params.g, 1.0 + 2.0 * np.asarray(params.n_p), np.asarray(params.s)
     modes = _normal_modes(g, params.gamma_x, tau)
     modes.setflags(write=False)  # before the views below, which inherit it
-    s_tau, lyapunov, m1, m2 = (modes[..., k, :, :] for k in range(4))
-    h_matrix = sgi_hamiltonian_matrix(g)
+    s_tau, lyapunov, m1 = (modes[..., k, :, :] for k in range(3))
     squeezing = occupation[..., None] * np.where(_POSITIONS, s[..., None], 1.0 / s[..., None])
     sigma = s_tau * squeezing[..., None, :] @ s_tau.swapaxes(-1, -2) + lyapunov  # S sigma0 S^T + L
-    r, delta = _shifts(h_matrix, params.f_q, s_tau)
+    r, delta = _shifts(sgi_hamiltonian_matrix(g), params.f_q, s_tau)
     pairs = (r[_KET] - r[_BRA], delta[_KET] - delta[_BRA], 0.5 * (delta[_KET] + delta[_BRA]))
-    table = _phase_contrast_table(sigma, r, pairs, m2, h_matrix, tau, params.gamma_z)
-    for array in (h_matrix, sigma, r, delta, *pairs, table):
+    qrdm = open_qrdm(params, tau)
+    _, contrasts, phase = qrdm
+    single = contrasts.single_flip_total
+    entries = np.broadcast_arrays(
+        *(0.0, -phase, phase, 0.0, 0.0),
+        *(0.0, single, single, contrasts.symmetric_flip_total, contrasts.antisymmetric_flip_total),
+    )
+    table = np.stack(entries, axis=-1)[..., _TABLE_LAYOUT]
+    for array in (sigma, r, delta, *pairs, qrdm[0], table):
         array.setflags(write=False)
-    return _Kernel(params, tau, s_tau, lyapunov, h_matrix, sigma, r, delta, pairs, m1, m2, table)
+    return _Kernel(params, tau, s_tau, lyapunov, sigma, r, delta, pairs, m1, qrdm, table)
 
 
 @lru_cache(maxsize=8)
@@ -415,16 +399,14 @@ def _kernel(params: UnitlessParams, tau: float) -> _Kernel:
 def branch_pair_phase_contrast(
     label: BranchLabel, params: UnitlessParams, tau: float
 ) -> tuple[float, float]:
-    """Phase and decay exponent of one QRDM entry from the moment machinery.
+    """Phase and decay exponent of one QRDM entry, so that the entry is exp(-contrast + i phase)/4.
 
-    Reads the label's entry of the kernel's phase-contrast table, where the
-    general branch-pair formulas (quadratic form of the evolved covariance
-    plus, under diffusion, a noise-kernel memory integral in closed form per
-    normal mode) are evaluated for all 16 labels at once, rather than the
-    precomputed contrast closed forms; the two routes agree and the contrast
-    closed forms are the fast path.  Dephasing adds gamma_z * tau per flipped
-    qubit, independently for each qubit.  Params and tau must be scalars; the
-    kernel is built once per point and shared with the other cat-state calls.
+    Reads the label's entry of the kernel's phase-contrast table: the
+    ``open_qrdm`` closed forms of the point, the entangling phase (with the
+    entry's sign) and the sum of the contrast exponents that suppress the
+    entry.  Dephasing adds gamma_z * tau per flipped qubit, independently for
+    each qubit.  Params and tau must be scalars; the kernel is built once per
+    point and shared with the other cat-state calls.
     """
     return tuple(_kernel(params, tau).phase_contrast_table[label.qrdm_index].tolist())
 
@@ -435,6 +417,9 @@ def branch_pair_phase_contrast(
 
 # Entry (row, col) of the QRDM as an index into (1, upper, lower, both_sym, both_anti).
 _QRDM_LAYOUT = np.array([[0, 1, 1, 3], [2, 0, 4, 2], [2, 4, 0, 2], [3, 1, 1, 0]])
+# Entry (row, col) of the kernel's phase-contrast table as indices of its (phase, contrast) into
+# the phases and then the exponents of those five entries.
+_TABLE_LAYOUT = np.stack([_QRDM_LAYOUT, 5 + _QRDM_LAYOUT], axis=-1)
 
 
 def _qrdm_from_components(phase, contrasts: ContrastSet) -> np.ndarray:
@@ -514,7 +499,8 @@ def evolve_cat_state(
     ``_moment_table`` for the covariance evolved from ``initial.sigma``:
     diagonal branches are real and unaffected by momentum diffusion, and the
     off-diagonal ones carry imaginary parts set by the evolved covariance
-    and, under diffusion, by the kernel's memory integral m1.
+    and, under diffusion, by the kernel's memory integral m1.  The QRDM, its
+    contrasts and phase are a copy of the kernel's ``open_qrdm``.
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")
@@ -524,6 +510,6 @@ def evolve_cat_state(
     sigma = kernel.s_tau @ initial.sigma @ kernel.s_tau.T + kernel.lyapunov
     vectors = _moment_table(sigma, kernel.pairs, kernel.m1).reshape(16, 4)
     branches = {label: BranchMoments(label, vector) for label, vector in zip(_ALL_LABELS, vectors)}
-    qrdm, contrasts, phase = open_qrdm(params, tau)
+    qrdm, contrasts, phase = kernel.open_qrdm
     sigma = 0.5 * (sigma + sigma.T)
-    return GaussianCatState(tau, sigma, branches, qrdm, contrasts=contrasts, phase=phase)
+    return GaussianCatState(tau, sigma, branches, qrdm.copy(), contrasts=contrasts, phase=phase)

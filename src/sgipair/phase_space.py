@@ -7,7 +7,7 @@ the symmetric combination (frequency 1) and the antisymmetric combination
 (frequency ``omega_g = sqrt(1 - 2g)``), which is real only for g < 1/2.
 The one noise channel is momentum diffusion at rate gamma_x, equal on both
 modes, D = gamma_x diag(0, 1, 0, 1).  The propagator, its accumulated covariance
-and the two branch-pair memory integrals have closed forms, one 2x2 block per
+and the branch-pair memory integral m1 have closed forms, one 2x2 block per
 normal mode (``_mode_entries``), which ``_normal_modes`` evaluates in one pass
 over a point or a whole grid; only this module knows the normal-mode layout.
 """
@@ -115,36 +115,33 @@ def _series(numerator, first: int) -> list[float]:
     return [(-1) ** k * numerator(k) / math.factorial(2 * k + 1) for k in powers]
 
 
-# The series of the shapes A(x), A(x/2), C(x) and P(x) of ``_mode_entries``, one per column,
-# the argument (x or x/2) of each, and the one series (C's) that starts at x^5, not x^3.
-_A, _C = _series(lambda k: -2 * k, 1), _series(lambda k: 2 * k - 2 ** (2 * k - 1), 2)
-_SHAPE_SERIES = np.transpose([_A, _A, _C, _series(lambda k: -(2 ** (2 * k + 1)), 1)])
-_SHAPE_ARGUMENTS, _FROM_X5 = [0, 1, 0, 0], np.array([False, False, True, False])
+# The series of the shapes A(x), A(x/2) and P(x) of ``_mode_entries``, one per column, and
+# the argument (x or x/2) of each.
+_A = _series(lambda k: -2 * k, 1)
+_SHAPE_SERIES = np.transpose([_A, _A, _series(lambda k: -(2 ** (2 * k + 1)), 1)])
+_SHAPE_ARGUMENTS = [0, 1, 0]
 _ARGUMENTS = np.array([1.0, 0.5, 2.0])  # x, x/2 and 2x from x
 _MODE_COUPLING, _SUM_DIFFERENCE = np.array([0.0, 2.0]), np.array([[1.0], [-1.0]])  # w^2 = 1 - 2g
-# Of a mode's 16 entries (S, L, m1, m2, each row-major) the last 12 carry the rate.  Entry
+# Of a mode's 12 entries (S, L, m1, each row-major) the last 8 carry the rate.  Entry
 # [k, row, col] of the (x1,p1,x2,p2) matrices is entry 4k + 2 (row % 2) + col % 2 of the half
 # sum (diagonal 2x2 blocks) or half difference (off-diagonal blocks) of the two modes.
-_INTEGRAL_ENTRIES = np.arange(16) >= 4
-_K, _ROW, _COL = np.indices((4, 4, 4))
-_FROM_MODES = 16 * (_ROW // 2 != _COL // 2) + 4 * _K + 2 * (_ROW % 2) + _COL % 2
+_INTEGRAL_ENTRIES = np.arange(12) >= 4
+_K, _ROW, _COL = np.indices((3, 4, 4))
+_FROM_MODES = 12 * (_ROW // 2 != _COL // 2) + 4 * _K + 2 * (_ROW % 2) + _COL % 2
 
 
 def _mode_entries(w, rate, tau) -> np.ndarray:
-    """S = S(tau), L, m1 and m2 of normal modes of frequency w at D = diag(0, rate), (..., 16).
+    """S = S(tau), L and m1 of normal modes of frequency w at D = diag(0, rate), (..., 12).
 
-    S(u) is a mode's propagator, K(u) = S(u) D S(u)^T, L = int_0^tau K(u) du, m1 = int_0^tau
-    K(u) Omega (S(u) - S) du and m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I)
-    du.  S(u) is a rotation and K(u) Omega S(u) = S(u) D Omega, so every integrand is a
-    trigonometric polynomial of degree <= 2 in w u.  With x = w tau, A = sin x - x cos x,
-    B = 1 - cos x - (x/2) sin x = 2 sin(x/2) A(x/2), C = x/2 - sin(2x)/4 - sin x + x cos x,
-    Q = 2 sin^4(x/2) and P = 2x - sin 2x:
+    S(u) is a mode's propagator, K(u) = S(u) D S(u)^T, L = int_0^tau K(u) du and m1 =
+    int_0^tau K(u) Omega (S(u) - S) du.  S(u) is a rotation and K(u) Omega S(u) = S(u) D Omega,
+    so both integrands are trigonometric polynomials of degree <= 2 in w u.  With x = w tau,
+    A = sin x - x cos x, B = 1 - cos x - (x/2) sin x = 2 sin(x/2) A(x/2) and P = 2x - sin 2x:
     S = [[cos x, sin x/w], [-w sin x, cos x]],
-    L = rate [[P/(4 w^3), sin^2 x/(2 w^2)], [sin^2 x/(2 w^2), tau/2 + sin(2x)/(4 w)]],
-    m1 = rate [[-B/w^2, A/(2 w^3)], [-A/(2 w), tau sin x/(2 w)]] and
-    m2 = rate [[C/w, (Q + 2B)/w^2], [(Q - 2B)/w^2, -(2A + P/2)/(2 w^3)]].  x, x/2 and 2x
-    share one sin and one cos call, and A(x), A(x/2), C and P one np.polyval over their
-    stacked series where x <= 1.  Broadcasts over w, rate and tau (without w's last axis).
+    L = rate [[P/(4 w^3), sin^2 x/(2 w^2)], [sin^2 x/(2 w^2), tau/2 + sin(2x)/(4 w)]] and
+    m1 = rate [[-B/w^2, A/(2 w^3)], [-A/(2 w), tau sin x/(2 w)]].  x, x/2 and 2x share one
+    sin and one cos call, and A(x), A(x/2) and P one np.polyval over their stacked series
+    where x <= 1.  Broadcasts over w, rate and tau (without w's last axis).
     """
     tau = np.asarray(tau, dtype=float)[..., None]
     x = w * tau
@@ -152,30 +149,27 @@ def _mode_entries(w, rate, tau) -> np.ndarray:
     sines, cosines = np.sin(arguments), np.cos(arguments)
     sin_x, sin_half, sin_2x, cos_x = sines[..., 0], sines[..., 1], sines[..., 2], cosines[..., 0]
     a_exact = sines - arguments * cosines  # A of x, x/2 and 2x
-    c_exact = arguments[..., 1] - 0.25 * sin_2x - sin_x + x * cos_x
-    shapes = [a_exact[..., 0], a_exact[..., 1], c_exact, arguments[..., 2] - sin_2x]
+    shapes = [a_exact[..., 0], a_exact[..., 1], arguments[..., 2] - sin_2x]
     if (arguments[..., 1] <= 1.0).any():  # some x/2 <= 1: a shape takes its series
         shape_x = arguments[..., _SHAPE_ARGUMENTS]
         small = shape_x <= 1.0
         y = np.where(small, np.square(shape_x), 0.0)  # 0 keeps the unused sums finite
-        series = np.polyval(_SHAPE_SERIES, y) * np.where(_FROM_X5, y * y, y) * shape_x
+        series = np.polyval(_SHAPE_SERIES, y) * y * shape_x
         shapes = [np.where(small[..., i], series[..., i], shape) for i, shape in enumerate(shapes)]
-    a, a_half, c, p = shapes
+    a, a_half, p = shapes
     w2, w3, w_2 = w**2, w**3, 2.0 * w
-    w3_2, b = 2.0 * w3, 2.0 * sin_half * a_half
-    q, xp = 2.0 * np.square(np.square(sin_half)), sin_x**2 / (2.0 * w2)
+    b, xp = 2.0 * sin_half * a_half, sin_x**2 / (2.0 * w2)
     entries = np.array([
         *(cos_x, sin_x / w, -w * sin_x, cos_x),
         *(p / (4.0 * w3), xp, xp, tau / 2.0 + sin_2x / (4.0 * w)),
-        *(-b / w2, a / w3_2, -a / w_2, tau * sin_x / w_2),
-        *(c / w, (q + 2.0 * b) / w2, (q - 2.0 * b) / w2, -(2.0 * a + 0.5 * p) / w3_2),
+        *(-b / w2, a / (2.0 * w3), -a / w_2, tau * sin_x / w_2),
     ])
     entries = entries.transpose(*range(1, entries.ndim), 0)
     return entries * np.where(_INTEGRAL_ENTRIES, np.asarray(rate)[..., None, None], 1.0)
 
 
 def _normal_modes(g, rate, tau) -> np.ndarray:
-    """S = S(tau), L, m1 and m2 at D = rate diag(0, 1, 0, 1): [..., k, :, :] of (..., 4, 4, 4).
+    """S = S(tau), L and m1 at D = rate diag(0, 1, 0, 1): [..., k, :, :] of (..., 3, 4, 4).
 
     One pass over both normal modes (frequencies 1 and omega_g) of a point or a grid: their
     ``_mode_entries``, and one map of their half sums and differences to (x1,p1,x2,p2).
@@ -183,7 +177,7 @@ def _normal_modes(g, rate, tau) -> np.ndarray:
     _check_coupling(g)
     modes = _mode_entries(np.sqrt(1.0 - np.asarray(g)[..., None] * _MODE_COUPLING), rate, tau)
     halves = 0.5 * (modes[..., :1, :] + _SUM_DIFFERENCE * modes[..., 1:, :])
-    return halves.reshape(halves.shape[:-2] + (32,))[..., _FROM_MODES]
+    return halves.reshape(halves.shape[:-2] + (24,))[..., _FROM_MODES]
 
 
 def lyapunov_integral(g: float, tau, gamma_x: float) -> np.ndarray:

@@ -12,9 +12,11 @@ series, one block at a time, and dense operators) to check its step map,
 stacked generator and mode-local observables, and
 evaluate the propagator integrals of ``phase_space``/``dynamics`` by
 adaptive quadrature to check their per-mode closed forms.  The
-branch-pair reference evaluates one label at a time from the kernel's parts
-to check its array tables.  The CSV reference formats every cell on its own,
-row by row, to check the CLI's block writer.
+branch-pair reference evaluates the general branch-pair formula one label at
+a time, from the kernel's moment parts and a memory integral m2 by
+Gauss-Legendre quadrature, to check the kernel's moment table and the QRDM
+phase and contrast closed forms.  The CSV reference formats every cell on
+its own, row by row, to check the CLI's block writer.
 """
 
 from __future__ import annotations
@@ -433,8 +435,9 @@ def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -
     "m1" = int_0^tau K(u) Omega (S(u) - S) du and
     "m2" = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du,
     each at relative tolerance 1e-11 and absolute tolerance 1e-14, one
-    propagator per sample.  Reference for ``lyapunov_integral`` and the
-    closed-form memory integrals of ``phase_space._mode_integrals``.
+    propagator per sample.  Reference for ``lyapunov_integral``, the
+    closed-form memory integral m1 of ``phase_space._mode_entries`` and
+    ``reference_m2``.
     """
     from scipy.integrate import quad_vec
 
@@ -461,34 +464,65 @@ def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -
     }
 
 
-def reference_branch_pair(kernel, label) -> tuple[np.ndarray, tuple[float, float]]:
-    """First-moment vector and (phase, contrast) of one label, one product at a time.
+def reference_m2(g, tau, gamma_x, nodes: int = 16) -> np.ndarray:
+    """m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du, shape (..., 4, 4).
 
-    Reads only the label-independent parts of a ``dynamics._shared_kernel`` result
-    (sigma, the shifts r and delta, m1, m2, H, tau and gamma_z), never its tables.
+    K(u) = S(u) D S(u)^T with D = gamma_x diag(0, 1, 0, 1) and S = S(tau).  The integrand is
+    a trigonometric polynomial of frequency <= 3 in u, so a Gauss-Legendre rule of ``nodes``
+    nodes on each of ceil(tau/2) equal panels is exact to rounding.  Broadcasts over g, tau
+    and gamma_x, one ``propagator`` per node; a grid point takes only its own panels.
     """
+    g, tau, gamma_x = np.broadcast_arrays(g, tau, gamma_x)
+    shape = g.shape
+    g, tau, gamma_x = g.ravel(), tau.ravel(), gamma_x.ravel()
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    panels = np.maximum(1.0, np.ceil(tau / 2.0))
+    width = tau / panels
+    s = propagator(g, tau)[:, None]
+    d_matrix = gamma_x[:, None, None, None] * np.diag([0.0, 1.0, 0.0, 1.0])
+    total = np.zeros(tau.shape + (4, 4))
+    for panel in range(int(panels.max())):
+        on = panels > panel
+        s_u = propagator(g[on, None], width[on, None] * (panel + 0.5 * (x + 1.0)))
+        k_u = s_u @ d_matrix[on] @ np.swapaxes(s_u, -1, -2)
+        right = OMEGA @ (s_u + s[on] - 2.0 * np.eye(4))
+        integrand = np.swapaxes(s_u - s[on], -1, -2) @ OMEGA.T @ k_u @ right
+        total[on] += np.einsum("pn,pnij->pij", 0.5 * width[on, None] * weights, integrand)
+    return total.reshape(shape + (4, 4))
+
+
+def reference_branch_pair(kernel, label, m2, h_matrix) -> tuple[np.ndarray, tuple]:
+    """First-moment vector and (phase, contrast) of one label by the general branch-pair formula.
+
+    Reads only the label-independent parts of a ``dynamics._build_kernel`` result (sigma, the
+    shifts r and delta, m1, tau and gamma_z), never its tables; the memory integral m2 and H
+    come from the caller.  One label at a time, one quadratic form at a time, broadcast over
+    the grid axes of a grid kernel.
+    """
+    def form(a, matrix, b):  # a^T matrix b over the last axes
+        return np.einsum("...i,...ij,...j->...", a, matrix, b)
+
+    def apply(matrix, v):
+        return np.einsum("...ij,...j->...i", matrix, v)
+
     # QRDM row of the qubit eigenvalues (j, m), computational bit 0 being +1
     row = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
     ket, bra = row[label.j, label.m], row[label.k, label.n]
-    r_ket, delta_ket = kernel.r[ket], kernel.delta[ket]
-    r_bra, delta_bra = kernel.r[bra], kernel.delta[bra]
-    vector = 0.5 * (delta_ket + delta_bra) + 0j
-    if label.is_diagonal:
-        vector = vector.real + 0j
-    else:
-        vector += 0.5j * kernel.sigma @ OMEGA @ (delta_ket - delta_bra)
-        vector += 0.5j * kernel.m1 @ (r_ket - r_bra)
+    r_ket, delta_ket = kernel.r[..., ket, :], kernel.delta[..., ket, :]
+    r_bra, delta_bra = kernel.r[..., bra, :], kernel.delta[..., bra, :]
     delta_eq = r_ket - r_bra
     mismatch = delta_ket - delta_bra
-    phase = float(
-        delta_eq @ OMEGA @ (0.5 * (delta_ket + delta_bra))
-        + 0.5 * kernel.tau * delta_eq @ kernel.h_matrix @ (r_ket + r_bra)
-    )
-    contrast = float(0.25 * mismatch @ OMEGA.T @ kernel.sigma @ OMEGA @ mismatch)
+    vector = 0.5 * (delta_ket + delta_bra) + 0j
+    if not label.is_diagonal:
+        vector += 0.5j * apply(kernel.sigma @ OMEGA, mismatch)
+        vector += 0.5j * apply(kernel.m1, delta_eq)
+    phase = form(delta_eq, OMEGA, 0.5 * (delta_ket + delta_bra))
+    phase = phase + 0.5 * kernel.tau * form(delta_eq, h_matrix, r_ket + r_bra)
+    contrast = 0.25 * form(mismatch, OMEGA.T @ kernel.sigma @ OMEGA, mismatch)
     # Independent qubit dephasing: (j-k)^2 + (m-n)^2 in units of gamma_z/4.
     dephasing = ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) / 4.0
-    contrast += kernel.params.gamma_z * kernel.tau * dephasing
-    contrast += 0.25 * float(delta_eq @ kernel.m2 @ delta_eq)
+    contrast = contrast + kernel.params.gamma_z * kernel.tau * dephasing
+    contrast = contrast + 0.25 * form(delta_eq, m2, delta_eq)
     return vector, (phase, contrast)
 
 

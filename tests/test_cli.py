@@ -328,12 +328,21 @@ class TestPointReports:
         text = capsys.readouterr().out
         assert "no entanglement" in text
 
-    def test_negativity_alias_matches_unitary_limit(self, capsys):
-        run(["negativity", "--fq", "1", "--g", "0.1", "--tau", "final"])
+    def test_report_matches_unitary_limit(self, capsys):
+        run(["qrdm", "--fq", "1", "--g", "0.1", "--tau", "final"])
         text = capsys.readouterr().out
         phase = dynamics.entangling_phase(1.0, 0.1, final_time(0.1))
         assert f"phase: {format(phase, '.17g')}" in text
         assert "entangled" in text
+
+    def test_negativity_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["negativity", "--fq", "1", "--g", "0.1"])
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("sgipair: error: argument command: invalid choice:")
+        assert "'negativity'" in errors[0]
 
     def test_report_lists_each_contrast_field_once(self, capsys):
         run(["qrdm", "--fq", "1", "--g", "0.1"])
@@ -352,11 +361,10 @@ class TestPointReports:
         [
             (["qrdm", "--tau", "-3"], r"^tau=-3\.0 must be finite and >= 0$"),
             (["qrdm", "--tau", "nan"], r"^tau=nan must be finite and >= 0$"),
-            (["negativity", "--tau", "inf"], r"^tau=inf must be finite and >= 0$"),
+            (["qrdm", "--tau", "inf"], r"^tau=inf must be finite and >= 0$"),
             (["trajectories", "--tau-max", "-3"], r"^tau=-3\.0 must be finite and >= 0$"),
             (["trajectories", "--tau-max", "nan"], r"^tau=nan must be finite and >= 0$"),
             (["qrdm", "--tau", "abc"], r"^--tau='abc' must be 'final', '2pi' or a number$"),
-            (["negativity", "--tau", "abc"], r"^--tau='abc' must be 'final', '2pi' or a number$"),
             (
                 ["trajectories", "--tau-max", "xyz"],
                 r"^--tau-max='xyz' must be 'final', '2pi' or a number$",
@@ -385,7 +393,7 @@ class TestPointReports:
         [
             (["qrdm", "--fq", "inf"], "f_q=inf"),
             (["qrdm", "--gamma-x", "inf"], "gamma_x=inf"),
-            (["negativity", "--gamma-z", "inf"], "gamma_z=inf"),
+            (["qrdm", "--gamma-z", "inf"], "gamma_z=inf"),
             (["qrdm", "--np", "nan"], "n_p=nan"),
             (["sweep", "--axis", "g:0.1:0.2:3", "--gamma-x", "inf"], "gamma_x=inf"),
             (["trajectories", "--fq", "nan"], "f_q=nan"),
@@ -552,7 +560,7 @@ class TestOutputPaths:
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize("command", ["qrdm", "negativity", "expand", "bounds"])
+    @pytest.mark.parametrize("command", ["qrdm", "expand", "bounds"])
     @pytest.mark.parametrize(
         "kind, code", [("missing", errno.ENOENT), ("directory", errno.EISDIR)]
     )

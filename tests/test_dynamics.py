@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product
 
 import mpmath
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 
 from oracles import (
     reference_branch_pair,
+    reference_m2,
     reference_propagator_integrals,
+    sgi_hamiltonian,
     squeezed_covariance_display,
 )
 from sgipair import dynamics as dyn
 from sgipair import entanglement as ent
-from sgipair.phase_space import final_time, lyapunov_integral, propagator
+from sgipair.phase_space import final_time, lyapunov_integral, mode_frequency, propagator
 from sgipair.potentials import UnitlessParams
 
 
@@ -226,6 +229,24 @@ def _builds() -> int:
     return dyn._shared_kernel.cache_info().misses
 
 
+def _reference_pairs(kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Moments (..., 4, 4, 4) and (phase, contrast) (..., 4, 4, 2) of a point's or a grid's kernel.
+
+    The general branch-pair formula of ``reference_branch_pair``, with m2 by quadrature and H
+    from ``oracles``: a route to the QRDM phases and contrasts that shares none of their
+    closed forms.
+    """
+    params = kernel.params
+    m2 = reference_m2(params.g, kernel.tau, params.gamma_x)
+    g = np.asarray(params.g)
+    h_matrix = np.reshape([sgi_hamiltonian(value) for value in g.ravel()], g.shape + (4, 4))
+    references = [reference_branch_pair(kernel, label, m2, h_matrix) for label in ALL_LABELS]
+    moments = np.stack([vector for vector, _ in references], axis=-2)
+    pairs = np.stack([np.stack(pair, axis=-1) for _, pair in references], axis=-2)
+    grid = moments.shape[:-2]  # every label has the grid's axes
+    return moments.reshape(grid + (4, 4, 4)), pairs.reshape(grid + (4, 4, 2))
+
+
 class TestBranchPairKernel:
     """The closed-form memory integrals and the tables built from them."""
 
@@ -236,8 +257,9 @@ class TestBranchPairKernel:
             kernel = _fresh_kernel(params, float(tau))
             reference = reference_propagator_integrals(g, tau, np.diag([0.0, 0.05, 0.0, 0.05]))
             assert _relative(kernel.m1, reference["m1"]) <= 1e-12
-            assert _relative(kernel.m2, reference["m2"]) <= 1e-12
             assert _relative(kernel.lyapunov, reference["lyapunov"]) <= 1e-12
+            # the quadrature m2 of the general branch-pair formula in the tests
+            assert _relative(reference_m2(g, tau, 0.05), reference["m2"]) <= 1e-12
 
     def test_one_kernel_serves_every_label(self):
         initial = dyn.initial_cat_state(CAT_PARAMS)
@@ -302,35 +324,24 @@ class TestBranchPairKernel:
             )
 
     @pytest.mark.parametrize(
-        "params, tau, sigma0",
+        "params, tau",
         [
-            pytest.param(CAT_PARAMS, 3.1, None, id="cat"),
-            pytest.param(CAT_PARAMS, 0.0, None, id="tau-0"),
-            pytest.param(replace(CAT_PARAMS, gamma_x=0.0), 3.1, None, id="gamma_x-0"),
-            pytest.param(replace(CAT_PARAMS, g=0.0), 3.1, None, id="g-0"),
+            pytest.param(CAT_PARAMS, 3.1, id="cat"),
+            pytest.param(CAT_PARAMS, 0.0, id="tau-0"),
+            pytest.param(replace(CAT_PARAMS, gamma_x=0.0), 3.1, id="gamma_x-0"),
+            pytest.param(replace(CAT_PARAMS, g=0.0), 3.1, id="g-0"),
             pytest.param(
                 UnitlessParams(f_q=1.3, g=0.31, s=0.05, n_p=3.0, gamma_z=0.4),
                 final_time(0.31),
-                None,
                 id="squeezed-thermal-dephased",
             ),
-            pytest.param(CAT_PARAMS, 300.0, None, id="tau-300"),
-            pytest.param(
-                CAT_PARAMS, 3.1, dyn.squeezed_thermal_covariance(0.9, 2.0), id="from_initial"
-            ),
+            pytest.param(CAT_PARAMS, 300.0, id="tau-300"),
         ],
     )
-    def test_tables_match_the_per_label_reference(self, params, tau, sigma0):
+    def test_tables_match_the_per_label_reference(self, params, tau):
         kernel = _fresh_kernel(params, float(tau))
-        if sigma0 is not None:  # both tables evaluated from the covariance evolved from sigma0
-            sigma = kernel.s_tau @ sigma0 @ kernel.s_tau.T + kernel.lyapunov
-            parts = (kernel.r, kernel.pairs, kernel.m2, kernel.h_matrix, kernel.tau)
-            table = dyn._phase_contrast_table(sigma, *parts, params.gamma_z)
-            kernel = kernel._replace(sigma=sigma, phase_contrast_table=table)
         moment_table = dyn._moment_table(kernel.sigma, kernel.pairs, kernel.m1)
-        references = [reference_branch_pair(kernel, label) for label in ALL_LABELS]
-        moments = np.array([vector for vector, _ in references]).reshape(4, 4, 4)
-        phase_contrast = np.array([pair for _, pair in references]).reshape(4, 4, 2)
+        moments, phase_contrast = _reference_pairs(kernel)
         for actual, expected in [
             (moment_table, moments),
             (kernel.phase_contrast_table[..., 0], phase_contrast[..., 0]),
@@ -343,13 +354,24 @@ class TestBranchPairKernel:
             phase, contrast = dyn.branch_pair_phase_contrast(label, params, tau)
             assert type(phase) is float and type(contrast) is float
 
-    def test_evolving_a_state_evaluates_no_phase_contrast_table(self, monkeypatch):
+    def test_evolved_state_does_not_share_the_cache(self):
+        initial = dyn.initial_cat_state(CAT_PARAMS)
+        state = dyn.evolve_cat_state(initial, CAT_PARAMS, 3.1)
+        expected = state.qrdm.copy()
+        pairs = [dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) for label in ALL_LABELS]
+        state.qrdm[...] = 0.0  # the state's QRDM is the caller's own
+        assert np.array_equal(dyn.evolve_cat_state(initial, CAT_PARAMS, 3.1).qrdm, expected)
+        for label, pair in zip(ALL_LABELS, pairs):
+            assert dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) == pair
+
+    def test_evolving_a_cached_point_runs_no_closed_forms(self, monkeypatch):
         dyn._kernel(CAT_PARAMS, 3.1)  # build and keep the point's kernel
 
         def never(*_):
-            raise AssertionError("a phase-contrast table was evaluated")
+            raise AssertionError("a closed form was evaluated")
 
-        monkeypatch.setattr(dyn, "_phase_contrast_table", never)
+        monkeypatch.setattr(dyn, "open_qrdm", never)
+        monkeypatch.setattr(dyn, "open_phase_contrasts", never)
         sigma0 = dyn.squeezed_thermal_covariance(0.9, 2.0)
         for initial in (
             dyn.initial_cat_state(CAT_PARAMS),
@@ -375,8 +397,8 @@ class TestBranchPairKernel:
 
     def test_shared_arrays_are_read_only(self):
         kernel = dyn._kernel(CAT_PARAMS, 3.1)
-        arrays = [kernel.s_tau, kernel.lyapunov, kernel.h_matrix, kernel.sigma, kernel.r]
-        arrays += [kernel.delta, *kernel.pairs, kernel.m1, kernel.m2, kernel.phase_contrast_table]
+        arrays = [kernel.s_tau, kernel.lyapunov, kernel.sigma, kernel.r, kernel.delta]
+        arrays += [*kernel.pairs, kernel.m1, kernel.open_qrdm[0], kernel.phase_contrast_table]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
@@ -406,14 +428,37 @@ class TestBranchPairKernel:
             dyn.open_qrdm(params, tau)
 
 
-_KERNEL_ARRAYS = ("s_tau", "lyapunov", "h_matrix", "sigma", "r", "delta", "m1", "m2")
+_KERNEL_ARRAYS = ("s_tau", "lyapunov", "sigma", "r", "delta", "m1")
 
 
 def _kernel_arrays(kernel) -> dict[str, np.ndarray]:
     arrays = {name: getattr(kernel, name) for name in _KERNEL_ARRAYS}
     arrays.update({f"pairs[{k}]": term for k, term in enumerate(kernel.pairs)})
+    arrays["qrdm"] = kernel.open_qrdm[0]
     arrays["phase_contrast_table"] = kernel.phase_contrast_table
     return arrays
+
+
+@lru_cache(maxsize=1)
+def _cross_check_grid() -> tuple[UnitlessParams, np.ndarray, np.ndarray]:
+    """2000 points across the domain, tau up to three closures, and their reference pairs.
+
+    The (phase, contrast) (2000, 4, 4, 2) of every QRDM entry by ``_reference_pairs``.
+    """
+    rng = np.random.default_rng(9)
+    n = 2000
+    g = np.concatenate([[0.0, 0.4999], 10 ** rng.uniform(-3.0, np.log10(0.45), n - 2)])
+    periods = np.concatenate([[1.0, 2.0, 0.0], rng.uniform(0.0, 3.0, n - 3)])
+    tau = periods * final_time(g)
+    params = UnitlessParams(
+        f_q=rng.uniform(0.1, 2.0, n),
+        g=g,
+        s=10 ** rng.uniform(-3.0, 0.0, n),
+        n_p=rng.uniform(0.0, 5.0, n),
+        gamma_x=rng.uniform(0.0, 0.05, n),
+        gamma_z=rng.uniform(0.0, 0.01, n),
+    )
+    return params, tau, _reference_pairs(dyn._build_kernel(params, tau))[1]
 
 
 def _entangling_phase_reference(f_q: float, g: float, tau: float):
@@ -460,24 +505,12 @@ class TestArrayKernel:
                 assert np.array_equal(full[rate, g_row, tau_col], one[name]), name
 
     def test_contrasts_match_the_closed_forms_on_a_grid(self):
-        rng = np.random.default_rng(9)
-        n = 2000
-        g = np.concatenate([[0.0, 0.4999], 10 ** rng.uniform(-3.0, np.log10(0.45), n - 2)])
-        periods = np.concatenate([[1.0, 2.0, 0.0], rng.uniform(0.0, 3.0, n - 3)])
-        tau = periods * final_time(g)
-        params = UnitlessParams(
-            f_q=rng.uniform(0.1, 2.0, n),
-            g=g,
-            s=10 ** rng.uniform(-3.0, 0.0, n),
-            n_p=rng.uniform(0.0, 5.0, n),
-            gamma_x=rng.uniform(0.0, 0.05, n),
-            gamma_z=rng.uniform(0.0, 0.01, n),
-        )
-        contrast = dyn._build_kernel(params, tau).phase_contrast_table[..., 1]
+        params, tau, reference = _cross_check_grid()
+        contrast = reference[..., 1]
         _, closed = dyn.open_phase_contrasts(params, tau)
         totals = np.stack(
             [
-                np.zeros(n),
+                np.zeros(len(tau)),
                 closed.single_flip_total,
                 closed.single_flip_total,
                 closed.symmetric_flip_total,
@@ -488,6 +521,17 @@ class TestArrayKernel:
         assert np.array_equal(contrast == 0.0, totals == 0.0)
         nonzero = totals > 0.0
         assert np.max(np.abs(contrast - totals)[nonzero] / totals[nonzero]) <= 1e-12
+
+    def test_phases_match_the_closed_form_on_a_grid(self):
+        params, tau, reference = _cross_check_grid()
+        phase = dyn.entangling_phase(params.f_q, params.g, tau)
+        signs = np.array([0.0, -1.0, 1.0, 0.0, 0.0])[dyn._QRDM_LAYOUT]  # (01|00) has +phase
+        expected = phase[:, None, None] * signs
+        # The phase sums terms up to f_q^2 (1 + tau)/w^3, which cancel to O(f_q^2 g tau).
+        scale = np.square(params.f_q) * (1.0 + tau) / np.power(mode_frequency(params.g), 3)
+        error = np.abs(reference[..., 0] - expected) / scale[:, None, None]
+        assert np.array_equal(reference[..., 0] == 0.0, expected == 0.0)
+        assert np.max(error) <= 64 * 2.0**-52
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -500,13 +544,36 @@ class TestArrayKernel:
         periods=st.floats(0.5, 3.0),
     )
     def test_phase_error_is_about_eps_over_g(self, f_q, log_g, s, n_p, gamma_x, gamma_z, periods):
-        # the bound stated in _phase_contrast_table's docstring
+        # the eps/g conditioning stated in entangling_phase's docstring
         g = math.exp(log_g)
         tau = periods * float(final_time(g))
         params = UnitlessParams(f_q=f_q, g=g, s=s, n_p=n_p, gamma_x=gamma_x, gamma_z=gamma_z)
         phase, _ = dyn.branch_pair_phase_contrast(ALL_LABELS[1], params, tau)  # (00|01)
         reference = -_entangling_phase_reference(f_q, g, tau)
         assert abs(phase - reference) <= 16 * 2.0**-52 / g * abs(reference)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        f_q=st.floats(0.1, 3.0),
+        log_g=st.floats(math.log(1e-8), math.log(0.4999)),
+        s=st.floats(1e-3, 1.0),
+        n_p=st.floats(0.0, 10.0),
+        gamma_x=st.floats(0.0, 0.1),
+        gamma_z=st.floats(0.0, 0.1),
+        periods=st.floats(0.0, 3.0),
+    )
+    def test_phase_contrast_pairs_rebuild_the_qrdm(
+        self, f_q, log_g, s, n_p, gamma_x, gamma_z, periods
+    ):
+        g = math.exp(log_g)
+        tau = periods * float(final_time(g))
+        params = UnitlessParams(f_q=f_q, g=g, s=s, n_p=n_p, gamma_x=gamma_x, gamma_z=gamma_z)
+        qrdm = dyn.evolve_cat_state(dyn.initial_cat_state(params), params, tau).qrdm
+        for label in ALL_LABELS:
+            phase, contrast = dyn.branch_pair_phase_contrast(label, params, tau)
+            assert type(phase) is float and type(contrast) is float
+            rebuilt = 0.25 * np.exp(-contrast + 1j * phase)
+            assert abs(rebuilt - qrdm[label.qrdm_index]) <= 1e-16, label
 
 
 class TestUnitaryQrdm:
@@ -591,13 +658,9 @@ class TestUnitaryQrdm:
         params = UnitlessParams(f_q=0.8, g=0.13)
         for tau in (0.7, 2.0, final_time(params.g)):
             rho, _, _ = dyn.unitary_qrdm(params.f_q, params.g, tau)
-            for row in range(4):
-                for col in range(4):
-                    label = dyn.BranchLabel.from_bits(row, col)
-                    phase, contrast = dyn.branch_pair_phase_contrast(label, params, tau)
-                    assert rho[row, col] == pytest.approx(
-                        0.25 * np.exp(-contrast + 1j * phase), abs=1e-12
-                    )
+            _, pairs = _reference_pairs(_fresh_kernel(params, float(tau)))
+            rebuilt = 0.25 * np.exp(-pairs[..., 1] + 1j * pairs[..., 0])
+            assert np.max(np.abs(rho - rebuilt)) <= 1e-12
 
 
 class TestOpenQrdm:
@@ -744,13 +807,9 @@ class TestOpenQrdm:
         params = UnitlessParams(f_q=0.5, g=0.08, s=0.2, n_p=2.0, gamma_x=0.03, gamma_z=0.01)
         for tau in (0.9, final_time(params.g)):
             rho, _, _ = dyn.open_qrdm(params, tau)
-            for row in range(4):
-                for col in range(4):
-                    label = dyn.BranchLabel.from_bits(row, col)
-                    phase, contrast = dyn.branch_pair_phase_contrast(label, params, tau)
-                    assert rho[row, col] == pytest.approx(
-                        0.25 * np.exp(-contrast + 1j * phase), abs=1e-11
-                    )
+            _, pairs = _reference_pairs(_fresh_kernel(params, float(tau)))
+            rebuilt = 0.25 * np.exp(-pairs[..., 1] + 1j * pairs[..., 0])
+            assert np.max(np.abs(rho - rebuilt)) <= 1e-11
 
     def test_diffusion_contrasts_match_high_precision(self):
         # c_gamma_2 = gamma f^2 F(tau)/8 and c_gamma_1 = gamma f^2 F(tau w)/(8 w^5),

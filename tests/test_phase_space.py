@@ -211,7 +211,7 @@ class TestLyapunovIntegral:
 
 
 def _mode_blocks_reference(w: float, tau: float) -> list[np.ndarray]:
-    """One mode's L, m1 and m2 blocks at rate 1 from the direct, cancelling formulas.
+    """One mode's L and m1 blocks at rate 1 from the direct, cancelling formulas.
 
     Evaluated at 60 digits from the same float w and tau: at x = w tau = 1e-10 the shape
     B = 1 - cos x - (x/2) sin x is 1e-41, which 40 digits cannot resolve.
@@ -222,14 +222,11 @@ def _mode_blocks_reference(w: float, tau: float) -> list[np.ndarray]:
         sin, cos = mpmath.sin, mpmath.cos
         a = sin(x) - x * cos(x)
         b = 1 - cos(x) - x / 2 * sin(x)
-        c = x / 2 - sin(2 * x) / 4 - sin(x) + x * cos(x)
-        q = 2 * sin(x / 2) ** 4
         p = 2 * x - sin(2 * x)
         xp = sin(x) ** 2 / (2 * w**2)
         blocks = (
             [[p / (4 * w**3), xp], [xp, tau / 2 + sin(2 * x) / (4 * w)]],
             [[-b / w**2, a / (2 * w**3)], [-a / (2 * w), tau * sin(x) / (2 * w)]],
-            [[c / w, (q + 2 * b) / w**2], [(q - 2 * b) / w**2, -(2 * a + p / 2) / (2 * w**3)]],
         )
         return [np.array(block, dtype=float) for block in blocks]
 
@@ -245,12 +242,12 @@ def _taus_either_side(w: float, x_switch: float) -> tuple[float, float]:
 
 
 class TestModeIntegrals:
-    """Per-mode closed forms of the Lyapunov integral L and the memory integrals m1, m2."""
+    """Per-mode closed forms of the Lyapunov integral L and the memory integral m1."""
 
     @staticmethod
     def _check(w: float, tau: float, bound: float) -> None:
-        (mode,) = ps._mode_entries(np.array([w]), 1.0, tau)  # one w: S, L, m1, m2
-        blocks = dict(zip(("L", "m1", "m2"), mode.reshape(4, 2, 2)[1:], strict=True))
+        (mode,) = ps._mode_entries(np.array([w]), 1.0, tau)  # one w: S, L, m1
+        blocks = dict(zip(("L", "m1"), mode.reshape(3, 2, 2)[1:], strict=True))
         for (name, value), expected in zip(
             blocks.items(), _mode_blocks_reference(w, tau), strict=True
         ):
@@ -268,7 +265,7 @@ class TestModeIntegrals:
 
     @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
     def test_match_high_precision_at_the_series_switches(self, g):
-        """Either side of x = 1 (A, C and P switch) and of x/2 = 1 (A(x/2) switches)."""
+        """Either side of x = 1 (A and P switch) and of x/2 = 1 (A(x/2) switches)."""
         for w in (1.0, float(ps.mode_frequency(g))):
             for x_switch in (1.0, 2.0):
                 below, above = _taus_either_side(w, x_switch)
@@ -280,10 +277,10 @@ class TestModeIntegrals:
         modes = np.array([1.0, 0.5])
         for rate, tau in ((1.0, 0.0), (0.0, 3.0)):
             entries = ps._mode_entries(modes, rate, tau)
-            assert entries.shape == (2, 16)
+            assert entries.shape == (2, 12)
             if tau == 0.0:
                 assert np.array_equal(entries[:, :4], [[1.0, 0.0, 0.0, 1.0]] * 2)  # S = I
-            assert not entries[:, 4:].any()  # L, m1 and m2
+            assert not entries[:, 4:].any()  # L and m1
 
 
 class TestHeisenberg:
