@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 _OMEGA = symplectic_form()
-_POSITIONS = np.array([True, False, True, False])  # x1, p1, x2, p2
 
 
 @dataclass(frozen=True, order=True)
@@ -330,7 +329,7 @@ def _moment_table(sigma: np.ndarray, pairs: tuple[np.ndarray, ...], m1: np.ndarr
 _PARAM_NAMES = tuple(f.name for f in fields(UnitlessParams))
 _POINT = attrgetter(*_PARAM_NAMES)
 
-_KERNEL_FIELDS = "params tau s_tau lyapunov sigma r delta pairs m1 open_qrdm phase_contrast_table"
+_KERNEL_FIELDS = "params tau s_tau lyapunov r delta pairs m1 open_qrdm phase_contrast_table"
 _Kernel = namedtuple("_Kernel", _KERNEL_FIELDS)
 
 
@@ -342,20 +341,16 @@ def _build_kernel(params: UnitlessParams, tau) -> _Kernel:
     S(tau) and the integrals L and m1 of one normal-mode pass (``phase_space._normal_modes``),
     the ``_shifts`` r and delta of the four QRDM rows and the pairs r_ket - r_bra,
     delta_ket - delta_bra and their mean (entry [row, col] of ``BranchLabel.from_bits(row,
-    col)``) serve all 16 labels; ``_moment_table`` gives their moments from any sigma, and
-    sigma is the point's squeezed thermal covariance evolved to tau, S sigma0 S^T + L.
-    ``open_qrdm`` is that function's (QRDM, contrasts, phase), and ``phase_contrast_table``
+    col)``) serve all 16 labels; ``_moment_table`` gives their moments from any evolved
+    covariance.  ``open_qrdm`` is that function's (QRDM, contrasts, phase), and ``phase_contrast_table``
     the same phase and contrasts as (phase, contrast) at each ``label.qrdm_index``, so that
     exp(-contrast + i phase)/4 is the QRDM entry.  A grid build equals its points' builds.
     Every array is read-only, as one point's kernel is shared by the cat-state calls.
     """
-    g, occupation, s = params.g, 1.0 + 2.0 * np.asarray(params.n_p), np.asarray(params.s)
-    modes = _normal_modes(g, params.gamma_x, tau)
+    modes = _normal_modes(params.g, params.gamma_x, tau)
     modes.setflags(write=False)  # before the views below, which inherit it
     s_tau, lyapunov, m1 = (modes[..., k, :, :] for k in range(3))
-    squeezing = occupation[..., None] * np.where(_POSITIONS, s[..., None], 1.0 / s[..., None])
-    sigma = s_tau * squeezing[..., None, :] @ s_tau.swapaxes(-1, -2) + lyapunov  # S sigma0 S^T + L
-    r, delta = _shifts(sgi_hamiltonian_matrix(g), params.f_q, s_tau)
+    r, delta = _shifts(sgi_hamiltonian_matrix(params.g), params.f_q, s_tau)
     pairs = (r[_KET] - r[_BRA], delta[_KET] - delta[_BRA], 0.5 * (delta[_KET] + delta[_BRA]))
     qrdm = open_qrdm(params, tau)
     _, contrasts, phase = qrdm
@@ -365,9 +360,9 @@ def _build_kernel(params: UnitlessParams, tau) -> _Kernel:
         *(0.0, single, single, contrasts.symmetric_flip_total, contrasts.antisymmetric_flip_total),
     )
     table = np.stack(entries, axis=-1)[..., _TABLE_LAYOUT]
-    for array in (sigma, r, delta, *pairs, qrdm[0], table):
+    for array in (r, delta, *pairs, qrdm[0], table):
         array.setflags(write=False)
-    return _Kernel(params, tau, s_tau, lyapunov, sigma, r, delta, pairs, m1, qrdm, table)
+    return _Kernel(params, tau, s_tau, lyapunov, r, delta, pairs, m1, qrdm, table)
 
 
 @lru_cache(maxsize=8)

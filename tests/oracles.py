@@ -464,18 +464,18 @@ def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -
     }
 
 
-def reference_m2(g, tau, gamma_x, nodes: int = 16) -> np.ndarray:
+def reference_m2(g, tau, gamma_x) -> np.ndarray:
     """m2 = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du, shape (..., 4, 4).
 
     K(u) = S(u) D S(u)^T with D = gamma_x diag(0, 1, 0, 1) and S = S(tau).  The integrand is
-    a trigonometric polynomial of frequency <= 3 in u, so a Gauss-Legendre rule of ``nodes``
-    nodes on each of ceil(tau/2) equal panels is exact to rounding.  Broadcasts over g, tau
+    a trigonometric polynomial of frequency <= 3 in u, so a 16-node Gauss-Legendre rule on
+    each of ceil(tau/2) equal panels is exact to rounding.  Broadcasts over g, tau
     and gamma_x, one ``propagator`` per node; a grid point takes only its own panels.
     """
     g, tau, gamma_x = np.broadcast_arrays(g, tau, gamma_x)
     shape = g.shape
     g, tau, gamma_x = g.ravel(), tau.ravel(), gamma_x.ravel()
-    x, weights = np.polynomial.legendre.leggauss(nodes)
+    x, weights = np.polynomial.legendre.leggauss(16)
     panels = np.maximum(1.0, np.ceil(tau / 2.0))
     width = tau / panels
     s = propagator(g, tau)[:, None]
@@ -491,12 +491,12 @@ def reference_m2(g, tau, gamma_x, nodes: int = 16) -> np.ndarray:
     return total.reshape(shape + (4, 4))
 
 
-def reference_branch_pair(kernel, label, m2, h_matrix) -> tuple[np.ndarray, tuple]:
+def reference_branch_pair(kernel, label, sigma, m2, h_matrix) -> tuple[np.ndarray, tuple]:
     """First-moment vector and (phase, contrast) of one label by the general branch-pair formula.
 
-    Reads only the label-independent parts of a ``dynamics._build_kernel`` result (sigma, the
-    shifts r and delta, m1, tau and gamma_z), never its tables; the memory integral m2 and H
-    come from the caller.  One label at a time, one quadratic form at a time, broadcast over
+    Reads only the label-independent parts of a ``dynamics._build_kernel`` result (the shifts
+    r and delta, m1, tau and gamma_z), never its tables; the evolved covariance sigma, the
+    memory integral m2 and H come from the caller.  One label at a time, one quadratic form at a time, broadcast over
     the grid axes of a grid kernel.
     """
     def form(a, matrix, b):  # a^T matrix b over the last axes
@@ -514,11 +514,11 @@ def reference_branch_pair(kernel, label, m2, h_matrix) -> tuple[np.ndarray, tupl
     mismatch = delta_ket - delta_bra
     vector = 0.5 * (delta_ket + delta_bra) + 0j
     if not label.is_diagonal:
-        vector += 0.5j * apply(kernel.sigma @ OMEGA, mismatch)
+        vector += 0.5j * apply(sigma @ OMEGA, mismatch)
         vector += 0.5j * apply(kernel.m1, delta_eq)
     phase = form(delta_eq, OMEGA, 0.5 * (delta_ket + delta_bra))
     phase = phase + 0.5 * kernel.tau * form(delta_eq, h_matrix, r_ket + r_bra)
-    contrast = 0.25 * form(mismatch, OMEGA.T @ kernel.sigma @ OMEGA, mismatch)
+    contrast = 0.25 * form(mismatch, OMEGA.T @ sigma @ OMEGA, mismatch)
     # Independent qubit dephasing: (j-k)^2 + (m-n)^2 in units of gamma_z/4.
     dephasing = ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) / 4.0
     contrast = contrast + kernel.params.gamma_z * kernel.tau * dephasing

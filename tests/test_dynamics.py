@@ -229,6 +229,14 @@ def _builds() -> int:
     return dyn._shared_kernel.cache_info().misses
 
 
+def _evolved_covariance(kernel) -> np.ndarray:
+    """The squeezed thermal covariance of a point or grid kernel's params evolved to its tau."""
+    params = kernel.params
+    s, occupation = np.asarray(params.s), 1.0 + 2.0 * np.asarray(params.n_p)
+    sigma0 = occupation[..., None] * np.stack(np.broadcast_arrays(s, 1.0 / s, s, 1.0 / s), -1)
+    return kernel.s_tau * sigma0[..., None, :] @ kernel.s_tau.swapaxes(-1, -2) + kernel.lyapunov
+
+
 def _reference_pairs(kernel) -> tuple[np.ndarray, np.ndarray]:
     """Moments (..., 4, 4, 4) and (phase, contrast) (..., 4, 4, 2) of a point's or a grid's kernel.
 
@@ -240,7 +248,10 @@ def _reference_pairs(kernel) -> tuple[np.ndarray, np.ndarray]:
     m2 = reference_m2(params.g, kernel.tau, params.gamma_x)
     g = np.asarray(params.g)
     h_matrix = np.reshape([sgi_hamiltonian(value) for value in g.ravel()], g.shape + (4, 4))
-    references = [reference_branch_pair(kernel, label, m2, h_matrix) for label in ALL_LABELS]
+    sigma = _evolved_covariance(kernel)
+    references = [
+        reference_branch_pair(kernel, label, sigma, m2, h_matrix) for label in ALL_LABELS
+    ]
     moments = np.stack([vector for vector, _ in references], axis=-2)
     pairs = np.stack([np.stack(pair, axis=-1) for _, pair in references], axis=-2)
     grid = moments.shape[:-2]  # every label has the grid's axes
@@ -296,7 +307,9 @@ class TestBranchPairKernel:
 
     def test_shared_kernel_matches_a_fresh_build(self):
         fresh = _fresh_kernel(CAT_PARAMS, 3.1)
-        moments = dyn._moment_table(fresh.sigma, fresh.pairs, fresh.m1)
+        sigma0 = dyn.initial_cat_state(CAT_PARAMS).sigma
+        sigma = fresh.s_tau @ sigma0 @ fresh.s_tau.T + fresh.lyapunov
+        moments = dyn._moment_table(sigma, fresh.pairs, fresh.m1)
         for _ in range(2):  # the first pass may build the shared kernel, the second reads it
             branches = _branches(CAT_PARAMS, 3.1)
             for label in ALL_LABELS:
@@ -340,7 +353,7 @@ class TestBranchPairKernel:
     )
     def test_tables_match_the_per_label_reference(self, params, tau):
         kernel = _fresh_kernel(params, float(tau))
-        moment_table = dyn._moment_table(kernel.sigma, kernel.pairs, kernel.m1)
+        moment_table = dyn._moment_table(_evolved_covariance(kernel), kernel.pairs, kernel.m1)
         moments, phase_contrast = _reference_pairs(kernel)
         for actual, expected in [
             (moment_table, moments),
@@ -397,7 +410,7 @@ class TestBranchPairKernel:
 
     def test_shared_arrays_are_read_only(self):
         kernel = dyn._kernel(CAT_PARAMS, 3.1)
-        arrays = [kernel.s_tau, kernel.lyapunov, kernel.sigma, kernel.r, kernel.delta]
+        arrays = [kernel.s_tau, kernel.lyapunov, kernel.r, kernel.delta]
         arrays += [*kernel.pairs, kernel.m1, kernel.open_qrdm[0], kernel.phase_contrast_table]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -428,7 +441,7 @@ class TestBranchPairKernel:
             dyn.open_qrdm(params, tau)
 
 
-_KERNEL_ARRAYS = ("s_tau", "lyapunov", "sigma", "r", "delta", "m1")
+_KERNEL_ARRAYS = ("s_tau", "lyapunov", "r", "delta", "m1")
 
 
 def _kernel_arrays(kernel) -> dict[str, np.ndarray]:
