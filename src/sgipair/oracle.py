@@ -21,12 +21,14 @@ each writes out the two-SGI model itself, from ``UnitlessParams`` alone:
   position diffusion and the qubit dephasing are one elementwise factor, and
   only the kinetic energy p^2/2 acts as a matrix, one real matrix product
   per mode axis.  The series' spectral rectangles take their real extent
-  from Weyl bounds on each branch Hamiltonian.  The kets' generator is real
+  from Weyl bounds on each branch Hamiltonian.  Every grid time a series
+  reaches reads its state from the same terms.  The kets' generator is real
   symmetric and their evolution unitary, so the four kets run one real series
-  in the calling thread, and every grid time reads its state from its terms;
-  the blocks restart a complex series at steps of at most ``FockProblem.dt``,
-  concurrently on one thread per available CPU.  Results are independent of
-  the number of CPUs.
+  over the whole grid in the calling thread.  A block's generator is not
+  normal, so its terms can grow: each block runs one complex series over at
+  most ``FockProblem.dt`` and restarts at the last grid time it read; the ten
+  blocks run concurrently, one task each, on one thread per available CPU.
+  Results are independent of the number of CPUs.
   Both paths hand the same per-block observables to one builder of the QRDM,
   conditional moments and truncation diagnostics.
 
@@ -50,7 +52,6 @@ from __future__ import annotations
 import contextvars
 import logging
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
@@ -251,7 +252,7 @@ class FockProblem:
     params: UnitlessParams
     tau_grid: np.ndarray
     n_max: int = 30
-    dt: float = 1.0            # largest step of one block series; the kets run one series
+    dt: float = 1.0            # longest span of one block series; the kets run one series
 
     def __post_init__(self) -> None:
         _require("n_max", self.n_max, isinstance(self.n_max, (int, np.integer)), "must be an int")
@@ -272,8 +273,8 @@ class FockResult:
     leakage: float
     trace_error: float
     n_max: int
-    hermiticity_drift: float  # max |rho - rho^dagger| of a diagonal block, in the
-    # eigenbasis of x, before its per-slot symmetrization; 0 on the ket path
+    hermiticity_drift: float  # max |rho - rho^dagger| of a diagonal block at a grid
+    # time, in the eigenbasis of x, before that state's symmetrization; 0 on the ket path
 
     def phase(self, slot: int = -1) -> float:
         """Entangling phase -arg of the (00|01) QRDM entry at a grid slot."""
@@ -327,7 +328,7 @@ def _edge_mask(n_max: int) -> np.ndarray:
 def fock_propagate(problem: FockProblem) -> FockResult:
     """Propagate the truncated system and trace out the modes.
 
-    Both paths hand the same per-slot observables of the ten upper-triangle
+    Both paths hand the same per-grid-time observables of the ten upper-triangle
     qubit-sector blocks to one builder, ``_fock_result``, which alone forms
     the QRDM, conditional moments, covariances, leakage and trace error.
 
@@ -346,9 +347,12 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     its terms stay bounded: the four kets run one real series in the calling
     thread (``_ket_series``), and every grid time reads its state from it.
     A block's H is not Hermitian under diffusion or dephasing, and its terms
-    can grow, so each block restarts its series at steps of h <= ``problem.dt``
-    (``_evolve``), one task per grid slot on one thread per available CPU.
-    The results are bit-identical for any thread count.
+    can grow, so each block's one complex series reads every grid time within
+    ``problem.dt`` of its start and restarts at the last of them; a slot
+    longer than ``problem.dt`` is cut into equal steps (``_block_steps``).
+    Each block is one task over the whole grid, on one thread per available
+    CPU (``_propagate_blocks``).  The results are bit-identical for any
+    thread count.
     """
     grid = np.asarray(problem.tau_grid, dtype=float)
     params = problem.params
@@ -460,22 +464,22 @@ def _branch_bounds(params, xi, kinetic):
     return bounds
 
 
-def _series(kinetic, factor, low, high):
-    """(2/a) T per axis, (2/a)(P - c), a, c and the Bernstein rho of H = K + P.
+def _rectangles(lows, highs, imag_lows, imag_highs):
+    """Half-width a, centres c_i and Bernstein rho of the stacked generators H_i = K + P_i.
 
-    P is elementwise on the axes of ``factor``: two ket axes and, on a block,
-    two bra axes.  K applies T on each ket axis and -T on each bra axis.  The
-    Hermitian part K + Re P has its spectrum in [``low``, ``high``]
-    (``_branch_bounds``) and the anti-Hermitian part is i Im P, so the
-    numerical range of H, which holds its spectrum, lies in a rectangle of
-    centre c and half-width a.
+    P_i is elementwise on the axes of a block: two ket axes and two bra axes.
+    The Hermitian part K + Re P_i has its spectrum in [``lows``_i, ``highs``_i]
+    (``_branch_bounds``) and the anti-Hermitian part is i Im P_i, with Im P_i in
+    [``imag_lows``_i, ``imag_highs``_i], so the numerical range of H_i, which
+    holds its spectrum, lies in a rectangle of centre c_i.  All rectangles take
+    the widest half-width a and the widest imaginary extent, so that a step h
+    has one coefficient row c_k(h a) for every H_i (``_chebyshev_coefficients``).
     """
-    half = 0.5 * (high - low)
-    centre = 0.5 * (high + low) + 0.5j * (factor.imag.max() + factor.imag.min())
-    corner = 1.0 + 0.5j * np.ptp(factor.imag) / half  # of the rectangle, scaled
+    half = 0.5 * np.max(highs - lows)
+    centres = 0.5 * (highs + lows) + 0.5j * (imag_highs + imag_lows)
+    corner = 1.0 + 0.5j * np.max(imag_highs - imag_lows) / half  # of the rectangle, scaled
     rho = abs(corner + np.sqrt(corner**2 - 1.0))  # its Bernstein ellipse
-    scale = 2.0 / half
-    return _per_axis(scale * kinetic), scale * (factor - centre), half, centre, rho
+    return half, centres, rho
 
 
 def _propagate_pure(problem, grid):
@@ -525,8 +529,12 @@ def _propagate_pure(problem, grid):
     return traces, moments, second, edge
 
 
-# Chebyshev terms of ``_ket_series`` held at once; they are summed into every grid time per chunk.
+# Chebyshev terms held at once while they are summed into every grid time: the
+# kets' real terms are small; a block's complex terms are n^4 entries each.
 _KET_CHUNK = 32
+_BLOCK_CHUNK = 8
+# Entries of each term one product sums into the states, which bounds its output.
+_TILE = 8192
 
 
 def _ket_series(grid, kinetic, potentials, low, high, start):
@@ -535,186 +543,206 @@ def _ket_series(grid, kinetic, potentials, low, high, start):
     The stacked kets evolve in the eigenbasis of x under H = T_a + T_b + P, P the
     elementwise ``potentials``, each with its spectrum in [``low``, ``high``].
     H is real symmetric, so with X = (H - c)/a on that interval, of centre c and
-    half-width a, the terms phi_k = T_k(X) phi_0 of one real recurrence
-    phi_{k+1} = 2X phi_k - phi_{k-1} stay bounded by phi_0 (Bernstein rho = 1),
-    and every grid time reads its state from the same terms:
-    exp(-i tau H) phi_0 = e^{-i tau c} sum_k c_k(tau a) phi_k (``_chebyshev_coefficients``),
-    exact to rounding however long tau is.  The terms are made and summed into
-    all grid times ``_KET_CHUNK`` at a time.  A grid time whose state is not
-    finite or below 1e-2 of its largest term (cancellation) raises OracleError.
+    half-width a, the terms phi_k = T_k(X) phi_0 of one real recurrence stay
+    bounded by phi_0 (Bernstein rho = 1), and every grid time reads its state
+    from the same terms (``_chebyshev_sums``): exact to rounding however long
+    tau is.
     """
     half, centre = 0.5 * (high - low), 0.5 * (high + low)
     kinetic, factor = (2.0 / half) * kinetic, (2.0 / half) * (potentials - centre)
     taus = grid[1:]
-    rows = [_chebyshev_coefficients(tau * half, 1.0) * np.exp(-1j * tau * centre) for tau in taus]
-    table = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
-    for row, coefficients in zip(table, rows):
-        row[: len(coefficients)] = coefficients
-    weights, magnitudes = np.concatenate([table.real, table.imag]), np.abs(table)
-    sums = np.zeros((len(weights), start.size))  # real parts, then imaginary parts
-    largest = np.zeros(len(taus))
-    terms = np.empty((_KET_CHUNK + 2,) + start.shape)  # the two terms before a chunk, then it
+    rows = [_chebyshev_coefficients(tau * half, 1.0) for tau in taus]
+    table = _coefficient_table(rows, taus, centre)
+    terms = np.empty((_KET_CHUNK + 2,) + start.shape)
     scratch = np.empty_like(start)
+
+    def double_x(row):  # 2X of the term before ``row``, into it
+        phi, nxt = terms[row - 1], terms[row]
+        np.matmul(kinetic, phi, out=nxt)
+        nxt += np.matmul(phi, kinetic, out=scratch)
+        nxt += np.multiply(factor, phi, out=scratch)
+
+    return _chebyshev_sums(table, start, terms, double_x, taus, "Fock ket series")
+
+
+def _coefficient_table(rows, offsets, centre):
+    """Rows c_k(h a) e^{-i h c} of exp(-i h H) for each step h of ``offsets``, zero-padded."""
+    table = np.zeros((len(rows), max(map(len, rows))), dtype=complex)
+    for entry, coefficients, h in zip(table, rows, offsets):
+        entry[: len(coefficients)] = coefficients * np.exp(-1j * h * centre)
+    return table
+
+
+def _chebyshev_sums(table, start, terms, double_x, taus, name, advice=""):
+    """States sum_k table[i, k] T_k(X) ``start``, one per grid time ``taus``[i].
+
+    One recurrence phi_{k+1} = 2X phi_k - phi_{k-1} (phi_1 = X phi_0) makes the
+    terms in ``terms``, the two before a chunk and then the chunk, where
+    ``double_x(row)`` writes 2X of term ``row - 1`` into ``row``; each chunk is
+    summed into every state by one product per ``_TILE`` entries.  Real terms
+    take the real and imaginary parts of the table as two real products.  A
+    state that is not finite or below 1e-2 of its largest weighted term
+    (cancellation) raises OracleError naming its grid time.
+    """
+    chunk, real = len(terms) - 2, not np.iscomplexobj(terms)
+    weights, magnitudes = np.concatenate([table.real, table.imag]) if real else table, np.abs(table)
+    sums = np.zeros((len(weights), start.size), dtype=terms.dtype)  # real parts first if real
+    product = np.empty((len(weights), min(_TILE, start.size)), dtype=terms.dtype)
+    largest = np.zeros(len(table))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends non-finite
-        for first in range(0, table.shape[1], _KET_CHUNK):
-            count = min(_KET_CHUNK, table.shape[1] - first)
+        for first in range(0, table.shape[1], chunk):
+            count = min(chunk, table.shape[1] - first)
             for row in range(2, count + 2):
-                k, phi, nxt = first + row - 2, terms[row - 1], terms[row]
+                k = first + row - 2
                 if k == 0:
-                    nxt[...] = start
-                    continue
-                np.matmul(kinetic, phi, out=nxt)  # nxt = 2X phi
-                nxt += np.matmul(phi, kinetic, out=scratch)
-                nxt += np.multiply(factor, phi, out=scratch)
-                if k == 1:
-                    nxt *= 0.5  # phi_1 = X phi_0
+                    terms[row] = start
+                elif k == 1:
+                    double_x(row)
+                    terms[row] *= 0.5  # phi_1 = X phi_0
                 else:
-                    nxt -= terms[row - 2]
-            chunk, columns = terms[2 : count + 2].reshape(count, -1), slice(first, first + count)
-            sums += weights[:, columns] @ chunk
-            peaks = np.abs(chunk).max(axis=1)
+                    double_x(row)
+                    terms[row] -= terms[row - 2]
+            block, columns = terms[2 : count + 2].reshape(count, -1), slice(first, first + count)
+            for left in range(0, start.size, _TILE):
+                piece = block[:, left : left + _TILE]
+                out = product[:, : piece.shape[1]]
+                sums[:, left : left + _TILE] += np.matmul(weights[:, columns], piece, out=out)
+            parts = block.view(float)  # the largest |real| or |imaginary| part of each term
+            peaks = np.maximum(parts.max(axis=1), -parts.min(axis=1))
             largest = np.maximum(largest, (magnitudes[:, columns] * peaks).max(axis=1))
             terms[:2] = terms[count : count + 2]
-    states = (sums[: len(taus)] + 1j * sums[len(taus) :]).reshape((len(taus),) + start.shape)
+    states = sums[: len(table)] + 1j * sums[len(table) :] if real else sums
+    states = states.reshape((len(table),) + start.shape)
     for tau, top, state in zip(taus, largest, states):
         if not top <= 1e2 * (size := _peak(state)) < np.inf:  # a NaN fails too
             raise OracleError(
-                f"Fock ket series to tau={tau} is not finite or lost to cancellation: "
-                f"terms up to {top:.1e} sum to {size:.1e}"
+                f"{name} to tau={tau} is not finite or lost to cancellation: "
+                f"terms up to {top:.1e} sum to {size:.1e}{advice}"
             )
     return states
 
 
-def _propagate_blocks(problem, grid):
-    """Block observables and hermiticity drift of the density operator.
+def _block_steps(grid, dt):
+    """The series a block runs over ``grid``: (steps h from its start, grid slots, observed).
 
-    The state is one complex array (block, a, b, c, d) of the ``_BLOCKS``:
+    A series starts at a grid time and reads every later grid time within ``dt``
+    of it; the next restarts at the last of those.  A slot longer than ``dt`` is
+    cut into n equal steps h <= dt, each its own series; the first n - 1 are
+    not observed, and their guard names the slot's grid time.
+    """
+    steps, start = [], 0
+    while start < len(grid) - 1:
+        span = grid[start + 1] - grid[start]
+        n_steps = max(1, int(np.ceil(span / dt)))
+        stop = start + 1
+        while n_steps == 1 and stop + 1 < len(grid) and grid[stop + 1] - grid[start] <= dt:
+            stop += 1
+        offsets = grid[start + 1 : stop + 1] - grid[start]
+        offsets[0] = span / n_steps
+        steps += [(offsets[:1], [start + 1], False)] * (n_steps - 1)
+        steps.append((offsets, list(range(start + 1, stop + 1)), True))
+        start = stop
+    return steps
+
+
+def _propagate_blocks(problem, grid):
+    """Block observables at each grid time, and the hermiticity drift of the density operator.
+
+    Each block (j, m | k, n) of the ``_BLOCKS`` is one complex array (a, b, c, d):
     a, b are the ket modes and c, d the bra modes, each indexed by the
-    eigenvalues xi of the truncated x.  Block (j, m | k, n) evolves by
-    ``_evolve`` under H = T_a + T_b - T_c - T_d + P, with the elementwise
+    eigenvalues xi of the truncated x.  It evolves under
+    H = T_a + T_b - T_c - T_d + P, with the elementwise
     P = U_jm(xi_a, xi_b) - U_kn(xi_c, xi_d)
-        - i/4 [gamma_x ((xi_a - xi_c)^2 + (xi_b - xi_d)^2) + gamma_z ((j-k)^2 + (m-n)^2)].
+        - i/4 [gamma_x ((xi_a - xi_c)^2 + (xi_b - xi_d)^2) + gamma_z ((j-k)^2 + (m-n)^2)],
+    from 1/4 of the two-mode initial state, through the series of
+    ``_block_steps``: exp(-ihH) = e^{-ihc} sum_k c_k(ha) T_k(X), X = (H - c)/a.
+    The blocks share a and rho (``_rectangles``), so each distinct step h has
+    one coefficient row per run.  With 2/a folded into T and P - c, one 2X is
+    one real matrix product per axis (``_on_axis``) and one elementwise
+    product.  At each grid time a diagonal block is symmetrized.  Each block is
+    one task over the whole grid that also takes its observables, on
+    min(available CPUs, blocks) threads (numpy releases the interpreter lock in
+    their products); a task does the arithmetic of a serial loop, so results
+    are bit-identical for any thread count.
     """
     params, n = problem.params, problem.n_max
     x, p, xi, u, kinetic = _dvr(n)
     bounds = _branch_bounds(params, xi, kinetic)
     x_a, x_b, x_c, x_d = (xi.reshape((-1,) + (1,) * trailing) for trailing in (3, 2, 1, 0))
     diffusion = params.gamma_x * ((x_a - x_c) ** 2 + (x_b - x_d) ** 2)
-    series = []
-    for label in _BLOCKS:
-        ket_low, ket_high = bounds[(label.j, label.m)]
-        bra_low, bra_high = bounds[(label.k, label.n)]
-        factor = (
+    dephasing = params.gamma_z * 4 * np.array([label.n_differing for label in _BLOCKS])
+    kets = np.array([bounds[(label.j, label.m)] for label in _BLOCKS])
+    bras = np.array([bounds[(label.k, label.n)] for label in _BLOCKS])
+    half, centres, rho = _rectangles(  # Im P = -(diffusion + dephasing)/4
+        kets[:, 0] - bras[:, 1],
+        kets[:, 1] - bras[:, 0],
+        -0.25 * (diffusion.max() + dephasing),
+        -0.25 * (diffusion.min() + dephasing),
+    )
+    kinetic_axes, to_fock, mask = _per_axis((2.0 / half) * kinetic), _per_axis(u), _edge_mask(n)
+    steps = _block_steps(grid, problem.dt)
+    rows = dict.fromkeys(h for offsets, _, _ in steps for h in offsets)
+    rows = {h: _chebyshev_coefficients(h * half, rho) for h in rows}
+    single = _single_mode_initial(params.s, params.n_p, n)  # each block starts as 1/4 of its square
+    fock_start, start = (
+        0.25 * np.kron(one, one).reshape((n,) * 4) for one in (single, u.T @ single @ u)
+    )
+    advice = f"; decrease dt={problem.dt}"
+
+    def run(index):
+        """Observables of block ``index`` at each grid time, and its largest drift."""
+        label, diagonal = _BLOCKS[index], index in _DIAGONAL_BLOCKS
+        factor = (2.0 / half) * (
             _potential(params, label.j, label.m, x_a, x_b)
             - _potential(params, label.k, label.n, x_c, x_d)
-            - 0.25j * (diffusion + params.gamma_z * 4 * label.n_differing)
+            - 0.25j * (diffusion + dephasing[index])
+            - centres[index]
         )
-        series.append(_series(kinetic, factor, ket_low - bra_high, ket_high - bra_low))
-    mask = _edge_mask(n)
-    rho_cv = _single_mode_initial(params.s, params.n_p, n)
+        terms = np.empty((_BLOCK_CHUNK + 2,) + start.shape, dtype=complex)
+        views = [_axis_views(term) for term in terms]
+        scratch = np.empty_like(start)
+        scratch_views = _axis_views(scratch)
 
-    def product_state(single):  # every block starts as 1/4 of the two-mode state
-        blocks = np.repeat(np.kron(single, single).reshape(1, n, n, n, n), len(_BLOCKS), axis=0)
-        blocks *= 0.25
-        return blocks
+        def double_x(row):  # 2X of the term before ``row``, into it: +T on ket, -T on bra axes
+            src, out = views[row - 1], terms[row]
+            _on_axis(kinetic_axes, 0, src, views[row])
+            _on_axis(kinetic_axes, 1, src, scratch_views)
+            out += scratch
+            for axis in (2, 3):
+                _on_axis(kinetic_axes, axis, src, scratch_views)
+                out -= scratch
+            out += np.multiply(factor, terms[row - 1], out=scratch)
 
-    def observe(fock):
-        return _block_observables(fock, x, p, mask)
-
-    later, drift = _evolve(problem, grid, u, product_state(u.T @ rho_cv @ u), series, observe)
-    return [np.array(column) for column in zip(observe(product_state(rho_cv)), *later)], drift
-
-
-def _evolve(problem, grid, u, y, series, observe):
-    """``observe`` of the Fock-basis blocks after each grid slot, and the hermiticity drift.
-
-    ``y`` stacks the blocks (n1, n2, n1', n2') in the eigenbasis
-    x = u diag(xi) u^T, each with its own ``_series`` of H = K + P.  A step
-    h <= ``problem.dt`` applies exp(-ihH) = sum_k c_k T_k(X), X = (H - c)/a
-    (``_chebyshev_coefficients``); with 2/a folded into T and P - c, one 2X in
-    phi_{k+1} = 2X phi_k - phi_{k-1} is one real matrix product per axis and
-    one elementwise product.  A step whose result is not finite or below 1e-2
-    of its largest term (cancellation) raises OracleError.  Each block is one
-    task per slot, which keeps its working set in cache, with its worker's own
-    five work buffers, whose float views are shaped for the product on each
-    axis once (``_axis_views``); a diagonal block is symmetrized.  Blocks run
-    on min(available CPUs, blocks) threads (numpy releases the interpreter lock
-    in their products).  A task does the arithmetic of a serial loop, so
-    results are bit-identical for any thread count.
-    """
-    to_fock = _per_axis(u)
-    fock = np.empty_like(y)
-    block_views = [(_axis_views(state), _axis_views(out)) for state, out in zip(y, fock)]
-    owned = threading.local()  # each worker's five work buffers and their views
-
-    def advance(index, h, n_steps, tau):
-        """Block ``index`` through one slot; returns its drift, 0 unless a diagonal block."""
-        if not hasattr(owned, "work"):
-            owned.work = [np.empty_like(y[index]) for _ in range(5)]
-            owned.views = [_axis_views(buffer) for buffer in owned.work]
-        work, views = owned.work, owned.views
-        term, term_views = work[4], views[4]
-        state, (kinetic_axes, factor, half, centre, rho) = y[index], series[index]
-        coefficients = _chebyshev_coefficients(h * half, rho) * np.exp(-1j * h * centre)
-
-        def step(phi):  # sum_k c_k T_k(X) of buffer phi in a free buffer: its index, largest term
-            total, prev, nxt = (buffer for buffer in range(4) if buffer != phi)
-            np.multiply(work[phi], coefficients[0], out=work[total])
-            largest = abs(coefficients[0]) * _peak(work[phi])
-            for k, coefficient in enumerate(coefficients[1:], start=1):
-                src, out = views[phi], work[nxt]
-                _on_axis(kinetic_axes, 0, src, views[nxt])  # 2X phi: +T on ket, -T on bra axes
-                _on_axis(kinetic_axes, 1, src, term_views)
-                out += term
-                for axis in (2, 3):
-                    _on_axis(kinetic_axes, axis, src, term_views)
-                    out -= term
-                out += np.multiply(factor, work[phi], out=term)
-                out -= work[prev] if k > 1 else 0.5 * out  # phi_1 = X phi_0
-                prev, phi, nxt = phi, nxt, prev
-                work[total] += np.multiply(work[phi], coefficient, out=term)
-                largest = max(largest, abs(coefficient) * _peak(work[phi]))
-            return total, largest
-
-        current = 0
-        work[current][...] = state
-        for _ in range(n_steps):
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends non-finite
-                current, largest = step(current)
-            if not largest <= 1e2 * (size := _peak(work[current])) < np.inf:  # a NaN fails too
-                raise OracleError(
-                    f"Fock series step to tau={tau} is not finite or lost to cancellation: terms "
-                    f"up to {largest:.1e} sum to {size:.1e}; decrease dt={problem.dt}"
-                )
-        state[...] = work[current]
-        state_drift = 0.0
-        if index in _DIAGONAL_BLOCKS:
-            adjoint = state.conj().transpose(2, 3, 0, 1)
-            state_drift = float(np.max(np.abs(state - adjoint)))
-            state[...] = 0.5 * (state + adjoint)
-        src, out = block_views[index]
-        for axis in range(4):  # to the Fock basis through alternating buffers
-            dst = out if axis == 3 else views[axis % 2]
-            _on_axis(to_fock, axis, src, dst)
-            src = dst
-        return state_drift
+        observed, drift, state = [_block_observables(fock_start, x, p, mask, diagonal)], 0.0, start
+        for offsets, slots, observe in steps:
+            table = _coefficient_table([rows[h] for h in offsets], offsets, centres[index])
+            states = _chebyshev_sums(
+                table, state, terms, double_x, grid[slots], "Fock series step", advice
+            )
+            for held in states if observe else ():
+                if diagonal:
+                    adjoint = held.conj().transpose(2, 3, 0, 1)
+                    drift = max(drift, float(np.max(np.abs(held - adjoint))))
+                    held[...] = 0.5 * (held + adjoint)
+                src = _axis_views(held)
+                for axis in range(4):  # to the Fock basis through two free terms
+                    _on_axis(to_fock, axis, src, views[axis % 2])
+                    src = views[axis % 2]
+                observed.append(_block_observables(terms[1], x, p, mask, diagonal))
+            state = states[-1]
+        return [np.array(column) for column in zip(*observed)], drift
 
     # the CPUs this process may run on; platforms without affinity report them all
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    drift, observed = 0.0, []
-    with ThreadPoolExecutor(max_workers=min(cpus or 1, len(y))) as pool:
-        for slot in range(1, len(grid)):
-            span = grid[slot] - grid[slot - 1]
-            n_steps = max(1, int(np.ceil(span / problem.dt)))
-            h = span / n_steps
-            # each task runs in a copy of this context, so numpy's error state holds there
-            futures = [
-                pool.submit(contextvars.copy_context().run, advance, index, h, n_steps, grid[slot])
-                for index in range(len(y))
-            ]
-            drift = max([drift] + [future.result() for future in futures])
-            observed.append(observe(fock))
-    return observed, drift
+    with ThreadPoolExecutor(max_workers=min(cpus or 1, len(_BLOCKS))) as pool:
+        # each task runs in a copy of this context, so numpy's error state holds there
+        futures = [
+            pool.submit(contextvars.copy_context().run, run, index) for index in range(len(_BLOCKS))
+        ]
+        results = [future.result() for future in futures]
+    # per observable, (T, blocks, ...)
+    columns = [np.stack(column, axis=1) for column in zip(*(observed for observed, _ in results))]
+    return columns, max(drift for _, drift in results)
 
 
 def _peak(array):
@@ -776,31 +804,29 @@ def _on_axis(factors, axis, src, dst):
         np.matmul(factors[0], src[axis], out=dst[axis])
 
 
-def _block_observables(rho, x, p, mask):
-    """Observables of the stacked blocks ``rho`` (block, n1, n2, n1', n2') for ``_fock_result``.
+def _block_observables(rho, x, p, mask, diagonal):
+    """Observables of one Fock-basis block ``rho`` (n1, n2, n1', n2') for ``_fock_result``.
 
-    Traces, Tr[q rho] and, for the diagonal blocks, Tr[{q_a, q_b} rho] and the
-    population of the occupations in ``mask``; quadratures are ordered x1, p1, x2, p2.
+    Its trace, Tr[q rho], Tr[{q_a, q_b} rho] if it is a ``diagonal`` block (else
+    0) and the population of the occupations in ``mask``; quadratures are
+    ordered x1, p1, x2, p2.
     """
     quads = (x, p)
-    traces = np.einsum("iabab->i", rho)
-    reduced = (np.einsum("iabcb->iac", rho), np.einsum("iabad->ibd", rho))
-    moments = np.stack(
-        [np.einsum("ca,iac->i", quads[q % 2], reduced[q // 2]) for q in range(4)], axis=1
-    )
-    second = np.zeros((len(rho), 4, 4))
-    for i in _DIAGONAL_BLOCKS:
-        for a in range(4):
-            for b in range(a, 4):
-                qa, qb = quads[a % 2], quads[b % 2]
-                if a // 2 == b // 2:
-                    value = np.einsum("ca,ac->", qa @ qb + qb @ qa, reduced[a // 2][i])
-                else:  # qb on the second mode, then qa on the first
-                    reduced_b = np.tensordot(rho[i], qb.T, axes=([1, 3], [0, 1]))
-                    value = 2.0 * np.einsum("ca,ac->", qa, reduced_b)
-                second[i, a, b] = second[i, b, a] = value.real
-    populations = np.einsum("iabab->iab", rho).real[:, mask].sum(axis=1)
-    return traces, moments, second, populations
+    trace = np.einsum("abab->", rho)
+    reduced = (np.einsum("abcb->ac", rho), np.einsum("abad->bd", rho))
+    moments = np.array([np.einsum("ca,ac->", quads[q % 2], reduced[q // 2]) for q in range(4)])
+    second = np.zeros((4, 4))
+    for a in range(4) if diagonal else ():
+        for b in range(a, 4):
+            qa, qb = quads[a % 2], quads[b % 2]
+            if a // 2 == b // 2:
+                value = np.einsum("ca,ac->", qa @ qb + qb @ qa, reduced[a // 2])
+            else:  # qb on the second mode, then qa on the first
+                reduced_b = np.tensordot(rho, qb.T, axes=([1, 3], [0, 1]))
+                value = 2.0 * np.einsum("ca,ac->", qa, reduced_b)
+            second[a, b] = second[b, a] = value.real
+    population = np.einsum("abab->ab", rho).real[mask].sum()
+    return trace, moments, second, population
 
 
 # --------------------------------------------------------------------------
@@ -990,8 +1016,8 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
 
     noisy = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
     noisy_grid = np.linspace(0.0, tau_f, 5)
-    span = float(np.diff(noisy_grid).max())  # a step of dt = span makes each slot one series
-    noisy_problem = FockProblem(params=noisy, tau_grid=noisy_grid, n_max=12, dt=span)
+    # dt = the whole grid: each block runs one series and reads every grid time from it
+    noisy_problem = FockProblem(params=noisy, tau_grid=noisy_grid, n_max=12, dt=noisy_grid[-1])
     noisy_result = fock_propagate(noisy_problem)
     noisy_closed = open_qrdm(UnitlessParams(f_q=0.2, g=g, gamma_x=0.02), noisy_grid)[0]
     report.add("diffusive/qrdm", noisy_closed, noisy_result.qrdm, noisy_grid, 1e-9)

@@ -6,7 +6,7 @@ import sys
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import mpmath
@@ -348,16 +348,97 @@ class TestFockOpen:
             assert result.hermiticity_drift < 1e-12
             assert_fock_matches_reference(result, problem)
 
-    def test_one_series_per_slot_matches_four(self):
-        # The diffusive problem of the full verify suite, whose steps span whole slots.
+    def test_block_chunks_and_tiles_do_not_change_the_sum(self, monkeypatch):
+        # A block's terms are summed into its grid times a chunk of terms and a
+        # tile of entries at a time: one term per chunk in 1000-entry tiles (the
+        # last one partial) and the defaults agree to rounding.
+        monkeypatch.setattr(orc, "_LEAKAGE_TOL", 1e-1)
+        problem = stacked_block_problems()[1]  # n_max 9: 6561 entries per block
+        default = orc.fock_propagate(problem)
+        monkeypatch.setattr(orc, "_BLOCK_CHUNK", 1)
+        monkeypatch.setattr(orc, "_TILE", 1000)
+        small = orc.fock_propagate(problem)
+        assert relative_deviation(small.qrdm, default.qrdm) <= 1e-14
+        for pair, series in default.branch_covariance.items():
+            assert relative_deviation(small.branch_covariance[pair], series) <= 1e-14, pair
+
+    def test_series_span_does_not_change_results(self):
+        # The diffusive problem of the full verify suite at three dt: the whole
+        # grid (each block's one series reads all four grid times), one slot (a
+        # series per slot) and a quarter slot (four steps per slot).
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
         grid = np.linspace(0.0, final_time(params.g), 5)
         span = float(np.diff(grid).max())
-        whole, quarters = (
+        assert [slots for _, slots, _ in orc._block_steps(grid, grid[-1])] == [[1, 2, 3, 4]]
+        assert [slots for _, slots, _ in orc._block_steps(grid, span)] == [[1], [2], [3], [4]]
+        results = [
             orc.fock_propagate(orc.FockProblem(params=params, tau_grid=grid, n_max=12, dt=dt))
-            for dt in (span, span / 4.0)
-        )
-        assert np.max(np.abs(whole.qrdm - quarters.qrdm)) <= 1e-12
+            for dt in (grid[-1], span, span / 4.0)
+        ]
+        for one, other in combinations(results, 2):
+            assert np.max(np.abs(one.qrdm - other.qrdm)) <= 1e-12
+            for label, series in other.first_moments.items():
+                assert relative_deviation(one.first_moments[label], series) <= 1e-12, label
+            for pair, series in other.branch_covariance.items():
+                assert relative_deviation(one.branch_covariance[pair], series) <= 1e-12, pair
+
+    def test_series_restart_where_dt_says(self, monkeypatch):
+        # A series reads every grid time within dt of its start and restarts at
+        # the last of them; the slot 0.9 -> 2.0, longer than dt, is cut into three
+        # equal steps, of which only the last is observed.
+        monkeypatch.setattr(orc, "_LEAKAGE_TOL", 1e-1)
+        grid = np.array([0.0, 0.1, 0.3, 0.5, 0.9, 2.0])
+        steps = orc._block_steps(grid, 0.5)
+        third = (2.0 - 0.9) / 3.0
+        expected = [
+            ([0.1, 0.3, 0.5], [1, 2, 3], True),
+            ([0.9 - 0.5], [4], True),
+            ([third], [5], False),
+            ([third], [5], False),
+            ([third], [5], True),
+        ]
+        assert len(steps) == len(expected)
+        for (offsets, slots, observed), (h, want_slots, want_observed) in zip(steps, expected):
+            assert np.allclose(offsets, h, rtol=1e-15, atol=0.0)
+            assert (slots, observed) == (want_slots, want_observed)
+        problem = replace(stacked_block_problems()[0], tau_grid=grid, dt=0.5)
+        assert_fock_matches_reference(orc.fock_propagate(problem), problem)
+
+    def test_blocks_share_one_coefficient_row_per_step(self, monkeypatch):
+        # All ten blocks share the half-width and Bernstein rho of their series,
+        # so the verify suite's diffusive run, one series over four grid times,
+        # computes four coefficient rows, not one per block.
+        coefficients, calls = orc._chebyshev_coefficients, []
+
+        def counted(theta, rho):
+            calls.append((theta, rho))
+            return coefficients(theta, rho)
+
+        monkeypatch.setattr(orc, "_chebyshev_coefficients", counted)
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
+        grid = np.linspace(0.0, final_time(params.g), 5)
+        orc.fock_propagate(orc.FockProblem(params=params, tau_grid=grid, n_max=12, dt=grid[-1]))
+        thetas, rhos = zip(*calls)
+        assert len(calls) == 4 and len(set(rhos)) == 1
+        assert np.allclose(np.array(thetas) / thetas[-1], grid[1:] / grid[-1], rtol=1e-15)
+
+    def test_diffusive_run_holds_no_more_memory_than_per_slot_steps(self, monkeypatch):
+        # The verify suite's diffusive run on two worker threads, traced from its
+        # start.  The per-slot block steps this path replaced peaked at 14.07 MiB,
+        # traced the same way on the same problem (numpy 2.4).
+        import tracemalloc
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
+        grid = np.linspace(0.0, final_time(params.g), 5)
+        problem = orc.FockProblem(params=params, tau_grid=grid, n_max=12, dt=grid[-1])
+        tracemalloc.start()
+        try:
+            orc.fock_propagate(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14.07 * 2**20, peak / 2**20
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         # One worker, then 16 CPUs capped at one worker per block: more threads
@@ -447,30 +528,30 @@ class TestFockOpen:
         assert all(np.isfinite(cov).all() for cov in result.branch_covariance.values())
 
     def test_diverged_run_raises(self, monkeypatch):
-        # A NaN coefficient from the second slot on stands in for a step that
-        # overflowed, on the ten diffusive blocks and on the four noise-free kets.
-        # Every pooled block of that slot runs; the kets' one series takes one
-        # coefficient call per grid time, and dt does not bound it.
+        # A NaN coefficient row for the second grid time stands in for a series
+        # that overflowed, on the ten diffusive blocks and on the four noise-free
+        # kets.  Both take one coefficient call per grid time: the kets' one
+        # series is not bounded by dt, and at dt = 1 each block's one series
+        # reads both grid times from a row that all blocks share.
         coefficients = orc._chebyshev_coefficients
         block_message = r"^Fock series step to tau=1\.0 is not finite .*; decrease dt=1\.0$"
         ket_message = (
             r"^Fock ket series to tau=1\.0 is not finite or lost to cancellation: "
             r"terms up to nan sum to nan$"
         )
-        cases = ((0.02, len(orc._BLOCKS), 20, block_message), (0.0, 1, 2, ket_message))
-        for gamma_x, tasks, expected, message in cases:
+        for gamma_x, message in ((0.02, block_message), (0.0, ket_message)):
             calls = []
 
-            def poisoned(theta, rho, calls=calls, tasks=tasks):
+            def poisoned(theta, rho, calls=calls):
                 calls.append(theta)
-                return coefficients(theta, rho) * (np.nan if len(calls) > tasks else 1.0)
+                return coefficients(theta, rho) * (np.nan if len(calls) > 1 else 1.0)
 
             monkeypatch.setattr(orc, "_chebyshev_coefficients", poisoned)
             params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=gamma_x)
             problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5, 1.0], n_max=8)
             with pytest.raises(orc.OracleError, match=message):
                 orc.fock_propagate(problem)
-            assert len(calls) == expected, gamma_x
+            assert len(calls) == 2, gamma_x
 
     def test_series_guard_names_the_grid_time(self, monkeypatch):
         # Strong diffusion in one step over the whole slot: the Chebyshev terms
@@ -538,7 +619,8 @@ class TestFockOpen:
                 factor = factor - orc._potential(params, -1, -1, *axes[2:])
                 factor = factor - 0.25j * (params.gamma_x * diffusion + params.gamma_z * 4)
                 low, high = low - bounds[(-1, -1)][1], high - bounds[(-1, -1)][0]
-            *_, half, centre, _ = orc._series(kinetic, factor, low, high)
+            extents = np.array([[low], [high], [factor.imag.min()], [factor.imag.max()]])
+            half, (centre,), _ = orc._rectangles(*extents)
             levels = np.linalg.eigvalsh(kinetic)
             assert half <= 0.5 * np.ptp(factor.real) + 0.5 * ndim * np.ptp(levels), ndim
             dense = np.diag(factor.ravel())
