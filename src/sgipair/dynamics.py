@@ -10,9 +10,9 @@ contrast closed forms serves both: the unitary QRDM is the open QRDM at
 s = 1, n_p = 0 and zero rates.  The cat-state calls take one scalar point
 at a time and share its branch-pair kernel (``_shared_kernel``): the arrays
 from which the moments of all 16 branch pairs follow, made in one
-normal-mode pass of ``phase_space``, and the point's closed-form QRDM with
-its phase and contrast per QRDM entry.  ``_build_kernel`` makes them for one
-point or, broadcast, for a whole grid in one call.
+normal-mode pass of ``phase_space``, and the point's closed-form
+``open_qrdm`` result.  ``_build_kernel`` makes them for one point or,
+broadcast, for a whole grid in one call.
 
 Branch labels are sigma_z eigenvalues, with computational bit 0 mapped to
 +1.  The branch with both qubits in bit 0 is deflected toward negative
@@ -22,7 +22,7 @@ positions, which fixes the sign convention of the drift vectors.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
 from operator import attrgetter
@@ -119,12 +119,7 @@ _ALL_LABELS = tuple(BranchLabel.from_bits(row, col) for row in range(4) for col 
 class BranchMoments:
     """First-moment vector (x1, p1, x2, p2) of one branch; complex off the diagonal."""
 
-    label: BranchLabel
     vector: np.ndarray
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.vector[..., [0, 2]]
 
 
 @dataclass(frozen=True)
@@ -173,14 +168,15 @@ class ContrastSet:
 
 @dataclass(frozen=True)
 class GaussianCatState:
-    """Covariance matrix, 16 branch first-moment vectors, and the QRDM."""
+    """Covariance matrix, 16 branch first-moment vectors, and the QRDM.
+
+    The QRDM's phase and contrasts are those of ``open_qrdm`` at the same point and tau.
+    """
 
     tau: float
     sigma: np.ndarray
     branches: dict[BranchLabel, BranchMoments]
     qrdm: np.ndarray
-    contrasts: ContrastSet = field(default_factory=ContrastSet)
-    phase: float = 0.0
 
 
 # --------------------------------------------------------------------------
@@ -310,7 +306,7 @@ def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMo
     _, shifts = _shifts(sgi_hamiltonian_matrix(g), f_q, propagator(g, tau))
     labels = [BranchLabel(j=j, k=j, m=m, n=m) for j, m in _ROW_EIGENVALUES]
     vectors = np.moveaxis(shifts, -2, 0)
-    return {label: BranchMoments(label, vector) for label, vector in zip(labels, vectors)}
+    return {label: BranchMoments(vector) for label, vector in zip(labels, vectors)}
 
 
 _DIAGONAL = np.diag_indices(4)
@@ -329,7 +325,7 @@ def _moment_table(sigma: np.ndarray, pairs: tuple[np.ndarray, ...], m1: np.ndarr
 _PARAM_NAMES = tuple(f.name for f in fields(UnitlessParams))
 _POINT = attrgetter(*_PARAM_NAMES)
 
-_KERNEL_FIELDS = "params tau s_tau lyapunov r delta pairs m1 open_qrdm phase_contrast_table"
+_KERNEL_FIELDS = "s_tau lyapunov pairs m1 open_qrdm"
 _Kernel = namedtuple("_Kernel", _KERNEL_FIELDS)
 
 
@@ -342,10 +338,10 @@ def _build_kernel(params: UnitlessParams, tau) -> _Kernel:
     the ``_shifts`` r and delta of the four QRDM rows and the pairs r_ket - r_bra,
     delta_ket - delta_bra and their mean (entry [row, col] of ``BranchLabel.from_bits(row,
     col)``) serve all 16 labels; ``_moment_table`` gives their moments from any evolved
-    covariance.  ``open_qrdm`` is that function's (QRDM, contrasts, phase), and ``phase_contrast_table``
-    the same phase and contrasts as (phase, contrast) at each ``label.qrdm_index``, so that
-    exp(-contrast + i phase)/4 is the QRDM entry.  A grid build equals its points' builds.
-    Every array is read-only, as one point's kernel is shared by the cat-state calls.
+    covariance.  r and delta themselves are not kept.  ``open_qrdm`` is that function's
+    (QRDM, contrasts, phase), the one source of every label's phase and contrast.  A grid
+    build equals its points' builds.  Every array is read-only, as one point's kernel is
+    shared by the cat-state calls.
     """
     modes = _normal_modes(params.g, params.gamma_x, tau)
     modes.setflags(write=False)  # before the views below, which inherit it
@@ -353,16 +349,9 @@ def _build_kernel(params: UnitlessParams, tau) -> _Kernel:
     r, delta = _shifts(sgi_hamiltonian_matrix(params.g), params.f_q, s_tau)
     pairs = (r[_KET] - r[_BRA], delta[_KET] - delta[_BRA], 0.5 * (delta[_KET] + delta[_BRA]))
     qrdm = open_qrdm(params, tau)
-    _, contrasts, phase = qrdm
-    single = contrasts.single_flip_total
-    entries = np.broadcast_arrays(
-        *(0.0, -phase, phase, 0.0, 0.0),
-        *(0.0, single, single, contrasts.symmetric_flip_total, contrasts.antisymmetric_flip_total),
-    )
-    table = np.stack(entries, axis=-1)[..., _TABLE_LAYOUT]
-    for array in (r, delta, *pairs, qrdm[0], table):
+    for array in (*pairs, qrdm[0]):
         array.setflags(write=False)
-    return _Kernel(params, tau, s_tau, lyapunov, r, delta, pairs, m1, qrdm, table)
+    return _Kernel(s_tau, lyapunov, pairs, m1, qrdm)
 
 
 @lru_cache(maxsize=8)
@@ -396,14 +385,20 @@ def branch_pair_phase_contrast(
 ) -> tuple[float, float]:
     """Phase and decay exponent of one QRDM entry, so that the entry is exp(-contrast + i phase)/4.
 
-    Reads the label's entry of the kernel's phase-contrast table: the
-    ``open_qrdm`` closed forms of the point, the entangling phase (with the
-    entry's sign) and the sum of the contrast exponents that suppress the
-    entry.  Dephasing adds gamma_z * tau per flipped qubit, independently for
-    each qubit.  Params and tau must be scalars; the kernel is built once per
-    point and shared with the other cat-state calls.
+    Reads the label's entry, through ``_QRDM_LAYOUT``, of the kernel's ``open_qrdm`` phase
+    and contrasts: the entangling phase (with the entry's sign) and the sum of the contrast
+    exponents that suppress the entry.  Dephasing adds gamma_z * tau per flipped qubit,
+    independently for each qubit.  Params and tau must be scalars; the kernel is built once
+    per point and shared with the other cat-state calls.  Both values are Python floats.
     """
-    return tuple(_kernel(params, tau).phase_contrast_table[label.qrdm_index].tolist())
+    _, contrasts, phase = _kernel(params, tau).open_qrdm
+    entry = _QRDM_LAYOUT[label.qrdm_index]
+    if entry == 0:
+        return 0.0, 0.0
+    if entry < 3:  # one qubit flips: -phase above the diagonal, +phase below
+        return float(-phase if entry == 1 else phase), float(contrasts.single_flip_total)
+    both = contrasts.symmetric_flip_total if entry == 3 else contrasts.antisymmetric_flip_total
+    return 0.0, float(both)
 
 
 # --------------------------------------------------------------------------
@@ -412,9 +407,6 @@ def branch_pair_phase_contrast(
 
 # Entry (row, col) of the QRDM as an index into (1, upper, lower, both_sym, both_anti).
 _QRDM_LAYOUT = np.array([[0, 1, 1, 3], [2, 0, 4, 2], [2, 4, 0, 2], [3, 1, 1, 0]])
-# Entry (row, col) of the kernel's phase-contrast table as indices of its (phase, contrast) into
-# the phases and then the exponents of those five entries.
-_TABLE_LAYOUT = np.stack([_QRDM_LAYOUT, 5 + _QRDM_LAYOUT], axis=-1)
 
 
 def _qrdm_from_components(phase, contrasts: ContrastSet) -> np.ndarray:
@@ -475,7 +467,7 @@ def initial_cat_state(params: UnitlessParams) -> GaussianCatState:
     """State at tau = 0: squeezed thermal covariance, centred branches, |+>|+> QRDM."""
     sigma = squeezed_thermal_covariance(params.s, params.n_p)
     vectors = np.zeros((16, 4), dtype=complex)
-    branches = {label: BranchMoments(label, vector) for label, vector in zip(_ALL_LABELS, vectors)}
+    branches = {label: BranchMoments(vector) for label, vector in zip(_ALL_LABELS, vectors)}
     qrdm = np.full((4, 4), 0.25, dtype=complex)
     return GaussianCatState(tau=0.0, sigma=sigma, branches=branches, qrdm=qrdm)
 
@@ -494,8 +486,8 @@ def evolve_cat_state(
     ``_moment_table`` for the covariance evolved from ``initial.sigma``:
     diagonal branches are real and unaffected by momentum diffusion, and the
     off-diagonal ones carry imaginary parts set by the evolved covariance
-    and, under diffusion, by the kernel's memory integral m1.  The QRDM, its
-    contrasts and phase are a copy of the kernel's ``open_qrdm``.
+    and, under diffusion, by the kernel's memory integral m1.  The QRDM is a
+    copy of the kernel's ``open_qrdm`` QRDM.
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")
@@ -504,7 +496,6 @@ def evolve_cat_state(
     kernel = _kernel(params, tau)
     sigma = kernel.s_tau @ initial.sigma @ kernel.s_tau.T + kernel.lyapunov
     vectors = _moment_table(sigma, kernel.pairs, kernel.m1).reshape(16, 4)
-    branches = {label: BranchMoments(label, vector) for label, vector in zip(_ALL_LABELS, vectors)}
-    qrdm, contrasts, phase = kernel.open_qrdm
+    branches = {label: BranchMoments(vector) for label, vector in zip(_ALL_LABELS, vectors)}
     sigma = 0.5 * (sigma + sigma.T)
-    return GaussianCatState(tau, sigma, branches, qrdm.copy(), contrasts=contrasts, phase=phase)
+    return GaussianCatState(tau, sigma, branches, kernel.open_qrdm[0].copy())

@@ -26,7 +26,8 @@ import math
 
 import numpy as np
 
-from sgipair.phase_space import propagator
+from sgipair import dynamics
+from sgipair.phase_space import propagator, sgi_hamiltonian_matrix
 from sgipair.potentials import HBAR, PotentialSpec
 
 # Symplectic form of (x1, p1, x2, p2), and the force directions (j, 0, m, 0) of the branches
@@ -491,13 +492,15 @@ def reference_m2(g, tau, gamma_x) -> np.ndarray:
     return total.reshape(shape + (4, 4))
 
 
-def reference_branch_pair(kernel, label, sigma, m2, h_matrix) -> tuple[np.ndarray, tuple]:
+def reference_branch_pair(
+    kernel, params, tau, label, sigma, m2, h_matrix
+) -> tuple[np.ndarray, tuple]:
     """First-moment vector and (phase, contrast) of one label by the general branch-pair formula.
 
-    Reads only the label-independent parts of a ``dynamics._build_kernel`` result (the shifts
-    r and delta, m1, tau and gamma_z), never its tables; the evolved covariance sigma, the
-    memory integral m2 and H come from the caller.  One label at a time, one quadratic form at a time, broadcast over
-    the grid axes of a grid kernel.
+    Reads only S(tau) and m1 of the ``dynamics._build_kernel`` result of ``params`` at tau,
+    never its pair terms or QRDM; the shifts r and delta are ``dynamics._shifts`` of S(tau).
+    The evolved covariance sigma, the memory integral m2 and H come from the caller.  One label
+    at a time, one quadratic form at a time, broadcast over the grid axes of a grid kernel.
     """
     def form(a, matrix, b):  # a^T matrix b over the last axes
         return np.einsum("...i,...ij,...j->...", a, matrix, b)
@@ -508,8 +511,9 @@ def reference_branch_pair(kernel, label, sigma, m2, h_matrix) -> tuple[np.ndarra
     # QRDM row of the qubit eigenvalues (j, m), computational bit 0 being +1
     row = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
     ket, bra = row[label.j, label.m], row[label.k, label.n]
-    r_ket, delta_ket = kernel.r[..., ket, :], kernel.delta[..., ket, :]
-    r_bra, delta_bra = kernel.r[..., bra, :], kernel.delta[..., bra, :]
+    r, delta = dynamics._shifts(sgi_hamiltonian_matrix(params.g), params.f_q, kernel.s_tau)
+    r_ket, delta_ket = r[..., ket, :], delta[..., ket, :]
+    r_bra, delta_bra = r[..., bra, :], delta[..., bra, :]
     delta_eq = r_ket - r_bra
     mismatch = delta_ket - delta_bra
     vector = 0.5 * (delta_ket + delta_bra) + 0j
@@ -517,11 +521,11 @@ def reference_branch_pair(kernel, label, sigma, m2, h_matrix) -> tuple[np.ndarra
         vector += 0.5j * apply(sigma @ OMEGA, mismatch)
         vector += 0.5j * apply(kernel.m1, delta_eq)
     phase = form(delta_eq, OMEGA, 0.5 * (delta_ket + delta_bra))
-    phase = phase + 0.5 * kernel.tau * form(delta_eq, h_matrix, r_ket + r_bra)
+    phase = phase + 0.5 * tau * form(delta_eq, h_matrix, r_ket + r_bra)
     contrast = 0.25 * form(mismatch, OMEGA.T @ sigma @ OMEGA, mismatch)
     # Independent qubit dephasing: (j-k)^2 + (m-n)^2 in units of gamma_z/4.
     dephasing = ((label.j - label.k) ** 2 + (label.m - label.n) ** 2) / 4.0
-    contrast = contrast + kernel.params.gamma_z * kernel.tau * dephasing
+    contrast = contrast + params.gamma_z * tau * dephasing
     contrast = contrast + 0.25 * form(delta_eq, m2, delta_eq)
     return vector, (phase, contrast)
 

@@ -129,8 +129,8 @@ class TestBranchTrajectories:
             points = [dyn.branch_trajectories(f_q, g, float(tau)) for tau in grid]
             for label, series in moments.items():
                 assert np.array_equal(series.vector, [point[label].vector for point in points])
-                positions = [point[label].positions for point in points]
-                assert np.array_equal(series.positions, positions)
+                positions = [point[label].vector[..., [0, 2]] for point in points]
+                assert np.array_equal(series.vector[..., [0, 2]], positions)
 
     def test_branch_antisymmetry_exact(self):
         moments = dyn.branch_trajectories(0.8, 0.23, 3.1)
@@ -229,33 +229,51 @@ def _builds() -> int:
     return dyn._shared_kernel.cache_info().misses
 
 
-def _evolved_covariance(kernel) -> np.ndarray:
-    """The squeezed thermal covariance of a point or grid kernel's params evolved to its tau."""
-    params = kernel.params
+def _evolved_covariance(params: UnitlessParams, tau) -> np.ndarray:
+    """The squeezed thermal covariance of a point or grid of params evolved to tau by its kernel."""
+    kernel = dyn._build_kernel(params, tau)
     s, occupation = np.asarray(params.s), 1.0 + 2.0 * np.asarray(params.n_p)
     sigma0 = occupation[..., None] * np.stack(np.broadcast_arrays(s, 1.0 / s, s, 1.0 / s), -1)
     return kernel.s_tau * sigma0[..., None, :] @ kernel.s_tau.swapaxes(-1, -2) + kernel.lyapunov
 
 
-def _reference_pairs(kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Moments (..., 4, 4, 4) and (phase, contrast) (..., 4, 4, 2) of a point's or a grid's kernel.
+def _reference_pairs(params: UnitlessParams, tau) -> tuple[np.ndarray, np.ndarray]:
+    """Moments (..., 4, 4, 4) and (phase, contrast) (..., 4, 4, 2) of a point or a grid.
 
     The general branch-pair formula of ``reference_branch_pair``, with m2 by quadrature and H
     from ``oracles``: a route to the QRDM phases and contrasts that shares none of their
     closed forms.
     """
-    params = kernel.params
-    m2 = reference_m2(params.g, kernel.tau, params.gamma_x)
+    kernel = dyn._build_kernel(params, tau)
+    m2 = reference_m2(params.g, tau, params.gamma_x)
     g = np.asarray(params.g)
     h_matrix = np.reshape([sgi_hamiltonian(value) for value in g.ravel()], g.shape + (4, 4))
-    sigma = _evolved_covariance(kernel)
+    sigma = _evolved_covariance(params, tau)
     references = [
-        reference_branch_pair(kernel, label, sigma, m2, h_matrix) for label in ALL_LABELS
+        reference_branch_pair(kernel, params, tau, label, sigma, m2, h_matrix)
+        for label in ALL_LABELS
     ]
     moments = np.stack([vector for vector, _ in references], axis=-2)
     pairs = np.stack([np.stack(pair, axis=-1) for _, pair in references], axis=-2)
     grid = moments.shape[:-2]  # every label has the grid's axes
     return moments.reshape(grid + (4, 4, 4)), pairs.reshape(grid + (4, 4, 2))
+
+
+def _closed_pairs(phase, contrasts: dyn.ContrastSet) -> np.ndarray:
+    """(phase, contrast) (..., 4, 4, 2) of every QRDM entry, laid out by ``_QRDM_LAYOUT``."""
+    single = contrasts.single_flip_total
+    entries = np.broadcast_arrays(
+        *(0.0, -phase, phase, 0.0, 0.0),
+        *(0.0, single, single, contrasts.symmetric_flip_total, contrasts.antisymmetric_flip_total),
+    )
+    layout = np.stack([dyn._QRDM_LAYOUT, 5 + dyn._QRDM_LAYOUT], axis=-1)
+    return np.stack(entries, axis=-1)[..., layout]
+
+
+def _kernel_pairs(kernel) -> np.ndarray:
+    """``_closed_pairs`` of a kernel's ``open_qrdm`` phase and contrasts."""
+    _, contrasts, phase = kernel.open_qrdm
+    return _closed_pairs(phase, contrasts)
 
 
 class TestBranchPairKernel:
@@ -310,11 +328,12 @@ class TestBranchPairKernel:
         sigma0 = dyn.initial_cat_state(CAT_PARAMS).sigma
         sigma = fresh.s_tau @ sigma0 @ fresh.s_tau.T + fresh.lyapunov
         moments = dyn._moment_table(sigma, fresh.pairs, fresh.m1)
+        pairs = _kernel_pairs(fresh)
         for _ in range(2):  # the first pass may build the shared kernel, the second reads it
             branches = _branches(CAT_PARAMS, 3.1)
             for label in ALL_LABELS:
                 assert dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) == tuple(
-                    fresh.phase_contrast_table[label.qrdm_index].tolist()
+                    pairs[label.qrdm_index].tolist()
                 )
                 assert np.array_equal(branches[label].vector, moments[label.qrdm_index])
 
@@ -331,10 +350,30 @@ class TestBranchPairKernel:
         evolved = dyn._moment_table(sigma, fresh.pairs, fresh.m1)  # the moments of this sigma
         for label in ALL_LABELS:
             assert np.array_equal(state.branches[label].vector, evolved[label.qrdm_index])
+        pairs = _kernel_pairs(fresh)
         for label in ALL_LABELS:
             assert dyn.branch_pair_phase_contrast(label, params, tau) == tuple(
-                fresh.phase_contrast_table[label.qrdm_index].tolist()
+                pairs[label.qrdm_index].tolist()
             )
+
+    def test_pairs_read_the_kernels_open_qrdm(self, monkeypatch):
+        # The kernel's open_qrdm is the only source of the 16 phases and contrasts: shifting it
+        # moves every off-diagonal pair, and the pairs still rebuild the shifted QRDM.
+        kernel = _fresh_kernel(CAT_PARAMS, 3.1)
+        _, contrasts, phase = kernel.open_qrdm
+        shifts = {name: getattr(contrasts, name) + 0.125 for name in contrasts.__dataclass_fields__}
+        shifted = replace(contrasts, **shifts)
+        qrdm = dyn._qrdm_from_components(phase + 0.5, shifted)
+        moved = kernel._replace(open_qrdm=(qrdm, shifted, phase + 0.5))
+        before = [dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) for label in ALL_LABELS]
+        monkeypatch.setattr(dyn, "_shared_kernel", lambda point, tau: moved)
+        expected = _kernel_pairs(moved)
+        for label, old in zip(ALL_LABELS, before):
+            pair = dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1)
+            assert pair == tuple(expected[label.qrdm_index].tolist())
+            assert (pair == old) == label.is_diagonal, label
+            rebuilt = 0.25 * np.exp(-pair[1] + 1j * pair[0])
+            assert abs(rebuilt - qrdm[label.qrdm_index]) <= 1e-16, label
 
     @pytest.mark.parametrize(
         "params, tau",
@@ -353,12 +392,14 @@ class TestBranchPairKernel:
     )
     def test_tables_match_the_per_label_reference(self, params, tau):
         kernel = _fresh_kernel(params, float(tau))
-        moment_table = dyn._moment_table(_evolved_covariance(kernel), kernel.pairs, kernel.m1)
-        moments, phase_contrast = _reference_pairs(kernel)
+        sigma = _evolved_covariance(params, tau)
+        moment_table = dyn._moment_table(sigma, kernel.pairs, kernel.m1)
+        moments, phase_contrast = _reference_pairs(params, tau)
+        closed = _closed_pairs(*dyn.open_phase_contrasts(params, tau))
         for actual, expected in [
             (moment_table, moments),
-            (kernel.phase_contrast_table[..., 0], phase_contrast[..., 0]),
-            (kernel.phase_contrast_table[..., 1], phase_contrast[..., 1]),
+            (closed[..., 0], phase_contrast[..., 0]),
+            (closed[..., 1], phase_contrast[..., 1]),
         ]:
             assert np.max(np.abs(actual - expected)) <= 1e-14 * np.max(np.abs(expected))
         for label in ALL_LABELS:
@@ -410,8 +451,7 @@ class TestBranchPairKernel:
 
     def test_shared_arrays_are_read_only(self):
         kernel = dyn._kernel(CAT_PARAMS, 3.1)
-        arrays = [kernel.s_tau, kernel.lyapunov, kernel.r, kernel.delta]
-        arrays += [*kernel.pairs, kernel.m1, kernel.open_qrdm[0], kernel.phase_contrast_table]
+        arrays = [kernel.s_tau, kernel.lyapunov, *kernel.pairs, kernel.m1, kernel.open_qrdm[0]]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] += 1.0
@@ -441,14 +481,15 @@ class TestBranchPairKernel:
             dyn.open_qrdm(params, tau)
 
 
-_KERNEL_ARRAYS = ("s_tau", "lyapunov", "r", "delta", "m1")
+_KERNEL_ARRAYS = ("s_tau", "lyapunov", "m1")
 
 
 def _kernel_arrays(kernel) -> dict[str, np.ndarray]:
     arrays = {name: getattr(kernel, name) for name in _KERNEL_ARRAYS}
     arrays.update({f"pairs[{k}]": term for k, term in enumerate(kernel.pairs)})
-    arrays["qrdm"] = kernel.open_qrdm[0]
-    arrays["phase_contrast_table"] = kernel.phase_contrast_table
+    qrdm, contrasts, phase = kernel.open_qrdm
+    arrays.update(qrdm=qrdm, phase=phase)
+    arrays.update({name: getattr(contrasts, name) for name in contrasts.__dataclass_fields__})
     return arrays
 
 
@@ -471,7 +512,7 @@ def _cross_check_grid() -> tuple[UnitlessParams, np.ndarray, np.ndarray]:
         gamma_x=rng.uniform(0.0, 0.05, n),
         gamma_z=rng.uniform(0.0, 0.01, n),
     )
-    return params, tau, _reference_pairs(dyn._build_kernel(params, tau))[1]
+    return params, tau, _reference_pairs(params, tau)[1]
 
 
 def _entangling_phase_reference(f_q: float, g: float, tau: float):
@@ -498,7 +539,7 @@ class TestArrayKernel:
         ]
         columns = np.array(rows).T
         grid = dyn._build_kernel(UnitlessParams(*columns[:6]), columns[6])
-        assert len(rows) >= 1000 and grid.phase_contrast_table.shape == (len(rows), 4, 4, 2)
+        assert len(rows) >= 1000 and grid.open_qrdm[0].shape == (len(rows), 4, 4)
         arrays = _kernel_arrays(grid)
         for i, row in enumerate(rows):
             point = _kernel_arrays(dyn._shared_kernel.__wrapped__(row[:6], row[6]))
@@ -509,37 +550,25 @@ class TestArrayKernel:
         g, tau = np.array([[0.0], [0.2], [0.4999]]), np.array([0.5, 3.0])
         params = UnitlessParams(f_q=0.7, g=g, s=0.4, gamma_x=np.array([[[0.0]], [[0.03]]]))
         grid = _kernel_arrays(dyn._build_kernel(params, tau))
-        assert grid["phase_contrast_table"].shape == (2, 3, 2, 4, 4, 2)
+        assert grid["qrdm"].shape == (2, 3, 2, 4, 4)
         for rate, g_row, tau_col in product(range(2), range(3), range(2)):
             point = replace(params, g=float(g[g_row, 0]), gamma_x=(0.0, 0.03)[rate])
             one = _kernel_arrays(_fresh_kernel(point, float(tau[tau_col])))
             for name, array in grid.items():
-                full = np.broadcast_to(array, (2, 3, 2) + one[name].shape)
+                full = np.broadcast_to(array, (2, 3, 2) + np.shape(one[name]))
                 assert np.array_equal(full[rate, g_row, tau_col], one[name]), name
 
     def test_contrasts_match_the_closed_forms_on_a_grid(self):
         params, tau, reference = _cross_check_grid()
         contrast = reference[..., 1]
-        _, closed = dyn.open_phase_contrasts(params, tau)
-        totals = np.stack(
-            [
-                np.zeros(len(tau)),
-                closed.single_flip_total,
-                closed.single_flip_total,
-                closed.symmetric_flip_total,
-                closed.antisymmetric_flip_total,
-            ],
-            axis=-1,
-        )[:, dyn._QRDM_LAYOUT]  # the exponent of every QRDM entry
+        totals = _closed_pairs(*dyn.open_phase_contrasts(params, tau))[..., 1]
         assert np.array_equal(contrast == 0.0, totals == 0.0)
         nonzero = totals > 0.0
         assert np.max(np.abs(contrast - totals)[nonzero] / totals[nonzero]) <= 1e-12
 
     def test_phases_match_the_closed_form_on_a_grid(self):
         params, tau, reference = _cross_check_grid()
-        phase = dyn.entangling_phase(params.f_q, params.g, tau)
-        signs = np.array([0.0, -1.0, 1.0, 0.0, 0.0])[dyn._QRDM_LAYOUT]  # (01|00) has +phase
-        expected = phase[:, None, None] * signs
+        expected = _closed_pairs(*dyn.open_phase_contrasts(params, tau))[..., 0]
         # The phase sums terms up to f_q^2 (1 + tau)/w^3, which cancel to O(f_q^2 g tau).
         scale = np.square(params.f_q) * (1.0 + tau) / np.power(mode_frequency(params.g), 3)
         error = np.abs(reference[..., 0] - expected) / scale[:, None, None]
@@ -671,7 +700,7 @@ class TestUnitaryQrdm:
         params = UnitlessParams(f_q=0.8, g=0.13)
         for tau in (0.7, 2.0, final_time(params.g)):
             rho, _, _ = dyn.unitary_qrdm(params.f_q, params.g, tau)
-            _, pairs = _reference_pairs(_fresh_kernel(params, float(tau)))
+            _, pairs = _reference_pairs(params, float(tau))
             rebuilt = 0.25 * np.exp(-pairs[..., 1] + 1j * pairs[..., 0])
             assert np.max(np.abs(rho - rebuilt)) <= 1e-12
 
@@ -820,7 +849,7 @@ class TestOpenQrdm:
         params = UnitlessParams(f_q=0.5, g=0.08, s=0.2, n_p=2.0, gamma_x=0.03, gamma_z=0.01)
         for tau in (0.9, final_time(params.g)):
             rho, _, _ = dyn.open_qrdm(params, tau)
-            _, pairs = _reference_pairs(_fresh_kernel(params, float(tau)))
+            _, pairs = _reference_pairs(params, float(tau))
             rebuilt = 0.25 * np.exp(-pairs[..., 1] + 1j * pairs[..., 0])
             assert np.max(np.abs(rho - rebuilt)) <= 1e-11
 

@@ -103,6 +103,17 @@ def _unread_public_names(modules: dict[str, str], readers: list[str]) -> list[st
     return unread
 
 
+def _unread_attributes(names: list[str], sources: list[str]) -> list[str]:
+    """Each of ``names`` that no source reads as an attribute (``x.name``)."""
+    reads = {
+        node.attr
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in names if name not in reads]
+
+
 def _unset_fields(definitions: str, classes: list[str], callers: list[str]) -> list[str]:
     """``Class.field`` for each annotated field of ``classes`` that no call in ``callers`` sets.
 
@@ -181,6 +192,25 @@ def test_every_oracle_setting_is_set_outside_the_tests():
     callers = [path.read_text() for path in [*SOURCES, *READERS]]
     oracle = (ROOT / "src" / "sgipair" / "oracle.py").read_text()
     assert _unset_fields(oracle, ["FockProblem", "MomentOdeProblem"], callers) == []
+
+
+def test_checker_flags_an_attribute_nothing_reads():
+    sources = ["k = K(1, 2)\nk.a\n", "k.b = 3\nb = k\n"]
+    assert _unread_attributes(["a", "b"], sources) == ["b"]
+
+
+def test_every_kernel_field_is_read_in_the_package():
+    # The cached branch-pair kernel holds only what the package reads; a field that only tests
+    # read is state the package keeps for them.  The kernel is private to dynamics.py, so only
+    # that module's reads count (oracle.py's problem.params would hide a params field).
+    source = (ROOT / "src" / "sgipair" / "dynamics.py").read_text()
+    fields = [
+        ast.literal_eval(node.value).split()
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_KERNEL_FIELDS"
+    ]
+    assert len(fields) == 1, "dynamics.py assigns _KERNEL_FIELDS once at module level"
+    assert _unread_attributes(fields[0], [source]) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
