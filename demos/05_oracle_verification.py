@@ -2,8 +2,9 @@
 """Independent verification of the closed forms, and what it arbitrates.
 
 Two oracles that share no code with the closed forms: fixed-step integration
-of the Gaussian moment equations, and truncated-Fock propagation of the full
-two-qubit x two-mode system.  Beyond confirming the solution, the Fock run
+of the Gaussian moment equations, and truncated-Fock propagation of the
+two-qubit x two-mode system in its normal modes, where each QRDM entry is a
+product of two single-mode traces.  Beyond confirming the solution, the Fock run
 settles a real ambiguity: the closure-time value of the symmetric-mode
 contrast is C_g, not 2*C_g, and the intermediate-time form is the
 sign-normalized 2 f_q^2 sin^2(tau/2).
@@ -20,7 +21,7 @@ report = oracle.verify_moments()
 print(report.to_text())
 print()
 
-print("Fock arbitration run (f_q = 0.2, g = 0.05, truncation n_max = 24):")
+print("Fock arbitration run (f_q = 0.2, g = 0.05, n_max = 24 levels per normal mode):")
 params = UnitlessParams(f_q=0.2, g=0.05)
 tau_f = final_time(params.g)
 grid = np.linspace(0.0, tau_f, 9)

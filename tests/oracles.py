@@ -7,9 +7,10 @@ directly from a phase and contrast exponents.  Their negativities come from
 the eigensolver of the partial transpose and their witness values from
 4x4 witness matrices, never from the package's X-state formulas.
 The reference kernels at the end redo the two ``sgipair.oracle`` integrators
-the direct way (stage-wise RK4 for the moments; for the Fock blocks a Taylor
-series, one block at a time, and dense operators) to check its step map,
-stacked generator and mode-local observables, and
+the direct way (stage-wise RK4 for the moments; for the Fock oracle a dense
+Liouvillian per normal mode, exponentiated by scipy, and the two-mode system in
+the product Fock basis of (x1, x2)) to check its step map, its stacked series
+and its normal-mode factorization, and
 evaluate the propagator integrals of ``phase_space``/``dynamics`` by
 adaptive quadrature to check their per-mode closed forms.  The
 branch-pair reference evaluates the general branch-pair formula one label at
@@ -307,15 +308,16 @@ def _taylor_samples(deriv, norm_bound, y, grid, after_slot):
     return np.array(samples)
 
 
-def reference_fock_observables(problem):
-    """QRDM, first moments and branch covariances from dense two-mode operators.
+def reference_two_mode_qrdm(problem):
+    """QRDM of the two-mode system in the product Fock basis of (x1, x2), from dense operators.
 
     Noise-free problems use the exact branch kets; otherwise each of the ten
     upper-triangle qubit-sector blocks is propagated on its own by the
     Taylor series of its generator, exact to rounding, with single-mode
-    operators applied by ``tensordot``.
-    Observables are traces against dense ``np.kron`` operators.  Reference
-    for the mode-local, stacked kernels of ``sgipair.oracle``.
+    operators applied by ``tensordot``.  Each QRDM entry is the trace of its
+    block.  The truncation (n_max levels of x1 and of x2) differs from the
+    oracle's (n_max levels of each normal mode), so the two agree where both
+    are converged.
     """
     from sgipair.dynamics import BranchLabel
     from sgipair.oracle import _single_mode_initial
@@ -329,7 +331,6 @@ def reference_fock_observables(problem):
     x = (a + a.T) / np.sqrt(2.0)
     p = 1j * (a.T - a) / np.sqrt(2.0)
     eye = np.eye(n)
-    quads = [np.kron(x, eye), np.kron(p, eye), np.kron(eye, x), np.kron(eye, p)]
     labels = [BranchLabel.from_bits(r, c) for r in range(4) for c in range(4)]
     gamma_x, gamma_q = params.gamma_x / 4.0, params.gamma_z / 4.0
 
@@ -341,7 +342,7 @@ def reference_fock_observables(problem):
 
     blocks = {}  # label -> (T, dim, dim) density-operator block
     if params.gamma_x == 0.0 and params.s == 1.0 and params.n_p == 0.0:
-        x1, p1, x2, p2 = quads
+        x1, p1, x2, p2 = np.kron(x, eye), np.kron(p, eye), np.kron(eye, x), np.kron(eye, p)
         h2 = (0.5 * (p1 @ p1 + p2 @ p2 + (1.0 - params.g) * (x1 @ x1 + x2 @ x2))
               + params.g * (x1 @ x2)).real
         kets = {}
@@ -406,26 +407,58 @@ def reference_fock_observables(problem):
             blocks[label.swapped] = samples.conj().transpose(0, 2, 1)
 
     qrdm = np.zeros((len(grid), 4, 4), dtype=complex)
-    first, cov = {}, {}
     for label in labels:
-        rho = blocks[label]
-        overlap = np.trace(rho, axis1=1, axis2=2)
-        qrdm[:, bits(label)[0], bits(label)[1]] = overlap
-        first[label] = np.stack(
-            [np.einsum("ba,tab->t", q, rho) for q in quads], axis=1
-        ) / overlap[:, None]
-        if label.is_diagonal:
-            mean = first[label].real
-            second = np.array(
-                [
-                    [np.einsum("ba,tab->t", qa @ qb + qb @ qa, rho).real for qb in quads]
-                    for qa in quads
-                ]
-            ).transpose(2, 0, 1)
-            cov[(label.j, label.m)] = (
-                second / overlap.real[:, None, None] - 2.0 * mean[:, :, None] * mean[:, None, :]
-            )
-    return qrdm, first, cov
+        qrdm[:, bits(label)[0], bits(label)[1]] = np.trace(blocks[label], axis1=1, axis2=2)
+    return qrdm
+
+
+def reference_mode_qrdm(problem):
+    """QRDM of the oracle's truncated normal-mode model, from a dense Liouvillian per mode.
+
+    The modes x+- = (x1 +- x2)/sqrt(2) have w+^2 = 1 and w-^2 = 1 - 2g, and branch
+    (j, m) drives them with F+- = f_q (j +- m)/sqrt(2).  Each mode has n_max Fock
+    levels, as in ``sgipair.oracle``; its density operator rho evolves by
+    d rho/dtau = -i (h_ket rho - rho h_bra) - (gamma_x/4) [x, [x, rho]] with
+    h = p^2/2 + w^2 x^2/2 + F x, as one n^2 x n^2 matrix L on the row-major
+    vec(rho), vec(A rho B) = (A kron B^T) vec(rho), exponentiated by scipy's
+    ``expm`` at each grid time.  QRDM entry (row, col) is
+    e^{-gamma_z n_diff tau}/4 Tr rho+ Tr rho-.  Same-truncation reference for
+    the stacked Chebyshev series of ``fock_propagate``.
+    """
+    from scipy.linalg import expm
+
+    from sgipair.dynamics import BranchLabel
+    from sgipair.oracle import _single_mode_initial
+
+    params, n = problem.params, problem.n_max
+    grid = np.asarray(problem.tau_grid, dtype=float)
+    a = np.diag(np.sqrt(np.arange(1, n)), k=1)
+    x = (a + a.T) / np.sqrt(2.0)
+    p = 1j * (a.T - a) / np.sqrt(2.0)
+    eye = np.eye(n)
+    rho0 = _single_mode_initial(params.s, params.n_p, n).ravel()
+    curvatures = {+1: 1.0, -1: 1.0 - 2.0 * params.g}
+    diffusion = np.kron(x @ x, eye) + np.kron(eye, (x @ x).T) - 2.0 * np.kron(x, x.T)
+
+    def trace(sign, force_ket, force_bra):
+        def h(force):
+            return 0.5 * (p @ p) + 0.5 * curvatures[sign] * (x @ x) + force * x
+
+        liouvillian = -1j * (np.kron(h(force_ket), eye) - np.kron(eye, h(force_bra).T))
+        liouvillian -= 0.25 * params.gamma_x * diffusion
+        return np.array([np.trace((expm(tau * liouvillian) @ rho0).reshape(n, n)) for tau in grid])
+
+    qrdm = np.empty((len(grid), 4, 4), dtype=complex)
+    for row in range(4):
+        for col in range(4):
+            label = BranchLabel.from_bits(row, col)
+            entry = 0.25 * np.exp(-params.gamma_z * label.n_differing * grid)
+            for sign in (+1, -1):
+                forces = [params.f_q * (j + sign * m) / math.sqrt(2.0)
+                          for j, m in ((label.j, label.m), (label.k, label.n))]
+                entry = entry * trace(sign, *forces)
+            qrdm[:, row, col] = entry
+    return qrdm
 
 
 def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -> dict:

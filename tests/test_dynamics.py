@@ -803,6 +803,21 @@ class TestOpenQrdm:
                     _, _, phase = dyn.open_qrdm(params, tau)
                     assert abs(phase - reference) < 1e-12
 
+    @pytest.mark.parametrize("a", [1e-3, 0.15, 1.0 / 3.0, 7.0])
+    def test_phase_and_contrasts_scale_as_f_q_squared(self, a):
+        # The phase and every contrast but c_z are f_q^2 times their value at f_q = 1, at a
+        # squeezed, thermal, diffusive and dephasing point over two closures; c_z has no f_q.
+        point = dict(g=0.1, s=0.5, n_p=1.5, gamma_x=0.02, gamma_z=0.03)
+        tau = np.linspace(0.0, 2.0 * final_time(point["g"]), 17)
+        phase, contrasts = dyn.open_phase_contrasts(UnitlessParams(f_q=a, **point), tau)
+        unit_phase, unit = dyn.open_phase_contrasts(UnitlessParams(f_q=1.0, **point), tau)
+        scaled = {"phase": (phase, unit_phase)}
+        for name in ("c_s_np_1", "c_s_np_2", "c_gamma_1", "c_gamma_2"):
+            scaled[name] = getattr(contrasts, name), getattr(unit, name)
+        for name, (value, at_one) in scaled.items():
+            assert np.allclose(value, a * a * at_one, rtol=1e-15, atol=0.0), name
+        assert np.array_equal(contrasts.c_z, unit.c_z) and unit.c_z[-1] > 0.0
+
     def test_dephasing_contrast_at_closure(self):
         params = UnitlessParams(f_q=0.3, g=1e-4, gamma_z=0.07)
         _, contrasts, _ = dyn.open_qrdm(params, final_time(params.g))

@@ -1,12 +1,9 @@
-import functools
 import os
 import re
 import subprocess
 import sys
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 
 import mpmath
@@ -16,12 +13,13 @@ import pytest
 from oracles import (
     initial_moment_state,
     reference_covariance,
-    reference_fock_observables,
+    reference_mode_qrdm,
     reference_moment_states,
+    reference_two_mode_qrdm,
 )
 from sgipair import dynamics as dyn
 from sgipair import oracle as orc
-from sgipair.phase_space import final_time, propagator
+from sgipair.phase_space import final_time
 from sgipair.potentials import UnitlessParams
 
 
@@ -41,7 +39,7 @@ def relative_deviation(value, reference):
     return float(np.max(np.abs(value - reference)) / np.max(np.abs(reference)))
 
 
-def stacked_block_problems():
+def stacked_run_problems():
     """Two coarse squeezed thermal problems at |+>|+>.
 
     Kernel equivalence only: n_max=8 and 9 truncate this state coarsely, so the
@@ -55,27 +53,9 @@ def stacked_block_problems():
     ]
 
 
-def propagate_within(problem, seconds):
-    """fock_propagate on a daemon thread; a deadlocked pool fails the test instead of hanging it."""
-    done = Future()
-
-    def target():
-        try:
-            done.set_result(orc.fock_propagate(problem))
-        except Exception as error:
-            done.set_exception(error)
-
-    threading.Thread(target=target, daemon=True).start()
-    return done.result(timeout=seconds)
-
-
 def assert_fock_matches_reference(result, problem, tol=1e-13):
-    qrdm, first, cov = reference_fock_observables(problem)
-    assert relative_deviation(result.qrdm, qrdm) <= tol
-    for label, series in first.items():
-        assert relative_deviation(result.first_moments[label], series) <= tol, label
-    for pair, series in cov.items():
-        assert relative_deviation(result.branch_covariance[pair], series) <= tol, pair
+    """The oracle's QRDM against the dense single-mode Liouvillians of the same truncation."""
+    assert relative_deviation(result.qrdm, reference_mode_qrdm(problem)) <= tol
 
 
 class TestMomentIntegration:
@@ -223,28 +203,6 @@ class TestFockPure:
         relative = np.angle(result.qrdm[-1, 0, 1] * np.conj(result.qrdm[-1, 1, 3]))
         assert relative == pytest.approx(-2.0 * phase, abs=1e-6)
 
-    def test_branch_covariance_matches_propagated_vacuum(self):
-        params = UnitlessParams(f_q=0.2, g=0.05)
-        grid = np.linspace(0.0, 3.0, 4)
-        result = orc.fock_propagate(
-            orc.FockProblem(params=params, tau_grid=grid, n_max=14)
-        )
-        for slot, tau in enumerate(grid):
-            s = propagator(params.g, tau)
-            sigma = s @ s.T
-            for pair, series in result.branch_covariance.items():
-                assert np.max(np.abs(series[slot] - sigma)) < 1e-8
-
-    def test_off_diagonal_moments_match_moment_machinery(self):
-        params = UnitlessParams(f_q=0.2, g=0.05)
-        label = dyn.BranchLabel(j=1, k=-1, m=1, n=1)
-        grid = np.array([0.0, 2.0])
-        result = orc.fock_propagate(
-            orc.FockProblem(params=params, tau_grid=grid, n_max=14)
-        )
-        closed = dyn.evolve_cat_state(dyn.initial_cat_state(params), params, 2.0).branches[label]
-        assert np.max(np.abs(result.first_moments[label][-1] - closed.vector)) < 1e-4
-
     def test_cutoff_robustness(self):
         params = UnitlessParams(f_q=0.2, g=0.05)
         grid = np.array([0.0, final_time(params.g)])
@@ -260,45 +218,6 @@ class TestFockPure:
         )
         for qrdm in result.qrdm:
             assert np.linalg.eigvalsh(qrdm)[0] > -1e-8
-
-    def test_mode_local_observables_match_dense_operators(self):
-        # The kets' one series against the reference's eigendecomposition, over a
-        # closure-spanning grid and over 36 grid times across three closures.
-        params = UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.03)
-        closure = np.linspace(0.0, final_time(params.g), 5)
-        three_closures = np.linspace(0.0, 3.0 * final_time(params.g), 37)
-        for grid, n_max in (([0.0, 1.0, 2.5], 10), (closure, 16), (three_closures, 16)):
-            problem = orc.FockProblem(params=params, tau_grid=np.array(grid), n_max=n_max)
-            result = orc.fock_propagate(problem)
-            assert result.hermiticity_drift == 0.0
-            assert_fock_matches_reference(result, problem)
-
-    def test_step_does_not_bound_the_ket_series(self):
-        # dt bounds the block series only: the kets read every grid time from one series.
-        params = UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.03)
-        grid = np.linspace(0.0, final_time(params.g), 5)
-        default, fine = (
-            orc.fock_propagate(orc.FockProblem(params=params, tau_grid=grid, n_max=16, dt=dt))
-            for dt in (1.0, 0.1)
-        )
-        assert np.array_equal(default.qrdm, fine.qrdm)
-        for label, series in default.first_moments.items():
-            assert np.array_equal(series, fine.first_moments[label]), label
-        for pair, series in default.branch_covariance.items():
-            assert np.array_equal(series, fine.branch_covariance[pair]), pair
-
-    def test_ket_chunks_do_not_change_the_sum(self, monkeypatch):
-        # The kets' terms are summed into the grid times a chunk at a time: one
-        # term per chunk and all terms in one chunk agree to rounding.
-        params = UnitlessParams(f_q=0.2, g=0.05)
-        grid = np.linspace(0.0, final_time(params.g), 5)
-        problem = orc.FockProblem(params=params, tau_grid=grid, n_max=16)
-        results = []
-        for chunk in (1, 10_000):
-            monkeypatch.setattr(orc, "_KET_CHUNK", chunk)
-            results.append(orc.fock_propagate(problem))
-        single, whole = results
-        assert relative_deviation(single.qrdm, whole.qrdm) <= 1e-14
 
     @pytest.mark.parametrize(
         "field, value",
@@ -341,31 +260,41 @@ class TestFockOpen:
             closed, _, _ = dyn.open_qrdm(params, tau)
             assert np.max(np.abs(closed - result.qrdm[slot])) < 1e-3
 
-    def test_stacked_blocks_match_per_block_reference(self, monkeypatch):
-        monkeypatch.setattr(orc, "_LEAKAGE_TOL", 1e-1)
-        for problem in stacked_block_problems():
-            result = orc.fock_propagate(problem)
-            assert result.hermiticity_drift < 1e-12
-            assert_fock_matches_reference(result, problem)
+    @pytest.mark.parametrize("n_max", [24, 28])
+    def test_squeezed_thermal_noisy_point_matches_the_closed_forms(self, n_max):
+        # s < 1, n_p > 0, gamma_x > 0 and gamma_z > 0 at once, to closure, at the
+        # verify tolerance: the Gaussian premise of every contrast term.
+        params = UnitlessParams(f_q=0.15, g=0.1, s=0.8, n_p=0.1, gamma_x=0.01, gamma_z=0.03)
+        grid = np.linspace(0.0, final_time(params.g), 5)
+        result = orc.fock_propagate(orc.FockProblem(params=params, tau_grid=grid, n_max=n_max))
+        assert np.max(np.abs(result.qrdm - dyn.open_qrdm(params, grid)[0])) <= 1e-9
 
-    def test_block_chunks_and_tiles_do_not_change_the_sum(self, monkeypatch):
-        # A block's terms are summed into its grid times a chunk of terms and a
-        # tile of entries at a time: one term per chunk in 1000-entry tiles (the
-        # last one partial) and the defaults agree to rounding.
+    def test_factorization_matches_the_two_mode_reference(self):
+        # The normal-mode oracle against the dense two-mode system in the product Fock
+        # basis of (x1, x2), a different truncation, where both are converged: the
+        # arbitration point over one closure and over three (37 grid times, one
+        # series), and a diffusive, dephasing point.
+        arbitration = UnitlessParams(f_q=0.2, g=0.05)
+        tau_f = final_time(arbitration.g)
+        noisy = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02, gamma_z=0.03)
+        cases = [
+            (arbitration, np.linspace(0.0, tau_f, 13), 20),
+            (arbitration, np.linspace(0.0, 3.0 * tau_f, 37), 20),
+            (noisy, np.array([0.0, 0.3, 0.6]), 10),
+        ]
+        for params, grid, n_max in cases:
+            problem = orc.FockProblem(params=params, tau_grid=grid, n_max=n_max, dt=grid[-1])
+            result = orc.fock_propagate(problem)
+            assert relative_deviation(result.qrdm, reference_two_mode_qrdm(problem)) <= 1e-13
+
+    def test_stacked_runs_match_the_dense_single_mode_reference(self, monkeypatch):
         monkeypatch.setattr(orc, "_LEAKAGE_TOL", 1e-1)
-        problem = stacked_block_problems()[1]  # n_max 9: 6561 entries per block
-        default = orc.fock_propagate(problem)
-        monkeypatch.setattr(orc, "_BLOCK_CHUNK", 1)
-        monkeypatch.setattr(orc, "_TILE", 1000)
-        small = orc.fock_propagate(problem)
-        assert relative_deviation(small.qrdm, default.qrdm) <= 1e-14
-        for pair, series in default.branch_covariance.items():
-            assert relative_deviation(small.branch_covariance[pair], series) <= 1e-14, pair
+        for problem in stacked_run_problems():
+            assert_fock_matches_reference(orc.fock_propagate(problem), problem)
 
     def test_series_span_does_not_change_results(self):
-        # The diffusive problem of the full verify suite at three dt: the whole
-        # grid (each block's one series reads all four grid times), one slot (a
-        # series per slot) and a quarter slot (four steps per slot).
+        # A diffusive problem at three dt: the whole grid (one series reads all four
+        # grid times), one slot (a series per slot) and a quarter slot (four steps per slot).
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
         grid = np.linspace(0.0, final_time(params.g), 5)
         span = float(np.diff(grid).max())
@@ -377,10 +306,6 @@ class TestFockOpen:
         ]
         for one, other in combinations(results, 2):
             assert np.max(np.abs(one.qrdm - other.qrdm)) <= 1e-12
-            for label, series in other.first_moments.items():
-                assert relative_deviation(one.first_moments[label], series) <= 1e-12, label
-            for pair, series in other.branch_covariance.items():
-                assert relative_deviation(one.branch_covariance[pair], series) <= 1e-12, pair
 
     def test_series_restart_where_dt_says(self, monkeypatch):
         # A series reads every grid time within dt of its start and restarts at
@@ -401,13 +326,13 @@ class TestFockOpen:
         for (offsets, slots, observed), (h, want_slots, want_observed) in zip(steps, expected):
             assert np.allclose(offsets, h, rtol=1e-15, atol=0.0)
             assert (slots, observed) == (want_slots, want_observed)
-        problem = replace(stacked_block_problems()[0], tau_grid=grid, dt=0.5)
+        problem = replace(stacked_run_problems()[0], tau_grid=grid, dt=0.5)
         assert_fock_matches_reference(orc.fock_propagate(problem), problem)
 
-    def test_blocks_share_one_coefficient_row_per_step(self, monkeypatch):
-        # All ten blocks share the half-width and Bernstein rho of their series,
-        # so the verify suite's diffusive run, one series over four grid times,
-        # computes four coefficient rows, not one per block.
+    def test_runs_share_one_coefficient_row_per_step(self, monkeypatch):
+        # All runs share the half-width and Bernstein rho of their series, so a
+        # diffusive run as one series over four grid times computes four
+        # coefficient rows, not one per run.
         coefficients, calls = orc._chebyshev_coefficients, []
 
         def counted(theta, rho):
@@ -422,13 +347,12 @@ class TestFockOpen:
         assert len(calls) == 4 and len(set(rhos)) == 1
         assert np.allclose(np.array(thetas) / thetas[-1], grid[1:] / grid[-1], rtol=1e-15)
 
-    def test_diffusive_run_holds_no_more_memory_than_per_slot_steps(self, monkeypatch):
-        # The verify suite's diffusive run on two worker threads, traced from its
-        # start.  The per-slot block steps this path replaced peaked at 14.07 MiB,
-        # traced the same way on the same problem (numpy 2.4).
+    def test_diffusive_run_holds_no_more_memory_than_per_slot_steps(self):
+        # A diffusive run at n_max = 12 as one series over four grid times, traced
+        # from its start.  The per-slot two-mode block steps that an earlier path
+        # took peaked at 14.07 MiB, traced the same way on the same problem (numpy 2.4).
         import tracemalloc
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
         grid = np.linspace(0.0, final_time(params.g), 5)
         problem = orc.FockProblem(params=params, tau_grid=grid, n_max=12, dt=grid[-1])
@@ -439,47 +363,6 @@ class TestFockOpen:
         finally:
             tracemalloc.stop()
         assert peak <= 14.07 * 2**20, peak / 2**20
-
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        # One worker, then 16 CPUs capped at one worker per block: more threads
-        # than cores, switching as often as the interpreter allows.  The kets
-        # run in the calling thread either way.
-        sizes = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(orc, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(orc, "_LEAKAGE_TOL", 1e-1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            # the last problem is noise-free: its four branch kets run one series
-            # in the calling thread, with no pool
-            noise_free = replace(
-                stacked_block_problems()[0],
-                params=UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.03),
-                tau_grid=np.array([0.0, 0.4, 1.3]),
-            )
-            for problem in stacked_block_problems() + [noise_free]:
-                results = []
-                for cpus in (1, 16):
-                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-                    results.append(propagate_within(problem, seconds=120.0))
-                serial, pooled = results
-                assert np.array_equal(serial.qrdm, pooled.qrdm)
-                for label, series in serial.first_moments.items():
-                    assert np.array_equal(series, pooled.first_moments[label]), label
-                for pair, series in serial.branch_covariance.items():
-                    assert np.array_equal(series, pooled.branch_covariance[pair]), pair
-                assert serial.leakage == pooled.leakage
-                assert serial.trace_error == pooled.trace_error
-                assert serial.hermiticity_drift == pooled.hermiticity_drift
-        finally:
-            sys.setswitchinterval(interval)
-        assert sizes == [1, 10, 1, 10]
 
     @pytest.mark.parametrize("n_max", [8, 12, 30])
     @pytest.mark.parametrize("s", [0.8, 1e-2])
@@ -518,28 +401,23 @@ class TestFockOpen:
 
     @pytest.mark.parametrize("gamma_x", [0.02, 0.0])
     def test_every_branch_starts_at_a_quarter(self, gamma_x):
-        # |+>|+> populates all four branches equally on the diffusive path and
-        # on the exact noise-free path alike.
+        # |+>|+> populates all four branches equally, with diffusion and without.
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=gamma_x)
         problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5], n_max=8)
         result = orc.fock_propagate(problem)
         assert np.max(np.abs(result.qrdm[0] - 0.25)) < 1e-12
         assert np.isfinite(result.leakage) and result.leakage <= orc._LEAKAGE_TOL
-        assert all(np.isfinite(cov).all() for cov in result.branch_covariance.values())
 
     def test_diverged_run_raises(self, monkeypatch):
         # A NaN coefficient row for the second grid time stands in for a series
-        # that overflowed, on the ten diffusive blocks and on the four noise-free
-        # kets.  Both take one coefficient call per grid time: the kets' one
-        # series is not bounded by dt, and at dt = 1 each block's one series
-        # reads both grid times from a row that all blocks share.
+        # that overflowed, with diffusion and without.  At dt = 1 the one series
+        # of all runs reads both grid times, from one coefficient call per grid time.
         coefficients = orc._chebyshev_coefficients
-        block_message = r"^Fock series step to tau=1\.0 is not finite .*; decrease dt=1\.0$"
-        ket_message = (
-            r"^Fock ket series to tau=1\.0 is not finite or lost to cancellation: "
-            r"terms up to nan sum to nan$"
+        message = (
+            r"^Fock series step to tau=1\.0 is not finite or lost to cancellation: "
+            r"terms up to nan sum to nan; decrease dt=1\.0$"
         )
-        for gamma_x, message in ((0.02, block_message), (0.0, ket_message)):
+        for gamma_x in (0.02, 0.0):
             calls = []
 
             def poisoned(theta, rho, calls=calls):
@@ -557,92 +435,63 @@ class TestFockOpen:
         # Strong diffusion in one step over the whole slot: the Chebyshev terms
         # outgrow the floating-point range; half the step keeps them in range.
         monkeypatch.setattr(orc, "_LEAKAGE_TOL", 1.0)
-        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=5.0)
+        params = UnitlessParams(f_q=0.2, g=0.05, gamma_x=10.0)
         fields = dict(params=params, tau_grid=[0.0, 2.0], n_max=12)
         with pytest.raises(orc.OracleError, match=r"tau=2\.0 is not finite .*; decrease dt=2\.0$"):
             orc.fock_propagate(orc.FockProblem(dt=2.0, **fields))
         assert orc.fock_propagate(orc.FockProblem(**fields)).trace_error < 1e-12
 
     def test_cancelling_series_raises(self, monkeypatch):
-        # The vacuum of the uncoupled, undriven trap is stationary up to the tiny
-        # diffusion, so X phi_0 is nearly 0 and T_0 + T_2 = 2 X^2 sums to almost nothing.
-        two_x_squared = np.array([1.0, 0.0, 1.0])
-        monkeypatch.setattr(orc, "_chebyshev_coefficients", lambda theta, rho: two_x_squared)
-        params = UnitlessParams(f_q=0.0, g=0.0, gamma_x=1e-12)
-        problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5], n_max=8)
-        message = r"tau=0\.5 is not finite or lost to cancellation: terms up to \S+ sum to \S+; "
-        with pytest.raises(orc.OracleError, match=message + r"decrease dt=1\.0$"):
-            orc.fock_propagate(problem)
-
-    def test_cancelling_ket_series_raises(self, monkeypatch):
         # The truncated vacuum of the uncoupled, undriven trap is an eigenvector of
-        # H at energy 1, so X phi_0 = lam phi_0 and lam T_0 - T_1 sums to rounding.
-        params = UnitlessParams(f_q=0.0, g=0.0)
-        _, _, xi, _, kinetic = orc._dvr(8)
-        lows, highs = zip(*orc._branch_bounds(params, xi, kinetic).values())
-        low, high = min(lows), max(highs)
-        lam = (1.0 - 0.5 * (low + high)) / (0.5 * (high - low))
-        cancelling = np.array([lam, -1.0])
-        problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5], n_max=8)
-        message = (
-            r"^Fock ket series to tau=0\.5 is not finite or lost to cancellation: "
-            r"terms up to \S+ sum to \S+$"
-        )
-        monkeypatch.setattr(orc, "_chebyshev_coefficients", lambda theta, rho: cancelling)
-        with pytest.raises(orc.OracleError, match=message):
-            orc.fock_propagate(problem)
-        monkeypatch.undo()
-        assert orc.fock_propagate(problem).trace_error < 1e-12
+        # h, so each run's start is stationary up to the tiny diffusion (exactly
+        # without it): X phi_0 is nearly 0 and T_0 + T_2 = 2 X^2 sums to almost nothing.
+        two_x_squared = np.array([1.0, 0.0, -1.0])
+        monkeypatch.setattr(orc, "_chebyshev_coefficients", lambda theta, rho: two_x_squared)
+        message = r"tau=0\.5 is not finite or lost to cancellation: terms up to \S+ sum to \S+; "
+        for gamma_x in (1e-12, 0.0):
+            params = UnitlessParams(f_q=0.0, g=0.0, gamma_x=gamma_x)
+            problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5], n_max=8)
+            with pytest.raises(orc.OracleError, match=message + r"decrease dt=1\.0$"):
+                orc.fock_propagate(problem)
 
     def test_series_rectangle_holds_the_spectrum(self):
-        # The dense generator H = K + P of a ket (n = 8) and of a diffusive,
-        # dephasing block (n = 5): its spectrum, and the spectrum of its Hermitian
-        # part (the real extent of its numerical range), lie in the series'
-        # rectangle, which is no wider than the one of the kinetic levels plus
-        # the range of P.  Strong drive and coupling is where Weyl's bound alone
-        # would be the wider.
-        cases = product(
-            (
-                UnitlessParams(f_q=0.2, g=0.05, s=0.5, n_p=0.3, gamma_x=0.3, gamma_z=0.1),
-                UnitlessParams(f_q=2.0, g=0.45, s=0.5, gamma_x=0.3, gamma_z=0.1),
-            ),
-            ((8, 2), (5, 4)),
-        )
-        for params, (n, ndim) in cases:
-            _, _, xi, _, kinetic = orc._dvr(n)
-            bounds = orc._branch_bounds(params, xi, kinetic)
-            axes = [xi.reshape((-1,) + (1,) * trailing) for trailing in range(ndim)[::-1]]
-            factor = orc._potential(params, 1, -1, *axes[:2])
-            low, high = bounds[(1, -1)]
-            if ndim == 4:
-                diffusion = (axes[0] - axes[2]) ** 2 + (axes[1] - axes[3]) ** 2
-                factor = factor - orc._potential(params, -1, -1, *axes[2:])
-                factor = factor - 0.25j * (params.gamma_x * diffusion + params.gamma_z * 4)
-                low, high = low - bounds[(-1, -1)][1], high - bounds[(-1, -1)][0]
-            extents = np.array([[low], [high], [factor.imag.min()], [factor.imag.max()]])
-            half, (centre,), _ = orc._rectangles(*extents)
-            levels = np.linalg.eigvalsh(kinetic)
-            assert half <= 0.5 * np.ptp(factor.real) + 0.5 * ndim * np.ptp(levels), ndim
-            dense = np.diag(factor.ravel())
-            for axis in range(ndim):
-                operands = [np.eye(n)] * ndim
-                operands[axis] = kinetic if axis < 2 else -kinetic
-                dense += functools.reduce(np.kron, operands)
+        # The dense generator H = T (x) 1 - 1 (x) T + P of a single-mode run
+        # (n = 8) whose ket and bra forces differ, under diffusion: the extremes of
+        # the spectra of h_ket and h_bra give the real extent of its Hermitian part
+        # exactly, and its spectrum lies in the series' rectangle.  Strong drive
+        # and coupling as well.
+        n = 8
+        xi, _, kinetic = orc._dvr(n)
+        for params in (
+            UnitlessParams(f_q=0.2, g=0.05, s=0.5, n_p=0.3, gamma_x=0.3, gamma_z=0.1),
+            UnitlessParams(f_q=2.0, g=0.45, s=0.5, gamma_x=0.3, gamma_z=0.1),
+        ):
+            curvature, force = 1.0 - 2.0 * params.g, np.sqrt(2.0) * params.f_q
+            ket, bra = (0.5 * curvature * xi**2 + sign * force * xi for sign in (1.0, -1.0))
+            diffusion = 0.25 * params.gamma_x * np.subtract.outer(xi, xi) ** 2
+            ket_levels, bra_levels = (np.linalg.eigvalsh(kinetic + np.diag(v)) for v in (ket, bra))
+            low, high = ket_levels[0] - bra_levels[-1], ket_levels[-1] - bra_levels[0]
+            half, (centre,), _ = orc._rectangles(
+                np.array([low]), np.array([high]), -diffusion.max(), 0.0
+            )
+            factor = np.subtract.outer(ket, bra) - 1j * diffusion
+            dense = np.diag(factor.ravel()) + np.kron(kinetic, np.eye(n))
+            dense -= np.kron(np.eye(n), kinetic)
             spectrum = np.linalg.eigvals(dense)
-            assert np.all(np.abs(spectrum.real - centre.real) <= half * (1.0 + 1e-12)), ndim
-            assert np.all(spectrum.imag >= factor.imag.min() - 1e-12), ndim
-            assert np.all(spectrum.imag <= factor.imag.max() + 1e-12), ndim
+            assert np.all(np.abs(spectrum.real - centre.real) <= half * (1.0 + 1e-12))
+            assert np.all(spectrum.imag >= -diffusion.max() - 1e-12)
+            assert np.all(spectrum.imag <= 1e-12)
             hermitian = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
-            assert np.all(np.abs(hermitian - centre.real) <= half * (1.0 + 1e-12)), ndim
+            assert hermitian[0] == pytest.approx(low, abs=1e-12)
+            assert hermitian[-1] == pytest.approx(high, abs=1e-12)
+            assert half == pytest.approx(0.5 * (high - low), rel=1e-15)
 
     @pytest.mark.parametrize("theta", [1e-3, 0.5, 2.0, 53.0, 400.0])
     def test_series_coefficients_match_mpmath_bessel(self, theta):
-        # c_k = (2 - delta_k0) (-i)^k J_k(theta), so i^k c_k is real
+        # c_k = (2 - delta_k0) J_k(theta), and sum_k (-i)^k c_k T_k(x) = exp(-i theta x)
         coefficients = orc._chebyshev_coefficients(theta, 1.1)
         orders = np.arange(len(coefficients))
-        scaled = coefficients * np.array([1.0, 1j, -1.0, -1j])[orders % 4]
-        assert not scaled.imag.any()
-        bessel = scaled.real / np.where(orders > 0, 2.0, 1.0)
+        bessel = coefficients / np.where(orders > 0, 2.0, 1.0)
         with mpmath.workdps(40):
             reference = np.array([float(mpmath.besselj(k, theta)) for k in orders])
         error = np.abs(bessel - reference)
@@ -651,6 +500,10 @@ class TestFockOpen:
         assert np.all(error[orders <= theta] <= 1e-15)
         assert np.all(error[orders > theta] <= 1e-14 * np.abs(reference[orders > theta]))
         assert 2.0 * abs(reference[-1]) * 1.1 ** orders[-1] >= 1e-16  # the last term counts
+        x = np.linspace(-1.0, 1.0, 7)
+        chebyshev = np.cos(np.outer(orders, np.arccos(x)))
+        series = ((-1j) ** orders * coefficients) @ chebyshev
+        assert np.max(np.abs(series - np.exp(-1j * theta * x))) <= 1e-13
 
     def test_dephasing_decay_matches_adopted_convention(self):
         params = UnitlessParams(f_q=0.2, g=0.05, gamma_z=0.05)
@@ -665,8 +518,8 @@ class TestFockOpen:
 
 class TestVerifyFock:
     def test_arbitration_entries_are_at_rounding(self):
-        # The kets' one series per run leaves the noise-free QRDM, the phase at
-        # closure and both contrast exponents within 1e-14 of the closed forms.
+        # The noise-free QRDM, the phase at closure and both contrast exponents
+        # of the normal-mode runs are within 1e-14 of the closed forms.
         entries = {entry.name: entry for entry in orc.verify_fock().entries}
         arbitration = [name for name in entries if name.startswith("arbitration/")]
         assert arbitration == [
