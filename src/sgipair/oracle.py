@@ -15,16 +15,20 @@ each writes out the two-SGI model itself, from ``UnitlessParams`` alone:
   ``np.linalg.eigh``; in its eigenmodes every branch Hamiltonian, the
   position diffusion and the initial state factorize exactly, so each QRDM
   entry is its qubit dephasing factor over 4 times the product of two
-  single-mode traces.  Each distinct single-mode density operator (mode, ket
-  force, bra force), at most 18, is one run; the runs advance as one stacked
-  Chebyshev series (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)) in
-  the eigenbasis of the truncated position matrix x (the discrete-variable
-  representation of Light, Hamilton and Lill, J. Chem. Phys. 82, 1400
-  (1985)).  There x is diagonal, so the potentials and the position
-  diffusion are one elementwise factor, and only the kinetic energy p^2/2
-  acts as a matrix, one real matrix product on the ket axis and one on the
-  bra axis.  The series' spectral rectangles take their real extent exactly
-  from the single-mode spectra.  Every grid time a series reaches reads its
+  single-mode traces.  Under position diffusion each distinct single-mode
+  density operator (mode, ket force, bra force), at most 18, is one run.
+  Without it each trace is the inner product of two evolved kets, so the
+  runs are the distinct (mode, force) kets, at most 6, each carrying the
+  columns of the initial state's real factor K, rho_0 = K K^T.  The runs
+  advance as one stacked Chebyshev series (Tal-Ezer and Kosloff, J. Chem.
+  Phys. 81, 3967 (1984)) in the eigenbasis of the truncated position matrix
+  x (the discrete-variable representation of Light, Hamilton and Lill,
+  J. Chem. Phys. 82, 1400 (1985)).  There x is diagonal, so the potentials
+  and the position diffusion are one elementwise factor, and only the
+  kinetic energy p^2/2 acts as a matrix: one real matrix product on the ket
+  axis, and for a density operator one more on the bra axis.  The series'
+  spectral rectangles take their real extent exactly from the single-mode
+  spectra.  Every grid time a series reaches reads its
   state from the same terms; under diffusion the generator is not normal,
   so a series spans at most ``FockProblem.dt`` and restarts at the last grid
   time it read.  The oracle is single-threaded.
@@ -282,16 +286,18 @@ def _quadratures(n_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _single_mode_initial(s: float, n_p: float, n_max: int) -> np.ndarray:
-    """Fock-basis density matrix of a squeezed thermal single-mode state."""
-    occupations = np.arange(n_max, dtype=float)
+    """Real factor K of a squeezed thermal single-mode state rho = K K^T in the Fock basis.
+
+    K = S diag(sqrt(w)) over the thermal Fock weights w, S the squeezer: one
+    column for n_p = 0, squeezed or not, and n_max columns otherwise.
+    """
     if n_p == 0.0:
-        weights = np.zeros(n_max)
-        weights[0] = 1.0
+        weights = np.ones(1)
     else:
         ratio = n_p / (1.0 + n_p)
-        weights = ratio**occupations / (1.0 + n_p)
+        weights = ratio ** np.arange(n_max, dtype=float) / (1.0 + n_p)
         weights /= weights.sum()  # renormalize the truncated tail
-    rho = np.diag(weights).astype(complex)
+    factor = np.eye(n_max, len(weights)) * np.sqrt(weights)
     if s != 1.0:
         # squeeze x-variance by s: S = exp(r (a^2 - a^dag^2)/2), r = -ln(s)/2, which is
         # exp(-iH) for the Hermitian H = i r (a^2 - a^dag^2)/2; S is real (orthogonal)
@@ -299,9 +305,9 @@ def _single_mode_initial(s: float, n_p: float, n_max: int) -> np.ndarray:
         r = -0.5 * np.log(s)
         energies, vectors = np.linalg.eigh(0.5j * r * (a @ a - a.T @ a.T))
         squeezer = ((vectors * np.exp(-1j * energies)) @ vectors.conj().T).real
-        rho = squeezer @ rho @ squeezer.T
-        rho /= np.trace(rho).real
-    return rho
+        factor = squeezer @ factor
+        factor /= np.linalg.norm(factor)  # Tr K K^T = 1
+    return factor
 
 
 def _dvr(n):
@@ -333,18 +339,24 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     factorization is exact in the model; each mode is still truncated and
     propagated by brute force, so the Gaussian premise stays tested.
 
-    Each distinct (mode, F_ket, F_bra) is one run; the lower-triangle sectors run
-    their own.  The runs are stacked as (runs, n, n) in the eigenbasis of the
-    truncated x, where the potentials and the diffusion are one elementwise
-    factor P and only T = p^2/2 acts as a matrix: from the left on the ket axis,
-    from the right on the bra axis.  The generator H = T (x) 1 - 1 (x) T + P is
-    constant, so exp(-i tau H) is one Chebyshev series, exact to rounding.  Under
-    diffusion H is not normal and its terms can grow, so a series reads every
-    grid time within ``problem.dt`` of its start and restarts at the last of
-    them; a slot longer than ``problem.dt`` is cut into equal steps
-    (``_block_steps``).  All runs share one coefficient row per step.
-    The leakage is the top-two-level population of each run of a diagonal
-    sector, relative to its trace; the trace error is the largest |Tr QRDM - 1|.
+    With diffusion (gamma_x > 0) each distinct (mode, F_ket, F_bra) is one run;
+    the lower-triangle sectors run their own.  The runs are stacked as
+    (runs, n, n) in the eigenbasis of the truncated x, where the potentials and
+    the diffusion are one elementwise factor P and only T = p^2/2 acts as a
+    matrix: from the left on the ket axis, from the right on the bra axis.
+    Without diffusion rho_k(tau) = U_ket K K^T U_bra^dagger, with K the real
+    factor of the initial state, so Tr rho_k sums conj(U_bra K) * U_ket K over
+    all entries: only the distinct (mode, F) kets U K run, stacked as
+    (kets, n, rank) with rank 1 for n_p = 0 and n otherwise, and each entry
+    pairs its own two kets.
+    Either generator (H = T (x) 1 - 1 (x) T + P, or h = T + P) is constant, so
+    exp(-i tau H) is one Chebyshev series, exact to rounding.  Under diffusion
+    H is not normal and its terms can grow, so a series reads every grid time
+    within ``problem.dt`` of its start and restarts at the last of them; a slot
+    longer than ``problem.dt`` is cut into equal steps (``_block_steps``).  All
+    runs share one coefficient row per step.  The leakage is the top-two-level
+    population of each run, or ket, of a diagonal sector, relative to its
+    trace, or norm; the trace error is the largest |Tr QRDM - 1|.
     """
     params, n = problem.params, problem.n_max
     grid = np.asarray(problem.tau_grid, dtype=float)
@@ -362,42 +374,61 @@ def fock_propagate(problem: FockProblem) -> FockResult:
         sectors[(row, col)] = label, ((0, ket[0], bra[0]), (1, ket[1], bra[1]))
     runs = list(dict.fromkeys(run for _, pair in sectors.values() for run in pair))
     index = {run: position for position, run in enumerate(runs)}
-    mode, *run_forces = (np.array(column) for column in zip(*runs))
-    # w^2 xi^2/2 + F xi of each run on its ket axis and on its bra axis, (2, runs, n)
-    potentials = 0.5 * curvatures[mode][:, None] * xi**2 + np.array(run_forces)[..., None] * xi
-    diffusion = 0.25 * params.gamma_x * np.subtract.outer(xi, xi) ** 2
-    # the ascending spectra of h_ket and h_bra, (2, runs, n), give each run's real extent exactly
+    kets = list(dict.fromkeys((mode, force) for mode, *pair in runs for force in pair))
+    on_ket, on_bra = np.array([[kets.index((mode, f)) for f in pair] for mode, *pair in runs]).T
+    mode, force = (np.array(column) for column in zip(*kets))
+    potentials = 0.5 * curvatures[mode][:, None] * xi**2 + force[:, None] * xi  # (kets, n)
+    # the ascending spectrum of each h, (kets, n), gives the real extents exactly
     levels = np.linalg.eigvalsh(kinetic + potentials[..., None] * np.eye(n))
-    lows, highs = levels[0, :, 0] - levels[1, :, -1], levels[0, :, -1] - levels[1, :, 0]
-    half, centres, rho = _rectangles(lows, highs, -diffusion.max(), 0.0)
-    factor = (2.0 / half) * (
-        potentials[0, :, :, None] - potentials[1, :, None, :] - 1j * diffusion
-        - centres[:, None, None]
-    )
+    diagonal = [index[run] for label, pair in sectors.values() if label.is_diagonal for run in pair]
+    start = (u.T @ _single_mode_initial(params.s, params.n_p, n)).astype(complex)
+    pure = params.gamma_x == 0.0
+    if pure:  # a run is U_ket K K^T U_bra^dagger: each ket U K alone evolves, (kets, n, rank)
+        # one rectangle holds every spectrum: its centre's phase cancels in each inner product
+        half, centres, rho = _rectangles(levels[:, :1].min(0), levels[:, -1:].max(0), 0.0, 0.0)
+        factor = potentials[..., None] - centres[:, None, None]
+        state = np.repeat(start[None], len(kets), axis=0)
+        diagonal = on_ket[diagonal]  # a diagonal sector's run pairs one ket with itself
+    else:  # each run's density operator evolves, (runs, n, n)
+        lows = levels[on_ket, 0] - levels[on_bra, -1]
+        highs = levels[on_ket, -1] - levels[on_bra, 0]
+        diffusion = 0.25 * params.gamma_x * np.subtract.outer(xi, xi) ** 2
+        half, centres, rho = _rectangles(lows, highs, -diffusion.max(), 0.0)
+        factor = (
+            potentials[on_ket, :, None] - potentials[on_bra, None, :] - 1j * diffusion
+            - centres[:, None, None]
+        )
+        state = np.repeat((start @ start.T)[None], len(runs), axis=0)
+    factor = (2.0 / half) * factor
     kinetic = (2.0 / half) * kinetic
     right = np.kron(kinetic, np.eye(2))  # T on the bra axis of a float view: re, im interleaved
-    scratch = np.empty(factor.shape, dtype=complex)
+    scratch = np.empty(state.shape, dtype=complex)
 
-    def step(phi, out):  # -2iX phi: +T on the ket axis, -T on the bra axis, then P - c
+    def step(phi, out):  # -2iX phi: +T on the ket axis, -T on a bra axis, then P - c
         np.matmul(kinetic, phi.view(float), out=out.view(float))
-        flat = phi.view(float).reshape(-1, 2 * n)
-        np.matmul(flat, right, out=scratch.view(float).reshape(-1, 2 * n))
-        out -= scratch
+        if not pure:
+            flat = phi.view(float).reshape(-1, 2 * n)
+            np.matmul(flat, right, out=scratch.view(float).reshape(-1, 2 * n))
+            out -= scratch
         out += np.multiply(factor, phi, out=scratch)
         out *= -1j
 
     steps = _block_steps(grid, problem.dt)
     rows = dict.fromkeys(h for offsets, _, _ in steps for h in offsets)
     rows = {h: _chebyshev_coefficients(h * half, rho) for h in rows}
-    single = u.T @ _single_mode_initial(params.s, params.n_p, n) @ u
-    state = np.repeat(single[None], len(runs), axis=0)
-    top = u[-2:].T @ u[-2:]  # the top two Fock levels, in the eigenbasis of x
+    top = u[-2:]  # the top two Fock levels, in the eigenbasis of x
     traces = np.empty((len(grid), len(runs)), dtype=complex)
-    populations = np.empty_like(traces)
+    sizes = np.empty((len(grid), len(state)), dtype=complex)  # norm of a ket, trace of a run
+    populations = np.empty_like(sizes)
 
     def observe(states, slots):
-        traces[slots] = np.einsum("trii->tr", states)
-        populations[slots] = np.einsum("trac,ac->tr", states, top)
+        if pure:
+            traces[slots] = (states[:, on_ket] * states[:, on_bra].conj()).sum(axis=(-2, -1))
+            sizes[slots] = np.square(np.abs(states)).sum(axis=(-2, -1))
+            populations[slots] = np.square(np.abs(top @ states)).sum(axis=(-2, -1))
+        else:
+            traces[slots] = sizes[slots] = np.einsum("trii->tr", states)
+            populations[slots] = np.einsum("trac,ac->tr", states, top.T @ top)
 
     observe(state[None], [0])
     advice = f"; decrease dt={problem.dt}"
@@ -414,13 +445,10 @@ def fock_propagate(problem: FockProblem) -> FockResult:
         first, second = (traces[:, index[run]] for run in pair)
         dephasing = np.exp(-params.gamma_z * label.n_differing * grid)
         qrdm[:, row, col] = 0.25 * dephasing * first * second
-    diagonal = sorted(
-        {index[run] for label, pair in sectors.values() if label.is_diagonal for run in pair}
-    )
     result = FockResult(
         tau_grid=grid,
         qrdm=qrdm,
-        leakage=float(np.max((populations[:, diagonal] / traces[:, diagonal]).real)),
+        leakage=float(np.max((populations[:, diagonal] / sizes[:, diagonal]).real)),
         trace_error=float(np.max(np.abs(np.trace(qrdm, axis1=1, axis2=2) - 1.0))),
         n_max=n,
     )
@@ -465,7 +493,7 @@ def _chebyshev_sums(table, start, step, taus, name, advice):
     (psi_1 = -iX start), where ``step(psi, out)`` writes -2iX psi into ``out``;
     they are made one at a time, and each is added into the states of the grid
     times from the first whose row reaches it (rows grow with tau).  The weights
-    are real, so each addition is one real product per grid time on float views.
+    are real, so the additions are one real outer product on float views.
     A state of a run that is not finite or below 1e-2 of its largest weighted
     term (cancellation) raises OracleError naming its grid time.
     """
@@ -485,8 +513,7 @@ def _chebyshev_sums(table, start, step, taus, name, advice):
                     spare += previous
             previous, current, spare = current, spare, previous
             term = current.view(float)
-            for total, weight in zip(sums[first:], weights[first:]):
-                total += weight * term
+            sums[first:] += np.multiply.outer(weights[first:], term)
             weighted = np.outer(np.abs(weights[first:]), _peaks(current))
             largest[first:] = np.maximum(largest[first:], weighted)
     for tau, tops, sizes in zip(taus, largest, _peaks(states)):
@@ -523,7 +550,7 @@ def _block_steps(grid, dt):
 
 
 def _peaks(states):
-    """Largest |real| or |imaginary| part of each (n, n) state in ``states``; NaN if any is."""
+    """Largest |real| or |imaginary| part of each (n, n) or (n, rank) state; NaN if any is."""
     parts = states.view(float)
     return np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
 
@@ -698,9 +725,10 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
     """Full suite: truncated-Fock propagation versus the closed-form QRDM.
 
     Runs the arbitration point (f_q = 0.2, g = 0.05) without noise at n_max = 32
-    Fock levels per normal mode, then with position diffusion at n_max = 20,
-    each as one Chebyshev series over its grid (n_max + 4 agrees with either
-    to rounding), and records the constant/sign arbitration outcomes in the
+    Fock levels per normal mode, as six evolved kets, then with position
+    diffusion at n_max = 20, as 18 single-mode density operators, each as one
+    Chebyshev series over its grid (n_max + 4 agrees with either to
+    rounding), and records the constant/sign arbitration outcomes in the
     report notes.
     """
     from .dynamics import entangling_phase, final_contrast, open_qrdm, unitary_qrdm

@@ -383,8 +383,8 @@ def reference_two_mode_qrdm(problem):
             out = apply_(h_branch[j], block, 1) + apply_(h_branch[m], block, 2)
             return out + params.g * apply_(x, apply_(x, block, 1), 2)
 
-        rho_cv = _single_mode_initial(params.s, params.n_p, n)
-        rho_cv = np.kron(rho_cv, rho_cv)
+        factor = _single_mode_initial(params.s, params.n_p, n)
+        rho_cv = np.kron(factor @ factor.T, factor @ factor.T)
         for label in labels:
             if bits(label)[0] > bits(label)[1]:
                 continue
@@ -412,6 +412,33 @@ def reference_two_mode_qrdm(problem):
     return qrdm
 
 
+def reference_single_mode_density(s: float, n_p: float, n_max: int) -> np.ndarray:
+    """Fock-basis density matrix of a squeezed thermal single-mode state, as a matrix.
+
+    The thermal weights w_k = n_p^k/(1 + n_p)^(k+1), renormalized over the n_max
+    levels, squeezed as S diag(w) S^T with the squeezer S = exp(r (a^2 - a^dag^2)/2),
+    r = -ln(s)/2, from the eigenvectors of the Hermitian i r (a^2 - a^dag^2)/2, and
+    normalized to unit trace.  The form ``sgipair.oracle`` used before it kept
+    the factor K of rho = K K^T.
+    """
+    weights = np.zeros(n_max)
+    if n_p == 0.0:
+        weights[0] = 1.0
+    else:
+        ratio = n_p / (1.0 + n_p)
+        weights = ratio ** np.arange(n_max, dtype=float) / (1.0 + n_p)
+        weights /= weights.sum()
+    rho = np.diag(weights).astype(complex)
+    if s != 1.0:
+        a = np.diag(np.sqrt(np.arange(1, n_max)), k=1)
+        r = -0.5 * np.log(s)
+        energies, vectors = np.linalg.eigh(0.5j * r * (a @ a - a.T @ a.T))
+        squeezer = ((vectors * np.exp(-1j * energies)) @ vectors.conj().T).real
+        rho = squeezer @ rho @ squeezer.T
+        rho /= np.trace(rho).real
+    return rho
+
+
 def reference_mode_qrdm(problem):
     """QRDM of the oracle's truncated normal-mode model, from a dense Liouvillian per mode.
 
@@ -436,7 +463,8 @@ def reference_mode_qrdm(problem):
     x = (a + a.T) / np.sqrt(2.0)
     p = 1j * (a.T - a) / np.sqrt(2.0)
     eye = np.eye(n)
-    rho0 = _single_mode_initial(params.s, params.n_p, n).ravel()
+    factor = _single_mode_initial(params.s, params.n_p, n)
+    rho0 = (factor @ factor.T).ravel()
     curvatures = {+1: 1.0, -1: 1.0 - 2.0 * params.g}
     diffusion = np.kron(x @ x, eye) + np.kron(eye, (x @ x).T) - 2.0 * np.kron(x, x.T)
 

@@ -15,6 +15,7 @@ from oracles import (
     reference_covariance,
     reference_mode_qrdm,
     reference_moment_states,
+    reference_single_mode_density,
     reference_two_mode_qrdm,
 )
 from sgipair import dynamics as dyn
@@ -39,14 +40,15 @@ def relative_deviation(value, reference):
     return float(np.max(np.abs(value - reference)) / np.max(np.abs(reference)))
 
 
-def stacked_run_problems():
+def stacked_run_problems(gamma_x=0.02):
     """Two coarse squeezed thermal problems at |+>|+>.
 
     Kernel equivalence only: n_max=8 and 9 truncate this state coarsely, so the
     leakage bound is not the subject (callers raise ``orc._LEAKAGE_TOL`` to
     1e-1).  The odd cutoff gives x a zero eigenvalue; its grid has unequal spans.
+    At ``gamma_x`` = 0 the runs are kets, n_max columns each (thermal).
     """
-    params = UnitlessParams(f_q=0.2, g=0.05, s=0.8, n_p=0.05, gamma_x=0.02, gamma_z=0.03)
+    params = UnitlessParams(f_q=0.2, g=0.05, s=0.8, n_p=0.05, gamma_x=gamma_x, gamma_z=0.03)
     return [
         orc.FockProblem(params=params, tau_grid=np.array(grid), n_max=n_max)
         for n_max, grid in ((8, [0.0, 0.1, 0.25]), (9, [0.0, 0.05, 0.2, 0.27]))
@@ -292,6 +294,17 @@ class TestFockOpen:
         for problem in stacked_run_problems():
             assert_fock_matches_reference(orc.fock_propagate(problem), problem)
 
+    def test_ket_runs_match_the_dense_single_mode_reference(self, monkeypatch):
+        # Without diffusion each run is a pair of evolved kets: the thermal twins of
+        # the stacked problems (n_max columns per ket) and a pure squeezed point (one).
+        monkeypatch.setattr(orc, "_LEAKAGE_TOL", 1e-1)
+        squeezed = UnitlessParams(f_q=0.2, g=0.1, s=0.5)
+        problems = stacked_run_problems(gamma_x=0.0) + [
+            orc.FockProblem(params=squeezed, tau_grid=np.array([0.0, 0.4, 1.1]), n_max=12)
+        ]
+        for problem in problems:
+            assert_fock_matches_reference(orc.fock_propagate(problem), problem)
+
     def test_series_span_does_not_change_results(self):
         # A diffusive problem at three dt: the whole grid (one series reads all four
         # grid times), one slot (a series per slot) and a quarter slot (four steps per slot).
@@ -326,8 +339,9 @@ class TestFockOpen:
         for (offsets, slots, observed), (h, want_slots, want_observed) in zip(steps, expected):
             assert np.allclose(offsets, h, rtol=1e-15, atol=0.0)
             assert (slots, observed) == (want_slots, want_observed)
-        problem = replace(stacked_run_problems()[0], tau_grid=grid, dt=0.5)
-        assert_fock_matches_reference(orc.fock_propagate(problem), problem)
+        for gamma_x in (0.02, 0.0):
+            problem = replace(stacked_run_problems(gamma_x)[0], tau_grid=grid, dt=0.5)
+            assert_fock_matches_reference(orc.fock_propagate(problem), problem)
 
     def test_runs_share_one_coefficient_row_per_step(self, monkeypatch):
         # All runs share the half-width and Bernstein rho of their series, so a
@@ -372,9 +386,22 @@ class TestFockOpen:
         a = np.diag(np.sqrt(np.arange(1, n_max)), k=1)
         squeezer = expm(-0.25 * np.log(s) * (a @ a - a.T @ a.T))
         for n_p in (0.0, 0.5):
-            expected = squeezer @ orc._single_mode_initial(1.0, n_p, n_max) @ squeezer.T
+            thermal = orc._single_mode_initial(1.0, n_p, n_max)
+            expected = squeezer @ thermal @ thermal.T @ squeezer.T
             expected /= np.trace(expected).real
-            assert np.max(np.abs(orc._single_mode_initial(s, n_p, n_max) - expected)) <= 1e-12
+            factor = orc._single_mode_initial(s, n_p, n_max)
+            assert np.max(np.abs(factor @ factor.T - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n_max", [8, 12, 30])
+    @pytest.mark.parametrize("s", [1.0, 0.8, 1e-2])
+    def test_initial_factor_rebuilds_the_density(self, n_max, s):
+        # rho = K K^T with one column of K for a pure state and n_max for a thermal one
+        for n_p in (0.0, 0.5):
+            factor = orc._single_mode_initial(s, n_p, n_max)
+            assert factor.shape == (n_max, 1 if n_p == 0.0 else n_max)
+            assert factor.dtype == float
+            density = reference_single_mode_density(s, n_p, n_max)
+            assert np.max(np.abs(factor @ factor.T - density)) <= 1e-15
 
     def test_squeezed_run_needs_no_scipy(self):
         code = (
@@ -443,12 +470,14 @@ class TestFockOpen:
 
     def test_cancelling_series_raises(self, monkeypatch):
         # The truncated vacuum of the uncoupled, undriven trap is an eigenvector of
-        # h, so each run's start is stationary up to the tiny diffusion (exactly
-        # without it): X phi_0 is nearly 0 and T_0 + T_2 = 2 X^2 sums to almost nothing.
-        two_x_squared = np.array([1.0, 0.0, -1.0])
-        monkeypatch.setattr(orc, "_chebyshev_coefficients", lambda theta, rho: two_x_squared)
+        # h.  Under diffusion each run's start is stationary up to the tiny rate:
+        # X phi_0 is nearly 0 and T_0 + T_2 = 2 X^2 sums to almost nothing.  Without
+        # it the vacuum ket is the bottom of its series' spectrum, X phi_0 = -phi_0,
+        # and T_0 - T_2 = 2 (1 - X^2) sums to almost nothing.
         message = r"tau=0\.5 is not finite or lost to cancellation: terms up to \S+ sum to \S+; "
-        for gamma_x in (1e-12, 0.0):
+        for gamma_x, sign in ((1e-12, -1.0), (0.0, 1.0)):
+            cancelling = np.array([1.0, 0.0, sign])
+            monkeypatch.setattr(orc, "_chebyshev_coefficients", lambda theta, rho, c=cancelling: c)
             params = UnitlessParams(f_q=0.0, g=0.0, gamma_x=gamma_x)
             problem = orc.FockProblem(params=params, tau_grid=[0.0, 0.5], n_max=8)
             with pytest.raises(orc.OracleError, match=message + r"decrease dt=1\.0$"):
