@@ -8,11 +8,9 @@ trajectories, the QRDM phases and contrasts, and the assembled state, each
 as an explicit function of the dimensionless parameters.  One set of
 contrast closed forms serves both: the unitary QRDM is the open QRDM at
 s = 1, n_p = 0 and zero rates.  The cat-state calls take one scalar point
-at a time and share its branch-pair kernel (``_shared_kernel``): the arrays
-from which the moments of all 16 branch pairs follow, made in one
-normal-mode pass of ``phase_space``, and the point's closed-form
-``open_qrdm`` result.  ``_build_kernel`` makes them for one point or,
-broadcast, for a whole grid in one call.
+at a time and share its closed-form ``open_qrdm`` result (``_shared_qrdm``);
+``evolve_cat_state`` makes the moments of all 16 branch pairs from one
+normal-mode pass of ``phase_space``.
 
 Branch labels are sigma_z eigenvalues, with computational bit 0 mapped to
 +1.  The branch with both qubits in bit 0 is deflected toward negative
@@ -21,7 +19,6 @@ positions, which fixes the sign convention of the drift vectors.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
@@ -104,11 +101,6 @@ class BranchLabel:
     def n_differing(self) -> int:
         """Number of qubits whose ket and bra eigenvalues differ."""
         return (self.j != self.k) + (self.m != self.n)
-
-    @property
-    def swapped(self) -> "BranchLabel":
-        """Conjugate label with ket and bra sides exchanged."""
-        return BranchLabel(j=self.k, k=self.j, m=self.n, n=self.m)
 
 
 # The 16 labels in row-major QRDM order, built once.
@@ -310,54 +302,8 @@ def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMo
 
 
 _DIAGONAL = np.diag_indices(4)
-# Row r[..., row, :] of a per-row array as the ket and as the bra side of entry [..., row, col].
-_KET, _BRA = (..., slice(None), None, slice(None)), (..., None, slice(None), slice(None))
-
-
-def _moment_table(sigma: np.ndarray, pairs: tuple[np.ndarray, ...], m1: np.ndarray) -> np.ndarray:
-    """First moments (4, 4, 4) of all 16 branch pairs of a point evolved to the covariance sigma."""
-    delta_eq, mismatch, mean = pairs
-    moments = mean + 0.5j * (mismatch @ (sigma @ _OMEGA).T + delta_eq @ m1.T)
-    moments.imag[_DIAGONAL] = 0.0  # a diagonal branch is real
-    return moments
-
-
 _PARAM_NAMES = tuple(f.name for f in fields(UnitlessParams))
 _POINT = attrgetter(*_PARAM_NAMES)
-
-_KERNEL_FIELDS = "s_tau lyapunov pairs m1 open_qrdm"
-_Kernel = namedtuple("_Kernel", _KERNEL_FIELDS)
-
-
-def _build_kernel(params: UnitlessParams, tau) -> _Kernel:
-    """Branch-pair kernel of ``params`` at tau; a grid of fields or tau puts its axes first.
-
-    Labels differ only in the displaced equilibria r of their ket and bra sides, and
-    the diffusion memory term of their moments is linear in delta = r_ket - r_bra.  So
-    S(tau) and the integrals L and m1 of one normal-mode pass (``phase_space._normal_modes``),
-    the ``_shifts`` r and delta of the four QRDM rows and the pairs r_ket - r_bra,
-    delta_ket - delta_bra and their mean (entry [row, col] of ``BranchLabel.from_bits(row,
-    col)``) serve all 16 labels; ``_moment_table`` gives their moments from any evolved
-    covariance.  r and delta themselves are not kept.  ``open_qrdm`` is that function's
-    (QRDM, contrasts, phase), the one source of every label's phase and contrast.  A grid
-    build equals its points' builds.  Every array is read-only, as one point's kernel is
-    shared by the cat-state calls.
-    """
-    modes = _normal_modes(params.g, params.gamma_x, tau)
-    modes.setflags(write=False)  # before the views below, which inherit it
-    s_tau, lyapunov, m1 = (modes[..., k, :, :] for k in range(3))
-    r, delta = _shifts(sgi_hamiltonian_matrix(params.g), params.f_q, s_tau)
-    pairs = (r[_KET] - r[_BRA], delta[_KET] - delta[_BRA], 0.5 * (delta[_KET] + delta[_BRA]))
-    qrdm = open_qrdm(params, tau)
-    for array in (*pairs, qrdm[0]):
-        array.setflags(write=False)
-    return _Kernel(s_tau, lyapunov, pairs, m1, qrdm)
-
-
-@lru_cache(maxsize=8)
-def _shared_kernel(point: tuple[float, ...], tau: float) -> _Kernel:
-    """``_build_kernel`` of the scalar UnitlessParams fields ``point`` at tau, kept for 8 points."""
-    return _build_kernel(UnitlessParams(*point), tau)
 
 
 def _scalar(name: str, value) -> float:
@@ -366,18 +312,30 @@ def _scalar(name: str, value) -> float:
     return float(value)
 
 
-def _kernel(params: UnitlessParams, tau: float) -> _Kernel:
-    """Shared kernel of one point; grid inputs and a bad tau raise before the cache lookup.
+def _point(params: UnitlessParams, tau) -> tuple[tuple[float, ...], float]:
+    """The UnitlessParams fields and tau of one point as floats, the key of ``_shared_qrdm``.
 
-    Fields that are all Python floats are the key as they are; anything else
-    goes through ``_scalar``, so a numpy scalar shares its float's cache entry.
+    Grid inputs and a bad tau raise here, before any work.  Fields that are all Python
+    floats are the key as they are; anything else goes through ``_scalar``, so a numpy
+    scalar shares its float's cache entry.
     """
     point = _POINT(params)
     if not {float}.issuperset(map(type, point)):
         point = tuple(map(_scalar, _PARAM_NAMES, point))
     tau = _scalar("tau", tau)
     _check_tau(tau)
-    return _shared_kernel(point, tau)
+    return point, tau
+
+
+@lru_cache(maxsize=8)
+def _shared_qrdm(point: tuple[float, ...], tau: float) -> tuple[np.ndarray, ContrastSet, float]:
+    """``open_qrdm`` of the UnitlessParams fields ``point`` at tau, read-only, kept for 8 points.
+
+    The one source of every cat-state phase, contrast and QRDM.
+    """
+    qrdm = open_qrdm(UnitlessParams(*point), tau)
+    qrdm[0].setflags(write=False)
+    return qrdm
 
 
 def branch_pair_phase_contrast(
@@ -385,13 +343,14 @@ def branch_pair_phase_contrast(
 ) -> tuple[float, float]:
     """Phase and decay exponent of one QRDM entry, so that the entry is exp(-contrast + i phase)/4.
 
-    Reads the label's entry, through ``_QRDM_LAYOUT``, of the kernel's ``open_qrdm`` phase
-    and contrasts: the entangling phase (with the entry's sign) and the sum of the contrast
-    exponents that suppress the entry.  Dephasing adds gamma_z * tau per flipped qubit,
-    independently for each qubit.  Params and tau must be scalars; the kernel is built once
-    per point and shared with the other cat-state calls.  Both values are Python floats.
+    Reads the label's entry, through ``_QRDM_LAYOUT``, of the point's cached ``open_qrdm``
+    phase and contrasts: the entangling phase (with the entry's sign) and the sum of the
+    contrast exponents that suppress the entry.  Dephasing adds gamma_z * tau per flipped
+    qubit, independently for each qubit.  Params and tau must be scalars; the closed forms
+    are evaluated once per point and shared with the other cat-state calls.  Both values are
+    Python floats.
     """
-    _, contrasts, phase = _kernel(params, tau).open_qrdm
+    _, contrasts, phase = _shared_qrdm(*_point(params, tau))
     entry = _QRDM_LAYOUT[label.qrdm_index]
     if entry == 0:
         return 0.0, 0.0
@@ -481,21 +440,29 @@ def evolve_cat_state(
     gamma_x times the accumulated diffusion; branch moments and the QRDM come
     from the corresponding closed forms.  Only evolution of the centred
     initial state produced by ``initial_cat_state`` is supported.  Params and
-    tau must be scalars; the branch-pair kernel of the point is shared with
-    ``branch_pair_phase_contrast``.  The 16 branches are the entries of
-    ``_moment_table`` for the covariance evolved from ``initial.sigma``:
-    diagonal branches are real and unaffected by momentum diffusion, and the
-    off-diagonal ones carry imaginary parts set by the evolved covariance
-    and, under diffusion, by the kernel's memory integral m1.  The QRDM is a
-    copy of the kernel's ``open_qrdm`` QRDM.
+    tau must be scalars.  One ``_normal_modes`` pass gives S(tau), L and the
+    memory integral m1, and ``_shifts`` the r and delta of the four QRDM rows;
+    branch (row, col) is (delta_row + delta_col)/2 + (i/2) [sigma Omega
+    (delta_row - delta_col) + m1 (r_row - r_col)] for sigma evolved from
+    ``initial.sigma``, so diagonal branches are real and unaffected by
+    momentum diffusion.  The QRDM is a copy of the point's cached ``open_qrdm``.
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")
     if any(np.count_nonzero(moments.vector) for moments in initial.branches.values()):
         raise ValueError("initial branch moments must be centred at the origin")
-    kernel = _kernel(params, tau)
-    sigma = kernel.s_tau @ initial.sigma @ kernel.s_tau.T + kernel.lyapunov
-    vectors = _moment_table(sigma, kernel.pairs, kernel.m1).reshape(16, 4)
+    point, tau = _point(params, tau)
+    qrdm = _shared_qrdm(point, tau)[0]
+    f_q, g, _, _, gamma_x, _ = point
+    s_tau, lyapunov, m1 = _normal_modes(g, gamma_x, tau)
+    r, delta = _shifts(sgi_hamiltonian_matrix(g), f_q, s_tau)
+    sigma = s_tau @ initial.sigma @ s_tau.T + lyapunov
+    mismatch, delta_eq = delta[:, None] - delta, r[:, None] - r
+    moments = 0.5 * (delta[:, None] + delta) + 0.5j * (
+        mismatch @ (sigma @ _OMEGA).T + delta_eq @ m1.T
+    )
+    moments.imag[_DIAGONAL] = 0.0  # a diagonal branch is real
+    vectors = moments.reshape(16, 4)
     branches = {label: BranchMoments(vector) for label, vector in zip(_ALL_LABELS, vectors)}
     sigma = 0.5 * (sigma + sigma.T)
-    return GaussianCatState(tau, sigma, branches, kernel.open_qrdm[0].copy())
+    return GaussianCatState(tau, sigma, branches, qrdm.copy())

@@ -55,11 +55,11 @@ class NegativityResult:
 
 
 def _exponents(phi, contrasts: ContrastSet | float):
-    """Validated (single, sym, anti) flip exponents; a bare C is ContrastSet(c_s_np_2=C)."""
+    """Validated (single, sym, anti) flip exponents; a bare C is c_s_np_2 alone: (C, 4C, 0)."""
     _require("phi", phi, np.isfinite(phi), "must be finite")
     if not isinstance(contrasts, ContrastSet):
         _require_nonnegative("contrast", contrasts)
-        contrasts = ContrastSet(c_s_np_2=contrasts)
+        return contrasts, 4.0 * contrasts, 0.0
     for name, value in vars(contrasts).items():
         _require(f"contrast {name}", value, np.isfinite(value), "must be finite")
     c = contrasts
@@ -114,7 +114,11 @@ def witness_negativity(phi, contrasts: ContrastSet | float):
     single-flip exponent and b_anti/b_sym the two both-flip exponents,
     elementwise over arrays.
     """
-    single, sym, anti = _exponents(phi, contrasts)
+    return _witness(phi, *_exponents(phi, contrasts))
+
+
+def _witness(phi, single, sym, anti):
+    """Witness trace of the QRDM with these phases and (validated) exponents."""
     return np.exp(-single) * np.sin(phi) - 0.25 * (2.0 - np.exp(-anti) - np.exp(-sym))
 
 
@@ -130,6 +134,6 @@ def evaluate_negativity(phi, contrasts: ContrastSet | float) -> NegativityResult
     return NegativityResult(
         exact=np.maximum(-2.0 * lam, 0.0),
         closed_form=negativity_closed_form(phi, single),
-        witness_trace=witness_negativity(phi, contrasts),
+        witness_trace=_witness(phi, single, sym, anti),
         lambda_min=lam,
     )

@@ -385,7 +385,7 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     pure = params.gamma_x == 0.0
     if pure:  # a run is U_ket K K^T U_bra^dagger: each ket U K alone evolves, (kets, n, rank)
         # one rectangle holds every spectrum: its centre's phase cancels in each inner product
-        half, centres, rho = _rectangles(levels[:, :1].min(0), levels[:, -1:].max(0), 0.0, 0.0)
+        half, centres, rho = _rectangles(levels[:, :1].min(0), levels[:, -1:].max(0), 0.0)
         factor = potentials[..., None] - centres[:, None, None]
         state = np.repeat(start[None], len(kets), axis=0)
         diagonal = on_ket[diagonal]  # a diagonal sector's run pairs one ket with itself
@@ -393,7 +393,7 @@ def fock_propagate(problem: FockProblem) -> FockResult:
         lows = levels[on_ket, 0] - levels[on_bra, -1]
         highs = levels[on_ket, -1] - levels[on_bra, 0]
         diffusion = 0.25 * params.gamma_x * np.subtract.outer(xi, xi) ** 2
-        half, centres, rho = _rectangles(lows, highs, -diffusion.max(), 0.0)
+        half, centres, rho = _rectangles(lows, highs, -diffusion.max())
         factor = (
             potentials[on_ket, :, None] - potentials[on_bra, None, :] - 1j * diffusion
             - centres[:, None, None]
@@ -434,7 +434,7 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     advice = f"; decrease dt={problem.dt}"
     for offsets, slots, observed in steps:
         table = _coefficient_table([rows[h] for h in offsets])
-        states = _chebyshev_sums(table, state, step, grid[slots], "Fock series step", advice)
+        states = _chebyshev_sums(table, state, step, grid[slots], advice)
         states *= np.exp(-1j * np.multiply.outer(offsets, centres))[:, :, None, None]
         if observed:
             observe(states, slots)
@@ -460,20 +460,20 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     return result
 
 
-def _rectangles(lows, highs, imag_lows, imag_highs):
+def _rectangles(lows, highs, imag_lows):
     """Half-width a, centres c_i and Bernstein rho of the stacked generators H_i = K + P_i.
 
     K is the kinetic part and P_i elementwise.  The Hermitian part of H_i has its
     spectrum in [``lows``_i, ``highs``_i] and its anti-Hermitian part is i Im P_i,
-    with Im P_i in [``imag_lows``_i, ``imag_highs``_i], so the numerical range of
-    H_i, which holds its spectrum, lies in a rectangle of centre c_i.  All
-    rectangles take the widest half-width a and the widest imaginary extent, so
-    that a step h has one coefficient row c_k(h a) for every H_i
+    with Im P_i in [``imag_lows``_i, 0] (diffusion only damps), so the numerical
+    range of H_i, which holds its spectrum, lies in a rectangle of centre c_i.
+    All rectangles take the widest half-width a and the widest imaginary extent,
+    so that a step h has one coefficient row c_k(h a) for every H_i
     (``_chebyshev_coefficients``).
     """
     half = 0.5 * np.max(highs - lows)
-    centres = 0.5 * (highs + lows) + 0.5j * (imag_highs + imag_lows)
-    corner = 1.0 + 0.5j * np.max(imag_highs - imag_lows) / half  # of the rectangle, scaled
+    centres = 0.5 * (highs + lows) + 0.5j * imag_lows
+    corner = 1.0 - 0.5j * np.min(imag_lows) / half  # of the rectangle, scaled
     rho = abs(corner + np.sqrt(corner**2 - 1.0))  # its Bernstein ellipse
     return half, centres, rho
 
@@ -486,7 +486,7 @@ def _coefficient_table(rows):
     return table
 
 
-def _chebyshev_sums(table, start, step, taus, name, advice):
+def _chebyshev_sums(table, start, step, taus, advice):
     """States sum_k table[k, i] (-i)^k T_k(X) ``start``, one per grid time ``taus``[i].
 
     The terms psi_k = (-i)^k T_k(X) start obey psi_{k+1} = -2iX psi_k + psi_{k-1}
@@ -520,7 +520,7 @@ def _chebyshev_sums(table, start, step, taus, name, advice):
         for top, size in zip(tops, sizes):
             if not top <= 1e2 * size < np.inf:  # a NaN fails too
                 raise OracleError(
-                    f"{name} to tau={tau} is not finite or lost to cancellation: "
+                    f"Fock series step to tau={tau} is not finite or lost to cancellation: "
                     f"terms up to {top:.1e} sum to {size:.1e}{advice}"
                 )
     return states

@@ -14,9 +14,9 @@ and its normal-mode factorization, and
 evaluate the propagator integrals of ``phase_space``/``dynamics`` by
 adaptive quadrature to check their per-mode closed forms.  The
 branch-pair reference evaluates the general branch-pair formula one label at
-a time, from the kernel's moment parts and a memory integral m2 by
-Gauss-Legendre quadrature, to check the kernel's moment table and the QRDM
-phase and contrast closed forms.  The CSV reference formats every cell on
+a time, from S(tau), m1 and a memory integral m2 by Gauss-Legendre
+quadrature, to check the cat-state branch moments and the QRDM phase and
+contrast closed forms.  The CSV reference formats every cell on
 its own, row by row, to check the CLI's block writer.
 """
 
@@ -404,7 +404,8 @@ def reference_two_mode_qrdm(problem):
                 deriv, norm_bound, rho0[bits(label)] * rho_cv, grid, symmetrize
             )
             blocks[label] = samples
-            blocks[label.swapped] = samples.conj().transpose(0, 2, 1)
+            swapped = BranchLabel(j=label.k, k=label.j, m=label.n, n=label.m)
+            blocks[swapped] = samples.conj().transpose(0, 2, 1)
 
     qrdm = np.zeros((len(grid), 4, 4), dtype=complex)
     for label in labels:
@@ -554,14 +555,14 @@ def reference_m2(g, tau, gamma_x) -> np.ndarray:
 
 
 def reference_branch_pair(
-    kernel, params, tau, label, sigma, m2, h_matrix
+    s_tau, m1, params, tau, label, sigma, m2, h_matrix
 ) -> tuple[np.ndarray, tuple]:
     """First-moment vector and (phase, contrast) of one label by the general branch-pair formula.
 
-    Reads only S(tau) and m1 of the ``dynamics._build_kernel`` result of ``params`` at tau,
-    never its pair terms or QRDM; the shifts r and delta are ``dynamics._shifts`` of S(tau).
-    The evolved covariance sigma, the memory integral m2 and H come from the caller.  One label
-    at a time, one quadratic form at a time, broadcast over the grid axes of a grid kernel.
+    S(tau) and the memory integral m1 are those of ``phase_space._normal_modes`` of
+    ``params`` at tau; the shifts r and delta are ``dynamics._shifts`` of S(tau).  The
+    evolved covariance sigma, the memory integral m2 and H also come from the caller.  One
+    label at a time, one quadratic form at a time, broadcast over the grid axes of the inputs.
     """
     def form(a, matrix, b):  # a^T matrix b over the last axes
         return np.einsum("...i,...ij,...j->...", a, matrix, b)
@@ -572,7 +573,7 @@ def reference_branch_pair(
     # QRDM row of the qubit eigenvalues (j, m), computational bit 0 being +1
     row = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
     ket, bra = row[label.j, label.m], row[label.k, label.n]
-    r, delta = dynamics._shifts(sgi_hamiltonian_matrix(params.g), params.f_q, kernel.s_tau)
+    r, delta = dynamics._shifts(sgi_hamiltonian_matrix(params.g), params.f_q, s_tau)
     r_ket, delta_ket = r[..., ket, :], delta[..., ket, :]
     r_bra, delta_bra = r[..., bra, :], delta[..., bra, :]
     delta_eq = r_ket - r_bra
@@ -580,7 +581,7 @@ def reference_branch_pair(
     vector = 0.5 * (delta_ket + delta_bra) + 0j
     if not label.is_diagonal:
         vector += 0.5j * apply(sigma @ OMEGA, mismatch)
-        vector += 0.5j * apply(kernel.m1, delta_eq)
+        vector += 0.5j * apply(m1, delta_eq)
     phase = form(delta_eq, OMEGA, 0.5 * (delta_ket + delta_bra))
     phase = phase + 0.5 * tau * form(delta_eq, h_matrix, r_ket + r_bra)
     contrast = 0.25 * form(mismatch, OMEGA.T @ sigma @ OMEGA, mismatch)

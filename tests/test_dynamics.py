@@ -2,7 +2,6 @@ import math
 import re
 from dataclasses import replace
 from functools import lru_cache
-from itertools import product
 
 import mpmath
 import numpy as np
@@ -19,7 +18,13 @@ from oracles import (
 )
 from sgipair import dynamics as dyn
 from sgipair import entanglement as ent
-from sgipair.phase_space import final_time, lyapunov_integral, mode_frequency, propagator
+from sgipair.phase_space import (
+    _normal_modes,
+    final_time,
+    lyapunov_integral,
+    mode_frequency,
+    propagator,
+)
 from sgipair.potentials import UnitlessParams
 
 
@@ -37,7 +42,7 @@ def _antisymmetric_contrast_reference(params: UnitlessParams, tau: float):
 
 
 ALL_LABELS = [dyn.BranchLabel.from_bits(r, c) for r in range(4) for c in range(4)]
-# A diffusive, dephased, squeezed thermal point: every term of the branch-pair kernel is nonzero.
+# A diffusive, dephased, squeezed thermal point: every term of the branch-pair moments is nonzero.
 CAT_PARAMS = UnitlessParams(f_q=0.7, g=0.13, s=0.4, n_p=0.5, gamma_x=0.03, gamma_z=0.02)
 # The two cat-state entry points, each as a function of (params, tau).
 CAT_ENTRY_POINTS = {
@@ -210,7 +215,8 @@ class TestCatStateBranches:
         branches = _branches(UnitlessParams(f_q=0.4, g=0.07, s=0.5, n_p=1.0, gamma_x=0.02), 2.0)
         label = dyn.BranchLabel(j=1, k=-1, m=-1, n=-1)
         forward = branches[label].vector
-        backward = branches[label.swapped].vector
+        swapped = dyn.BranchLabel(j=label.k, k=label.j, m=label.n, n=label.m)
+        backward = branches[swapped].vector
         assert np.allclose(forward, backward.conj(), atol=1e-13)
 
 
@@ -218,39 +224,47 @@ def _relative(actual, expected):
     return np.max(np.abs(actual - expected)) / np.max(np.abs(expected))
 
 
-def _fresh_kernel(params: UnitlessParams, tau: float):
-    """The point's branch-pair kernel, built outside the cache."""
-    point = tuple(getattr(params, name) for name in dyn._PARAM_NAMES)
-    return dyn._shared_kernel.__wrapped__(point, tau)
+def _fresh_qrdm(params: UnitlessParams, tau: float):
+    """The point's ``open_qrdm`` result, evaluated outside the cache."""
+    return dyn._shared_qrdm.__wrapped__(*dyn._point(params, tau))
 
 
 def _builds() -> int:
-    """Kernels built since the cache was last cleared."""
-    return dyn._shared_kernel.cache_info().misses
+    """Closed-form QRDMs evaluated since the cache was last cleared."""
+    return dyn._shared_qrdm.cache_info().misses
+
+
+def _modes(params: UnitlessParams, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S(tau), L and m1 of a point or a grid of params, from one normal-mode pass."""
+    modes = _normal_modes(params.g, params.gamma_x, tau)
+    return modes[..., 0, :, :], modes[..., 1, :, :], modes[..., 2, :, :]
 
 
 def _evolved_covariance(params: UnitlessParams, tau) -> np.ndarray:
-    """The squeezed thermal covariance of a point or grid of params evolved to tau by its kernel."""
-    kernel = dyn._build_kernel(params, tau)
+    """The squeezed thermal covariance of a point or grid of params evolved to tau."""
+    s_tau, lyapunov, _ = _modes(params, tau)
     s, occupation = np.asarray(params.s), 1.0 + 2.0 * np.asarray(params.n_p)
     sigma0 = occupation[..., None] * np.stack(np.broadcast_arrays(s, 1.0 / s, s, 1.0 / s), -1)
-    return kernel.s_tau * sigma0[..., None, :] @ kernel.s_tau.swapaxes(-1, -2) + kernel.lyapunov
+    return s_tau * sigma0[..., None, :] @ s_tau.swapaxes(-1, -2) + lyapunov
 
 
-def _reference_pairs(params: UnitlessParams, tau) -> tuple[np.ndarray, np.ndarray]:
+def _reference_pairs(
+    params: UnitlessParams, tau, sigma: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Moments (..., 4, 4, 4) and (phase, contrast) (..., 4, 4, 2) of a point or a grid.
 
     The general branch-pair formula of ``reference_branch_pair``, with m2 by quadrature and H
     from ``oracles``: a route to the QRDM phases and contrasts that shares none of their
-    closed forms.
+    closed forms.  sigma is the evolved covariance, by default that of ``_evolved_covariance``.
     """
-    kernel = dyn._build_kernel(params, tau)
+    s_tau, _, m1 = _modes(params, tau)
     m2 = reference_m2(params.g, tau, params.gamma_x)
     g = np.asarray(params.g)
     h_matrix = np.reshape([sgi_hamiltonian(value) for value in g.ravel()], g.shape + (4, 4))
-    sigma = _evolved_covariance(params, tau)
+    if sigma is None:
+        sigma = _evolved_covariance(params, tau)
     references = [
-        reference_branch_pair(kernel, params, tau, label, sigma, m2, h_matrix)
+        reference_branch_pair(s_tau, m1, params, tau, label, sigma, m2, h_matrix)
         for label in ALL_LABELS
     ]
     moments = np.stack([vector for vector, _ in references], axis=-2)
@@ -270,37 +284,46 @@ def _closed_pairs(phase, contrasts: dyn.ContrastSet) -> np.ndarray:
     return np.stack(entries, axis=-1)[..., layout]
 
 
-def _kernel_pairs(kernel) -> np.ndarray:
-    """``_closed_pairs`` of a kernel's ``open_qrdm`` phase and contrasts."""
-    _, contrasts, phase = kernel.open_qrdm
+def _qrdm_pairs(qrdm) -> np.ndarray:
+    """``_closed_pairs`` of an ``open_qrdm`` result's phase and contrasts."""
+    _, contrasts, phase = qrdm
     return _closed_pairs(phase, contrasts)
 
 
+def _moment_table(state: dyn.GaussianCatState) -> np.ndarray:
+    """The state's 16 branch moments as a (4, 4, 4) table, entry [row, col] of that QRDM entry."""
+    return np.stack([state.branches[label].vector for label in ALL_LABELS]).reshape(4, 4, 4)
+
+
 class TestBranchPairKernel:
-    """The closed-form memory integrals and the tables built from them."""
+    """The closed-form memory integrals, the moments built from them and the cached QRDM."""
 
     @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
     def test_matches_adaptive_reference(self, g):
         params = UnitlessParams(f_q=1.0, g=g, s=0.3, n_p=1.0, gamma_x=0.05)
         for tau in (0.1, 2.0, final_time(g), 17.0, 300.0):
-            kernel = _fresh_kernel(params, float(tau))
+            _, lyapunov, m1 = _modes(params, float(tau))
             reference = reference_propagator_integrals(g, tau, np.diag([0.0, 0.05, 0.0, 0.05]))
-            assert _relative(kernel.m1, reference["m1"]) <= 1e-12
-            assert _relative(kernel.lyapunov, reference["lyapunov"]) <= 1e-12
+            assert _relative(m1, reference["m1"]) <= 1e-12
+            assert _relative(lyapunov, reference["lyapunov"]) <= 1e-12
             # the quadrature m2 of the general branch-pair formula in the tests
             assert _relative(reference_m2(g, tau, 0.05), reference["m2"]) <= 1e-12
 
-    def test_one_kernel_serves_every_label(self):
-        initial = dyn.initial_cat_state(CAT_PARAMS)
-        state = dyn.evolve_cat_state(initial, CAT_PARAMS, 3.1)
-        kernel = _fresh_kernel(CAT_PARAMS, 3.1)
-        sigma = kernel.s_tau @ initial.sigma @ kernel.s_tau.T + kernel.lyapunov
-        table = dyn._moment_table(sigma, kernel.pairs, kernel.m1)
-        for label in ALL_LABELS:
-            assert np.array_equal(state.branches[label].vector, table[label.qrdm_index])
+    def test_one_normal_mode_pass_serves_every_label(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _normal_modes(*args)
+
+        monkeypatch.setattr(dyn, "_normal_modes", counting)
+        state = dyn.evolve_cat_state(dyn.initial_cat_state(CAT_PARAMS), CAT_PARAMS, 3.1)
+        assert len(calls) == 1
+        moments, _ = _reference_pairs(CAT_PARAMS, 3.1)
+        assert _relative(_moment_table(state), moments) <= 1e-14
 
     def test_one_build_per_point(self):
-        dyn._shared_kernel.cache_clear()
+        dyn._shared_qrdm.cache_clear()
         dyn.evolve_cat_state(dyn.initial_cat_state(CAT_PARAMS), CAT_PARAMS, 3.1)
         for label in ALL_LABELS:
             dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1)
@@ -309,7 +332,7 @@ class TestBranchPairKernel:
         assert _builds() == 2
 
     def test_numpy_scalars_share_the_python_float_entry(self):
-        dyn._shared_kernel.cache_clear()
+        dyn._shared_qrdm.cache_clear()
         dyn.branch_pair_phase_contrast(ALL_LABELS[1], CAT_PARAMS, 3.1)
         numpy_params = UnitlessParams(
             **{name: np.float64(getattr(CAT_PARAMS, name)) for name in dyn._PARAM_NAMES}
@@ -323,51 +346,49 @@ class TestBranchPairKernel:
                 entry(params, tau)
         assert _builds() == 1
 
-    def test_shared_kernel_matches_a_fresh_build(self):
-        fresh = _fresh_kernel(CAT_PARAMS, 3.1)
-        sigma0 = dyn.initial_cat_state(CAT_PARAMS).sigma
-        sigma = fresh.s_tau @ sigma0 @ fresh.s_tau.T + fresh.lyapunov
-        moments = dyn._moment_table(sigma, fresh.pairs, fresh.m1)
-        pairs = _kernel_pairs(fresh)
-        for _ in range(2):  # the first pass may build the shared kernel, the second reads it
-            branches = _branches(CAT_PARAMS, 3.1)
+    def test_shared_qrdm_matches_a_fresh_evaluation(self):
+        fresh = _fresh_qrdm(CAT_PARAMS, 3.1)
+        pairs = _qrdm_pairs(fresh)
+        dyn._shared_qrdm.cache_clear()
+        states = []
+        for _ in range(2):  # the first pass evaluates the shared QRDM, the second reads it
+            initial = dyn.initial_cat_state(CAT_PARAMS)
+            states.append(dyn.evolve_cat_state(initial, CAT_PARAMS, 3.1))
+            assert np.array_equal(states[-1].qrdm, fresh[0])
             for label in ALL_LABELS:
                 assert dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) == tuple(
                     pairs[label.qrdm_index].tolist()
                 )
-                assert np.array_equal(branches[label].vector, moments[label.qrdm_index])
+        assert np.array_equal(_moment_table(states[0]), _moment_table(states[1]))
 
     def test_initial_covariance_does_not_leak(self):
         params, tau = CAT_PARAMS, 3.1
         sigma0 = dyn.squeezed_thermal_covariance(0.9, 2.0)
-        dyn._shared_kernel.cache_clear()
+        dyn._shared_qrdm.cache_clear()
         initial = replace(dyn.initial_cat_state(params), sigma=sigma0)
         state = dyn.evolve_cat_state(initial, params, tau)
         s = propagator(params.g, tau)
         sigma = s @ sigma0 @ s.T + lyapunov_integral(params.g, tau, params.gamma_x)
         assert np.array_equal(state.sigma, 0.5 * (sigma + sigma.T))
-        fresh = _fresh_kernel(params, tau)
-        evolved = dyn._moment_table(sigma, fresh.pairs, fresh.m1)  # the moments of this sigma
-        for label in ALL_LABELS:
-            assert np.array_equal(state.branches[label].vector, evolved[label.qrdm_index])
-        pairs = _kernel_pairs(fresh)
+        evolved, _ = _reference_pairs(params, tau, sigma)  # the moments of this sigma
+        assert _relative(_moment_table(state), evolved) <= 1e-14
+        pairs = _qrdm_pairs(_fresh_qrdm(params, tau))
         for label in ALL_LABELS:
             assert dyn.branch_pair_phase_contrast(label, params, tau) == tuple(
                 pairs[label.qrdm_index].tolist()
             )
 
-    def test_pairs_read_the_kernels_open_qrdm(self, monkeypatch):
-        # The kernel's open_qrdm is the only source of the 16 phases and contrasts: shifting it
+    def test_pairs_read_the_cached_open_qrdm(self, monkeypatch):
+        # The cached open_qrdm is the only source of the 16 phases and contrasts: shifting it
         # moves every off-diagonal pair, and the pairs still rebuild the shifted QRDM.
-        kernel = _fresh_kernel(CAT_PARAMS, 3.1)
-        _, contrasts, phase = kernel.open_qrdm
+        _, contrasts, phase = _fresh_qrdm(CAT_PARAMS, 3.1)
         shifts = {name: getattr(contrasts, name) + 0.125 for name in contrasts.__dataclass_fields__}
         shifted = replace(contrasts, **shifts)
         qrdm = dyn._qrdm_from_components(phase + 0.5, shifted)
-        moved = kernel._replace(open_qrdm=(qrdm, shifted, phase + 0.5))
+        moved = (qrdm, shifted, phase + 0.5)
         before = [dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) for label in ALL_LABELS]
-        monkeypatch.setattr(dyn, "_shared_kernel", lambda point, tau: moved)
-        expected = _kernel_pairs(moved)
+        monkeypatch.setattr(dyn, "_shared_qrdm", lambda point, tau: moved)
+        expected = _qrdm_pairs(moved)
         for label, old in zip(ALL_LABELS, before):
             pair = dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1)
             assert pair == tuple(expected[label.qrdm_index].tolist())
@@ -391,9 +412,8 @@ class TestBranchPairKernel:
         ],
     )
     def test_tables_match_the_per_label_reference(self, params, tau):
-        kernel = _fresh_kernel(params, float(tau))
-        sigma = _evolved_covariance(params, tau)
-        moment_table = dyn._moment_table(sigma, kernel.pairs, kernel.m1)
+        state = dyn.evolve_cat_state(dyn.initial_cat_state(params), params, tau)
+        moment_table = _moment_table(state)
         moments, phase_contrast = _reference_pairs(params, tau)
         closed = _closed_pairs(*dyn.open_phase_contrasts(params, tau))
         for actual, expected in [
@@ -419,7 +439,7 @@ class TestBranchPairKernel:
             assert dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) == pair
 
     def test_evolving_a_cached_point_runs_no_closed_forms(self, monkeypatch):
-        dyn._kernel(CAT_PARAMS, 3.1)  # build and keep the point's kernel
+        dyn.branch_pair_phase_contrast(ALL_LABELS[0], CAT_PARAMS, 3.1)  # cache the point
 
         def never(*_):
             raise AssertionError("a closed form was evaluated")
@@ -433,35 +453,33 @@ class TestBranchPairKernel:
         ):
             dyn.evolve_cat_state(initial, CAT_PARAMS, 3.1)
 
-    def test_phase_contrast_lookups_evaluate_no_moment_table(self, monkeypatch):
+    def test_phase_contrast_lookups_evaluate_no_moments(self, monkeypatch):
         calls = []
-        evaluate = dyn._moment_table
 
         def counting(*args):
             calls.append(args)
-            return evaluate(*args)
+            return _normal_modes(*args)
 
-        monkeypatch.setattr(dyn, "_moment_table", counting)
-        dyn._shared_kernel.cache_clear()
+        monkeypatch.setattr(dyn, "_normal_modes", counting)
+        dyn._shared_qrdm.cache_clear()
         for label in ALL_LABELS:
             dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1)
         assert calls == []
         dyn.evolve_cat_state(dyn.initial_cat_state(CAT_PARAMS), CAT_PARAMS, 3.1)
-        assert len(calls) == 1  # the state's own table, for its evolved covariance
+        assert len(calls) == 1  # the state's own moments, for its evolved covariance
 
-    def test_shared_arrays_are_read_only(self):
-        kernel = dyn._kernel(CAT_PARAMS, 3.1)
-        arrays = [kernel.s_tau, kernel.lyapunov, *kernel.pairs, kernel.m1, kernel.open_qrdm[0]]
-        for array in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] += 1.0
+    def test_shared_qrdm_is_read_only(self):
+        qrdm = dyn._shared_qrdm(*dyn._point(CAT_PARAMS, 3.1))[0]
+        with pytest.raises(ValueError, match="read-only"):
+            qrdm[0] += 1.0
 
     @pytest.mark.parametrize("entry, field, value", GRID_CASES)
     def test_grid_input_fails_before_any_work(self, monkeypatch, entry, field, value):
         def no_build(*args):
-            raise AssertionError("a kernel was built")
+            raise AssertionError("work was done")
 
-        monkeypatch.setattr(dyn, "_shared_kernel", no_build)
+        monkeypatch.setattr(dyn, "_shared_qrdm", no_build)
+        monkeypatch.setattr(dyn, "_normal_modes", no_build)
         tau = value if field == "tau" else 3.1
         params = CAT_PARAMS if field == "tau" else replace(CAT_PARAMS, **{field: value})
         message = rf"^{field}={re.escape(str(value))} must be a scalar"
@@ -479,18 +497,6 @@ class TestBranchPairKernel:
             dyn.evolve_cat_state(dyn.initial_cat_state(params), params, tau)
         with pytest.raises(ValueError, match=message):
             dyn.open_qrdm(params, tau)
-
-
-_KERNEL_ARRAYS = ("s_tau", "lyapunov", "m1")
-
-
-def _kernel_arrays(kernel) -> dict[str, np.ndarray]:
-    arrays = {name: getattr(kernel, name) for name in _KERNEL_ARRAYS}
-    arrays.update({f"pairs[{k}]": term for k, term in enumerate(kernel.pairs)})
-    qrdm, contrasts, phase = kernel.open_qrdm
-    arrays.update(qrdm=qrdm, phase=phase)
-    arrays.update({name: getattr(contrasts, name) for name in contrasts.__dataclass_fields__})
-    return arrays
 
 
 @lru_cache(maxsize=1)
@@ -523,40 +529,8 @@ def _entangling_phase_reference(f_q: float, g: float, tau: float):
         return f_q**2 * (mpmath.sin(tau) + 2 * g * tau / w**2 - mpmath.sin(w * tau) / w**3)
 
 
-class TestArrayKernel:
-    """One build of the branch-pair kernel over a grid of points."""
-
-    def test_grid_build_equals_the_per_point_builds(self):
-        # At g = 0, tau = 0.7 runs the series of every shape, 1.5 only that of A(x/2) and
-        # 3.0 none; the rates are 0 and above 0.
-        rng = np.random.default_rng(21)
-        rows = [
-            (rng.uniform(0, 2), g, 10 ** rng.uniform(-3, 0), rng.uniform(0, 5), *rates, tau)
-            for g in (0.0, 1e-10, 0.2, 0.4999)
-            for tau in (0.0, 1e-8, 0.7, 1.5, 3.0, float(final_time(g)), 300.0)
-            for rates in product((0.0, 0.03), (0.0, 0.02))
-            for _ in range(9)
-        ]
-        columns = np.array(rows).T
-        grid = dyn._build_kernel(UnitlessParams(*columns[:6]), columns[6])
-        assert len(rows) >= 1000 and grid.open_qrdm[0].shape == (len(rows), 4, 4)
-        arrays = _kernel_arrays(grid)
-        for i, row in enumerate(rows):
-            point = _kernel_arrays(dyn._shared_kernel.__wrapped__(row[:6], row[6]))
-            for name, array in arrays.items():
-                assert np.array_equal(array[i], point[name]), (name, row)
-
-    def test_grid_axes_broadcast_like_the_fields(self):
-        g, tau = np.array([[0.0], [0.2], [0.4999]]), np.array([0.5, 3.0])
-        params = UnitlessParams(f_q=0.7, g=g, s=0.4, gamma_x=np.array([[[0.0]], [[0.03]]]))
-        grid = _kernel_arrays(dyn._build_kernel(params, tau))
-        assert grid["qrdm"].shape == (2, 3, 2, 4, 4)
-        for rate, g_row, tau_col in product(range(2), range(3), range(2)):
-            point = replace(params, g=float(g[g_row, 0]), gamma_x=(0.0, 0.03)[rate])
-            one = _kernel_arrays(_fresh_kernel(point, float(tau[tau_col])))
-            for name, array in grid.items():
-                full = np.broadcast_to(array, (2, 3, 2) + np.shape(one[name]))
-                assert np.array_equal(full[rate, g_row, tau_col], one[name]), name
+class TestClosedFormsOnAGrid:
+    """The QRDM phase and contrast closed forms against the branch-pair reference on a grid."""
 
     def test_contrasts_match_the_closed_forms_on_a_grid(self):
         params, tau, reference = _cross_check_grid()

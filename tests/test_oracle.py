@@ -501,7 +501,7 @@ class TestFockOpen:
             ket_levels, bra_levels = (np.linalg.eigvalsh(kinetic + np.diag(v)) for v in (ket, bra))
             low, high = ket_levels[0] - bra_levels[-1], ket_levels[-1] - bra_levels[0]
             half, (centre,), _ = orc._rectangles(
-                np.array([low]), np.array([high]), -diffusion.max(), 0.0
+                np.array([low]), np.array([high]), -diffusion.max()
             )
             factor = np.subtract.outer(ket, bra) - 1j * diffusion
             dense = np.diag(factor.ravel()) + np.kron(kinetic, np.eye(n))

@@ -103,28 +103,6 @@ def _unread_public_names(modules: dict[str, str], readers: list[str]) -> list[st
     return unread
 
 
-def _unread_kernel_fields(names: list[str], source: str) -> list[str]:
-    """Each of ``names`` that ``source`` never reads on the kernel itself.
-
-    A read is ``kernel.name`` or ``_kernel(...).name``; the same attribute of any other
-    object (``initial.tau``) does not count.
-    """
-
-    def on_kernel(value):
-        if isinstance(value, ast.Call):
-            return getattr(value.func, "id", None) == "_kernel"
-        return getattr(value, "id", None) == "kernel"
-
-    reads = {
-        node.attr
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.ctx, ast.Load)
-        and on_kernel(node.value)
-    }
-    return [name for name in names if name not in reads]
-
-
 def _unset_fields(definitions: str, classes: list[str], callers: list[str]) -> list[str]:
     """``Class.field`` for each annotated field of ``classes`` that no call in ``callers`` sets.
 
@@ -203,33 +181,6 @@ def test_every_oracle_setting_is_set_outside_the_tests():
     callers = [path.read_text() for path in [*SOURCES, *READERS]]
     oracle = (ROOT / "src" / "sgipair" / "oracle.py").read_text()
     assert _unset_fields(oracle, ["FockProblem", "MomentOdeProblem"], callers) == []
-
-
-def test_checker_flags_an_attribute_nothing_reads():
-    source = "kernel = _kernel(p, t)\nkernel.a\n_kernel(p, t).c\nkernel.b = 3\nb = kernel\n"
-    assert _unread_kernel_fields(["a", "b", "c"], source) == ["b"]
-
-
-def test_checker_counts_only_reads_on_the_kernel():
-    # initial.tau, k.m1 and _build_kernel(...).pairs read other objects, so a kernel field
-    # named tau, m1 or pairs is still unread.
-    source = "kernel = _kernel(p, t)\nkernel.s_tau\ninitial.tau\nk.m1\n_build_kernel(p, t).pairs\n"
-    assert _unread_kernel_fields(["s_tau", "tau", "m1", "pairs"], source) == ["tau", "m1", "pairs"]
-
-
-def test_every_kernel_field_is_read_in_the_package():
-    # The cached branch-pair kernel holds only what the package reads; a field that only tests
-    # read is state the package keeps for them.  The kernel is private to dynamics.py, so only
-    # that module's reads count, and only reads on the kernel itself: kernel.<field> or
-    # _kernel(...).<field> (initial.tau would hide a tau field).
-    source = (ROOT / "src" / "sgipair" / "dynamics.py").read_text()
-    fields = [
-        ast.literal_eval(node.value).split()
-        for node in ast.parse(source).body
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_KERNEL_FIELDS"
-    ]
-    assert len(fields) == 1, "dynamics.py assigns _KERNEL_FIELDS once at module level"
-    assert _unread_kernel_fields(fields[0], source) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
