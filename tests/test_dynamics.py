@@ -2,6 +2,7 @@ import math
 import re
 from dataclasses import replace
 from functools import lru_cache
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -499,11 +500,21 @@ class TestBranchPairKernel:
             dyn.open_qrdm(params, tau)
 
 
+def _grid_arrays(qrdm, modes: np.ndarray) -> dict[str, np.ndarray]:
+    """Every array of an ``open_qrdm`` result and of a ``_normal_modes`` pass, by name."""
+    rho, contrasts, phase = qrdm
+    arrays = {"qrdm": rho, "phase": phase}
+    arrays.update({name: getattr(contrasts, name) for name in contrasts.__dataclass_fields__})
+    arrays.update(s_tau=modes[..., 0, :, :], lyapunov=modes[..., 1, :, :], m1=modes[..., 2, :, :])
+    return arrays
+
+
 @lru_cache(maxsize=1)
-def _cross_check_grid() -> tuple[UnitlessParams, np.ndarray, np.ndarray]:
+def _cross_check_grid() -> tuple[UnitlessParams, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """2000 points across the domain, tau up to three closures, and their reference pairs.
 
-    The (phase, contrast) (2000, 4, 4, 2) of every QRDM entry by ``_reference_pairs``.
+    The moments (2000, 4, 4, 4) and (phase, contrast) (2000, 4, 4, 2) of every QRDM entry by
+    ``_reference_pairs``.
     """
     rng = np.random.default_rng(9)
     n = 2000
@@ -518,7 +529,7 @@ def _cross_check_grid() -> tuple[UnitlessParams, np.ndarray, np.ndarray]:
         gamma_x=rng.uniform(0.0, 0.05, n),
         gamma_z=rng.uniform(0.0, 0.01, n),
     )
-    return params, tau, _reference_pairs(params, tau)[1]
+    return params, tau, _reference_pairs(params, tau)
 
 
 def _entangling_phase_reference(f_q: float, g: float, tau: float):
@@ -530,10 +541,58 @@ def _entangling_phase_reference(f_q: float, g: float, tau: float):
 
 
 class TestClosedFormsOnAGrid:
-    """The QRDM phase and contrast closed forms against the branch-pair reference on a grid."""
+    """Grid closed forms against their points, and against the branch-pair reference."""
+
+    def test_grid_build_equals_the_per_point_builds(self):
+        # The sweep evaluates open_qrdm and the normal modes over whole grids, the cat-state
+        # calls one point at a time: both must give the same bits.  At g = 0, tau = 0.7 runs
+        # the series of every shape, 1.5 only that of A(x/2) and 3.0 none; the rates are 0
+        # and above 0.
+        rng = np.random.default_rng(21)
+        rows = [
+            (rng.uniform(0, 2), g, 10 ** rng.uniform(-3, 0), rng.uniform(0, 5), *rates, tau)
+            for g in (0.0, 1e-10, 0.2, 0.4999)
+            for tau in (0.0, 1e-8, 0.7, 1.5, 3.0, float(final_time(g)), 300.0)
+            for rates in product((0.0, 0.03), (0.0, 0.02))
+            for _ in range(9)
+        ]
+        columns = np.array(rows).T
+        params, tau = UnitlessParams(*columns[:6]), columns[6]
+        modes = _normal_modes(params.g, params.gamma_x, tau)
+        grid = _grid_arrays(dyn.open_qrdm(params, tau), modes)
+        assert len(rows) >= 1000 and grid["qrdm"].shape == (len(rows), 4, 4)
+        for i, row in enumerate(rows):
+            qrdm = _fresh_qrdm(UnitlessParams(*row[:6]), row[6])
+            point = _grid_arrays(qrdm, _normal_modes(row[1], row[4], row[6]))
+            for name, array in grid.items():
+                assert np.array_equal(array[i], point[name]), (name, row)
+
+    def test_grid_axes_broadcast_like_the_fields(self):
+        g, tau = np.array([[0.0], [0.2], [0.4999]]), np.array([0.5, 3.0])
+        params = UnitlessParams(f_q=0.7, g=g, s=0.4, gamma_x=np.array([[[0.0]], [[0.03]]]))
+        grid = _grid_arrays(dyn.open_qrdm(params, tau), _normal_modes(g, params.gamma_x, tau))
+        assert grid["qrdm"].shape == (2, 3, 2, 4, 4)
+        for rate, g_row, tau_col in product(range(2), range(3), range(2)):
+            point = replace(params, g=float(g[g_row, 0]), gamma_x=(0.0, 0.03)[rate])
+            point_tau = float(tau[tau_col])
+            one = _grid_arrays(
+                _fresh_qrdm(point, point_tau), _normal_modes(point.g, point.gamma_x, point_tau)
+            )
+            for name, array in grid.items():
+                full = np.broadcast_to(array, (2, 3, 2) + np.shape(one[name]))
+                assert np.array_equal(full[rate, g_row, tau_col], one[name]), name
+
+    def test_moments_match_the_reference_on_a_grid(self):
+        params, tau, (reference, _) = _cross_check_grid()
+        for i in range(len(tau)):
+            point = UnitlessParams(*(getattr(params, name)[i] for name in dyn._PARAM_NAMES))
+            state = dyn.evolve_cat_state(dyn.initial_cat_state(point), point, tau[i])
+            expected = reference[i]
+            error = np.max(np.abs(_moment_table(state) - expected))
+            assert error <= 1e-14 * np.max(np.abs(expected)), point
 
     def test_contrasts_match_the_closed_forms_on_a_grid(self):
-        params, tau, reference = _cross_check_grid()
+        params, tau, (_, reference) = _cross_check_grid()
         contrast = reference[..., 1]
         totals = _closed_pairs(*dyn.open_phase_contrasts(params, tau))[..., 1]
         assert np.array_equal(contrast == 0.0, totals == 0.0)
@@ -541,7 +600,7 @@ class TestClosedFormsOnAGrid:
         assert np.max(np.abs(contrast - totals)[nonzero] / totals[nonzero]) <= 1e-12
 
     def test_phases_match_the_closed_form_on_a_grid(self):
-        params, tau, reference = _cross_check_grid()
+        params, tau, (_, reference) = _cross_check_grid()
         expected = _closed_pairs(*dyn.open_phase_contrasts(params, tau))[..., 0]
         # The phase sums terms up to f_q^2 (1 + tau)/w^3, which cancel to O(f_q^2 g tau).
         scale = np.square(params.f_q) * (1.0 + tau) / np.power(mode_frequency(params.g), 3)
