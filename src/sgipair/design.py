@@ -233,33 +233,16 @@ class NVOperatingPoint:
 def nv_operating_point(nv: NVParams, d: float) -> NVOperatingPoint:
     """Solve the detection constraint for the magnetic gradient at separation d.
 
-    Since omega and F_q are both linear in the gradient, the constraint
-    F_q = sqrt(hbar d^3 omega^5 (pi/20)/(6 pi G)) fixes the product
-    omega*d independently of the gradient: (omega d)^3 =
-    (6 pi/(pi/20)) G (g_factor mu_B)^2 mu_0 / (hbar |chi_m|).
+    omega and F_q are both linear in the gradient (``nv_map``); with their
+    values omega_1 and F_1 at 1 T/m, the constraint
+    F_q = sqrt(hbar d^3 omega^5 (pi/20)/(6 pi G)) fixes the product omega*d
+    independently of the gradient: (omega d)^3 = (6 pi/(pi/20)) G F_1^2/(hbar omega_1^2).
     """
     _require_positive("d", d)
+    omega_1, force_1 = nv_map(NVParams(dB=1.0, chi_m=nv.chi_m))
     omega_d = (
-        (6.0 * math.pi / DEFAULT_TARGET_PHASE)
-        * G_NEWTON
-        * (nv.g_factor * nv.mu_B) ** 2
-        * nv.mu_0
-        / (HBAR * abs(nv.chi_m))
+        (6.0 * math.pi / DEFAULT_TARGET_PHASE) * G_NEWTON * force_1**2 / (HBAR * omega_1**2)
     ) ** (1.0 / 3.0)
     omega = omega_d / d
-    slope = math.sqrt(abs(nv.chi_m) / nv.mu_0)
-    gradient = omega / slope
-    check_omega, f_q = nv_map(
-        NVParams(
-            dB=gradient,
-            g_factor=nv.g_factor,
-            mu_B=nv.mu_B,
-            mu_0=nv.mu_0,
-            chi_m=nv.chi_m,
-        )
-    )
-    if not abs(check_omega - omega) < 1e-9 * omega:
-        raise RuntimeError(
-            f"gradient map gives omega={check_omega}, the constraint needs omega={omega}"
-        )
-    return NVOperatingPoint(dB=gradient, omega=omega, F_q=f_q, omega_d=omega_d)
+    gradient = omega / omega_1
+    return NVOperatingPoint(dB=gradient, omega=omega, F_q=force_1 * gradient, omega_d=omega_d)

@@ -242,16 +242,18 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
     f_sq = np.square(f_q)
     periods = tau / (2.0 * np.pi / w)
     half_x = np.pi * (periods - np.rint(periods))
-    c_s_1 = (
-        occ
-        * (f_sq / (2.0 * np.power(w, 4) * s))
-        * (
-            4.0 * np.square(np.square(np.sin(half_x)))
-            + np.square(s) * np.square(w) * np.square(np.sin(2.0 * half_x))
-        )
-    )
     sin_sq = np.square(np.sin(tau / 2.0))
-    c_s_2 = occ * f_sq * sin_sq * (2.0 * s + 2.0 * (1.0 / s - s) * sin_sq)
+    # a tiny s overflows these, unwarned: to an inf exponent (entry 0), or NaN at a zero factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_s_1 = (
+            occ
+            * (f_sq / (2.0 * np.power(w, 4) * s))
+            * (
+                4.0 * np.square(np.square(np.sin(half_x)))
+                + np.square(s) * np.square(w) * np.square(np.sin(2.0 * half_x))
+            )
+        )
+        c_s_2 = occ * f_sq * sin_sq * (2.0 * s + 2.0 * (1.0 / s - s) * sin_sq)
     return ContrastSet(
         c_s_np_1=c_s_1,
         c_s_np_2=c_s_2,
@@ -414,11 +416,13 @@ def open_qrdm(params: UnitlessParams, tau: float) -> tuple[np.ndarray, ContrastS
 
 
 def squeezed_thermal_covariance(s: float, n_p: float) -> np.ndarray:
-    """Initial covariance (1+2 n_p) diag(s, 1/s, s, 1/s) of scalar s and n_p."""
+    """Initial covariance (1+2 n_p) diag(s, 1/s, s, 1/s) of scalar s and n_p, all entries finite."""
     _scalar("s", s)
     _scalar("n_p", n_p)
     _check_squeezing(s)
     _require_nonnegative("n_p", n_p)
+    anti = (1.0 + 2.0 * float(n_p)) * (1.0 / float(s))  # a float overflow is inf, unwarned
+    _require("squeezing s", s, np.isfinite(anti), f"must keep (1+2 n_p)/s finite at n_p={n_p}")
     return (1.0 + 2.0 * n_p) * np.diag([s, 1.0 / s, s, 1.0 / s])
 
 

@@ -53,12 +53,11 @@ a machine-readable report.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
-from .dynamics import BranchLabel
 from .potentials import UnitlessParams, _require
 
 __all__ = [
@@ -364,23 +363,25 @@ def fock_propagate(problem: FockProblem) -> FockResult:
     g = params.g
     curvatures, rotation = np.linalg.eigh([[1.0 - g, g], [g, 1.0 - g]])
 
-    def forces(j, m):  # per mode; elementwise, so the equal entries of R cancel exactly
-        return params.f_q * (j * rotation[0] + m * rotation[1])
-
-    sectors = {}  # QRDM entry -> its label and its (mode, F_ket, F_bra) run on each mode
-    for row, col in product(range(4), repeat=2):
-        label = BranchLabel.from_bits(row, col)
-        ket, bra = forces(label.j, label.m), forces(label.k, label.n)
-        sectors[(row, col)] = label, ((0, ket[0], bra[0]), (1, ket[1], bra[1]))
-    runs = list(dict.fromkeys(run for _, pair in sectors.values() for run in pair))
-    index = {run: position for position, run in enumerate(runs)}
+    # QRDM row r holds the qubit bits (r >> 1, r & 1), and bit 0 is the sigma_z eigenvalue +1
+    bits = (np.arange(4)[:, None] >> [1, 0]) & 1  # (row, qubit)
+    flips = (bits[:, None] != bits).sum(axis=-1)  # qubits whose ket and bra bits differ
+    # the force on each mode of row r's ket: the products are exact, so equal entries of R cancel
+    row_forces = (params.f_q * ((1 - 2 * bits) @ rotation)).tolist()
+    # (mode, F_ket, F_bra) of entry (row, col) on each mode; runs and kets in first-occurrence order
+    sector_runs = [
+        (mode, row_forces[row][mode], row_forces[col][mode])
+        for row, col, mode in product(range(4), range(4), range(2))
+    ]
+    runs = list(dict.fromkeys(sector_runs))
+    on_run = np.array([runs.index(run) for run in sector_runs]).reshape(4, 4, 2)
     kets = list(dict.fromkeys((mode, force) for mode, *pair in runs for force in pair))
     on_ket, on_bra = np.array([[kets.index((mode, f)) for f in pair] for mode, *pair in runs]).T
     mode, force = (np.array(column) for column in zip(*kets))
     potentials = 0.5 * curvatures[mode][:, None] * xi**2 + force[:, None] * xi  # (kets, n)
     # the ascending spectrum of each h, (kets, n), gives the real extents exactly
     levels = np.linalg.eigvalsh(kinetic + potentials[..., None] * np.eye(n))
-    diagonal = [index[run] for label, pair in sectors.values() if label.is_diagonal for run in pair]
+    diagonal = on_run[range(4), range(4)].ravel()
     start = (u.T @ _single_mode_initial(params.s, params.n_p, n)).astype(complex)
     pure = params.gamma_x == 0.0
     if pure:  # a run is U_ket K K^T U_bra^dagger: each ket U K alone evolves, (kets, n, rank)
@@ -440,11 +441,8 @@ def fock_propagate(problem: FockProblem) -> FockResult:
             observe(states, slots)
         state = states[-1]
 
-    qrdm = np.empty((len(grid), 4, 4), dtype=complex)
-    for (row, col), (label, pair) in sectors.items():
-        first, second = (traces[:, index[run]] for run in pair)
-        dephasing = np.exp(-params.gamma_z * label.n_differing * grid)
-        qrdm[:, row, col] = 0.25 * dephasing * first * second
+    dephasing = np.exp(np.multiply.outer(grid, -params.gamma_z * flips))
+    qrdm = 0.25 * dephasing * traces[:, on_run[..., 0]] * traces[:, on_run[..., 1]]
     result = FockResult(
         tau_grid=grid,
         qrdm=qrdm,
@@ -726,7 +724,8 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
 
     Runs the arbitration point (f_q = 0.2, g = 0.05) without noise at n_max = 32
     Fock levels per normal mode, as six evolved kets, then with position
-    diffusion at n_max = 20, as 18 single-mode density operators, each as one
+    diffusion and qubit dephasing (gamma_x = 0.02, gamma_z = 0.01) at n_max = 20,
+    as 18 single-mode density operators, each as one
     Chebyshev series over its grid (n_max + 4 agrees with either to
     rounding), and records the constant/sign arbitration outcomes in the
     report notes.
@@ -771,11 +770,11 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
         "sign-normalized contrasts confirmed"
     )
 
-    noisy = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02)
+    noisy = UnitlessParams(f_q=0.2, g=0.05, gamma_x=0.02, gamma_z=0.01)
     noisy_grid = np.linspace(0.0, tau_f, 5)
     noisy_problem = FockProblem(params=noisy, tau_grid=noisy_grid, n_max=20, dt=tau_f)
     noisy_result = fock_propagate(noisy_problem)
-    noisy_closed = open_qrdm(UnitlessParams(f_q=0.2, g=g, gamma_x=0.02), noisy_grid)[0]
+    noisy_closed = open_qrdm(replace(noisy, g=g), noisy_grid)[0]
     report.add("diffusive/qrdm", noisy_closed, noisy_result.qrdm, noisy_grid, 1e-9)
     report.notes["dephasing-normalization"] = (
         "single-flip dephasing exponent is Gamma_z*tau as published; the "

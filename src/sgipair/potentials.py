@@ -25,6 +25,7 @@ __all__ = [
     "MU_0",
     "K_BOLTZMANN",
     "MU_BOHR",
+    "NV_G_FACTOR",
     "PotentialSpec",
     "ExpansionCoefficients",
     "PhysicalParams",
@@ -46,6 +47,7 @@ EPSILON_0 = 8.8541878128e-12  # F / m
 MU_0 = 1.25663706212e-6     # N / A^2
 K_BOLTZMANN = 1.380649e-23  # J / K
 MU_BOHR = 9.2740100783e-24  # J / T
+NV_G_FACTOR = 2.0028        # electron g-factor of the NV centre
 
 
 def _require(name: str, value, ok, requirement: str) -> None:
@@ -198,13 +200,10 @@ class NVParams:
     """Magnetic parameters tying trap frequency and qubit force to a gradient.
 
     chi_m is the mass magnetic susceptibility (m^3/kg, negative for
-    diamagnets); g_factor and the Bohr magneton set the qubit force.
+    diamagnets); the qubit force is set by the constants NV_G_FACTOR and MU_BOHR.
     """
 
     dB: float                   # magnetic gradient, T/m
-    g_factor: float = 2.0028    # NV electron g-factor
-    mu_B: float = MU_BOHR       # Bohr magneton, J/T
-    mu_0: float = MU_0          # vacuum permeability
     chi_m: float = -6.3e-9      # mass susceptibility of diamond, m^3/kg
 
     def __post_init__(self) -> None:
@@ -252,10 +251,15 @@ def expand_potential(spec: PotentialSpec, M: float, omega: float) -> ExpansionCo
     return ExpansionCoefficients(f=f, g=g, h=h, p=p)
 
 
-def _casimir_strength(p: PhysicalParams) -> float:
+def _casimir_fraction(p: PhysicalParams) -> float:
+    """Clausius-Mossotti factor (eps_r - 1)/(eps_r + 2) of the Casimir entries."""
     if p.eps_r is None or p.rho_m is None:
         raise ValueError("Casimir coupling requires eps_r and rho_m")
-    eps_frac = (p.eps_r - 1.0) / (p.eps_r + 2.0)
+    return (p.eps_r - 1.0) / (p.eps_r + 2.0)
+
+
+def _casimir_strength(p: PhysicalParams) -> float:
+    eps_frac = _casimir_fraction(p)
     return (207.0 / (64.0 * math.pi**3)) * eps_frac**2 * C_LIGHT * HBAR * p.M**2 / p.rho_m**2
 
 
@@ -272,42 +276,35 @@ def potential_spec(kind: str, p: PhysicalParams, theta: float) -> PotentialSpec:
     raise ValueError(f"unknown interaction kind {kind!r}")
 
 
+def _newton_coupling(p: PhysicalParams) -> float:
+    """Parallel-geometry Newtonian coupling G M/(d^3 omega^2), unitless."""
+    return G_NEWTON * p.M / (p.d**3 * p.omega**2)
+
+
 def table_coupling(kind: str, orientation: str, p: PhysicalParams) -> tuple[float, float]:
     """Catalogue values (mean force, entangling coupling), both unitless.
 
     The entries are the standard closed forms for the three interactions in
     the two reference geometries; the linear orientation carries a non-zero
     mean force, the parallel orientation does not, and the Newtonian coupling
-    is exactly twice as large in the linear geometry.
+    is exactly twice as large in the linear geometry.  An unknown kind and a
+    missing material parameter fail as in ``potential_spec``.
     """
     if orientation not in ("linear", "parallel"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    eps_frac = None
-    if kind == "casimir":
-        if p.eps_r is None or p.rho_m is None:
-            raise ValueError("Casimir coupling requires eps_r and rho_m")
-        eps_frac = (p.eps_r - 1.0) / (p.eps_r + 2.0)
-    if kind == "coulomb" and p.Q is None:
-        raise ValueError("Coulomb coupling requires the charge Q")
-
+    potential_spec(kind, p, 0.0)
     if kind == "newton":
-        g_par = G_NEWTON * p.M / (p.d**3 * p.omega**2)
-        if orientation == "parallel":
-            return 0.0, g_par
+        g_par = _newton_coupling(p)
         force = 2.0 * G_NEWTON * p.M**1.5 / (math.sqrt(HBAR * p.omega**3) * p.d**2)
-        return force, 2.0 * g_par
-    if kind == "coulomb":
+        linear_ratio = 2.0
+    elif kind == "coulomb":
         g_par = -p.Q**2 / (4.0 * math.pi * EPSILON_0 * p.M * p.omega**2 * p.d**3)
-        if orientation == "parallel":
-            return 0.0, g_par
         force = -p.Q**2 / (2.0 * math.pi * EPSILON_0 * math.sqrt(HBAR * p.M * p.omega**3) * p.d**2)
-        return force, 2.0 * g_par
-    if kind == "casimir":
-        assert eps_frac is not None
+        linear_ratio = 2.0
+    else:
+        eps_frac = _casimir_fraction(p)
         common = eps_frac**2 * C_LIGHT * HBAR * p.M / (p.omega**2 * p.rho_m**2 * p.d**9)
         g_par = (1449.0 / (64.0 * math.pi**3)) * common
-        if orientation == "parallel":
-            return 0.0, g_par
         force = (
             (1449.0 / (32.0 * math.pi**3))
             * eps_frac**2
@@ -316,8 +313,8 @@ def table_coupling(kind: str, orientation: str, p: PhysicalParams) -> tuple[floa
             * (p.M / p.omega) ** 1.5
             / (p.d**8 * p.rho_m**2)
         )
-        return force, 8.0 * g_par
-    raise ValueError(f"unknown interaction kind {kind!r}")
+        linear_ratio = 8.0
+    return (force, linear_ratio * g_par) if orientation == "linear" else (0.0, g_par)
 
 
 def thermal_phonons(omega_t: float, T_m: float) -> float:
@@ -336,7 +333,7 @@ def to_unitless(p: PhysicalParams) -> UnitlessParams:
     the g = 1/2 stability edge is returned flagged, not rejected.
     """
     f_q = p.F_q / math.sqrt(HBAR * p.M * p.omega**3)
-    g = G_NEWTON * p.M / (p.d**3 * p.omega**2)
+    g = _newton_coupling(p)
     s = 1.0 if p.omega_t is None else p.omega / p.omega_t
     if p.n_p is not None:
         n_p = p.n_p
@@ -357,11 +354,11 @@ def to_unitless(p: PhysicalParams) -> UnitlessParams:
 def nv_map(nv: NVParams) -> tuple[float, float]:
     """Trap frequency and qubit force induced by the magnetic gradient.
 
-    omega = sqrt(|chi_m|/mu_0) * dB and F_q = g_factor * mu_B * dB; both are
-    linear in dB, so their ratio is gradient-independent.
+    omega = sqrt(|chi_m|/MU_0) * dB and F_q = NV_G_FACTOR * MU_BOHR * dB; both
+    are linear in dB, so their ratio is gradient-independent.
     """
-    omega = math.sqrt(abs(nv.chi_m) / nv.mu_0) * nv.dB
-    f_q_newton = nv.g_factor * nv.mu_B * nv.dB
+    omega = math.sqrt(abs(nv.chi_m) / MU_0) * nv.dB
+    f_q_newton = NV_G_FACTOR * MU_BOHR * nv.dB
     return omega, f_q_newton
 
 

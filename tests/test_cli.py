@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -426,6 +427,20 @@ class TestPointReports:
         assert error_line(capsys).startswith("squeezing s=1e-310 ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["qrdm", "sweep"])
+    def test_overflowing_contrast_fails_with_one_line(self, tmp_path, capsys, command):
+        # s is a normal float, but (1+2 n_p) f_q^2/(2 w^4 s) overflows: named, without a warning
+        out = tmp_path / "point.out"
+        axis = ["--axis", "g:0.44:0.45:2"] if command == "sweep" else ["--g", "0.45"]
+        point = ["--s", "2.3e-308", "--np", "3", "--gamma-x", "0.01", "--tau", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exit_info:
+                run([command, "--fq", "1", *axis, *point, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == "contrast c_s_np_1=inf must be finite"
+        assert not out.exists()
+
 
 class TestExpand:
     def test_report_matches_catalogue(self, phys_config, capsys):
@@ -520,6 +535,36 @@ class TestVerify:
         assert set(g_sensitive + ["diffusive/qrdm"]) <= set(failures)
         assert "arbitration/c2-adopted" not in failures  # the closure contrast has no g in it
 
+    # One closed-form contrast term scaled by a factor, and the entries of `verify --level
+    # full` that must then fail.  Still uncaught, so not listed: dropping the (1+2 n_p)
+    # factor of c_s_np_2 and the s-dependence of c_s_np_1 (every Fock point has s = 1, n_p = 0).
+    MUTATION_CENSUS = {
+        ("c_z", 2.0): ["diffusive/qrdm"],
+        ("c_z", 1.0 + 1e-6): ["diffusive/qrdm"],
+        ("c_gamma_1", 1.0 + 1e-6): ["diffusive/qrdm"],
+        ("c_gamma_2", 1.0 + 1e-6): ["diffusive/qrdm"],
+        ("c_s_np_1", 1.0 + 1e-6): ["arbitration/qrdm", "arbitration/c1", "diffusive/qrdm"],
+        ("c_s_np_2", 1.0 + 1e-6): [
+            "arbitration/qrdm", "arbitration/c2-adopted", "diffusive/qrdm",
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "term, factor", MUTATION_CENSUS, ids=[f"{term}*{k}" for term, k in MUTATION_CENSUS]
+    )
+    def test_mutation_census(self, tmp_path, monkeypatch, term, factor):
+        closed_form = dynamics._open_contrasts
+
+        def mutated(params, tau):
+            contrasts = closed_form(params, tau)
+            return replace(contrasts, **{term: factor * getattr(contrasts, term)})
+
+        monkeypatch.setattr(dynamics, "_open_contrasts", mutated)
+        json_out = tmp_path / "verify.json"
+        args = ["verify", "--level", "full", "--out", str(tmp_path / "v.txt")]
+        assert run(args + ["--json-out", str(json_out)]) == 1
+        assert json.loads(json_out.read_text())["failures"] == self.MUTATION_CENSUS[term, factor]
+
 
 class TestOutputPaths:
     @pytest.mark.parametrize(
@@ -581,6 +626,9 @@ class TestConfigFile:
         [
             ("M = 2e-9\n", "{path}:10: M is already given on line 2"),
             ("nv_chim = -6e-9\n", "{path}:10: unknown parameter 'nv_chim'"),
+            ("nv_g_factor = 2\n", "{path}:10: unknown parameter 'nv_g_factor'"),
+            ("nv_mu_B = 9.27e-24\n", "{path}:10: unknown parameter 'nv_mu_B'"),
+            ("nv_mu_0 = 1.26e-6\n", "{path}:10: unknown parameter 'nv_mu_0'"),
             ("T_m = nan\n", "{path}:10: T_m=nan must be finite"),
             ("Q = -inf\n", "{path}:10: Q=-inf must be finite"),
         ],

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgipair import design
-from sgipair.potentials import G_NEWTON, HBAR, NVParams
+from sgipair.potentials import G_NEWTON, HBAR, NVParams, nv_map
 
 
 class TestDetectionConstraint:
@@ -179,16 +179,15 @@ class TestNVOperatingPoint:
         products = {design.nv_operating_point(nv, d).omega_d for d in (10e-6, 30e-6, 90e-6)}
         assert len({round(p, 18) for p in products}) == 1
 
-    def test_inconsistent_gradient_map_raises(self, monkeypatch):
-        real_map = design.nv_map
-
-        def skewed(nv):
-            omega, force = real_map(nv)
-            return 1.01 * omega, force
-
-        monkeypatch.setattr(design, "nv_map", skewed)
-        with pytest.raises(RuntimeError, match=r"omega=.*omega="):
-            design.nv_operating_point(NVParams(dB=1.0), d=30e-6)
+    @pytest.mark.parametrize("chi_m", [-6.3e-9, -1e-11, -2.2e-8])
+    @pytest.mark.parametrize("d", [10e-6, 30e-6, 1e-3])
+    def test_point_lies_on_the_gradient_map(self, chi_m, d):
+        point = design.nv_operating_point(NVParams(dB=1.0, chi_m=chi_m), d=d)
+        omega, force = nv_map(NVParams(dB=point.dB, chi_m=chi_m))
+        assert abs(omega - point.omega) <= 1e-15 * point.omega
+        assert abs(force - point.F_q) <= 1e-15 * point.F_q
+        required = math.sqrt(HBAR * d**3 * point.omega**5 / (120.0 * G_NEWTON))
+        assert point.F_q == pytest.approx(required, rel=1e-12)
 
 
 _POSITIVE, _NONNEGATIVE = "must be finite and > 0", "must be finite and >= 0"

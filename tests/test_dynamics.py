@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 from itertools import product
@@ -972,6 +973,26 @@ class TestCatState:
     def test_initial_covariance_rejects_bad_input(self, s, n_p, message):
         with pytest.raises(ValueError, match=rf"^{message}"):
             dyn.squeezed_thermal_covariance(s, n_p)
+
+    @pytest.mark.parametrize("s", [2.3e-308, np.float64(2.3e-308), np.array(2.3e-308)])
+    def test_overflowing_initial_state_fails_with_one_line(self, s):
+        # (1+2 n_p)/s = 7/2.3e-308 overflows, though s itself is a normal float
+        params = UnitlessParams(f_q=1.0, g=0.45, s=s, n_p=3.0, gamma_x=0.01)
+        message = r"^squeezing s=2\.3e-308 must keep \(1\+2 n_p\)/s finite at n_p=3\.0$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                dyn.evolve_cat_state(dyn.initial_cat_state(params), params, 1.0)
+
+    def test_smallest_finite_initial_state_evolves(self):
+        # s = 1e-307 keeps 7/s finite; c_s_np_1 overflows to inf, so its entries are 0
+        params = UnitlessParams(f_q=1.0, g=0.45, s=1e-307, n_p=3.0, gamma_x=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state = dyn.evolve_cat_state(dyn.initial_cat_state(params), params, 1.0)
+        assert np.isfinite(state.sigma).all() and np.isfinite(state.qrdm).all()
+        assert all(np.isfinite(moments.vector).all() for moments in state.branches.values())
+        assert dyn.branch_pair_phase_contrast(ALL_LABELS[1], params, 1.0)[1] == math.inf
 
     def test_zero_time_evolution_is_identity(self):
         params = UnitlessParams(f_q=0.5, g=0.08, s=0.1, n_p=2.0, gamma_x=0.02)

@@ -325,10 +325,16 @@ class TestConfig:
 
     def test_nv_key_without_gradient_rejected(self, tmp_path):
         path = tmp_path / "phys.cfg"
-        path.write_text("M = 1e-12\nomega = 1.0\nd = 1e-4\nnv_chi_m = -6e-9\nnv_g_factor = 2\n")
+        path.write_text("M = 1e-12\nomega = 1.0\nd = 1e-4\nnv_chi_m = -6e-9\n")
         message = rf"^{re.escape(str(path))}: nv_chi_m is given without nv_dB$"
         with pytest.raises(ValueError, match=message):
             pot.load_config(path)
+
+    def test_schema_holds_no_constants_of_nature(self):
+        # g-factor, Bohr magneton and mu_0 are module constants, not settings
+        assert set(pot.NVParams.__dataclass_fields__) == {"dB", "chi_m"}
+        assert pot._CONFIG_KEYS == {*pot.PhysicalParams.__dataclass_fields__, "nv_dB", "nv_chi_m"}
+        assert len(pot._CONFIG_KEYS) == 14
 
     def test_nv_keys_split_out(self, tmp_path):
         path = tmp_path / "phys.cfg"

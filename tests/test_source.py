@@ -196,8 +196,8 @@ def test_imports_only_the_stdlib_and_numpy(path):
 
 def test_oracle_states_its_own_model():
     # The oracles check the closed forms, so at module level they take from the package only
-    # the branch labels, the parameters and the input check; the closed forms they compare
-    # against are imported inside the verify_* functions.
-    allowed = {"BranchLabel", "UnitlessParams", "_require"}
+    # the parameters and the input check; they write their own qubit-sector table, and the
+    # closed forms they compare against are imported inside the verify_* functions.
+    allowed = {"UnitlessParams", "_require"}
     imports = _package_imports((ROOT / "src" / "sgipair" / "oracle.py").read_text())
     assert [(module, name) for module, name in imports if name not in allowed] == []
