@@ -30,7 +30,7 @@ for fraction in np.linspace(0.0, 1.0, 6):
         f"{contrasts.c_z:9.4f}  {phase:8.5f}"
     )
 
-_, _, phase_ideal = dynamics.unitary_qrdm(IDEAL.f_q, IDEAL.g, tau_f)
+_, _, phase_ideal = dynamics.open_qrdm(IDEAL, tau_f)
 _, contrasts_noisy, phase_noisy = dynamics.open_qrdm(NOISY, tau_f)
 print()
 print(f"phase, ideal vs noisy at closure: {phase_ideal:.12f} vs {phase_noisy:.12f} "
@@ -54,7 +54,7 @@ for g in np.geomspace(2e-3, 0.3, 8):
                 f_q=f_q, g=float(g), s=1e-4, n_p=100.0, gamma_x=gamma_x
             )
         rho, contrasts, phase = dynamics.open_qrdm(params, tau)
-        values.append(entanglement.witness_negativity(phase, contrasts))
+        values.append(entanglement.evaluate_negativity(phase, contrasts).witness_trace)
     print(
         f"{g:8.1e} {values[0]:+14.5f} {values[1]:+14.5f} "
         f"{values[2]:+16.5f} {values[3]:+15.5f}"

@@ -42,7 +42,7 @@ print()
 print("worst QRDM entry deviation along the cycle:")
 worst = 0.0
 for slot, tau in enumerate(grid):
-    closed, _, _ = dynamics.unitary_qrdm(params.f_q, params.g, float(tau))
+    closed, _, _ = dynamics.open_qrdm(params, float(tau))
     worst = max(worst, float(np.max(np.abs(closed - result.qrdm[slot]))))
 print(f"  {worst:.2e}")
 print()

@@ -31,7 +31,6 @@ from .phase_space import (
     _check_tau,
     _normal_modes,
     _series,
-    final_time,
     mode_frequency,
     propagator,
     sgi_hamiltonian_matrix,
@@ -44,12 +43,10 @@ __all__ = [
     "BranchMoments",
     "ContrastSet",
     "GaussianCatState",
-    "final_time",
     "entangling_phase",
     "final_contrast",
     "residual_separation",
     "branch_trajectories",
-    "unitary_qrdm",
     "open_phase_contrasts",
     "open_qrdm",
     "squeezed_thermal_covariance",
@@ -228,9 +225,9 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
     The antisymmetric-mode exponent is
     (1+2n_p) f_q^2/(2 w^4 s) [4 sin^4(x/2) + s^2 w^2 sin^2 x] with x = tau w,
     a sum of nonnegative terms.  x/2 is taken as pi d, where d is r = tau/tau_f
-    less its nearest integer and tau_f = 2 pi/w as ``final_time`` computes it,
-    so whole periods drop out exactly and the exponent is exactly 0 wherever
-    r is an integer, as at tau = final_time(g) and at twice that.  The
+    less its nearest integer and tau_f = 2 pi/w as ``phase_space.final_time``
+    computes it, so whole periods drop out exactly and the exponent is exactly 0
+    wherever r is an integer, as at tau = final_time(g) and at twice that.  The
     symmetric-mode bracket (s - 1/s) cos tau + s + 1/s cancels as s -> 0; it
     is taken as 2s cos^2(tau/2) + (2/s) sin^2(tau/2) = 2s + 2(1/s - s)
     sin^2(tau/2), two nonnegative terms for s <= 1 and exactly 2 at s = 1.
@@ -243,16 +240,15 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
     periods = tau / (2.0 * np.pi / w)
     half_x = np.pi * (periods - np.rint(periods))
     sin_sq = np.square(np.sin(tau / 2.0))
-    # a tiny s overflows these, unwarned: to an inf exponent (entry 0), or NaN at a zero factor
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_s_1 = (
-            occ
-            * (f_sq / (2.0 * np.power(w, 4) * s))
-            * (
-                4.0 * np.square(np.square(np.sin(half_x)))
-                + np.square(s) * np.square(w) * np.square(np.sin(2.0 * half_x))
-            )
-        )
+    bracket = (
+        4.0 * np.square(np.square(np.sin(half_x)))
+        + np.square(s) * np.square(w) * np.square(np.sin(2.0 * half_x))
+    )
+    # a tiny s overflows these (or underflows 2 w^4 s to 0), unwarned, to an inf exponent
+    # (entry 0); a zero bracket keeps c_s_np_1 at 0 even where its prefactor is inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        prefactor = occ * (f_sq / (2.0 * np.power(w, 4) * s))
+        c_s_1 = np.where(bracket == 0.0, 0.0, prefactor * bracket)[()]
         c_s_2 = occ * f_sq * sin_sq * (2.0 * s + 2.0 * (1.0 / s - s) * sin_sq)
     return ContrastSet(
         c_s_np_1=c_s_1,
@@ -372,26 +368,14 @@ _QRDM_LAYOUT = np.array([[0, 1, 1, 3], [2, 0, 4, 2], [2, 4, 0, 2], [3, 1, 1, 0]]
 
 def _qrdm_from_components(phase, contrasts: ContrastSet) -> np.ndarray:
     """QRDMs, shape (..., 4, 4), for initial |+>|+> qubits from phases and contrasts."""
-    single = np.exp(-contrasts.single_flip_total)
-    both_sym = np.exp(-contrasts.symmetric_flip_total)
-    both_anti = np.exp(-contrasts.antisymmetric_flip_total)
+    with np.errstate(over="ignore"):  # an overflowing exponent sum is inf: entry 0, unwarned
+        single = np.exp(-contrasts.single_flip_total)
+        both_sym = np.exp(-contrasts.symmetric_flip_total)
+        both_anti = np.exp(-contrasts.antisymmetric_flip_total)
     lower = single * np.exp(1j * phase)
     upper = single * np.exp(-1j * phase)
     entries = np.broadcast_arrays(1.0 + 0j, upper, lower, both_sym, both_anti)
     return np.stack(entries, axis=-1)[..., _QRDM_LAYOUT] / 4.0
-
-
-def unitary_qrdm(
-    f_q: float, g: float, tau: float
-) -> tuple[np.ndarray, ContrastSet, float]:
-    """QRDM of the ideal dynamics from ground states and |+>|+> qubits.
-
-    The open QRDM at s = 1, n_p = 0 and zero rates: returns the 4x4 matrix,
-    the contrast exponents, and the entangling phase.  At the closure time
-    the single-flip entries reduce to exp(-C_g -/+ i phi_g) with C_g the
-    final contrast.
-    """
-    return open_qrdm(UnitlessParams(f_q=f_q, g=g), tau)
 
 
 def open_phase_contrasts(params: UnitlessParams, tau: float) -> tuple[float, ContrastSet]:
@@ -450,23 +434,26 @@ def evolve_cat_state(
     (delta_row - delta_col) + m1 (r_row - r_col)] for sigma evolved from
     ``initial.sigma``, so diagonal branches are real and unaffected by
     momentum diffusion.  The QRDM is a copy of the point's cached ``open_qrdm``.
+    A state that overflows (a tiny s) raises one ValueError naming s.
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")
     if any(np.count_nonzero(moments.vector) for moments in initial.branches.values()):
         raise ValueError("initial branch moments must be centred at the origin")
     point, tau = _point(params, tau)
-    qrdm = _shared_qrdm(point, tau)[0]
-    f_q, g, _, _, gamma_x, _ = point
+    f_q, g, s, _, gamma_x, _ = point
     s_tau, lyapunov, m1 = _normal_modes(g, gamma_x, tau)
     r, delta = _shifts(sgi_hamiltonian_matrix(g), f_q, s_tau)
-    sigma = s_tau @ initial.sigma @ s_tau.T + lyapunov
     mismatch, delta_eq = delta[:, None] - delta, r[:, None] - r
-    moments = 0.5 * (delta[:, None] + delta) + 0.5j * (
-        mismatch @ (sigma @ _OMEGA).T + delta_eq @ m1.T
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny s can overflow; checked next
+        sigma = s_tau @ initial.sigma @ s_tau.T + lyapunov
+        moments = 0.5 * (delta[:, None] + delta) + 0.5j * (
+            mismatch @ (sigma @ _OMEGA).T + delta_eq @ m1.T
+        )
+        sigma = 0.5 * (sigma + sigma.T)
+    finite = np.isfinite(sigma).all() & np.isfinite(moments).all()
+    _require("squeezing s", s, finite, f"must keep the evolved state finite at tau={tau}")
     moments.imag[_DIAGONAL] = 0.0  # a diagonal branch is real
     vectors = moments.reshape(16, 4)
     branches = {label: BranchMoments(vector) for label, vector in zip(_ALL_LABELS, vectors)}
-    sigma = 0.5 * (sigma + sigma.T)
-    return GaussianCatState(tau, sigma, branches, qrdm.copy())
+    return GaussianCatState(tau, sigma, branches, _shared_qrdm(point, tau)[0].copy())

@@ -7,16 +7,16 @@ reconciled, because they carry two different published normalizations:
 * ``exact`` is -2 lambda_min of the partial transpose, the convention under
   which a Bell state scores 1 (and the zero-contrast ideal QRDM scores
   |sin phi|).  lambda_min is one 2x2-block formula (``_lambda_min``).
-* ``negativity_closed_form`` is the analytical eigenvalue display for the
-  ideal closure-time QRDM; it equals -lambda_min, i.e. exactly half of
-  ``exact`` on that family (|sin phi|/2 at zero contrast).
-* ``witness_negativity`` is the trace of the half-normalized Pauli witness
+* ``closed_form`` is the analytical eigenvalue display for the ideal
+  closure-time QRDM; it equals -lambda_min, i.e. exactly half of ``exact``
+  on that family (|sin phi|/2 at zero contrast).
+* ``witness_trace`` is the trace of the half-normalized Pauli witness
   (XX + YZ + ZY - II)/2 against the QRDM, exp(-C) sin(phi) - (1 - exp(-4C))/4
   for the ideal one: the detectable estimate, which at zero contrast
   coincides with the -2 lambda_min convention.
 
-Callers choose a normalization explicitly; ``evaluate_negativity`` reports
-all three.
+Callers choose a normalization explicitly from the one ``NegativityResult``
+that ``evaluate_negativity`` returns.
 """
 
 from __future__ import annotations
@@ -26,14 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ContrastSet
-from .potentials import _require, _require_nonnegative
+from .potentials import _require
 
-__all__ = [
-    "NegativityResult",
-    "negativity_closed_form",
-    "witness_negativity",
-    "evaluate_negativity",
-]
+__all__ = ["NegativityResult", "evaluate_negativity"]
 
 
 @dataclass(frozen=True)
@@ -54,12 +49,14 @@ class NegativityResult:
     lambda_min: float
 
 
-def _exponents(phi, contrasts: ContrastSet | float):
-    """Validated (single, sym, anti) flip exponents; a bare C is c_s_np_2 alone: (C, 4C, 0)."""
-    _require("phi", phi, np.isfinite(phi), "must be finite")
+def _exponents(phi, contrasts: ContrastSet):
+    """Validated (single, sym, anti) flip exponents of a ContrastSet."""
     if not isinstance(contrasts, ContrastSet):
-        _require_nonnegative("contrast", contrasts)
-        return contrasts, 4.0 * contrasts, 0.0
+        raise TypeError(
+            f"contrasts must be a ContrastSet, got {type(contrasts).__name__}; "
+            "a bare contrast C is ContrastSet(c_s_np_2=C)"
+        )
+    _require("phi", phi, np.isfinite(phi), "must be finite")
     for name, value in vars(contrasts).items():
         _require(f"contrast {name}", value, np.isfinite(value), "must be finite")
     c = contrasts
@@ -93,47 +90,25 @@ def _lambda_min(phi, single, sym, anti):
     return np.minimum(*lam)[()]
 
 
-def negativity_closed_form(phi, contrast):
-    """Analytical negative PT eigenvalue magnitude of the ideal QRDM.
-
-    -lambda_min of the QRDM with exponents (C, 4C, 0), i.e. half the ``exact``
-    negativity of ``evaluate_negativity`` on this matrix family: |sin phi|/2
-    at zero contrast, 0 at zero phase and sin^2(phi) exp(-2C) to relative
-    order exp(-4C) at large C.  Elementwise over arrays of phi and contrast.
-    """
-    return np.maximum(-_lambda_min(phi, *_exponents(phi, contrast)), 0.0)
-
-
-def witness_negativity(phi, contrasts: ContrastSet | float):
-    """Witness-trace negativity from the phase and contrast exponents.
-
-    For a bare contrast value C this is the ideal closure-time expression
-    exp(-C) sin(phi) - (1 - exp(-4C))/4.  For a full ContrastSet it is the
-    trace of the Pauli witness against the open-dynamics QRDM,
-    exp(-a) sin(phi) - (2 - exp(-b_anti) - exp(-b_sym))/4, with a the
-    single-flip exponent and b_anti/b_sym the two both-flip exponents,
-    elementwise over arrays.
-    """
-    return _witness(phi, *_exponents(phi, contrasts))
-
-
 def _witness(phi, single, sym, anti):
     """Witness trace of the QRDM with these phases and (validated) exponents."""
     return np.exp(-single) * np.sin(phi) - 0.25 * (2.0 - np.exp(-anti) - np.exp(-sym))
 
 
-def evaluate_negativity(phi, contrasts: ContrastSet | float) -> NegativityResult:
+def evaluate_negativity(phi, contrasts: ContrastSet) -> NegativityResult:
     """All three negativity estimates of the QRDM ``dynamics`` builds from phi and contrasts.
 
-    Elementwise over arrays.  The closed form uses the single-flip contrast
-    exponent, which is exact for the ideal closure-time QRDM and an
-    approximation whenever the both-flip exponents deviate from (0, 4C).
+    Elementwise over arrays.  The closed form is -lambda_min of the ideal QRDM, whose
+    (single, sym, anti) exponents are (C, 4C, 0) for the single-flip exponent C: exact for
+    the ideal closure-time QRDM and an approximation wherever the both-flip exponents
+    differ.  The witness trace is exp(-a) sin(phi) - (2 - exp(-b_anti) - exp(-b_sym))/4,
+    with a the single-flip exponent and b_anti/b_sym the two both-flip exponents.
     """
     single, sym, anti = _exponents(phi, contrasts)
     lam = _lambda_min(phi, single, sym, anti)
     return NegativityResult(
         exact=np.maximum(-2.0 * lam, 0.0),
-        closed_form=negativity_closed_form(phi, single),
+        closed_form=np.maximum(-_lambda_min(phi, single, 4.0 * single, 0.0), 0.0),
         witness_trace=_witness(phi, single, sym, anti),
         lambda_min=lam,
     )

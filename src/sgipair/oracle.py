@@ -730,7 +730,7 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
     rounding), and records the constant/sign arbitration outcomes in the
     report notes.
     """
-    from .dynamics import entangling_phase, final_contrast, open_qrdm, unitary_qrdm
+    from .dynamics import entangling_phase, final_contrast, open_qrdm
     from .phase_space import final_time
 
     report = ComparisonReport()
@@ -740,7 +740,7 @@ def verify_fock(g_shift: float = 0.0) -> ComparisonReport:
     tau_grid = np.linspace(0.0, tau_f, 13)
     result = fock_propagate(FockProblem(params=params, tau_grid=tau_grid, n_max=32, dt=tau_f))
 
-    closed_qrdm, closed_contrasts, _ = unitary_qrdm(params.f_q, g, tau_grid)
+    closed_qrdm, closed_contrasts, _ = open_qrdm(replace(params, g=g), tau_grid)
     report.add("arbitration/qrdm", closed_qrdm, result.qrdm, tau_grid, 1e-9)
     report.add(
         "arbitration/phase(tau_f)",

@@ -27,7 +27,6 @@ __all__ = [
     "sgi_hamiltonian_matrix",
     "propagator",
     "evolve_covariance",
-    "lyapunov_integral",
     "heisenberg_ok",
 ]
 
@@ -180,21 +179,12 @@ def _normal_modes(g, rate, tau) -> np.ndarray:
     return halves.reshape(halves.shape[:-2] + (24,))[..., _FROM_MODES]
 
 
-def lyapunov_integral(g: float, tau, gamma_x: float) -> np.ndarray:
-    """Accumulated diffusion int_0^tau S(tau-t) D S(tau-t)^T dt, D = gamma_x diag(0, 1, 0, 1).
-
-    Evaluated in closed form, one 2x2 block per normal mode.  Broadcasts over tau.
-    """
-    _check_coupling(g)
-    _check_tau(tau)
-    _require_nonnegative("diffusion rate gamma_x", gamma_x)
-    return _normal_modes(g, gamma_x, tau)[..., 1, :, :]
-
-
 def evolve_covariance(sigma0: np.ndarray, g: float, tau, gamma_x: float = 0.0) -> np.ndarray:
-    """Covariance at time tau: S sigma0 S^T plus the diffusion integral at rate gamma_x.
+    """Covariance at time tau: S sigma0 S^T plus the accumulated diffusion at rate gamma_x.
 
-    Broadcasts over tau, shape (..., 4, 4); sigma0 is checked once.
+    The diffusion term L = int_0^tau S(tau-t) D S(tau-t)^T dt, D = gamma_x diag(0, 1, 0, 1),
+    is the closed form of ``_normal_modes``, which gives S and L in one pass.  Broadcasts
+    over tau, shape (..., 4, 4); sigma0 is checked once.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
     ok, margin = heisenberg_ok(sigma0)
@@ -202,6 +192,8 @@ def evolve_covariance(sigma0: np.ndarray, g: float, tau, gamma_x: float = 0.0) -
         raise ValueError(
             f"initial covariance violates the uncertainty bound (margin {margin:.3e})"
         )
-    s = propagator(g, tau)
-    sigma = s @ sigma0 @ np.swapaxes(s, -1, -2) + lyapunov_integral(g, tau, gamma_x)
+    _check_tau(tau)
+    _require_nonnegative("diffusion rate gamma_x", gamma_x)
+    s, lyapunov = np.moveaxis(_normal_modes(g, gamma_x, tau)[..., :2, :, :], -3, 0)
+    sigma = s @ sigma0 @ np.swapaxes(s, -1, -2) + lyapunov
     return 0.5 * (sigma + np.swapaxes(sigma, -1, -2))

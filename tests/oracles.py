@@ -498,9 +498,9 @@ def reference_propagator_integrals(g: float, tau: float, d_matrix: np.ndarray) -
     "m1" = int_0^tau K(u) Omega (S(u) - S) du and
     "m2" = int_0^tau (S(u) - S)^T Omega^T K(u) Omega (S(u) + S - 2I) du,
     each at relative tolerance 1e-11 and absolute tolerance 1e-14, one
-    propagator per sample.  Reference for ``lyapunov_integral``, the
-    closed-form memory integral m1 of ``phase_space._mode_entries`` and
-    ``reference_m2``.
+    propagator per sample.  Reference for the closed-form L and m1 of
+    ``phase_space._mode_entries`` (L is the diffusion term of
+    ``evolve_covariance``) and for ``reference_m2``.
     """
     from scipy.integrate import quad_vec
 

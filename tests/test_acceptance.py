@@ -26,6 +26,8 @@ from sgipair import design, dynamics, entanglement
 from sgipair import oracle as orc
 from sgipair import phase_space as ps
 from sgipair import potentials as pot
+from sgipair.dynamics import ContrastSet
+from sgipair.phase_space import final_time
 from sgipair.potentials import UnitlessParams
 
 G_VALUES = (0.0, 0.1, 0.3, 0.49)
@@ -81,7 +83,7 @@ def test_criterion_02_covariance_closed_form():
 def test_criterion_03_recombination_and_deflection():
     started = time.perf_counter()
     f_q, g = 1.0, 0.1
-    tau_f = dynamics.final_time(g)
+    tau_f = final_time(g)
     moments = dynamics.branch_trajectories(f_q, g, tau_f)
     opposite = [
         moments[dynamics.BranchLabel(1, 1, -1, -1)],
@@ -133,7 +135,7 @@ def test_criterion_04_mass_independence():
     u1, u2 = pot.to_unitless(base), pot.to_unitless(other)
     assert other.M / base.M == pytest.approx(1000.0, rel=1e-12)
     assert (u1.f_q, u1.g) == (u2.f_q, u2.g)  # bitwise
-    tau_f = dynamics.final_time(u1.g)
+    tau_f = final_time(u1.g)
     phi1 = dynamics.entangling_phase(u1.f_q, u1.g, tau_f)
     phi2 = dynamics.entangling_phase(u2.f_q, u2.g, tau_f)
     assert phi1 == phi2  # bitwise
@@ -143,7 +145,7 @@ def test_criterion_04_mass_independence():
     u_small = pot.to_unitless(small)
     assert u_small.g <= 1e-3
     exact = dynamics.entangling_phase(
-        u_small.f_q, u_small.g, dynamics.final_time(u_small.g)
+        u_small.f_q, u_small.g, final_time(u_small.g)
     )
     leading = (
         6.0
@@ -171,9 +173,9 @@ def test_criterion_05_detection_constraint():
     assert worst < 1e-14
     g_small = 1e-6
     phase = dynamics.entangling_phase(
-        design.required_force(g_small), g_small, dynamics.final_time(g_small)
+        design.required_force(g_small), g_small, final_time(g_small)
     )
-    ideal = entanglement.witness_negativity(phase, 0.0)
+    ideal = entanglement.evaluate_negativity(phase, ContrastSet(c_s_np_2=0.0)).witness_trace
     assert abs(ideal - math.sin(math.pi / 20.0)) < 1e-6
     report(
         5,
@@ -204,7 +206,7 @@ def test_criterion_06_mass_windows():
 def test_criterion_07_open_phase_invariance():
     started = time.perf_counter()
     f_q, g = 0.8, 0.12
-    tau_f = dynamics.final_time(g)
+    tau_f = final_time(g)
     reference = dynamics.entangling_phase(f_q, g, tau_f)
     worst = 0.0
     for s in (1.0, 1e-2, 1e-4):
@@ -220,13 +222,13 @@ def test_criterion_07_open_phase_invariance():
 def test_criterion_08_limit_identities():
     started = time.perf_counter()
     f_q, g = 0.9, 0.17
-    tau_f = dynamics.final_time(g)
+    tau_f = final_time(g)
     params = UnitlessParams(f_q=f_q, g=g, s=1.0, n_p=0.0)
     _, contrasts, _ = dynamics.open_qrdm(params, tau_f)
     c_g = dynamics.final_contrast(f_q, g)
     assert abs(contrasts.c_s_np_2 - c_g) < 1e-14
     rho_open, _, _ = dynamics.open_qrdm(params, tau_f)
-    rho_unitary, _, _ = dynamics.unitary_qrdm(f_q, g, tau_f)
+    rho_unitary, _, _ = dynamics.open_qrdm(UnitlessParams(f_q=f_q, g=g), tau_f)
     worst = float(np.max(np.abs(rho_open - rho_unitary)))
     assert worst < 1e-13
     report(
@@ -241,7 +243,7 @@ def test_criterion_08_limit_identities():
 def test_criterion_09_fock_arbitration():
     started = time.perf_counter()
     params = UnitlessParams(f_q=0.2, g=0.05)
-    tau_f = dynamics.final_time(params.g)
+    tau_f = final_time(params.g)
     grid = np.linspace(0.0, tau_f, 13)
     result = orc.fock_propagate(orc.FockProblem(params=params, tau_grid=grid, n_max=30))
 
@@ -261,7 +263,7 @@ def test_criterion_09_fock_arbitration():
     for slot, tau in enumerate(grid[1:], start=1):
         c2_fock = -math.log(abs(4.0 * result.qrdm[slot, 0, 3])) / 4.0
         c1_fock = -math.log(abs(4.0 * result.qrdm[slot, 1, 2])) / 4.0
-        _, closed, _ = dynamics.unitary_qrdm(params.f_q, params.g, float(tau))
+        _, closed, _ = dynamics.open_qrdm(params, float(tau))
         worst_c = max(
             worst_c, abs(c2_fock - closed.c_s_np_2), abs(c1_fock - closed.c_s_np_1)
         )
@@ -270,7 +272,7 @@ def test_criterion_09_fock_arbitration():
 
     worst_qrdm = 0.0
     for slot, tau in enumerate(grid):
-        closed, _, _ = dynamics.unitary_qrdm(params.f_q, params.g, float(tau))
+        closed, _, _ = dynamics.open_qrdm(params, float(tau))
         worst_qrdm = max(worst_qrdm, float(np.max(np.abs(closed - result.qrdm[slot]))))
     assert worst_qrdm < 1e-3
 
@@ -296,8 +298,8 @@ def test_criterion_10_entanglement_consistency():
         for contrast in (0.0, 0.05, 0.26, 1.0, 2.5):
             rho = ideal_qrdm(float(phi), contrast)
             lam = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
-            closed = entanglement.negativity_closed_form(float(phi), contrast)
-            exact = entanglement.evaluate_negativity(float(phi), contrast).exact
+            result = entanglement.evaluate_negativity(float(phi), ContrastSet(c_s_np_2=contrast))
+            closed, exact = result.closed_form, result.exact
             # The published eigenvalue display equals -lambda_min; the -2 lambda
             # normalization (the exact negativity) is exactly twice it.
             worst_closed = max(worst_closed, abs(max(0.0, -lam) - closed))
@@ -323,8 +325,8 @@ def test_criterion_10_entanglement_consistency():
         for contrast in (0.0, 0.26, 1.2):
             rho = ideal_qrdm(phi, contrast)
             trace = witness_trace(pauli_witness(), rho)
-            formula = entanglement.witness_negativity(phi, contrast)
-            worst_trace = max(worst_trace, abs(trace - formula))
+            formula = entanglement.evaluate_negativity(phi, ContrastSet(c_s_np_2=contrast))
+            worst_trace = max(worst_trace, abs(trace - formula.witness_trace))
     assert worst_trace < 1e-12
     report(
         10,
@@ -347,7 +349,7 @@ def test_criterion_11_physicality_suite():
         UnitlessParams(f_q=0.3, g=0.45, gamma_x=0.2),
     ):
         sigma0 = dynamics.squeezed_thermal_covariance(params.s, params.n_p)
-        for tau in np.linspace(0.0, 2.0 * dynamics.final_time(params.g), 12):
+        for tau in np.linspace(0.0, 2.0 * final_time(params.g), 12):
             sigma = ps.evolve_covariance(sigma0, params.g, float(tau), params.gamma_x)
             ok, margin = ps.heisenberg_ok(sigma)
             assert ok

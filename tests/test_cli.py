@@ -428,11 +428,13 @@ class TestPointReports:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["qrdm", "sweep"])
-    def test_overflowing_contrast_fails_with_one_line(self, tmp_path, capsys, command):
-        # s is a normal float, but (1+2 n_p) f_q^2/(2 w^4 s) overflows: named, without a warning
+    @pytest.mark.parametrize("s, tau", [("2.3e-308", "1"), ("1e-307", "2")])
+    def test_overflowing_contrast_fails_with_one_line(self, tmp_path, capsys, command, s, tau):
+        # s is a normal float, but (1+2 n_p) f_q^2/(2 w^4 s) overflows: named, without a warning;
+        # at tau 2 the QRDM's both-flip exponent 4 c_s_np_2 overflows too
         out = tmp_path / "point.out"
         axis = ["--axis", "g:0.44:0.45:2"] if command == "sweep" else ["--g", "0.45"]
-        point = ["--s", "2.3e-308", "--np", "3", "--gamma-x", "0.01", "--tau", "1"]
+        point = ["--s", s, "--np", "3", "--gamma-x", "0.01", "--tau", tau]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SystemExit) as exit_info:
@@ -440,6 +442,15 @@ class TestPointReports:
         assert exit_info.value.code == 2
         assert error_line(capsys) == "contrast c_s_np_1=inf must be finite"
         assert not out.exists()
+
+    def test_closure_zeroes_an_overflowed_antisymmetric_contrast(self, tmp_path):
+        # at closure the c_s_np_1 bracket is exactly 0 while its prefactor overflows to inf
+        out = tmp_path / "point.out"
+        point = ["--s", "1e-307", "--np", "3", "--gamma-x", "0.01", "--tau", "final"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["qrdm", "--fq", "1", "--g", "0.45", *point, "--out", str(out)]) == 0
+        assert "\n    c_s_np_1: 0\n" in out.read_text()
 
 
 class TestExpand:

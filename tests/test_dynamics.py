@@ -23,7 +23,6 @@ from sgipair import entanglement as ent
 from sgipair.phase_space import (
     _normal_modes,
     final_time,
-    lyapunov_integral,
     mode_frequency,
     propagator,
 )
@@ -370,7 +369,7 @@ class TestBranchPairKernel:
         initial = replace(dyn.initial_cat_state(params), sigma=sigma0)
         state = dyn.evolve_cat_state(initial, params, tau)
         s = propagator(params.g, tau)
-        sigma = s @ sigma0 @ s.T + lyapunov_integral(params.g, tau, params.gamma_x)
+        sigma = s @ sigma0 @ s.T + _normal_modes(params.g, params.gamma_x, tau)[..., 1, :, :]
         assert np.array_equal(state.sigma, 0.5 * (sigma + sigma.T))
         evolved, _ = _reference_pairs(params, tau, sigma)  # the moments of this sigma
         assert _relative(_moment_table(state), evolved) <= 1e-14
@@ -666,7 +665,7 @@ class TestUnitaryQrdm:
             4.0 * np.pi * g / w**3 + np.sin(2.0 * np.pi / w), rel=1e-12
         )
         assert phase == pytest.approx(2.4316939770217063, abs=1e-12)
-        _, contrasts, _ = dyn.unitary_qrdm(f_q, g, tau_f)
+        _, contrasts, _ = dyn.open_qrdm(UnitlessParams(f_q=f_q, g=g), tau_f)
         assert contrasts.c_s_np_1 == pytest.approx(0.0, abs=1e-14)
         assert contrasts.c_s_np_2 == pytest.approx(dyn.final_contrast(f_q, g), abs=1e-14)
         assert dyn.final_contrast(f_q, g) == pytest.approx(0.2626311219216804, abs=1e-12)
@@ -678,7 +677,7 @@ class TestUnitaryQrdm:
         assert phase == pytest.approx(6.0 * np.pi * f_q**2 * g, rel=0.01)
 
     def test_matrix_structure(self):
-        rho, contrasts, phase = dyn.unitary_qrdm(0.8, 0.13, 2.0)
+        rho, contrasts, phase = dyn.open_qrdm(UnitlessParams(f_q=0.8, g=0.13), 2.0)
         assert np.allclose(rho, rho.conj().T, atol=1e-15)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
         assert np.diagonal(rho).real == pytest.approx([0.25] * 4)
@@ -691,12 +690,12 @@ class TestUnitaryQrdm:
 
     def test_grid_equals_per_point_calls(self):
         taus = np.linspace(0.0, 40.0, 1000)
-        rho, contrasts, phase = dyn.unitary_qrdm(1.0, 0.1, taus)
+        params = UnitlessParams(f_q=1.0, g=0.1)
+        rho, contrasts, phase = dyn.open_qrdm(params, taus)
         negativity = ent.evaluate_negativity(phase, contrasts)
-        closed = ent.negativity_closed_form(phase, contrasts.c_s_np_2)
-        witness = ent.witness_negativity(phase, contrasts.c_s_np_2)
+        ideal = ent.evaluate_negativity(phase, dyn.ContrastSet(c_s_np_2=contrasts.c_s_np_2))
         for k, tau in enumerate(taus):
-            rho_k, contrasts_k, phase_k = dyn.unitary_qrdm(1.0, 0.1, tau)
+            rho_k, contrasts_k, phase_k = dyn.open_qrdm(params, tau)
             assert np.array_equal(rho_k, rho[k])
             assert (contrasts_k.c_s_np_1, contrasts_k.c_s_np_2, phase_k) == (
                 contrasts.c_s_np_1[k],
@@ -704,20 +703,23 @@ class TestUnitaryQrdm:
                 phase[k],
             )
             negativity_k = ent.evaluate_negativity(phase_k, contrasts_k)
+            ideal_k = ent.evaluate_negativity(
+                phase_k, dyn.ContrastSet(c_s_np_2=contrasts_k.c_s_np_2)
+            )
             assert (
                 negativity_k.exact,
                 negativity_k.closed_form,
                 negativity_k.witness_trace,
                 negativity_k.lambda_min,
-                ent.negativity_closed_form(phase_k, contrasts_k.c_s_np_2),
-                ent.witness_negativity(phase_k, contrasts_k.c_s_np_2),
+                ideal_k.closed_form,
+                ideal_k.witness_trace,
             ) == (
                 negativity.exact[k],
                 negativity.closed_form[k],
                 negativity.witness_trace[k],
                 negativity.lambda_min[k],
-                closed[k],
-                witness[k],
+                ideal.closed_form[k],
+                ideal.witness_trace[k],
             )
         gs = np.linspace(0.0, 0.49, 500)
         for name in ("final_contrast", "residual_separation"):
@@ -727,13 +729,13 @@ class TestUnitaryQrdm:
 
     def test_positive_semidefinite(self):
         for tau in np.linspace(0.0, 8.0, 9):
-            rho, _, _ = dyn.unitary_qrdm(1.2, 0.2, tau)
+            rho, _, _ = dyn.open_qrdm(UnitlessParams(f_q=1.2, g=0.2), tau)
             assert np.linalg.eigvalsh(rho)[0] > -1e-10
 
     def test_agrees_with_moment_machinery(self):
         params = UnitlessParams(f_q=0.8, g=0.13)
         for tau in (0.7, 2.0, final_time(params.g)):
-            rho, _, _ = dyn.unitary_qrdm(params.f_q, params.g, tau)
+            rho, _, _ = dyn.open_qrdm(params, tau)
             _, pairs = _reference_pairs(params, float(tau))
             rebuilt = 0.25 * np.exp(-pairs[..., 1] + 1j * pairs[..., 0])
             assert np.max(np.abs(rho - rebuilt)) <= 1e-12
@@ -747,10 +749,8 @@ class TestOpenQrdm:
         params = UnitlessParams(f_q=0.5, g=0.08)
         w = np.sqrt(1.0 - 2.0 * params.g)
         for tau in (0.9, final_time(params.g)):
-            rho_open, contrasts, phase = dyn.open_qrdm(params, tau)
-            rho_unitary, _, unitary_phase = dyn.unitary_qrdm(params.f_q, params.g, tau)
-            assert np.array_equal(rho_open, rho_unitary)
-            assert phase == unitary_phase
+            _, contrasts, phase = dyn.open_qrdm(params, tau)
+            assert phase == dyn.entangling_phase(params.f_q, params.g, tau)
             x = tau * w
             display_1 = (
                 2.0 * params.f_q**2 / w**4 * np.sin(x / 2.0) ** 2
@@ -760,6 +760,14 @@ class TestOpenQrdm:
             assert contrasts.c_s_np_1 == pytest.approx(display_1, abs=1e-15)
             assert contrasts.c_s_np_2 == pytest.approx(display_2, abs=1e-15)
             assert contrasts.c_gamma_1 == contrasts.c_gamma_2 == contrasts.c_z == 0.0
+
+    def test_underflowing_prefactor_denominator_is_an_inf_exponent(self):
+        # 2 w^4 s underflows to 0 near g = 1/2 at the smallest s: f_q^2/0 is inf, unwarned
+        params = UnitlessParams(f_q=1.0, g=0.4999999999, s=2.3e-308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rho, contrasts, _ = dyn.open_qrdm(params, 1.0)
+        assert contrasts.c_s_np_1 == math.inf and rho[1, 2] == 0.0
 
     @pytest.mark.parametrize(
         "s, g, tau", [(1e-4, 0.1, 1e-4), (1.0, 0.1, 1e-4), (1.0, 0.4999, 0.01)]
@@ -821,7 +829,7 @@ class TestOpenQrdm:
         assert abs(contrast / _antisymmetric_contrast_reference(params, tau) - 1) <= bound
         for k in (1, 2):
             assert dyn.open_qrdm(params, k * tau_f)[1].c_s_np_1 == 0.0
-        unitary = dyn.unitary_qrdm(f_q, g, tau)[1]
+        unitary = dyn.open_qrdm(UnitlessParams(f_q=f_q, g=g), tau)[1]
         assert unitary.c_s_np_2 == 2.0 * np.square(f_q) * np.square(np.sin(tau / 2.0))
 
     def test_phase_unchanged_by_noise_and_state_preparation(self):
@@ -984,6 +992,26 @@ class TestCatState:
             with pytest.raises(ValueError, match=message):
                 dyn.evolve_cat_state(dyn.initial_cat_state(params), params, 1.0)
 
+    @pytest.mark.parametrize(
+        "point, tau",
+        [
+            ({"f_q": 1.0, "g": 0.45, "s": 1e-307, "n_p": 3.0, "gamma_x": 0.01}, 2.0),
+            ({"f_q": 1e-3, "g": 0.49, "s": 1e-307, "n_p": 0.0}, 11.0),
+            ({"f_q": 100.0, "g": 0.1, "s": 1e-307, "n_p": 0.0}, 0.5),
+        ],
+        ids=["n_p-3-tau-2", "g-0.49-tau-11", "f_q-100-tau-0.5"],
+    )
+    def test_overflowing_evolved_state_fails_with_one_line(self, point, tau):
+        # the initial state is finite, but by tau the covariance overflows (the first two)
+        # or, with the covariance still finite, the off-diagonal branch moments do (the last)
+        params = UnitlessParams(**point)
+        initial = dyn.initial_cat_state(params)
+        message = rf"^squeezing s=1e-307 must keep the evolved state finite at tau={tau}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+                dyn.evolve_cat_state(initial, params, tau)
+
     def test_smallest_finite_initial_state_evolves(self):
         # s = 1e-307 keeps 7/s finite; c_s_np_1 overflows to inf, so its entries are 0
         params = UnitlessParams(f_q=1.0, g=0.45, s=1e-307, n_p=3.0, gamma_x=0.01)
@@ -1033,7 +1061,7 @@ class TestCatState:
         state = dyn.evolve_cat_state(dyn.initial_cat_state(params), params, tau_f)
         s_matrix = propagator(params.g, tau_f)
         squeezed = s_matrix @ np.diag([params.s, 1 / params.s] * 2) @ s_matrix.T
-        diffusive = lyapunov_integral(params.g, tau_f, 1.0)
+        diffusive = _normal_modes(params.g, 1.0, tau_f)[..., 1, :, :]
         expected = (1.0 + 2.0 * params.n_p) * squeezed + params.gamma_x * diffusive
         assert np.max(np.abs(state.sigma - expected)) < 1e-12
 

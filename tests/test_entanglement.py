@@ -16,7 +16,8 @@ from oracles import (
     witness_trace,
 )
 from sgipair import entanglement as ent
-from sgipair.dynamics import ContrastSet, final_time, open_qrdm, unitary_qrdm
+from sgipair.dynamics import ContrastSet, open_qrdm
+from sgipair.phase_space import final_time
 from sgipair.potentials import UnitlessParams
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -96,33 +97,34 @@ class TestExactNegativity:
         rho = ideal_qrdm(np.pi / 20.0, 0.0)
         lam = np.linalg.eigvalsh(partial_transpose(rho))[0]
         assert -lam == pytest.approx(0.07821723252011544, abs=1e-12)
-        assert ent.evaluate_negativity(np.pi / 20.0, 0.0).exact == pytest.approx(
+        assert ent.evaluate_negativity(np.pi / 20.0, ContrastSet()).exact == pytest.approx(
             2.0 * -lam, abs=1e-14
         )
 
     def test_monotone_decay_in_contrast(self):
         for phi in (0.3, 1.2, 2.4):
-            values = ent.evaluate_negativity(phi, np.linspace(0.0, 2.5, 60)).exact
+            contrasts = ContrastSet(c_s_np_2=np.linspace(0.0, 2.5, 60))
+            values = ent.evaluate_negativity(phi, contrasts).exact
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestClosedFormNegativity:
     def test_zero_contrast(self):
         for phi in (0.1, np.pi / 20.0, 2.0):
-            assert ent.negativity_closed_form(phi, 0.0) == pytest.approx(
+            assert ent.evaluate_negativity(phi, ContrastSet()).closed_form == pytest.approx(
                 abs(np.sin(phi)) / 2.0, abs=1e-15
             )
 
     def test_zero_phase(self):
         for contrast in (0.0, 0.5, 3.0):
-            assert ent.negativity_closed_form(0.0, contrast) == 0.0
+            assert ent.evaluate_negativity(0.0, ContrastSet(c_s_np_2=contrast)).closed_form == 0.0
 
     def test_matches_eigensolver_at_reference_point(self):
         phi, contrast = 2.4316939770217063, 0.2626311219216804
         rho = ideal_qrdm(phi, contrast)
         lam = np.linalg.eigvalsh(partial_transpose(rho))[0]
-        assert ent.negativity_closed_form(phi, contrast) == pytest.approx(
-            -lam, abs=1e-12
+        assert ent.evaluate_negativity(phi, ContrastSet(c_s_np_2=contrast)).closed_form == (
+            pytest.approx(-lam, abs=1e-12)
         )
 
     @settings(max_examples=80, deadline=None)
@@ -130,13 +132,15 @@ class TestClosedFormNegativity:
     def test_matches_eigensolver_everywhere(self, phi, contrast):
         rho = ideal_qrdm(phi, contrast)
         lam = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
-        assert abs(ent.negativity_closed_form(phi, contrast) - max(0.0, -lam)) < 1e-10
+        closed = ent.evaluate_negativity(phi, ContrastSet(c_s_np_2=contrast)).closed_form
+        assert abs(closed - max(0.0, -lam)) < 1e-10
 
     @pytest.mark.parametrize("contrast", [50.0, 60.0, 200.0])
     def test_large_contrast_limit(self, contrast):
         phi = 1.1
         expected = np.sin(phi) ** 2 * np.exp(-2.0 * contrast)
-        assert abs(ent.negativity_closed_form(phi, contrast) / expected - 1.0) <= 1e-15
+        closed = ent.evaluate_negativity(phi, ContrastSet(c_s_np_2=contrast)).closed_form
+        assert abs(closed / expected - 1.0) <= 1e-15
 
 
 class TestWitnessOperator:
@@ -146,13 +150,14 @@ class TestWitnessOperator:
         w = (np.sqrt(np.sin(phi) ** 2 + f**2) - f) / np.sin(phi)
         rho = ideal_qrdm(phi, contrast)
         trace = witness_trace(witness_matrix(w), rho)
-        assert trace == pytest.approx(ent.negativity_closed_form(phi, contrast), abs=1e-12)
+        closed = ent.evaluate_negativity(phi, ContrastSet(c_s_np_2=contrast)).closed_form
+        assert trace == pytest.approx(closed, abs=1e-12)
 
 
 class TestWitnessNegativity:
     def test_zero_contrast_is_sine(self):
-        assert ent.witness_negativity(np.pi / 20.0, 0.0) == pytest.approx(
-            0.15643446504023087, abs=1e-12
+        assert ent.evaluate_negativity(np.pi / 20.0, ContrastSet()).witness_trace == (
+            pytest.approx(0.15643446504023087, abs=1e-12)
         )
 
     def test_fully_decohered_floor(self):
@@ -160,14 +165,13 @@ class TestWitnessNegativity:
         # trace floors at -1/2; the ideal structure, whose (01|10) entry
         # never decays, floors at -1/4.
         everything = ContrastSet(c_s_np_1=1e6, c_s_np_2=1e6, c_z=1e6)
-        assert ent.witness_negativity(1.0, everything) == pytest.approx(-0.5, abs=1e-12)
-        assert ent.witness_negativity(1.0, 1e6) == pytest.approx(-0.25, abs=1e-12)
-
-    def test_open_formula_reduces_to_unitary(self):
-        contrast = 0.31
-        via_set = ent.witness_negativity(1.2, ContrastSet(c_s_np_2=contrast))
-        via_scalar = ent.witness_negativity(1.2, contrast)
-        assert via_set == pytest.approx(via_scalar, abs=1e-15)
+        ideal = ContrastSet(c_s_np_2=1e6)
+        assert ent.evaluate_negativity(1.0, everything).witness_trace == pytest.approx(
+            -0.5, abs=1e-12
+        )
+        assert ent.evaluate_negativity(1.0, ideal).witness_trace == pytest.approx(
+            -0.25, abs=1e-12
+        )
 
 
 class TestWitnessTrace:
@@ -175,8 +179,9 @@ class TestWitnessTrace:
         for phi in (0.1, np.pi / 20.0, 2.43):
             for contrast in (0.0, 0.26, 1.5):
                 rho = ideal_qrdm(phi, contrast)
+                formula = ent.evaluate_negativity(phi, ContrastSet(c_s_np_2=contrast))
                 assert witness_trace(pauli_witness(), rho) == pytest.approx(
-                    ent.witness_negativity(phi, contrast), abs=1e-12
+                    formula.witness_trace, abs=1e-12
                 )
 
     def test_matches_open_formula(self):
@@ -185,7 +190,7 @@ class TestWitnessTrace:
         )
         rho, contrasts, phase = open_qrdm(params, final_time(params.g))
         assert witness_trace(pauli_witness(), rho) == pytest.approx(
-            ent.witness_negativity(phase, contrasts), abs=1e-12
+            ent.evaluate_negativity(phase, contrasts).witness_trace, abs=1e-12
         )
 
 
@@ -240,11 +245,12 @@ class TestEvaluateNegativity:
     def test_reports_all_three_routes(self):
         f_q, g = 1.0, 0.1
         tau_f = final_time(g)
-        _, contrasts, phase = unitary_qrdm(f_q, g, tau_f)
+        _, contrasts, phase = open_qrdm(UnitlessParams(f_q=f_q, g=g), tau_f)
         result = ent.evaluate_negativity(phase, contrasts)
         assert result.exact == pytest.approx(2.0 * result.closed_form, rel=1e-10)
+        ideal = ContrastSet(c_s_np_2=contrasts.single_flip_total)
         assert result.witness_trace == pytest.approx(
-            ent.witness_negativity(phase, contrasts.single_flip_total), abs=1e-12
+            ent.evaluate_negativity(phase, ideal).witness_trace, abs=1e-12
         )
         assert result.lambda_min == pytest.approx(-result.closed_form, rel=1e-10)
         assert 0.0 <= result.exact <= 1.0
@@ -296,14 +302,14 @@ class TestEvaluateNegativity:
     @pytest.mark.parametrize("f_q", [1e-2, 1e-4, 1e-6])
     def test_weak_entanglement_keeps_relative_accuracy(self, f_q):
         # eigvalsh of the partial transpose is about 1e-13, 2e-9 and 5e-6 wrong relative here.
-        _, contrasts, phase = unitary_qrdm(f_q, 0.1, final_time(0.1))
+        _, contrasts, phase = open_qrdm(UnitlessParams(f_q=f_q, g=0.1), final_time(0.1))
         lam, reference = _assert_matches_reference(phase, contrasts)
         assert reference < 0.0
         assert abs(lam / reference - 1) <= 1e-14
 
     def test_zero_phase_and_exponents(self):
-        _, at_tau_zero, phase = unitary_qrdm(0.7, 0.2, 0.0)
-        for phase, contrasts in ((phase, at_tau_zero), (0.0, ContrastSet()), (0.0, 0.0)):
+        _, at_tau_zero, phase = open_qrdm(UnitlessParams(f_q=0.7, g=0.2), 0.0)
+        for phase, contrasts in ((phase, at_tau_zero), (0.0, ContrastSet())):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 result = ent.evaluate_negativity(phase, contrasts)
@@ -312,7 +318,7 @@ class TestEvaluateNegativity:
 
     def test_tiny_block_entries_do_not_underflow(self):
         # The - block's entries are about 1e-176 and 1e-320 here: p q and |off|^2 underflow.
-        _, contrasts, phase = unitary_qrdm(1.0, 0.3, 1e-160)
+        _, contrasts, phase = open_qrdm(UnitlessParams(f_q=1.0, g=0.3), 1e-160)
         lam, reference = _assert_matches_reference(phase, contrasts)
         assert reference < 0.0
         assert abs(lam / reference - 1) <= 1e-14
@@ -328,19 +334,27 @@ class TestEvaluateNegativity:
 
 
 @pytest.mark.parametrize(
-    "function", [ent.evaluate_negativity, ent.negativity_closed_form, ent.witness_negativity]
-)
-@pytest.mark.parametrize(
     "phi, contrasts, message",
     [
-        (math.nan, 0.1, "phi=nan must be finite"),
-        (np.array([0.1, math.inf]), 0.1, "phi=inf must be finite"),
-        (0.3, math.nan, "contrast=nan must be finite and >= 0"),
-        (0.3, math.inf, "contrast=inf must be finite and >= 0"),
-        (0.3, -0.1, "contrast=-0.1 must be finite and >= 0"),
-        (0.3, ContrastSet(c_gamma_1=math.inf), "contrast c_gamma_1=inf must be finite"),
+        (math.nan, {"c_s_np_2": 0.1}, "phi=nan must be finite"),
+        (np.array([0.1, math.inf]), {"c_s_np_2": 0.1}, "phi=inf must be finite"),
+        (0.3, {"c_s_np_2": math.nan}, "contrast c_s_np_2=nan must be >= 0"),
+        (0.3, {"c_s_np_2": math.inf}, "contrast c_s_np_2=inf must be finite"),
+        (0.3, {"c_s_np_2": -0.1}, "contrast c_s_np_2=-0.1 must be >= 0"),
+        (0.3, {"c_gamma_1": math.inf}, "contrast c_gamma_1=inf must be finite"),
     ],
+    ids=["phi-nan", "phi-inf", "c_s_np_2-nan", "c_s_np_2-inf", "c_s_np_2-negative", "c_gamma_1-inf"],
 )
-def test_rejects_bad_input(function, phi, contrasts, message):
+def test_rejects_bad_input(phi, contrasts, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        function(phi, contrasts)
+        ent.evaluate_negativity(phi, ContrastSet(**contrasts))
+
+
+@pytest.mark.parametrize(
+    "contrast", [0.1, 0, np.float64(0.1), np.array(0.1), np.array([0.1, 0.2])],
+    ids=["float", "int", "float64", "0-d", "array"],
+)
+def test_bare_contrast_is_a_type_error(contrast):
+    message = r"^contrasts must be a ContrastSet, got \w+; a bare contrast C is ContrastSet\("
+    with pytest.raises(TypeError, match=message + r"c_s_np_2=C\)$"):
+        ent.evaluate_negativity(0.3, contrast)

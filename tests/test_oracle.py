@@ -189,7 +189,7 @@ class TestFockPure:
             dyn.entangling_phase(params.f_q, params.g, tau_f), abs=1e-6
         )
         for slot, tau in enumerate(grid):
-            closed, _, _ = dyn.unitary_qrdm(params.f_q, params.g, tau)
+            closed, _, _ = dyn.open_qrdm(params, tau)
             assert np.max(np.abs(closed - result.qrdm[slot])) < 1e-6
 
     def test_relative_phase_pattern_between_entries(self):

@@ -12,6 +12,11 @@ from sgipair.potentials import UnitlessParams
 OMEGA = ps.symplectic_form()
 
 
+def _lyapunov(g, tau, gamma_x):
+    """The accumulated diffusion L that ``evolve_covariance`` adds, from ``_normal_modes``."""
+    return ps._normal_modes(g, gamma_x, tau)[..., 1, :, :]
+
+
 class TestSymplecticForm:
     def test_blocks(self):
         assert OMEGA[0, 1] == 1.0 and OMEGA[1, 0] == -1.0
@@ -120,12 +125,12 @@ class TestCovarianceEvolution:
         # Small taus take the series branch of the shapes, the rest the direct forms.
         tau_grid = np.concatenate([[0.0], np.geomspace(1e-6, 1.0, 7), np.linspace(1.5, 40.0, 9)])
         sigma0 = np.diag([0.3, 1.0 / 0.3, 0.3, 1.0 / 0.3]) * 3.0
-        lyapunov = ps.lyapunov_integral(g, tau_grid, 0.05)
+        lyapunov = _lyapunov(g, tau_grid, 0.05)
         sigma = ps.evolve_covariance(sigma0, g, tau_grid, 0.05)
         assert lyapunov.shape == sigma.shape == (len(tau_grid), 4, 4)
         for k, tau in enumerate(tau_grid):
             for grid, point in (
-                (lyapunov, ps.lyapunov_integral(g, tau, 0.05)),
+                (lyapunov, _lyapunov(g, tau, 0.05)),
                 (sigma, ps.evolve_covariance(sigma0, g, tau, 0.05)),
             ):
                 assert np.max(np.abs(grid[k] - point)) <= 1e-15 * np.max(np.abs(point)), tau
@@ -134,7 +139,7 @@ class TestCovarianceEvolution:
 class TestLyapunovIntegral:
     def test_zero_diffusion(self):
         assert np.array_equal(
-            ps.lyapunov_integral(0.1, 3.0, 0.0), np.zeros((4, 4))
+            _lyapunov(0.1, 3.0, 0.0), np.zeros((4, 4))
         )
 
     def test_published_matrix_at_closure_time(self):
@@ -143,8 +148,8 @@ class TestLyapunovIntegral:
         # the resolution is pinned.
         g = 0.1
         published = reference_diffusion_covariance(g)
-        at_closure = ps.lyapunov_integral(g, ps.final_time(g), 1.0)
-        at_two_pi = ps.lyapunov_integral(g, 2.0 * np.pi, 1.0)
+        at_closure = _lyapunov(g, ps.final_time(g), 1.0)
+        at_two_pi = _lyapunov(g, 2.0 * np.pi, 1.0)
         assert np.max(np.abs(at_closure - published)) < 1e-12
         assert np.max(np.abs(at_two_pi - published)) > 1e-2
 
@@ -152,14 +157,14 @@ class TestLyapunovIntegral:
     def test_rejects_bad_rate(self, gamma_x):
         message = r"^diffusion rate gamma_x=\S+ must be finite and >= 0$"
         with pytest.raises(ValueError, match=message):
-            ps.lyapunov_integral(0.1, 1.0, gamma_x)
+            ps.evolve_covariance(np.eye(4), 0.1, 1.0, gamma_x)
         with pytest.raises(ValueError, match=message):
             ps.evolve_covariance(np.eye(4), 0.1, 0.0, gamma_x)
 
     @pytest.mark.parametrize("tau", [-1.0, np.nan, np.inf])
     def test_rejects_bad_tau(self, tau):
         with pytest.raises(ValueError, match=r"^tau=.* must be finite and >= 0"):
-            ps.lyapunov_integral(0.1, tau, 0.05)
+            ps.evolve_covariance(np.eye(4), 0.1, tau, 0.05)
         with pytest.raises(ValueError, match=r"^tau=.* must be finite and >= 0"):
             ps.propagator(0.1, tau)
 
@@ -201,12 +206,12 @@ class TestLyapunovIntegral:
                         expected[i, j] = expected[i + 2, j + 2] = half_sum
                         expected[i, j + 2] = expected[i + 2, j] = half_diff
                 scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
-                value = ps.lyapunov_integral(g, tau, 1.0)
+                value = _lyapunov(g, tau, 1.0)
                 assert np.max(np.abs(value - expected) / scale) <= 1e-12, tau
 
     def test_scaling_in_rate(self):
-        one = ps.lyapunov_integral(0.2, 1.7, 1.0)
-        scaled = ps.lyapunov_integral(0.2, 1.7, 0.3)
+        one = _lyapunov(0.2, 1.7, 1.0)
+        scaled = _lyapunov(0.2, 1.7, 0.3)
         assert np.allclose(0.3 * one, scaled, atol=1e-14)
 
 

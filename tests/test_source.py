@@ -77,6 +77,19 @@ def _defines(statement: ast.stmt) -> set[str]:
     return {target.id for target in targets if isinstance(target, ast.Name)}
 
 
+def _undefined_public_names(source: str) -> list[str]:
+    """``__all__`` entries that no top-level statement of the module defines, such as re-exports."""
+    body = ast.parse(source).body
+    defined = set().union(*map(_defines, body))
+    public = [
+        name
+        for statement in body
+        if "__all__" in _defines(statement)
+        for name in ast.literal_eval(statement.value)
+    ]
+    return [name for name in public if name not in defined]
+
+
 def _unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
     """``module.name`` for each ``__all__`` entry that no other code reads.
 
@@ -162,6 +175,20 @@ def test_checker_flags_a_public_name_nothing_reads():
     # f reads itself and b only stores to a name f; g, h and K have readers
     assert _unread_public_names(modules, ["import a\na.K\n"]) == ["a.f"]
     assert _unread_public_names(modules, ["from a import f\n"]) == ["a.K"]
+
+
+def test_checker_flags_a_public_name_defined_elsewhere():
+    source = "from .a import f\nimport b as g\n__all__ = ['f', 'g', 'h', 'K']\n"
+    source += "def h():\n    pass\nK = 1\n"
+    assert _undefined_public_names(source) == ["f", "g"]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.stem != "__init__"], ids=lambda path: path.name
+)
+def test_every_public_name_is_defined_in_its_module(path):
+    # One public route per name: a module does not re-export another module's names.
+    assert _undefined_public_names(path.read_text()) == []
 
 
 def test_every_public_name_is_read_outside_the_tests():
