@@ -90,15 +90,6 @@ class BranchLabel:
         """QRDM entry (row, col) of the label, the inverse of ``from_bits``."""
         return (1 - self.j) + (1 - self.m) // 2, (1 - self.k) + (1 - self.n) // 2
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.j == self.k and self.m == self.n
-
-    @property
-    def n_differing(self) -> int:
-        """Number of qubits whose ket and bra eigenvalues differ."""
-        return (self.j != self.k) + (self.m != self.n)
-
 
 # The 16 labels in row-major QRDM order, built once.
 _ALL_LABELS = tuple(BranchLabel.from_bits(row, col) for row in range(4) for col in range(4))
@@ -119,6 +110,7 @@ class ContrastSet:
     antisymmetric and symmetric mode from a squeezed thermal state (at s = 1,
     n_p = 0 the unitary ones); c_gamma_1/c_gamma_2 the diffusion terms; c_z
     the qubit dephasing term.  Each exponent is a scalar or a grid column.
+    ``flip_exponents`` turns them into the three exponents of the X-state QRDM.
     """
 
     c_s_np_1: float = 0.0
@@ -132,27 +124,23 @@ class ContrastSet:
             value = getattr(self, name)
             _require(f"contrast {name}", value, value >= 0.0, "must be >= 0")
 
-    @property
-    def single_flip_total(self) -> float:
-        """Exponent of the QRDM entries where exactly one qubit flips."""
-        return sum(getattr(self, name) for name in self.__dataclass_fields__)
+    def flip_exponents(self) -> tuple:
+        """Exponents (single, both_sym, both_anti) of the QRDM's off-diagonal entries.
 
-    @property
-    def symmetric_flip_total(self) -> float:
-        """Exponent of the both-flip, equal-sign entry (00|11).
-
-        The Gaussian terms quadruple relative to a single flip (the branch
-        separation doubles); dephasing only doubles, since each qubit
-        dephases independently.  A quadrupled dephasing term would render
-        the matrix non-positive, so the doubled coefficient is used even
-        where published displays quadruple it.
+        single suppresses the entries where exactly one qubit flips, both_sym the
+        both-flip, equal-sign entry (00|11) and both_anti the opposite-sign one (01|10).
+        For a both-flip the Gaussian terms quadruple relative to a single flip (the
+        branch separation doubles); dephasing only doubles, since each qubit dephases
+        independently.  A quadrupled dephasing term would render the matrix
+        non-positive, so the doubled coefficient is used even where published displays
+        quadruple it.  A sum that overflows is inf (its entry is 0), unwarned.
         """
-        return 4.0 * (self.c_s_np_2 + self.c_gamma_2) + 2.0 * self.c_z
-
-    @property
-    def antisymmetric_flip_total(self) -> float:
-        """Exponent of the both-flip, opposite-sign entry (01|10)."""
-        return 4.0 * (self.c_s_np_1 + self.c_gamma_1) + 2.0 * self.c_z
+        with np.errstate(over="ignore"):
+            return (
+                self.c_s_np_1 + self.c_s_np_2 + self.c_gamma_1 + self.c_gamma_2 + self.c_z,
+                4.0 * (self.c_s_np_2 + self.c_gamma_2) + 2.0 * self.c_z,
+                4.0 * (self.c_s_np_1 + self.c_gamma_1) + 2.0 * self.c_z,
+            )
 
 
 @dataclass(frozen=True)
@@ -326,14 +314,19 @@ def _point(params: UnitlessParams, tau) -> tuple[tuple[float, ...], float]:
 
 
 @lru_cache(maxsize=8)
-def _shared_qrdm(point: tuple[float, ...], tau: float) -> tuple[np.ndarray, ContrastSet, float]:
-    """``open_qrdm`` of the UnitlessParams fields ``point`` at tau, read-only, kept for 8 points.
+def _shared_qrdm(point: tuple[float, ...], tau: float) -> tuple[np.ndarray, tuple]:
+    """``open_qrdm``'s QRDM of the UnitlessParams fields ``point`` at tau and its pair table.
 
-    The one source of every cat-state phase, contrast and QRDM.
+    The QRDM is read-only; the table holds the (phase, exponent) Python floats of entry
+    (row, col) at [row][col], so that the entry is exp(-exponent + i phase)/4.  Kept for 8
+    points: the one source of every cat-state phase, contrast and QRDM.
     """
-    qrdm = open_qrdm(UnitlessParams(*point), tau)
-    qrdm[0].setflags(write=False)
-    return qrdm
+    qrdm, contrasts, phase = open_qrdm(UnitlessParams(*point), tau)
+    qrdm.setflags(write=False)
+    phase = float(phase)
+    single, both_sym, both_anti = map(float, contrasts.flip_exponents())
+    entries = ((0.0, 0.0), (-phase, single), (phase, single), (0.0, both_sym), (0.0, both_anti))
+    return qrdm, tuple(tuple(entries[i] for i in row) for row in _QRDM_LAYOUT.tolist())
 
 
 def branch_pair_phase_contrast(
@@ -341,21 +334,14 @@ def branch_pair_phase_contrast(
 ) -> tuple[float, float]:
     """Phase and decay exponent of one QRDM entry, so that the entry is exp(-contrast + i phase)/4.
 
-    Reads the label's entry, through ``_QRDM_LAYOUT``, of the point's cached ``open_qrdm``
-    phase and contrasts: the entangling phase (with the entry's sign) and the sum of the
-    contrast exponents that suppress the entry.  Dephasing adds gamma_z * tau per flipped
-    qubit, independently for each qubit.  Params and tau must be scalars; the closed forms
-    are evaluated once per point and shared with the other cat-state calls.  Both values are
-    Python floats.
+    Looks the label's entry up in the point's cached pair table: the entangling phase (with
+    the entry's sign, -phase above the diagonal where one qubit flips) and the flip exponent
+    of ``ContrastSet.flip_exponents`` that suppresses the entry.  Params and tau must be
+    scalars; the closed forms are evaluated once per point and shared with the other
+    cat-state calls.  Both values are Python floats.
     """
-    _, contrasts, phase = _shared_qrdm(*_point(params, tau))
-    entry = _QRDM_LAYOUT[label.qrdm_index]
-    if entry == 0:
-        return 0.0, 0.0
-    if entry < 3:  # one qubit flips: -phase above the diagonal, +phase below
-        return float(-phase if entry == 1 else phase), float(contrasts.single_flip_total)
-    both = contrasts.symmetric_flip_total if entry == 3 else contrasts.antisymmetric_flip_total
-    return 0.0, float(both)
+    row, col = label.qrdm_index
+    return _shared_qrdm(*_point(params, tau))[1][row][col]
 
 
 # --------------------------------------------------------------------------
@@ -368,10 +354,7 @@ _QRDM_LAYOUT = np.array([[0, 1, 1, 3], [2, 0, 4, 2], [2, 4, 0, 2], [3, 1, 1, 0]]
 
 def _qrdm_from_components(phase, contrasts: ContrastSet) -> np.ndarray:
     """QRDMs, shape (..., 4, 4), for initial |+>|+> qubits from phases and contrasts."""
-    with np.errstate(over="ignore"):  # an overflowing exponent sum is inf: entry 0, unwarned
-        single = np.exp(-contrasts.single_flip_total)
-        both_sym = np.exp(-contrasts.symmetric_flip_total)
-        both_anti = np.exp(-contrasts.antisymmetric_flip_total)
+    single, both_sym, both_anti = (np.exp(-total) for total in contrasts.flip_exponents())
     lower = single * np.exp(1j * phase)
     upper = single * np.exp(-1j * phase)
     entries = np.broadcast_arrays(1.0 + 0j, upper, lower, both_sym, both_anti)

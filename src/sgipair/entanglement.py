@@ -1,8 +1,9 @@
 """Negativities of the qubit reduced density matrix from its phase and contrast exponents.
 
 Every QRDM the calculator builds is an X state fixed by those, so no 4x4
-matrix is formed.  Three estimates are kept side by side and never silently
-reconciled, because they carry two different published normalizations:
+matrix is formed; its three exponents are ``ContrastSet.flip_exponents``.
+Three estimates are kept side by side and never silently reconciled,
+because they carry two different published normalizations:
 
 * ``exact`` is -2 lambda_min of the partial transpose, the convention under
   which a Bell state scores 1 (and the zero-contrast ideal QRDM scores
@@ -29,6 +30,8 @@ from .dynamics import ContrastSet
 from .potentials import _require
 
 __all__ = ["NegativityResult", "evaluate_negativity"]
+
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,7 @@ def _exponents(phi, contrasts: ContrastSet):
     _require("phi", phi, np.isfinite(phi), "must be finite")
     for name, value in vars(contrasts).items():
         _require(f"contrast {name}", value, np.isfinite(value), "must be finite")
-    c = contrasts
-    return c.single_flip_total, c.symmetric_flip_total, c.antisymmetric_flip_total
+    return contrasts.flip_exponents()
 
 
 def _lambda_min(phi, single, sym, anti):
@@ -73,8 +75,10 @@ def _lambda_min(phi, single, sym, anti):
     |off|^2)) are free of cancellation.  Elementwise over arrays.
     """
     e = np.exp(-single)
-    # |a - b|/8 without cancellation or the overflow of expm1(anti - sym)
-    gap = np.exp(-np.minimum(anti, sym)) * -np.expm1(-np.abs(anti - sym)) / 8.0
+    # |a - b|/8 without cancellation or the overflow of expm1(anti - sym); the smaller
+    # exponent, capped at the largest float, makes two inf exponents a gap of 0, not NaN
+    low = np.minimum(anti, sym)
+    gap = np.exp(-low) * -np.expm1(np.minimum(low, _FLOAT_MAX) - np.maximum(anti, sym)) / 8.0
     blocks = (
         (1.0 + np.exp(-anti), 1.0 + np.exp(-sym), 0.5 * e * np.cos(phi)),
         (-np.expm1(-anti), -np.expm1(-sym), 0.5 * e * np.sin(phi)),
@@ -98,17 +102,18 @@ def _witness(phi, single, sym, anti):
 def evaluate_negativity(phi, contrasts: ContrastSet) -> NegativityResult:
     """All three negativity estimates of the QRDM ``dynamics`` builds from phi and contrasts.
 
-    Elementwise over arrays.  The closed form is -lambda_min of the ideal QRDM, whose
-    (single, sym, anti) exponents are (C, 4C, 0) for the single-flip exponent C: exact for
-    the ideal closure-time QRDM and an approximation wherever the both-flip exponents
+    Elementwise over arrays.  The closed form is -lambda_min of the ideal QRDM
+    ``ContrastSet(c_s_np_2=C)``, exponents (C, 4C, 0), for the single-flip exponent C: exact
+    for the ideal closure-time QRDM and an approximation wherever the both-flip exponents
     differ.  The witness trace is exp(-a) sin(phi) - (2 - exp(-b_anti) - exp(-b_sym))/4,
     with a the single-flip exponent and b_anti/b_sym the two both-flip exponents.
     """
     single, sym, anti = _exponents(phi, contrasts)
     lam = _lambda_min(phi, single, sym, anti)
+    ideal = ContrastSet(c_s_np_2=single)
     return NegativityResult(
         exact=np.maximum(-2.0 * lam, 0.0),
-        closed_form=np.maximum(-_lambda_min(phi, single, 4.0 * single, 0.0), 0.0),
+        closed_form=np.maximum(-_lambda_min(phi, *ideal.flip_exponents()), 0.0),
         witness_trace=_witness(phi, single, sym, anti),
         lambda_min=lam,
     )

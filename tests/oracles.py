@@ -397,7 +397,7 @@ def reference_two_mode_qrdm(problem):
                                       - 2.0 * left(x, right(x, block, mode), mode))
                 return out - scalar(label) * block
 
-            def symmetrize(rho, diagonal=label.is_diagonal):
+            def symmetrize(rho, diagonal=label.j == label.k and label.m == label.n):
                 return 0.5 * (rho + rho.conj().T) if diagonal else rho
 
             samples = _taylor_samples(
@@ -481,7 +481,8 @@ def reference_mode_qrdm(problem):
     for row in range(4):
         for col in range(4):
             label = BranchLabel.from_bits(row, col)
-            entry = 0.25 * np.exp(-params.gamma_z * label.n_differing * grid)
+            flips = (label.j != label.k) + (label.m != label.n)
+            entry = 0.25 * np.exp(-params.gamma_z * flips * grid)
             for sign in (+1, -1):
                 forces = [params.f_q * (j + sign * m) / math.sqrt(2.0)
                           for j, m in ((label.j, label.m), (label.k, label.n))]
@@ -579,7 +580,7 @@ def reference_branch_pair(
     delta_eq = r_ket - r_bra
     mismatch = delta_ket - delta_bra
     vector = 0.5 * (delta_ket + delta_bra) + 0j
-    if not label.is_diagonal:
+    if label.j != label.k or label.m != label.n:
         vector += 0.5j * apply(sigma @ OMEGA, mismatch)
         vector += 0.5j * apply(m1, delta_eq)
     phase = form(delta_eq, OMEGA, 0.5 * (delta_ket + delta_bra))

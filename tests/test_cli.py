@@ -443,14 +443,27 @@ class TestPointReports:
         assert error_line(capsys) == "contrast c_s_np_1=inf must be finite"
         assert not out.exists()
 
-    def test_closure_zeroes_an_overflowed_antisymmetric_contrast(self, tmp_path):
+    @pytest.mark.parametrize(
+        "point, lambda_min",
+        [
+            (["--fq", "1", "--s", "1e-307", "--gamma-x", "0.01"], "0.25"),
+            # c_s_np_2 = 1.38e308 is finite, but its both-flip exponent 4 c_s_np_2 overflows
+            # to inf, so the - block is diag(0, 1/4)
+            (["--fq", "2", "--s", "2.3e-308"], "0"),
+        ],
+        ids=["1e-307", "2.3e-308"],
+    )
+    def test_closure_zeroes_an_overflowed_antisymmetric_contrast(
+        self, tmp_path, point, lambda_min
+    ):
         # at closure the c_s_np_1 bracket is exactly 0 while its prefactor overflows to inf
         out = tmp_path / "point.out"
-        point = ["--s", "1e-307", "--np", "3", "--gamma-x", "0.01", "--tau", "final"]
+        argv = ["qrdm", "--g", "0.45", *point, "--np", "3", "--tau", "final", "--out", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["qrdm", "--fq", "1", "--g", "0.45", *point, "--out", str(out)]) == 0
-        assert "\n    c_s_np_1: 0\n" in out.read_text()
+            assert run(argv) == 0
+        text = out.read_text()
+        assert "\n    c_s_np_1: 0\n" in text and f"\n    lambda_min: {lambda_min}\n" in text
 
 
 class TestExpand:

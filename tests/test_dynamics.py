@@ -87,8 +87,7 @@ class TestBranchLabel:
     def test_bit_mapping_round_trip(self):
         label = dyn.BranchLabel.from_bits(1, 2)
         assert (label.j, label.k, label.m, label.n) == (1, -1, -1, 1)
-        assert label.n_differing == 2
-        assert not label.is_diagonal
+        assert label.j != label.k and label.m != label.n  # both qubits flip
 
     def test_qrdm_index_inverts_from_bits(self):
         for row in range(4):
@@ -226,8 +225,9 @@ def _relative(actual, expected):
 
 
 def _fresh_qrdm(params: UnitlessParams, tau: float):
-    """The point's ``open_qrdm`` result, evaluated outside the cache."""
-    return dyn._shared_qrdm.__wrapped__(*dyn._point(params, tau))
+    """The point's ``open_qrdm`` result at its float fields, evaluated outside the cache."""
+    point, tau = dyn._point(params, tau)
+    return dyn.open_qrdm(UnitlessParams(*point), tau)
 
 
 def _builds() -> int:
@@ -276,10 +276,9 @@ def _reference_pairs(
 
 def _closed_pairs(phase, contrasts: dyn.ContrastSet) -> np.ndarray:
     """(phase, contrast) (..., 4, 4, 2) of every QRDM entry, laid out by ``_QRDM_LAYOUT``."""
-    single = contrasts.single_flip_total
+    single, both_sym, both_anti = contrasts.flip_exponents()
     entries = np.broadcast_arrays(
-        *(0.0, -phase, phase, 0.0, 0.0),
-        *(0.0, single, single, contrasts.symmetric_flip_total, contrasts.antisymmetric_flip_total),
+        *(0.0, -phase, phase, 0.0, 0.0), *(0.0, single, single, both_sym, both_anti)
     )
     layout = np.stack([dyn._QRDM_LAYOUT, 5 + dyn._QRDM_LAYOUT], axis=-1)
     return np.stack(entries, axis=-1)[..., layout]
@@ -380,20 +379,22 @@ class TestBranchPairKernel:
             )
 
     def test_pairs_read_the_cached_open_qrdm(self, monkeypatch):
-        # The cached open_qrdm is the only source of the 16 phases and contrasts: shifting it
-        # moves every off-diagonal pair, and the pairs still rebuild the shifted QRDM.
+        # The point's open_qrdm, as the cache builds it, is the only source of the 16 phases
+        # and contrasts: shifting it moves every off-diagonal pair, and the pairs still
+        # rebuild the shifted QRDM.
         _, contrasts, phase = _fresh_qrdm(CAT_PARAMS, 3.1)
         shifts = {name: getattr(contrasts, name) + 0.125 for name in contrasts.__dataclass_fields__}
         shifted = replace(contrasts, **shifts)
         qrdm = dyn._qrdm_from_components(phase + 0.5, shifted)
         moved = (qrdm, shifted, phase + 0.5)
         before = [dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) for label in ALL_LABELS]
-        monkeypatch.setattr(dyn, "_shared_qrdm", lambda point, tau: moved)
+        monkeypatch.setattr(dyn, "open_qrdm", lambda params, tau: moved)
+        monkeypatch.setattr(dyn, "_shared_qrdm", dyn._shared_qrdm.__wrapped__)  # uncached
         expected = _qrdm_pairs(moved)
         for label, old in zip(ALL_LABELS, before):
             pair = dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1)
             assert pair == tuple(expected[label.qrdm_index].tolist())
-            assert (pair == old) == label.is_diagonal, label
+            assert (pair == old) == (label.j == label.k and label.m == label.n), label
             rebuilt = 0.25 * np.exp(-pair[1] + 1j * pair[0])
             assert abs(rebuilt - qrdm[label.qrdm_index]) <= 1e-16, label
 
@@ -424,7 +425,7 @@ class TestBranchPairKernel:
         ]:
             assert np.max(np.abs(actual - expected)) <= 1e-14 * np.max(np.abs(expected))
         for label in ALL_LABELS:
-            if label.is_diagonal:
+            if label.j == label.k and label.m == label.n:  # a diagonal branch
                 assert not moment_table[label.qrdm_index].imag.any()
             phase, contrast = dyn.branch_pair_phase_contrast(label, params, tau)
             assert type(phase) is float and type(contrast) is float
@@ -470,9 +471,12 @@ class TestBranchPairKernel:
         assert len(calls) == 1  # the state's own moments, for its evolved covariance
 
     def test_shared_qrdm_is_read_only(self):
-        qrdm = dyn._shared_qrdm(*dyn._point(CAT_PARAMS, 3.1))[0]
+        qrdm, table = dyn._shared_qrdm(*dyn._point(CAT_PARAMS, 3.1))
         with pytest.raises(ValueError, match="read-only"):
             qrdm[0] += 1.0
+        # the pair table is tuples all the way down, of 4 rows of 4 (phase, exponent) pairs
+        types = {type(table), *map(type, table), *(type(pair) for row in table for pair in row)}
+        assert types == {tuple} and [len(row) for row in table] == [4] * 4
 
     @pytest.mark.parametrize("entry, field, value", GRID_CASES)
     def test_grid_input_fails_before_any_work(self, monkeypatch, entry, field, value):
@@ -1021,6 +1025,14 @@ class TestCatState:
         assert np.isfinite(state.sigma).all() and np.isfinite(state.qrdm).all()
         assert all(np.isfinite(moments.vector).all() for moments in state.branches.values())
         assert dyn.branch_pair_phase_contrast(ALL_LABELS[1], params, 1.0)[1] == math.inf
+
+    def test_overflowing_both_flip_exponent_is_inf(self):
+        # c_s_np_1 is inf at tau 2 and 4 (c_s_np_2 + c_gamma_2) overflows: (00|11) is 0
+        params = UnitlessParams(f_q=1.0, g=0.45, s=1e-307, n_p=3.0, gamma_x=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pair = dyn.branch_pair_phase_contrast(dyn.BranchLabel.from_bits(0, 3), params, 2.0)
+        assert pair == (0.0, math.inf)
 
     def test_zero_time_evolution_is_identity(self):
         params = UnitlessParams(f_q=0.5, g=0.08, s=0.1, n_p=2.0, gamma_x=0.02)

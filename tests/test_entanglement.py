@@ -225,12 +225,7 @@ def _lambda_min_reference(phi, single, sym, anti):
 def _assert_matches_reference(phase, contrasts):
     """lambda_min within 4.4e-16 absolute, and within 1e-14 of the error scale where negative."""
     lam = ent.evaluate_negativity(phase, contrasts).lambda_min
-    reference, scale = _lambda_min_reference(
-        phase,
-        contrasts.single_flip_total,
-        contrasts.symmetric_flip_total,
-        contrasts.antisymmetric_flip_total,
-    )
+    reference, scale = _lambda_min_reference(phase, *contrasts.flip_exponents())
     assert abs(lam - reference) <= 4.4e-16
     # Below the smallest normal float, values carry fewer than 53 bits.
     if reference < -np.finfo(float).tiny:
@@ -238,6 +233,8 @@ def _assert_matches_reference(phase, contrasts):
     return lam, reference
 
 
+# Python floats, numpy scalars and 0-d arrays as inputs.
+KINDS, KIND_IDS = [float, np.float64, np.array], ["float", "float64", "array"]
 RATES = st.one_of(st.just(0.0), st.floats(1e-6, 0.1))
 
 
@@ -248,7 +245,7 @@ class TestEvaluateNegativity:
         _, contrasts, phase = open_qrdm(UnitlessParams(f_q=f_q, g=g), tau_f)
         result = ent.evaluate_negativity(phase, contrasts)
         assert result.exact == pytest.approx(2.0 * result.closed_form, rel=1e-10)
-        ideal = ContrastSet(c_s_np_2=contrasts.single_flip_total)
+        ideal = ContrastSet(c_s_np_2=contrasts.flip_exponents()[0])
         assert result.witness_trace == pytest.approx(
             ent.evaluate_negativity(phase, ideal).witness_trace, abs=1e-12
         )
@@ -331,6 +328,32 @@ class TestEvaluateNegativity:
         values = [result.exact, result.closed_form, result.witness_trace, result.lambda_min]
         assert np.isfinite(values).all()
         _assert_matches_reference(0.7, contrasts)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    @pytest.mark.parametrize(
+        "single, sym, anti",
+        [
+            (0.3, 0.9, 0.9),
+            (1e308, math.inf, math.inf),
+            (math.inf, math.inf, math.inf),
+            (1e308, 0.0, math.inf),
+            (1e308, math.inf, 0.0),
+        ],
+        ids=["equal", "equal-inf", "all-inf", "anti-inf", "sym-inf"],
+    )
+    def test_lambda_min_at_equal_and_infinite_both_flip_exponents(self, kind, single, sym, anti):
+        # the gap between the both-flip exponents is exactly 0 where they are equal, inf too
+        lam = ent._lambda_min(*(kind(value) for value in (0.5, single, sym, anti)))
+        reference, _ = _lambda_min_reference(0.5, single, sym, anti)
+        assert np.ndim(lam) == 0 and abs(lam - reference) <= 4.4e-16
+
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    def test_overflowing_exponent_sums_are_inf(self, kind):
+        # the sums overflow to inf, without a warning: both blocks are then diag(1/4, 1/4)
+        contrasts = ContrastSet(c_s_np_1=kind(1e308), c_s_np_2=kind(1e308))
+        assert contrasts.flip_exponents() == (math.inf,) * 3
+        lam, reference = _assert_matches_reference(kind(0.5), contrasts)
+        assert lam == reference == 0.25
 
 
 @pytest.mark.parametrize(

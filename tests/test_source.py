@@ -77,17 +77,21 @@ def _defines(statement: ast.stmt) -> set[str]:
     return {target.id for target in targets if isinstance(target, ast.Name)}
 
 
-def _undefined_public_names(source: str) -> list[str]:
-    """``__all__`` entries that no top-level statement of the module defines, such as re-exports."""
-    body = ast.parse(source).body
-    defined = set().union(*map(_defines, body))
-    public = [
+def _public_names(body: list[ast.stmt]) -> list[str]:
+    """The ``__all__`` entries of a module body."""
+    return [
         name
         for statement in body
         if "__all__" in _defines(statement)
         for name in ast.literal_eval(statement.value)
     ]
-    return [name for name in public if name not in defined]
+
+
+def _undefined_public_names(source: str) -> list[str]:
+    """``__all__`` entries that no top-level statement of the module defines, such as re-exports."""
+    body = ast.parse(source).body
+    defined = set().union(*map(_defines, body))
+    return [name for name in _public_names(body) if name not in defined]
 
 
 def _unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
@@ -113,6 +117,35 @@ def _unread_public_names(modules: dict[str, str], readers: list[str]) -> list[st
                 own = (r for defined, r in statements[module] if name not in defined)
                 if name not in elsewhere.union(*own):
                     unread.append(f"{module}.{name}")
+    return unread
+
+
+def _unread_members(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.Class.name`` for each public method or property of an ``__all__`` class unread.
+
+    A read is an attribute load ``x.name`` anywhere in ``modules`` or ``readers``; the
+    check goes by name, so a read of any attribute of that name counts.
+    """
+    attributes = {
+        node.attr
+        for source in [*modules.values(), *readers]
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, source in modules.items():
+        body = ast.parse(source).body
+        public = set(_public_names(body))
+        for node in body:
+            if not (isinstance(node, ast.ClassDef) and node.name in public):
+                continue
+            unread += [
+                f"{module}.{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not item.name.startswith("_")
+                and item.name not in attributes
+            ]
     return unread
 
 
@@ -195,6 +228,24 @@ def test_every_public_name_is_read_outside_the_tests():
     # A public function that only tests call belongs in tests/oracles.py, not in the package.
     modules = {path.stem: path.read_text() for path in SOURCES}
     assert _unread_public_names(modules, [path.read_text() for path in READERS]) == []
+
+
+def test_checker_flags_a_member_nothing_reads():
+    modules = {
+        "a": "__all__ = ['P']\nclass P:\n    def f(self):\n        return self.g\n"
+        "    @property\n    def g(self):\n        pass\n    def h(self):\n        pass\n"
+        "    def _i(self):\n        pass\nclass Q:\n    def j(self):\n        pass\n",
+    }
+    # g is read in a; f in the reader; h has no read, and a call h() is not an attribute read;
+    # _i is private and Q is not in __all__
+    assert _unread_members(modules, ["import a\na.P().f()\nh()\n"]) == ["a.P.h"]
+    assert _unread_members(modules, ["P.h\n"]) == ["a.P.f"]
+
+
+def test_every_public_member_is_read_outside_the_tests():
+    # A method or property of a public class that only tests read belongs in the tests.
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    assert _unread_members(modules, [path.read_text() for path in READERS]) == []
 
 
 def test_checker_flags_a_field_no_call_sets():
