@@ -110,13 +110,10 @@ def _unread_public_names(modules: dict[str, str], readers: list[str]) -> list[st
     unread = []
     for module, body in bodies.items():
         elsewhere = outside.union(*(r for other, r in reads.items() if other != module))
-        for statement in body:
-            if "__all__" not in _defines(statement):
-                continue
-            for name in ast.literal_eval(statement.value):
-                own = (r for defined, r in statements[module] if name not in defined)
-                if name not in elsewhere.union(*own):
-                    unread.append(f"{module}.{name}")
+        for name in _public_names(body):
+            own = (r for defined, r in statements[module] if name not in defined)
+            if name not in elsewhere.union(*own):
+                unread.append(f"{module}.{name}")
     return unread
 
 
