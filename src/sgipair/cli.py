@@ -22,9 +22,9 @@ conflict (one name given twice, or ``f_q`` with ``--constraint-force``) or
 do not parse, an ``--out`` or ``--json-out`` path that cannot be written,
 and a ``--config`` file that cannot be read or holds an unknown key, a
 repeated key or a non-finite value (``phys.cfg:10: M is already given on
-line 2``).  A sweep grid too large for memory exits the same way, with one
-line naming its row count.  CSVs are streamed in blocks of rows, each
-distinct value of a column formatted once per block.
+line 2``).  Config values out of float range, an overflowing phase and a sweep
+grid too large for memory stop the same way once met.  CSV columns are
+streamed in blocks of rows, each distinct column and value formatted once.
 """
 
 from __future__ import annotations
@@ -110,22 +110,23 @@ def _format_column(column: np.ndarray) -> list[str]:
     return texts[inverse].tolist()
 
 
-def _write_csv(out: str | None, metadata: dict[str, str], header: list[str], rows) -> None:
-    """Stream a '#'-metadata CSV of a 2-D table to ``out`` (None or '-': stdout).
+def _write_csv(out: str | None, metadata: dict[str, str], columns: dict) -> None:
+    """Stream a '#'-metadata CSV of named 1-D columns to ``out`` (None or '-': stdout).
 
-    Every cell reads ``format(float(cell), ".17g")``; the rows are formatted
-    and written ``_CSV_BLOCK_ROWS`` at a time, so the text of the whole
-    table is never held in memory.
+    The keys are the header, and every cell reads ``format(float(cell), ".17g")``.  The
+    rows are formatted and written ``_CSV_BLOCK_ROWS`` at a time, a column given under
+    two names once per block, so the text of the whole table is never held in memory.
     """
-    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    cells = [np.asarray(column, dtype=float) for column in columns.values()]
+    distinct = {id(column): column for column in cells}
     stream = sys.stdout if out is None or out == "-" else open(out, "w")
     try:
         stream.writelines(f"# {key} = {value}\n" for key, value in metadata.items())
-        stream.write(",".join(header) + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS]
-            columns = [_format_column(column) for column in block.T]
-            stream.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        stream.write(",".join(columns) + "\n")
+        for start in range(0, len(cells[0]), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            texts = {key: _format_column(column[block]) for key, column in distinct.items()}
+            stream.write("\n".join(map(",".join, zip(*(texts[id(c)] for c in cells)))) + "\n")
     finally:
         if stream is not sys.stdout:
             stream.close()
@@ -243,11 +244,11 @@ class SweepSpec:
             raise ValueError("axis f_q conflicts with --constraint-force, which sets f_q")
 
 
-def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
-    """Evaluate a sweep grid as whole columns; rows are row-major over the axes.
+def run_sweep(spec: SweepSpec) -> dict[str, np.ndarray]:
+    """Sweep columns by header name, row-major over the axes; fixed values are broadcast views.
 
-    Every parameter column is validated before any closed form runs, so an
-    out-of-domain axis fails with one error naming its first bad value.
+    ``negativity`` is its ``neg_*`` column itself.  Parameter columns are validated before
+    any closed form runs, so an out-of-domain axis fails naming its first bad value.
     """
     columns = {"f_q": 0.0, **spec.fixed}
     mesh = np.meshgrid(*(axis.values() for axis in spec.axes), indexing="ij")
@@ -268,8 +269,8 @@ def run_sweep(spec: SweepSpec) -> tuple[list[str], np.ndarray]:
         "neg_closed": result.closed_form,
         "neg_witness": result.witness_trace,
     }
-    table["negativity"] = table[f"neg_{spec.negativity_selector}"]
-    return list(table), np.column_stack(np.broadcast_arrays(*table.values()))
+    table = dict(zip(table, np.broadcast_arrays(*table.values())))
+    return {**table, "negativity": table[f"neg_{spec.negativity_selector}"]}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -284,7 +285,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         negativity_selector=args.negativity,
     )
     try:
-        header, rows = run_sweep(spec)
+        columns = run_sweep(spec)
     except MemoryError:
         n_rows = math.prod(axis.points for axis in axes)
         raise ValueError(f"sweep grid of {n_rows} rows does not fit in memory") from None
@@ -296,7 +297,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "tau": spec.tau_selector,
         "negativity": spec.negativity_selector,
     }
-    _write_csv(args.out, metadata, header, rows)
+    _write_csv(args.out, metadata, columns)
     return 0
 
 
@@ -310,14 +311,12 @@ def _cmd_trajectories(args: argparse.Namespace) -> int:
         raise ValueError(f"--steps={args.steps} must be >= 1")
     tau_max = _resolve_tau("--tau-max", args.tau_max, args.g)
     taus = np.linspace(0.0, tau_max, args.steps)
-    header = ["tau", "q1_bit", "q2_bit", "x1", "p1", "x2", "p2"]
     moments = dynamics.branch_trajectories(args.f_q, args.g, taus)
     labels = sorted(moments, key=lambda label: label.qrdm_index)
-    rows = [
-        [tau, *divmod(label.qrdm_index[0], 2), *moments[label].vector.real[slot]]
-        for slot, tau in enumerate(taus)
-        for label in labels
-    ]
+    bits = np.tile([divmod(label.qrdm_index[0], 2) for label in labels], (len(taus), 1))
+    paths = np.stack([moments[label].vector.real for label in labels], axis=-2).reshape(-1, 4)
+    names = ("tau", "q1_bit", "q2_bit", "x1", "p1", "x2", "p2")
+    columns = dict(zip(names, [np.repeat(taus, len(labels)), *bits.T, *paths.T]))
     metadata = {
         "generator": f"sgipair {__version__}",
         "command": "trajectories",
@@ -327,7 +326,7 @@ def _cmd_trajectories(args: argparse.Namespace) -> int:
         "closure_time": _fmt(final_time(args.g)),
         "residual_separation": _fmt(dynamics.residual_separation(args.f_q, args.g)),
     }
-    _write_csv(args.out, metadata, header, rows)
+    _write_csv(args.out, metadata, columns)
     return 0
 
 
@@ -436,18 +435,17 @@ def _constrained_negativity(g: float, unitless: UnitlessParams) -> dict:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     physical, nv = load_config(args.config)
+    x0 = physical.x0  # fails out of float range before to_unitless can warn of the trap
     unitless = to_unitless(physical)
     g_report = design.g_bounds(
-        x0_over_d=physical.x0 / physical.d,
+        x0_over_d=x0 / physical.d,
         gamma_x=unitless.gamma_x,
         s=unitless.s,
         n_p=unitless.n_p,
     )
     m_min, m_max = design.mass_bounds(physical.d, physical.omega)
-    ratio, valid = design.quartic_ratio(unitless.g, physical.x0, physical.d)
-    budget = design.dephasing_budget(
-        unitless.gamma_z, unitless.gamma_x, unitless.f_q
-    )
+    ratio, valid = design.quartic_ratio(unitless.g, x0, physical.d)
+    budget = design.dephasing_budget(unitless.gamma_z, unitless.gamma_x, unitless.f_q)
     tree = {
         "note": "bound formulas are leading order (order-of-magnitude)",
         "unitless": {**_param_values(unitless), "stable": str(unitless.stable).lower()},

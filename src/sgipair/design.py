@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potentials import G_NEWTON, HBAR, NVParams, nv_map
-from .potentials import _check_squeezing, _require_nonnegative, _require_positive
+from .potentials import _check_squeezing, _in_range, _require_nonnegative, _require_positive
 
 __all__ = [
     "DEFAULT_TARGET_PHASE",
@@ -103,7 +103,10 @@ def g_bounds(
     n_i = ideal_negativity()
     occupation = 1.0 + 2.0 * n_p
 
-    lower = [GBound(2.0 * x0_over_d**2, "quartic validity")]
+    quartic = _in_range(
+        "the quartic validity bound", lambda: 2.0 * x0_over_d**2, {"x0_over_d": x0_over_d}
+    )
+    lower = [GBound(quartic, "quartic validity")]
     if gamma_x > 0.0:
         lower.append(
             GBound(math.pi * gamma_x * (1.0 + n_i) / (40.0 * n_i), "diffusion")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -172,14 +172,22 @@ def entangling_phase(f_q, g, tau):
     Depends only on (f_q, g, tau); in particular it is independent of the
     mass, the initial squeezing/temperature, and the diffusion rate.  Its terms
     of size f_q^2 (1 + tau) cancel to O(f_q^2 g tau), so the relative error
-    grows as eps/g: below 16 eps/g for tau from half to three closure times.
+    grows as eps/g: below 16 eps/g for tau from half to three closure times.  A phase
+    that overflows (a huge f_q or tau) raises one ValueError naming f_q and tau.
     """
     _require_nonnegative("f_q", f_q)
     _check_tau(tau)
     w = mode_frequency(g)
-    return np.square(f_q) * (
-        np.sin(tau) + 2.0 * g * tau / np.square(w) - np.sin(w * tau) / np.power(w, 3)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named next
+        phase = np.square(f_q) * (
+            np.sin(tau) + 2.0 * g * tau / np.square(w) - np.sin(w * tau) / np.power(w, 3)
+        )
+    finite = np.isfinite(phase)
+    if not (finite is np.True_ or finite.all()):  # a scalar point skips the array test
+        at_tau = np.broadcast_to(tau, finite.shape)[~finite][0]
+        requirement = f"must keep the entangling phase finite at tau={at_tau}"
+        _require("f_q", np.broadcast_to(f_q, finite.shape), finite, requirement)
+    return phase
 
 
 def final_contrast(f_q: float, g: float) -> float:
@@ -317,16 +325,19 @@ def _point(params: UnitlessParams, tau) -> tuple[tuple[float, ...], float]:
 def _shared_qrdm(point: tuple[float, ...], tau: float) -> tuple[np.ndarray, tuple]:
     """``open_qrdm``'s QRDM of the UnitlessParams fields ``point`` at tau and its pair table.
 
-    The QRDM is read-only; the table holds the (phase, exponent) Python floats of entry
-    (row, col) at [row][col], so that the entry is exp(-exponent + i phase)/4.  Kept for 8
-    points: the one source of every cat-state phase, contrast and QRDM.
+    Both come from one ``open_phase_contrasts`` and one ``flip_exponents``.  The QRDM is
+    read-only; the table holds the (phase, exponent) Python floats of entry (row, col) at
+    [row][col], so that the entry is exp(-exponent + i phase)/4.  Kept for 8 points: the
+    one source of every cat-state phase, contrast and QRDM.
     """
-    qrdm, contrasts, phase = open_qrdm(UnitlessParams(*point), tau)
+    phase, contrasts = open_phase_contrasts(UnitlessParams(*point), tau)
+    exponents = contrasts.flip_exponents()
+    qrdm = _qrdm_from_components(phase, exponents)
     qrdm.setflags(write=False)
     phase = float(phase)
-    single, both_sym, both_anti = map(float, contrasts.flip_exponents())
+    single, both_sym, both_anti = map(float, exponents)
     entries = ((0.0, 0.0), (-phase, single), (phase, single), (0.0, both_sym), (0.0, both_anti))
-    return qrdm, tuple(tuple(entries[i] for i in row) for row in _QRDM_LAYOUT.tolist())
+    return qrdm, tuple(row(entries) for row in _QRDM_ROWS)
 
 
 def branch_pair_phase_contrast(
@@ -350,11 +361,15 @@ def branch_pair_phase_contrast(
 
 # Entry (row, col) of the QRDM as an index into (1, upper, lower, both_sym, both_anti).
 _QRDM_LAYOUT = np.array([[0, 1, 1, 3], [2, 0, 4, 2], [2, 4, 0, 2], [3, 1, 1, 0]])
+_QRDM_ROWS = tuple(itemgetter(*row) for row in _QRDM_LAYOUT.tolist())  # row -> its 4 entries
 
 
-def _qrdm_from_components(phase, contrasts: ContrastSet) -> np.ndarray:
-    """QRDMs, shape (..., 4, 4), for initial |+>|+> qubits from phases and contrasts."""
-    single, both_sym, both_anti = (np.exp(-total) for total in contrasts.flip_exponents())
+def _qrdm_from_components(phase, exponents: tuple) -> np.ndarray:
+    """QRDMs, shape (..., 4, 4), for initial |+>|+> qubits from phases and the flip exponents.
+
+    ``exponents`` is the (single, both_sym, both_anti) of ``ContrastSet.flip_exponents``.
+    """
+    single, both_sym, both_anti = (np.exp(-total) for total in exponents)
     lower = single * np.exp(1j * phase)
     upper = single * np.exp(-1j * phase)
     entries = np.broadcast_arrays(1.0 + 0j, upper, lower, both_sym, both_anti)
@@ -374,7 +389,7 @@ def open_qrdm(params: UnitlessParams, tau: float) -> tuple[np.ndarray, ContrastS
     be grid columns, giving QRDMs of shape (..., 4, 4).
     """
     phase, contrasts = open_phase_contrasts(params, tau)
-    return _qrdm_from_components(phase, contrasts), contrasts, phase
+    return _qrdm_from_components(phase, contrasts.flip_exponents()), contrasts, phase
 
 
 # --------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def _mode_entries(w, rate, tau) -> np.ndarray:
     if (arguments[..., 1] <= 1.0).any():  # some x/2 <= 1: a shape takes its series
         shape_x = arguments[..., _SHAPE_ARGUMENTS]
         small = shape_x <= 1.0
-        y = np.where(small, np.square(shape_x), 0.0)  # 0 keeps the unused sums finite
+        y = np.square(np.where(small, shape_x, 0.0))  # 0 keeps the unused sums finite
         series = np.polyval(_SHAPE_SERIES, y) * y * shape_x
         shapes = [np.where(small[..., i], series[..., i], shape) for i, shape in enumerate(shapes)]
     a, a_half, p = shapes

@@ -76,6 +76,34 @@ def _require_positive(name: str, value) -> None:
     _require(name, value, np.isfinite(value) & (value > 0.0), "must be finite and > 0")
 
 
+def _in_range(quantity: str, formula, given: dict[str, float], ok=math.isfinite):
+    """``formula()``, a float or a tuple of floats, if ``ok`` holds for each of them.
+
+    ``given`` are the values the formula reads, by name.  A float overflow (OverflowError),
+    a division by a zero that underflowed (ZeroDivisionError) and a value failing ``ok``
+    (by default: inf or NaN) all raise one ValueError naming ``quantity`` and ``given``.
+    """
+    try:
+        value = formula()
+        good = all(map(ok, value if isinstance(value, tuple) else (value,)))
+    except (OverflowError, ZeroDivisionError):
+        good = False
+    if not good:
+        inputs = ", ".join(f"{key}={number}" for key, number in given.items())
+        raise ValueError(f"{inputs} put {quantity} out of float range")
+    return value
+
+
+def _ground_spread(M: float, omega: float) -> float:
+    """Ground-state spread sqrt(hbar / (2 M omega)), m: finite and > 0, or one ValueError."""
+    return _in_range(
+        "x0",
+        lambda: math.sqrt(HBAR / (2.0 * M * omega)),
+        {"M": M, "omega": omega},
+        lambda x0: 0.0 < x0 < math.inf,
+    )
+
+
 _TINY = float(np.finfo(float).tiny)
 _TINY_REQUIREMENT = f"must be >= {_TINY} (the smallest normal float)"
 
@@ -131,7 +159,7 @@ class ExpansionCoefficients:
 class PhysicalParams:
     """SI-unit experimental parameters of the two-trap qubit-mass system.
 
-    Every field that is given must be finite.
+    Every field that is given must be finite; eps_r >= 1 (a dielectric) and rho_m > 0.
     """
 
     M: float                    # mass, kg
@@ -151,19 +179,19 @@ class PhysicalParams:
         for name, value in vars(self).items():
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name}={value} must be finite")
-        for name in ("M", "omega", "d"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name}={getattr(self, name)} must be > 0")
+        for name in ("M", "omega", "d", "omega_t", "rho_m"):
+            if (value := getattr(self, name)) is not None:
+                _require(name, value, value > 0.0, "must be > 0")
         for name in ("S_FF", "Gamma_z_phys", "T_m"):  # T_m = 0 is the ground state
-            if (value := getattr(self, name)) is not None and value < 0.0:
-                raise ValueError(f"{name}={value} must be >= 0")
-        if self.omega_t is not None and self.omega_t <= 0.0:
-            raise ValueError("omega_t must be > 0 when given")
+            if (value := getattr(self, name)) is not None:
+                _require(name, value, value >= 0.0, "must be >= 0")
+        if self.eps_r is not None:
+            _require("eps_r", self.eps_r, self.eps_r >= 1.0, "must be >= 1 (a dielectric)")
 
     @property
     def x0(self) -> float:
         """Ground-state spread sqrt(hbar / (2 M omega)), m."""
-        return math.sqrt(HBAR / (2.0 * self.M * self.omega))
+        return _ground_spread(self.M, self.omega)
 
 
 @dataclass(frozen=True)
@@ -217,37 +245,43 @@ def expand_potential(spec: PotentialSpec, M: float, omega: float) -> ExpansionCo
 
     Valid for x0/d << 1; a warning is emitted when x0/d >= 0.1.  The linear
     and cubic coefficients carry cos(theta) factors and vanish identically in
-    the parallel orientation theta = pi/2.
+    the parallel orientation theta = pi/2.  Coefficients out of float range
+    raise one ValueError naming M, omega and d.
     """
     _require_positive("M", M)
     _require_positive("omega", omega)
-    x0 = math.sqrt(HBAR / (2.0 * M * omega))
-    if x0 / spec.d >= 0.1:
-        warnings.warn(
-            f"x0/d = {x0 / spec.d:.3g} >= 0.1: quartic truncation is unreliable",
-            stacklevel=2,
-        )
+    x0 = _ground_spread(M, omega)
     n = spec.n
     cos_t = math.cos(spec.theta)
     if abs(cos_t) < 1e-15:
         cos_t = 0.0  # odd coefficients vanish identically at theta = pi/2
-    hw = HBAR * omega
-    base = spec.A / (hw * spec.d**n)
-    f = 2.0 * math.sqrt(2.0) * n * base * (x0 / spec.d) * cos_t
-    g = n * base * (x0 / spec.d) ** 2 * (n + (n + 2) * math.cos(2.0 * spec.theta))
-    h = (
-        (2.0 * math.sqrt(2.0) * n * (n + 2) / 3.0)
-        * base
-        * (x0 / spec.d) ** 3
-        * cos_t
-        * ((n + 4) * cos_t**2 - 3.0)
-    )
-    p = (
-        (n * (n + 2) / 3.0)
-        * base
-        * (x0 / spec.d) ** 4
-        * ((n + 4) * cos_t**2 * ((n + 6) * cos_t**2 - 6.0) + 3.0)
-    )
+
+    def coefficients() -> tuple[float, float, float, float]:
+        base = spec.A / (HBAR * omega * spec.d**n)
+        f = 2.0 * math.sqrt(2.0) * n * base * (x0 / spec.d) * cos_t
+        g = n * base * (x0 / spec.d) ** 2 * (n + (n + 2) * math.cos(2.0 * spec.theta))
+        h = (
+            (2.0 * math.sqrt(2.0) * n * (n + 2) / 3.0)
+            * base
+            * (x0 / spec.d) ** 3
+            * cos_t
+            * ((n + 4) * cos_t**2 - 3.0)
+        )
+        p = (
+            (n * (n + 2) / 3.0)
+            * base
+            * (x0 / spec.d) ** 4
+            * ((n + 4) * cos_t**2 * ((n + 6) * cos_t**2 - 6.0) + 3.0)
+        )
+        return f, g, h, p
+
+    given = {"M": M, "omega": omega, "d": spec.d}
+    f, g, h, p = _in_range("the expansion coefficients", coefficients, given)
+    if x0 / spec.d >= 0.1:  # after the range check, so a call that fails warns of nothing
+        warnings.warn(
+            f"x0/d = {x0 / spec.d:.3g} >= 0.1: quartic truncation is unreliable",
+            stacklevel=2,
+        )
     return ExpansionCoefficients(f=f, g=g, h=h, p=p)
 
 
@@ -263,22 +297,39 @@ def _casimir_strength(p: PhysicalParams) -> float:
     return (207.0 / (64.0 * math.pi**3)) * eps_frac**2 * C_LIGHT * HBAR * p.M**2 / p.rho_m**2
 
 
+# The config keys that each kind's strength A reads.
+_STRENGTH_KEYS = {"newton": ("M",), "coulomb": ("Q",), "casimir": ("eps_r", "rho_m", "M")}
+
+
+def _given(p: PhysicalParams, *keys: str) -> dict[str, float]:
+    """The config values of ``keys`` in ``p``, by name, for ``_in_range``."""
+    return {key: getattr(p, key) for key in keys}
+
+
 def potential_spec(kind: str, p: PhysicalParams, theta: float) -> PotentialSpec:
-    """Table entry (A, n) for one of coulomb / casimir / newton at angle theta."""
+    """Table entry (A, n) for one of coulomb / casimir / newton at angle theta.
+
+    A strength out of float range raises one ValueError naming the keys it reads.
+    """
     if kind == "newton":
-        return PotentialSpec(A=G_NEWTON * p.M**2, n=1, theta=theta, d=p.d)
-    if kind == "coulomb":
+        n, strength = 1, lambda: G_NEWTON * p.M**2
+    elif kind == "coulomb":
         if p.Q is None:
             raise ValueError("Coulomb coupling requires the charge Q")
-        return PotentialSpec(A=-p.Q**2 / (4.0 * math.pi * EPSILON_0), n=1, theta=theta, d=p.d)
-    if kind == "casimir":
-        return PotentialSpec(A=_casimir_strength(p), n=7, theta=theta, d=p.d)
-    raise ValueError(f"unknown interaction kind {kind!r}")
+        n, strength = 1, lambda: -p.Q**2 / (4.0 * math.pi * EPSILON_0)
+    elif kind == "casimir":
+        n, strength = 7, lambda: _casimir_strength(p)
+    else:
+        raise ValueError(f"unknown interaction kind {kind!r}")
+    A = _in_range(f"the {kind} strength A", strength, _given(p, *_STRENGTH_KEYS[kind]))
+    return PotentialSpec(A=A, n=n, theta=theta, d=p.d)
 
 
 def _newton_coupling(p: PhysicalParams) -> float:
     """Parallel-geometry Newtonian coupling G M/(d^3 omega^2), unitless."""
-    return G_NEWTON * p.M / (p.d**3 * p.omega**2)
+    return _in_range(
+        "g", lambda: G_NEWTON * p.M / (p.d**3 * p.omega**2), _given(p, "M", "d", "omega")
+    )
 
 
 def table_coupling(kind: str, orientation: str, p: PhysicalParams) -> tuple[float, float]:
@@ -293,28 +344,35 @@ def table_coupling(kind: str, orientation: str, p: PhysicalParams) -> tuple[floa
     if orientation not in ("linear", "parallel"):
         raise ValueError(f"unknown orientation {orientation!r}")
     potential_spec(kind, p, 0.0)
-    if kind == "newton":
-        g_par = _newton_coupling(p)
-        force = 2.0 * G_NEWTON * p.M**1.5 / (math.sqrt(HBAR * p.omega**3) * p.d**2)
-        linear_ratio = 2.0
-    elif kind == "coulomb":
-        g_par = -p.Q**2 / (4.0 * math.pi * EPSILON_0 * p.M * p.omega**2 * p.d**3)
-        force = -p.Q**2 / (2.0 * math.pi * EPSILON_0 * math.sqrt(HBAR * p.M * p.omega**3) * p.d**2)
-        linear_ratio = 2.0
-    else:
-        eps_frac = _casimir_fraction(p)
-        common = eps_frac**2 * C_LIGHT * HBAR * p.M / (p.omega**2 * p.rho_m**2 * p.d**9)
-        g_par = (1449.0 / (64.0 * math.pi**3)) * common
-        force = (
-            (1449.0 / (32.0 * math.pi**3))
-            * eps_frac**2
-            * C_LIGHT
-            * math.sqrt(HBAR)
-            * (p.M / p.omega) ** 1.5
-            / (p.d**8 * p.rho_m**2)
-        )
-        linear_ratio = 8.0
-    return (force, linear_ratio * g_par) if orientation == "linear" else (0.0, g_par)
+
+    def entries() -> tuple[float, float]:
+        if kind == "newton":
+            g_par = _newton_coupling(p)
+            force = 2.0 * G_NEWTON * p.M**1.5 / (math.sqrt(HBAR * p.omega**3) * p.d**2)
+            linear_ratio = 2.0
+        elif kind == "coulomb":
+            g_par = -p.Q**2 / (4.0 * math.pi * EPSILON_0 * p.M * p.omega**2 * p.d**3)
+            force = -p.Q**2 / (
+                2.0 * math.pi * EPSILON_0 * math.sqrt(HBAR * p.M * p.omega**3) * p.d**2
+            )
+            linear_ratio = 2.0
+        else:
+            eps_frac = _casimir_fraction(p)
+            common = eps_frac**2 * C_LIGHT * HBAR * p.M / (p.omega**2 * p.rho_m**2 * p.d**9)
+            g_par = (1449.0 / (64.0 * math.pi**3)) * common
+            force = (
+                (1449.0 / (32.0 * math.pi**3))
+                * eps_frac**2
+                * C_LIGHT
+                * math.sqrt(HBAR)
+                * (p.M / p.omega) ** 1.5
+                / (p.d**8 * p.rho_m**2)
+            )
+            linear_ratio = 8.0
+        return (force, linear_ratio * g_par) if orientation == "linear" else (0.0, g_par)
+
+    given = _given(p, *_STRENGTH_KEYS[kind], "M", "omega", "d")
+    return _in_range(f"the {kind} catalogue entries", entries, given)
 
 
 def thermal_phonons(omega_t: float, T_m: float) -> float:
@@ -330,18 +388,32 @@ def to_unitless(p: PhysicalParams) -> UnitlessParams:
     f_q = F_q/sqrt(hbar M omega^3), g = G M/(d^3 omega^2), s = omega/omega_t,
     Gamma_x = pi S_FF/(hbar M omega^2), Gamma_z = Gamma_z_phys/omega; n_p is
     passed through or derived from (omega_t, T_m).  A coupling at or beyond
-    the g = 1/2 stability edge is returned flagged, not rejected.
+    the g = 1/2 stability edge is returned flagged, not rejected.  f_q, g, n_p
+    and Gamma_x out of float range raise one ValueError naming the config keys
+    they read; so does an f_q whose square, which every phase and contrast
+    carries, overflows.
     """
-    f_q = p.F_q / math.sqrt(HBAR * p.M * p.omega**3)
+    f_q = _in_range(
+        "f_q",
+        lambda: p.F_q / math.sqrt(HBAR * p.M * p.omega**3),
+        _given(p, "F_q", "M", "omega"),
+        lambda f_q: math.isfinite(f_q**2),
+    )
     g = _newton_coupling(p)
     s = 1.0 if p.omega_t is None else p.omega / p.omega_t
     if p.n_p is not None:
         n_p = p.n_p
     elif p.omega_t is not None and p.T_m is not None:
-        n_p = thermal_phonons(p.omega_t, p.T_m)
+        n_p = _in_range(
+            "n_p", lambda: thermal_phonons(p.omega_t, p.T_m), _given(p, "omega_t", "T_m")
+        )
     else:
         n_p = 0.0
-    gamma_x = math.pi * p.S_FF / (HBAR * p.M * p.omega**2)
+    gamma_x = _in_range(
+        "gamma_x",
+        lambda: math.pi * p.S_FF / (HBAR * p.M * p.omega**2),
+        _given(p, "S_FF", "M", "omega"),
+    )
     gamma_z = p.Gamma_z_phys / p.omega
     if g >= 0.5:
         warnings.warn(

@@ -9,6 +9,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import csv_document
@@ -313,6 +314,21 @@ class TestTrajectories:
         for row in final_rows:
             assert max(abs(v) for v in row[3:]) < 1e-12
 
+    def test_rows_match_branch_trajectories(self, tmp_path):
+        # row (slot, label): tau, the label's two bits, then its path at tau
+        out = tmp_path / "traj.csv"
+        run(["trajectories", "--fq", "1.5", "--g", "0.2", "--steps", "6", "--out", str(out)])
+        taus = np.linspace(0.0, final_time(0.2), 6)
+        moments = dynamics.branch_trajectories(1.5, 0.2, taus)
+        labels = sorted(moments, key=lambda label: label.qrdm_index)
+        rows = [
+            [tau, *divmod(label.qrdm_index[0], 2), *moments[label].vector.real[slot]]
+            for slot, tau in enumerate(taus)
+            for label in labels
+        ]
+        header = ["tau", "q1_bit", "q2_bit", "x1", "p1", "x2", "p2"]
+        assert out.read_text().endswith(csv_document({}, header, rows))
+
     def test_metadata_and_shape(self, tmp_path):
         out = tmp_path / "traj.csv"
         run(["trajectories", "--fq", "1", "--g", "0.1", "--steps", "7", "--out", str(out)])
@@ -427,20 +443,48 @@ class TestPointReports:
         assert error_line(capsys).startswith("squeezing s=1e-310 ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["qrdm", "sweep"])
-    @pytest.mark.parametrize("s, tau", [("2.3e-308", "1"), ("1e-307", "2")])
-    def test_overflowing_contrast_fails_with_one_line(self, tmp_path, capsys, command, s, tau):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            *(
+                (
+                    [command, "--fq", "1", *axis, "--s", s, "--np", "3", "--gamma-x", "0.01",
+                     "--tau", tau],
+                    "contrast c_s_np_1=inf must be finite",
+                )
+                for command, axis in [
+                    ("qrdm", ["--g", "0.45"]),
+                    ("sweep", ["--axis", "g:0.44:0.45:2"]),
+                ]
+                for s, tau in [("2.3e-308", "1"), ("1e-307", "2")]
+            ),
+            # f_q^2 overflows, and so does the phase
+            (
+                ["qrdm", "--fq", "1e200", "--g", "0.1"],
+                "f_q=1e+200 must keep the entangling phase finite at tau=7.024814731040727",
+            ),
+            (
+                ["qrdm", "--fq", "1e150", "--g", "0.1", "--tau", "1e300"],
+                "f_q=1e+150 must keep the entangling phase finite at tau=1e+300",
+            ),
+            (
+                ["sweep", "--axis", "f_q:1:1e200:3:log", "--g", "0.1"],
+                "f_q=1e+200 must keep the entangling phase finite at tau=7.024814731040727",
+            ),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+    )
+    def test_overflowing_contrast_fails_with_one_line(self, tmp_path, capsys, argv, message):
         # s is a normal float, but (1+2 n_p) f_q^2/(2 w^4 s) overflows: named, without a warning;
-        # at tau 2 the QRDM's both-flip exponent 4 c_s_np_2 overflows too
+        # at tau 2 the QRDM's both-flip exponent 4 c_s_np_2 overflows too.  A phase that
+        # overflows stops the same way, naming f_q and tau.
         out = tmp_path / "point.out"
-        axis = ["--axis", "g:0.44:0.45:2"] if command == "sweep" else ["--g", "0.45"]
-        point = ["--s", s, "--np", "3", "--gamma-x", "0.01", "--tau", tau]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SystemExit) as exit_info:
-                run([command, "--fq", "1", *axis, *point, "--out", str(out)])
+                run([*argv, "--out", str(out)])
         assert exit_info.value.code == 2
-        assert error_line(capsys) == "contrast c_s_np_1=inf must be finite"
+        assert error_line(capsys) == message
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -628,6 +672,10 @@ class TestOutputPaths:
         assert error_line(capsys) == f"--out {tmp_path}: is a directory"
 
 
+_RANGE = "out of float range"
+_COEFFICIENTS = f"the expansion coefficients {_RANGE}"
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("command", ["qrdm", "expand", "bounds"])
     @pytest.mark.parametrize(
@@ -667,14 +715,25 @@ class TestConfigFile:
         assert exit_info.value.code == 2
         assert error_line(capsys) == message.format(path=config)
 
-    def test_negative_temperature_fails_with_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line, given, message",
+        [
+            ("n_p = 10", "T_m = -5", "T_m=-5.0 must be >= 0"),
+            ("omega_t = 1e3", "omega_t = -1", "omega_t=-1.0 must be > 0"),
+            ("n_p = 10", "rho_m = -1", "rho_m=-1.0 must be > 0"),
+            ("n_p = 10", "eps_r = 0.5", "eps_r=0.5 must be >= 1 (a dielectric)"),
+        ],
+    )
+    def test_config_value_out_of_domain_fails_with_one_line(
+        self, tmp_path, capsys, line, given, message
+    ):
         config = tmp_path / "phys.cfg"
-        config.write_text(PHYS_CFG.replace("n_p = 10", "T_m = -5"))
+        config.write_text(PHYS_CFG.replace(line, given))
         out = tmp_path / "bounds.txt"
         with pytest.raises(SystemExit) as exit_info:
             run(["bounds", "--config", str(config), "--out", str(out)])
         assert exit_info.value.code == 2
-        assert error_line(capsys) == "T_m=-5.0 must be >= 0"
+        assert error_line(capsys) == message
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["qrdm", "expand", "bounds"])
@@ -686,6 +745,57 @@ class TestConfigFile:
             run([command, "--config", str(config), "--out", str(out)])
         assert exit_info.value.code == 2
         assert error_line(capsys) == f"{config}: nv_chi_m is given without nv_dB"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, command, message",
+        [
+            ("M", "1e-300", "expand", f"M=1e-300, omega=0.1, d=3e-05 put {_COEFFICIENTS}"),
+            ("M", "1e-300", "bounds", f"F_q=1e-17, M=1e-300, omega=0.1 put f_q {_RANGE}"),
+            ("M", "1e-300", "qrdm", f"F_q=1e-17, M=1e-300, omega=0.1 put f_q {_RANGE}"),
+            ("M", "1e300", "expand", f"M=1e+300 put the newton strength A {_RANGE}"),
+            ("M", "1e300", "bounds", f"M=1e+300, omega=0.1 put x0 {_RANGE}"),
+            # g = 2.5e305 is a float: the report names it as the unstable coupling it is
+            (
+                "M",
+                "1e300",
+                "qrdm",
+                "coupling g=2.4719629629629624e+305 outside [0, 1/2);"
+                " the trap is unstable at g >= 1/2",
+            ),
+            ("d", "1e-300", "expand", f"M=1e-09, omega=0.1, d=1e-300 put {_COEFFICIENTS}"),
+            ("d", "1e-300", "bounds", f"M=1e-09, d=1e-300, omega=0.1 put g {_RANGE}"),
+            ("d", "1e-300", "qrdm", f"M=1e-09, d=1e-300, omega=0.1 put g {_RANGE}"),
+            ("d", "1e300", "expand", f"M=1e-09, d=1e+300, omega=0.1 put g {_RANGE}"),
+            ("d", "1e300", "bounds", f"M=1e-09, d=1e+300, omega=0.1 put g {_RANGE}"),
+            ("d", "1e300", "qrdm", f"M=1e-09, d=1e+300, omega=0.1 put g {_RANGE}"),
+            ("omega", "1e-300", "expand", f"M=1e-09, omega=1e-300, d=3e-05 put {_COEFFICIENTS}"),
+            ("omega", "1e-300", "bounds", f"F_q=1e-17, M=1e-09, omega=1e-300 put f_q {_RANGE}"),
+            ("omega", "1e-300", "qrdm", f"F_q=1e-17, M=1e-09, omega=1e-300 put f_q {_RANGE}"),
+            ("omega", "1e300", "expand", f"M=1e-09, omega=1e+300 put x0 {_RANGE}"),
+            ("omega", "1e300", "bounds", f"M=1e-09, omega=1e+300 put x0 {_RANGE}"),
+            ("omega", "1e300", "qrdm", f"F_q=1e-17, M=1e-09, omega=1e+300 put f_q {_RANGE}"),
+            ("eps_r", "-2", "casimir", "eps_r=-2.0 must be >= 1 (a dielectric)"),
+            ("rho_m", "0", "casimir", "rho_m=0.0 must be > 0"),
+        ],
+    )
+    def test_config_value_out_of_float_range_fails_with_one_line(
+        self, tmp_path, capsys, key, value, command, message
+    ):
+        # every SI formula gives a float or one line naming the config keys it reads
+        config = tmp_path / "phys.cfg"
+        lines = [*PHYS_CFG.splitlines(), "eps_r = 5.7", "rho_m = 3500"]
+        kept = [line for line in lines if not line.startswith(f"{key} =")]
+        config.write_text("\n".join([*kept, f"{key} = {value}"]))
+        argv = {
+            "expand": ["expand", "--kind", "newton", "--theta", "linear"],
+            "casimir": ["expand", "--kind", "casimir"],
+        }.get(command, [command])
+        out = tmp_path / "report.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            run([*argv, "--config", str(config), "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == message
         assert not out.exists()
 
     def test_bounds_reads_the_config_once(self, phys_config, monkeypatch, capsys):
@@ -722,12 +832,33 @@ class TestCsvWriter:
     def test_matches_cell_by_cell_formatter(self, tmp_path, capsys, count):
         rows = _awkward_rows(count)
         expected = csv_document(self.METADATA, self.HEADER, rows)
+        columns = {name: [row[i] for row in rows] for i, name in enumerate(self.HEADER)}
         out = tmp_path / "rows.csv"
-        cli._write_csv(str(out), self.METADATA, self.HEADER, rows)
+        cli._write_csv(str(out), self.METADATA, columns)
         assert out.read_bytes() == expected.encode()
         for target in (None, "-"):
-            cli._write_csv(target, self.METADATA, self.HEADER, rows)
+            cli._write_csv(target, self.METADATA, columns)
             assert capsys.readouterr().out == expected
+
+    def test_an_alias_is_formatted_once_per_block(self, tmp_path, monkeypatch):
+        # a column given under two names (the sweep's negativity) is formatted once,
+        # and a broadcast constant is written without being materialized
+        count = cli._CSV_BLOCK_ROWS + 5
+        values = np.linspace(-1.0, 1.0, count)
+        constant = np.broadcast_to(np.float64(-0.0), (count,))
+        formatted = []
+        format_column = cli._format_column
+
+        def counting(column):
+            formatted.append(len(column))
+            return format_column(column)
+
+        monkeypatch.setattr(cli, "_format_column", counting)
+        out = tmp_path / "alias.csv"
+        cli._write_csv(str(out), {}, {"v": values, "c": constant, "alias": values})
+        assert formatted == [cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS, 5, 5]
+        rows = [[v, -0.0, v] for v in values]
+        assert out.read_text() == csv_document({}, ["v", "c", "alias"], rows)
 
     def test_sweep_stdout_matches_out_file(self, tmp_path, capsys):
         args = ["sweep", "--axis", "g:0.05:0.3:3", "--axis", "f_q:0:1:2", "--gamma-x", "0.01"]
@@ -736,13 +867,41 @@ class TestCsvWriter:
         capsys.readouterr()
         run(args)
         assert capsys.readouterr().out.encode() == out.read_bytes()
-        header, rows = cli.run_sweep(
+        columns = cli.run_sweep(
             cli.SweepSpec(
                 axes=(cli.SweepAxis.parse("g:0.05:0.3:3"), cli.SweepAxis.parse("f_q:0:1:2")),
                 fixed={"gamma_x": 0.01},
             )
         )
-        assert out.read_text().endswith(csv_document({}, header, rows))
+        rows = zip(*columns.values())
+        assert out.read_text().endswith(csv_document({}, list(columns), rows))
+
+    @pytest.mark.parametrize("selector", ["exact", "closed", "witness"])
+    def test_sweep_table_is_named_columns(self, selector):
+        spec = cli.SweepSpec(
+            axes=(cli.SweepAxis.parse("g:0.05:0.3:3"), cli.SweepAxis.parse("s:0.1:1:2")),
+            fixed={"f_q": 1.0, "n_p": 2.0},
+            negativity_selector=selector,
+        )
+        columns = cli.run_sweep(spec)
+        assert list(columns) == [
+            *dynamics._PARAM_NAMES,
+            "tau",
+            "phi",
+            "c_s_np_1",
+            "c_s_np_2",
+            "c_gamma_1",
+            "c_gamma_2",
+            "c_z",
+            "neg_exact",
+            "neg_closed",
+            "neg_witness",
+            "negativity",
+        ]
+        assert all(column.shape == (6,) for column in columns.values())
+        assert columns["negativity"] is columns[f"neg_{selector}"]
+        # a fixed value is a 0-stride view, not a materialized column
+        assert columns["n_p"].strides == (0,) and columns["n_p"][0] == 2.0
 
 
 class TestFormatting:

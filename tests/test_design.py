@@ -211,6 +211,11 @@ _SUBNORMAL = "must be >= 2.2250738585072014e-308 (the smallest normal float)"
         ("dephasing_budget", {"gamma_z": math.nan}, f"gamma_z=nan {_NONNEGATIVE}"),
         ("dephasing_budget", {"c_s_np": -0.1}, f"c_s_np=-0.1 {_NONNEGATIVE}"),
         ("g_bounds", {"x0_over_d": 0.01, "s": 5e-324}, f"squeezing s=5e-324 {_SUBNORMAL}"),
+        (
+            "g_bounds",
+            {"x0_over_d": 1e160},
+            "x0_over_d=1e+160 put the quartic validity bound out of float range",
+        ),
         ("mass_bounds_noisy", {"s": 5e-324}, f"squeezing s=5e-324 {_SUBNORMAL}"),
         ("required_force", {"g": math.inf}, f"coupling g=inf {_POSITIVE}"),
         ("required_force", {"g": math.nan}, f"coupling g=nan {_POSITIVE}"),

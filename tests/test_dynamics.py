@@ -379,17 +379,18 @@ class TestBranchPairKernel:
             )
 
     def test_pairs_read_the_cached_open_qrdm(self, monkeypatch):
-        # The point's open_qrdm, as the cache builds it, is the only source of the 16 phases
-        # and contrasts: shifting it moves every off-diagonal pair, and the pairs still
-        # rebuild the shifted QRDM.
+        # The point's phase and contrasts, as the cache builds them, are the only source of
+        # the 16 phases and contrasts and of the QRDM: shifting them moves every off-diagonal
+        # pair, and the pairs still rebuild the shifted QRDM.
         _, contrasts, phase = _fresh_qrdm(CAT_PARAMS, 3.1)
         shifts = {name: getattr(contrasts, name) + 0.125 for name in contrasts.__dataclass_fields__}
         shifted = replace(contrasts, **shifts)
-        qrdm = dyn._qrdm_from_components(phase + 0.5, shifted)
+        qrdm = dyn._qrdm_from_components(phase + 0.5, shifted.flip_exponents())
         moved = (qrdm, shifted, phase + 0.5)
         before = [dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1) for label in ALL_LABELS]
-        monkeypatch.setattr(dyn, "open_qrdm", lambda params, tau: moved)
+        monkeypatch.setattr(dyn, "open_phase_contrasts", lambda params, tau: (phase + 0.5, shifted))
         monkeypatch.setattr(dyn, "_shared_qrdm", dyn._shared_qrdm.__wrapped__)  # uncached
+        assert np.array_equal(dyn._shared_qrdm(*dyn._point(CAT_PARAMS, 3.1))[0], qrdm)
         expected = _qrdm_pairs(moved)
         for label, old in zip(ALL_LABELS, before):
             pair = dyn.branch_pair_phase_contrast(label, CAT_PARAMS, 3.1)

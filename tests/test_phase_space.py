@@ -69,11 +69,17 @@ class TestPropagator:
             s = ps.propagator(g, tau)
             assert np.max(np.abs(s.T @ OMEGA @ s - OMEGA)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "taus",
+        # a huge tau beside a small one: the large shapes are masked before squaring, unwarned
+        [np.linspace(0.0, 30.0, 37), np.array([0.0, 1e300])],
+        ids=["grid", "huge"],
+    )
     @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
-    def test_batch_equals_scalar_calls(self, g):
-        taus = np.linspace(0.0, 30.0, 37).reshape(37, 1)
+    def test_batch_equals_scalar_calls(self, g, taus):
+        taus = taus.reshape(-1, 1)
         batch = ps.propagator(g, taus)
-        assert batch.shape == (37, 1, 4, 4)
+        assert batch.shape == (len(taus), 1, 4, 4)
         for tau, s in zip(taus[:, 0], batch[:, 0]):
             assert np.array_equal(s, ps.propagator(g, tau))
 

@@ -197,6 +197,10 @@ class TestFiniteParameters:
         with pytest.raises(ValueError, match=r"^T_m=-5\.0 must be >= 0$"):
             pot.PhysicalParams(**fields, T_m=-5.0)
         assert pot.to_unitless(pot.PhysicalParams(**fields, T_m=0.0)).n_p == 0.0  # ground state
+        # so cold that exp(hbar omega_t/(k_B T_m)) overflows: one line naming both keys
+        message = r"^omega_t=10\.0, T_m=1e-300 put n_p out of float range$"
+        with pytest.raises(ValueError, match=message):
+            pot.to_unitless(pot.PhysicalParams(**fields, T_m=1e-300))
 
 
 # Zeros of both signs, subnormals, the smallest normal float, the edges of (0, 1], a
