@@ -43,6 +43,7 @@ from . import __version__, design, dynamics, entanglement, oracle
 from .dynamics import _PARAM_NAMES
 from .phase_space import _check_tau, final_time
 from .potentials import (
+    PhysicalParams,
     UnitlessParams,
     expand_potential,
     load_config,
@@ -335,9 +336,21 @@ def _cmd_trajectories(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+def _stable_unitless(physical: PhysicalParams) -> UnitlessParams:
+    """``to_unitless`` of a config, or one ValueError naming M, d and omega if g >= 1/2."""
+    unitless = to_unitless(physical)
+    if not unitless.stable:
+        inputs = f"M={physical.M}, d={physical.d}, omega={physical.omega}"
+        raise ValueError(
+            f"{inputs} put coupling g={unitless.g} outside [0, 1/2);"
+            " the trap is unstable at g >= 1/2"
+        )
+    return unitless
+
+
 def _unitless_from_args(args: argparse.Namespace) -> UnitlessParams:
     if args.config is not None:
-        return to_unitless(load_config(args.config)[0])
+        return _stable_unitless(load_config(args.config)[0])
     return UnitlessParams(**_param_values(args))
 
 
@@ -435,8 +448,8 @@ def _constrained_negativity(g: float, unitless: UnitlessParams) -> dict:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     physical, nv = load_config(args.config)
-    x0 = physical.x0  # fails out of float range before to_unitless can warn of the trap
-    unitless = to_unitless(physical)
+    x0 = physical.x0  # out of float range, this fails before the trap's stability is checked
+    unitless = _stable_unitless(physical)
     g_report = design.g_bounds(
         x0_over_d=x0 / physical.d,
         gamma_x=unitless.gamma_x,
@@ -445,10 +458,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     )
     m_min, m_max = design.mass_bounds(physical.d, physical.omega)
     ratio, valid = design.quartic_ratio(unitless.g, x0, physical.d)
-    budget = design.dephasing_budget(unitless.gamma_z, unitless.gamma_x, unitless.f_q)
+    # the budget spends the state's own single-flip exponent at closure, beside its negativity
+    phase, contrasts = dynamics.open_phase_contrasts(unitless, final_time(unitless.g))
+    budget = design.contrast_budget(contrasts.flip_exponents()[0])
+    negativity = entanglement.evaluate_negativity(phase, contrasts)
     tree = {
         "note": "bound formulas are leading order (order-of-magnitude)",
-        "unitless": {**_param_values(unitless), "stable": str(unitless.stable).lower()},
+        "unitless": _param_values(unitless),
         "coupling_window": {
             "g_min": g_report.g_min,
             "g_min_mechanism": g_report.min_mechanism,
@@ -477,6 +493,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             "total_contrast": budget.total_contrast,
             "slack": budget.slack,
             "feasible": str(budget.feasible).lower(),
+            "exact_negativity": negativity.exact,
+            "witness_trace": negativity.witness_trace,
         },
     }
     if physical.S_FF > 0.0 or physical.omega_t is not None:

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potentials import G_NEWTON, HBAR, NVParams, nv_map
-from .potentials import _check_squeezing, _in_range, _require_nonnegative, _require_positive
+from .potentials import (
+    _check_squeezing,
+    _in_range,
+    _require,
+    _require_nonnegative,
+    _require_positive,
+)
 
 __all__ = [
     "DEFAULT_TARGET_PHASE",
@@ -33,6 +39,7 @@ __all__ = [
     "mass_bounds_noisy",
     "quartic_ratio",
     "BudgetVerdict",
+    "contrast_budget",
     "dephasing_budget",
     "NVOperatingPoint",
     "nv_operating_point",
@@ -195,32 +202,34 @@ class BudgetVerdict:
     total_contrast: float
 
 
-def dephasing_budget(
-    gamma_z: float,
-    gamma_x: float,
-    f_q: float,
-    c_s_np: float = 0.0,
-) -> BudgetVerdict:
-    """Check C_s_np + C_x + C_z < N/(1+N) with the leading-order noise contrasts.
+def contrast_budget(total_contrast: float) -> BudgetVerdict:
+    """Check a single-flip contrast exponent C against the budget N/(1+N): feasible if C < N/(1+N).
 
-    C_x = 3 pi Gamma_x f_q^2 and C_z = 2 pi Gamma_z; N is the ideal
-    negativity sin(pi/20), giving a budget of about 0.135.
+    N is the ideal negativity sin(pi/20), giving a budget of about 0.135.  An infinite C (no
+    coherence left) is infeasible.
     """
-    _require_nonnegative("gamma_z", gamma_z)
-    _require_nonnegative("gamma_x", gamma_x)
-    _require_nonnegative("f_q", f_q)
-    _require_nonnegative("c_s_np", c_s_np)
+    _require("total_contrast", total_contrast, total_contrast >= 0.0, "must be >= 0")
     n_i = ideal_negativity()
     budget = n_i / (1.0 + n_i)
-    total = c_s_np + 3.0 * math.pi * gamma_x * f_q**2 + 2.0 * math.pi * gamma_z
-    slack = budget - total
+    slack = budget - total_contrast
     return BudgetVerdict(
         feasible=slack > 0.0,
         boundary=slack == 0.0,
         slack=slack,
         budget=budget,
-        total_contrast=total,
+        total_contrast=total_contrast,
     )
+
+
+def dephasing_budget(gamma_z: float, gamma_x: float, f_q: float) -> BudgetVerdict:
+    """``contrast_budget`` of the leading-order noise contrasts C_x + C_z.
+
+    C_x = 3 pi Gamma_x f_q^2 and C_z = 2 pi Gamma_z.
+    """
+    _require_nonnegative("gamma_z", gamma_z)
+    _require_nonnegative("gamma_x", gamma_x)
+    _require_nonnegative("f_q", f_q)
+    return contrast_budget(3.0 * math.pi * gamma_x * f_q**2 + 2.0 * math.pi * gamma_z)
 
 
 @dataclass(frozen=True)

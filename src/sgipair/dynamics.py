@@ -10,7 +10,7 @@ contrast closed forms serves both: the unitary QRDM is the open QRDM at
 s = 1, n_p = 0 and zero rates.  The cat-state calls take one scalar point
 at a time and share its closed-form ``open_qrdm`` result (``_shared_qrdm``);
 ``evolve_cat_state`` makes the moments of all 16 branch pairs from one
-normal-mode pass of ``phase_space``.
+normal-mode pass of ``phase_space`` and the closed-form shifts of ``_shifts``.
 
 Branch labels are sigma_z eigenvalues, with computational bit 0 mapped to
 +1.  The branch with both qubits in bit 0 is deflected toward negative
@@ -27,13 +27,11 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from .phase_space import (
-    _IDENTITY,
     _check_tau,
     _normal_modes,
     _series,
     mode_frequency,
     propagator,
-    sgi_hamiltonian_matrix,
     symplectic_form,
 )
 from .potentials import UnitlessParams, _check_squeezing, _require, _require_nonnegative
@@ -182,12 +180,16 @@ def entangling_phase(f_q, g, tau):
         phase = np.square(f_q) * (
             np.sin(tau) + 2.0 * g * tau / np.square(w) - np.sin(w * tau) / np.power(w, 3)
         )
-    finite = np.isfinite(phase)
+    _require_f_q_keeps("entangling phase", np.isfinite(phase), f_q, tau)
+    return phase
+
+
+def _require_f_q_keeps(quantity: str, finite, f_q, tau) -> None:
+    """Raise one ValueError naming f_q and tau where ``finite`` fails: ``quantity`` overflowed."""
     if not (finite is np.True_ or finite.all()):  # a scalar point skips the array test
         at_tau = np.broadcast_to(tau, finite.shape)[~finite][0]
-        requirement = f"must keep the entangling phase finite at tau={at_tau}"
+        requirement = f"must keep the {quantity} finite at tau={at_tau}"
         _require("f_q", np.broadcast_to(f_q, finite.shape), finite, requirement)
-    return phase
 
 
 def final_contrast(f_q: float, g: float) -> float:
@@ -208,8 +210,8 @@ _DIFFUSION_SERIES = _series(lambda k: 2 ** (2 * k + 1) - 8, 2)
 def _diffusion_shape(x):
     """F(x) = 6x - 8 sin x + sin 2x >= 0 (F' = 4 (1 - cos x)^2), by its series where it cancels."""
     exact = 6.0 * x - 8.0 * np.sin(x) + np.sin(2.0 * x)
-    small = x <= 1.0
-    if not np.any(small):
+    small = np.less_equal(x, 1.0)  # numpy even for a float x: small.any() skips np.any
+    if not small.any():
         return exact
     y = np.square(x)  # y y, not y**2: ** would call pow on a numpy scalar
     return np.where(small, np.polyval(_DIFFUSION_SERIES, y) * (y * y) * x, exact)[()]
@@ -240,19 +242,20 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
         4.0 * np.square(np.square(np.sin(half_x)))
         + np.square(s) * np.square(w) * np.square(np.sin(2.0 * half_x))
     )
-    # a tiny s overflows these (or underflows 2 w^4 s to 0), unwarned, to an inf exponent
-    # (entry 0); a zero bracket keeps c_s_np_1 at 0 even where its prefactor is inf
+    # a tiny s or a huge f_q overflows these, unwarned, to an inf exponent (entry 0); a zero
+    # bracket keeps c_s_np_1 at 0 even where its prefactor is inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         prefactor = occ * (f_sq / (2.0 * np.power(w, 4) * s))
         c_s_1 = np.where(bracket == 0.0, 0.0, prefactor * bracket)[()]
         c_s_2 = occ * f_sq * sin_sq * (2.0 * s + 2.0 * (1.0 / s - s) * sin_sq)
-    return ContrastSet(
-        c_s_np_1=c_s_1,
-        c_s_np_2=c_s_2,
-        c_gamma_1=params.gamma_x * (f_sq / (8.0 * np.power(w, 5))) * _diffusion_shape(tau * w),
-        c_gamma_2=params.gamma_x * (f_sq / 8.0) * _diffusion_shape(tau),
-        c_z=params.gamma_z * tau,
-    )
+        c_gamma_1 = params.gamma_x * (f_sq / (8.0 * np.power(w, 5))) * _diffusion_shape(tau * w)
+        c_gamma_2 = params.gamma_x * (f_sq / 8.0) * _diffusion_shape(tau)
+        c_z = params.gamma_z * tau
+    try:
+        return ContrastSet(c_s_1, c_s_2, c_gamma_1, c_gamma_2, c_z)
+    except ValueError:  # every term is >= 0, so a diffusion term is NaN: inf f_q^2 times 0
+        _require_f_q_keeps("diffusion contrasts", ~np.isnan(c_gamma_1 + c_gamma_2), f_q, tau)
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -260,21 +263,24 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
 # --------------------------------------------------------------------------
 
 
-# Qubit eigenvalues (j, m) of the ket (or bra) side of QRDM row (or column) 0..3; drifts at f_q = 1.
+# Qubit eigenvalues (j, m) of the ket (or bra) side of QRDM row (or column) 0..3; drifts d at
+# f_q = 1 and their couplings C d of H = I + g C.
 _ROW_EIGENVALUES = tuple(product((+1, -1), repeat=2))
 _ROW_DRIFTS = np.array([[j, 0.0, m, 0.0] for j, m in _ROW_EIGENVALUES])
+_ROW_COUPLINGS = np.array([[m - j, 0.0, j - m, 0.0] for j, m in _ROW_EIGENVALUES])
+_IDENTITY = np.eye(4)
+_CENTRED = BranchMoments(np.broadcast_to(0j, 4))  # read-only: every initial branch shares it
 
 
-def _shifts(h_matrix: np.ndarray, f_q, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Displaced equilibria r = H^-1 f_q (j, 0, m, 0) (..., 4, 4) and shifts (S - I) r.
+def _shifts(g, f_q, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Displaced equilibria r = H^-1 f_q d (..., 4, 4) and shifts (S - I) r, over g, f_q and S.
 
-    Row i belongs to the ket (j, m) = ``_ROW_EIGENVALUES[i]``.  One batched solve is
-    bit-identical to four single ones; a multi-right-hand-side H^-1 [b0 .. b3] takes another
-    LAPACK path and moves r in the last bits.  Each shift is likewise one matrix-vector
-    product per row.  Broadcasts over H, f_q and S.
+    Row i belongs to the ket (j, m) = ``_ROW_EIGENVALUES[i]``.  C^2 = -2C gives H^-1 =
+    I - g/(1 - 2g) C: equal-bit rows are f_q d exactly (x1 = x2), the others f_q d/(1 - 2g) to
+    a few ulp for every checked g < 1/2.  Each shift is one matrix-vector product per row.
     """
-    rhs = np.asarray(f_q)[..., None, None] * _ROW_DRIFTS
-    r = np.linalg.solve(h_matrix[..., None, :, :], rhs[..., None])[..., 0]
+    ratio = np.asarray(g / (1.0 - 2.0 * g))[..., None, None]
+    r = np.asarray(f_q)[..., None, None] * (_ROW_DRIFTS - ratio * _ROW_COUPLINGS)
     return r, ((s - _IDENTITY)[..., None, :, :] @ r[..., None])[..., 0]
 
 
@@ -289,13 +295,12 @@ def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMo
     shape (..., 4).
     """
     _require_nonnegative("f_q", f_q)
-    _, shifts = _shifts(sgi_hamiltonian_matrix(g), f_q, propagator(g, tau))
+    _, shifts = _shifts(g, f_q, propagator(g, tau))
     labels = [BranchLabel(j=j, k=j, m=m, n=m) for j, m in _ROW_EIGENVALUES]
     vectors = np.moveaxis(shifts, -2, 0)
     return {label: BranchMoments(vector) for label, vector in zip(labels, vectors)}
 
 
-_DIAGONAL = np.diag_indices(4)
 _PARAM_NAMES = tuple(f.name for f in fields(UnitlessParams))
 _POINT = attrgetter(*_PARAM_NAMES)
 
@@ -309,28 +314,30 @@ def _scalar(name: str, value) -> float:
 def _point(params: UnitlessParams, tau) -> tuple[tuple[float, ...], float]:
     """The UnitlessParams fields and tau of one point as floats, the key of ``_shared_qrdm``.
 
-    Grid inputs and a bad tau raise here, before any work.  Fields that are all Python
-    floats are the key as they are; anything else goes through ``_scalar``, so a numpy
+    Grid inputs and a bad tau raise here, before any work.  Fields and a tau that are all
+    Python floats are the key as they are; anything else goes through ``_scalar``, so a numpy
     scalar shares its float's cache entry.
     """
     point = _POINT(params)
-    if not {float}.issuperset(map(type, point)):
+    if type(tau) is not float or not {float}.issuperset(map(type, point)):
         point = tuple(map(_scalar, _PARAM_NAMES, point))
-    tau = _scalar("tau", tau)
-    _check_tau(tau)
+        tau = _scalar("tau", tau)
+    if not 0.0 <= tau < np.inf:
+        _check_tau(tau)
     return point, tau
 
 
 @lru_cache(maxsize=8)
-def _shared_qrdm(point: tuple[float, ...], tau: float) -> tuple[np.ndarray, tuple]:
+def _shared_qrdm(point: tuple, tau) -> tuple[np.ndarray, tuple]:
     """``open_qrdm``'s QRDM of the UnitlessParams fields ``point`` at tau and its pair table.
 
     Both come from one ``open_phase_contrasts`` and one ``flip_exponents``.  The QRDM is
     read-only; the table holds the (phase, exponent) Python floats of entry (row, col) at
     [row][col], so that the entry is exp(-exponent + i phase)/4.  Kept for 8 points: the
-    one source of every cat-state phase, contrast and QRDM.
+    one source of every cat-state phase, contrast and QRDM; a key is checked as it is built.
     """
-    phase, contrasts = open_phase_contrasts(UnitlessParams(*point), tau)
+    params = UnitlessParams(*point)
+    phase, contrasts = open_phase_contrasts(params, _point(params, tau)[1])
     exponents = contrasts.flip_exponents()
     qrdm = _qrdm_from_components(phase, exponents)
     qrdm.setflags(write=False)
@@ -349,10 +356,15 @@ def branch_pair_phase_contrast(
     the entry's sign, -phase above the diagonal where one qubit flips) and the flip exponent
     of ``ContrastSet.flip_exponents`` that suppresses the entry.  Params and tau must be
     scalars; the closed forms are evaluated once per point and shared with the other
-    cat-state calls.  Both values are Python floats.
+    cat-state calls, whose raw fields and tau key the cache.  Both values are Python floats.
     """
     row, col = label.qrdm_index
-    return _shared_qrdm(*_point(params, tau))[1][row][col]
+    key = _POINT(params), tau
+    try:
+        hash(key)
+    except TypeError:  # an array: _point takes a 0-d one and names a grid
+        key = _point(params, tau)
+    return _shared_qrdm(*key)[1][row][col]
 
 
 # --------------------------------------------------------------------------
@@ -370,10 +382,10 @@ def _qrdm_from_components(phase, exponents: tuple) -> np.ndarray:
     ``exponents`` is the (single, both_sym, both_anti) of ``ContrastSet.flip_exponents``.
     """
     single, both_sym, both_anti = (np.exp(-total) for total in exponents)
-    lower = single * np.exp(1j * phase)
-    upper = single * np.exp(-1j * phase)
-    entries = np.broadcast_arrays(1.0 + 0j, upper, lower, both_sym, both_anti)
-    return np.stack(entries, axis=-1)[..., _QRDM_LAYOUT] / 4.0
+    table = np.empty(np.broadcast(phase, single, both_sym, both_anti).shape + (5,), complex)
+    table[..., 0], table[..., 3], table[..., 4] = 1.0, both_sym, both_anti
+    table[..., 1], table[..., 2] = single * np.exp(-1j * phase), single * np.exp(1j * phase)
+    return table[..., _QRDM_LAYOUT] / 4.0
 
 
 def open_phase_contrasts(params: UnitlessParams, tau: float) -> tuple[float, ContrastSet]:
@@ -409,12 +421,10 @@ def squeezed_thermal_covariance(s: float, n_p: float) -> np.ndarray:
 
 
 def initial_cat_state(params: UnitlessParams) -> GaussianCatState:
-    """State at tau = 0: squeezed thermal covariance, centred branches, |+>|+> QRDM."""
+    """State at tau = 0: squeezed thermal covariance, one shared centred branch, |+>|+> QRDM."""
     sigma = squeezed_thermal_covariance(params.s, params.n_p)
-    vectors = np.zeros((16, 4), dtype=complex)
-    branches = {label: BranchMoments(vector) for label, vector in zip(_ALL_LABELS, vectors)}
     qrdm = np.full((4, 4), 0.25, dtype=complex)
-    return GaussianCatState(tau=0.0, sigma=sigma, branches=branches, qrdm=qrdm)
+    return GaussianCatState(0.0, sigma, dict.fromkeys(_ALL_LABELS, _CENTRED), qrdm)
 
 
 def evolve_cat_state(
@@ -424,10 +434,10 @@ def evolve_cat_state(
 
     The covariance splits as (1+2 n_p) * (propagated squeezed vacuum) plus
     gamma_x times the accumulated diffusion; branch moments and the QRDM come
-    from the corresponding closed forms.  Only evolution of the centred
-    initial state produced by ``initial_cat_state`` is supported.  Params and
-    tau must be scalars.  One ``_normal_modes`` pass gives S(tau), L and the
-    memory integral m1, and ``_shifts`` the r and delta of the four QRDM rows;
+    from the corresponding closed forms.  Only a centred initial state (any branch not
+    ``initial_cat_state``'s shared one must be zero) evolves.  Params and tau must be
+    scalars.  One ``_normal_modes`` pass gives S(tau), L and the memory integral m1,
+    and ``_shifts`` the closed-form r and delta of the four QRDM rows;
     branch (row, col) is (delta_row + delta_col)/2 + (i/2) [sigma Omega
     (delta_row - delta_col) + m1 (r_row - r_col)] for sigma evolved from
     ``initial.sigma``, so diagonal branches are real and unaffected by
@@ -436,12 +446,12 @@ def evolve_cat_state(
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")
-    if any(np.count_nonzero(moments.vector) for moments in initial.branches.values()):
+    if any(b.vector.any() for b in initial.branches.values() if b is not _CENTRED):
         raise ValueError("initial branch moments must be centred at the origin")
     point, tau = _point(params, tau)
     f_q, g, s, _, gamma_x, _ = point
     s_tau, lyapunov, m1 = _normal_modes(g, gamma_x, tau)
-    r, delta = _shifts(sgi_hamiltonian_matrix(g), f_q, s_tau)
+    r, delta = _shifts(g, f_q, s_tau)
     mismatch, delta_eq = delta[:, None] - delta, r[:, None] - r
     with np.errstate(over="ignore", invalid="ignore"):  # a tiny s can overflow; checked next
         sigma = s_tau @ initial.sigma @ s_tau.T + lyapunov
@@ -451,7 +461,5 @@ def evolve_cat_state(
         sigma = 0.5 * (sigma + sigma.T)
     finite = np.isfinite(sigma).all() & np.isfinite(moments).all()
     _require("squeezing s", s, finite, f"must keep the evolved state finite at tau={tau}")
-    moments.imag[_DIAGONAL] = 0.0  # a diagonal branch is real
-    vectors = moments.reshape(16, 4)
-    branches = {label: BranchMoments(vector) for label, vector in zip(_ALL_LABELS, vectors)}
+    branches = dict(zip(_ALL_LABELS, map(BranchMoments, moments.reshape(16, 4))))
     return GaussianCatState(tau, sigma, branches, _shared_qrdm(point, tau)[0].copy())

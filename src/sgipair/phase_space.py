@@ -2,8 +2,8 @@
 
 Quadratures are ordered (x1, p1, x2, p2) throughout, in ground-state-spread
 units where the vacuum covariance matrix is the identity.  The two trapped
-modes are coupled by a bilinear term of strength ``g``; the normal modes are
-the symmetric combination (frequency 1) and the antisymmetric combination
+modes are coupled by a bilinear term of strength ``g`` (H = I + g C, never built); the
+normal modes are the symmetric combination (frequency 1) and the antisymmetric combination
 (frequency ``omega_g = sqrt(1 - 2g)``), which is real only for g < 1/2.
 The one noise channel is momentum diffusion at rate gamma_x, equal on both
 modes, D = gamma_x diag(0, 1, 0, 1).  The propagator, its accumulated covariance
@@ -24,7 +24,6 @@ __all__ = [
     "symplectic_form",
     "mode_frequency",
     "final_time",
-    "sgi_hamiltonian_matrix",
     "propagator",
     "evolve_covariance",
     "heisenberg_ok",
@@ -35,8 +34,6 @@ _OMEGA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _OMEGA = np.block(
     [[_OMEGA1, np.zeros((2, 2))], [np.zeros((2, 2)), _OMEGA1]]
 )
-# H = I + g _COUPLING.
-_IDENTITY, _COUPLING = np.eye(4), np.array([[-1.0, 0, 1, 0], [0] * 4, [1, 0, -1, 0], [0] * 4])
 
 
 def symplectic_form() -> np.ndarray:
@@ -66,16 +63,6 @@ def mode_frequency(g):
 def final_time(g):
     """Interferometer closure time 2*pi / sqrt(1 - 2g), elementwise over an array of g."""
     return 2.0 * np.pi / mode_frequency(g)
-
-
-def sgi_hamiltonian_matrix(g) -> np.ndarray:
-    """Quadratic-form matrix H, (..., 4, 4) over an array of g, of the coupled-trap Hamiltonian.
-
-    The quadratic part of the Hamiltonian is r^T H r / 2 (units of hbar*omega), with
-    H = diag(1-g, 1, 1-g, 1) plus a g coupling between x1 and x2.
-    """
-    _check_coupling(g)
-    return _IDENTITY + np.asarray(g)[..., None, None] * _COUPLING
 
 
 def propagator(g: float, tau) -> np.ndarray:
@@ -114,16 +101,17 @@ def _series(numerator, first: int) -> list[float]:
     return [(-1) ** k * numerator(k) / math.factorial(2 * k + 1) for k in powers]
 
 
-# The series of the shapes A(x), A(x/2) and P(x) of ``_mode_entries``, one per column, and
+# The series of the shapes -A(x), -A(x/2) and P(x) of ``_mode_entries``, one per column, and
 # the argument (x or x/2) of each.
-_A = _series(lambda k: -2 * k, 1)
-_SHAPE_SERIES = np.transpose([_A, _A, _series(lambda k: -(2 ** (2 * k + 1)), 1)])
+_NEG_A = _series(lambda k: 2 * k, 1)
+_SHAPE_SERIES = np.transpose([_NEG_A, _NEG_A, _series(lambda k: -(2 ** (2 * k + 1)), 1)])
 _SHAPE_ARGUMENTS = [0, 1, 0]
 _ARGUMENTS = np.array([1.0, 0.5, 2.0])  # x, x/2 and 2x from x
 _MODE_COUPLING, _SUM_DIFFERENCE = np.array([0.0, 2.0]), np.array([[1.0], [-1.0]])  # w^2 = 1 - 2g
-# Of a mode's 12 entries (S, L, m1, each row-major) the last 8 carry the rate.  Entry
-# [k, row, col] of the (x1,p1,x2,p2) matrices is entry 4k + 2 (row % 2) + col % 2 of the half
-# sum (diagonal 2x2 blocks) or half difference (off-diagonal blocks) of the two modes.
+# A mode's 12 entries (S, L, m1, each row-major) scale by _SCALES; the last 8 carry the rate.
+# Entry [k, row, col] of the (x1,p1,x2,p2) matrices is entry 4k + 2 (row % 2) + col % 2 of the
+# half sum (diagonal 2x2 blocks) or half difference (off-diagonal blocks) of the two modes.
+_SCALES = np.array([1.0, 1.0, -1.0, 1.0, 4.0, 2.0, 2.0, 4.0, 0.5, -2.0, 2.0, 2.0])
 _INTEGRAL_ENTRIES = np.arange(12) >= 4
 _K, _ROW, _COL = np.indices((3, 4, 4))
 _FROM_MODES = 12 * (_ROW // 2 != _COL // 2) + 4 * _K + 2 * (_ROW % 2) + _COL % 2
@@ -139,31 +127,34 @@ def _mode_entries(w, rate, tau) -> np.ndarray:
     S = [[cos x, sin x/w], [-w sin x, cos x]],
     L = rate [[P/(4 w^3), sin^2 x/(2 w^2)], [sin^2 x/(2 w^2), tau/2 + sin(2x)/(4 w)]] and
     m1 = rate [[-B/w^2, A/(2 w^3)], [-A/(2 w), tau sin x/(2 w)]].  x, x/2 and 2x share one
-    sin and one cos call, and A(x), A(x/2) and P one np.polyval over their stacked series
-    where x <= 1.  Broadcasts over w, rate and tau (without w's last axis).
+    sin and one cos call, -A(x), -A(x/2) and P one np.polyval over their stacked series where
+    x <= 1, and all 12 entries one division of numerators by scaled powers of w.  Broadcasts
+    over w, rate and tau (without w's last axis).
     """
     tau = np.asarray(tau, dtype=float)[..., None]
-    x = w * tau
-    arguments = x[..., None] * _ARGUMENTS
+    arguments = (w * tau)[..., None] * _ARGUMENTS  # x, x/2 and 2x
     sines, cosines = np.sin(arguments), np.cos(arguments)
-    sin_x, sin_half, sin_2x, cos_x = sines[..., 0], sines[..., 1], sines[..., 2], cosines[..., 0]
-    a_exact = sines - arguments * cosines  # A of x, x/2 and 2x
-    shapes = [a_exact[..., 0], a_exact[..., 1], arguments[..., 2] - sin_2x]
+    cosines[..., 2] = 1.0  # cos 2x goes unused; the third shape below is then 2x - sin 2x
+    shapes = arguments * cosines - sines  # -A(x), -A(x/2) and P(x)
     if (arguments[..., 1] <= 1.0).any():  # some x/2 <= 1: a shape takes its series
         shape_x = arguments[..., _SHAPE_ARGUMENTS]
         small = shape_x <= 1.0
         y = np.square(np.where(small, shape_x, 0.0))  # 0 keeps the unused sums finite
-        series = np.polyval(_SHAPE_SERIES, y) * y * shape_x
-        shapes = [np.where(small[..., i], series[..., i], shape) for i, shape in enumerate(shapes)]
-    a, a_half, p = shapes
-    w2, w3, w_2 = w**2, w**3, 2.0 * w
-    b, xp = 2.0 * sin_half * a_half, sin_x**2 / (2.0 * w2)
-    entries = np.array([
-        *(cos_x, sin_x / w, -w * sin_x, cos_x),
-        *(p / (4.0 * w3), xp, xp, tau / 2.0 + sin_2x / (4.0 * w)),
-        *(-b / w2, a / (2.0 * w3), -a / w_2, tau * sin_x / w_2),
+        shapes = np.where(small, np.polyval(_SHAPE_SERIES, y) * y * shape_x, shapes)
+    sin_x, sin_half, sin_2x, cos_x = sines[..., 0], sines[..., 1], sines[..., 2], cosines[..., 0]
+    neg_a, neg_a_half, p = shapes[..., 0], shapes[..., 1], shapes[..., 2]
+    sin_sq = np.square(sin_x)
+    numerators = np.array([
+        *(cos_x, sin_x, w * sin_x, cos_x),
+        *(p, sin_sq, sin_sq, sin_2x),
+        *(sin_half * neg_a_half, neg_a, neg_a, tau * sin_x),
     ])
-    entries = entries.transpose(*range(1, entries.ndim), 0)
+    one, w2, w3 = np.ones_like(w), w**2, w**3
+    powers = np.array([one, w, one, one, w3, w2, w2, w, w2, w3, w, w])
+    entries = numerators.transpose(*range(1, numerators.ndim), 0) / (
+        powers.transpose(*range(1, powers.ndim), 0) * _SCALES
+    )
+    entries[..., 7] += tau / 2.0
     return entries * np.where(_INTEGRAL_ENTRIES, np.asarray(rate)[..., None, None], 1.0)
 
 
@@ -174,7 +165,7 @@ def _normal_modes(g, rate, tau) -> np.ndarray:
     ``_mode_entries``, and one map of their half sums and differences to (x1,p1,x2,p2).
     """
     _check_coupling(g)
-    modes = _mode_entries(np.sqrt(1.0 - np.asarray(g)[..., None] * _MODE_COUPLING), rate, tau)
+    modes = _mode_entries(np.sqrt(1.0 - np.multiply.outer(g, _MODE_COUPLING)), rate, tau)
     halves = 0.5 * (modes[..., :1, :] + _SUM_DIFFERENCE * modes[..., 1:, :])
     return halves.reshape(halves.shape[:-2] + (24,))[..., _FROM_MODES]
 

@@ -388,7 +388,8 @@ def to_unitless(p: PhysicalParams) -> UnitlessParams:
     f_q = F_q/sqrt(hbar M omega^3), g = G M/(d^3 omega^2), s = omega/omega_t,
     Gamma_x = pi S_FF/(hbar M omega^2), Gamma_z = Gamma_z_phys/omega; n_p is
     passed through or derived from (omega_t, T_m).  A coupling at or beyond
-    the g = 1/2 stability edge is returned flagged, not rejected.  f_q, g, n_p
+    the g = 1/2 stability edge is returned flagged (``stable`` is False), not
+    rejected or warned of: a caller that needs the trap stable checks it.  f_q, g, n_p
     and Gamma_x out of float range raise one ValueError naming the config keys
     they read; so does an f_q whose square, which every phase and contrast
     carries, overflows.
@@ -415,11 +416,6 @@ def to_unitless(p: PhysicalParams) -> UnitlessParams:
         _given(p, "S_FF", "M", "omega"),
     )
     gamma_z = p.Gamma_z_phys / p.omega
-    if g >= 0.5:
-        warnings.warn(
-            f"g = {g:.4g} >= 1/2: trap unstable for this mass/separation",
-            stacklevel=2,
-        )
     return UnitlessParams(f_q=f_q, g=g, s=s, n_p=n_p, gamma_x=gamma_x, gamma_z=gamma_z)
 
 

@@ -27,8 +27,7 @@ import math
 
 import numpy as np
 
-from sgipair import dynamics
-from sgipair.phase_space import propagator, sgi_hamiltonian_matrix
+from sgipair.phase_space import propagator
 from sgipair.potentials import HBAR, PotentialSpec
 
 # Symplectic form of (x1, p1, x2, p2), and the force directions (j, 0, m, 0) of the branches
@@ -561,9 +560,10 @@ def reference_branch_pair(
     """First-moment vector and (phase, contrast) of one label by the general branch-pair formula.
 
     S(tau) and the memory integral m1 are those of ``phase_space._normal_modes`` of
-    ``params`` at tau; the shifts r and delta are ``dynamics._shifts`` of S(tau).  The
-    evolved covariance sigma, the memory integral m2 and H also come from the caller.  One
-    label at a time, one quadratic form at a time, broadcast over the grid axes of the inputs.
+    ``params`` at tau.  The displaced equilibria r solve H r = f_q (j, 0, m, 0) by LAPACK, and
+    the shifts are delta = (S(tau) - I) r.  The evolved covariance sigma, the memory integral
+    m2 and H also come from the caller.  One label at a time, one quadratic form at a time,
+    broadcast over the grid axes of the inputs.
     """
     def form(a, matrix, b):  # a^T matrix b over the last axes
         return np.einsum("...i,...ij,...j->...", a, matrix, b)
@@ -571,12 +571,12 @@ def reference_branch_pair(
     def apply(matrix, v):
         return np.einsum("...ij,...j->...i", matrix, v)
 
-    # QRDM row of the qubit eigenvalues (j, m), computational bit 0 being +1
-    row = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
-    ket, bra = row[label.j, label.m], row[label.k, label.n]
-    r, delta = dynamics._shifts(sgi_hamiltonian_matrix(params.g), params.f_q, s_tau)
-    r_ket, delta_ket = r[..., ket, :], delta[..., ket, :]
-    r_bra, delta_bra = r[..., bra, :], delta[..., bra, :]
+    def equilibrium(j, m):
+        force = np.asarray(params.f_q)[..., None] * BRANCH_FORCES[j, m]
+        return np.linalg.solve(h_matrix, force[..., None])[..., 0]
+
+    r_ket, r_bra = equilibrium(label.j, label.m), equilibrium(label.k, label.n)
+    delta_ket, delta_bra = apply(s_tau - np.eye(4), r_ket), apply(s_tau - np.eye(4), r_bra)
     delta_eq = r_ket - r_bra
     mismatch = delta_ket - delta_bra
     vector = 0.5 * (delta_ket + delta_bra) + 0j

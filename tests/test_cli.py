@@ -471,6 +471,16 @@ class TestPointReports:
                 ["sweep", "--axis", "f_q:1:1e200:3:log", "--g", "0.1"],
                 "f_q=1e+200 must keep the entangling phase finite at tau=7.024814731040727",
             ),
+            # f_q^2 is finite, but the diffusion prefactor f_q^2/(8 w^5) overflows against a
+            # zero rate and a zero shape: a NaN exponent, named by f_q and tau
+            (
+                ["qrdm", "--fq", "1e154", "--g", "0.4999", "--tau", "0"],
+                "f_q=1e+154 must keep the diffusion contrasts finite at tau=0.0",
+            ),
+            (
+                ["sweep", "--axis", "f_q:1:1e154:3:log", "--g", "0.4999", "--tau", "0.5"],
+                "f_q=1e+154 must keep the diffusion contrasts finite at tau=0.5",
+            ),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else "",
     )
@@ -559,6 +569,30 @@ class TestBounds:
         text = capsys.readouterr().out
         noisy = self._section(text, "mass_window_noisy_kg")
         assert noisy["M_min"] < 1e-9 < noisy["M_max"]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            *sorted(Path(__file__).resolve().parents[1].joinpath("demos").glob("*.cfg")),
+            PHYS_CFG,
+            # the force the detection constraint asks of this g, 1/sqrt(120 g) in f_q
+            PHYS_CFG.replace("F_q = 1e-17", "F_q = 6e-23"),
+        ],
+        ids=["mesoscopic.cfg", "phys", "constrained-force"],
+    )
+    def test_budget_agrees_with_the_exact_negativity(self, tmp_path, capsys, config):
+        # the budget spends the state's own single-flip exponent at closure, so it is feasible
+        # exactly where the QRDM at closure is entangled
+        if isinstance(config, str):
+            path = tmp_path / "phys.cfg"
+            path.write_text(config)
+            config = path
+        run(["qrdm", "--config", str(config), "--tau", "final"])
+        exact = self._section(capsys.readouterr().out, "negativity")["exact"]
+        run(["bounds", "--config", str(config)])
+        budget = self._section(capsys.readouterr().out, "noise_budget")
+        assert budget["feasible"] == ("true" if exact > 0.0 else "false")
+        assert budget["exact_negativity"] == exact
 
 
 class TestVerify:
@@ -760,8 +794,8 @@ class TestConfigFile:
                 "M",
                 "1e300",
                 "qrdm",
-                "coupling g=2.4719629629629624e+305 outside [0, 1/2);"
-                " the trap is unstable at g >= 1/2",
+                "M=1e+300, d=3e-05, omega=0.1 put coupling g=2.4719629629629624e+305"
+                " outside [0, 1/2); the trap is unstable at g >= 1/2",
             ),
             ("d", "1e-300", "expand", f"M=1e-09, omega=0.1, d=1e-300 put {_COEFFICIENTS}"),
             ("d", "1e-300", "bounds", f"M=1e-09, d=1e-300, omega=0.1 put g {_RANGE}"),
@@ -792,8 +826,10 @@ class TestConfigFile:
             "casimir": ["expand", "--kind", "casimir"],
         }.get(command, [command])
         out = tmp_path / "report.txt"
-        with pytest.raises(SystemExit) as exit_info:
-            run([*argv, "--config", str(config), "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exit_info:
+                run([*argv, "--config", str(config), "--out", str(out)])
         assert exit_info.value.code == 2
         assert error_line(capsys) == message
         assert not out.exists()

@@ -156,9 +156,13 @@ class TestDephasingBudget:
 
     def test_exactly_saturated_budget(self):
         budget = design.dephasing_budget(0.0, 0.0, 0.0).budget
-        verdict = design.dephasing_budget(0.0, 0.0, 0.0, c_s_np=budget)
+        verdict = design.contrast_budget(budget)
         assert verdict.slack == 0.0
         assert verdict.boundary and not verdict.feasible
+
+    def test_no_coherence_left_is_infeasible(self):
+        verdict = design.contrast_budget(math.inf)
+        assert not verdict.feasible and verdict.slack == -math.inf
 
 
 class TestNVOperatingPoint:
@@ -209,7 +213,8 @@ _SUBNORMAL = "must be >= 2.2250738585072014e-308 (the smallest normal float)"
         ("quartic_ratio", {"g": -0.1, "x0": 1e-9, "d": 30e-6}, f"g=-0.1 {_NONNEGATIVE}"),
         ("quartic_ratio", {"g": 0.1, "x0": 1e-9, "d": math.nan}, f"d=nan {_POSITIVE}"),
         ("dephasing_budget", {"gamma_z": math.nan}, f"gamma_z=nan {_NONNEGATIVE}"),
-        ("dephasing_budget", {"c_s_np": -0.1}, f"c_s_np=-0.1 {_NONNEGATIVE}"),
+        ("contrast_budget", {"total_contrast": -0.1}, "total_contrast=-0.1 must be >= 0"),
+        ("contrast_budget", {"total_contrast": math.nan}, "total_contrast=nan must be >= 0"),
         ("g_bounds", {"x0_over_d": 0.01, "s": 5e-324}, f"squeezing s=5e-324 {_SUBNORMAL}"),
         (
             "g_bounds",

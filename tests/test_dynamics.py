@@ -42,6 +42,28 @@ def _antisymmetric_contrast_reference(params: UnitlessParams, tau: float):
         return (1 + 2 * n_p) * f_q**2 / (2 * w**4 * s) * bracket
 
 
+def _trajectory_reference(f_q: float, g: float, tau: float, label) -> np.ndarray:
+    """A diagonal branch's first moments at 50 digits from the float inputs, by normal mode.
+
+    The symmetric mode (x1 + x2)/2 oscillates at frequency 1 about f_q (j + m)/2, the
+    antisymmetric one (x1 - x2)/2 at w = sqrt(1 - 2g) about f_q (j - m)/(2 w^2), both from rest
+    at the origin.
+    """
+    with mpmath.workdps(50):
+        f_q, g, tau = map(mpmath.mpf, (f_q, g, tau))
+        w = mpmath.sqrt(1 - 2 * g)
+        modes = []
+        for frequency, centre in (
+            (1, f_q * (label.j + label.m) / 2),
+            (w, f_q * (label.j - label.m) / (2 * w**2)),
+        ):
+            x = frequency * tau
+            modes.append(((mpmath.cos(x) - 1) * centre, -frequency * mpmath.sin(x) * centre))
+        (x_sym, p_sym), (x_anti, p_anti) = modes
+        vector = (x_sym + x_anti, p_sym + p_anti, x_sym - x_anti, p_sym - p_anti)
+        return np.array([float(value) for value in vector])
+
+
 ALL_LABELS = [dyn.BranchLabel.from_bits(r, c) for r in range(4) for c in range(4)]
 # A diffusive, dephased, squeezed thermal point: every term of the branch-pair moments is nonzero.
 CAT_PARAMS = UnitlessParams(f_q=0.7, g=0.13, s=0.4, n_p=0.5, gamma_x=0.03, gamma_z=0.02)
@@ -125,6 +147,26 @@ class TestBranchTrajectories:
                 moments[branch(1, -1)].vector, opposite_bits, atol=1e-14
             )
 
+    @pytest.mark.parametrize("g", [0.1, 0.49, 0.5 - 1e-6, 0.5 - 1e-9])
+    def test_match_high_precision(self, g):
+        # The displaced equilibria near g = 1/2, where a LAPACK solve of H r = f_q d loses
+        # digits as 1/(1 - 2g); away from closure, where the opposite-bit shifts cancel.
+        f_q = 1.3
+        for periods in (0.3, 0.55, 1.7):
+            tau = periods * float(final_time(g))
+            moments = dyn.branch_trajectories(f_q, g, tau)
+            expected = {label: _trajectory_reference(f_q, g, tau, label) for label in moments}
+            scale = max(np.max(np.abs(vector)) for vector in expected.values())
+            for label, vector in expected.items():
+                assert np.max(np.abs(moments[label].vector - vector)) <= 1e-14 * scale, label
+
+    def test_equal_bit_branches_keep_the_traps_symmetric(self):
+        for tau in (0.7, 2.0, float(final_time(0.1)), 17.0):
+            moments = dyn.branch_trajectories(1.3, 0.1, tau)
+            for j in (1, -1):
+                x1, p1, x2, p2 = moments[branch(j, j)].vector
+                assert x1 == x2 and p1 == p2, (tau, j)
+
     def test_grid_equals_scalar_calls(self):
         # the trajectories command and the verify suite evaluate whole tau grids
         cases = ((1.0, 0.1, final_time(0.1)), (2.0, 1e-6, 40.0), (0.3, 0.4, 2.0 * np.pi))
@@ -179,6 +221,11 @@ class TestResidualSeparation:
     [
         ("branch_trajectories", (1.0, 0.1, -1.0), "tau=-1.0 must be finite and >= 0"),
         ("branch_trajectories", (1.0, 0.1, math.nan), "tau=nan must be finite and >= 0"),
+        *(
+            ("branch_trajectories", (1.0, g, 1.0), f"coupling g={g} outside [0, 1/2);"
+             " the trap is unstable at g >= 1/2")
+            for g in (0.5, 0.7, -0.01)
+        ),
         ("entangling_phase", (1.0, 0.1, -1.0), "tau=-1.0 must be finite and >= 0"),
         ("residual_separation", (-1.0, 0.1), "f_q=-1.0 must be finite and >= 0"),
         ("final_contrast", (-1.0, 0.1), "f_q=-1.0 must be finite and >= 0"),

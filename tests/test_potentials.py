@@ -135,10 +135,12 @@ class TestUnitConversion:
         assert pot.to_unitless(p).f_q == 0.0
 
     def test_stability_boundary_flagged(self):
+        # flagged, not warned of: a command that needs the trap stable names M, d and omega
         d, omega = 30e-6, 0.1
         mass = d**3 * omega**2 / (2.0 * pot.G_NEWTON)
         p = pot.PhysicalParams(M=mass, omega=omega, d=d)
-        with pytest.warns(UserWarning, match="unstable"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             u = pot.to_unitless(p)
         assert u.g == pytest.approx(0.5, rel=1e-12)
         assert not u.stable
