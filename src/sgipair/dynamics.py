@@ -162,6 +162,7 @@ class GaussianCatState:
 # The closed forms below broadcast over grid columns.  Powers use np.square and
 # np.power, not **: on a numpy scalar ** calls the C library pow, which can
 # differ in the last bit from the array ufunc, and one point must match its row.
+# A float exponent gives the bits of an integer one without its cast on each call.
 
 
 def entangling_phase(f_q, g, tau):
@@ -178,7 +179,7 @@ def entangling_phase(f_q, g, tau):
     w = mode_frequency(g)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named next
         phase = np.square(f_q) * (
-            np.sin(tau) + 2.0 * g * tau / np.square(w) - np.sin(w * tau) / np.power(w, 3)
+            np.sin(tau) + 2.0 * g * tau / np.square(w) - np.sin(w * tau) / np.power(w, 3.0)
         )
     _require_f_q_keeps("entangling phase", np.isfinite(phase), f_q, tau)
     return phase
@@ -210,8 +211,8 @@ _DIFFUSION_SERIES = _series(lambda k: 2 ** (2 * k + 1) - 8, 2)
 def _diffusion_shape(x):
     """F(x) = 6x - 8 sin x + sin 2x >= 0 (F' = 4 (1 - cos x)^2), by its series where it cancels."""
     exact = 6.0 * x - 8.0 * np.sin(x) + np.sin(2.0 * x)
-    small = np.less_equal(x, 1.0)  # numpy even for a float x: small.any() skips np.any
-    if not small.any():
+    small = np.less_equal(x, 1.0)  # numpy even for a float x; a scalar False skips any()
+    if small is np.False_ or not small.any():
         return exact
     y = np.square(x)  # y y, not y**2: ** would call pow on a numpy scalar
     return np.where(small, np.polyval(_DIFFUSION_SERIES, y) * (y * y) * x, exact)[()]
@@ -242,13 +243,13 @@ def _open_contrasts(params: UnitlessParams, tau) -> ContrastSet:
         4.0 * np.square(np.square(np.sin(half_x)))
         + np.square(s) * np.square(w) * np.square(np.sin(2.0 * half_x))
     )
-    # a tiny s or a huge f_q overflows these, unwarned, to an inf exponent (entry 0); a zero
-    # bracket keeps c_s_np_1 at 0 even where its prefactor is inf
+    # a tiny s or a huge f_q overflows these, unwarned, to an inf exponent (entry 0); fmax takes
+    # c_s_np_1's inf prefactor times a zero bracket (NaN) to 0, every other product being >= 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        prefactor = occ * (f_sq / (2.0 * np.power(w, 4) * s))
-        c_s_1 = np.where(bracket == 0.0, 0.0, prefactor * bracket)[()]
+        prefactor = occ * (f_sq / (2.0 * np.power(w, 4.0) * s))
+        c_s_1 = np.fmax(prefactor * bracket, 0.0)
         c_s_2 = occ * f_sq * sin_sq * (2.0 * s + 2.0 * (1.0 / s - s) * sin_sq)
-        c_gamma_1 = params.gamma_x * (f_sq / (8.0 * np.power(w, 5))) * _diffusion_shape(tau * w)
+        c_gamma_1 = params.gamma_x * (f_sq / (8.0 * np.power(w, 5.0))) * _diffusion_shape(tau * w)
         c_gamma_2 = params.gamma_x * (f_sq / 8.0) * _diffusion_shape(tau)
         c_z = params.gamma_z * tau
     try:
@@ -296,9 +297,8 @@ def branch_trajectories(f_q: float, g: float, tau) -> dict[BranchLabel, BranchMo
     """
     _require_nonnegative("f_q", f_q)
     _, shifts = _shifts(g, f_q, propagator(g, tau))
-    labels = [BranchLabel(j=j, k=j, m=m, n=m) for j, m in _ROW_EIGENVALUES]
-    vectors = np.moveaxis(shifts, -2, 0)
-    return {label: BranchMoments(vector) for label, vector in zip(labels, vectors)}
+    paths = zip(_ROW_EIGENVALUES, np.moveaxis(shifts, -2, 0))
+    return {BranchLabel(j, j, m, m): BranchMoments(vector) for (j, m), vector in paths}
 
 
 _PARAM_NAMES = tuple(f.name for f in fields(UnitlessParams))

@@ -108,7 +108,7 @@ _SHAPE_SERIES = np.transpose([_NEG_A, _NEG_A, _series(lambda k: -(2 ** (2 * k + 
 _SHAPE_ARGUMENTS = [0, 1, 0]
 _ARGUMENTS = np.array([1.0, 0.5, 2.0])  # x, x/2 and 2x from x
 _MODE_COUPLING, _SUM_DIFFERENCE = np.array([0.0, 2.0]), np.array([[1.0], [-1.0]])  # w^2 = 1 - 2g
-# A mode's 12 entries (S, L, m1, each row-major) scale by _SCALES; the last 8 carry the rate.
+# A mode's 12 entries (S, L, m1, row-major) divide by w powers times _SCALES; 8 carry the rate.
 # Entry [k, row, col] of the (x1,p1,x2,p2) matrices is entry 4k + 2 (row % 2) + col % 2 of the
 # half sum (diagonal 2x2 blocks) or half difference (off-diagonal blocks) of the two modes.
 _SCALES = np.array([1.0, 1.0, -1.0, 1.0, 4.0, 2.0, 2.0, 4.0, 0.5, -2.0, 2.0, 2.0])

@@ -29,6 +29,9 @@ nv_dB = 1.0
 """
 
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
 @pytest.fixture
 def phys_config(tmp_path):
     path = tmp_path / "phys.cfg"
@@ -571,22 +574,19 @@ class TestBounds:
         assert noisy["M_min"] < 1e-9 < noisy["M_max"]
 
     @pytest.mark.parametrize(
-        "config",
+        "text",
         [
-            *sorted(Path(__file__).resolve().parents[1].joinpath("demos").glob("*.cfg")),
-            PHYS_CFG,
+            *(pytest.param(cfg.read_text(), id=cfg.name) for cfg in sorted(DEMOS.glob("*.cfg"))),
+            pytest.param(PHYS_CFG, id="phys"),
             # the force the detection constraint asks of this g, 1/sqrt(120 g) in f_q
-            PHYS_CFG.replace("F_q = 1e-17", "F_q = 6e-23"),
+            pytest.param(PHYS_CFG.replace("F_q = 1e-17", "F_q = 6e-23"), id="constrained-force"),
         ],
-        ids=["mesoscopic.cfg", "phys", "constrained-force"],
     )
-    def test_budget_agrees_with_the_exact_negativity(self, tmp_path, capsys, config):
+    def test_budget_agrees_with_the_exact_negativity(self, tmp_path, capsys, text):
         # the budget spends the state's own single-flip exponent at closure, so it is feasible
         # exactly where the QRDM at closure is entangled
-        if isinstance(config, str):
-            path = tmp_path / "phys.cfg"
-            path.write_text(config)
-            config = path
+        config = tmp_path / "phys.cfg"
+        config.write_text(text)
         run(["qrdm", "--config", str(config), "--tau", "final"])
         exact = self._section(capsys.readouterr().out, "negativity")["exact"]
         run(["bounds", "--config", str(config)])
