@@ -446,7 +446,7 @@ def evolve_cat_state(
     """
     if initial.tau != 0.0:
         raise ValueError("evolution starts from the tau = 0 reference state")
-    if any(b.vector.any() for b in initial.branches.values() if b is not _CENTRED):
+    if any(np.any(b.vector) for b in initial.branches.values() if b is not _CENTRED):
         raise ValueError("initial branch moments must be centred at the origin")
     point, tau = _point(params, tau)
     f_q, g, s, _, gamma_x, _ = point

@@ -258,6 +258,17 @@ class TestCatStateBranches:
         for label in ALL_LABELS:
             assert np.max(np.abs(branches[label].vector)) == 0.0
 
+    def test_only_a_centred_initial_state_evolves(self):
+        initial = dyn.initial_cat_state(CAT_PARAMS)
+        assert len({id(moments) for moments in initial.branches.values()}) == 1  # one shared
+        own_zeros = {label: dyn.BranchMoments(np.zeros(4, complex)) for label in ALL_LABELS}
+        expected = _moment_table(dyn.evolve_cat_state(initial, CAT_PARAMS, 3.1))
+        state = dyn.evolve_cat_state(replace(initial, branches=own_zeros), CAT_PARAMS, 3.1)
+        assert np.array_equal(_moment_table(state), expected)
+        moved = {**initial.branches, ALL_LABELS[6]: dyn.BranchMoments(np.array([0, 1e-300, 0, 0]))}
+        with pytest.raises(ValueError, match="^initial branch moments must be centred"):
+            dyn.evolve_cat_state(replace(initial, branches=moved), CAT_PARAMS, 3.1)
+
     def test_conjugation_under_label_swap(self):
         branches = _branches(UnitlessParams(f_q=0.4, g=0.07, s=0.5, n_p=1.0, gamma_x=0.02), 2.0)
         label = dyn.BranchLabel(j=1, k=-1, m=-1, n=-1)
