@@ -311,14 +311,14 @@ def _scalar(name: str, value) -> float:
     return float(value)
 
 
-def _point(params: UnitlessParams, tau) -> tuple[tuple[float, ...], float]:
-    """The UnitlessParams fields and tau of one point as floats, the key of ``_shared_qrdm``.
+def _point(params: UnitlessParams | tuple, tau) -> tuple[tuple[float, ...], float]:
+    """The UnitlessParams fields (or the tuple of them) and tau as floats, a ``_shared_qrdm`` key.
 
     Grid inputs and a bad tau raise here, before any work.  Fields and a tau that are all
     Python floats are the key as they are; anything else goes through ``_scalar``, so a numpy
     scalar shares its float's cache entry.
     """
-    point = _POINT(params)
+    point = params if isinstance(params, tuple) else _POINT(params)
     if type(tau) is not float or not {float}.issuperset(map(type, point)):
         point = tuple(map(_scalar, _PARAM_NAMES, point))
         tau = _scalar("tau", tau)
@@ -336,8 +336,8 @@ def _shared_qrdm(point: tuple, tau) -> tuple[np.ndarray, tuple]:
     [row][col], so that the entry is exp(-exponent + i phase)/4.  Kept for 8 points: the
     one source of every cat-state phase, contrast and QRDM; a key is checked as it is built.
     """
-    params = UnitlessParams(*point)
-    phase, contrasts = open_phase_contrasts(params, _point(params, tau)[1])
+    point, tau = _point(point, tau)  # a raw key computes as the floats it equals
+    phase, contrasts = open_phase_contrasts(UnitlessParams(*point), tau)
     exponents = contrasts.flip_exponents()
     qrdm = _qrdm_from_components(phase, exponents)
     qrdm.setflags(write=False)

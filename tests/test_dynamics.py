@@ -404,6 +404,17 @@ class TestBranchPairKernel:
                 entry(params, tau)
         assert _builds() == 1
 
+    @pytest.mark.parametrize("f_q", [np.float32(0.7), 2**40, True], ids=["float32", "int", "bool"])
+    def test_a_lookup_computes_with_its_fields_as_floats(self, f_q):
+        # the raw fields key the cache; the entry they build is that of their float values
+        pairs = []
+        for value in (f_q, float(f_q)):
+            dyn._shared_qrdm.cache_clear()
+            params = replace(CAT_PARAMS, f_q=value)
+            lookups = (dyn.branch_pair_phase_contrast(label, params, 3.1) for label in ALL_LABELS)
+            pairs.append(list(lookups))
+        assert pairs[0] == pairs[1]
+
     def test_shared_qrdm_matches_a_fresh_evaluation(self):
         fresh = _fresh_qrdm(CAT_PARAMS, 3.1)
         pairs = _qrdm_pairs(fresh)
