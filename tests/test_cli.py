@@ -756,6 +756,12 @@ class TestConfigFile:
             ("omega_t = 1e3", "omega_t = -1", "omega_t=-1.0 must be > 0"),
             ("n_p = 10", "rho_m = -1", "rho_m=-1.0 must be > 0"),
             ("n_p = 10", "eps_r = 0.5", "eps_r=0.5 must be >= 1 (a dielectric)"),
+            (
+                "M = 1e-9",
+                "M = 3e-6",
+                "M=3e-06, d=3e-05, omega=0.1 put coupling g=0.7415888888888887 outside"
+                " [0, 1/2); the trap is unstable at g >= 1/2",
+            ),
         ],
     )
     def test_config_value_out_of_domain_fails_with_one_line(
