@@ -14,17 +14,18 @@ reports.  All computation is deterministic: there is no random number
 generator anywhere.
 
 Bad input exits with status 2 and one ``sgipair: error:`` line before any
-work and before any output file is opened: out-of-domain parameters (a
-non-finite one reads ``f_q=inf must be finite and >= 0``), a negative or
-non-finite time, ``trajectories --steps`` below 1, an ``expand --theta``
-that is not ``parallel``, ``linear`` or a finite angle, sweep axes that
-conflict (one name given twice, or ``f_q`` with ``--constraint-force``) or
-do not parse, an ``--out`` or ``--json-out`` path that cannot be written,
-and a ``--config`` file that cannot be read or holds an unknown key, a
-repeated key or a non-finite value (``phys.cfg:10: M is already given on
-line 2``).  Config values out of float range, an overflowing phase and a sweep
-grid too large for memory stop the same way once met.  CSV columns are
-streamed in blocks of rows, each distinct column and value formatted once.
+work and before any output file is opened: out-of-domain parameters or
+times (each named with the domain that ``potentials`` states for it),
+``trajectories --steps`` below 1, an ``expand --theta`` that is not
+``parallel``, ``linear`` or a finite angle, sweep axes that conflict (one
+name given twice, or ``f_q`` with ``--constraint-force``), do not parse or
+have a bound or span that is not finite, an ``--out`` or ``--json-out``
+path that cannot be written, and a ``--config`` file that cannot be read or
+holds an unknown key, a repeated key or a non-finite value (``phys.cfg:10:
+M is already given on line 2``).  Config values out of float range, an
+overflowing phase and a sweep grid too large for memory stop the same way
+once met.  CSV columns are streamed in blocks of rows, each distinct column
+and value formatted once.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ import numpy as np
 
 from . import __version__, design, dynamics, entanglement, oracle
 from .dynamics import _PARAM_NAMES
-from .phase_space import _check_tau, final_time
+from .phase_space import final_time
 from .potentials import (
-    PhysicalParams,
     UnitlessParams,
+    _check,
     expand_potential,
     load_config,
     nv_map,
@@ -176,7 +177,7 @@ def _resolve_tau(option: str, selector: str, g: float) -> float:
         tau = float(selector)
     except ValueError:
         raise ValueError(f"{option}={selector!r} must be 'final', '2pi' or a number") from None
-    _check_tau(tau)
+    _check("tau", tau)
     return tau
 
 
@@ -219,6 +220,8 @@ class SweepAxis:
             start, stop = float(parts[1]), float(parts[2])
         except ValueError:
             raise ValueError(f"axis {text!r}: min and max must be numbers") from None
+        if not math.isfinite(stop - start):  # inf or NaN in either, or a span past the float range
+            raise ValueError(f"axis {text!r}: min, max and max - min must be finite")
         try:
             points = int(parts[3])
         except ValueError:
@@ -336,21 +339,9 @@ def _cmd_trajectories(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _stable_unitless(physical: PhysicalParams) -> UnitlessParams:
-    """``to_unitless`` of a config, or one ValueError naming M, d and omega if g >= 1/2."""
-    unitless = to_unitless(physical)
-    if not unitless.stable:
-        inputs = f"M={physical.M}, d={physical.d}, omega={physical.omega}"
-        raise ValueError(
-            f"{inputs} put coupling g={unitless.g} outside [0, 1/2);"
-            " the trap is unstable at g >= 1/2"
-        )
-    return unitless
-
-
 def _unitless_from_args(args: argparse.Namespace) -> UnitlessParams:
     if args.config is not None:
-        return _stable_unitless(load_config(args.config)[0])
+        return to_unitless(load_config(args.config)[0])
     return UnitlessParams(**_param_values(args))
 
 
@@ -449,7 +440,7 @@ def _constrained_negativity(g: float, unitless: UnitlessParams) -> dict:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     physical, nv = load_config(args.config)
     x0 = physical.x0  # out of float range, this fails before the trap's stability is checked
-    unitless = _stable_unitless(physical)
+    unitless = to_unitless(physical)
     g_report = design.g_bounds(
         x0_over_d=x0 / physical.d,
         gamma_x=unitless.gamma_x,

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potentials import G_NEWTON, HBAR, NVParams, nv_map
-from .potentials import (
-    _check_squeezing,
-    _in_range,
-    _require,
-    _require_nonnegative,
-    _require_positive,
-)
+from .potentials import _check, _in_range, _require, _require_positive
 
 __all__ = [
     "DEFAULT_TARGET_PHASE",
@@ -56,10 +50,14 @@ def ideal_negativity() -> float:
 def required_force(g):
     """Force 1/sqrt(120 g) that brings 6 pi g f_q^2 to the pi/20 target at coupling g.
 
-    Elementwise over an array of g.
+    Elementwise over an array of g.  A g so small that 1/(120 g) overflows (below about
+    4.6e-311) raises one ValueError naming it.
     """
     _require_positive("coupling g", g)
-    return np.sqrt(DEFAULT_TARGET_PHASE / (6.0 * math.pi * g))
+    with np.errstate(over="ignore"):  # an overflow is named next
+        f_q = np.sqrt(DEFAULT_TARGET_PHASE / (6.0 * math.pi * g))
+    _require("coupling g", g, np.isfinite(f_q), "must keep the required force 1/sqrt(120 g) finite")
+    return f_q
 
 
 @dataclass(frozen=True)
@@ -104,9 +102,9 @@ def g_bounds(
     candidate itself).
     """
     _require_positive("x0_over_d", x0_over_d)
-    _require_nonnegative("gamma_x", gamma_x)
-    _check_squeezing(s)
-    _require_nonnegative("n_p", n_p)
+    _check("gamma_x", gamma_x)
+    _check("s", s)
+    _check("n_p", n_p)
     n_i = ideal_negativity()
     occupation = 1.0 + 2.0 * n_p
 
@@ -168,9 +166,9 @@ def mass_bounds_noisy(
     """
     _require_positive("d", d)
     _require_positive("omega", omega)
-    _require_nonnegative("S_FF", s_ff)
-    _check_squeezing(s)
-    _require_nonnegative("n_p", n_p)
+    _require("S_FF", s_ff, (s_ff >= 0.0) & (s_ff < math.inf), "must be finite and >= 0")
+    _check("s", s)
+    _check("n_p", n_p)
     m_min = math.sqrt(math.pi * d**3 * s_ff / (2.0 * G_NEWTON * HBAR))
     m_max = (s / (1.0 + 2.0 * n_p)) ** (1.0 / 3.0) * d**3 * omega**2 / (2.0 * G_NEWTON)
     return m_min, m_max
@@ -182,7 +180,7 @@ def quartic_ratio(g: float, x0: float, d: float) -> tuple[float, bool]:
     The Gaussian treatment is declared valid when the ratio is below 0.1
     (one order of magnitude); g -> 0 diverges and is flagged invalid.
     """
-    _require_nonnegative("g", g)
+    _check("g", g)
     _require_positive("x0", x0)
     _require_positive("d", d)
     if g == 0.0:
@@ -226,9 +224,9 @@ def dephasing_budget(gamma_z: float, gamma_x: float, f_q: float) -> BudgetVerdic
 
     C_x = 3 pi Gamma_x f_q^2 and C_z = 2 pi Gamma_z.
     """
-    _require_nonnegative("gamma_z", gamma_z)
-    _require_nonnegative("gamma_x", gamma_x)
-    _require_nonnegative("f_q", f_q)
+    _check("gamma_z", gamma_z)
+    _check("gamma_x", gamma_x)
+    _check("f_q", f_q)
     return contrast_budget(3.0 * math.pi * gamma_x * f_q**2 + 2.0 * math.pi * gamma_z)
 
 

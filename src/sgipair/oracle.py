@@ -80,7 +80,7 @@ class OracleError(RuntimeError):
     """Oracle self-diagnostics failed; results must not be trusted."""
 
 
-def _check_tau_grid(tau_grid) -> None:
+def _require_time_grid(tau_grid) -> None:
     """One ValueError unless the grid is finite, ascending and starts at 0."""
     grid = np.asarray(tau_grid, dtype=float)
     _require("tau_grid", grid, np.isfinite(grid), "must be finite")
@@ -105,7 +105,7 @@ class MomentOdeProblem:
     tau_grid: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_tau_grid(self.tau_grid)
+        _require_time_grid(self.tau_grid)
         object.__setattr__(self, "tau_grid", np.asarray(self.tau_grid, dtype=float))
 
 
@@ -255,7 +255,7 @@ class FockProblem:
         _require("n_max", self.n_max, isinstance(self.n_max, (int, np.integer)), "must be an int")
         if self.n_max < 8:
             raise ValueError(f"n_max={self.n_max} too small; need >= 8")
-        _check_tau_grid(self.tau_grid)
+        _require_time_grid(self.tau_grid)
         _require("dt", self.dt, np.isfinite(self.dt) and self.dt > 0.0, "must be finite and > 0")
 
 

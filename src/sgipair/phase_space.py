@@ -4,7 +4,8 @@ Quadratures are ordered (x1, p1, x2, p2) throughout, in ground-state-spread
 units where the vacuum covariance matrix is the identity.  The two trapped
 modes are coupled by a bilinear term of strength ``g`` (H = I + g C, never built); the
 normal modes are the symmetric combination (frequency 1) and the antisymmetric combination
-(frequency ``omega_g = sqrt(1 - 2g)``), which is real only for g < 1/2.
+(frequency ``omega_g = sqrt(1 - 2g)``), which is real only for g < 1/2, the domain that
+``potentials`` states for g.
 The one noise channel is momentum diffusion at rate gamma_x, equal on both
 modes, D = gamma_x diag(0, 1, 0, 1).  The propagator, its accumulated covariance
 and the branch-pair memory integral m1 have closed forms, one 2x2 block per
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from .potentials import _require, _require_nonnegative
+from .potentials import _check, _require
 
 __all__ = [
     "symplectic_form",
@@ -41,22 +42,9 @@ def symplectic_form() -> np.ndarray:
     return _OMEGA.copy()
 
 
-def _check_coupling(g) -> None:
-    _require(
-        "coupling g",
-        g,
-        (0.0 <= g) & (g < 0.5),
-        "outside [0, 1/2); the trap is unstable at g >= 1/2",
-    )
-
-
-def _check_tau(tau) -> None:
-    _require_nonnegative("tau", tau)
-
-
 def mode_frequency(g):
     """Antisymmetric-mode frequency sqrt(1 - 2g), elementwise over an array of g."""
-    _check_coupling(g)
+    _check("g", g)
     return np.sqrt(1.0 - 2.0 * g)
 
 
@@ -70,7 +58,7 @@ def propagator(g: float, tau) -> np.ndarray:
 
     The S of ``_normal_modes``, a rotation in each normal mode.  Broadcasts over g and tau.
     """
-    _check_tau(tau)
+    _check("tau", tau)
     return _normal_modes(g, 0.0, tau)[..., 0, :, :]
 
 
@@ -164,7 +152,7 @@ def _normal_modes(g, rate, tau) -> np.ndarray:
     One pass over both normal modes (frequencies 1 and omega_g) of a point or a grid: their
     ``_mode_entries``, and one map of their half sums and differences to (x1,p1,x2,p2).
     """
-    _check_coupling(g)
+    _check("g", g)
     modes = _mode_entries(np.sqrt(1.0 - np.multiply.outer(g, _MODE_COUPLING)), rate, tau)
     halves = 0.5 * (modes[..., :1, :] + _SUM_DIFFERENCE * modes[..., 1:, :])
     return halves.reshape(halves.shape[:-2] + (24,))[..., _FROM_MODES]
@@ -183,8 +171,8 @@ def evolve_covariance(sigma0: np.ndarray, g: float, tau, gamma_x: float = 0.0) -
         raise ValueError(
             f"initial covariance violates the uncertainty bound (margin {margin:.3e})"
         )
-    _check_tau(tau)
-    _require_nonnegative("diffusion rate gamma_x", gamma_x)
+    _check("tau", tau)
+    _check("gamma_x", gamma_x)
     s, lyapunov = np.moveaxis(_normal_modes(g, gamma_x, tau)[..., :2, :, :], -3, 0)
     sigma = s @ sigma0 @ np.swapaxes(s, -1, -2) + lyapunov
     return 0.5 * (sigma + np.swapaxes(sigma, -1, -2))

@@ -64,16 +64,14 @@ def _require(name: str, value, ok, requirement: str) -> None:
         raise ValueError(f"{name}={np.asarray(value)[~ok][0]} {requirement}")
 
 
-def _require_nonnegative(name: str, value) -> None:
-    """Raise one ValueError naming the first element of ``value`` that is not finite and >= 0."""
-    if type(value) is float and math.isfinite(value) and value >= 0.0:
-        return  # the common scalar call skips the array test
-    _require(name, value, np.isfinite(value) & (value >= 0.0), "must be finite and >= 0")
-
-
 def _require_positive(name: str, value) -> None:
     """Raise one ValueError naming ``value`` unless it is finite and > 0."""
     _require(name, value, np.isfinite(value) & (value > 0.0), "must be finite and > 0")
+
+
+def _named(given: dict[str, float]) -> str:
+    """``given`` as the text ``key=value, ...`` that names the inputs of a failed formula."""
+    return ", ".join(f"{key}={number}" for key, number in given.items())
 
 
 def _in_range(quantity: str, formula, given: dict[str, float], ok=math.isfinite):
@@ -89,8 +87,7 @@ def _in_range(quantity: str, formula, given: dict[str, float], ok=math.isfinite)
     except (OverflowError, ZeroDivisionError):
         good = False
     if not good:
-        inputs = ", ".join(f"{key}={number}" for key, number in given.items())
-        raise ValueError(f"{inputs} put {quantity} out of float range")
+        raise ValueError(f"{_named(given)} put {quantity} out of float range")
     return value
 
 
@@ -105,13 +102,41 @@ def _ground_spread(M: float, omega: float) -> float:
 
 
 _TINY = float(np.finfo(float).tiny)
-_TINY_REQUIREMENT = f"must be >= {_TINY} (the smallest normal float)"
+_FINITE_NONNEGATIVE = (lambda v: (v >= 0.0) & (v < math.inf), "must be finite and >= 0")
+
+# The domain of each UnitlessParams field and of tau, stated once: the label a message names
+# and the stages, each an elementwise test and the requirement it states.  Every test is a
+# plain comparison, so a Python float gets a bool (and ``_require``'s early return) with no
+# numpy call, and a grid column one array test.  s is (0, 1] and then normal, so that the
+# anti-squeezed 1/s is finite; its message names the edge that it crossed.
+_DOMAINS = {
+    "f_q": ("f_q", (_FINITE_NONNEGATIVE,)),
+    "g": (
+        "coupling g",
+        ((lambda v: (v >= 0.0) & (v < 0.5), "outside [0, 1/2); the trap is unstable at g >= 1/2"),),
+    ),
+    "s": (
+        "squeezing s",
+        (
+            (lambda v: (v > 0.0) & (v <= 1.0), "must lie in (0, 1]"),
+            (lambda v: v >= _TINY, f"must be >= {_TINY} (the smallest normal float)"),
+        ),
+    ),
+    "n_p": ("n_p", (_FINITE_NONNEGATIVE,)),
+    "gamma_x": ("gamma_x", (_FINITE_NONNEGATIVE,)),
+    "gamma_z": ("gamma_z", (_FINITE_NONNEGATIVE,)),
+    "tau": ("tau", (_FINITE_NONNEGATIVE,)),
+}
 
 
-def _check_squeezing(s) -> None:
-    """Squeezing in (0, 1], and normal, so that the anti-squeezed 1/s is finite."""
-    _require("squeezing s", s, (0.0 < s) & (s <= 1.0), "must lie in (0, 1]")
-    _require("squeezing s", s, s >= _TINY, _TINY_REQUIREMENT)
+def _check(name: str, value, prefix: str = "") -> None:
+    """Raise one ValueError naming the first element of ``value`` outside the domain of ``name``.
+
+    ``name`` is a ``UnitlessParams`` field or ``"tau"``; ``prefix`` goes before the label.
+    """
+    label, stages = _DOMAINS[name]
+    for test, requirement in stages:
+        _require(prefix + label, value, test(value), requirement)
 
 
 @dataclass(frozen=True)
@@ -201,6 +226,9 @@ class UnitlessParams:
     Rates are in units of the trap frequency; s and n_p describe the initial
     squeezed thermal state with covariance (1+2n_p)*diag(s, 1/s) per mode.
     Each field is a scalar or a grid column (arrays that broadcast together).
+    f_q, n_p, gamma_x and gamma_z are finite and >= 0; 0 <= g < 1/2, since the trap
+    is unstable at g >= 1/2; s lies in (0, 1] and is a normal float, so that 1/s is
+    finite.  A field outside its domain raises one ValueError naming it.
     """
 
     f_q: float
@@ -211,16 +239,8 @@ class UnitlessParams:
     gamma_z: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_nonnegative("f_q", self.f_q)
-        _require_nonnegative("g", self.g)
-        _check_squeezing(self.s)
-        for name in ("n_p", "gamma_x", "gamma_z"):
-            _require_nonnegative(name, getattr(self, name))
-
-    @property
-    def stable(self) -> bool:
-        """Trap stability: the coupled mode frequency is real for g < 1/2."""
-        return self.g < 0.5
+        for name in self.__dataclass_fields__:
+            _check(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -387,12 +407,10 @@ def to_unitless(p: PhysicalParams) -> UnitlessParams:
 
     f_q = F_q/sqrt(hbar M omega^3), g = G M/(d^3 omega^2), s = omega/omega_t,
     Gamma_x = pi S_FF/(hbar M omega^2), Gamma_z = Gamma_z_phys/omega; n_p is
-    passed through or derived from (omega_t, T_m).  A coupling at or beyond
-    the g = 1/2 stability edge is returned flagged (``stable`` is False), not
-    rejected or warned of: a caller that needs the trap stable checks it.  f_q, g, n_p
-    and Gamma_x out of float range raise one ValueError naming the config keys
-    they read; so does an f_q whose square, which every phase and contrast
-    carries, overflows.
+    passed through or derived from (omega_t, T_m).  f_q, g, n_p and Gamma_x out
+    of float range raise one ValueError naming the config keys they read; so
+    does an f_q whose square, which every phase and contrast carries, overflows,
+    and a coupling at or beyond the g = 1/2 stability edge.
     """
     f_q = _in_range(
         "f_q",
@@ -416,6 +434,7 @@ def to_unitless(p: PhysicalParams) -> UnitlessParams:
         _given(p, "S_FF", "M", "omega"),
     )
     gamma_z = p.Gamma_z_phys / p.omega
+    _check("g", g, f"{_named(_given(p, 'M', 'd', 'omega'))} put ")
     return UnitlessParams(f_q=f_q, g=g, s=s, n_p=n_p, gamma_x=gamma_x, gamma_z=gamma_z)
 
 

@@ -6,16 +6,20 @@ import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import csv_document
 from sgipair import cli, design, dynamics, entanglement, oracle
 from sgipair.phase_space import final_time
-from sgipair.potentials import UnitlessParams
+from sgipair.potentials import HBAR, UnitlessParams
 
 PHYS_CFG = """
 M = 1e-9
@@ -63,6 +67,9 @@ def read_csv(path):
         else:
             rows.append([float(v) for v in line.split(",")])
     return metadata, header, rows
+
+
+_FINITE_AXIS = r"min, max and max - min must be finite"
 
 
 class TestSweep:
@@ -212,6 +219,15 @@ class TestSweep:
             ),
             (["--axis", "g:0.1:0.2:abc"], r"^axis 'g:0\.1:0\.2:abc': points must be an integer$"),
             (["--axis", "g:0.1:high:3"], r"^axis 'g:0\.1:high:3': min and max must be numbers$"),
+            # a bound or a span that is not finite is named by its axis, before numpy runs
+            *(
+                (["--axis", axis, "--fq", "1"], rf"^axis '{re.escape(axis)}': {_FINITE_AXIS}$")
+                for axis in ("g:-1.0:inf:3", "gamma_x:inf:inf:3", "n_p:nan:1:2", "g:-1e308:1e308:3")
+            ),
+            (
+                ["--axis", "g:1e-320:1e-3:3", "--constraint-force"],
+                r"^coupling g=1e-320 must keep the required force 1/sqrt\(120 g\) finite$",
+            ),
         ],
     )
     def test_out_of_domain_column_fails_before_evaluation(
@@ -1015,3 +1031,124 @@ def test_import_loads_no_scipy(module):
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+# --------------------------------------------------------------------------
+# Every command on the float edges
+# --------------------------------------------------------------------------
+
+# Zeros of both signs, the smallest subnormal, the smallest normal float, huge and tiny
+# magnitudes, the infinities, NaN, the stability edge g = 1/2 and a point just inside it, and
+# an f_q whose square nears the float limit.
+FLOAT_EDGES = (
+    "0", "-0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e300", "-1e300", "1e-300",
+    "-1e-300", "inf", "-inf", "nan", "0.5", "0.4999", "1e154",
+)
+_EDGE = st.sampled_from(FLOAT_EDGES)
+_TIME = st.sampled_from(("final", "2pi", *FLOAT_EDGES))
+
+
+def _options(names, values=_EDGE):
+    """Some of the options ``names``, each as one ``--name=value`` argument.
+
+    The '=' keeps a negative value attached: argparse reads ``--g -1e-3`` as a missing value.
+    """
+    pairs = st.dictionaries(st.sampled_from(names), values)
+    return pairs.map(lambda chosen: [f"{name}={value}" for name, value in chosen.items()])
+
+
+_UNITLESS = _options(("--fq", "--g", "--s", "--np", "--gamma-x", "--gamma-z"))
+_AXIS = st.builds(
+    "--axis={}:{}:{}:{}{}".format,
+    st.sampled_from(dynamics._PARAM_NAMES),
+    _EDGE,
+    _EDGE,
+    st.sampled_from((2, 3)),
+    st.sampled_from(("", ":log", ":linear")),
+)
+_SWEEP = st.builds(
+    lambda axes, force, unitless, tau: ["sweep", *axes, *force, *unitless, *tau],
+    st.lists(_AXIS, min_size=1, max_size=2),
+    st.sampled_from(([], ["--constraint-force"])),
+    _UNITLESS,
+    _options(("--tau",), _TIME),
+)
+_QRDM = st.builds(
+    lambda unitless, tau: ["qrdm", *unitless, *tau], _UNITLESS, _options(("--tau",), _TIME)
+)
+_TRAJECTORIES = st.builds(
+    lambda f_q, g, tau, steps: ["trajectories", f"--fq={f_q}", f"--g={g}", *tau, *steps],
+    _EDGE,
+    _EDGE,
+    _options(("--tau-max",), _TIME),
+    _options(("--steps",), st.sampled_from(("0", "1", "3"))),
+)
+# A working config for every kind, some of whose keys (or further ones) take edge values.
+_BASE_CONFIG = {
+    "M": "1e-9", "omega": "0.1", "d": "30e-6", "F_q": "1e-17", "Q": "1e-15", "eps_r": "5.7",
+    "rho_m": "3500",
+}
+_CONFIG_KEYS = (
+    *_BASE_CONFIG, "S_FF", "Gamma_z_phys", "omega_t", "n_p", "T_m", "nv_dB", "nv_chi_m",
+)
+_CONFIG = st.dictionaries(st.sampled_from(_CONFIG_KEYS), _EDGE, max_size=4).map(
+    lambda edges: {**_BASE_CONFIG, **edges}
+)
+_CONFIG_COMMAND = st.one_of(
+    st.just(["qrdm"]),
+    st.just(["bounds"]),
+    st.builds(
+        lambda kind, theta: ["expand", f"--kind={kind}", *theta],
+        st.sampled_from(("newton", "coulomb", "casimir")),
+        _options(("--theta",), st.sampled_from(("parallel", "linear", *FLOAT_EDGES))),
+    ),
+)
+# (argv, config file keys or None)
+_CASES = st.one_of(
+    st.tuples(st.one_of(_SWEEP, _QRDM, _TRAJECTORIES), st.none()),
+    st.tuples(_CONFIG_COMMAND, _CONFIG),
+)
+
+
+def _expected_warnings(argv, config, status) -> list[str]:
+    """The one designed warning: ``expand`` succeeding at a config where x0/d >= 0.1."""
+    if argv[0] != "expand" or status != 0:
+        return []
+    M, omega, d = (float(config[key]) for key in ("M", "omega", "d"))
+    warns = math.sqrt(HBAR / (2.0 * M * omega)) / d >= 0.1
+    return ["quartic truncation is unreliable"] if warns else []
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_CASES)
+# sweep axes with an infinite bound, where np.linspace would make NaN with a warning
+@example(case=(["sweep", "--axis=g:-1.0:inf:3", "--tau=1e300", "--g=0.1", "--fq=1"], None))
+@example(case=(["sweep", "--axis=gamma_x:inf:inf:3", "--constraint-force"], None))
+@example(case=(["sweep", "--axis=g:-1e308:1e308:3"], None))  # a span past the float range
+# a subnormal g under --constraint-force, where 1/(120 g) overflows
+@example(case=(["sweep", "--axis=g:1e-320:1e-3:3", "--constraint-force"], None))
+@example(case=(["expand"], {**_BASE_CONFIG, "d": "1e-12"}))  # x0/d = 0.73: the designed warning
+def test_every_command_ends_whole_or_in_one_error_line(tmp_path_factory, case):
+    # Each run exits 0 with no NaN in its output, or exits 2 with exactly one error line, and
+    # warns of nothing but expand's designed quartic-truncation caveat.
+    argv, config = case
+    if config is not None:
+        path = tmp_path_factory.getbasetemp() / "edges.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        argv = [*argv, f"--config={path}"]
+    out, err = StringIO(), StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            status = cli.main(argv)
+        except SystemExit as exit_info:
+            status = exit_info.code
+    lines = err.getvalue().splitlines()
+    if status == 0:
+        assert lines == [] and not re.search(r"\bnan\b", out.getvalue()), argv
+    else:
+        assert status == 2 and out.getvalue() == "", (argv, status)
+        assert len(lines) == 1 and lines[0].startswith("sgipair: error: "), (argv, lines)
+    warned = [str(w.message).partition(": ")[2] for w in caught]
+    assert warned == _expected_warnings(argv, config, status), argv

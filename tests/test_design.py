@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,6 +197,8 @@ class TestNVOperatingPoint:
 
 _POSITIVE, _NONNEGATIVE = "must be finite and > 0", "must be finite and >= 0"
 _SUBNORMAL = "must be >= 2.2250738585072014e-308 (the smallest normal float)"
+_UNSTABLE = "outside [0, 1/2); the trap is unstable at g >= 1/2"
+_FORCE = "must keep the required force 1/sqrt(120 g) finite"
 
 
 @pytest.mark.parametrize(
@@ -210,7 +213,7 @@ _SUBNORMAL = "must be >= 2.2250738585072014e-308 (the smallest normal float)"
         ("mass_bounds_noisy", {"s_ff": -1e-64}, f"S_FF=-1e-64 {_NONNEGATIVE}"),
         ("mass_bounds_noisy", {"s": 0.0}, "squeezing s=0.0 must lie in (0, 1]"),
         ("mass_bounds_noisy", {"n_p": math.nan}, f"n_p=nan {_NONNEGATIVE}"),
-        ("quartic_ratio", {"g": -0.1, "x0": 1e-9, "d": 30e-6}, f"g=-0.1 {_NONNEGATIVE}"),
+        ("quartic_ratio", {"g": -0.1, "x0": 1e-9, "d": 30e-6}, f"coupling g=-0.1 {_UNSTABLE}"),
         ("quartic_ratio", {"g": 0.1, "x0": 1e-9, "d": math.nan}, f"d=nan {_POSITIVE}"),
         ("dephasing_budget", {"gamma_z": math.nan}, f"gamma_z=nan {_NONNEGATIVE}"),
         ("contrast_budget", {"total_contrast": -0.1}, "total_contrast=-0.1 must be >= 0"),
@@ -224,6 +227,9 @@ _SUBNORMAL = "must be >= 2.2250738585072014e-308 (the smallest normal float)"
         ("mass_bounds_noisy", {"s": 5e-324}, f"squeezing s=5e-324 {_SUBNORMAL}"),
         ("required_force", {"g": math.inf}, f"coupling g=inf {_POSITIVE}"),
         ("required_force", {"g": math.nan}, f"coupling g=nan {_POSITIVE}"),
+        # 1/(120 g) overflows below about 4.6e-311
+        ("required_force", {"g": 1e-320}, f"coupling g=1e-320 {_FORCE}"),
+        ("required_force", {"g": np.array([1e-3, 4e-311])}, f"coupling g=4e-311 {_FORCE}"),
     ],
 )
 def test_bad_input_fails_with_one_line_naming_the_value(function, kwargs, message):

@@ -12,7 +12,7 @@ from oracles import (
 )
 from sgipair import phase_space as ps
 from sgipair.oracle import MomentOdeProblem, integrate_moments
-from sgipair.potentials import UnitlessParams
+from sgipair.potentials import UnitlessParams, _check
 
 OMEGA = ps.symplectic_form()
 
@@ -163,7 +163,7 @@ class TestLyapunovIntegral:
 
     @pytest.mark.parametrize("gamma_x", [-1e-3, np.nan, np.inf])
     def test_rejects_bad_rate(self, gamma_x):
-        message = r"^diffusion rate gamma_x=\S+ must be finite and >= 0$"
+        message = r"^gamma_x=\S+ must be finite and >= 0$"
         with pytest.raises(ValueError, match=message):
             ps.evolve_covariance(np.eye(4), 0.1, 1.0, gamma_x)
         with pytest.raises(ValueError, match=message):
@@ -184,9 +184,9 @@ class TestLyapunovIntegral:
     @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0"])
     def test_tau_check_messages_for_every_input_kind(self, wrap, bad):
         with pytest.raises(ValueError, match=rf"^tau={bad} must be finite and >= 0$"):
-            ps._check_tau(wrap(float(bad)))
-        ps._check_tau(0.0)
-        ps._check_tau(-0.0)
+            _check("tau", wrap(float(bad)))
+        _check("tau", 0.0)
+        _check("tau", -0.0)
 
     @pytest.mark.parametrize("g", [0.0, 0.2, 0.4999])
     def test_matches_high_precision_at_small_tau(self, g):

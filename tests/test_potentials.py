@@ -134,16 +134,20 @@ class TestUnitConversion:
         p = pot.PhysicalParams(M=1e-14, omega=1.0, d=1e-4, F_q=0.0)
         assert pot.to_unitless(p).f_q == 0.0
 
-    def test_stability_boundary_flagged(self):
-        # flagged, not warned of: a command that needs the trap stable names M, d and omega
+    def test_stability_boundary_raises_one_line_naming_the_mass(self):
+        # the unitless set holds no unstable coupling: the conversion names M, d and omega
         d, omega = 30e-6, 0.1
         mass = d**3 * omega**2 / (2.0 * pot.G_NEWTON)
         p = pot.PhysicalParams(M=mass, omega=omega, d=d)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u = pot.to_unitless(p)
-        assert u.g == pytest.approx(0.5, rel=1e-12)
-        assert not u.stable
+            with pytest.raises(ValueError) as error:
+                pot.to_unitless(p)
+        prefix = f"M={mass}, d=3e-05, omega=0.1 put coupling g="
+        suffix = " outside [0, 1/2); the trap is unstable at g >= 1/2"
+        message = str(error.value)
+        assert message.startswith(prefix) and message.endswith(suffix), message
+        assert float(message.removeprefix(prefix).removesuffix(suffix)) == pytest.approx(0.5)
 
     def test_squeezing_from_trap_ratio(self):
         p = pot.PhysicalParams(M=1e-14, omega=0.1, d=1e-4, omega_t=1e3)
@@ -174,7 +178,12 @@ class TestFiniteParameters:
     @pytest.mark.parametrize("name", ["f_q", "g", "n_p", "gamma_x", "gamma_z"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_unitless_field_must_be_finite(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name}={value} must be finite and >= 0$"):
+        message = (
+            f"coupling g={value} outside [0, 1/2); the trap is unstable at g >= 1/2"
+            if name == "g"
+            else f"{name}={value} must be finite and >= 0"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pot.UnitlessParams(**{"f_q": 1.0, "g": 0.1, name: value})
 
     @pytest.mark.parametrize("s", [1e-310, 5e-324, np.array([0.5, 1e-320])])
@@ -224,6 +233,10 @@ def _nonnegative(value: float) -> bool:
     return math.isfinite(value) and value >= 0.0
 
 
+def _stable(value: float) -> bool:
+    return 0.0 <= value < 0.5
+
+
 def _normal_squeezing(value: float) -> bool:
     return np.finfo(float).tiny <= value <= 1.0
 
@@ -236,14 +249,31 @@ def _contrast(name: str):
     return lambda value: ContrastSet(**{name: value})
 
 
+def _checked(name: str):
+    return lambda value: pot._check(name, value)
+
+
+# The values each domain admits, by UnitlessParams field or tau.
+ADMITS = {
+    "f_q": _nonnegative,
+    "g": _stable,
+    "s": _normal_squeezing,
+    "n_p": _nonnegative,
+    "gamma_x": _nonnegative,
+    "gamma_z": _nonnegative,
+    "tau": _nonnegative,
+}
+LABELS = {"g": "coupling g", "s": "squeezing s"}
+
 # (label the message names, check, the values the check admits)
 FAST_PATH_CASES = {
-    "_require_nonnegative": ("x", lambda value: pot._require_nonnegative("x", value), _nonnegative),
-    "_check_squeezing": ("squeezing s", pot._check_squeezing, _normal_squeezing),
-    "UnitlessParams.s": ("squeezing s", _unitless("s"), _normal_squeezing),
     **{
-        f"UnitlessParams.{name}": (name, _unitless(name), _nonnegative)
-        for name in ("f_q", "g", "n_p", "gamma_x", "gamma_z")
+        f"_check({name!r})": (LABELS.get(name, name), _checked(name), admits)
+        for name, admits in ADMITS.items()
+    },
+    **{
+        f"UnitlessParams.{name}": (LABELS.get(name, name), _unitless(name), ADMITS[name])
+        for name in ("f_q", "g", "s", "n_p", "gamma_x", "gamma_z")
     },
     **{
         f"ContrastSet.{name}": (f"contrast {name}", _contrast(name), lambda value: value >= 0.0)
@@ -273,15 +303,21 @@ class TestScalarFastPaths:
         message = verdicts["float"]
         assert (message is None) == admits(value), verdicts
         if message is not None:
-            assert message.startswith(f"{label}={np.float64(value)} must ")
+            assert message.startswith(f"{label}={np.float64(value)} ")
             assert "\n" not in message
 
+    def test_every_domain_has_a_case(self):
+        assert set(pot._DOMAINS) == set(ADMITS) == {*pot.UnitlessParams.__dataclass_fields__, "tau"}
+
     def test_messages_name_the_requirement(self):
-        assert _verdict(pot._check_squeezing, 1.5) == "squeezing s=1.5 must lie in (0, 1]"
-        assert _verdict(pot._check_squeezing, 5e-324) == (
+        assert _verdict(_checked("s"), 1.5) == "squeezing s=1.5 must lie in (0, 1]"
+        assert _verdict(_checked("s"), 5e-324) == (
             "squeezing s=5e-324 must be >= 2.2250738585072014e-308 (the smallest normal float)"
         )
-        assert _verdict(_unitless("g"), -1e-300) == "g=-1e-300 must be finite and >= 0"
+        assert _verdict(_unitless("g"), -1e-300) == (
+            "coupling g=-1e-300 outside [0, 1/2); the trap is unstable at g >= 1/2"
+        )
+        assert _verdict(_checked("tau"), math.inf) == "tau=inf must be finite and >= 0"
         assert _verdict(_contrast("c_z"), math.nan) == "contrast c_z=nan must be >= 0"
 
 
