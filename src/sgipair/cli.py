@@ -20,12 +20,13 @@ times (each named with the domain that ``potentials`` states for it),
 ``parallel``, ``linear`` or a finite angle, sweep axes that conflict (one
 name given twice, or ``f_q`` with ``--constraint-force``), do not parse or
 have a bound or span that is not finite, an ``--out`` or ``--json-out``
-path that cannot be written, and a ``--config`` file that cannot be read or
+path that cannot be written, and a ``--config`` file that cannot be read,
 holds an unknown key, a repeated key or a non-finite value (``phys.cfg:10:
-M is already given on line 2``).  Config values out of float range, an
-overflowing phase and a sweep grid too large for memory stop the same way
-once met.  CSV columns are streamed in blocks of rows, each distinct column
-and value formatted once.
+M is already given on line 2``) or lacks M, omega or d (``phys.cfg: M is
+required``).  Config values out of domain, or taking a derived value out of
+domain or float range (named by the keys it reads), an overflowing phase and
+an output too large for memory stop the same way once met.  CSV columns are
+streamed in blocks of rows, each distinct column and value formatted once.
 """
 
 from __future__ import annotations
@@ -288,11 +289,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tau_selector=args.tau,
         negativity_selector=args.negativity,
     )
-    try:
-        columns = run_sweep(spec)
-    except MemoryError:
-        n_rows = math.prod(axis.points for axis in axes)
-        raise ValueError(f"sweep grid of {n_rows} rows does not fit in memory") from None
+    columns = run_sweep(spec)
     metadata = {
         "generator": f"sgipair {__version__}",
         "command": "sweep",
@@ -663,6 +660,8 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except ValueError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except MemoryError:
+        parser.exit(2, f"{parser.prog}: error: {args.command} output does not fit in memory\n")
 
 
 if __name__ == "__main__":

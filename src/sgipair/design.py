@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potentials import G_NEWTON, HBAR, NVParams, nv_map
-from .potentials import _check, _in_range, _require, _require_positive
+from .potentials import _check, _in_range, _require
 
 __all__ = [
     "DEFAULT_TARGET_PHASE",
@@ -53,7 +53,7 @@ def required_force(g):
     Elementwise over an array of g.  A g so small that 1/(120 g) overflows (below about
     4.6e-311) raises one ValueError naming it.
     """
-    _require_positive("coupling g", g)
+    _require("coupling g", g, np.isfinite(g) & (g > 0.0), "must be finite and > 0")
     with np.errstate(over="ignore"):  # an overflow is named next
         f_q = np.sqrt(DEFAULT_TARGET_PHASE / (6.0 * math.pi * g))
     _require("coupling g", g, np.isfinite(f_q), "must keep the required force 1/sqrt(120 g) finite")
@@ -101,7 +101,7 @@ def g_bounds(
     amplification is active (s < 1 and s above the cube of the squeezed
     candidate itself).
     """
-    _require_positive("x0_over_d", x0_over_d)
+    _check("x0_over_d", x0_over_d)
     _check("gamma_x", gamma_x)
     _check("s", s)
     _check("n_p", n_p)
@@ -146,8 +146,8 @@ def mass_bounds(d: float, omega: float) -> tuple[float, float]:
     The lower end keeps the quartic interaction term an order of magnitude
     below the quadratic one; the upper end is trap stability g < 1/2.
     """
-    _require_positive("d", d)
-    _require_positive("omega", omega)
+    _check("d", d)
+    _check("omega", omega)
     m_min = math.sqrt(HBAR * d * omega / G_NEWTON)
     m_max = d**3 * omega**2 / (2.0 * G_NEWTON)
     return m_min, m_max
@@ -164,9 +164,9 @@ def mass_bounds_noisy(
     stability bound (up to the 0.45-versus-1/2 prefactor of the two
     leading-order analyses).
     """
-    _require_positive("d", d)
-    _require_positive("omega", omega)
-    _require("S_FF", s_ff, (s_ff >= 0.0) & (s_ff < math.inf), "must be finite and >= 0")
+    _check("d", d)
+    _check("omega", omega)
+    _check("S_FF", s_ff)
     _check("s", s)
     _check("n_p", n_p)
     m_min = math.sqrt(math.pi * d**3 * s_ff / (2.0 * G_NEWTON * HBAR))
@@ -181,8 +181,8 @@ def quartic_ratio(g: float, x0: float, d: float) -> tuple[float, bool]:
     (one order of magnitude); g -> 0 diverges and is flagged invalid.
     """
     _check("g", g)
-    _require_positive("x0", x0)
-    _require_positive("d", d)
+    _check("x0", x0)
+    _check("d", d)
     if g == 0.0:
         return math.inf, False
     ratio = x0**2 / (5.0 * d**2 * g)
@@ -248,7 +248,7 @@ def nv_operating_point(nv: NVParams, d: float) -> NVOperatingPoint:
     F_q = sqrt(hbar d^3 omega^5 (pi/20)/(6 pi G)) fixes the product omega*d
     independently of the gradient: (omega d)^3 = (6 pi/(pi/20)) G F_1^2/(hbar omega_1^2).
     """
-    _require_positive("d", d)
+    _check("d", d)
     omega_1, force_1 = nv_map(NVParams(dB=1.0, chi_m=nv.chi_m))
     omega_d = (
         (6.0 * math.pi / DEFAULT_TARGET_PHASE) * G_NEWTON * force_1**2 / (HBAR * omega_1**2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -64,11 +64,6 @@ def _require(name: str, value, ok, requirement: str) -> None:
         raise ValueError(f"{name}={np.asarray(value)[~ok][0]} {requirement}")
 
 
-def _require_positive(name: str, value) -> None:
-    """Raise one ValueError naming ``value`` unless it is finite and > 0."""
-    _require(name, value, np.isfinite(value) & (value > 0.0), "must be finite and > 0")
-
-
 def _named(given: dict[str, float]) -> str:
     """``given`` as the text ``key=value, ...`` that names the inputs of a failed formula."""
     return ", ".join(f"{key}={number}" for key, number in given.items())
@@ -94,49 +89,51 @@ def _in_range(quantity: str, formula, given: dict[str, float], ok=math.isfinite)
 def _ground_spread(M: float, omega: float) -> float:
     """Ground-state spread sqrt(hbar / (2 M omega)), m: finite and > 0, or one ValueError."""
     return _in_range(
-        "x0",
-        lambda: math.sqrt(HBAR / (2.0 * M * omega)),
-        {"M": M, "omega": omega},
-        lambda x0: 0.0 < x0 < math.inf,
+        "x0", lambda: math.sqrt(HBAR / (2.0 * M * omega)), {"M": M, "omega": omega}, _POSITIVE[0]
     )
 
 
 _TINY = float(np.finfo(float).tiny)
-_FINITE_NONNEGATIVE = (lambda v: (v >= 0.0) & (v < math.inf), "must be finite and >= 0")
+_FINITE = (lambda v: (v > -math.inf) & (v < math.inf), "must be finite")
+_POSITIVE = (lambda v: (v > 0.0) & (v < math.inf), "must be finite and > 0")
+_NONNEGATIVE = (lambda v: (v >= 0.0) & (v < math.inf), "must be finite and >= 0")
 
-# The domain of each UnitlessParams field and of tau, stated once: the label a message names
-# and the stages, each an elementwise test and the requirement it states.  Every test is a
-# plain comparison, so a Python float gets a bool (and ``_require``'s early return) with no
+# The domain of every input, stated once (the UnitlessParams, PhysicalParams and NVParams
+# fields, tau, theta, x0 and x0_over_d): its stages, each an elementwise test and the
+# requirement it states, and the label a message names (by default the name).  Every test is
+# a plain comparison, so a Python float gets a bool (and ``_require``'s early return) with no
 # numpy call, and a grid column one array test.  s is (0, 1] and then normal, so that the
 # anti-squeezed 1/s is finite; its message names the edge that it crossed.
+_LABELS = {"g": "coupling g", "s": "squeezing s", "dB": "magnetic gradient dB"}
 _DOMAINS = {
-    "f_q": ("f_q", (_FINITE_NONNEGATIVE,)),
+    **dict.fromkeys(("theta", "Q"), (_FINITE,)),
+    **dict.fromkeys(("M", "omega", "d", "omega_t", "rho_m", "dB", "x0", "x0_over_d"), (_POSITIVE,)),
+    **dict.fromkeys(
+        ("f_q", "n_p", "gamma_x", "gamma_z", "tau", "F_q", "S_FF", "Gamma_z_phys", "T_m"),
+        (_NONNEGATIVE,),
+    ),
     "g": (
-        "coupling g",
-        ((lambda v: (v >= 0.0) & (v < 0.5), "outside [0, 1/2); the trap is unstable at g >= 1/2"),),
+        (lambda v: (v >= 0.0) & (v < 0.5), "outside [0, 1/2); the trap is unstable at g >= 1/2"),
     ),
     "s": (
-        "squeezing s",
-        (
-            (lambda v: (v > 0.0) & (v <= 1.0), "must lie in (0, 1]"),
-            (lambda v: v >= _TINY, f"must be >= {_TINY} (the smallest normal float)"),
-        ),
+        (lambda v: (v > 0.0) & (v <= 1.0), "must lie in (0, 1]"),
+        (lambda v: v >= _TINY, f"must be >= {_TINY} (the smallest normal float)"),
     ),
-    "n_p": ("n_p", (_FINITE_NONNEGATIVE,)),
-    "gamma_x": ("gamma_x", (_FINITE_NONNEGATIVE,)),
-    "gamma_z": ("gamma_z", (_FINITE_NONNEGATIVE,)),
-    "tau": ("tau", (_FINITE_NONNEGATIVE,)),
+    "eps_r": ((lambda v: (v >= 1.0) & (v < math.inf), "must be finite and >= 1 (a dielectric)"),),
+    "chi_m": (
+        (lambda v: (v > -math.inf) & (v < 0.0), "must be finite and < 0 (diamagnetic trapping)"),
+    ),
 }
 
 
 def _check(name: str, value, prefix: str = "") -> None:
     """Raise one ValueError naming the first element of ``value`` outside the domain of ``name``.
 
-    ``name`` is a ``UnitlessParams`` field or ``"tau"``; ``prefix`` goes before the label.
+    ``name`` is a key of ``_DOMAINS``; ``prefix`` goes before the label.
     """
-    label, stages = _DOMAINS[name]
-    for test, requirement in stages:
-        _require(prefix + label, value, test(value), requirement)
+    label = prefix + _LABELS.get(name, name)
+    for test, requirement in _DOMAINS[name]:
+        _require(label, value, test(value), requirement)
 
 
 @dataclass(frozen=True)
@@ -153,8 +150,8 @@ class PotentialSpec:
     d: float      # trap separation, m
 
     def __post_init__(self) -> None:
-        _require_positive("separation d", self.d)
-        _require("theta", self.theta, np.isfinite(self.theta), "must be finite")
+        _check("d", self.d)
+        _check("theta", self.theta)
         if self.n < 1:
             raise ValueError(f"interaction power n={self.n} must be >= 1")
 
@@ -184,7 +181,8 @@ class ExpansionCoefficients:
 class PhysicalParams:
     """SI-unit experimental parameters of the two-trap qubit-mass system.
 
-    Every field that is given must be finite; eps_r >= 1 (a dielectric) and rho_m > 0.
+    Each field that is given is finite: M, omega, d, omega_t, rho_m > 0; F_q, S_FF,
+    Gamma_z_phys, n_p, T_m >= 0 (T_m = 0 is the ground state); eps_r >= 1; Q any sign.
     """
 
     M: float                    # mass, kg
@@ -201,17 +199,9 @@ class PhysicalParams:
     rho_m: float | None = None  # mass density, kg/m^3 (Casimir coupling)
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name}={value} must be finite")
-        for name in ("M", "omega", "d", "omega_t", "rho_m"):
+        for name in self.__dataclass_fields__:
             if (value := getattr(self, name)) is not None:
-                _require(name, value, value > 0.0, "must be > 0")
-        for name in ("S_FF", "Gamma_z_phys", "T_m"):  # T_m = 0 is the ground state
-            if (value := getattr(self, name)) is not None:
-                _require(name, value, value >= 0.0, "must be >= 0")
-        if self.eps_r is not None:
-            _require("eps_r", self.eps_r, self.eps_r >= 1.0, "must be >= 1 (a dielectric)")
+                _check(name, value)
 
     @property
     def x0(self) -> float:
@@ -255,9 +245,8 @@ class NVParams:
     chi_m: float = -6.3e-9      # mass susceptibility of diamond, m^3/kg
 
     def __post_init__(self) -> None:
-        _require_positive("magnetic gradient dB", self.dB)
-        ok = np.isfinite(self.chi_m) & (self.chi_m < 0.0)
-        _require("chi_m", self.chi_m, ok, "must be finite and < 0 (diamagnetic trapping)")
+        for name in self.__dataclass_fields__:
+            _check(name, getattr(self, name))
 
 
 def expand_potential(spec: PotentialSpec, M: float, omega: float) -> ExpansionCoefficients:
@@ -268,8 +257,8 @@ def expand_potential(spec: PotentialSpec, M: float, omega: float) -> ExpansionCo
     the parallel orientation theta = pi/2.  Coefficients out of float range
     raise one ValueError naming M, omega and d.
     """
-    _require_positive("M", M)
-    _require_positive("omega", omega)
+    _check("M", M)
+    _check("omega", omega)
     x0 = _ground_spread(M, omega)
     n = spec.n
     cos_t = math.cos(spec.theta)
@@ -320,10 +309,22 @@ def _casimir_strength(p: PhysicalParams) -> float:
 # The config keys that each kind's strength A reads.
 _STRENGTH_KEYS = {"newton": ("M",), "coulomb": ("Q",), "casimir": ("eps_r", "rho_m", "M")}
 
+# The config keys that the formula of each UnitlessParams field in ``to_unitless`` reads.
+_FORMULA_KEYS = {
+    "f_q": ("F_q", "M", "omega"), "g": ("M", "d", "omega"),
+    "s": ("omega", "omega_t"), "n_p": ("omega_t", "T_m"),
+    "gamma_x": ("S_FF", "M", "omega"), "gamma_z": ("Gamma_z_phys", "omega"),
+}
+
 
 def _given(p: PhysicalParams, *keys: str) -> dict[str, float]:
     """The config values of ``keys`` in ``p``, by name, for ``_in_range``."""
     return {key: getattr(p, key) for key in keys}
+
+
+def _derived(p: PhysicalParams, name: str, formula, ok=math.isfinite):
+    """``_in_range`` of the formula for UnitlessParams field ``name``, naming its config keys."""
+    return _in_range(name, formula, _given(p, *_FORMULA_KEYS[name]), ok)
 
 
 def potential_spec(kind: str, p: PhysicalParams, theta: float) -> PotentialSpec:
@@ -347,9 +348,7 @@ def potential_spec(kind: str, p: PhysicalParams, theta: float) -> PotentialSpec:
 
 def _newton_coupling(p: PhysicalParams) -> float:
     """Parallel-geometry Newtonian coupling G M/(d^3 omega^2), unitless."""
-    return _in_range(
-        "g", lambda: G_NEWTON * p.M / (p.d**3 * p.omega**2), _given(p, "M", "d", "omega")
-    )
+    return _derived(p, "g", lambda: G_NEWTON * p.M / (p.d**3 * p.omega**2))
 
 
 def table_coupling(kind: str, orientation: str, p: PhysicalParams) -> tuple[float, float]:
@@ -397,9 +396,14 @@ def table_coupling(kind: str, orientation: str, p: PhysicalParams) -> tuple[floa
 
 def thermal_phonons(omega_t: float, T_m: float) -> float:
     """Bose occupation 1/(exp(hbar*omega_t/(k_B T)) - 1) of the cooling trap."""
-    if T_m <= 0.0:
+    kT = K_BOLTZMANN * T_m
+    if kT <= 0.0:  # T_m = 0, or so small that k_B T_m underflows: the ground state
         return 0.0
-    return 1.0 / math.expm1(HBAR * omega_t / (K_BOLTZMANN * T_m))
+    x = HBAR * omega_t / kT
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:  # x > 709.78, where exp(-x) < 1e-308 equals 1/expm1(x) to rounding
+        return math.exp(-x)
 
 
 def to_unitless(p: PhysicalParams) -> UnitlessParams:
@@ -407,15 +411,13 @@ def to_unitless(p: PhysicalParams) -> UnitlessParams:
 
     f_q = F_q/sqrt(hbar M omega^3), g = G M/(d^3 omega^2), s = omega/omega_t,
     Gamma_x = pi S_FF/(hbar M omega^2), Gamma_z = Gamma_z_phys/omega; n_p is
-    passed through or derived from (omega_t, T_m).  f_q, g, n_p and Gamma_x out
-    of float range raise one ValueError naming the config keys they read; so
-    does an f_q whose square, which every phase and contrast carries, overflows,
-    and a coupling at or beyond the g = 1/2 stability edge.
+    passed through or derived from (omega_t, T_m).  A field out of float range or
+    outside its domain (an f_q whose square, which every phase and contrast
+    carries, overflows, g >= 1/2, s > 1) raises one ValueError naming the config
+    keys its formula reads (``_FORMULA_KEYS``).
     """
-    f_q = _in_range(
-        "f_q",
-        lambda: p.F_q / math.sqrt(HBAR * p.M * p.omega**3),
-        _given(p, "F_q", "M", "omega"),
+    f_q = _derived(
+        p, "f_q", lambda: p.F_q / math.sqrt(HBAR * p.M * p.omega**3),
         lambda f_q: math.isfinite(f_q**2),
     )
     g = _newton_coupling(p)
@@ -423,18 +425,13 @@ def to_unitless(p: PhysicalParams) -> UnitlessParams:
     if p.n_p is not None:
         n_p = p.n_p
     elif p.omega_t is not None and p.T_m is not None:
-        n_p = _in_range(
-            "n_p", lambda: thermal_phonons(p.omega_t, p.T_m), _given(p, "omega_t", "T_m")
-        )
+        n_p = _derived(p, "n_p", lambda: thermal_phonons(p.omega_t, p.T_m))
     else:
         n_p = 0.0
-    gamma_x = _in_range(
-        "gamma_x",
-        lambda: math.pi * p.S_FF / (HBAR * p.M * p.omega**2),
-        _given(p, "S_FF", "M", "omega"),
-    )
+    gamma_x = _derived(p, "gamma_x", lambda: math.pi * p.S_FF / (HBAR * p.M * p.omega**2))
     gamma_z = p.Gamma_z_phys / p.omega
-    _check("g", g, f"{_named(_given(p, 'M', 'd', 'omega'))} put ")
+    for name, value in (("g", g), ("s", s), ("gamma_z", gamma_z)):
+        _check(name, value, f"{_named(_given(p, *_FORMULA_KEYS[name]))} put ")
     return UnitlessParams(f_q=f_q, g=g, s=s, n_p=n_p, gamma_x=gamma_x, gamma_z=gamma_z)
 
 
@@ -488,10 +485,14 @@ def read_key_values(path: str | Path) -> dict[str, float]:
 def load_config(path: str | Path) -> tuple[PhysicalParams, NVParams | None]:
     """Read a config file once: its SI-unit physical parameters and magnetic-trap parameters.
 
+    M, omega and d are required; the first one missing fails as ``path: M is required``.
     The ``nv_``-prefixed keys give the ``NVParams``; there are none (None)
     without a gradient ``nv_dB``, and then any other ``nv_`` key is an error.
     """
     values = read_key_values(path)
+    required = [f.name for f in fields(PhysicalParams) if f.default is MISSING]
+    if missing := [key for key in required if key not in values]:
+        raise ValueError(f"{path}: {missing[0]} is required")
     physical = PhysicalParams(**{k: v for k, v in values.items() if not k.startswith("nv_")})
     nv = {k.removeprefix("nv_"): v for k, v in values.items() if k.startswith("nv_")}
     if nv and "dB" not in nv:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from oracles import csv_document
 from sgipair import cli, design, dynamics, entanglement, oracle
 from sgipair.phase_space import final_time
-from sgipair.potentials import HBAR, UnitlessParams
+from sgipair.potentials import HBAR, UnitlessParams, load_config, to_unitless
 
 PHYS_CFG = """
 M = 1e-9
@@ -258,7 +258,7 @@ class TestSweep:
         with pytest.raises(SystemExit) as exit_info:
             run(["sweep", "--axis", "g:0.1:0.2:3", "--axis", "f_q:1:2:4", "--out", str(out)])
         assert exit_info.value.code == 2
-        assert error_line(capsys) == "sweep grid of 12 rows does not fit in memory"
+        assert error_line(capsys) == "sweep output does not fit in memory"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "bounds"])
@@ -356,6 +356,25 @@ class TestTrajectories:
         assert len(rows) == 7 * 4
         assert "residual_separation" in metadata
         assert float(metadata["closure_time"]) == pytest.approx(final_time(0.1))
+
+    @pytest.mark.parametrize(
+        "target, steps",
+        [("numpy.linspace", "100000000000"), ("sgipair.dynamics.branch_trajectories", "7")],
+    )
+    def test_output_too_large_for_memory_fails_with_one_line(
+        self, tmp_path, monkeypatch, capsys, target, steps
+    ):
+        # the patched call stands in for an allocation that fails; none is really made
+        def no_memory(*_, **__):
+            raise MemoryError
+
+        monkeypatch.setattr(target, no_memory)
+        out = tmp_path / "traj.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            run(["trajectories", "--fq", "1", "--g", "0.1", "--steps", steps, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == "trajectories output does not fit in memory"
+        assert not out.exists()
 
 
 class TestPointReports:
@@ -768,10 +787,16 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "line, given, message",
         [
-            ("n_p = 10", "T_m = -5", "T_m=-5.0 must be >= 0"),
-            ("omega_t = 1e3", "omega_t = -1", "omega_t=-1.0 must be > 0"),
-            ("n_p = 10", "rho_m = -1", "rho_m=-1.0 must be > 0"),
-            ("n_p = 10", "eps_r = 0.5", "eps_r=0.5 must be >= 1 (a dielectric)"),
+            ("n_p = 10", "T_m = -5", "T_m=-5.0 must be finite and >= 0"),
+            ("omega_t = 1e3", "omega_t = -1", "omega_t=-1.0 must be finite and > 0"),
+            ("n_p = 10", "rho_m = -1", "rho_m=-1.0 must be finite and > 0"),
+            ("n_p = 10", "eps_r = 0.5", "eps_r=0.5 must be finite and >= 1 (a dielectric)"),
+            ("F_q = 1e-17", "F_q = -1e-20", "F_q=-1e-20 must be finite and >= 0"),
+            (
+                "omega_t = 1e3",
+                "omega_t = 0.05",
+                "omega=0.1, omega_t=0.05 put squeezing s=2.0 must lie in (0, 1]",
+            ),
             (
                 "M = 1e-9",
                 "M = 3e-6",
@@ -791,6 +816,26 @@ class TestConfigFile:
         assert exit_info.value.code == 2
         assert error_line(capsys) == message
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["qrdm", "expand", "bounds"])
+    @pytest.mark.parametrize("key", ["M", "omega", "d"])
+    def test_missing_required_key_fails_with_one_line(self, tmp_path, capsys, command, key):
+        config = tmp_path / "phys.cfg"
+        kept = [line for line in PHYS_CFG.splitlines() if not line.startswith(f"{key} =")]
+        config.write_text("\n".join(kept))
+        out = tmp_path / "report.txt"
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, "--config", str(config), "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert error_line(capsys) == f"{config}: {key} is required"
+        assert not out.exists()
+
+    def test_cold_preparation_trap_reports_an_empty_trap(self, tmp_path, capsys):
+        # exp(hbar omega_t/(k_B T_m)) overflows here; the occupation is 0, not an error
+        config = tmp_path / "phys.cfg"
+        config.write_text(PHYS_CFG.replace("n_p = 10", "T_m = 1e-12"))
+        assert run(["qrdm", "--config", str(config)]) == 0
+        assert "    n_p: 0\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["qrdm", "expand", "bounds"])
     def test_nv_key_without_gradient_fails_with_one_line(self, tmp_path, capsys, command):
@@ -831,8 +876,8 @@ class TestConfigFile:
             ("omega", "1e300", "expand", f"M=1e-09, omega=1e+300 put x0 {_RANGE}"),
             ("omega", "1e300", "bounds", f"M=1e-09, omega=1e+300 put x0 {_RANGE}"),
             ("omega", "1e300", "qrdm", f"F_q=1e-17, M=1e-09, omega=1e+300 put f_q {_RANGE}"),
-            ("eps_r", "-2", "casimir", "eps_r=-2.0 must be >= 1 (a dielectric)"),
-            ("rho_m", "0", "casimir", "rho_m=0.0 must be > 0"),
+            ("eps_r", "-2", "casimir", "eps_r=-2.0 must be finite and >= 1 (a dielectric)"),
+            ("rho_m", "0", "casimir", "rho_m=0.0 must be finite and > 0"),
         ],
     )
     def test_config_value_out_of_float_range_fails_with_one_line(
@@ -1083,7 +1128,8 @@ _TRAJECTORIES = st.builds(
     _options(("--tau-max",), _TIME),
     _options(("--steps",), st.sampled_from(("0", "1", "3"))),
 )
-# A working config for every kind, some of whose keys (or further ones) take edge values.
+# A working config for every kind, some of whose keys (or further ones) take edge values, and
+# some of whose keys (a required one among them) may be left out (None).
 _BASE_CONFIG = {
     "M": "1e-9", "omega": "0.1", "d": "30e-6", "F_q": "1e-17", "Q": "1e-15", "eps_r": "5.7",
     "rho_m": "3500",
@@ -1091,8 +1137,11 @@ _BASE_CONFIG = {
 _CONFIG_KEYS = (
     *_BASE_CONFIG, "S_FF", "Gamma_z_phys", "omega_t", "n_p", "T_m", "nv_dB", "nv_chi_m",
 )
-_CONFIG = st.dictionaries(st.sampled_from(_CONFIG_KEYS), _EDGE, max_size=4).map(
-    lambda edges: {**_BASE_CONFIG, **edges}
+# M = 1, omega = 1e-90 and d = 1e70 keep f_q and g in range, so that a huge Gamma_z_phys or
+# omega_t fails first
+_HUGE_DIVIDER = {**_BASE_CONFIG, "M": "1", "omega": "1e-90", "d": "1e70"}
+_CONFIG = st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.none() | _EDGE, max_size=4).map(
+    lambda edges: {k: v for k, v in {**_BASE_CONFIG, **edges}.items() if v is not None}
 )
 _CONFIG_COMMAND = st.one_of(
     st.just(["qrdm"]),
@@ -1119,6 +1168,15 @@ def _expected_warnings(argv, config, status) -> list[str]:
     return ["quartic truncation is unreliable"] if warns else []
 
 
+def _names_the_config(message: str, path: Path, config: dict) -> bool:
+    """Whether ``message`` names the config file or one of its keys as ``key=value``.
+
+    An ``nv_`` key is named by its ``NVParams`` field, as the ``NVParams`` message reads it.
+    """
+    named = (f"{key.removeprefix('nv_')}={float(value)}" for key, value in config.items())
+    return str(path) in message or any(re.search(rf"(?<!\w){re.escape(n)}", message) for n in named)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(case=_CASES)
 # sweep axes with an infinite bound, where np.linspace would make NaN with a warning
@@ -1128,14 +1186,26 @@ def _expected_warnings(argv, config, status) -> list[str]:
 # a subnormal g under --constraint-force, where 1/(120 g) overflows
 @example(case=(["sweep", "--axis=g:1e-320:1e-3:3", "--constraint-force"], None))
 @example(case=(["expand"], {**_BASE_CONFIG, "d": "1e-12"}))  # x0/d = 0.73: the designed warning
+# configs whose error named a derived value the file never gave: s = omega/omega_t = 2, a
+# negative force (named as f_q), Gamma_z_phys/omega = inf and omega/omega_t = 0
+@example(case=(["qrdm"], {**_BASE_CONFIG, "omega_t": "0.05"}))
+@example(case=(["qrdm"], {**_BASE_CONFIG, "F_q": "-1e-20"}))
+@example(case=(["qrdm"], {**_HUGE_DIVIDER, "Gamma_z_phys": "1e300"}))
+@example(case=(["qrdm"], {**_HUGE_DIVIDER, "omega_t": "1e300"}))
+@example(case=(["bounds"], {k: v for k, v in _BASE_CONFIG.items() if k != "M"}))  # a missing key
 def test_every_command_ends_whole_or_in_one_error_line(tmp_path_factory, case):
     # Each run exits 0 with no NaN in its output, or exits 2 with exactly one error line, and
-    # warns of nothing but expand's designed quartic-truncation caveat.
+    # warns of nothing but expand's designed quartic-truncation caveat.  A config that
+    # ``to_unitless`` refuses is named by its path or by a key=value the file gave.
     argv, config = case
     if config is not None:
         path = tmp_path_factory.getbasetemp() / "edges.cfg"
         path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
         argv = [*argv, f"--config={path}"]
+        try:
+            to_unitless(load_config(path)[0])
+        except ValueError as error:
+            assert _names_the_config(str(error), path, config), (config, str(error))
     out, err = StringIO(), StringIO()
     with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("always")

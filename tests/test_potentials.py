@@ -76,8 +76,8 @@ class TestExpansion:
     @pytest.mark.parametrize(
         "spec, masses, message",
         [
-            ({"d": -1.0}, {}, "separation d=-1.0 must be finite and > 0"),
-            ({"d": math.nan}, {}, "separation d=nan must be finite and > 0"),
+            ({"d": -1.0}, {}, "d=-1.0 must be finite and > 0"),
+            ({"d": math.nan}, {}, "d=nan must be finite and > 0"),
             ({"theta": math.nan}, {}, "theta=nan must be finite"),
             ({}, {"M": -1.0}, "M=-1.0 must be finite and > 0"),
             ({}, {"M": math.nan}, "M=nan must be finite and > 0"),
@@ -149,6 +149,37 @@ class TestUnitConversion:
         assert message.startswith(prefix) and message.endswith(suffix), message
         assert float(message.removeprefix(prefix).removesuffix(suffix)) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"omega_t": 0.05},
+                "omega=0.1, omega_t=0.05 put squeezing s=2.0 must lie in (0, 1]",
+            ),
+            (
+                {"M": 1e-30, "omega": 1e-10, "omega_t": 1e300},
+                "omega=1e-10, omega_t=1e+300 put squeezing s=1e-310 must be"
+                " >= 2.2250738585072014e-308 (the smallest normal float)",
+            ),
+            (
+                {"M": 1.0, "omega": 1e-90, "d": 1e70, "omega_t": 1e300},
+                "omega=1e-90, omega_t=1e+300 put squeezing s=0.0 must lie in (0, 1]",
+            ),
+            (
+                {"M": 1.0, "omega": 1e-90, "d": 1e70, "Gamma_z_phys": 1e300},
+                "Gamma_z_phys=1e+300, omega=1e-90 put gamma_z=inf must be finite and >= 0",
+            ),
+        ],
+    )
+    def test_derived_field_out_of_domain_names_its_keys(self, fields, message):
+        p = pot.PhysicalParams(**{"M": 1e-9, "omega": 0.1, "d": 30e-6, **fields})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pot.to_unitless(p)
+
+    def test_negative_force_is_named_where_it_is_given(self):
+        with pytest.raises(ValueError, match=r"^F_q=-1e-20 must be finite and >= 0$"):
+            pot.PhysicalParams(M=1e-9, omega=0.1, d=30e-6, F_q=-1e-20)
+
     def test_squeezing_from_trap_ratio(self):
         p = pot.PhysicalParams(M=1e-14, omega=0.1, d=1e-4, omega_t=1e3)
         assert pot.to_unitless(p).s == pytest.approx(1e-4, rel=1e-12)
@@ -196,22 +227,44 @@ class TestFiniteParameters:
         assert pot.UnitlessParams(f_q=1.0, g=0.1, s=np.finfo(float).tiny).s > 0.0
 
     @pytest.mark.parametrize(
-        "name", ["M", "omega", "d", "F_q", "S_FF", "Gamma_z_phys", "omega_t", "n_p", "T_m", "Q"]
+        "name",
+        ["M", "omega", "d", "F_q", "S_FF", "Gamma_z_phys", "omega_t", "n_p", "T_m", "Q", "eps_r",
+         "rho_m"],
     )
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_physical_field_must_be_finite(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name}={value} must be finite$"):
+        requirement = {
+            "F_q": "finite and >= 0", "S_FF": "finite and >= 0", "Gamma_z_phys": "finite and >= 0",
+            "n_p": "finite and >= 0", "T_m": "finite and >= 0", "Q": "finite",
+            "eps_r": "finite and >= 1 (a dielectric)",
+        }.get(name, "finite and > 0")
+        message = f"{name}={value} must be {requirement}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pot.PhysicalParams(**{"M": 1e-14, "omega": 1.0, "d": 1e-4, name: value})
 
     def test_negative_temperature_rejected(self):
         fields = dict(M=1e-14, omega=1.0, d=1e-4, omega_t=10.0)
-        with pytest.raises(ValueError, match=r"^T_m=-5\.0 must be >= 0$"):
+        with pytest.raises(ValueError, match=r"^T_m=-5\.0 must be finite and >= 0$"):
             pot.PhysicalParams(**fields, T_m=-5.0)
         assert pot.to_unitless(pot.PhysicalParams(**fields, T_m=0.0)).n_p == 0.0  # ground state
-        # so cold that exp(hbar omega_t/(k_B T_m)) overflows: one line naming both keys
-        message = r"^omega_t=10\.0, T_m=1e-300 put n_p out of float range$"
-        with pytest.raises(ValueError, match=message):
-            pot.to_unitless(pot.PhysicalParams(**fields, T_m=1e-300))
+
+    def test_cold_preparation_trap_empties_smoothly(self):
+        # below about T_m = 1.1e-11 K at omega_t = 1e3 rad/s, exp(hbar omega_t/(k_B T_m))
+        # overflows; the occupation keeps falling through that edge and ends at 0
+        temperatures = [*np.logspace(-3, -15, 241), 1e-300, 5e-324]  # k_B T_m underflows at the last
+        occupations = [pot.thermal_phonons(1e3, float(T_m)) for T_m in temperatures]
+        assert all(math.isfinite(n_p) and n_p >= 0.0 for n_p in occupations)
+        assert all(later <= earlier for earlier, later in zip(occupations, occupations[1:]))
+        assert occupations[-1] == 0.0
+        fields = dict(M=1e-14, omega=1.0, d=1e-4, omega_t=10.0)
+        assert pot.to_unitless(pot.PhysicalParams(**fields, T_m=1e-300)).n_p == 0.0
+
+    def test_occupation_is_unchanged_where_expm1_is_finite(self):
+        for x in (1e-3, 1.0, 700.0, 709.78):
+            T_m = pot.HBAR * 1e3 / (pot.K_BOLTZMANN * x)
+            assert pot.thermal_phonons(1e3, T_m) == 1.0 / math.expm1(
+                pot.HBAR * 1e3 / (pot.K_BOLTZMANN * T_m)
+            )
 
 
 # Zeros of both signs, subnormals, the smallest normal float, the edges of (0, 1], a
@@ -231,6 +284,22 @@ FORMS = {
 
 def _nonnegative(value: float) -> bool:
     return math.isfinite(value) and value >= 0.0
+
+
+def _positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+def _finite(value: float) -> bool:
+    return math.isfinite(value)
+
+
+def _dielectric(value: float) -> bool:
+    return math.isfinite(value) and value >= 1.0
+
+
+def _diamagnetic(value: float) -> bool:
+    return math.isfinite(value) and value < 0.0
 
 
 def _stable(value: float) -> bool:
@@ -253,7 +322,8 @@ def _checked(name: str):
     return lambda value: pot._check(name, value)
 
 
-# The values each domain admits, by UnitlessParams field or tau.
+# The values each domain admits, by UnitlessParams, PhysicalParams or NVParams field, tau,
+# theta, x0 or x0_over_d.
 ADMITS = {
     "f_q": _nonnegative,
     "g": _stable,
@@ -262,8 +332,13 @@ ADMITS = {
     "gamma_x": _nonnegative,
     "gamma_z": _nonnegative,
     "tau": _nonnegative,
+    **dict.fromkeys(("M", "omega", "d", "omega_t", "rho_m", "dB", "x0", "x0_over_d"), _positive),
+    **dict.fromkeys(("F_q", "S_FF", "Gamma_z_phys", "T_m"), _nonnegative),
+    **dict.fromkeys(("Q", "theta"), _finite),
+    "eps_r": _dielectric,
+    "chi_m": _diamagnetic,
 }
-LABELS = {"g": "coupling g", "s": "squeezing s"}
+LABELS = {"g": "coupling g", "s": "squeezing s", "dB": "magnetic gradient dB"}
 
 # (label the message names, check, the values the check admits)
 FAST_PATH_CASES = {
@@ -307,7 +382,11 @@ class TestScalarFastPaths:
             assert "\n" not in message
 
     def test_every_domain_has_a_case(self):
-        assert set(pot._DOMAINS) == set(ADMITS) == {*pot.UnitlessParams.__dataclass_fields__, "tau"}
+        inputs = {
+            *pot.UnitlessParams.__dataclass_fields__, *pot.PhysicalParams.__dataclass_fields__,
+            *pot.NVParams.__dataclass_fields__, "tau", "theta", "x0", "x0_over_d",
+        }
+        assert set(pot._DOMAINS) == set(ADMITS) == inputs
 
     def test_messages_name_the_requirement(self):
         assert _verdict(_checked("s"), 1.5) == "squeezing s=1.5 must lie in (0, 1]"
@@ -363,6 +442,17 @@ class TestConfig:
         path = tmp_path / "phys.cfg"
         path.write_text("M = 1e-12\nomega = 1.0\nd = 1e-4\nbogus = 3\n")
         with pytest.raises(ValueError, match="bogus"):
+            pot.load_config(path)
+
+    @pytest.mark.parametrize(
+        "dropped, missing", [("M", "M"), ("omega", "omega"), ("d", "d"), ("omega d", "omega")]
+    )
+    def test_missing_required_key_rejected(self, tmp_path, dropped, missing):
+        # the first key missing in field order, before any PhysicalParams is built
+        path = tmp_path / "phys.cfg"
+        given = {"M": "1e-12", "omega": "1.0", "d": "1e-4", "F_q": "-1"}
+        path.write_text("".join(f"{k} = {v}\n" for k, v in given.items() if k not in dropped.split()))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {missing} is required$"):
             pot.load_config(path)
 
     def test_nv_key_without_gradient_rejected(self, tmp_path):
